@@ -11,11 +11,22 @@ bounded below by c on the line (the scan certificate), the solve inherits
 the norm bound |u|_rho <= (1/c)|g|_rho, the operator is causal, and
 solutions for data living in two weighted spaces at once coincide.
 
+One frequency loop serves this system and the second-order E-field form
+(z^2 eps(z) + C mu^{-1} C0) E_hat = g_hat.  Both are diag(d_k) + K with a
+fixed K, so the sparsity pattern is built once and each bin only writes its
+diagonal.  The region laws are evaluated once over the whole line.  A is real
+and M(conj z) = conj M(z), so real time data (a conjugate-symmetric
+spectrum) has a conjugate-symmetric solution: only bins 0 .. n//2 are
+factored and solved, and bin -k is filled with conj(u_k).  The self-mirrored
+bins xi = 0 and Nyquist keep the real part of their solve; at Nyquist this
+removes the asymmetry that the e^{rho t} unweighting would otherwise
+amplify.  Any other spectrum is solved on every bin.
+
 Factorizations are reused across right-hand sides at a fixed frequency; the
 frequency loop dominates runtime and the fixed-point solvers call the same
 factors every iteration.  A singular frequency is never skipped or
 interpolated over: material-law poles on the solve line violate the solution
-theory and must surface as FrequencySingular.
+theory and must surface as PoleHit or FrequencySingular.
 """
 
 from __future__ import annotations
@@ -51,10 +62,102 @@ def _is_hermitian_spectrum(ghat: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.abs(ghat - mirror.conj()).max() <= tol * scale)
 
 
-def _hermitian_project(uhat: np.ndarray) -> np.ndarray:
-    n = uhat.shape[0]
-    mirror = uhat[(-np.arange(n)) % n]
-    return 0.5 * (uhat + mirror.conj())
+class _FrequencyLine:
+    """The frequency loop shared by the first- and second-order solves.
+
+    order=1 is (z M(z) + A) on the (E, H) state, order=2 is
+    (z^2 eps(z) + C mu^{-1} C0) on the edges.  Both are diag(d_k) + K: the
+    pattern of that sum and the positions of its diagonal in the CSC data
+    array are fixed, and d_k = lines[k, group] * weight, where each column of
+    lines is one coefficient evaluated over the whole line.
+    """
+
+    def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
+                 z: np.ndarray, order: int, cache: bool):
+        l1, l2 = material.eps_laws()
+        zp = z if order == 1 else z * z
+        lines = [zp * l1(z), zp * l2(z)]
+        group = np.where(bundle.edge_region_mask(), 0, 1)
+        weight = np.ones(bundle.n_edges)
+        mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
+        if order == 1:
+            K = bundle.A
+            lines.append(z)
+            group = np.concatenate([group, np.full(bundle.n_faces, 2)])
+            weight = np.concatenate([weight, mu])
+        else:
+            K = bundle.C @ sparse.diags(1.0 / mu) @ bundle.C0
+        self.z = z
+        self._lines = np.stack(lines, axis=1)
+        self._group = group
+        self._weight = weight
+        self._cond_unit = max(abs(material.mu1), abs(material.mu2), 1.0)
+
+        # pattern of diag + K, with explicit zeros kept on the diagonal
+        n = K.shape[0]
+        coo = K.tocoo()
+        idx = np.arange(n)
+        pattern = sparse.csc_matrix(
+            (np.concatenate([coo.data, np.zeros(n)]).astype(np.complex128),
+             (np.concatenate([coo.row, idx]), np.concatenate([coo.col, idx]))),
+            shape=(n, n))
+        pattern.sum_duplicates()
+        col = np.repeat(idx, np.diff(pattern.indptr))
+        self._diag_pos = np.flatnonzero(pattern.indices == col)
+        self._pattern = pattern
+        self._use_cache = cache
+        self._cache: dict = {}
+
+    def _factor(self, k: int):
+        if self._use_cache and k in self._cache:
+            return self._cache[k]
+        p = self._pattern
+        data = p.data.copy()
+        data[self._diag_pos] += self._lines[k, self._group] * self._weight
+        mat = sparse.csc_matrix((data, p.indices, p.indptr), shape=p.shape)
+        try:
+            lu = splu(mat)
+        except RuntimeError as exc:
+            raise FrequencySingular(complex(self.z[k]), np.inf) from exc
+        if self._use_cache:
+            self._cache[k] = (lu, mat)
+        return lu, mat
+
+    def solve(self, ghat: np.ndarray, half: bool, collect: dict | None = None) -> np.ndarray:
+        """Solve bins 0 .. n//2 and mirror them (half=True), or every bin."""
+        n_freq = ghat.shape[0]
+        out = np.zeros(ghat.shape, dtype=np.complex128)
+        max_rel_res = 0.0
+        max_growth = 0.0
+        for k in range(n_freq // 2 + 1 if half else n_freq):
+            g = ghat[k]
+            if not np.any(g):
+                continue
+            lu, mat = self._factor(k)
+            u = lu.solve(g)
+            gn = np.linalg.norm(g)
+            res = np.linalg.norm(mat @ u - g) / gn
+            if res > 1e-10:
+                # one step of iterative refinement before giving up
+                u = u + lu.solve(g - mat @ u)
+                res = np.linalg.norm(mat @ u - g) / gn
+            if half and (2 * k) % n_freq == 0:
+                u = u.real   # xi = 0 and Nyquist are their own mirror
+            un = np.linalg.norm(u)
+            growth = un / gn
+            scale = abs(self.z[k]) * self._cond_unit
+            if not np.isfinite(un) or growth * scale > COND_LIMIT:
+                raise FrequencySingular(complex(self.z[k]), growth * scale)
+            max_rel_res = max(max_rel_res, res)
+            max_growth = max(max_growth, growth)
+            out[k] = u
+        if half:
+            k = np.arange(1, (n_freq + 1) // 2)
+            out[n_freq - k] = out[k].conj()
+        if collect is not None:
+            collect["max_rel_residual"] = max_rel_res
+            collect["max_growth"] = max_growth
+        return out
 
 
 @dataclass(frozen=True)
@@ -108,9 +211,10 @@ class SolveReport:
 class SolutionOperator:
     """g -> (z M(z) + A)^{-1} g per frequency, with factor reuse.
 
-    Instances are bound to (bundle, material, rho, grid).  apply() maps a
-    spectral right-hand side array (n_freq, n_state) to the solution array;
-    solve() goes signal to signal.
+    Instances are bound to (bundle, material, rho, grid).  apply_spectral()
+    maps a spectral right-hand side array (n_freq, n_state) to the solution
+    array; apply() goes signal to signal.  A material-law pole on the line
+    raises PoleHit here, at construction.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
@@ -126,73 +230,20 @@ class SolutionOperator:
                 f"no accretivity certificate on the line Re z = {rho} "
                 f"(c_min = {self.c_min:.3e}); pass certificate_required=False to override"
             )
-        emask = bundle.edge_region_mask()
-        fmask = bundle.face_region_mask()
-        self._mu = np.where(fmask, material.mu1, material.mu2)
-        self._emask = emask
-        self._cache: dict = {}
-        self._use_cache = bundle.n_state <= FACTOR_CACHE_DOF_LIMIT
-        self._A = bundle.A.tocsc()
-
-    def _matrix(self, k: int) -> sparse.csc_matrix:
-        z = self.z[k]
-        eps = self.material.eps_values(z, self._emask)
-        diag = np.concatenate([z * eps, z * self._mu])
-        return (sparse.diags(diag) + self._A).tocsc()
-
-    def _factor(self, k: int):
-        if self._use_cache and k in self._cache:
-            return self._cache[k]
-        mat = self._matrix(k)
-        try:
-            lu = splu(mat)
-        except RuntimeError as exc:
-            raise FrequencySingular(complex(self.z[k]), np.inf) from exc
-        if self._use_cache:
-            self._cache[k] = (lu, mat)
-            return self._cache[k]
-        return lu, mat
+        self._line = _FrequencyLine(bundle, material, self.z, order=1,
+                                    cache=bundle.n_state <= FACTOR_CACHE_DOF_LIMIT)
 
     def apply_spectral(self, ghat: np.ndarray, collect: dict | None = None) -> np.ndarray:
-        """Solve every frequency; ghat and result have shape (n_freq, n_state).
+        """Solve on the line; ghat and result have shape (n_freq, n_state).
 
-        When the input spectrum is conjugate-symmetric (real time data), the
-        output is projected back onto that symmetry class: the law satisfies
-        M(conj z) = conj M(z), so the true solution lives there, and the
-        projection removes the self-conjugate Nyquist bin's asymmetry, which
-        the e^{rho t} unweighting would otherwise amplify.
+        A conjugate-symmetric spectrum (real time data) has a
+        conjugate-symmetric solution, because A is real and
+        M(conj z) = conj M(z).  For such input only bins 0 .. n//2 are
+        solved, bin -k is conj(u_k), and the self-mirrored bins xi = 0 and
+        Nyquist keep the real part of their solve.  Any other input is
+        solved on every bin.
         """
-        n_freq = ghat.shape[0]
-        out = np.empty_like(ghat, dtype=np.complex128)
-        max_rel_res = 0.0
-        max_growth = 0.0
-        for k in range(n_freq):
-            g = ghat[k]
-            if not np.any(g):
-                out[k] = 0.0
-                continue
-            lu, mat = self._factor(k)
-            u = lu.solve(g)
-            gn = np.linalg.norm(g)
-            un = np.linalg.norm(u)
-            res = np.linalg.norm(mat @ u - g) / gn
-            if res > 1e-10:
-                # one step of iterative refinement before giving up
-                u = u + lu.solve(g - mat @ u)
-                res = np.linalg.norm(mat @ u - g) / gn
-            growth = un / gn
-            scale = abs(self.z[k]) * max(abs(self.material.mu1), abs(self.material.mu2), 1.0)
-            if not np.isfinite(un) or growth * scale > COND_LIMIT:
-                raise FrequencySingular(complex(self.z[k]), growth * scale)
-            max_rel_res = max(max_rel_res, res)
-            max_growth = max(max_growth, growth)
-            out[k] = u
-        if collect is not None:
-            collect["max_rel_residual"] = max_rel_res
-            collect["max_growth"] = max_growth
-        if _is_hermitian_spectrum(ghat):
-            out = _hermitian_project(out)
-        return out
+        return self._line.solve(ghat, _is_hermitian_spectrum(ghat), collect)
 
     def apply(self, g: WeightedSignal, collect: dict | None = None) -> WeightedSignal:
         G = fourier_laplace(g, check=False)
@@ -294,34 +345,13 @@ def second_order_solve(problem: SecondOrderProblem,
     """Solve the E-field second-order formulation per frequency."""
     b = problem.bundle
     m = problem.material
-    fmask = b.face_region_mask()
-    mu = np.where(fmask, m.mu1, m.mu2)
-    K = (b.C @ sparse.diags(1.0 / mu) @ b.C0).tocsc()
-    emask = b.edge_region_mask()
-
-    Phi = fourier_laplace(problem.phi, check=False)
-    Psi = fourier_laplace(problem.psi, check=False)
+    mu = np.where(b.face_region_mask(), m.mu1, m.mu2)
+    Phi = fourier_laplace(problem.phi, check=False).values
+    Psi = fourier_laplace(problem.psi, check=False).values
     z = problem.rho + 1j * problem.phi.grid.xi
-    Cmat = b.C @ sparse.diags(1.0 / mu)
-
-    out = np.empty((len(z), b.n_edges), dtype=np.complex128)
-    for k, zk in enumerate(z):
-        ghat = zk * Phi.values[k] + Cmat @ Psi.values[k]
-        if not np.any(ghat):
-            out[k] = 0.0
-            continue
-        eps = m.eps_values(zk, emask)
-        mat = (sparse.diags(zk * zk * eps) + K).tocsc()
-        try:
-            lu = splu(mat)
-        except RuntimeError as exc:
-            raise FrequencySingular(complex(zk), np.inf) from exc
-        u = lu.solve(ghat)
-        if not np.all(np.isfinite(u)):
-            raise FrequencySingular(complex(zk), np.inf)
-        out[k] = u
-    if _is_hermitian_spectrum(Phi.values) and _is_hermitian_spectrum(Psi.values):
-        out = _hermitian_project(out)
+    ghat = z[:, None] * Phi + (b.C @ sparse.diags(1.0 / mu) @ Psi.T).T
+    half = _is_hermitian_spectrum(Phi) and _is_hermitian_spectrum(Psi)
+    out = _FrequencyLine(b, m, z, order=2, cache=False).solve(ghat, half)
     spec = SpectralSignal(problem.phi.grid, problem.rho, out, problem.phi.wrap_tol)
     return inverse_fourier_laplace(spec)
 

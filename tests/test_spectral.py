@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import memax.spectral as spectral
 from memax import (
     LinearProblem,
+    PiecewiseMaterial,
     SecondOrderProblem,
     SolutionOperator,
     TimeGrid,
     WeightedSignal,
+    dl_law,
+    fourier_laplace,
     second_order_solve,
     smooth_pulse,
     solve_linear,
@@ -31,6 +35,13 @@ def pulse_rhs(bundle, grid, rho, rng, t_on=0.0, t_off=2.0, div_free=False):
         vec = rng.standard_normal(bundle.n_state)
     prof = smooth_pulse(grid.times, t_on, t_off)
     return WeightedSignal(grid, rho, prof[:, None] * vec[None, :])
+
+
+def frequency_matrix(bundle, material, z):
+    """z diag(eps(z), mu) + A, built from public pieces independently of the solver."""
+    eps = material.eps_values(z, bundle.edge_region_mask())
+    mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
+    return sparse.diags(np.concatenate([z * eps, z * mu])) + bundle.A
 
 
 GRID = TimeGrid(-2.0, 1.0 / 32.0, 512)  # t in [-2, 14)
@@ -76,19 +87,13 @@ class TestSolveLinear:
 
     def test_solution_in_domain_per_frequency(self, bundle4, material_dl, rng):
         # the defining equation holds per frequency with finite A u_hat
-        from memax import fourier_laplace
-
         rho = 2.0
         g = pulse_rhs(bundle4, GRID, rho, rng)
         op = SolutionOperator(bundle4, material_dl, rho, GRID)
         G = fourier_laplace(g)
         U = op.apply_spectral(G.values)
         k = 17
-        z = op.z[k]
-        emask = bundle4.edge_region_mask()
-        eps = material_dl.eps_values(z, emask)
-        mu = np.where(bundle4.face_region_mask(), material_dl.mu1, material_dl.mu2)
-        mat = sparse.diags(np.concatenate([z * eps, z * mu])) + bundle4.A
+        mat = frequency_matrix(bundle4, material_dl, op.z[k])
         res = np.linalg.norm(mat @ U[k] - G.values[k])
         assert np.isfinite(np.linalg.norm(bundle4.A @ U[k]))
         assert res < 1e-10 * np.linalg.norm(G.values[k])
@@ -105,6 +110,71 @@ class TestSolveLinear:
         g = pulse_rhs(bundle4, GRID, -0.5, rng)
         with pytest.raises(ValueError, match="certificate"):
             solve_linear(LinearProblem(bundle4, material_dl, -0.5, g))
+
+
+@pytest.fixture(scope="module")
+def material_mix(dl_params, dl_params_b):
+    # distinct laws, mu and conductivity per region: every diagonal group differs
+    return PiecewiseMaterial(dl_law(dl_params), dl_law(dl_params_b), 1.0, 2.0, sigma2=0.5)
+
+
+class TestHalfLine:
+    def test_real_data_exact_conjugate_symmetry(self, bundle4, material_mix, rng):
+        g = pulse_rhs(bundle4, GRID, 2.0, rng)
+        op = SolutionOperator(bundle4, material_mix, 2.0, GRID)
+        G = fourier_laplace(g).values
+        U = op.apply_spectral(G)
+        n = GRID.n_samples
+        k = np.arange(1, n // 2)
+        assert np.array_equal(U[n - k], U[k].conj())
+        assert not U[0].imag.any() and not U[n // 2].imag.any()
+        m = n - 37  # a mirrored bin, never factored
+        res = np.linalg.norm(frequency_matrix(bundle4, material_mix, op.z[m]) @ U[m] - G[m])
+        assert res <= 1e-10 * np.linalg.norm(G[m])
+
+    def test_complex_data_solves_every_bin(self, bundle4, material_mix, rng):
+        g = pulse_rhs(bundle4, GRID, 2.0, rng)
+        h = pulse_rhs(bundle4, GRID, 2.0, rng, t_on=0.5, t_off=3.0)
+        G = fourier_laplace(g + h * 1j).values
+        op = SolutionOperator(bundle4, material_mix, 2.0, GRID)
+        U = op.apply_spectral(G)
+        n = GRID.n_samples
+        for k in (0, 5, n // 2, n - 5, n - 37):
+            res = np.linalg.norm(frequency_matrix(bundle4, material_mix, op.z[k]) @ U[k] - G[k])
+            assert res <= 1e-10 * np.linalg.norm(G[k])
+
+
+class TestFactorCounts:
+    @pytest.fixture()
+    def factor_calls(self, monkeypatch):
+        calls = []
+        splu = spectral.splu
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return splu(mat)
+
+        monkeypatch.setattr(spectral, "splu", counting)
+        return calls
+
+    def test_real_then_cached(self, bundle4, material_dl, rng, factor_calls):
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
+        assert len(factor_calls) == GRID.n_samples // 2 + 1
+        op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
+        assert len(factor_calls) == GRID.n_samples // 2 + 1
+
+    def test_complex_data(self, bundle4, material_dl, rng, factor_calls):
+        g = pulse_rhs(bundle4, GRID, 2.0, rng)
+        SolutionOperator(bundle4, material_dl, 2.0, GRID).apply(g * 1j + g)
+        assert len(factor_calls) == GRID.n_samples
+
+    def test_second_order_real_data(self, bundle4, material_dl, rng, factor_calls):
+        prof = smooth_pulse(GRID.times, 0.0, 1.5)
+        phi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(bundle4.n_edges)[None, :])
+        psi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(bundle4.n_faces)[None, :])
+        second_order_solve(SecondOrderProblem(bundle4, material_dl, 2.5, phi, psi))
+        assert factor_calls == [(bundle4.n_edges, bundle4.n_edges)] * (GRID.n_samples // 2 + 1)
 
 
 class TestCausality:
