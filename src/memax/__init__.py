@@ -51,7 +51,6 @@ from .materials import (  # noqa: F401
     ModDLParams,
     PiecewiseMaterial,
     ScalarLaw,
-    accretivity_on_line,
     accretivity_scan,
     conductivity_law,
     dl_law,

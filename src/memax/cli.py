@@ -17,7 +17,8 @@ import numpy as np
 from . import reporting
 from .config import RunConfig
 from .errors import MemaxError, NotCertified
-from .nonlinear import DtPolarization, KernelSpec, SaturableNonlinearity, picard_solve
+from .nonlinear import (DtPolarization, KernelSpec, SaturableNonlinearity, ball_solve,
+                        picard_solve)
 from .operators import helmholtz_projections
 from .signals import (
     TimeGrid,
@@ -113,19 +114,8 @@ def cmd_picard(args) -> int:
     g = _source_signal(cfg, bundle, grid, args.rho)
     problem = LinearProblem(bundle, material, args.rho, g)
     if args.ball_radius is not None:
-        from .nonlinear import ball_solve
-
-        class _GlobalAsLocal:
-            """Globally Lipschitz map viewed through the ball interface."""
-
-            def __call__(self, E):
-                return pol(E)
-
-            def loc_lip_constant(self, rho):
-                return pol.lip_bound()
-
         policy = "auto" if args.ball_radius == "auto" else float(args.ball_radius)
-        u, cert = ball_solve(problem, _GlobalAsLocal(), weight=args.rho, alpha=1.0,
+        u, cert = ball_solve(problem, pol, weight=args.rho, alpha=1.0,
                              radius_policy=policy, tol=tol["picard_tol"],
                              max_iter=int(tol["max_iter"]))
     else:

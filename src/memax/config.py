@@ -163,15 +163,11 @@ class RunConfig:
                                          sigma1=sigma1, sigma2=sigma2)
         else:
             material = PiecewiseMaterial(law1, law2, mu[0], mu[1])
-        eps_infs = [_eps_inf(params1), _eps_inf(params2)]
+        eps_infs = [params1.eps_inf, params2.eps_inf]
         return material, params1, params2, [law1, law2], eps_infs
 
     def bundle(self):
         return build_curl_pair(self.yee_grid())
-
-
-def _eps_inf(params) -> float:
-    return params.base.eps0 if isinstance(params, ModDLParams) else params.eps0
 
 
 def default_config_dict() -> dict:

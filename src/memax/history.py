@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import ModDLParams, PiecewiseMaterial
+from .materials import ModDLParams, PiecewiseMaterial, sample_kernel
 from .nonlinear import KernelSpec
 from .operators import OperatorBundle
 from .signals import SampledKernel, TimeGrid, WeightedSignal, causal_convolve
@@ -252,25 +252,8 @@ class MaterialKernels:
         def kernel_pair(params):
             if params is None:
                 return None, None
-            if isinstance(params, ModDLParams):
-                base, r = params.base, params.r
-            else:
-                base, r = params, None
-            t = grid.times
-            pos = t >= 0
-            k = np.zeros_like(t)
-            kp = np.zeros_like(t)
-            for a, g, w in base.terms:
-                bfr = np.sqrt(w * w - g * g)
-                e = np.exp(-g * t[pos])
-                s = np.sin(bfr * t[pos])
-                c = np.cos(bfr * t[pos])
-                k[pos] += (a / bfr) * e * s
-                kp[pos] += (a / bfr) * e * (bfr * c - g * s)
-                if r is not None:
-                    k[pos] += (a / r) * e * (c - (g / bfr) * s)
-                    kp[pos] += (a / r) * e * (-(g + g) * c - (bfr - g * g / bfr) * s)
-            return SampledKernel(grid, k), SampledKernel(grid, kp)
+            terms = params.kernel_terms()
+            return sample_kernel(terms, grid), sample_kernel(terms, grid, derivative=True)
 
         k1, k1p = kernel_pair(params1)
         k2, k2p = kernel_pair(params2)
@@ -346,7 +329,9 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
 
     conv_method picks how the linear memory terms are evaluated:
     "trapezoid" samples the kernels and convolves in time (the module's
-    standard quadrature), "spectral" multiplies by the closed-form law on
+    standard quadrature; it needs the time-domain expansion, so overdamped
+    terms raise OverdampedUnsupported and z0 != 0 raises MemaxError),
+    "spectral" multiplies by the closed-form law on
     the frequency line, which matches the solver's own convention and keeps
     the converted data's kink at t=0 at the compatibility level rather than
     at the quadrature level (needed when the pre-support margin of the
@@ -356,12 +341,7 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
     emask1 = bundle.edge_region_mask()
     fmask1 = bundle.face_region_mask()
 
-    def eps_inf_of(p):
-        if p is None:
-            return 1.0
-        return p.base.eps0 if isinstance(p, ModDLParams) else p.eps0
-
-    eps_inf = np.where(emask1, eps_inf_of(params1), eps_inf_of(params2))
+    eps_inf = np.where(emask1, *(1.0 if p is None else p.eps_inf for p in (params1, params2)))
     mu = np.where(fmask1, material.mu1, material.mu2)
     M0 = np.concatenate([eps_inf, mu])
 
@@ -369,7 +349,6 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
     dphi_plus = _dphi_plus(h, b, grid)
 
     phi_embedded = WeightedSignal(grid, rho, h.embed(grid))
-    kernels = MaterialKernels.from_params(params1, params2, TimeGrid(0.0, grid.dt, grid.n_samples))
     phi_E = phi_embedded.with_values(phi_embedded.values[:, :ne])
     phip_E = phi_plus.with_values(phi_plus.values[:, :ne])
     dG_full = np.zeros_like(phi_embedded.values)
@@ -380,6 +359,8 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
         total_E = phi_E + phip_E
         dG_full[:, :ne] = _spectral_memory_derivative(total_E, params1, params2, emask1)
     elif conv_method == "trapezoid":
+        kernels = MaterialKernels.from_params(params1, params2,
+                                              TimeGrid(0.0, grid.dt, grid.n_samples))
         dG_full[:, :ne] = _convolve_regions(kernels, emask1, phi_E, derivative=True)
         # zero-lag kernel currents chi(0+) phi(t): phi vanishes for t > 0, so
         # this only feeds the t = 0 sample (and the compatibility residual)

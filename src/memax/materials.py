@@ -4,11 +4,17 @@ The laws here are rational in z.  The damped-oscillator susceptibility
 
     chi(z) = sum_j alpha_j / (omega0_j^2 + z^2 + 2 gamma_j z)
 
-has all poles in the open left half-plane for gamma_j > 0; its time kernel is
-a sum of exponentially damped sines (oscillatory branch omega0 > gamma only).
-The modified law multiplies each term by (1 + (z - z0)/r), which restores
-strict half-plane accretivity outside a disk around the origin when
-2 gamma r - omega0^2 > 0, and a conductivity shift sigma adds z^{-1} sigma.
+has all poles in the open left half-plane for gamma_j > 0.  The modified law
+multiplies each term by (1 + (z - z0)/r), which restores strict half-plane
+accretivity outside a disk around the origin when 2 gamma r - omega0^2 > 0,
+and a conductivity shift sigma adds z^{-1} sigma.
+
+Time domain: each parameter record expands into (lam_j, c_j) pairs whose
+kernel is Im(c_j e^{lam_j t}) for t > 0 (the recursive-convolution form of
+Luebbers et al., IEEE Trans. EMC 32, 1990), and sample_kernel samples it.
+Every time-domain consumer (kernels, Picard memory, history conversion, the
+oracle stepper) goes through this one expansion; the z-domain evaluators and
+closed forms below do not, so they stay independent checks on it.
 
 Accretivity is always measured as the smallest eigenvalue of the Hermitian
 part: "Re B >= c" means <(B + B*)/2 x, x> >= c |x|^2.  Scans walk a half-plane
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, OverdampedUnsupported, PoleHit
+from .errors import GridTooCoarse, MemaxError, OverdampedUnsupported, PoleHit
 from .signals import SampledKernel, TimeGrid
 
 POLE_PROXIMITY = 1e-14        # relative denominator threshold for PoleHit
@@ -67,6 +73,27 @@ class DrudeLorentzParams:
                 out += [-g + math.sqrt(-disc), -g - math.sqrt(-disc)]
         return np.asarray(out, dtype=np.complex128)
 
+    @property
+    def eps_inf(self) -> float:
+        return self.eps0
+
+    def kernel_terms(self) -> list:
+        """(lam, c) per term: (alpha/b) e^{-gamma t} sin(b t) = Im(c e^{lam t})
+        with lam = -gamma + i b, c = alpha/b, b = sqrt(omega0^2 - gamma^2).
+
+        Only the oscillatory branch omega0 > gamma is covered.
+        """
+        out = []
+        for a, g, w in self.terms:
+            if w <= g:
+                raise OverdampedUnsupported(
+                    f"term (alpha={a}, gamma={g}, omega0={w}) is overdamped; "
+                    "z-domain evaluation still works"
+                )
+            b = math.sqrt(w * w - g * g)
+            out.append((complex(-g, b), complex(a / b)))
+        return out
+
 
 @dataclass(frozen=True)
 class ModDLParams:
@@ -83,6 +110,26 @@ class ModDLParams:
     def accretivity_margin(self) -> float:
         """min over terms of 2*gamma*r - omega0^2 (must be > 0 for the certificate)."""
         return min(2.0 * g * self.r - w * w for _, g, w in self.base.terms)
+
+    @property
+    def eps_inf(self) -> float:
+        return self.base.eps0
+
+    def kernel_terms(self) -> list:
+        """The plain terms plus the (1 + z/r) correction per oscillator,
+
+            (alpha/r) e^{-gamma t} (cos(b t) - (gamma/b) sin(b t)),
+
+        which only changes the coefficient: c = alpha/b - (alpha/r)(gamma/b)
+        + i alpha/r on the same lam (Re x = Im(i x)).  Covers z0 = 0 only.
+        """
+        if self.z0 != 0.0:
+            raise MemaxError(
+                f"time-domain kernel covers the z0 = 0 modified law only, got z0 = {self.z0}"
+            )
+        r = self.r
+        return [(lam, complex(c.real - (a / r) * (g / lam.imag), a / r))
+                for (lam, c), (a, g, _) in zip(self.base.kernel_terms(), self.base.terms)]
 
 
 def _denominators(z, terms):
@@ -164,46 +211,35 @@ def mod_dl_g(nu: float, t: float, p: ModDLParams) -> float:
     return float(a / r * num / den)
 
 
-def dl_time_kernel(p: DrudeLorentzParams, grid: TimeGrid) -> SampledKernel:
-    """Sample the damped-sine kernel chi(t) = theta(t) sum_j a_j e^{-gamma_j t} sin(b_j t).
+def sample_kernel(terms, grid: TimeGrid, derivative: bool = False) -> SampledKernel:
+    """Sample sum_j Im(c_j e^{lam_j t}) for t >= 0 (zero before), or with
+    derivative=True its t-derivative sum_j Im(c_j lam_j e^{lam_j t}).
 
-    a_j = alpha_j / b_j and b_j = sqrt(omega0_j^2 - gamma_j^2); only the
-    oscillatory branch omega0 > gamma is covered.  The plain Laplace
-    transform of the samples reproduces eval_chi_dl to quadrature accuracy.
+    terms are (lam, c) pairs from a parameter record's kernel_terms().
     """
-    for a, g, w in p.terms:
-        if w <= g:
-            raise OverdampedUnsupported(
-                f"term (alpha={a}, gamma={g}, omega0={w}) is overdamped; "
-                "z-domain evaluation still works"
-            )
     t = grid.times
+    pos = t >= 0
+    tp = t[pos]
     vals = np.zeros_like(t)
-    pos = t >= 0
-    for a, g, w in p.terms:
-        b = math.sqrt(w * w - g * g)
-        vals[pos] += (a / b) * np.exp(-g * t[pos]) * np.sin(b * t[pos])
+    for lam, c in terms:
+        g, b = -lam.real, lam.imag
+        e = np.exp(-g * tp)
+        s, co = np.sin(b * tp), np.cos(b * tp)
+        if derivative:
+            vals[pos] += c.real * e * (b * co - g * s) + c.imag * e * (-g * co - b * s)
+        else:
+            vals[pos] += c.real * e * s + c.imag * e * co
     return SampledKernel(grid, vals)
 
 
-def mod_dl_time_kernel(p: ModDLParams, grid: TimeGrid) -> SampledKernel:
-    """Kernel of the modified law: the plain kernel plus the correction term
+def dl_time_kernel(p, grid: TimeGrid) -> SampledKernel:
+    """Sampled memory kernel of a plain or modified (z0 = 0) oscillator law.
 
-        (alpha/r) theta(t) e^{-gamma t} (cos(b t) - (gamma/b) sin(b t))
-
-    per oscillator (z0 = 0 case), which is the time-domain counterpart of
-    multiplying by (1 + z/r).
+    For the plain law chi(t) = theta(t) sum_j (alpha_j/b_j) e^{-gamma_j t}
+    sin(b_j t); its plain Laplace transform reproduces eval_chi_dl (and, for
+    the modified law, mod_dl_eval - eps0) to quadrature accuracy.
     """
-    if p.z0 != 0.0:
-        raise ValueError("time kernel implemented for z0 = 0 only")
-    base = dl_time_kernel(p.base, grid)
-    t = grid.times
-    vals = np.array(base.values, dtype=np.complex128)
-    pos = t >= 0
-    for a, g, w in p.base.terms:
-        b = math.sqrt(w * w - g * g)
-        vals[pos] += (a / p.r) * np.exp(-g * t[pos]) * (np.cos(b * t[pos]) - (g / b) * np.sin(b * t[pos]))
-    return SampledKernel(grid, vals)
+    return sample_kernel(p.kernel_terms(), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -445,24 +481,6 @@ def accretivity_scan(law, nu: float, delta_exclusion: float = 0.0,
         tail_limit=tail,
         certified=c_min > 0.0,
     )
-
-
-def accretivity_on_line(law, rho: float, xi: np.ndarray, scan_re_M: bool = False) -> float:
-    """min over the solver's actual frequency line z = rho + i xi of Re(z M(z)).
-
-    This is the constant that certifies the per-frequency solution operator
-    norm 1/c on that line; reports always use it, never a hand-entered value.
-    """
-    z = rho + 1j * np.asarray(xi)
-    if isinstance(law, ScalarLaw):
-        M = law(z)
-        vals = np.real(M) if scan_re_M else np.real(z * M)
-        return float(vals.min())
-    vals = []
-    for zz in z:
-        out = law(zz)
-        vals.append(hermitian_min(out if scan_re_M else zz * out))
-    return float(min(vals))
 
 
 def line_certificate(material: PiecewiseMaterial, rho: float, xi: np.ndarray) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BallEscape, KernelRankTooHigh, MaxIterExceeded, NotAContraction
-from .materials import DrudeLorentzParams, line_certificate
+from .materials import line_certificate, sample_kernel
 from .signals import (
     SampledKernel,
     TimeGrid,
@@ -70,20 +70,13 @@ class KernelSpec:
         )
 
     @staticmethod
-    def from_dl(params: DrudeLorentzParams, grid: TimeGrid,
-                rho_kappa: float = 0.0, scale: float = 1.0) -> "KernelSpec":
-        """Damped-sine kernel and its analytic derivative, scaled by `scale`."""
-        t = grid.times
-        pos = t >= 0
-        k = np.zeros_like(t)
-        kp = np.zeros_like(t)
-        for a, g, w in params.terms:
-            if w <= g:
-                raise ValueError("kernel spec needs oscillatory terms")
-            b = math.sqrt(w * w - g * g)
-            k[pos] += scale * (a / b) * np.exp(-g * t[pos]) * np.sin(b * t[pos])
-            kp[pos] += scale * (a / b) * np.exp(-g * t[pos]) * (b * np.cos(b * t[pos]) - g * np.sin(b * t[pos]))
-        return KernelSpec.from_samples(SampledKernel(grid, k), SampledKernel(grid, kp), rho_kappa)
+    def from_dl(params, grid: TimeGrid, rho_kappa: float = 0.0,
+                scale: float = 1.0) -> "KernelSpec":
+        """Oscillator-law kernel and its analytic derivative, scaled by `scale`."""
+        terms = [(lam, scale * c) for lam, c in params.kernel_terms()]
+        return KernelSpec.from_samples(sample_kernel(terms, grid),
+                                       sample_kernel(terms, grid, derivative=True),
+                                       rho_kappa)
 
     def lip_factor(self) -> float:
         """|kappa(0+)| + L_kappa."""
@@ -220,6 +213,10 @@ class DtPolarization:
     def lip_bound(self) -> float:
         return self.q.lip_bound * self.spec.lip_factor()
 
+    def loc_lip_constant(self, rho: float) -> float:
+        """A global Lipschitz bound is a local one on every ball."""
+        return self.lip_bound()
+
     def constants(self) -> dict:
         return {
             "q_lip": self.q.lip_bound,
@@ -287,16 +284,6 @@ class QuadKernelSpec:
             diag = np.diagonal(Kw, offset=off)
             ell = max(ell, float(diag.sum()) * dt)
         return QuadKernelSpec(factors_a, factors_b, rho_K, L_K, ell, d_K, cutoff_T)
-
-
-def quad_kernel_from_profiles(grid: TimeGrid, profiles, rho_K: float = 0.0) -> "QuadKernelSpec":
-    """Build a separable kernel from (a(t), b(t)) callable pairs."""
-    fa, fb = [], []
-    for a_fn, b_fn in profiles:
-        t = grid.times
-        fa.append(SampledKernel(grid, np.where(t >= 0, a_fn(t), 0.0)))
-        fb.append(SampledKernel(grid, np.where(t >= 0, b_fn(t), 0.0)))
-    return QuadKernelSpec.from_factors(fa, fb, rho_K)
 
 
 def apply_P2(quad: QuadKernelSpec, q2, E: WeightedSignal, F: WeightedSignal | None = None) -> WeightedSignal:
@@ -413,6 +400,61 @@ def suggest_rho(problem: LinearProblem, lip: float, target: float = 0.9,
     return hi
 
 
+def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: float,
+                 max_iter: int, radius: float | None = None):
+    """Iterate u <- S(g - (N(E), 0)) from u0 = S g until the step gap drops
+    below tol times the scale: |u0| without a ball, the radius with one.
+
+    Without a ball, three successive gap ratios above 2 stop the run as a
+    runaway.  With a ball, an iterate outside the radius raises BallEscape.
+    Returns u, the certificate fields measured on the run and the trace of
+    iterate norms checked against the ball.
+    """
+    bundle = op.bundle
+    n_edges = bundle.n_edges
+
+    def step(u: WeightedSignal) -> WeightedSignal:
+        E = u.with_values(u.values[:, :n_edges])
+        N = nonlinearity(E)
+        rhs = g.with_values(g.values - _embed_E(bundle, N.values, bundle.n_state))
+        return op.apply(rhs)
+
+    def inside_ball(u: WeightedSignal) -> float:
+        norm_u = weighted_norm(u)
+        if norm_u > radius:
+            raise BallEscape(len(gaps), norm_u, radius)
+        return norm_u
+
+    u = op.apply(g)
+    scale = max(weighted_norm(u) if radius is None else radius, 1e-300)
+    gaps, ratios, trace = [], [], []
+    for _ in range(max_iter):
+        if radius is not None:
+            trace.append(inside_ball(u))
+        u_next = step(u)
+        gap = weighted_norm(u_next - u)
+        if gaps:
+            ratios.append(gap / max(gaps[-1], 1e-300))
+        gaps.append(gap)
+        u = u_next
+        if gap <= tol * scale:
+            break
+        if radius is None and len(ratios) >= 3 and all(r > 2.0 for r in ratios[-3:]):
+            # runaway: usually the window's unweighted dynamic range
+            # e^{rho (t_end - t_data)} exceeding float precision
+            raise MaxIterExceeded(len(gaps), gaps)
+    else:
+        raise MaxIterExceeded(len(gaps), gaps)
+    if radius is not None:
+        inside_ball(u)
+    return u, {
+        "empirical_ratio": max(ratios) if ratios else 0.0,
+        "iterations": len(gaps),
+        "converged": True,
+        "final_residual": weighted_norm(step(u) - u),
+    }, trace
+
+
 def picard_solve(problem: LinearProblem, nonlinearity, rho: float | None = None,
                  tol: float = 1e-10, max_iter: int = 200):
     """Fixed-point solve of (dM/dt + A) u = g - (dP_nl/dt (E), 0).
@@ -438,45 +480,12 @@ def picard_solve(problem: LinearProblem, nonlinearity, rho: float | None = None,
             suggestion = None
         raise NotAContraction(rho, bound, suggestion)
 
-    n_edges = bundle.n_edges
-
-    def step(u: WeightedSignal) -> WeightedSignal:
-        E = u.with_values(u.values[:, :n_edges])
-        N = nonlinearity(E)
-        rhs = g.with_values(g.values - _embed_E(bundle, N.values, bundle.n_state))
-        return op.apply(rhs)
-
-    u = op.apply(g)
-    gaps = []
-    ratios = []
-    converged = False
-    scale = max(weighted_norm(u), 1e-300)
-    for it in range(1, max_iter + 1):
-        u_next = step(u)
-        gap = weighted_norm(u_next - u)
-        if gaps:
-            ratios.append(gap / max(gaps[-1], 1e-300))
-        gaps.append(gap)
-        u = u_next
-        if gap <= tol * scale:
-            converged = True
-            break
-        if len(ratios) >= 3 and all(r > 2.0 for r in ratios[-3:]):
-            # runaway: usually the window's unweighted dynamic range
-            # e^{rho (t_end - t_data)} exceeding float precision
-            raise MaxIterExceeded(len(gaps), gaps)
-    if not converged:
-        raise MaxIterExceeded(len(gaps), gaps)
-
-    residual = weighted_norm(step(u) - u)
+    u, run, _ = _fixed_point(op, g, nonlinearity, tol, max_iter)
     cert = ContractionCertificate(
         rho=rho,
         theoretical_bound=bound,
-        empirical_ratio=max(ratios) if ratios else 0.0,
-        iterations=len(gaps),
-        converged=converged,
-        final_residual=residual,
         constants={**getattr(nonlinearity, "constants", dict)(), "c_min_line": op.c_min},
+        **run,
     )
     return u, cert
 
@@ -517,46 +526,10 @@ def ball_solve(problem: LinearProblem, nonlinearity, weight: float, alpha: float
     else:
         radius = float(radius_policy)
 
-    n_edges = bundle.n_edges
-
-    def step(u: WeightedSignal) -> WeightedSignal:
-        E = u.with_values(u.values[:, :n_edges])
-        N = nonlinearity(E)
-        rhs = g.with_values(g.values - _embed_E(bundle, N.values, bundle.n_state))
-        return op.apply(rhs)
-
-    trace = []
-    u = op.apply(g)
-    gaps = []
-    ratios = []
-    converged = False
-    for it in range(max_iter):
-        norm_u = weighted_norm(u)
-        trace.append(norm_u)
-        if norm_u > radius:
-            raise BallEscape(it, norm_u, radius)
-        u_next = step(u)
-        gap = weighted_norm(u_next - u)
-        if gaps:
-            ratios.append(gap / max(gaps[-1], 1e-300))
-        gaps.append(gap)
-        u = u_next
-        if gap <= tol * max(radius, 1e-300):
-            converged = True
-            break
-    if not converged:
-        raise MaxIterExceeded(len(gaps), gaps)
-    norm_u = weighted_norm(u)
-    if norm_u > radius:
-        raise BallEscape(len(gaps), norm_u, radius)
-
+    u, run, trace = _fixed_point(op, g, nonlinearity, tol, max_iter, radius)
     cert = ContractionCertificate(
         rho=weight,
         theoretical_bound=gain * C_loc * (2.0 * radius) ** alpha,
-        empirical_ratio=max(ratios) if ratios else 0.0,
-        iterations=len(gaps),
-        converged=converged,
-        final_residual=weighted_norm(step(u) - u),
         constants={
             "C_loc": C_loc,
             "radius": radius,
@@ -564,5 +537,6 @@ def ball_solve(problem: LinearProblem, nonlinearity, weight: float, alpha: float
             "alpha": alpha,
             "ball_trace": trace,
         },
+        **run,
     )
     return u, cert

@@ -151,7 +151,6 @@ class OperatorBundle:
     C0: interior edges -> faces (curl with PEC rows eliminated)
     C:  faces -> interior edges, C = C0^T exactly
     D:  faces -> cells (divergence); D @ C0 = 0 exactly
-    D0: cells -> faces, D0 = -D^T (gradient counterpart)
     G0: interior nodes -> interior edges (Dirichlet gradient); C0 @ G0 = 0
     A:  skew block [[0, -C], [C0, 0]] over (E, H) dofs
     """
@@ -160,15 +159,12 @@ class OperatorBundle:
     C0: sparse.csr_matrix
     C: sparse.csr_matrix
     D: sparse.csr_matrix
-    D0: sparse.csr_matrix
     G0: sparse.csr_matrix
     A: sparse.csr_matrix
     n_edges: int
     n_faces: int
     edge_positions: np.ndarray
     face_positions: np.ndarray
-    edge_axes: np.ndarray
-    face_axes: np.ndarray
 
     @property
     def n_state(self) -> int:
@@ -244,7 +240,6 @@ def build_curl_pair(grid: YeeGrid) -> OperatorBundle:
                     add(r, hi, 1.0 / h[a])
                     add(r, lo, -1.0 / h[a])
     D = sparse.csr_matrix((vals, (rows, cols)), shape=(nx * ny * nz, faces.total))
-    D0 = sparse.csr_matrix(-D.T)
 
     # Dirichlet gradient: interior nodes -> interior edges
     node_shape = (nx + 1, ny + 1, nz + 1)
@@ -281,7 +276,6 @@ def build_curl_pair(grid: YeeGrid) -> OperatorBundle:
     # dof midpoints for region masks
     def positions(numbering, kind):
         pos = np.zeros((numbering.total, 3))
-        axes = np.zeros(numbering.total, dtype=np.int64)
         for a in range(3):
             shape = numbering.shapes[a]
             ids = numbering.index[a]
@@ -299,17 +293,12 @@ def build_curl_pair(grid: YeeGrid) -> OperatorBundle:
                                 if tr != a:
                                     xyz[tr] += 0.5 * h[tr]
                         pos[r] = xyz
-                        axes[r] = a
-        return pos, axes
-
-    epos, eax = positions(edges, "edge")
-    fpos, fax = positions(faces, "face")
+        return pos
 
     return OperatorBundle(
-        grid=grid, C0=C0, C=C, D=D, D0=D0, G0=G0, A=A,
+        grid=grid, C0=C0, C=C, D=D, G0=G0, A=A,
         n_edges=edges.total, n_faces=faces.total,
-        edge_positions=epos, face_positions=fpos,
-        edge_axes=eax, face_axes=fax,
+        edge_positions=positions(edges, "edge"), face_positions=positions(faces, "face"),
     )
 
 
@@ -340,9 +329,6 @@ class ProjectionBasis:
     def pi1(self, v: np.ndarray) -> np.ndarray:
         B = self.basis_ker_C
         return (v @ B.conj()) @ B.T if v.ndim > 1 else B @ (B.conj().T @ v)
-
-    def pi0_complement(self, v: np.ndarray) -> np.ndarray:
-        return v - self.pi0(v)
 
 
 def _kernel_split(svd_vectors: np.ndarray, s: np.ndarray, total: int):
@@ -404,6 +390,15 @@ def helmholtz_projections(bundle: OperatorBundle, cache_dir: str | None = None) 
     return basis
 
 
+def _reduced_curl(bundle: OperatorBundle, basis: ProjectionBasis) -> np.ndarray:
+    """C0 on an orthonormal basis of ker(C0)^perp: the orthonormal completion
+    of the kernel basis by QR."""
+    ker = basis.basis_ker_C0
+    n = bundle.n_edges
+    full, _ = np.linalg.qr(np.concatenate([ker, np.eye(n)], axis=1))
+    return bundle.C0 @ full[:, ker.shape[1]:n]
+
+
 def poincare_constant(bundle: OperatorBundle, basis: ProjectionBasis | None = None) -> float:
     """1/sigma_min of C0 restricted to ker(C0)^perp.
 
@@ -412,12 +407,7 @@ def poincare_constant(bundle: OperatorBundle, basis: ProjectionBasis | None = No
     """
     if basis is None:
         basis = helmholtz_projections(bundle)
-    ker = basis.basis_ker_C0
-    n = bundle.n_edges
-    # orthonormal completion of the kernel basis = ker^perp basis
-    full, _ = np.linalg.qr(np.concatenate([ker, np.eye(n)], axis=1))
-    comp = full[:, ker.shape[1]:n]
-    red = bundle.C0 @ comp
+    red = _reduced_curl(bundle, basis)
     gram = red.T @ red
     w = np.linalg.eigvalsh(gram)
     sigma_min = float(np.sqrt(max(w[0], 0.0)))

@@ -350,11 +350,15 @@ def antiderivative(u: WeightedSignal) -> WeightedSignal:
     """
     if u.rho <= 0:
         raise NonPositiveWeight(f"causal antiderivative needs rho > 0, got {u.rho}")
-    dt = u.grid.dt
-    mids = 0.5 * dt * (u.values[1:] + u.values[:-1])
-    out = np.zeros_like(u.values)
+    return u.with_values(_cumulative_trapezoid(u.values, u.grid.dt))
+
+
+def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoid integral along axis 0, zero at the first sample."""
+    mids = 0.5 * dt * (values[1:] + values[:-1])
+    out = np.zeros_like(values)
     np.cumsum(mids, axis=0, out=out[1:])
-    return u.with_values(out)
+    return out
 
 
 def truncate_after(u: WeightedSignal, a: float) -> WeightedSignal:

@@ -40,8 +40,8 @@ from .materials import (
     accretivity_scan,
     hermitian_min,
 )
-from .operators import OperatorBundle, ProjectionBasis
-from .signals import TimeGrid, WeightedSignal, smooth_pulse, weighted_norm
+from .operators import OperatorBundle, ProjectionBasis, _reduced_curl
+from .signals import TimeGrid, WeightedSignal, _cumulative_trapezoid, smooth_pulse, weighted_norm
 from .spectral import LinearProblem, solve_linear, stack_rhs
 
 
@@ -174,11 +174,7 @@ def projection_invertibility_check(bundle: OperatorBundle, basis: ProjectionBasi
         w = np.full(bundle.n_faces, float(w))
     if np.any(w <= 0):
         raise ValueError("face weights must be uniformly positive")
-    ker = basis.basis_ker_C0
-    n = bundle.n_edges
-    full, _ = np.linalg.qr(np.concatenate([ker, np.eye(n)], axis=1))
-    comp = full[:, ker.shape[1]:n]
-    red = bundle.C0 @ comp
+    red = _reduced_curl(bundle, basis)
     gram = red.T @ (w[:, None] * red)
     vals = np.linalg.eigvalsh(gram)
     return float(vals[0])
@@ -210,6 +206,21 @@ class StabilityCertificate:
         }
         out["scans"] = {k: json.loads(v.to_json()) for k, v in self.scans.items()}
         return out
+
+
+def _largest_feasible_nu(feasible, nu_hi: float, iters: int) -> float:
+    """Bisect [1e-6, nu_hi] for the edge of feasible(nu); nu_hi itself when
+    it is feasible.  The lower end is taken as feasible."""
+    lo, hi = 1e-6, nu_hi
+    if feasible(hi):
+        return hi
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def certify_decay_rate(laws, eps_infs, sigma_min_B: float, delta: float = 1.0,
@@ -261,18 +272,8 @@ def certify_decay_rate(laws, eps_infs, sigma_min_B: float, delta: float = 1.0,
         _, m = select_damping(laws, eps_infs, sigma_min_B, nu, delta, c, n_grid=6)
         return m
 
-    lo, hi = 1e-6, nu_hi
-    if md_feasible(hi) > 0:
-        lo = hi
-    else:
-        for _ in range(bisect_iters):
-            mid = 0.5 * (lo + hi)
-            if md_feasible(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
     # stay off the bisected edge so the margins below carry real headroom
-    nu0 = 0.8 * lo
+    nu0 = 0.8 * _largest_feasible_nu(lambda nu: md_feasible(nu) > 0, nu_hi, bisect_iters)
     scans = {}
     c_vals, c1_vals = [], []
     for i, law in enumerate(laws):
@@ -329,24 +330,14 @@ def _certify_conductivity(laws, eps_infs, sigma_min_B: float,
             base_vals.append(sb_.c_min)
         return min(vals), min(base_vals)
 
-    lo, hi = 1e-6, nu_hi
-    m0 = margins(lo)
+    m0 = margins(1e-6)
     if min(m0) <= 0:
         return StabilityCertificate(
             nu0=0.0, c=m0[0], c1=m0[1], delta=0.0, d0=0.0, disk_sup=0.0,
             sigma_min_B=sigma_min_B, certified=False,
             reason="conductivity route: no strict accretivity near the axis",
         )
-    if min(margins(hi)) > 0:
-        lo = hi
-    else:
-        for _ in range(bisect_iters):
-            mid = 0.5 * (lo + hi)
-            if min(margins(mid)) > 0:
-                lo = mid
-            else:
-                hi = mid
-    nu0 = 0.8 * lo
+    nu0 = 0.8 * _largest_feasible_nu(lambda nu: min(margins(nu)) > 0, nu_hi, bisect_iters)
     scans = {}
     c_vals, c1_vals = [], []
     for i, law in enumerate(laws):
@@ -495,14 +486,8 @@ def verify_first_order_estimates(bundle: OperatorBundle, basis: ProjectionBasis,
     dPhi = spectral_derivative(Phi, check=False)
     g = dPhi.with_values(dPhi.values + (bundle.C @ (Psi.values / mu[None, :]).T).T)
 
-    def cum_antiderivative(sig: WeightedSignal) -> np.ndarray:
-        mids = 0.5 * sig.grid.dt * (sig.values[1:] + sig.values[:-1])
-        out = np.zeros_like(sig.values)
-        np.cumsum(mids, axis=0, out=out[1:])
-        return out
-
-    h_vals = basis.pi0(cum_antiderivative(Phi))
-    w_vals = basis.pi1(cum_antiderivative(Psi))
+    h_vals = basis.pi0(_cumulative_trapezoid(Phi.values, Phi.grid.dt))
+    w_vals = basis.pi1(_cumulative_trapezoid(Psi.values, Psi.grid.dt))
     h = Phi.with_values(h_vals)
     w = Psi.with_values(w_vals)
 

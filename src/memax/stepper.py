@@ -13,14 +13,15 @@ and diagonal in the unknown, (dt/2) Im(c_j) x(t+dt), which is the kernel's
 zero-lag value; it is folded into the constant implicit matrix, so the whole
 run reuses a single sparse factorization.
 
-This module exists to be an oracle: it shares no machinery with the spectral
-solver beyond the operator bundle, and the recursion is spot-checked against
-the direct convolution sum during runs.
+The (lam_j, c_j) pairs are the parameter records' kernel_terms(), the one
+time-domain expansion of the laws.  This module exists to be an oracle: it
+shares no machinery with the spectral solver (which evaluates the laws in z)
+beyond the operator bundle, and the recursion is spot-checked against the
+direct convolution sum during runs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import MemaxError
-from .materials import DrudeLorentzParams, ModDLParams, PiecewiseMaterial
+from .materials import PiecewiseMaterial
 from .operators import OperatorBundle
 
 
@@ -50,44 +51,6 @@ class _KernelTerm:
         return float(np.imag(self.coeff))
 
 
-def _terms_for_law(params, mask: np.ndarray):
-    """Expand a permittivity parameter record into accumulator terms.
-
-    Plain law: each oscillator contributes (a/b) e^{-g t} sin(b t).
-    Modified law adds (a/r) e^{-g t} (cos(b t) - (g/b) sin(b t)), i.e. a
-    complex coefficient on the same accumulator (Re x = Im(i x)).
-    """
-    out = []
-    if params is None:
-        return out
-    if isinstance(params, ModDLParams):
-        if params.z0 != 0.0:
-            raise MemaxError("stepper covers the z0 = 0 modified law only")
-        for a, g, w in params.base.terms:
-            if w <= g:
-                raise MemaxError("oracle stepper needs oscillatory kernel terms")
-            b = math.sqrt(w * w - g * g)
-            coeff = complex(a / b - (a / params.r) * (g / b), a / params.r)
-            out.append(_KernelTerm(lam=complex(-g, b), coeff=coeff, mask=mask))
-    elif isinstance(params, DrudeLorentzParams):
-        for a, g, w in params.terms:
-            if w <= g:
-                raise MemaxError("oracle stepper needs oscillatory kernel terms")
-            b = math.sqrt(w * w - g * g)
-            out.append(_KernelTerm(lam=complex(-g, b), coeff=complex(a / b), mask=mask))
-    else:
-        raise MemaxError(f"no kernel expansion for parameters {params!r}")
-    return out
-
-
-def _eps_inf_of(params) -> float:
-    if params is None:
-        return 1.0
-    if isinstance(params, ModDLParams):
-        return params.base.eps0
-    return params.eps0
-
-
 @dataclass
 class StepperState:
     t: float
@@ -97,17 +60,13 @@ class StepperState:
     Qnl: list                  # nonlinear-memory accumulators
     step_index: int = 0
 
-    def copy(self) -> "StepperState":
-        return StepperState(self.t, self.E.copy(), self.H.copy(),
-                            [q.copy() for q in self.Q],
-                            [q.copy() for q in self.Qnl], self.step_index)
-
 
 class OracleStepper:
     """Implicit-midpoint reference integrator on an operator bundle.
 
     dl_params1/2 are the per-region permittivity records (plain or modified
-    oscillator laws); an optional nonlinear polarization kappa * q(E) is
+    oscillator laws, expanded by their kernel_terms(); None means no memory
+    and eps_inf = 1); an optional nonlinear polarization kappa * q(E) is
     supported for oscillator-form kappa with zero value at zero lag, applied
     through q_fn acting row-wise on E samples.
     """
@@ -121,9 +80,11 @@ class OracleStepper:
         self.dt = dt
         emask1 = bundle.edge_region_mask()
         fmask1 = bundle.face_region_mask()
-        self.eps_inf = np.where(emask1, _eps_inf_of(dl_params1), _eps_inf_of(dl_params2))
+        regions = ((dl_params1, emask1), (dl_params2, ~emask1))
+        self.eps_inf = np.where(emask1, *(1.0 if p is None else p.eps_inf for p, _ in regions))
         self.mu = np.where(fmask1, material.mu1, material.mu2)
-        self.terms = _terms_for_law(dl_params1, emask1) + _terms_for_law(dl_params2, ~emask1)
+        self.terms = [_KernelTerm(lam, coeff, mask) for p, mask in regions if p is not None
+                      for lam, coeff in p.kernel_terms()]
         self.nl_terms = list(nl_kernel_terms or [])
         self.q_fn = q_fn
         for term in self.nl_terms:

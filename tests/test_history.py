@@ -156,6 +156,21 @@ class TestBuildGPhi:
         assert gap < 1e-3 * scale  # same object, two quadratures
 
 
+    def test_shifted_modified_law_needs_spectral_path(self, bundle4, material_dl, rng):
+        from memax import DrudeLorentzParams, MemaxError, ModDLParams
+
+        # the time-domain expansion covers z0 = 0 only; the spectral path
+        # evaluates mod_dl_eval, which takes any z0
+        shifted = ModDLParams(DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)]), 4.0, z0=0.5)
+        h = raw_history(bundle4, rng)
+        with pytest.raises(MemaxError, match="z0"):
+            build_g_phi(h, BumpSpec(0.5), bundle4, material_dl, shifted, None,
+                        MASTER, 1.0, conv_method="trapezoid")
+        conv = build_g_phi(h, BumpSpec(0.5), bundle4, material_dl, shifted, None,
+                           MASTER, 1.0, conv_method="spectral")
+        assert np.all(np.isfinite(conv.g_phi.values))
+
+
 class TestMaxwellInhomogeneity:
     def test_zero_history(self, bundle4, material_dl, dl_params, dl_params_b):
         ht = MASTER.times[: K0 + 1] - MASTER.times[K0]

@@ -77,25 +77,115 @@ class TestTimeKernel:
         expect = (1.5 / np.sqrt(3.0)) * np.exp(-t) * np.sin(np.sqrt(3.0) * t)
         assert np.abs(kern.values[1:5].real - expect).max() < 1e-12
 
-    def test_overdamped_rejected(self):
+    def test_overdamped_rejected(self, bundle4, material_dl):
+        from memax import (BumpSpec, HistorySpec, KernelSpec, OracleStepper,
+                           build_g_phi, build_maxwell_inhomogeneity)
+
         p = DrudeLorentzParams(1.0, [(1.0, 2.0, 1.0)])
         with pytest.raises(OverdampedUnsupported):
             dl_time_kernel(p, TimeGrid(0.0, 0.01, 64))
         # z-domain evaluation still works for the overdamped branch
         assert np.isfinite(eval_chi_dl(1.0 + 1j, p))
 
+        # every other time-domain entry point, on a law with one overdamped term
+        mixed = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0), (0.5, 2.0, 1.0)])
+        grid = TimeGrid(-1.0, 1.0 / 32.0, 64)
+        with pytest.raises(OverdampedUnsupported):
+            KernelSpec.from_dl(mixed, TimeGrid(0.0, grid.dt, grid.n_samples))
+        with pytest.raises(OverdampedUnsupported):
+            OracleStepper(bundle4, material_dl, None, mixed, grid.dt)
+        k0 = grid.index_of(0.0)
+        ht = grid.times[: k0 + 1] - grid.times[k0]
+        h = HistorySpec(ht, np.outer(np.exp(ht), np.ones(bundle4.n_state)))
+        with pytest.raises(OverdampedUnsupported):
+            build_maxwell_inhomogeneity(h, BumpSpec(0.5), bundle4, material_dl, mixed,
+                                        None, grid, 1.0)
+        # the spectral path evaluates the law in z and never expands it in time
+        conv = build_g_phi(h, BumpSpec(0.5), bundle4, material_dl, mixed, None, grid, 1.0,
+                           conv_method="spectral")
+        assert np.all(np.isfinite(conv.g_phi.values))
+        assert np.isfinite(conv.compatibility_residual)
+
     def test_transform_match(self):
         from memax import fourier_laplace, WeightedSignal
 
         p = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)])
+        mp = ModDLParams(p, 4.0)
         g = TimeGrid(0.0, 1e-3, 2 ** 14)
-        kern = dl_time_kernel(p, g)
-        u = WeightedSignal(g, 2.0, kern.values)
-        U = fourier_laplace(u, check=False)
-        band = np.abs(U.xi) < 40
-        lhs = np.sqrt(2 * np.pi) * U.values[band, 0]
-        rhs = eval_chi_dl(U.z[band], p)
-        assert np.abs(lhs - rhs).max() < 1e-6
+        for law, chi in ((p, lambda z: eval_chi_dl(z, p)),
+                         (mp, lambda z: mod_dl_eval(z, mp) - mp.base.eps0)):
+            vals = np.array(dl_time_kernel(law, g).values)
+            # the DFT is a rectangle rule; halving the t = 0 sample makes it
+            # the trapezoid rule on [0, T].  The plain kernel vanishes there,
+            # the modified one jumps to alpha/r.
+            vals[0] *= 0.5
+            u = WeightedSignal(g, 2.0, vals)
+            U = fourier_laplace(u, check=False)
+            band = np.abs(U.xi) < 40
+            lhs = np.sqrt(2 * np.pi) * U.values[band, 0]
+            rhs = chi(U.z[band])
+            assert np.abs(lhs - rhs).max() < 1e-6
+
+
+TWO_TERM = DrudeLorentzParams(1.3, [(1.0, 1.0, 2.0), (0.6, 0.4, 3.1)])
+
+
+def hand_kernel(p, t):
+    """Sum over terms of (a/b) e^{-gt} sin bt, plus (a/r) e^{-gt}(cos bt -
+    (g/b) sin bt) for the modified law, and the t-derivative of that sum."""
+    base, r = (p.base, p.r) if isinstance(p, ModDLParams) else (p, None)
+    k = np.zeros_like(t)
+    kp = np.zeros_like(t)
+    for a, g, w in base.terms:
+        b = np.sqrt(w * w - g * g)
+        e, s, c = np.exp(-g * t), np.sin(b * t), np.cos(b * t)
+        k += (a / b) * e * s
+        kp += (a / b) * e * (b * c - g * s)
+        if r is not None:
+            k += (a / r) * e * (c - (g / b) * s)
+            kp += (a / r) * e * (-2.0 * g * c - (b - g * g / b) * s)
+    return k, kp
+
+
+class TestOneExpansion:
+    """Every time-domain consumer samples the same (lam, c) expansion."""
+
+    @pytest.mark.parametrize("law", [TWO_TERM, ModDLParams(TWO_TERM, 4.0)],
+                             ids=["dl", "mod_dl"])
+    def test_callers_match_hand_formulas(self, law, bundle4, material_dl):
+        from memax import KernelSpec, OracleStepper
+        from memax.history import MaterialKernels
+
+        grid = TimeGrid(0.0, 1.0 / 64.0, 512)
+        k, kp = hand_kernel(law, grid.times)
+        tol, tol_p = 1e-14 * np.abs(k).max(), 1e-14 * np.abs(kp).max()
+
+        assert np.abs(dl_time_kernel(law, grid).values - k).max() <= tol
+        spec = KernelSpec.from_dl(law, grid)
+        assert np.abs(spec.kappa.values - k).max() <= tol
+        assert np.abs(spec.kappa_prime.values - kp).max() <= tol_p
+        mk = MaterialKernels.from_params(law, None, grid)
+        assert np.abs(mk.kernel1.values - k).max() <= tol
+        assert np.abs(mk.kernel1_prime.values - kp).max() <= tol_p
+        assert mk.kernel2 is None and mk.kernel2_prime is None
+
+        stp = OracleStepper(bundle4, material_dl, law, None, grid.dt)
+        emask1 = bundle4.edge_region_mask()
+        assert all(np.array_equal(term.mask, emask1) for term in stp.terms)
+        k_stp = sum(np.imag(term.coeff * np.exp(term.lam * grid.times)) for term in stp.terms)
+        assert np.abs(k_stp - k).max() <= tol
+        assert np.array_equal(stp.eps_inf, np.where(emask1, 1.3, 1.0))
+
+    def test_shifted_modified_law_raises_everywhere(self, bundle4, material_dl):
+        from memax import KernelSpec, MemaxError, OracleStepper
+
+        shifted = ModDLParams(TWO_TERM, 4.0, z0=0.5)
+        kgrid = TimeGrid(0.0, 1.0 / 32.0, 64)
+        for build in (lambda: dl_time_kernel(shifted, kgrid),
+                      lambda: KernelSpec.from_dl(shifted, kgrid),
+                      lambda: OracleStepper(bundle4, material_dl, shifted, None, kgrid.dt)):
+            with pytest.raises(MemaxError, match="z0"):
+                build()
 
 
 class TestClosedForm:
