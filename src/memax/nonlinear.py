@@ -373,7 +373,7 @@ class ContractionCertificate:
         }
 
 
-def _embed_E(bundle, E_values: np.ndarray, n_state: int) -> np.ndarray:
+def _embed_E(E_values: np.ndarray, n_state: int) -> np.ndarray:
     out = np.zeros((E_values.shape[0], n_state), dtype=E_values.dtype)
     out[:, : E_values.shape[1]] = E_values
     return out
@@ -416,7 +416,7 @@ def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: flo
     def step(u: WeightedSignal) -> WeightedSignal:
         E = u.with_values(u.values[:, :n_edges])
         N = nonlinearity(E)
-        rhs = g.with_values(g.values - _embed_E(bundle, N.values, bundle.n_state))
+        rhs = g.with_values(g.values - _embed_E(N.values, bundle.n_state))
         return op.apply(rhs)
 
     def inside_ball(u: WeightedSignal) -> float:

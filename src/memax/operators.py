@@ -102,16 +102,6 @@ def _interior_edge_mask(axis, shape, n):
     return m
 
 
-def edge_dof_count(n) -> int:
-    nx, ny, nz = n
-    return nx * (ny - 1) * (nz - 1) + (nx - 1) * ny * (nz - 1) + (nx - 1) * (ny - 1) * nz
-
-
-def face_dof_count(n) -> int:
-    nx, ny, nz = n
-    return (nx + 1) * ny * nz + nx * (ny + 1) * nz + nx * ny * (nz + 1)
-
-
 class _Numbering:
     """Linear numbering of kept dofs per component with coordinate tables."""
 
@@ -142,6 +132,64 @@ def _build_numbering(grid: YeeGrid):
     fmasks = [np.ones(s, dtype=bool) for s in fshapes]
     faces = _Numbering(fshapes, fmasks)
     return edges, faces
+
+
+def _mode_factor(sampling: str, m: int, tangential: bool):
+    """Square 1-D factor of the cavity-mode basis along an axis of m cells,
+    and the mode label of each of its rows (walls get label m).
+
+    sampling is "cell" (cell centres i + 1/2: orthonormal DCT-II rows
+    cos(pi k (i + 1/2) / m)), "node" (interior nodes j: orthonormal DST-I rows
+    sin(pi k j / m)) or "wall" (all nodes; the two wall nodes stay as they are).
+    """
+    size = {"cell": m, "node": m - 1, "wall": m + 1}[sampling]
+    if not tangential:
+        return np.eye(size), np.zeros(size, dtype=np.int64)
+    if sampling == "cell":
+        k = np.arange(m)
+        F = np.sqrt(2.0 / m) * np.cos(np.pi * np.outer(k, k + 0.5) / m)
+        F[0] /= np.sqrt(2.0)
+        return F, k
+    k = np.arange(1, m)
+    sine = np.sqrt(2.0 / m) * np.sin(np.pi * np.outer(k, k) / m)
+    if sampling == "node":
+        return sine, k
+    F = np.eye(m + 1)
+    F[1:m, 1:m] = sine
+    return F, np.concatenate([[m], k, [m]])
+
+
+def transverse_mode_basis(bundle: OperatorBundle):
+    """Orthonormal transverse cavity-mode basis T of the (E, H) state space.
+
+    T is block-diagonal by field component; each block is the Kronecker
+    product over the three axes of the orthonormal DCT-II (cell-centred
+    samples), the orthonormal DST-I (interior nodes) or, along the interface
+    axis, the identity: the discrete cavity modes of the Yee scheme (Taflove
+    & Hagness, Computational Electrodynamics).  The wall nodes of the normal
+    H faces, which C0 leaves uncoupled, stay as they are.  Every factor is
+    square, so modal row r has the component and interface coordinate of
+    dof r, and any diagonal that is constant per component and interface
+    layer commutes with T.  On the uniform PEC grid the curl pair maps each
+    transverse mode to itself, so T A T^T couples only rows of equal mode.
+
+    Returns (T as a CSR matrix, the integer mode label of each row).
+    """
+    n = bundle.grid.n_cells
+    ax = bundle.grid.interface_axis - 1
+    t1, t2 = [b for b in range(3) if b != ax]
+    blocks, modes = [], []
+    for kind in ("edge", "face"):
+        for a in range(3):
+            if kind == "edge":
+                sampling = ["cell" if b == a else "node" for b in range(3)]
+            else:
+                sampling = ["wall" if b == a else "cell" for b in range(3)]
+            factors, labels = zip(*(_mode_factor(sampling[b], n[b], b != ax) for b in range(3)))
+            blocks.append(sparse.kron(sparse.kron(factors[0], factors[1]), factors[2]))
+            label = np.meshgrid(*labels, indexing="ij")
+            modes.append((label[t1] * (n[t2] + 1) + label[t2]).ravel())
+    return sparse.block_diag(blocks, format="csr"), np.concatenate(modes)
 
 
 @dataclass(frozen=True)
@@ -179,12 +227,6 @@ class OperatorBundle:
     def face_region_mask(self) -> np.ndarray:
         ax = self.grid.interface_axis - 1
         return self.face_positions[:, ax] < self.grid.interface_position - 1e-12
-
-    def split_state(self, v: np.ndarray):
-        return v[..., : self.n_edges], v[..., self.n_edges:]
-
-    def stack_state(self, e: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return np.concatenate([e, h], axis=-1)
 
 
 def build_curl_pair(grid: YeeGrid) -> OperatorBundle:

@@ -166,10 +166,6 @@ class WeightedSignal:
         if m > self.wrap_tol:
             raise WraparoundExceeded(m, self.wrap_tol)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        scale = np.abs(self.values).max() or 1.0
-        return np.abs(self.values.imag).max() <= tol * scale
-
 
 @dataclass(frozen=True)
 class SpectralSignal:
@@ -264,20 +260,6 @@ def delta_kernel(dt: float) -> SampledKernel:
 # construction helpers
 
 
-def signal_from_function(grid: TimeGrid, rho: float, f, state_dim: int | None = None,
-                         wrap_tol: float = DEFAULT_WRAP_TOL) -> WeightedSignal:
-    """Sample f(t) -> scalar or state vector on the grid."""
-    t = grid.times
-    vals = np.asarray([np.atleast_1d(f(tk)) for tk in t])
-    if state_dim is not None and vals.shape[1] != state_dim:
-        raise ValueError("sampled state_dim mismatch")
-    return WeightedSignal(grid, rho, vals, wrap_tol)
-
-
-def zero_signal(grid: TimeGrid, rho: float, state_dim: int = 1) -> WeightedSignal:
-    return WeightedSignal(grid, rho, np.zeros((grid.n_samples, state_dim)))
-
-
 def smooth_pulse(times: np.ndarray, t0: float, t1: float, power: int = 8) -> np.ndarray:
     """C^{power-1} bump supported on [t0, t1], normalized to unit peak.
 
@@ -299,12 +281,6 @@ def weighted_norm(u: WeightedSignal) -> float:
     """Trapezoid approximation of (integral |u(t)|^2 e^{-2 rho t} dt)^(1/2)."""
     w = np.sum(np.abs(u.values) ** 2, axis=1) * np.exp(-2.0 * u.rho * u.times)
     return float(np.sqrt(np.trapezoid(w, dx=u.grid.dt)))
-
-
-def weighted_inner(u: WeightedSignal, v: WeightedSignal) -> complex:
-    u._check_compatible(v)
-    w = np.sum(u.values * np.conj(v.values), axis=1) * np.exp(-2.0 * u.rho * u.times)
-    return complex(np.trapezoid(w, dx=u.grid.dt))
 
 
 def fourier_laplace(u: WeightedSignal, check: bool = True) -> SpectralSignal:

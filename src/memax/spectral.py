@@ -13,20 +13,33 @@ solutions for data living in two weighted spaces at once coincide.
 
 One frequency loop serves this system and the second-order E-field form
 (z^2 eps(z) + C mu^{-1} C0) E_hat = g_hat.  Both are diag(d_k) + K with a
-fixed K, so the sparsity pattern is built once and each bin only writes its
-diagonal.  The region laws are evaluated once over the whole line.  A is real
-and M(conj z) = conj M(z), so real time data (a conjugate-symmetric
-spectrum) has a conjugate-symmetric solution: only bins 0 .. n//2 are
-factored and solved, and bin -k is filled with conj(u_k).  The self-mirrored
-bins xi = 0 and Nyquist keep the real part of their solve; at Nyquist this
-removes the asymmetry that the e^{rho t} unweighting would otherwise
-amplify.  Any other spectrum is solved on every bin.
+fixed K.  The law changes only across the interface plane, so d_k is
+constant along the two tangential axes, and on the uniform PEC grid K maps
+each transverse cavity mode (DST-I/DCT-II along those axes,
+operators.transverse_mode_basis) to itself.  Each bin is therefore factored
+in the modal basis, where the system is block-diagonal with one small banded
+block per transverse mode pair; data goes in as T g and the solution comes
+out as T^T u_hat.  The residual, refinement and growth checks use the
+original matrix.  The sparsity pattern is built once and each bin only
+writes its diagonal.  The region laws are evaluated once over the whole
+line.
+
+A is real and M(conj z) = conj M(z), so real time data (a
+conjugate-symmetric spectrum) has a conjugate-symmetric solution: only bins
+0 .. n//2 are factored and solved, and bin -k is filled with conj(u_k).  The
+self-mirrored bins xi = 0 and Nyquist keep the real part of their solve; at
+Nyquist this removes the asymmetry that the e^{rho t} unweighting would
+otherwise amplify.  Any other spectrum is solved on every bin.
 
 Factorizations are reused across right-hand sides at a fixed frequency; the
 frequency loop dominates runtime and the fixed-point solvers call the same
 factors every iteration.  A singular frequency is never skipped or
 interpolated over: material-law poles on the solve line violate the solution
-theory and must surface as PoleHit or FrequencySingular.
+theory and must surface as PoleHit or FrequencySingular.  On a certified
+line (c_min > 0) the theory bounds every bin, |u_k| <= |g_k| / c_min, so a
+solve whose growth * c_min exceeds 1 + BOUND_SLACK raises FrequencySingular;
+without a certificate, and for the second-order form, the growth * |z|
+heuristic against COND_LIMIT stands in.
 """
 
 from __future__ import annotations
@@ -37,9 +50,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import FrequencySingular
+from .errors import FrequencySingular, MemaxError
 from .materials import PiecewiseMaterial, line_certificate
-from .operators import OperatorBundle
+from .operators import OperatorBundle, transverse_mode_basis
 from .signals import (
     SpectralSignal,
     TimeGrid,
@@ -49,7 +62,8 @@ from .signals import (
     weighted_norm,
 )
 
-COND_LIMIT = 1e14
+COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
+BOUND_SLACK = 0.02              # growth * c_min <= 1 + slack on a certified line
 FACTOR_CACHE_DOF_LIMIT = 1500   # cache LU factors below this state size
 
 
@@ -66,20 +80,26 @@ class _FrequencyLine:
     """The frequency loop shared by the first- and second-order solves.
 
     order=1 is (z M(z) + A) on the (E, H) state, order=2 is
-    (z^2 eps(z) + C mu^{-1} C0) on the edges.  Both are diag(d_k) + K: the
-    pattern of that sum and the positions of its diagonal in the CSC data
-    array are fixed, and d_k = lines[k, group] * weight, where each column of
-    lines is one coefficient evaluated over the whole line.
+    (z^2 eps(z) + C mu^{-1} C0) on the edges.  Both are diag(d_k) + K with
+    d_k = lines[k, group] * weight, where each column of lines is one
+    coefficient evaluated over the whole line.  d_k is constant per component
+    and interface layer, so in the transverse cavity-mode basis T the system
+    is diag(d_k) + T K T^T, block-diagonal by mode: entries across modes are
+    zero in exact arithmetic and dropped.  The pattern of that sum and the
+    positions of its diagonal in the CSC data array are fixed.  Each bin is
+    factored in the modal basis; its checks (residual, refinement, growth)
+    use diag(d_k) + K in the original basis.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
-                 z: np.ndarray, order: int, cache: bool):
+                 z: np.ndarray, order: int, cache: bool, c_min: float = 0.0):
         l1, l2 = material.eps_laws()
         zp = z if order == 1 else z * z
         lines = [zp * l1(z), zp * l2(z)]
         group = np.where(bundle.edge_region_mask(), 0, 1)
         weight = np.ones(bundle.n_edges)
         mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
+        T, mode = transverse_mode_basis(bundle)
         if order == 1:
             K = bundle.A
             lines.append(z)
@@ -87,19 +107,31 @@ class _FrequencyLine:
             weight = np.concatenate([weight, mu])
         else:
             K = bundle.C @ sparse.diags(1.0 / mu) @ bundle.C0
+            T, mode = T[:bundle.n_edges, :bundle.n_edges], mode[:bundle.n_edges]
         self.z = z
         self._lines = np.stack(lines, axis=1)
         self._group = group
         self._weight = weight
         self._cond_unit = max(abs(material.mu1), abs(material.mu2), 1.0)
+        self._c_min = c_min
+        self._K = K
+        self._T = T
+        self._Tt = T.T.tocsr()
 
-        # pattern of diag + K, with explicit zeros kept on the diagonal
+        # pattern of diag + T K T^T within modes, explicit zeros kept on the diagonal
+        Khat = (T @ K @ self._Tt).tocoo()
+        cross = mode[Khat.row] != mode[Khat.col]
+        dropped = np.abs(Khat.data[cross]).max(initial=0.0)
+        k_max = np.abs(K.data).max()
+        if dropped > 1e-13 * k_max:
+            raise MemaxError(f"transverse modes couple: dropped entry {dropped:.3e} "
+                             f"against max |K| {k_max:.3e}")
         n = K.shape[0]
-        coo = K.tocoo()
         idx = np.arange(n)
+        keep = ~cross
         pattern = sparse.csc_matrix(
-            (np.concatenate([coo.data, np.zeros(n)]).astype(np.complex128),
-             (np.concatenate([coo.row, idx]), np.concatenate([coo.col, idx]))),
+            (np.concatenate([Khat.data[keep], np.zeros(n)]).astype(np.complex128),
+             (np.concatenate([Khat.row[keep], idx]), np.concatenate([Khat.col[keep], idx]))),
             shape=(n, n))
         pattern.sum_duplicates()
         col = np.repeat(idx, np.diff(pattern.indptr))
@@ -108,55 +140,72 @@ class _FrequencyLine:
         self._use_cache = cache
         self._cache: dict = {}
 
-    def _factor(self, k: int):
+    def _factor(self, k: int, d: np.ndarray):
+        """LU of diag(d) + T K T^T, the bin-k system in the modal basis."""
         if self._use_cache and k in self._cache:
             return self._cache[k]
         p = self._pattern
         data = p.data.copy()
-        data[self._diag_pos] += self._lines[k, self._group] * self._weight
-        mat = sparse.csc_matrix((data, p.indices, p.indptr), shape=p.shape)
+        data[self._diag_pos] += d
         try:
-            lu = splu(mat)
+            lu = splu(sparse.csc_matrix((data, p.indices, p.indptr), shape=p.shape))
         except RuntimeError as exc:
             raise FrequencySingular(complex(self.z[k]), np.inf) from exc
         if self._use_cache:
-            self._cache[k] = (lu, mat)
-        return lu, mat
+            self._cache[k] = lu
+        return lu
+
+    def _apply(self, d: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(diag(d) + K) u in the original basis, one row of u per bin."""
+        return d * u + (self._K @ u.T).T
 
     def solve(self, ghat: np.ndarray, half: bool, collect: dict | None = None) -> np.ndarray:
-        """Solve bins 0 .. n//2 and mirror them (half=True), or every bin."""
+        """Solve bins 0 .. n//2 and mirror them (half=True), or every bin.
+
+        The transforms, residuals and checks run over all solved bins at
+        once; a check that fails raises for the first such bin.  Without the
+        factor cache, a bin that needs refinement is factored again.
+        """
         n_freq = ghat.shape[0]
         out = np.zeros(ghat.shape, dtype=np.complex128)
-        max_rel_res = 0.0
-        max_growth = 0.0
-        for k in range(n_freq // 2 + 1 if half else n_freq):
-            g = ghat[k]
-            if not np.any(g):
-                continue
-            lu, mat = self._factor(k)
-            u = lu.solve(g)
-            gn = np.linalg.norm(g)
-            res = np.linalg.norm(mat @ u - g) / gn
-            if res > 1e-10:
-                # one step of iterative refinement before giving up
-                u = u + lu.solve(g - mat @ u)
-                res = np.linalg.norm(mat @ u - g) / gn
-            if half and (2 * k) % n_freq == 0:
-                u = u.real   # xi = 0 and Nyquist are their own mirror
-            un = np.linalg.norm(u)
-            growth = un / gn
-            scale = abs(self.z[k]) * self._cond_unit
-            if not np.isfinite(un) or growth * scale > COND_LIMIT:
-                raise FrequencySingular(complex(self.z[k]), growth * scale)
-            max_rel_res = max(max_rel_res, res)
-            max_growth = max(max_growth, growth)
-            out[k] = u
+        ks = np.arange(n_freq // 2 + 1 if half else n_freq)
+        ks = ks[np.any(ghat[ks], axis=1)]
+        g = ghat[ks]
+        d = self._lines[ks][:, self._group] * self._weight
+        um = (self._T @ g.T).T
+        for j, k in enumerate(ks):
+            um[j] = self._factor(k, d[j]).solve(um[j])
+        u = (self._Tt @ um.T).T
+        gn = np.linalg.norm(g, axis=1)
+        first = np.linalg.norm(u, axis=1)
+        r = g - self._apply(d, u)
+        res = np.linalg.norm(r, axis=1) / gn
+        for j in np.flatnonzero(res > 1e-10):
+            # one step of iterative refinement before giving up
+            u[j] += self._Tt @ self._factor(ks[j], d[j]).solve(self._T @ r[j])
+            res[j] = np.linalg.norm(g[j] - self._apply(d[j], u[j])) / gn[j]
+        if half:
+            mirror = (2 * ks) % n_freq == 0
+            u[mirror] = u[mirror].real   # xi = 0 and Nyquist are their own mirror
+        un = np.linalg.norm(u, axis=1)
+        growth = un / gn
+        if self._c_min > 0:
+            # the certificate bounds every solve, the unrefined one included
+            limit = np.maximum(first, un) / gn * self._c_min
+            faulty = limit > 1.0 + BOUND_SLACK
+        else:
+            limit = growth * np.abs(self.z[ks]) * self._cond_unit
+            faulty = limit > COND_LIMIT
+        bad = np.flatnonzero(faulty | ~np.isfinite(un))
+        if bad.size:
+            raise FrequencySingular(complex(self.z[ks[bad[0]]]), float(limit[bad[0]]))
+        out[ks] = u
         if half:
             k = np.arange(1, (n_freq + 1) // 2)
             out[n_freq - k] = out[k].conj()
         if collect is not None:
-            collect["max_rel_residual"] = max_rel_res
-            collect["max_growth"] = max_growth
+            collect["max_rel_residual"] = res.max(initial=0.0)
+            collect["max_growth"] = growth.max(initial=0.0)
         return out
 
 
@@ -191,7 +240,7 @@ class SolveReport:
     wraparound_residual: float
     causality_margin: float | None = None
 
-    def bound_ok(self, slack: float = 0.02) -> bool:
+    def bound_ok(self, slack: float = BOUND_SLACK) -> bool:
         if self.c_min_line <= 0:
             return True  # no certificate claimed on this line
         return self.norm_ratio <= (1.0 + slack) / self.c_min_line
@@ -231,7 +280,8 @@ class SolutionOperator:
                 f"(c_min = {self.c_min:.3e}); pass certificate_required=False to override"
             )
         self._line = _FrequencyLine(bundle, material, self.z, order=1,
-                                    cache=bundle.n_state <= FACTOR_CACHE_DOF_LIMIT)
+                                    cache=bundle.n_state <= FACTOR_CACHE_DOF_LIMIT,
+                                    c_min=self.c_min)
 
     def apply_spectral(self, ghat: np.ndarray, collect: dict | None = None) -> np.ndarray:
         """Solve on the line; ghat and result have shape (n_freq, n_state).

@@ -11,6 +11,7 @@ from memax import (
     helmholtz_projections,
     poincare_constant,
 )
+from memax.operators import transverse_mode_basis
 
 
 def edge_count_oracle(n):
@@ -50,6 +51,28 @@ class TestExactIdentities:
             b = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), n, 3, 1))
             assert b.n_edges == edge_count_oracle(n)
             assert b.n_faces == face_count_oracle(n)
+
+
+class TestTransverseModes:
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", [(4, 4, 4), (3, 4, 5), (2, 3, 2)])
+    def test_orthonormal_and_mode_diagonal(self, n, axis):
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        T, mode = transverse_mode_basis(b)
+        assert T.shape == (b.n_state, b.n_state) and mode.shape == (b.n_state,)
+        gap = (T @ T.T - np.eye(b.n_state))
+        assert np.abs(gap).max() < 1e-14
+        # a diagonal that depends only on component and interface coordinate
+        # (the material laws) commutes with T
+        comp = np.concatenate([np.zeros(b.n_edges), np.ones(b.n_faces)])
+        w = comp + np.concatenate([b.edge_positions, b.face_positions])[:, axis - 1]
+        gap = (T @ np.diag(w) @ T.T) - np.diag(w)
+        assert np.abs(gap).max() < 1e-14
+        # the curl pair couples only rows of equal transverse mode
+        Ahat = (T @ b.A @ T.T).toarray()
+        cross = mode[:, None] != mode[None, :]
+        assert np.abs(Ahat[cross]).max() <= 1e-13 * np.abs(b.A.data).max()
+        assert np.abs(Ahat[~cross]).max() > 0.1 * np.abs(b.A.data).max()
 
 
 class TestProjections:

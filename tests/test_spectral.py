@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 import memax.spectral as spectral
 from memax import (
+    FrequencySingular,
     LinearProblem,
     PiecewiseMaterial,
     SecondOrderProblem,
     SolutionOperator,
     TimeGrid,
     WeightedSignal,
+    YeeGrid,
+    build_curl_pair,
     dl_law,
     fourier_laplace,
     second_order_solve,
@@ -23,6 +27,7 @@ from memax import (
     verify_time_regularity,
     weighted_norm,
 )
+from memax.errors import MemaxError
 
 
 def pulse_rhs(bundle, grid, rho, rng, t_on=0.0, t_off=2.0, div_free=False):
@@ -175,6 +180,100 @@ class TestFactorCounts:
         psi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(bundle4.n_faces)[None, :])
         second_order_solve(SecondOrderProblem(bundle4, material_dl, 2.5, phi, psi))
         assert factor_calls == [(bundle4.n_edges, bundle4.n_edges)] * (GRID.n_samples // 2 + 1)
+
+    def test_growth_beyond_certificate_raises(self, bundle4, material_dl, rng, monkeypatch):
+        # a factor whose solve returns twice the true solution breaks
+        # growth * c_min <= 1 + slack on the first solved bin
+        splu = spectral.splu
+
+        class Doubled:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return 2.0 * self.lu.solve(rhs)
+
+        monkeypatch.setattr(spectral, "splu", lambda mat: Doubled(splu(mat)))
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        assert op.c_min > 0
+        with pytest.raises(FrequencySingular) as info:
+            op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
+        assert info.value.z == op.z[0]
+        assert info.value.cond > 1.0 + spectral.BOUND_SLACK
+
+
+class TestModalSolve:
+    """The per-bin solve in the transverse cavity-mode basis against sparse LU
+    of the original matrices, on every interface axis and a non-cubic grid."""
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", [(4, 4, 4), (6, 6, 6), (3, 4, 5)])
+    def test_matches_original_basis_lu(self, n, axis, material_mix, rng):
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        grid = TimeGrid(-2.0, 1.0 / 8.0, 64)
+        rho = 2.0
+        bins = (0, 3, grid.n_samples // 2, grid.n_samples - 3, grid.n_samples - 17)
+
+        def noise(dim):  # complex data: no bin is mirrored, every bin is solved
+            shape = (grid.n_samples, dim)
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        G = noise(b.n_state)
+        op = SolutionOperator(b, material_mix, rho, grid)
+        U = op.apply_spectral(G)
+        for k in bins:
+            ref = spsolve(frequency_matrix(b, material_mix, op.z[k]).tocsc(), G[k])
+            assert np.linalg.norm(U[k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+        phi = WeightedSignal(grid, rho, noise(b.n_edges))
+        psi = WeightedSignal(grid, rho, noise(b.n_faces))
+        E = fourier_laplace(second_order_solve(
+            SecondOrderProblem(b, material_mix, rho, phi, psi)), check=False).values
+        Phi = fourier_laplace(phi, check=False).values
+        Psi = fourier_laplace(psi, check=False).values
+        mu = np.where(b.face_region_mask(), material_mix.mu1, material_mix.mu2)
+        curl_curl = b.C @ sparse.diags(1.0 / mu) @ b.C0
+        for k in bins:
+            z = op.z[k]
+            eps = material_mix.eps_values(z, b.edge_region_mask())
+            mat = (sparse.diags(z * z * eps) + curl_curl).tocsc()
+            ref = spsolve(mat, z * Phi[k] + b.C @ (Psi[k] / mu))
+            assert np.linalg.norm(E[k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_modal_factors_sparse_and_exact(self, bundle4, material_mix, rng, monkeypatch):
+        # guards the cross-mode pruning (without it the fill comes back) and
+        # the transforms (refinement would hide a wrong one, at two solves a bin)
+        factors, solves = [], []
+        splu = spectral.splu
+
+        class Counted:
+            def __init__(self, lu):
+                self.lu = lu
+                self.nnz = lu.nnz
+
+            def solve(self, rhs):
+                solves.append(rhs.shape)
+                return self.lu.solve(rhs)
+
+        def keeping(mat):
+            factors.append(Counted(splu(mat)))
+            return factors[-1]
+
+        monkeypatch.setattr(spectral, "splu", keeping)
+        op = SolutionOperator(bundle4, material_mix, 2.0, GRID)
+        op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
+        assert len(solves) == len(factors) == GRID.n_samples // 2 + 1
+        k = 5
+        full = splu(frequency_matrix(bundle4, material_mix, op.z[k]).tocsc())
+        assert factors[k].nnz <= 0.5 * full.nnz
+
+    def test_mode_coupling_raises(self, bundle4, material_dl, monkeypatch):
+        # a basis that does not decouple K is refused at construction
+        n = bundle4.n_state
+        monkeypatch.setattr(spectral, "transverse_mode_basis",
+                            lambda b: (sparse.identity(n, format="csr"), np.arange(n)))
+        with pytest.raises(MemaxError, match="transverse modes couple"):
+            SolutionOperator(bundle4, material_dl, 2.0, GRID)
 
 
 class TestCausality:
