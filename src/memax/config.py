@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,54 @@ def _check_keys(data, schema, path=""):
             _check_keys(value, sub, here)
 
 
+def _real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _triple(test):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(test, v))
+
+
+def _terms(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(
+        isinstance(t, dict) and all(_real(t.get(k)) for k in ("alpha", "gamma", "omega0"))
+        for t in v)
+
+
+_TERMS = "a non-empty list of terms with numeric alpha, gamma and omega0"
+
+# (key path, required, test, what the value must be)
+_VALUE_RULES = (
+    ("grid.extents", True, _triple(lambda x: _real(x) and x > 0), "a list of 3 positive numbers"),
+    ("grid.n_cells", True, _triple(lambda x: _integer(x) and x >= 2), "a list of 3 integers >= 2"),
+    ("grid.interface_axis", False, lambda x: _integer(x) and x in (1, 2, 3), "1, 2 or 3"),
+    ("grid.interface_index", False, _integer, "an integer"),
+    ("time.t_start", True, _real, "a finite number"),
+    ("time.dt", True, lambda x: _real(x) and x > 0, "a positive number"),
+    ("time.n_samples", True, lambda x: _integer(x) and x >= 2, "an integer >= 2"),
+    ("material.terms", False, _terms, _TERMS),
+    ("material.region2.terms", False, _terms, _TERMS),
+)
+
+
+def _check_values(raw: dict):
+    for path, required, test, what in _VALUE_RULES:
+        *parents, key = path.split(".")
+        section = raw
+        for name in parents:
+            section = section.get(name) if isinstance(section, dict) else None
+        if not isinstance(section, dict) or key not in section:
+            if required:
+                raise ConfigError(f"missing config key: {path}")
+            continue
+        if not test(section[key]):
+            raise ConfigError(f"{path} must be {what}, got {section[key]!r}")
+
+
 @dataclass
 class RunConfig:
     """Validated configuration plus the raw dict it came from."""
@@ -91,6 +140,7 @@ class RunConfig:
         for section in ("grid", "material", "time"):
             if section not in raw:
                 raise ConfigError(f"missing config section: {section}")
+        _check_values(raw)
         return RunConfig(raw=raw)
 
     # -- accessors -----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Implicit midpoint on the instantaneous part of the first-order system plus a
 trapezoid memory convolution carried by exponential recursions: one complex
-accumulator per damped-oscillator kernel term,
+accumulator per damped-oscillator kernel term and masked edge,
 
     Q_j(t) = integral_{-inf}^t e^{lam_j (t-s)} x(s) ds,   lam_j = -gamma + i b,
     Q_j(t+dt) = e^{lam_j dt} (Q_j(t) + (dt/2) x(t)) + (dt/2) x(t+dt),
@@ -10,8 +10,17 @@ accumulator per damped-oscillator kernel term,
 so that the memory current Im(c_j Q_j) reproduces the trapezoid convolution
 with Im(c_j e^{lam_j t}) exactly.  The newest-sample contribution is linear
 and diagonal in the unknown, (dt/2) Im(c_j) x(t+dt), which is the kernel's
-zero-lag value; it is folded into the constant implicit matrix, so the whole
-run reuses a single sparse factorization.
+zero-lag value; it is folded into the constant edge diagonal D_e.
+
+Each step solves the midpoint system [[D_e, -C/2], [C0/2, D_h]] (E, H) = rhs
+with H eliminated: since C = C0^T (an invariant of the operator bundle), E
+solves the symmetric positive-definite edge system
+
+    S E = rhs_e + (1/2) C D_h^{-1} rhs_h,   S = D_e + (1/4) C D_h^{-1} C0,
+
+and H = D_h^{-1} (rhs_h - (1/2) C0 E).  S is ordered once by reverse
+Cuthill-McKee and factored once by banded Cholesky, so every step is two
+banded triangular solves.
 
 The (lam_j, c_j) pairs are the parameter records' kernel_terms(), the one
 time-domain expansion of the laws.  This module exists to be an oracle: it
@@ -26,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import MemaxError
 from .materials import PiecewiseMaterial
@@ -45,20 +55,25 @@ class _KernelTerm:
     coeff: complex
     mask: np.ndarray
 
-    @property
-    def zero_lag(self) -> float:
-        """Kernel value at t = 0+ (the instantaneous-current coefficient)."""
-        return float(np.imag(self.coeff))
-
 
 @dataclass
 class StepperState:
     t: float
     E: np.ndarray
     H: np.ndarray
-    Q: list                    # linear-memory accumulators (masked dofs)
-    Qnl: list                  # nonlinear-memory accumulators
+    Q: np.ndarray              # memory accumulators, all terms' masked edges stacked
     step_index: int = 0
+
+
+def _banded_upper(S: sparse.spmatrix) -> np.ndarray:
+    """Upper band of a symmetric sparse matrix in LAPACK 'ab' storage."""
+    S = S.tocoo()
+    upper = S.row <= S.col
+    row, col, val = S.row[upper], S.col[upper], S.data[upper]
+    u = int((col - row).max())
+    ab = np.zeros((u + 1, S.shape[0]))
+    ab[u + row - col, col] = val
+    return ab
 
 
 class OracleStepper:
@@ -66,14 +81,13 @@ class OracleStepper:
 
     dl_params1/2 are the per-region permittivity records (plain or modified
     oscillator laws, expanded by their kernel_terms(); None means no memory
-    and eps_inf = 1); an optional nonlinear polarization kappa * q(E) is
-    supported for oscillator-form kappa with zero value at zero lag, applied
-    through q_fn acting row-wise on E samples.
+    and eps_inf = 1).  sigma_edges is an optional per-edge conductivity.
+    Every checkpoint_every steps, run() compares the accumulators with the
+    direct trapezoid sums over the samples it recorded.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
-                 dl_params1, dl_params2, dt: float,
-                 nl_kernel_terms=None, q_fn=None, sigma_edges=None,
+                 dl_params1, dl_params2, dt: float, sigma_edges=None,
                  checkpoint_every: int = 100):
         self.bundle = bundle
         self.material = material
@@ -85,31 +99,38 @@ class OracleStepper:
         self.mu = np.where(fmask1, material.mu1, material.mu2)
         self.terms = [_KernelTerm(lam, coeff, mask) for p, mask in regions if p is not None
                       for lam, coeff in p.kernel_terms()]
-        self.nl_terms = list(nl_kernel_terms or [])
-        self.q_fn = q_fn
-        for term in self.nl_terms:
-            if abs(term.zero_lag) > 1e-14:
-                raise MemaxError("nonlinear kernel must vanish at zero lag")
         self.sigma_edges = None if sigma_edges is None else np.asarray(sigma_edges, dtype=float)
         self.checkpoint_every = checkpoint_every
-        self._Q_at_zero = None
+
+        # stacked accumulator layout: term j owns entries _slices[j], one per
+        # masked edge; _term and _edge map each entry back
+        sizes = [int(term.mask.sum()) for term in self.terms]
+        bounds = np.cumsum([0] + sizes)
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._term = np.repeat(np.arange(len(self.terms)), sizes)
+        self._edge = np.concatenate([np.flatnonzero(term.mask) for term in self.terms]
+                                    + [np.zeros(0, dtype=np.intp)])
+        self._lam = np.array([term.lam for term in self.terms], dtype=np.complex128)
+        coeff = np.array([term.coeff for term in self.terms], dtype=np.complex128)
+        self._coeff = coeff[self._term]
+        self._decay = np.exp(self._lam * dt)[self._term]
 
         # zero-lag kernel currents enter the implicit diagonal
-        zero_lag = np.zeros(bundle.n_edges)
-        for term in self.terms:
-            zero_lag[term.mask] += term.zero_lag
-        diag = self.eps_inf / dt + 0.5 * zero_lag
+        zero_lag = np.bincount(self._edge, weights=np.imag(self._coeff),
+                               minlength=bundle.n_edges)
+        d_e = self.eps_inf / dt + 0.5 * zero_lag
         if self.sigma_edges is not None:
-            diag = diag + 0.5 * self.sigma_edges
-        system = sparse.bmat(
-            [[sparse.diags(diag), -0.5 * bundle.C],
-             [0.5 * bundle.C0, sparse.diags(self.mu / dt)]],
-            format="csc",
-        )
+            d_e = d_e + 0.5 * self.sigma_edges
+        self._d_h = self.mu / dt
+        S = sparse.diags(d_e) + 0.25 * (bundle.C @ sparse.diags(1.0 / self._d_h) @ bundle.C0)
+        self._perm = reverse_cuthill_mckee(sparse.csr_matrix(S), symmetric_mode=True)
+        self._iperm = np.argsort(self._perm)
         try:
-            self._lu = splu(system)
-        except RuntimeError as exc:
-            raise LinearSolveFailure(str(exc)) from exc
+            self._chol = cholesky_banded(_banded_upper(S[self._perm][:, self._perm]))
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveFailure(
+                f"edge system D_e + C D_h^-1 C0 / 4 is not positive definite ({exc})"
+            ) from exc
 
     # -- state construction ----------------------------------------------------
 
@@ -117,9 +138,7 @@ class OracleStepper:
         ne, nf = self.bundle.n_edges, self.bundle.n_faces
         E = np.zeros(ne) if E0 is None else np.asarray(E0, dtype=float).copy()
         H = np.zeros(nf) if H0 is None else np.asarray(H0, dtype=float).copy()
-        Q = [np.zeros(int(t.mask.sum()), dtype=np.complex128) for t in self.terms]
-        Qnl = [np.zeros(int(t.mask.sum()), dtype=np.complex128) for t in self.nl_terms]
-        return StepperState(t=0.0, E=E, H=H, Q=Q, Qnl=Qnl)
+        return StepperState(t=0.0, E=E, H=H, Q=np.zeros(len(self._edge), dtype=np.complex128))
 
     def state_from_history(self, times: np.ndarray, E_hist: np.ndarray,
                            H_hist: np.ndarray) -> StepperState:
@@ -129,66 +148,51 @@ class OracleStepper:
         if abs(times[-1]) > 1e-12:
             raise ValueError("history must end at t = 0")
         st = self.initial_state(np.real(E_hist[-1]), np.real(H_hist[-1]))
-        w = np.ones(len(times))
-        w[0] = 0.5
-        w[-1] = 0.5
-        dt_h = times[1] - times[0]
-        E_hist = np.real(E_hist)
-        qE = self.q_fn(E_hist) if self.q_fn is not None else None
-        for i, term in enumerate(self.terms):
-            phase = np.exp(term.lam * (0.0 - times))[:, None]
-            st.Q[i] = (w[:, None] * phase * E_hist[:, term.mask]).sum(axis=0) * dt_h
-        for i, term in enumerate(self.nl_terms):
-            phase = np.exp(term.lam * (0.0 - times))[:, None]
-            st.Qnl[i] = (w[:, None] * phase * qE[:, term.mask]).sum(axis=0) * dt_h
-        self._Q_at_zero = ([q.copy() for q in st.Q], [q.copy() for q in st.Qnl])
+        st.Q = self._direct_sums(0.0, times, np.real(E_hist), times[1] - times[0])
         return st
 
     # -- memory bookkeeping ------------------------------------------------------
 
-    def _memory_current(self, Q, Qnl) -> np.ndarray:
-        out = np.zeros(self.bundle.n_edges)
-        for term, q in zip(self.terms, Q):
-            out[term.mask] += np.imag(term.coeff * q)
-        for term, q in zip(self.nl_terms, Qnl):
-            out[term.mask] += np.imag(term.coeff * q)
-        return out
+    def _memory_current(self, Q: np.ndarray) -> np.ndarray:
+        return np.bincount(self._edge, weights=np.imag(self._coeff * Q),
+                           minlength=self.bundle.n_edges)
+
+    def _direct_sums(self, t: float, times: np.ndarray, E_samples: np.ndarray,
+                     dt: float) -> np.ndarray:
+        """Trapezoid sums dt * sum_k w_k e^{lam_j (t - t_k)} E(t_k) for every
+        stacked accumulator entry, as one real GEMM over all edges."""
+        w = np.ones(len(times))
+        w[0] = 0.5
+        w[-1] = 0.5
+        phase = w * np.exp(np.outer(self._lam, t - times))
+        sums = np.concatenate([phase.real, phase.imag]) @ E_samples
+        n_terms = len(self.terms)
+        return (sums[self._term, self._edge]
+                + 1j * sums[n_terms + self._term, self._edge]) * dt
 
     def step(self, state: StepperState, phi_mid: np.ndarray, psi_mid: np.ndarray) -> StepperState:
         """One implicit-midpoint step with midpoint source samples."""
         dt = self.dt
-        J_old = self._memory_current(state.Q, state.Qnl)
-
+        C, C0 = self.bundle.C, self.bundle.C0
+        J_old = self._memory_current(state.Q)
         # accumulator known parts: e^{lam dt}(Q + dt/2 x_old)
-        qE_old = self.q_fn(state.E[None, :])[0] if self.q_fn is not None else None
-        Q_known = []
-        for term, q in zip(self.terms, state.Q):
-            Q_known.append(np.exp(term.lam * dt) * (q + 0.5 * dt * state.E[term.mask]))
-        Qnl_known = []
-        for term, q in zip(self.nl_terms, state.Qnl):
-            Qnl_known.append(np.exp(term.lam * dt) * (q + 0.5 * dt * qE_old[term.mask]))
-        J_known = self._memory_current(Q_known, Qnl_known)
+        Q_known = self._decay * (state.Q + 0.5 * dt * state.E[self._edge])
+        J_known = self._memory_current(Q_known)
 
-        rhs_e = (self.eps_inf / dt) * state.E + 0.5 * (self.bundle.C @ state.H) \
+        rhs_e = (self.eps_inf / dt) * state.E + 0.5 * (C @ state.H) \
             - (J_known - J_old) / dt + phi_mid
         if self.sigma_edges is not None:
             rhs_e = rhs_e - 0.5 * self.sigma_edges * state.E
-        rhs_h = (self.mu / dt) * state.H - 0.5 * (self.bundle.C0 @ state.E) + psi_mid
-        sol = self._lu.solve(np.concatenate([rhs_e, rhs_h]))
-        if not np.all(np.isfinite(sol)):
-            raise LinearSolveFailure("non-finite step solution")
-        E_new = sol[: self.bundle.n_edges].real
-        H_new = sol[self.bundle.n_edges:].real
+        rhs_h = self._d_h * state.H - 0.5 * (C0 @ state.E) + psi_mid
+        rhs_s = rhs_e + 0.5 * (C @ (rhs_h / self._d_h))
+        E_new = cho_solve_banded((self._chol, False), rhs_s[self._perm],
+                                 check_finite=False)[self._iperm]
+        H_new = (rhs_h - 0.5 * (C0 @ E_new)) / self._d_h
+        if not (np.all(np.isfinite(E_new)) and np.all(np.isfinite(H_new))):
+            raise LinearSolveFailure(f"non-finite step solution at t = {state.t + dt:.6g}")
 
-        Q_new = [qk + 0.5 * dt * E_new[t.mask] for t, qk in zip(self.terms, Q_known)]
-        if self.q_fn is not None:
-            qE_new = self.q_fn(E_new[None, :])[0]
-            Qnl_new = [qk + 0.5 * dt * qE_new[t.mask]
-                       for t, qk in zip(self.nl_terms, Qnl_known)]
-        else:
-            Qnl_new = Qnl_known
-        return StepperState(state.t + dt, E_new, H_new, Q_new, Qnl_new,
-                            state.step_index + 1)
+        Q_new = Q_known + 0.5 * dt * E_new[self._edge]
+        return StepperState(state.t + dt, E_new, H_new, Q_new, state.step_index + 1)
 
     def run(self, state: StepperState, phi_of_t, psi_of_t, n_steps: int):
         """March n_steps from state; returns (times, E_traj, H_traj)."""
@@ -199,6 +203,7 @@ class OracleStepper:
         times[0] = state.t
         E_traj[0] = state.E
         H_traj[0] = state.H
+        Q_start = state.Q
         for n in range(n_steps):
             t_mid = state.t + 0.5 * self.dt
             phi = phi_of_t(t_mid) if phi_of_t is not None else None
@@ -210,28 +215,24 @@ class OracleStepper:
             E_traj[n + 1] = state.E
             H_traj[n + 1] = state.H
             if self.checkpoint_every and (n + 1) % self.checkpoint_every == 0:
-                self._check_accumulators(state, times[: n + 2], E_traj[: n + 2])
+                self._check_accumulators(state, Q_start, times[: n + 2], E_traj[: n + 2])
         return times, E_traj, H_traj
 
-    def _check_accumulators(self, state: StepperState, times: np.ndarray,
-                            E_traj: np.ndarray, tol: float = 1e-10):
-        """Recursion vs direct trapezoid sum over the recorded run samples
-        (plus the exactly-propagated history seed, when present)."""
-        w = np.ones(len(times))
-        w[0] = 0.5
-        w[-1] = 0.5
-        for i, term in enumerate(self.terms):
-            phase = np.exp(term.lam * (state.t - times))[:, None]
-            direct = (w[:, None] * phase * E_traj[:, term.mask]).sum(axis=0) * self.dt
-            if self._Q_at_zero is not None:
-                # seeded part decays by e^{lam t}; the shared t=0 sample keeps
-                # its half-weights from both trapezoid rules
-                direct = direct + np.exp(term.lam * (state.t - times[0])) * self._Q_at_zero[0][i]
-            scale = max(np.abs(state.Q[i]).max(), np.abs(direct).max(), 1e-300)
-            gap = np.abs(direct - state.Q[i]).max() / scale
+    def _check_accumulators(self, state: StepperState, Q_start: np.ndarray,
+                            times: np.ndarray, E_traj: np.ndarray, tol: float = 1e-10):
+        """Recursion vs direct trapezoid sum over the recorded run samples,
+        plus the exactly-propagated accumulators of the state the run began
+        from (zero for a fresh start, the seed for a history start)."""
+        # the shared first sample keeps its half-weights from both trapezoid rules
+        direct = self._direct_sums(state.t, times, E_traj, self.dt) \
+            + np.exp(self._lam[self._term] * (state.t - times[0])) * Q_start
+        for j, sl in enumerate(self._slices):
+            scale = max(np.abs(state.Q[sl]).max(), np.abs(direct[sl]).max(), 1e-300)
+            gap = np.abs(direct[sl] - state.Q[sl]).max() / scale
             if gap > tol:
                 raise LinearSolveFailure(
-                    f"memory accumulator drifted from the direct sum (rel {gap:.2e})"
+                    f"memory accumulator of term {j} drifted from the direct sum "
+                    f"at t = {state.t:.6g} (rel {gap:.2e})"
                 )
 
 

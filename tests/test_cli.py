@@ -2,10 +2,14 @@
 
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import memax
 from memax import ConfigError, RunConfig, default_config_dict
 from memax.cli import main
 from memax.reporting import file_hash
@@ -42,6 +46,22 @@ class TestConfig:
         raw["material"]["sigma"] = 0.5
         with pytest.raises(ConfigError, match="dl_sigma"):
             RunConfig.from_dict(raw).material()
+
+    @pytest.mark.parametrize("path, value", [
+        ("grid.n_cells", "4"),
+        ("time.dt", -0.03),
+        ("material.terms", []),
+        ("time.n_samples", 512.5),
+    ])
+    def test_bad_value_names_key(self, path, value):
+        raw = default_config_dict()
+        *parents, key = path.split(".")
+        section = raw
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            RunConfig.from_dict(raw)
 
     def test_hash_stable(self):
         c1 = RunConfig.from_dict(default_config_dict())
@@ -153,6 +173,32 @@ class TestCLI:
                    "--out", str(tmp_path / "oracle")])
         assert rc == 0
         assert (tmp_path / "oracle" / "oracle.sig").exists()
+
+
+def test_artifacts_independent_of_blas_threads(tmp_path):
+    """solve, oracle and the mod-DL stability run write the same bytes with
+    one and with two BLAS/OpenMP threads, each in a fresh process."""
+    mod = default_config_dict()
+    mod["time"] = {"t_start": -4.0, "dt": 0.25, "n_samples": 1024}
+    configs = {"default": default_config_dict(), "mod": mod}
+    for name, raw in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(raw))
+    runs = [("solve", "default", ["--rho", "2.0"]), ("oracle", "default", []),
+            ("stability", "mod", [])]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(memax.__file__)))
+    hashes = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for command, config, extra in runs:
+            out = tmp_path / threads / command
+            subprocess.run([sys.executable, "-m", "memax.cli", command, "--config",
+                            str(tmp_path / f"{config}.json"), *extra, "--out", str(out)],
+                           env=env, check=True, timeout=600)
+            for f in sorted(out.iterdir()):
+                hashes.setdefault((command, f.name), []).append(file_hash(str(f)))
+    assert len(hashes) >= 5
+    assert sorted(key for key, h in hashes.items() if len(h) != 2 or h[0] != h[1]) == []
 
 
 @pytest.mark.slow

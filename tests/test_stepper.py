@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from memax import (
     DrudeLorentzParams,
@@ -10,11 +11,14 @@ from memax import (
     PiecewiseMaterial,
     TimeGrid,
     WeightedSignal,
+    YeeGrid,
+    build_curl_pair,
     dl_law,
     energy_series,
     smooth_pulse,
     solve_linear,
 )
+from memax.stepper import LinearSolveFailure
 
 
 @pytest.fixture(scope="module")
@@ -122,4 +126,111 @@ class TestStep:
                             checkpoint_every=64)
         state = stp.state_from_history(h_t, E_h, H_h)
         times, E, H = stp.run(state, None, None, 256)
+        assert np.isfinite(E).all() and np.isfinite(H).all()
+
+
+def _history(bundle, rng, dt):
+    """A smooth sampled history on [-128 dt, 0]."""
+    h_t = np.arange(-128, 1) * dt
+    env = np.exp(1.0 * h_t)
+    E_h = np.outer(env * np.cos(2.0 * h_t), rng.standard_normal(bundle.n_edges))
+    H_h = np.outer(env * np.sin(1.5 * h_t), rng.standard_normal(bundle.n_faces))
+    return h_t, E_h, H_h
+
+
+def _assembled_residual(stp, state, phi, psi):
+    """Relative residual of one step in the full (E, H) midpoint system
+    [[D_e, -C/2], [C0/2, mu/dt]], assembled here from the bundle, the
+    per-term zero-lag values and the accumulator recursion."""
+    b, dt = stp.bundle, stp.dt
+    zero_lag, J_old, J_known = (np.zeros(b.n_edges) for _ in range(3))
+    start = 0
+    for term in stp.terms:
+        idx = np.flatnonzero(term.mask)
+        q = state.Q[start:start + len(idx)]
+        start += len(idx)
+        zero_lag[idx] += term.coeff.imag
+        J_old[idx] += np.imag(term.coeff * q)
+        J_known[idx] += np.imag(term.coeff * np.exp(term.lam * dt)
+                                * (q + 0.5 * dt * state.E[idx]))
+    d_e = stp.eps_inf / dt + 0.5 * zero_lag + 0.5 * stp.sigma_edges
+    system = sparse.bmat([[sparse.diags(d_e), -0.5 * b.C],
+                          [0.5 * b.C0, sparse.diags(stp.mu / dt)]], format="csr")
+    rhs = np.concatenate([
+        (stp.eps_inf / dt - 0.5 * stp.sigma_edges) * state.E + 0.5 * (b.C @ state.H)
+        - (J_known - J_old) / dt + phi,
+        (stp.mu / dt) * state.H - 0.5 * (b.C0 @ state.E) + psi,
+    ])
+    new = stp.step(state, phi, psi)
+    x = np.concatenate([new.E, new.H])
+    return np.abs(system @ x - rhs).max() / np.abs(rhs).max()
+
+
+class TestEliminatedStep:
+    @pytest.mark.parametrize("shape, axis", [((4, 4, 4), 3), ((3, 4, 5), 1),
+                                             ((3, 4, 5), 2), ((3, 4, 5), 3)])
+    def test_step_solves_full_midpoint_system(self, shape, axis, dl_params,
+                                              dl_params_b, rng):
+        bundle = build_curl_pair(YeeGrid((1.0, 1.2, 0.9), shape, axis,
+                                         shape[axis - 1] // 2))
+        material = PiecewiseMaterial(dl_law(dl_params), dl_law(dl_params_b), 1.0, 2.0)
+        stp = OracleStepper(bundle, material, dl_params, dl_params_b, 0.02,
+                            sigma_edges=rng.uniform(0.0, 1.0, bundle.n_edges))
+        state = stp.initial_state(rng.standard_normal(bundle.n_edges),
+                                  rng.standard_normal(bundle.n_faces))
+        state.Q = rng.standard_normal(len(state.Q)) + 1j * rng.standard_normal(len(state.Q))
+        rel = _assembled_residual(stp, state, rng.standard_normal(bundle.n_edges),
+                                  rng.standard_normal(bundle.n_faces))
+        assert rel <= 1e-12
+
+    def test_indefinite_edge_system_raises(self, bundle4, material_dl, dl_params,
+                                           dl_params_b):
+        with pytest.raises(LinearSolveFailure, match="not positive definite"):
+            OracleStepper(bundle4, material_dl, dl_params, dl_params_b, 0.02,
+                          sigma_edges=np.full(bundle4.n_edges, -1e3))
+
+
+class TestAccumulatorCheck:
+    @pytest.mark.parametrize("start", ["fresh", "history"])
+    def test_corrupted_accumulator_caught(self, start, bundle4, material_dl,
+                                          dl_params, dl_params_b, rng):
+        dt = 0.02
+        stp = OracleStepper(bundle4, material_dl, dl_params, dl_params_b, dt,
+                            checkpoint_every=50)
+        if start == "fresh":
+            state = stp.initial_state(rng.standard_normal(bundle4.n_edges),
+                                      rng.standard_normal(bundle4.n_faces))
+        else:
+            state = stp.state_from_history(*_history(bundle4, rng, dt))
+        clean_step = stp.step
+        taken = []
+
+        def corrupting_step(state, phi, psi):
+            new = clean_step(state, phi, psi)
+            if new.step_index == 30:
+                new.Q[0] += 1e-6 * np.abs(new.Q).max()
+            taken.append(new.step_index)
+            return new
+
+        stp.step = corrupting_step
+        with pytest.raises(LinearSolveFailure, match="drifted from the direct sum"):
+            stp.run(state, None, None, 200)
+        assert taken[-1] == 50
+
+    def test_check_follows_the_state_each_run_starts_from(self, bundle4, material_dl,
+                                                          dl_params, dl_params_b, rng):
+        # a history seed, then a fresh start on the same stepper, then a
+        # state already stepped: each run checks against its own start
+        dt = 0.02
+        stp = OracleStepper(bundle4, material_dl, dl_params, dl_params_b, dt,
+                            checkpoint_every=50)
+        stp.run(stp.state_from_history(*_history(bundle4, rng, dt)), None, None, 100)
+        state = stp.initial_state(rng.standard_normal(bundle4.n_edges),
+                                  rng.standard_normal(bundle4.n_faces))
+        stp.run(state, None, None, 100)
+        zeros_e, zeros_h = np.zeros(bundle4.n_edges), np.zeros(bundle4.n_faces)
+        for _ in range(30):
+            state = stp.step(state, zeros_e, zeros_h)
+        times, E, H = stp.run(state, None, None, 100)
+        assert times[0] == pytest.approx(30 * dt)
         assert np.isfinite(E).all() and np.isfinite(H).all()
