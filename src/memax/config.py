@@ -88,15 +88,26 @@ def _terms(v) -> bool:
 
 _TERMS = "a non-empty list of terms with numeric alpha, gamma and omega0"
 
+
+def _positive(x) -> bool:
+    return _real(x) and x > 0
+
+
+def _mu(v) -> bool:
+    return _positive(v) or (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_positive, v)))
+
 # (key path, required, test, what the value must be)
 _VALUE_RULES = (
-    ("grid.extents", True, _triple(lambda x: _real(x) and x > 0), "a list of 3 positive numbers"),
+    ("grid.extents", True, _triple(_positive), "a list of 3 positive numbers"),
     ("grid.n_cells", True, _triple(lambda x: _integer(x) and x >= 2), "a list of 3 integers >= 2"),
     ("grid.interface_axis", False, lambda x: _integer(x) and x in (1, 2, 3), "1, 2 or 3"),
     ("grid.interface_index", False, _integer, "an integer"),
     ("time.t_start", True, _real, "a finite number"),
-    ("time.dt", True, lambda x: _real(x) and x > 0, "a positive number"),
+    ("time.dt", True, _positive, "a positive number"),
     ("time.n_samples", True, lambda x: _integer(x) and x >= 2, "an integer >= 2"),
+    ("material.eps0", False, _positive, "a positive number"),
+    ("material.region2.eps0", False, _positive, "a positive number"),
+    ("material.mu", False, _mu, "a positive number or a list of 2 positive numbers"),
     ("material.terms", False, _terms, _TERMS),
     ("material.region2.terms", False, _terms, _TERMS),
 )
@@ -114,6 +125,12 @@ def _check_values(raw: dict):
             continue
         if not test(section[key]):
             raise ConfigError(f"{path} must be {what}, got {section[key]!r}")
+    grid = raw["grid"]
+    if "interface_index" in grid:
+        n = grid["n_cells"][grid.get("interface_axis", 3) - 1]
+        if not 0 < grid["interface_index"] < n:
+            raise ConfigError(f"grid.interface_index must be strictly inside the {n} cells along "
+                              f"the interface axis (1..{n - 1}), got {grid['interface_index']!r}")
 
 
 @dataclass

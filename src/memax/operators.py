@@ -14,20 +14,21 @@ D @ C0 = 0 with exact floating-point cancellation.  The material
 discontinuity at the interface never touches the stencils; it enters only
 through per-dof coefficient masks.
 
-Kernel bases for the Helmholtz projections are computed densely (desk scale)
-and can be cached on disk keyed by a grid hash.
+The Helmholtz kernels, the discrete Poincare constant and the weighted
+projection check come from one small SVD per transverse cavity mode: the
+cavity-mode basis T of transverse_mode_basis block-diagonalizes C0, and the
+mode blocks of T_f C0 T_e^T are assembled from 1-D factors without forming
+the product.  No dense SVD of C0 is taken.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .errors import RankAmbiguous
+from .errors import MemaxError, RankAmbiguous
 
 RANK_TOL = 1e-10          # singular values below tol*smax are kernel
 RANK_GAP = 1e-8           # ambiguity window around the threshold
@@ -71,10 +72,6 @@ class YeeGrid:
     def interface_position(self) -> float:
         ax = self.interface_axis - 1
         return self.spacing[ax] * self.interface_index
-
-    def content_hash(self) -> str:
-        key = repr((self.extents, self.n_cells, self.interface_axis, self.interface_index))
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 def _edge_shapes(n):
@@ -181,15 +178,58 @@ def transverse_mode_basis(bundle: OperatorBundle):
     blocks, modes = [], []
     for kind in ("edge", "face"):
         for a in range(3):
-            if kind == "edge":
-                sampling = ["cell" if b == a else "node" for b in range(3)]
-            else:
-                sampling = ["wall" if b == a else "cell" for b in range(3)]
-            factors, labels = zip(*(_mode_factor(sampling[b], n[b], b != ax) for b in range(3)))
+            factors, labels = zip(*_component_factors(bundle.grid, kind, a))
             blocks.append(sparse.kron(sparse.kron(factors[0], factors[1]), factors[2]))
             label = np.meshgrid(*labels, indexing="ij")
             modes.append((label[t1] * (n[t2] + 1) + label[t2]).ravel())
     return sparse.block_diag(blocks, format="csr"), np.concatenate(modes)
+
+
+def _component_factors(grid: YeeGrid, kind: str, a: int):
+    """(factor, labels) of _mode_factor along each axis for the edge or face
+    component along axis a."""
+    ax = grid.interface_axis - 1
+    if kind == "edge":
+        sampling = ["cell" if b == a else "node" for b in range(3)]
+    else:
+        sampling = ["wall" if b == a else "cell" for b in range(3)]
+    return [_mode_factor(sampling[b], grid.n_cells[b], b != ax) for b in range(3)]
+
+
+def _modal_curl(grid: YeeGrid) -> sparse.csr_matrix:
+    """T_f C0 T_e^T, faces x edges, assembled from 1-D factors.
+
+    The face component along a couples to the edge component along e != a
+    by +-d(E_e)/dx_d, d the third axis.  That block of C0 is a Kronecker
+    product of 1-D operators: along a, interior edge nodes placed among all
+    face nodes; along d, the node-to-cell difference; along e, the identity.
+    Each is carried into the mode basis by its own pair of 1-D factors.
+    Along the tangential axes the result maps mode k to mode k, so the
+    entries across labels are round-off and dropped; the interface axis keeps
+    its 1-D operator as it is.
+    """
+    n, h = grid.n_cells, grid.spacing
+    blocks = [[None] * 3 for _ in range(3)]
+    for a in range(3):
+        face = _component_factors(grid, "face", a)
+        for e in [b for b in range(3) if b != a]:
+            d = 3 - a - e
+            edge = _component_factors(grid, "edge", e)
+            ops = {a: np.eye(n[a] + 1, n[a] - 1, k=-1),
+                   d: (np.eye(n[d], n[d] - 1) - np.eye(n[d], n[d] - 1, k=-1)) / h[d],
+                   e: np.eye(n[e])}
+            block = 1.0 if e == (a + 2) % 3 else -1.0
+            for x in range(3):
+                (F_f, label_f), (F_e, label_e) = face[x], edge[x]
+                hat = F_f @ ops[x] @ F_e.T
+                cross = label_f[:, None] != label_e[None, :]
+                dropped = np.abs(hat[cross]).max(initial=0.0)
+                if dropped > 1e-13 * np.abs(ops[x]).max():
+                    raise MemaxError(f"transverse modes couple: dropped entry {dropped:.3e}")
+                hat[cross] = 0.0
+                block = sparse.kron(block, sparse.csr_matrix(hat))
+            blocks[a][e] = block
+    return sparse.bmat(blocks, format="csr")
 
 
 @dataclass(frozen=True)
@@ -349,35 +389,60 @@ def build_curl_pair(grid: YeeGrid) -> OperatorBundle:
 
 
 @dataclass(frozen=True)
-class ProjectionBasis:
-    """Orthonormal kernel bases and the induced orthogonal projections.
+class ModeBlock:
+    """One transverse mode's block of T_f C0 T_e^T and its numerical rank."""
 
-    basis_ker_C0 spans ker(C0) in edge space (Pi0 projects onto it);
-    basis_ker_C spans ker(C) = ran(C0)^perp in face space (Pi1 projects onto
-    it).  Dimension bookkeeping is reported, not asserted: on a discrete box
-    the boundary faces contribute exceptional vectors to ker(C) beyond the
-    continuum picture.
+    faces: np.ndarray     # modal face rows of the mode
+    curl: np.ndarray      # the block, faces x the mode's modal edge rows
+    rank: int
+
+
+@dataclass(frozen=True)
+class ProjectionBasis:
+    """Orthonormal kernel bases, per transverse mode, and the induced
+    orthogonal projections.
+
+    ker_C0_modal spans ker(C0) in modal edge coordinates (Pi0 projects onto
+    it) and ker_C_modal spans ker(C) = ran(C0)^perp in modal face coordinates
+    (Pi1 projects onto it); each column lives on the rows of one mode.  The
+    projections apply T, the per-mode product and T^T.  Dimension bookkeeping
+    is reported, not asserted: on a discrete box the boundary faces
+    contribute exceptional vectors to ker(C) beyond the continuum picture.
     """
 
-    basis_ker_C0: np.ndarray
-    basis_ker_C: np.ndarray
+    T_e: sparse.csr_matrix
+    T_f: sparse.csr_matrix
+    ker_C0_modal: sparse.csr_matrix
+    ker_C_modal: sparse.csr_matrix
+    modes: tuple                  # one ModeBlock per transverse mode
     sigma_min_C0: float
     dims: dict
 
+    @property
+    def basis_ker_C0(self) -> np.ndarray:
+        return (self.T_e.T @ self.ker_C0_modal).toarray()
+
+    @property
+    def basis_ker_C(self) -> np.ndarray:
+        return (self.T_f.T @ self.ker_C_modal).toarray()
+
     def pi0(self, v: np.ndarray) -> np.ndarray:
-        B = self.basis_ker_C0
-        return (v @ B.conj()) @ B.T if v.ndim > 1 else B @ (B.conj().T @ v)
+        return _project(self.T_e, self.ker_C0_modal, v)
 
     def pi1(self, v: np.ndarray) -> np.ndarray:
-        B = self.basis_ker_C
-        return (v @ B.conj()) @ B.T if v.ndim > 1 else B @ (B.conj().T @ v)
+        return _project(self.T_f, self.ker_C_modal, v)
 
 
-def _kernel_split(svd_vectors: np.ndarray, s: np.ndarray, total: int):
-    """Columns of svd_vectors belonging to the numerical kernel.
+def _project(T, K, v):
+    """T^T K K^T T applied to v, or to each row of a 2-D v."""
+    x = T @ np.asarray(v).T
+    return (T.T @ (K @ (K.T @ x))).T
 
-    svd_vectors holds an orthonormal basis ordered by descending singular
-    value; vectors past the rank are the kernel.  Raises RankAmbiguous when
+
+def _numerical_rank(s: np.ndarray) -> tuple:
+    """(rank, threshold) of a descending list of singular values.
+
+    Values below RANK_TOL * smax are kernel.  Raises RankAmbiguous when
     singular values hug the threshold on both sides.
     """
     smax = s[0] if s.size else 1.0
@@ -388,71 +453,104 @@ def _kernel_split(svd_vectors: np.ndarray, s: np.ndarray, total: int):
             f"singular values straddle the rank threshold within {RANK_GAP:.1e}*smax "
             f"({s[rank - 1]:.3e} vs {s[rank]:.3e})"
         )
-    return svd_vectors[:, rank:], rank
+    return rank, thresh
 
 
-def helmholtz_projections(bundle: OperatorBundle, cache_dir: str | None = None) -> ProjectionBasis:
-    """Dense rank-revealing kernels of C0 and C (desk scale: <= ~10^4 dofs)."""
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, f"projections_{bundle.grid.content_hash()}.npz")
-        if os.path.exists(path):
-            data = np.load(path)
-            return ProjectionBasis(
-                basis_ker_C0=data["ker_C0"], basis_ker_C=data["ker_C"],
-                sigma_min_C0=float(data["sigma_min"]),
-                dims={k: int(v) for k, v in zip(data["dim_keys"], data["dim_vals"])},
-            )
+def _modal_columns(blocks, n: int) -> sparse.csr_matrix:
+    """n x k matrix whose columns are the (rows, block) pairs placed on their rows."""
+    rows, cols, vals, k = [], [], [], 0
+    for r, K in blocks:
+        rows.append(np.repeat(r, K.shape[1]))
+        cols.append(k + np.tile(np.arange(K.shape[1]), len(r)))
+        vals.append(K.ravel())
+        k += K.shape[1]
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n, k))
 
-    dense = bundle.C0.toarray()
-    U, s, Vt = np.linalg.svd(dense, full_matrices=True)
-    ker_C0, rank = _kernel_split(Vt.T, s, bundle.n_edges)
-    ker_C, _ = _kernel_split(U, s, bundle.n_faces)
-    sigma_min = float(s[rank - 1]) if rank else 0.0
 
+def helmholtz_projections(bundle: OperatorBundle) -> ProjectionBasis:
+    """Kernels of C0 and C from one full SVD per transverse mode.
+
+    The rank rule is applied to the union of all modes' singular values, so
+    its thresholds mean what they mean for one SVD of C0.
+    """
+    T, mode = transverse_mode_basis(bundle)
+    ne, nf = bundle.n_edges, bundle.n_faces
+    mode_e, mode_f = mode[:ne], mode[ne:]
+    chat = _modal_curl(bundle.grid)
+    svds = []
+    for label in np.union1d(mode_e, mode_f):
+        edges, faces = np.flatnonzero(mode_e == label), np.flatnonzero(mode_f == label)
+        curl = chat[faces][:, edges].toarray()
+        svds.append((edges, faces, curl, *np.linalg.svd(curl)))
+    s_all = np.concatenate([s for *_, s, _ in svds])
+    s_all = np.sort(np.concatenate([s_all, np.zeros(min(ne, nf) - s_all.size)]))[::-1]
+    rank, thresh = _numerical_rank(s_all)
+
+    modes, ker_e, ker_f = [], [], []
+    for edges, faces, curl, U, s, Vt in svds:
+        r = int(np.count_nonzero(s > thresh))
+        modes.append(ModeBlock(faces=faces, curl=curl, rank=r))
+        ker_e.append((edges, Vt[r:].T))
+        ker_f.append((faces, U[:, r:]))
     dims = {
-        "n_edges": bundle.n_edges,
-        "n_faces": bundle.n_faces,
+        "n_edges": ne,
+        "n_faces": nf,
         "rank_C0": rank,
-        "dim_ker_C0": bundle.n_edges - rank,
-        "dim_ker_C": bundle.n_faces - rank,
-        "dim_ran_G0": int(np.linalg.matrix_rank(bundle.G0.toarray())) if bundle.G0.shape[1] else 0,
-        "dim_ker_D": bundle.D.shape[1] - int(np.linalg.matrix_rank(bundle.D.toarray())),
+        "dim_ker_C0": ne - rank,
+        "dim_ker_C": nf - rank,
     }
-
-    basis = ProjectionBasis(
-        basis_ker_C0=ker_C0, basis_ker_C=ker_C, sigma_min_C0=sigma_min, dims=dims
+    return ProjectionBasis(
+        T_e=T[:ne, :ne], T_f=T[ne:, ne:],
+        ker_C0_modal=_modal_columns(ker_e, ne), ker_C_modal=_modal_columns(ker_f, nf),
+        modes=tuple(modes), sigma_min_C0=float(s_all[rank - 1]) if rank else 0.0, dims=dims,
     )
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        keys = list(dims.keys())
-        np.savez(
-            path, ker_C0=ker_C0, ker_C=ker_C, sigma_min=sigma_min,
-            dim_keys=np.array(keys), dim_vals=np.array([dims[k] for k in keys]),
-        )
-    return basis
 
 
-def _reduced_curl(bundle: OperatorBundle, basis: ProjectionBasis) -> np.ndarray:
-    """C0 on an orthonormal basis of ker(C0)^perp: the orthonormal completion
-    of the kernel basis by QR."""
-    ker = basis.basis_ker_C0
-    n = bundle.n_edges
-    full, _ = np.linalg.qr(np.concatenate([ker, np.eye(n)], axis=1))
-    return bundle.C0 @ full[:, ker.shape[1]:n]
+def _face_layers(bundle: OperatorBundle) -> np.ndarray:
+    """Integer label of each face's (component, interface layer)."""
+    n = bundle.grid.n_cells
+    ax = bundle.grid.interface_axis - 1
+    comp = np.repeat(np.arange(3), [int(np.prod(s)) for s in _face_shapes(n)])
+    layer = np.rint(2.0 * bundle.face_positions[:, ax] / bundle.grid.spacing[ax]).astype(np.int64)
+    return comp * (2 * n[ax] + 1) + layer
+
+
+def reduced_curl_sigma_min(bundle: OperatorBundle, basis: ProjectionBasis,
+                           face_weights: np.ndarray | None = None) -> float:
+    """Smallest nonzero singular value of diag(sqrt(w)) C0 (w = 1 if None).
+
+    That is sigma_min of C0 on ker(C0)^perp in the w-weighted face norm.  w
+    must be constant per face component and interface layer: it then
+    commutes with T_f (modal face row r carries w[r]), and the problem splits
+    into one SVD of sqrt(w_m) B_m per transverse mode, whose rank is the
+    mode's unweighted rank.  Raises
+    ValueError naming the first face that breaks the layer rule.
+    """
+    w = np.ones(bundle.n_faces)
+    if face_weights is not None:
+        w = np.asarray(face_weights, dtype=float)
+        _, first, group = np.unique(_face_layers(bundle), return_index=True, return_inverse=True)
+        bad = np.flatnonzero(w != w[first][group])
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"face weights must be constant per component and interface layer: face {i} "
+                f"has {w[i]!r}, the first face of its layer {w[first[group[i]]]!r}")
+    sigma = min((np.linalg.svd(np.sqrt(w[m.faces])[:, None] * m.curl, compute_uv=False)[m.rank - 1]
+                 for m in basis.modes if m.rank), default=0.0)
+    return float(sigma)
 
 
 def poincare_constant(bundle: OperatorBundle, basis: ProjectionBasis | None = None) -> float:
-    """1/sigma_min of C0 restricted to ker(C0)^perp.
+    """1/sigma_min of C0 restricted to ker(C0)^perp, per transverse mode.
 
-    Finite on the PEC box; computed through the reduced normal matrix on the
-    kernel complement (cross-checked in tests against a dense SVD of C0).
+    Finite on the PEC box; cross-checked in tests against a dense SVD of C0
+    and against the closed-form lowest cavity mode.
     """
     if basis is None:
         basis = helmholtz_projections(bundle)
-    red = _reduced_curl(bundle, basis)
-    gram = red.T @ red
-    w = np.linalg.eigvalsh(gram)
-    sigma_min = float(np.sqrt(max(w[0], 0.0)))
+    sigma_min = reduced_curl_sigma_min(bundle, basis)
     if sigma_min <= 0:
         raise RankAmbiguous("reduced curl has a nonpositive smallest singular value")
     return 1.0 / sigma_min

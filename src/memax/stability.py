@@ -40,7 +40,7 @@ from .materials import (
     accretivity_scan,
     hermitian_min,
 )
-from .operators import OperatorBundle, ProjectionBasis, _reduced_curl
+from .operators import OperatorBundle, ProjectionBasis, reduced_curl_sigma_min
 from .signals import TimeGrid, WeightedSignal, _cumulative_trapezoid, smooth_pulse, weighted_norm
 from .spectral import LinearProblem, solve_linear, stack_rhs
 
@@ -165,19 +165,18 @@ def projection_invertibility_check(bundle: OperatorBundle, basis: ProjectionBasi
     """sigma_min of the weighted curl normal operator on ker(C0)^perp.
 
     face_weights is the positive coefficient sandwiched between the curls
-    (mu^{-1} in the field equations); indefinite weights are rejected.
+    (mu^{-1} in the field equations); indefinite weights are rejected, and so
+    are weights that are not constant per face component and interface layer.
     Returns the smallest eigenvalue of iota* C0^T diag(w) C0 iota, which for
-    unit weights equals the squared discrete Poincare sigma_min.
+    unit weights equals the squared discrete Poincare sigma_min: the squared
+    smallest nonzero singular value of sqrt(w) C0, one SVD per transverse mode.
     """
     w = np.asarray(face_weights, dtype=float)
     if w.ndim == 0:
         w = np.full(bundle.n_faces, float(w))
     if np.any(w <= 0):
         raise ValueError("face weights must be uniformly positive")
-    red = _reduced_curl(bundle, basis)
-    gram = red.T @ (w[:, None] * red)
-    vals = np.linalg.eigvalsh(gram)
-    return float(vals[0])
+    return reduced_curl_sigma_min(bundle, basis, w) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,12 @@ class TestConfig:
         ("time.dt", -0.03),
         ("material.terms", []),
         ("time.n_samples", 512.5),
+        ("grid.interface_index", 0),
+        ("grid.interface_index", 4),
+        ("material.eps0", 0.0),
+        ("material.eps0", -1.0),
+        ("material.mu", [1.0, -2.0]),
+        ("material.mu", 0.0),
     ])
     def test_bad_value_names_key(self, path, value):
         raw = default_config_dict()

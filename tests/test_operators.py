@@ -1,8 +1,13 @@
 """Discrete operators: exact identities, projections, Poincare constant."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import memax
 from memax import (
     YeeGrid,
     build_curl_pair,
@@ -11,7 +16,9 @@ from memax import (
     helmholtz_projections,
     poincare_constant,
 )
-from memax.operators import transverse_mode_basis
+from memax.operators import RANK_TOL, _modal_curl, transverse_mode_basis
+
+GRIDS = [(4, 4, 4), (3, 4, 5)]
 
 
 def edge_count_oracle(n):
@@ -74,6 +81,76 @@ class TestTransverseModes:
         assert np.abs(Ahat[cross]).max() <= 1e-13 * np.abs(b.A.data).max()
         assert np.abs(Ahat[~cross]).max() > 0.1 * np.abs(b.A.data).max()
 
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", [(4, 4, 4), (3, 4, 5), (2, 3, 2)])
+    def test_modal_curl_is_the_formed_product(self, n, axis):
+        # the 1-D assembly equals T_f C0 T_e^T, cross-mode round-off included
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        T, _ = transverse_mode_basis(b)
+        ne = b.n_edges
+        formed = (T[ne:, ne:] @ b.C0 @ T[:ne, :ne].T).toarray()
+        gap = np.abs(_modal_curl(b.grid).toarray() - formed).max()
+        assert gap <= 1e-13 * np.abs(b.C0.data).max()
+
+
+def dense_oracle(b):
+    """Rank, sigma_min and kernel projectors of C0 from one dense SVD."""
+    U, s, Vt = np.linalg.svd(b.C0.toarray(), full_matrices=True)
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
+    return rank, s[rank - 1], Vt[rank:].T @ Vt[rank:], U[:, rank:] @ U[:, rank:].T
+
+
+class TestModalKernels:
+    """The per-mode route against a dense SVD of C0 taken here."""
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", GRIDS)
+    def test_rank_and_sigma_min(self, n, axis):
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        basis = helmholtz_projections(b)
+        rank, sigma_min, _, _ = dense_oracle(b)
+        assert basis.dims["rank_C0"] == rank
+        assert basis.dims["dim_ker_C0"] == b.n_edges - rank
+        assert basis.dims["dim_ker_C"] == b.n_faces - rank
+        assert abs(basis.sigma_min_C0 - sigma_min) <= 1e-12 * sigma_min
+        assert abs(1.0 / poincare_constant(b, basis) - sigma_min) <= 1e-12 * sigma_min
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", GRIDS)
+    def test_projectors_match_dense(self, n, axis, rng):
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        basis = helmholtz_projections(b)
+        _, _, P0, P1 = dense_oracle(b)
+        assert np.abs(basis.pi0(np.eye(b.n_edges)) - P0).max() <= 1e-12
+        assert np.abs(basis.pi1(np.eye(b.n_faces)) - P1).max() <= 1e-12
+        v = rng.standard_normal(b.n_edges) + 1j * rng.standard_normal(b.n_edges)
+        assert np.abs(basis.pi0(v) - P0 @ v).max() <= 1e-12 * np.abs(v).max()
+        B0, B1 = basis.basis_ker_C0, basis.basis_ker_C
+        assert np.abs(B0.T @ B0 - np.eye(B0.shape[1])).max() <= 1e-12
+        assert np.abs(B1 @ B1.T - P1).max() <= 1e-12
+
+
+class TestClosedFormPoincare:
+    """sigma_min is the lowest Yee cavity mode: two half-wavelength axes."""
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", [(3, 4, 5), (2, 3, 2), (5, 3, 4)])
+    def test_lowest_cavity_mode(self, n, axis):
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        h = b.grid.spacing
+        lam = [(2.0 / h[a] * np.sin(np.pi / (2 * n[a]))) ** 2 for a in range(3)]
+        closed = np.sqrt(min(lam[a] + lam[c] for a in range(3) for c in range(a + 1, 3)))
+        sigma = 1.0 / poincare_constant(b)
+        assert abs(sigma - closed) <= 1e-13 * closed
+
+
+def test_import_does_not_load_scipy_fft():
+    # the mode factors are closed-form matrices; scipy.fft costs setup time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(memax.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, memax; sys.exit('scipy.fft' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
 
 class TestProjections:
     def test_gradient_fields_fixed_by_pi0(self, bundle4, basis4, rng):
@@ -99,18 +176,14 @@ class TestProjections:
         assert abs(np.dot(basis4.pi0(v), w) - np.dot(v, basis4.pi0(w))) < 1e-12
 
     def test_dimension_report(self, bundle4, basis4):
-        dims = basis4.dims
+        dims = dict(basis4.dims)
+        dims["dim_ran_G0"] = int(np.linalg.matrix_rank(bundle4.G0.toarray()))
+        dims["dim_ker_D"] = bundle4.D.shape[1] - int(np.linalg.matrix_rank(bundle4.D.toarray()))
         # discrete ker(Curl0) is exactly the Dirichlet gradients on the box
         assert dims["dim_ker_C0"] == dims["dim_ran_G0"] == 27
         assert dims["rank_C0"] == bundle4.n_edges - 27
         # ker(Div) contains ran(Curl0); the counts are reported, not asserted
         assert dims["dim_ker_D"] >= dims["rank_C0"]
-
-    def test_cache_round_trip(self, bundle4, tmp_path):
-        b1 = helmholtz_projections(bundle4, cache_dir=str(tmp_path))
-        b2 = helmholtz_projections(bundle4, cache_dir=str(tmp_path))
-        assert np.array_equal(b1.basis_ker_C0, b2.basis_ker_C0)
-        assert b1.dims == b2.dims
 
 
 class TestPoincare:

@@ -11,12 +11,15 @@ from memax import (
     PiecewiseMaterial,
     TimeGrid,
     WeightedSignal,
+    YeeGrid,
     build_Md,
+    build_curl_pair,
     capability_matrix,
     certify_decay_rate,
     conductivity_law,
     dl_law,
     fit_decay_rate,
+    helmholtz_projections,
     make_divergence_free_data,
     md_from_scalar_law,
     mod_dl_law,
@@ -144,6 +147,27 @@ class TestProjectionInvertibility:
         w[0] = -1.0
         with pytest.raises(ValueError, match="positive"):
             projection_invertibility_check(bundle4_module, basis4_module, w)
+
+    def test_weight_varying_within_layer_rejected(self, bundle4_module, basis4_module):
+        # a per-mode route needs weights that commute with the mode basis
+        w = np.ones(bundle4_module.n_faces)
+        w[7] = 2.0
+        with pytest.raises(ValueError, match="face 7 "):
+            projection_invertibility_check(bundle4_module, basis4_module, w)
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", [(4, 4, 4), (3, 4, 5)])
+    def test_piecewise_weight_matches_dense(self, n, axis):
+        # smallest nonzero eigenvalue of C0^T diag(1/mu) C0, computed densely
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        basis = helmholtz_projections(b)
+        w = 1.0 / np.where(b.face_region_mask(), 1.0, 2.5)
+        C0 = b.C0.toarray()
+        s = np.linalg.svd(C0, compute_uv=False)
+        dim_ker = b.n_edges - int(np.count_nonzero(s > 1e-10 * s[0]))
+        ref = np.linalg.eigvalsh(C0.T @ (w[:, None] * C0))[dim_ker]
+        s2 = projection_invertibility_check(b, basis, w)
+        assert abs(s2 - ref) <= 1e-12 * ref
 
 
 class TestCertification:
