@@ -456,16 +456,11 @@ def _numerical_rank(s: np.ndarray) -> tuple:
     return rank, thresh
 
 
-def _modal_columns(blocks, n: int) -> sparse.csr_matrix:
-    """n x k matrix whose columns are the (rows, block) pairs placed on their rows."""
-    rows, cols, vals, k = [], [], [], 0
-    for r, K in blocks:
-        rows.append(np.repeat(r, K.shape[1]))
-        cols.append(k + np.tile(np.arange(K.shape[1]), len(r)))
-        vals.append(K.ravel())
-        k += K.shape[1]
-    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(n, k))
+def _modal_columns(blocks) -> sparse.csr_matrix:
+    """The (rows, block) pairs side by side, each block on its rows; the
+    rows of all pairs together are each modal row once."""
+    rows = np.concatenate([r for r, _ in blocks])
+    return sparse.block_diag([K for _, K in blocks], format="csr")[np.argsort(rows)]
 
 
 def helmholtz_projections(bundle: OperatorBundle) -> ProjectionBasis:
@@ -483,6 +478,7 @@ def helmholtz_projections(bundle: OperatorBundle) -> ProjectionBasis:
         edges, faces = np.flatnonzero(mode_e == label), np.flatnonzero(mode_f == label)
         curl = chat[faces][:, edges].toarray()
         svds.append((edges, faces, curl, *np.linalg.svd(curl)))
+    # padded to the min(ne, nf) values one SVD of C0 would list
     s_all = np.concatenate([s for *_, s, _ in svds])
     s_all = np.sort(np.concatenate([s_all, np.zeros(min(ne, nf) - s_all.size)]))[::-1]
     rank, thresh = _numerical_rank(s_all)
@@ -502,7 +498,7 @@ def helmholtz_projections(bundle: OperatorBundle) -> ProjectionBasis:
     }
     return ProjectionBasis(
         T_e=T[:ne, :ne], T_f=T[ne:, ne:],
-        ker_C0_modal=_modal_columns(ker_e, ne), ker_C_modal=_modal_columns(ker_f, nf),
+        ker_C0_modal=_modal_columns(ker_e), ker_C_modal=_modal_columns(ker_f),
         modes=tuple(modes), sigma_min_C0=float(s_all[rank - 1]) if rank else 0.0, dims=dims,
     )
 
