@@ -58,14 +58,13 @@ _SCHEMA = {
 
 def _check_keys(data, schema, path=""):
     if not isinstance(data, dict):
-        return
+        raise ConfigError(f"{path or 'the config'} must be an object, got {data!r}")
     for key, value in data.items():
         here = f"{path}.{key}" if path else key
         if key not in schema:
             raise ConfigError(f"unknown config key: {here}")
-        sub = schema[key]
-        if isinstance(sub, dict) and isinstance(value, dict):
-            _check_keys(value, sub, here)
+        if isinstance(schema[key], dict):
+            _check_keys(value, schema[key], here)
 
 
 def _real(x) -> bool:
@@ -93,8 +92,17 @@ def _positive(x) -> bool:
     return _real(x) and x > 0
 
 
+def _nonnegative(x) -> bool:
+    return _real(x) and x >= 0
+
+
+def _reals(v) -> bool:
+    return isinstance(v, list) and all(map(_real, v))
+
+
 def _mu(v) -> bool:
     return _positive(v) or (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_positive, v)))
+
 
 # (key path, required, test, what the value must be)
 _VALUE_RULES = (
@@ -110,6 +118,23 @@ _VALUE_RULES = (
     ("material.mu", False, _mu, "a positive number or a list of 2 positive numbers"),
     ("material.terms", False, _terms, _TERMS),
     ("material.region2.terms", False, _terms, _TERMS),
+    ("material.r", False, _positive, "a positive number"),
+    ("material.region2.r", False, _positive, "a positive number"),
+    ("material.sigma", False, _nonnegative, "a finite number >= 0"),
+    ("material.region2.sigma", False, _nonnegative, "a finite number >= 0"),
+    ("source.t_on", False, _real, "a finite number"),
+    ("source.t_off", False, _real, "a finite number"),
+    ("source.amplitude", False, _real, "a finite number"),
+    ("source.seed", False, _integer, "an integer"),
+    ("source.divergence_free", False, lambda x: isinstance(x, bool), "true or false"),
+    ("weights.rho", False, _reals, "a list of finite numbers"),
+    ("weights.nu", False, _reals, "a list of finite numbers"),
+    ("nonlinearity.k", False, lambda x: _integer(x) and x >= 2, "an integer >= 2"),
+    ("nonlinearity.tau", False, _positive, "a positive number"),
+    ("nonlinearity.kernel.alpha", False, _positive, "a positive number"),
+    ("nonlinearity.kernel.gamma", False, _positive, "a positive number"),
+    ("nonlinearity.kernel.omega0", False, _nonnegative, "a finite number >= 0"),
+    ("nonlinearity.kernel.scale", False, _real, "a finite number"),
 )
 
 
@@ -125,6 +150,13 @@ def _check_values(raw: dict):
             continue
         if not test(section[key]):
             raise ConfigError(f"{path} must be {what}, got {section[key]!r}")
+    material = raw["material"]
+    laws = [("material", material)]
+    if isinstance(material, dict) and isinstance(material.get("region2"), dict):
+        laws.append(("material.region2", {**material, **material["region2"]}))
+    for path, law in laws:   # region 2 inherits what it does not set
+        if isinstance(law, dict) and law.get("model", "dl") == "mod_dl" and "r" not in law:
+            raise ConfigError(f"missing config key: {path}.r (model mod_dl needs r)")
     grid = raw["grid"]
     if "interface_index" in grid:
         n = grid["n_cells"][grid.get("interface_axis", 3) - 1]

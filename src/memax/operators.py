@@ -1,11 +1,12 @@
 """Mimetic staggered-grid curl/divergence operators on a PEC box with a
 planar interface.
 
-Degrees of freedom follow the standard staggering: electric components live
-on edges (tangential boundary edges eliminated by the perfect-conductor
-condition), magnetic components on faces.  With field-component sampling and
-uniform per-axis spacings, the edge->face curl C0 and its plain transpose
-C = C0^T are exact adjoints of one another, the block
+Degrees of freedom follow the standard staggering (Yee 1966): electric
+components live on edges (tangential boundary edges eliminated by the
+perfect-conductor condition), magnetic components on faces.  Every operator
+is a Kronecker product over the axes of 1-D stencils (identity, interior
+nodes among all nodes, node-to-cell difference).  C0 and its plain
+transpose C = C0^T are exact adjoints, the block
 
     A = [[0, -C], [C0, 0]]
 
@@ -14,16 +15,17 @@ D @ C0 = 0 with exact floating-point cancellation.  The material
 discontinuity at the interface never touches the stencils; it enters only
 through per-dof coefficient masks.
 
-The Helmholtz kernels, the discrete Poincare constant and the weighted
-projection check come from one small SVD per transverse cavity mode: the
-cavity-mode basis T of transverse_mode_basis block-diagonalizes C0, and the
-mode blocks of T_f C0 T_e^T are assembled from 1-D factors without forming
-the product.  No dense SVD of C0 is taken.
+The same curl builder, with the cavity-mode factors of transverse_mode_basis
+applied along the two tangential axes, gives the block-diagonal T_f C0 T_e^T
+without forming the product.  The Helmholtz kernels, the discrete Poincare
+constant and the weighted projection check come from one small SVD per
+transverse mode of it; no dense SVD of C0 is taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 from scipy import sparse
@@ -74,61 +76,17 @@ class YeeGrid:
         return self.spacing[ax] * self.interface_index
 
 
-def _edge_shapes(n):
-    nx, ny, nz = n
-    return [(nx, ny + 1, nz + 1), (nx + 1, ny, nz + 1), (nx + 1, ny + 1, nz)]
+_OFFSET = {"cell": 0, "node": -1, "wall": 1}   # samples along m cells: m + offset
 
 
-def _face_shapes(n):
-    nx, ny, nz = n
-    return [(nx + 1, ny, nz), (nx, ny + 1, nz), (nx, ny, nz + 1)]
-
-
-def _interior_edge_mask(axis, shape, n):
-    """Tangential boundary edges (PEC) are removed: an edge along `axis` is
-    interior iff its transverse node indices avoid the boundary planes."""
-    m = np.ones(shape, dtype=bool)
-    for tr in range(3):
-        if tr == axis:
-            continue
-        idx = [slice(None)] * 3
-        idx[tr] = 0
-        m[tuple(idx)] = False
-        idx[tr] = shape[tr] - 1
-        m[tuple(idx)] = False
-    return m
-
-
-class _Numbering:
-    """Linear numbering of kept dofs per component with coordinate tables."""
-
-    def __init__(self, shapes, masks):
-        self.shapes = shapes
-        self.masks = masks
-        self.offsets = []
-        total = 0
-        self.index = []
-        for shape, mask in zip(shapes, masks):
-            ids = -np.ones(shape, dtype=np.int64)
-            ids[mask] = total + np.arange(int(mask.sum()))
-            self.offsets.append(total)
-            total += int(mask.sum())
-            self.index.append(ids)
-        self.total = total
-
-    def id_of(self, comp, i, j, k):
-        return self.index[comp][i, j, k]
-
-
-def _build_numbering(grid: YeeGrid):
-    n = grid.n_cells
-    eshapes = _edge_shapes(n)
-    emasks = [_interior_edge_mask(ax, s, n) for ax, s in enumerate(eshapes)]
-    edges = _Numbering(eshapes, emasks)
-    fshapes = _face_shapes(n)
-    fmasks = [np.ones(s, dtype=bool) for s in fshapes]
-    faces = _Numbering(fshapes, fmasks)
-    return edges, faces
+def _samplings(kind: str, a: int) -> list:
+    """Per-axis sampling of the edge or face component along axis a: "cell"
+    (the m cell centres of an axis of m cells), "node" (the m - 1 interior
+    nodes) or "wall" (all m + 1 nodes).  A component's dofs are numbered in C
+    order over its three axes, the components one after another."""
+    if kind == "edge":
+        return ["cell" if b == a else "node" for b in range(3)]
+    return ["wall" if b == a else "cell" for b in range(3)]
 
 
 def _mode_factor(sampling: str, m: int, tangential: bool):
@@ -139,7 +97,7 @@ def _mode_factor(sampling: str, m: int, tangential: bool):
     cos(pi k (i + 1/2) / m)), "node" (interior nodes j: orthonormal DST-I rows
     sin(pi k j / m)) or "wall" (all nodes; the two wall nodes stay as they are).
     """
-    size = {"cell": m, "node": m - 1, "wall": m + 1}[sampling]
+    size = m + _OFFSET[sampling]
     if not tangential:
         return np.eye(size), np.zeros(size, dtype=np.int64)
     if sampling == "cell":
@@ -154,6 +112,64 @@ def _mode_factor(sampling: str, m: int, tangential: bool):
     F = np.eye(m + 1)
     F[1:m, 1:m] = sine
     return F, np.concatenate([[m], k, [m]])
+
+
+def _axis_stencils(grid: YeeGrid, src: list, dst: list, tangential) -> list:
+    """Per axis, the 1-D stencil from samples src to samples dst: the
+    identity, the interior nodes placed among all nodes, or the difference
+    from nodes to cell centres.
+
+    Along each tangential axis the stencil is carried into the cavity-mode
+    basis by the factors of its two samplings.  It then maps mode k to mode
+    k, so its entries across labels are round-off and dropped.
+    """
+    ops = []
+    for s, d, m, h, t in zip(src, dst, grid.n_cells, grid.spacing, tangential):
+        embed = np.eye(m + 1, m - 1, k=-1)
+        diff = (np.eye(m, m + 1, k=1) - np.eye(m, m + 1)) / h
+        op = np.eye(m + _OFFSET[s]) if s == d else \
+            {("node", "wall"): embed, ("wall", "cell"): diff, ("node", "cell"): diff @ embed}[s, d]
+        if t:
+            (F_d, label_d), (F_s, label_s) = (_mode_factor(x, m, True) for x in (d, s))
+            scale, op = np.abs(op).max(), F_d @ op @ F_s.T
+            cross = label_d[:, None] != label_s[None, :]
+            dropped = np.abs(op[cross]).max(initial=0.0)
+            if dropped > 1e-13 * scale:
+                raise MemaxError(f"transverse modes couple: dropped entry {dropped:.3e}")
+            op[cross] = 0.0
+        ops.append(op)
+    return ops
+
+
+def _kron(ops) -> sparse.csr_matrix:
+    """Kronecker product of dense 1-D operators, as a CSR matrix."""
+    rows, cols, vals = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1)
+    for op in ops:
+        i, j = np.nonzero(op)
+        rows = (rows[:, None] * op.shape[0] + i).ravel()
+        cols = (cols[:, None] * op.shape[1] + j).ravel()
+        vals = (vals[:, None] * op[i, j]).ravel()
+    shape = np.prod([op.shape for op in ops], axis=0)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=tuple(shape))
+
+
+def _curl(grid: YeeGrid, tangential) -> sparse.csr_matrix:
+    """Faces x interior edges curl, in the cavity-mode basis along the
+    tangential axes.  The face component along a couples to the edge
+    component along e != a by +-d(E_e)/dx_d, d the third axis."""
+    blocks = [[None] * 3 for _ in range(3)]
+    for a, e in permutations(range(3), 2):
+        edge, face = _samplings("edge", e), _samplings("face", a)
+        first, *rest = _axis_stencils(grid, edge, face, tangential)
+        blocks[a][e] = _kron([(1.0 if e == (a + 2) % 3 else -1.0) * first, *rest])
+    return sparse.bmat(blocks, format="csr")
+
+
+def _modal_curl(grid: YeeGrid) -> sparse.csr_matrix:
+    """T_f C0 T_e^T, faces x edges: the curl of build_curl_pair with the
+    cavity-mode factors applied along both tangential axes."""
+    ax = grid.interface_axis - 1
+    return _curl(grid, [b != ax for b in range(3)])
 
 
 def transverse_mode_basis(bundle: OperatorBundle):
@@ -178,58 +194,12 @@ def transverse_mode_basis(bundle: OperatorBundle):
     blocks, modes = [], []
     for kind in ("edge", "face"):
         for a in range(3):
-            factors, labels = zip(*_component_factors(bundle.grid, kind, a))
-            blocks.append(sparse.kron(sparse.kron(factors[0], factors[1]), factors[2]))
+            factors, labels = zip(*(_mode_factor(s, n[b], b != ax)
+                                    for b, s in enumerate(_samplings(kind, a))))
+            blocks.append(_kron(factors))
             label = np.meshgrid(*labels, indexing="ij")
             modes.append((label[t1] * (n[t2] + 1) + label[t2]).ravel())
     return sparse.block_diag(blocks, format="csr"), np.concatenate(modes)
-
-
-def _component_factors(grid: YeeGrid, kind: str, a: int):
-    """(factor, labels) of _mode_factor along each axis for the edge or face
-    component along axis a."""
-    ax = grid.interface_axis - 1
-    if kind == "edge":
-        sampling = ["cell" if b == a else "node" for b in range(3)]
-    else:
-        sampling = ["wall" if b == a else "cell" for b in range(3)]
-    return [_mode_factor(sampling[b], grid.n_cells[b], b != ax) for b in range(3)]
-
-
-def _modal_curl(grid: YeeGrid) -> sparse.csr_matrix:
-    """T_f C0 T_e^T, faces x edges, assembled from 1-D factors.
-
-    The face component along a couples to the edge component along e != a
-    by +-d(E_e)/dx_d, d the third axis.  That block of C0 is a Kronecker
-    product of 1-D operators: along a, interior edge nodes placed among all
-    face nodes; along d, the node-to-cell difference; along e, the identity.
-    Each is carried into the mode basis by its own pair of 1-D factors.
-    Along the tangential axes the result maps mode k to mode k, so the
-    entries across labels are round-off and dropped; the interface axis keeps
-    its 1-D operator as it is.
-    """
-    n, h = grid.n_cells, grid.spacing
-    blocks = [[None] * 3 for _ in range(3)]
-    for a in range(3):
-        face = _component_factors(grid, "face", a)
-        for e in [b for b in range(3) if b != a]:
-            d = 3 - a - e
-            edge = _component_factors(grid, "edge", e)
-            ops = {a: np.eye(n[a] + 1, n[a] - 1, k=-1),
-                   d: (np.eye(n[d], n[d] - 1) - np.eye(n[d], n[d] - 1, k=-1)) / h[d],
-                   e: np.eye(n[e])}
-            block = 1.0 if e == (a + 2) % 3 else -1.0
-            for x in range(3):
-                (F_f, label_f), (F_e, label_e) = face[x], edge[x]
-                hat = F_f @ ops[x] @ F_e.T
-                cross = label_f[:, None] != label_e[None, :]
-                dropped = np.abs(hat[cross]).max(initial=0.0)
-                if dropped > 1e-13 * np.abs(ops[x]).max():
-                    raise MemaxError(f"transverse modes couple: dropped entry {dropped:.3e}")
-                hat[cross] = 0.0
-                block = sparse.kron(block, sparse.csr_matrix(hat))
-            blocks[a][e] = block
-    return sparse.bmat(blocks, format="csr")
 
 
 @dataclass(frozen=True)
@@ -269,118 +239,32 @@ class OperatorBundle:
         return self.face_positions[:, ax] < self.grid.interface_position - 1e-12
 
 
+def _positions(grid: YeeGrid, kind: str) -> np.ndarray:
+    """Midpoint of every edge or face dof, one row per dof."""
+    out = []
+    for a in range(3):
+        axes = [{"cell": np.arange(m) * h + 0.5 * h, "node": np.arange(1, m) * h,
+                 "wall": np.arange(m + 1) * h}[s]
+                for s, m, h in zip(_samplings(kind, a), grid.n_cells, grid.spacing)]
+        out.append(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3))
+    return np.concatenate(out)
+
+
 def build_curl_pair(grid: YeeGrid) -> OperatorBundle:
-    """Assemble the staggered curl pair, divergence, gradient, and A."""
-    n = grid.n_cells
-    h = grid.spacing
-    edges, faces = _build_numbering(grid)
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        if c >= 0:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-
-    # curl: face component along `a` couples edges along axes b = a+1, c = a+2
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        fshape = faces.shapes[a]
-        for i in range(fshape[0]):
-            for j in range(fshape[1]):
-                for k in range(fshape[2]):
-                    r = faces.id_of(a, i, j, k)
-                    idx = [i, j, k]
-                    # + d(E_c)/d(x_b)
-                    up = idx.copy()
-                    up[b] += 1
-                    add(r, edges.id_of(c, *up), 1.0 / h[b])
-                    add(r, edges.id_of(c, *idx), -1.0 / h[b])
-                    # - d(E_b)/d(x_c)
-                    up = idx.copy()
-                    up[c] += 1
-                    add(r, edges.id_of(b, *up), -1.0 / h[c])
-                    add(r, edges.id_of(b, *idx), 1.0 / h[c])
-
-    C0 = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(faces.total, edges.total)
-    )
+    """Assemble the staggered curl pair, divergence, gradient, and A as
+    Kronecker products of 1-D stencils."""
+    plain = (False, False, False)
+    C0 = _curl(grid, plain)
     C = sparse.csr_matrix(C0.T)
-
-    # divergence: cell (i,j,k) from the 6 surrounding faces
-    rows, cols, vals = [], [], []
-    nx, ny, nz = n
-    cell_id = np.arange(nx * ny * nz).reshape(nx, ny, nz)
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                r = cell_id[i, j, k]
-                for a, (di, dj, dk) in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
-                    hi = faces.id_of(a, i + di, j + dj, k + dk)
-                    lo = faces.id_of(a, i, j, k)
-                    add(r, hi, 1.0 / h[a])
-                    add(r, lo, -1.0 / h[a])
-    D = sparse.csr_matrix((vals, (rows, cols)), shape=(nx * ny * nz, faces.total))
-
-    # Dirichlet gradient: interior nodes -> interior edges
-    node_shape = (nx + 1, ny + 1, nz + 1)
-    node_ids = -np.ones(node_shape, dtype=np.int64)
-    interior = np.zeros(node_shape, dtype=bool)
-    interior[1:-1, 1:-1, 1:-1] = True
-    node_ids[interior] = np.arange(int(interior.sum()))
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        eshape = edges.shapes[a]
-        for i in range(eshape[0]):
-            for j in range(eshape[1]):
-                for k in range(eshape[2]):
-                    r = edges.id_of(a, i, j, k)
-                    if r < 0:
-                        continue
-                    idx = [i, j, k]
-                    up = idx.copy()
-                    up[a] += 1
-                    head = node_ids[tuple(up)]
-                    tail = node_ids[tuple(idx)]
-                    if head >= 0:
-                        rows.append(r)
-                        cols.append(head)
-                        vals.append(1.0 / h[a])
-                    if tail >= 0:
-                        rows.append(r)
-                        cols.append(tail)
-                        vals.append(-1.0 / h[a])
-    G0 = sparse.csr_matrix((vals, (rows, cols)), shape=(edges.total, int(interior.sum())))
-
+    D = sparse.hstack([_kron(_axis_stencils(grid, _samplings("face", a), ["cell"] * 3, plain))
+                       for a in range(3)], format="csr")
+    G0 = sparse.vstack([_kron(_axis_stencils(grid, ["node"] * 3, _samplings("edge", a), plain))
+                        for a in range(3)], format="csr")
     A = sparse.bmat([[None, -C], [C0, None]], format="csr")
-
-    # dof midpoints for region masks
-    def positions(numbering, kind):
-        pos = np.zeros((numbering.total, 3))
-        for a in range(3):
-            shape = numbering.shapes[a]
-            ids = numbering.index[a]
-            for i in range(shape[0]):
-                for j in range(shape[1]):
-                    for k in range(shape[2]):
-                        r = ids[i, j, k]
-                        if r < 0:
-                            continue
-                        xyz = np.array([i * h[0], j * h[1], k * h[2]])
-                        if kind == "edge":
-                            xyz[a] += 0.5 * h[a]
-                        else:
-                            for tr in range(3):
-                                if tr != a:
-                                    xyz[tr] += 0.5 * h[tr]
-                        pos[r] = xyz
-        return pos
-
     return OperatorBundle(
         grid=grid, C0=C0, C=C, D=D, G0=G0, A=A,
-        n_edges=edges.total, n_faces=faces.total,
-        edge_positions=positions(edges, "edge"), face_positions=positions(faces, "face"),
+        n_edges=C0.shape[1], n_faces=C0.shape[0],
+        edge_positions=_positions(grid, "edge"), face_positions=_positions(grid, "face"),
     )
 
 
@@ -507,7 +391,7 @@ def _face_layers(bundle: OperatorBundle) -> np.ndarray:
     """Integer label of each face's (component, interface layer)."""
     n = bundle.grid.n_cells
     ax = bundle.grid.interface_axis - 1
-    comp = np.repeat(np.arange(3), [int(np.prod(s)) for s in _face_shapes(n)])
+    comp = np.repeat(np.arange(3), [np.prod(n) // n[a] * (n[a] + 1) for a in range(3)])
     layer = np.rint(2.0 * bundle.face_positions[:, ax] / bundle.grid.spacing[ax]).astype(np.int64)
     return comp * (2 * n[ax] + 1) + layer
 

@@ -19,10 +19,11 @@ each transverse cavity mode (DST-I/DCT-II along those axes,
 operators.transverse_mode_basis) to itself.  Each bin is therefore factored
 in the modal basis, where the system is block-diagonal with one small banded
 block per transverse mode pair; data goes in as T g and the solution comes
-out as T^T u_hat.  The residual, refinement and growth checks use the
-original matrix.  The sparsity pattern is built once and each bin only
-writes its diagonal.  The region laws are evaluated once over the whole
-line.
+out as T^T u_hat.  The modal system comes from the modal curl T_f C0 T_e^T,
+which the operators build from 1-D factors; T K T^T is never formed.  The
+residual, refinement and growth checks use the original matrix.  The
+sparsity pattern is built once and each bin only writes its diagonal.  The
+region laws are evaluated once over the whole line.
 
 A is real and M(conj z) = conj M(z), so real time data (a
 conjugate-symmetric spectrum) has a conjugate-symmetric solution: only bins
@@ -44,7 +45,7 @@ heuristic against COND_LIMIT stands in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
@@ -52,7 +53,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import FrequencySingular, MemaxError
 from .materials import PiecewiseMaterial, line_certificate
-from .operators import OperatorBundle, transverse_mode_basis
+from .operators import OperatorBundle, _modal_curl, transverse_mode_basis
 from .signals import (
     SpectralSignal,
     TimeGrid,
@@ -84,8 +85,10 @@ class _FrequencyLine:
     d_k = lines[k, group] * weight, where each column of lines is one
     coefficient evaluated over the whole line.  d_k is constant per component
     and interface layer, so in the transverse cavity-mode basis T the system
-    is diag(d_k) + T K T^T, block-diagonal by mode: entries across modes are
-    zero in exact arithmetic and dropped.  The pattern of that sum and the
+    is diag(d_k) + Khat, block-diagonal by mode.  Khat = T K T^T is
+    [[0, -Chat^T], [Chat, 0]] for order 1 and Chat^T diag(1/mu) Chat for
+    order 2 (mu commutes with T_f), Chat the modal curl; construction checks
+    it against K on two seeded vectors.  The pattern of the sum and the
     positions of its diagonal in the CSC data array are fixed.  Each bin is
     factored in the modal basis; its checks (residual, refinement, growth)
     use diag(d_k) + K in the original basis.
@@ -99,15 +102,18 @@ class _FrequencyLine:
         group = np.where(bundle.edge_region_mask(), 0, 1)
         weight = np.ones(bundle.n_edges)
         mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
-        T, mode = transverse_mode_basis(bundle)
+        T, _ = transverse_mode_basis(bundle)
+        chat = _modal_curl(bundle.grid)
         if order == 1:
             K = bundle.A
+            Khat = sparse.bmat([[None, -chat.T], [chat, None]])
             lines.append(z)
             group = np.concatenate([group, np.full(bundle.n_faces, 2)])
             weight = np.concatenate([weight, mu])
         else:
             K = bundle.C @ sparse.diags(1.0 / mu) @ bundle.C0
-            T, mode = T[:bundle.n_edges, :bundle.n_edges], mode[:bundle.n_edges]
+            Khat = chat.T @ sparse.diags(1.0 / mu) @ chat
+            T = T[:bundle.n_edges, :bundle.n_edges]
         self.z = z
         self._lines = np.stack(lines, axis=1)
         self._group = group
@@ -118,30 +124,25 @@ class _FrequencyLine:
         self._T = T
         self._Tt = T.T.tocsr()
 
-        # pattern of diag + T K T^T within modes, explicit zeros kept on the diagonal
-        Khat = (T @ K @ self._Tt).tocoo()
-        cross = mode[Khat.row] != mode[Khat.col]
-        dropped = np.abs(Khat.data[cross]).max(initial=0.0)
+        x = np.random.default_rng(0).standard_normal((K.shape[0], 2))
+        gap = np.abs(K @ x - self._Tt @ (Khat @ (T @ x))).max()
         k_max = np.abs(K.data).max()
-        if dropped > 1e-13 * k_max:
-            raise MemaxError(f"transverse modes couple: dropped entry {dropped:.3e} "
+        if gap > 1e-12 * k_max * np.abs(x).max():
+            raise MemaxError(f"transverse modes couple: the modal system misses K by {gap:.3e} "
                              f"against max |K| {k_max:.3e}")
+        # pattern of diag + Khat, all n diagonal entries stored: Khat_ii >= 0, so + 1 drops none
         n = K.shape[0]
-        idx = np.arange(n)
-        keep = ~cross
-        pattern = sparse.csc_matrix(
-            (np.concatenate([Khat.data[keep], np.zeros(n)]).astype(np.complex128),
-             (np.concatenate([Khat.row[keep], idx]), np.concatenate([Khat.col[keep], idx]))),
-            shape=(n, n))
-        pattern.sum_duplicates()
-        col = np.repeat(idx, np.diff(pattern.indptr))
+        pattern = sparse.csc_matrix(Khat + sparse.identity(n), dtype=np.complex128)
+        pattern.sort_indices()   # every bin shares these indices, and splu sorts in place
+        col = np.repeat(np.arange(n), np.diff(pattern.indptr))
         self._diag_pos = np.flatnonzero(pattern.indices == col)
+        pattern.data[self._diag_pos] = Khat.diagonal()
         self._pattern = pattern
         self._use_cache = cache
         self._cache: dict = {}
 
     def _factor(self, k: int, d: np.ndarray):
-        """LU of diag(d) + T K T^T, the bin-k system in the modal basis."""
+        """LU of diag(d) + Khat, the bin-k system in the modal basis."""
         if self._use_cache and k in self._cache:
             return self._cache[k]
         p = self._pattern
@@ -246,15 +247,7 @@ class SolveReport:
         return self.norm_ratio <= (1.0 + slack) / self.c_min_line
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "c_min_line": self.c_min_line,
-            "norm_ratio": self.norm_ratio,
-            "max_rel_residual": self.max_rel_residual,
-            "max_growth": self.max_growth,
-            "wraparound_residual": self.wraparound_residual,
-            "causality_margin": self.causality_margin,
-        }
+        return asdict(self)
 
 
 class SolutionOperator:

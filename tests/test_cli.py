@@ -58,16 +58,52 @@ class TestConfig:
         ("material.eps0", -1.0),
         ("material.mu", [1.0, -2.0]),
         ("material.mu", 0.0),
+        ("material.r", 0),
+        ("material.r", "4"),
+        ("material.region2.r", -1.0),
+        ("material.sigma", "0.5"),
+        ("material.sigma", -0.5),
+        ("material.region2.sigma", float("nan")),
+        ("source.t_on", float("inf")),
+        ("source.t_off", "2"),
+        ("source.amplitude", None),
+        ("source.seed", 7.5),
+        ("source.divergence_free", 1),
+        ("weights.rho", [2.0, "x"]),
+        ("weights.nu", 0.1),
+        ("nonlinearity.k", 1),
+        ("nonlinearity.k", 3.0),
+        ("nonlinearity.tau", -1),
+        ("nonlinearity.kernel.alpha", 0.0),
+        ("nonlinearity.kernel.gamma", -1.5),
+        ("nonlinearity.kernel.omega0", -3.0),
+        ("nonlinearity.kernel.scale", float("nan")),
+        ("material", 5),
+        ("material.region2", 7),
+        ("source", "x"),
+        ("nonlinearity.kernel", [1.0]),
     ])
     def test_bad_value_names_key(self, path, value):
         raw = default_config_dict()
         *parents, key = path.split(".")
         section = raw
         for name in parents:
-            section = section[name]
+            section = section.setdefault(name, {})
         section[key] = value
         with pytest.raises(ConfigError, match=re.escape(path)):
             RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("path", ["material.r", "material.region2.r"])
+    def test_mod_dl_needs_r(self, path):
+        raw = default_config_dict()
+        del raw["material"]["r"]
+        if path == "material.region2.r":
+            raw["material"].update(model="dl", region2={"model": "mod_dl"})
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            RunConfig.from_dict(raw)
+        # region 2 inherits r from region 1
+        raw["material"]["r"] = 4.0
+        RunConfig.from_dict(raw).material()
 
     def test_hash_stable(self):
         c1 = RunConfig.from_dict(default_config_dict())

@@ -93,6 +93,75 @@ class TestTransverseModes:
         assert gap <= 1e-13 * np.abs(b.C0.data).max()
 
 
+def _half(pos, h):
+    """Where a dof coordinate sits half-way between nodes."""
+    return np.abs(pos / h - np.floor(pos / h) - 0.5) < 1e-9
+
+
+class TestGeometricAssembly:
+    """C0, D and G0 rebuilt from the dof midpoints alone: ties the numbering
+    to the positions that the region masks read."""
+
+    CASES = [(n, axis) for n in [(3, 4, 5), (2, 3, 2), (4, 4, 4)] for axis in (1, 2, 3)]
+
+    @staticmethod
+    def _bundle(n, axis):
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        return b, np.array(b.grid.spacing), 1e-9 * min(b.grid.spacing)
+
+    @pytest.mark.parametrize("n, axis", CASES)
+    def test_curl_from_face_boundaries(self, n, axis):
+        # C0[f, e] = +-1/h exactly when edge e lies on the boundary of face f,
+        # + where e runs counterclockwise about the face normal
+        b, h, tol = self._bundle(n, axis)
+        half_e, half_f = _half(b.edge_positions, h), _half(b.face_positions, h)
+        assert (half_e.sum(axis=1) == 1).all() and (half_f.sum(axis=1) == 2).all()
+        along, normal = np.argmax(half_e, axis=1), np.argmin(half_f, axis=1)
+        expected = np.zeros((b.n_faces, b.n_edges))
+        ix = np.arange(b.n_edges)
+        for f, (p, a) in enumerate(zip(b.face_positions, normal)):
+            r = b.edge_positions - p
+            c = (3 - a - along) % 3          # the third axis where along != a
+            on = ((along != a) & (np.abs(r[:, a]) < tol) & (np.abs(r[ix, along]) < tol)
+                  & (np.abs(np.abs(r[ix, c]) - 0.5 * h[c]) < tol))
+            tangent = np.cross(np.eye(3)[a], r)
+            expected[f, on] = np.sign(tangent[ix, along][on]) / h[c[on]]
+        assert ((expected != 0).sum(axis=0) == 4).all()   # kept edges are interior: 4 faces each
+        assert np.array_equal(b.C0.toarray(), expected)
+
+    @pytest.mark.parametrize("n, axis", CASES)
+    def test_divergence_from_cell_faces(self, n, axis):
+        # D[cell, f] = +-1/h over the six faces of each cell, + on the outward side
+        b, h, tol = self._bundle(n, axis)
+        centres = [np.arange(m) * hh + 0.5 * hh for m, hh in zip(b.grid.n_cells, h)]
+        cells = np.stack(np.meshgrid(*centres, indexing="ij"), axis=-1).reshape(-1, 3)
+        normal = np.argmin(_half(b.face_positions, h), axis=1)
+        ix = np.arange(b.n_faces)
+        expected = np.zeros((len(cells), b.n_faces))
+        for k, p in enumerate(cells):
+            r = b.face_positions - p
+            off = np.abs(r[ix, normal])
+            on = (np.abs(off - 0.5 * h[normal]) < tol) & (np.abs(r).sum(axis=1) - off < tol)
+            expected[k, on] = np.sign(r[ix, normal][on]) / h[normal[on]]
+        assert ((expected != 0).sum(axis=1) == 6).all()
+        assert np.array_equal(b.D.toarray(), expected)
+
+    @pytest.mark.parametrize("n, axis", CASES)
+    def test_gradient_from_edge_ends(self, n, axis):
+        # G0[e, v] = +-1/h over the interior end nodes v of edge e, + at the head
+        b, h, tol = self._bundle(n, axis)
+        inner = [np.arange(1, m) * hh for m, hh in zip(b.grid.n_cells, h)]
+        nodes = np.stack(np.meshgrid(*inner, indexing="ij"), axis=-1).reshape(-1, 3)
+        along = np.argmax(_half(b.edge_positions, h), axis=1)
+        expected = np.zeros((b.n_edges, len(nodes)))
+        for e, (p, a) in enumerate(zip(b.edge_positions, along)):
+            for side in (1.0, -1.0):
+                end = p + side * 0.5 * h[a] * np.eye(3)[a]
+                hit = np.flatnonzero(np.abs(nodes - end).max(axis=1) < tol)
+                expected[e, hit] = side / h[a]
+        assert np.array_equal(b.G0.toarray(), expected)
+
+
 def dense_oracle(b):
     """Rank, sigma_min and kernel projectors of C0 from one dense SVD."""
     U, s, Vt = np.linalg.svd(b.C0.toarray(), full_matrices=True)

@@ -28,6 +28,7 @@ from memax import (
     weighted_norm,
 )
 from memax.errors import MemaxError
+from memax.operators import transverse_mode_basis
 
 
 def pulse_rhs(bundle, grid, rho, rng, t_on=0.0, t_off=2.0, div_free=False):
@@ -241,7 +242,7 @@ class TestModalSolve:
             assert np.linalg.norm(E[k] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_modal_factors_sparse_and_exact(self, bundle4, material_mix, rng, monkeypatch):
-        # guards the cross-mode pruning (without it the fill comes back) and
+        # guards the within-mode assembly (a coupled system brings the fill back) and
         # the transforms (refinement would hide a wrong one, at two solves a bin)
         factors, solves = [], []
         splu = spectral.splu
@@ -272,6 +273,51 @@ class TestModalSolve:
         n = bundle4.n_state
         monkeypatch.setattr(spectral, "transverse_mode_basis",
                             lambda b: (sparse.identity(n, format="csr"), np.arange(n)))
+        with pytest.raises(MemaxError, match="transverse modes couple"):
+            SolutionOperator(bundle4, material_dl, 2.0, GRID)
+
+
+class TestModalSystem:
+    """The modal systems built from the modal curl against the within-mode
+    part of the formed product T K T^T, kept here as the oracle."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", [(4, 4, 4), (3, 4, 5)])
+    def test_matches_formed_product(self, n, axis, order, material_mix):
+        # material_mix has mu = (1, 2)
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        z = 2.0 + 1j * np.linspace(-4.0, 4.0, 5)
+        line = spectral._FrequencyLine(b, material_mix, z, order, cache=False)
+        T, mode = transverse_mode_basis(b)
+        K = b.A
+        if order == 2:
+            mu = np.where(b.face_region_mask(), material_mix.mu1, material_mix.mu2)
+            K = b.C @ sparse.diags(1.0 / mu) @ b.C0
+            T, mode = T[:b.n_edges, :b.n_edges], mode[:b.n_edges]
+        formed = (T @ K @ T.T).tocoo()
+        keep = mode[formed.row] == mode[formed.col]
+        idx = np.arange(K.shape[0])
+        oracle = sparse.csc_matrix(
+            (np.concatenate([formed.data[keep], np.zeros(idx.size)]),
+             (np.concatenate([formed.row[keep], idx]), np.concatenate([formed.col[keep], idx]))),
+            shape=K.shape)
+        oracle.sum_duplicates()
+        pattern = line._pattern
+        assert np.array_equal(pattern.indptr, oracle.indptr)
+        assert np.array_equal(pattern.indices, oracle.indices)
+        assert np.abs(pattern.data - oracle.data).max() <= 1e-13 * np.abs(K.data).max()
+
+    def test_perturbed_modal_curl_raises(self, bundle4, material_dl, monkeypatch):
+        # a modal curl that no longer carries C0 is refused at construction
+        modal_curl = spectral._modal_curl
+
+        def perturbed(grid):
+            chat = modal_curl(grid).copy()
+            chat.data[7] *= 1.0 + 1e-8
+            return chat
+
+        monkeypatch.setattr(spectral, "_modal_curl", perturbed)
         with pytest.raises(MemaxError, match="transverse modes couple"):
             SolutionOperator(bundle4, material_dl, 2.0, GRID)
 
