@@ -157,6 +157,11 @@ def _check_values(raw: dict):
     for path, law in laws:   # region 2 inherits what it does not set
         if isinstance(law, dict) and law.get("model", "dl") == "mod_dl" and "r" not in law:
             raise ConfigError(f"missing config key: {path}.r (model mod_dl needs r)")
+    kernel = raw.get("nonlinearity", {}).get("kernel")
+    for key in ("alpha", "gamma", "omega0"):
+        if kernel is not None and key not in kernel:
+            raise ConfigError(f"missing config key: nonlinearity.kernel.{key} "
+                              "(a kernel needs alpha, gamma and omega0)")
     grid = raw["grid"]
     if "interface_index" in grid:
         n = grid["n_cells"][grid.get("interface_axis", 3) - 1]

@@ -16,14 +16,24 @@ One frequency loop serves this system and the second-order E-field form
 fixed K.  The law changes only across the interface plane, so d_k is
 constant along the two tangential axes, and on the uniform PEC grid K maps
 each transverse cavity mode (DST-I/DCT-II along those axes,
-operators.transverse_mode_basis) to itself.  Each bin is therefore factored
-in the modal basis, where the system is block-diagonal with one small banded
-block per transverse mode pair; data goes in as T g and the solution comes
-out as T^T u_hat.  The modal system comes from the modal curl T_f C0 T_e^T,
-which the operators build from 1-D factors; T K T^T is never formed.  The
-residual, refinement and growth checks use the original matrix.  The
-sparsity pattern is built once and each bin only writes its diagonal.  The
-region laws are evaluated once over the whole line.
+operators.transverse_mode_basis) to itself.  Each bin is therefore solved
+in the modal basis, where the system is block-diagonal by transverse mode;
+data goes in as T g and the solution comes out as T^T u_hat.  The modal
+system comes from the modal curl T_f C0 T_e^T, which the operators build
+from 1-D factors; T K T^T is never formed.
+
+Both orders factor the same edge system, z^2 eps(z) + Chat^T mu^{-1} Chat:
+the first-order solve eliminates H,
+
+    (z^2 eps + Chat^T mu^{-1} Chat) E = z g_E + Chat^T mu^{-1} g_H,
+    H = (g_H - Chat E) / (z mu),
+
+which halves the unknowns and the bandwidth.  The modal edges are ordered
+once by mode label and then by interface coordinate, so the system is one
+narrow band (half-width 3 on the Yee grid, read off the pattern) and each
+bin is one LAPACK banded LU.  The residual, refinement and growth checks use
+the original matrix.  The band is built once and each bin only adds its
+diagonal.  The region laws are evaluated once over the whole line.
 
 A is real and M(conj z) = conj M(z), so real time data (a
 conjugate-symmetric spectrum) has a conjugate-symmetric solution: only bins
@@ -49,7 +59,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracing.py wraps this name)
 
 from .errors import FrequencySingular, MemaxError
 from .materials import PiecewiseMaterial, line_certificate
@@ -77,6 +88,38 @@ def _is_hermitian_spectrum(ghat: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.abs(ghat - mirror.conj()).max() <= tol * scale)
 
 
+@dataclass(frozen=True)
+class _BandLU:
+    """Banded LU factors and pivots of one bin's edge system (zgbtrf)."""
+
+    lu: np.ndarray
+    ipiv: np.ndarray
+    kl: int
+    ku: int
+
+    @property
+    def nnz(self) -> int:
+        return self.lu.size   # stored band entries, pivoting fill included
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return zgbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv)[0]
+
+
+def _band_lu(ab: np.ndarray, kl: int, ku: int) -> _BandLU:
+    """LAPACK banded LU of ab, overwritten.
+
+    ab holds the matrix in rows kl .. 2 kl + ku, ab[kl + ku + i - j, j] =
+    a_ij; its first kl rows take the fill of row pivoting.  An exactly zero
+    pivot raises LinAlgError.
+    """
+    lu, ipiv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"zgbtrf: argument {-info} is invalid")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"zgbtrf: pivot {info} is exactly zero")
+    return _BandLU(lu, ipiv, kl, ku)
+
+
 class _FrequencyLine:
     """The frequency loop shared by the first- and second-order solves.
 
@@ -88,10 +131,15 @@ class _FrequencyLine:
     is diag(d_k) + Khat, block-diagonal by mode.  Khat = T K T^T is
     [[0, -Chat^T], [Chat, 0]] for order 1 and Chat^T diag(1/mu) Chat for
     order 2 (mu commutes with T_f), Chat the modal curl; construction checks
-    it against K on two seeded vectors.  The pattern of the sum and the
-    positions of its diagonal in the CSC data array are fixed.  Each bin is
-    factored in the modal basis; its checks (residual, refinement, growth)
-    use diag(d_k) + K in the original basis.
+    it against K on two seeded vectors.
+
+    The rows of T for the edges are ordered by mode label and then by
+    interface coordinate, which makes K2hat = Chat^T diag(1/mu) Chat a band
+    whose half-widths come from its pattern.  Each bin factors the edge
+    system diag(e_k) + K2hat by one banded LU, with e_k = z d_k on the edges
+    for order 1 (where the face part of d_k is z mu and H is eliminated) and
+    e_k = d_k for order 2.  Its checks (residual, refinement, growth) use
+    diag(d_k) + K in the original basis.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
@@ -102,19 +150,25 @@ class _FrequencyLine:
         group = np.where(bundle.edge_region_mask(), 0, 1)
         weight = np.ones(bundle.n_edges)
         mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
-        T, _ = transverse_mode_basis(bundle)
-        chat = _modal_curl(bundle.grid)
+        ne = bundle.n_edges
+        T, mode = transverse_mode_basis(bundle)
+        coord = bundle.edge_positions[:, bundle.grid.interface_axis - 1]
+        perm = np.lexsort((coord, mode[:ne]))
+        chat = _modal_curl(bundle.grid)[:, perm]
+        k2hat = (chat.T @ sparse.diags(1.0 / mu) @ chat).tocoo()
         if order == 1:
             K = bundle.A
             Khat = sparse.bmat([[None, -chat.T], [chat, None]])
+            T = T[np.concatenate([perm, np.arange(ne, bundle.n_state)])]
             lines.append(z)
             group = np.concatenate([group, np.full(bundle.n_faces, 2)])
             weight = np.concatenate([weight, mu])
         else:
             K = bundle.C @ sparse.diags(1.0 / mu) @ bundle.C0
-            Khat = chat.T @ sparse.diags(1.0 / mu) @ chat
-            T = T[:bundle.n_edges, :bundle.n_edges]
+            Khat = k2hat
+            T = T[perm, :ne]
         self.z = z
+        self._order = order
         self._lines = np.stack(lines, axis=1)
         self._group = group
         self._weight = weight
@@ -123,6 +177,9 @@ class _FrequencyLine:
         self._K = K
         self._T = T
         self._Tt = T.T.tocsr()
+        self._perm = perm
+        self._chat = chat
+        self._mu = mu
 
         x = np.random.default_rng(0).standard_normal((K.shape[0], 2))
         gap = np.abs(K @ x - self._Tt @ (Khat @ (T @ x))).max()
@@ -130,31 +187,47 @@ class _FrequencyLine:
         if gap > 1e-12 * k_max * np.abs(x).max():
             raise MemaxError(f"transverse modes couple: the modal system misses K by {gap:.3e} "
                              f"against max |K| {k_max:.3e}")
-        # pattern of diag + Khat, all n diagonal entries stored: Khat_ii >= 0, so + 1 drops none
-        n = K.shape[0]
-        pattern = sparse.csc_matrix(Khat + sparse.identity(n), dtype=np.complex128)
-        pattern.sort_indices()   # every bin shares these indices, and splu sorts in place
-        col = np.repeat(np.arange(n), np.diff(pattern.indptr))
-        self._diag_pos = np.flatnonzero(pattern.indices == col)
-        pattern.data[self._diag_pos] = Khat.diagonal()
-        self._pattern = pattern
+        offset = k2hat.row - k2hat.col
+        kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+        band = np.zeros((2 * kl + ku + 1, ne), dtype=np.complex128)
+        np.add.at(band, (kl + ku + offset, k2hat.col), k2hat.data)
+        self._band, self._kl, self._ku = band, kl, ku
         self._use_cache = cache
         self._cache: dict = {}
 
-    def _factor(self, k: int, d: np.ndarray):
-        """LU of diag(d) + Khat, the bin-k system in the modal basis."""
+    def _factor(self, k: int, e: np.ndarray) -> _BandLU:
+        """Banded LU of diag(e) + K2hat, the bin-k edge system."""
         if self._use_cache and k in self._cache:
             return self._cache[k]
-        p = self._pattern
-        data = p.data.copy()
-        data[self._diag_pos] += d
+        if self._order == 1 and self.z[k] == 0:
+            raise FrequencySingular(0j, np.inf)   # H cannot be eliminated at z = 0
+        ab = self._band.copy()
+        ab[self._kl + self._ku] += e
         try:
-            lu = splu(sparse.csc_matrix((data, p.indices, p.indptr), shape=p.shape))
-        except RuntimeError as exc:
+            lu = _band_lu(ab, self._kl, self._ku)
+        except np.linalg.LinAlgError as exc:
             raise FrequencySingular(complex(self.z[k]), np.inf) from exc
         if self._use_cache:
             self._cache[k] = lu
         return lu
+
+    def _solve_modal(self, ks: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Solve diag(d) + Khat for the modal right-hand sides g, one row per bin ks."""
+        ne = self._band.shape[1]
+        e = d[:, self._perm]
+        if self._order == 1:
+            z = self.z[ks, None]
+            e = z * e
+            rhs = z * g[:, :ne] + (self._chat.T @ (g[:, ne:] / self._mu).T).T
+        else:
+            rhs = g
+        out = np.empty(rhs.shape, dtype=np.complex128)
+        for j, k in enumerate(ks):
+            out[j] = self._factor(k, e[j]).solve(rhs[j])
+        if self._order == 1:
+            h = (g[:, ne:] - (self._chat @ out.T).T) / d[:, ne:]
+            out = np.concatenate([out, h], axis=1)
+        return out
 
     def _apply(self, d: np.ndarray, u: np.ndarray) -> np.ndarray:
         """(diag(d) + K) u in the original basis, one row of u per bin."""
@@ -173,18 +246,18 @@ class _FrequencyLine:
         ks = ks[np.any(ghat[ks], axis=1)]
         g = ghat[ks]
         d = self._lines[ks][:, self._group] * self._weight
-        um = (self._T @ g.T).T
-        for j, k in enumerate(ks):
-            um[j] = self._factor(k, d[j]).solve(um[j])
-        u = (self._Tt @ um.T).T
+        u = (self._Tt @ self._solve_modal(ks, d, (self._T @ g.T).T).T).T
         gn = np.linalg.norm(g, axis=1)
         first = np.linalg.norm(u, axis=1)
         r = g - self._apply(d, u)
         res = np.linalg.norm(r, axis=1) / gn
-        for j in np.flatnonzero(res > 1e-10):
+        refine = np.flatnonzero(res > 1e-10)
+        if refine.size:
             # one step of iterative refinement before giving up
-            u[j] += self._Tt @ self._factor(ks[j], d[j]).solve(self._T @ r[j])
-            res[j] = np.linalg.norm(g[j] - self._apply(d[j], u[j])) / gn[j]
+            rm = (self._T @ r[refine].T).T
+            u[refine] += (self._Tt @ self._solve_modal(ks[refine], d[refine], rm).T).T
+            res[refine] = np.linalg.norm(g[refine] - self._apply(d[refine], u[refine]),
+                                         axis=1) / gn[refine]
         if half:
             mirror = (2 * ks) % n_freq == 0
             u[mirror] = u[mirror].real   # xi = 0 and Nyquist are their own mirror
@@ -204,10 +277,17 @@ class _FrequencyLine:
         if half:
             k = np.arange(1, (n_freq + 1) // 2)
             out[n_freq - k] = out[k].conj()
-        if collect is not None:
-            collect["max_rel_residual"] = res.max(initial=0.0)
-            collect["max_growth"] = growth.max(initial=0.0)
+        if collect is not None and ks.size:
+            collect["max_rel_residual"] = res.max()
+            collect["max_growth"] = growth.max()
+            collect["refined_bins"] = refine.size
+            collect["worst_residual_z"] = _pair(self.z[ks[np.argmax(res)]])
+            collect["worst_growth_z"] = _pair(self.z[ks[np.argmax(growth)]])
         return out
+
+
+def _pair(z: complex) -> list:
+    return [float(z.real), float(z.imag)]
 
 
 @dataclass(frozen=True)
@@ -240,6 +320,9 @@ class SolveReport:
     max_growth: float
     wraparound_residual: float
     causality_margin: float | None = None
+    refined_bins: int = 0                    # bins that took a refinement step
+    worst_residual_z: list | None = None     # [re, im] of the largest final residual
+    worst_growth_z: list | None = None       # [re, im] of the largest |u_k| / |g_k|
 
     def bound_ok(self, slack: float = BOUND_SLACK) -> bool:
         if self.c_min_line <= 0:
@@ -312,6 +395,9 @@ def solve_linear(problem: LinearProblem, certificate_required: bool = True):
         max_rel_residual=stats.get("max_rel_residual", 0.0),
         max_growth=stats.get("max_growth", 0.0),
         wraparound_residual=u.wraparound_measure(),
+        refined_bins=stats.get("refined_bins", 0),
+        worst_residual_z=stats.get("worst_residual_z"),
+        worst_growth_z=stats.get("worst_growth_z"),
     )
     return u, report
 

@@ -82,6 +82,9 @@ class TestConfig:
         ("material.region2", 7),
         ("source", "x"),
         ("nonlinearity.kernel", [1.0]),
+        ("nonlinearity.kernel", {"gamma": 1.5, "omega0": 3.0}),
+        ("nonlinearity.kernel", {"alpha": 1.0, "omega0": 3.0}),
+        ("nonlinearity.kernel", {"alpha": 1.0, "gamma": 1.5}),
     ])
     def test_bad_value_names_key(self, path, value):
         raw = default_config_dict()
@@ -135,6 +138,8 @@ class TestCLI:
         assert rc == 0
         rep = json.loads((tmp_path / "solve" / "solve_report.json").read_text())
         assert rep["report"]["c_min_line"] > 0
+        assert rep["report"]["refined_bins"] == 0
+        assert len(rep["report"]["worst_residual_z"]) == len(rep["report"]["worst_growth_z"]) == 2
         assert rep["manifest"]["constants"]["c_min_line"] > 0
         assert (tmp_path / "solve" / "solution.sig").exists()
 

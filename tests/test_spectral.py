@@ -1,9 +1,11 @@
 """Per-frequency solution operator: bounds, causality, weight independence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 import memax.spectral as spectral
 from memax import (
@@ -154,13 +156,13 @@ class TestFactorCounts:
     @pytest.fixture()
     def factor_calls(self, monkeypatch):
         calls = []
-        splu = spectral.splu
+        band_lu = spectral._band_lu
 
-        def counting(mat):
-            calls.append(mat.shape)
-            return splu(mat)
+        def counting(ab, kl, ku):
+            calls.append(ab.shape[1])
+            return band_lu(ab, kl, ku)
 
-        monkeypatch.setattr(spectral, "splu", counting)
+        monkeypatch.setattr(spectral, "_band_lu", counting)
         return calls
 
     def test_real_then_cached(self, bundle4, material_dl, rng, factor_calls):
@@ -180,12 +182,12 @@ class TestFactorCounts:
         phi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(bundle4.n_edges)[None, :])
         psi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(bundle4.n_faces)[None, :])
         second_order_solve(SecondOrderProblem(bundle4, material_dl, 2.5, phi, psi))
-        assert factor_calls == [(bundle4.n_edges, bundle4.n_edges)] * (GRID.n_samples // 2 + 1)
+        assert factor_calls == [bundle4.n_edges] * (GRID.n_samples // 2 + 1)
 
     def test_growth_beyond_certificate_raises(self, bundle4, material_dl, rng, monkeypatch):
         # a factor whose solve returns twice the true solution breaks
         # growth * c_min <= 1 + slack on the first solved bin
-        splu = spectral.splu
+        band_lu = spectral._band_lu
 
         class Doubled:
             def __init__(self, lu):
@@ -194,7 +196,8 @@ class TestFactorCounts:
             def solve(self, rhs):
                 return 2.0 * self.lu.solve(rhs)
 
-        monkeypatch.setattr(spectral, "splu", lambda mat: Doubled(splu(mat)))
+        monkeypatch.setattr(spectral, "_band_lu",
+                            lambda ab, kl, ku: Doubled(band_lu(ab, kl, ku)))
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         assert op.c_min > 0
         with pytest.raises(FrequencySingular) as info:
@@ -242,10 +245,11 @@ class TestModalSolve:
             assert np.linalg.norm(E[k] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_modal_factors_sparse_and_exact(self, bundle4, material_mix, rng, monkeypatch):
-        # guards the within-mode assembly (a coupled system brings the fill back) and
-        # the transforms (refinement would hide a wrong one, at two solves a bin)
+        # guards the within-mode assembly (a coupled system widens the band) and
+        # the transforms (refinement would hide a wrong one, at two solves a bin);
+        # nnz is the stored band of the edge system against SuperLU's fill of the full one
         factors, solves = [], []
-        splu = spectral.splu
+        band_lu = spectral._band_lu
 
         class Counted:
             def __init__(self, lu):
@@ -256,11 +260,11 @@ class TestModalSolve:
                 solves.append(rhs.shape)
                 return self.lu.solve(rhs)
 
-        def keeping(mat):
-            factors.append(Counted(splu(mat)))
+        def keeping(ab, kl, ku):
+            factors.append(Counted(band_lu(ab, kl, ku)))
             return factors[-1]
 
-        monkeypatch.setattr(spectral, "splu", keeping)
+        monkeypatch.setattr(spectral, "_band_lu", keeping)
         op = SolutionOperator(bundle4, material_mix, 2.0, GRID)
         op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
         assert len(solves) == len(factors) == GRID.n_samples // 2 + 1
@@ -279,7 +283,16 @@ class TestModalSolve:
 
 class TestModalSystem:
     """The modal systems built from the modal curl against the within-mode
-    part of the formed product T K T^T, kept here as the oracle."""
+    part of the formed products T_e C mu^-1 C0 T_e^T and T_f C0 T_e^T, kept
+    here as the oracle, with the edges in the solver's order."""
+
+    @staticmethod
+    def within_mode(formed, row_mode, col_mode):
+        formed = formed.tocoo()
+        keep = row_mode[formed.row] == col_mode[formed.col]
+        out = np.zeros(formed.shape)
+        np.add.at(out, (formed.row[keep], formed.col[keep]), formed.data[keep])
+        return out
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("axis", [1, 2, 3])
@@ -290,23 +303,25 @@ class TestModalSystem:
         z = 2.0 + 1j * np.linspace(-4.0, 4.0, 5)
         line = spectral._FrequencyLine(b, material_mix, z, order, cache=False)
         T, mode = transverse_mode_basis(b)
-        K = b.A
-        if order == 2:
-            mu = np.where(b.face_region_mask(), material_mix.mu1, material_mix.mu2)
-            K = b.C @ sparse.diags(1.0 / mu) @ b.C0
-            T, mode = T[:b.n_edges, :b.n_edges], mode[:b.n_edges]
-        formed = (T @ K @ T.T).tocoo()
-        keep = mode[formed.row] == mode[formed.col]
-        idx = np.arange(K.shape[0])
-        oracle = sparse.csc_matrix(
-            (np.concatenate([formed.data[keep], np.zeros(idx.size)]),
-             (np.concatenate([formed.row[keep], idx]), np.concatenate([formed.col[keep], idx]))),
-            shape=K.shape)
-        oracle.sum_duplicates()
-        pattern = line._pattern
-        assert np.array_equal(pattern.indptr, oracle.indptr)
-        assert np.array_equal(pattern.indices, oracle.indices)
-        assert np.abs(pattern.data - oracle.data).max() <= 1e-13 * np.abs(K.data).max()
+        ne, perm = b.n_edges, line._perm
+        assert np.array_equal(np.sort(perm), np.arange(ne))
+        assert np.all(np.diff(mode[perm]) >= 0)   # one block per mode
+        Te, Tf = T[:ne, :ne][perm], T[ne:, ne:]
+        mu = np.where(b.face_region_mask(), material_mix.mu1, material_mix.mu2)
+        K = b.C @ sparse.diags(1.0 / mu) @ b.C0
+        oracle = self.within_mode(Te @ K @ Te.T, mode[perm], mode[perm])
+        kl, ku, ab = line._kl, line._ku, line._band
+        assert max(kl, ku) <= 3
+        unpacked = np.zeros((ne, ne), dtype=complex)
+        for off in range(-ku, kl + 1):
+            j = np.arange(max(0, -off), min(ne, ne - off))
+            unpacked[j + off, j] = ab[kl + ku + off, j]
+        assert not ab[:kl].any()
+        assert np.abs(unpacked - oracle).max() <= 1e-13 * np.abs(K.data).max()
+        if order == 1:
+            oracle = self.within_mode(Tf @ b.C0 @ Te.T, mode[ne:], mode[perm])
+            gap = np.abs(line._chat.toarray() - oracle).max()
+            assert gap <= 1e-13 * np.abs(b.C0.data).max()
 
     def test_perturbed_modal_curl_raises(self, bundle4, material_dl, monkeypatch):
         # a modal curl that no longer carries C0 is refused at construction
@@ -320,6 +335,69 @@ class TestModalSystem:
         monkeypatch.setattr(spectral, "_modal_curl", perturbed)
         with pytest.raises(MemaxError, match="transverse modes couple"):
             SolutionOperator(bundle4, material_dl, 2.0, GRID)
+
+
+class TestSmallFrequency:
+    """Eliminating H squares the conditioning of the bins nearest z = 0; one
+    step of refinement keeps their residual in the original basis small."""
+
+    @pytest.mark.parametrize("rho", [-0.015, -0.001])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", [(4, 4, 4), (3, 4, 5)])
+    def test_residual_every_bin(self, n, axis, rho, material_dl, rng):
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        grid = TimeGrid(-2.0, 1.0 / 8.0, 64)
+        shape = (grid.n_samples, b.n_state)
+        G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        op = SolutionOperator(b, material_dl, rho, grid, certificate_required=False)
+        U = op.apply_spectral(G)
+        for k in range(grid.n_samples):
+            res = np.linalg.norm(frequency_matrix(b, material_dl, op.z[k]) @ U[k] - G[k])
+            assert res <= 1e-10 * np.linalg.norm(G[k])
+
+    def test_refined_bins_reported(self, bundle4, material_dl, rng):
+        rho = -0.001
+        g = pulse_rhs(bundle4, GRID, rho, rng)
+        _, rep = solve_linear(LinearProblem(bundle4, material_dl, rho, g),
+                              certificate_required=False)
+        assert rep.refined_bins >= 1
+        assert rep.max_rel_residual <= 1e-10
+        # the refined bin is xi = 0: data there alone takes the one step
+        op = SolutionOperator(bundle4, material_dl, rho, GRID, certificate_required=False)
+        G = np.zeros((GRID.n_samples, bundle4.n_state), dtype=complex)
+        G[0] = rng.standard_normal(bundle4.n_state)
+        stats = {}
+        op.apply_spectral(G, stats)
+        assert stats["refined_bins"] == 1
+        assert stats["worst_residual_z"] == [rho, 0.0]
+        _, rep = solve_linear(LinearProblem(bundle4, material_dl, 2.0,
+                                            pulse_rhs(bundle4, GRID, 2.0, rng)))
+        assert rep.refined_bins == 0
+        assert len(rep.worst_residual_z) == len(rep.worst_growth_z) == 2
+
+    def test_zero_frequency_raises(self, bundle4, material_dl, rng):
+        # H cannot be eliminated at z = 0: refused before any division
+        op = SolutionOperator(bundle4, material_dl, 0.0, GRID, certificate_required=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrequencySingular) as info:
+                op.apply(pulse_rhs(bundle4, GRID, 0.0, rng))
+        assert info.value.z == 0
+        assert info.value.__cause__ is None   # not a failed factorization
+
+    def test_zero_pivot_names_bin(self, bundle4, material_dl, rng, monkeypatch):
+        zgbtrf, calls = spectral.zgbtrf, []
+
+        def failing(ab, kl, ku, **kwargs):
+            lu, ipiv, info = zgbtrf(ab, kl, ku, **kwargs)
+            calls.append(info)
+            return lu, ipiv, 3 if len(calls) == 6 else info
+
+        monkeypatch.setattr(spectral, "zgbtrf", failing)
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        with pytest.raises(FrequencySingular, match="singular") as info:
+            op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
+        assert info.value.z == op.z[5]
 
 
 class TestCausality:
@@ -426,7 +504,7 @@ class TestSecondOrder:
         K = (bundle4.C @ sparse.diags(1.0 / mu) @ bundle4.C0).tocsc()
         ghat = bundle4.C @ rng.standard_normal(bundle4.n_faces)  # in ran(C)
         mat = (sparse.diags(z * z * eps) + K).tocsc()
-        from scipy.sparse.linalg import spsolve
+        from scipy.sparse.linalg import splu, spsolve
 
         E_full = spsolve(mat, ghat.astype(complex))
         # independent reduced solve on ker(C0)^perp; the kernel component of
