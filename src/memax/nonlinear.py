@@ -360,12 +360,14 @@ class ContractionCertificate:
     converged: bool
     final_residual: float
     constants: dict = field(default_factory=dict)
+    gaps: list = field(default_factory=list)   # step gaps |u_{j+1} - u_j|, one per iteration
 
     def to_dict(self) -> dict:
         return {
             "rho": self.rho,
             "theoretical_bound": self.theoretical_bound,
             "empirical_ratio": self.empirical_ratio,
+            "gaps": list(self.gaps),
             "iterations": self.iterations,
             "converged": self.converged,
             "final_residual": self.final_residual,
@@ -449,6 +451,7 @@ def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: flo
         inside_ball(u)
     return u, {
         "empirical_ratio": max(ratios) if ratios else 0.0,
+        "gaps": gaps,
         "iterations": len(gaps),
         "converged": True,
         "final_residual": weighted_norm(step(u) - u),

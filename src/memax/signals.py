@@ -304,10 +304,11 @@ def inverse_fourier_laplace(U: SpectralSignal) -> WeightedSignal:
     """Exact inverse of fourier_laplace on its range."""
     g = U.grid
     phase = np.exp(1j * g.xi * g.t_start)
-    w = np.fft.ifft(U.values * phase[:, None], axis=0)
+    w = U.values * phase[:, None]
+    np.fft.ifft(w, axis=0, out=w)
     w *= np.sqrt(2.0 * np.pi) / g.dt
-    vals = w * np.exp(U.rho * g.times)[:, None]
-    return WeightedSignal(g, U.rho, vals, U.wrap_tol)
+    w *= np.exp(U.rho * g.times)[:, None]
+    return WeightedSignal(g, U.rho, w, U.wrap_tol)
 
 
 def spectral_derivative(u: WeightedSignal, order: int = 1, check: bool = True) -> WeightedSignal:

@@ -4,36 +4,35 @@ On the frequency line z_k = rho + i xi_k the first-order system becomes a
 family of sparse solves
 
     (z_k M(z_k) + A) u_hat_k = g_hat_k,
-    M(z) = diag(eps(z) per edge, mu per face),
+    M(z) = diag(eps(z) per edge, mu per face),   A = [[0, -C], [C0, 0]],
 
 followed by the inverse transform.  When the Hermitian part of z M(z) is
 bounded below by c on the line (the scan certificate), the solve inherits
 the norm bound |u|_rho <= (1/c)|g|_rho, the operator is causal, and
 solutions for data living in two weighted spaces at once coincide.
 
-One frequency loop serves this system and the second-order E-field form
-(z^2 eps(z) + C mu^{-1} C0) E_hat = g_hat.  Both are diag(d_k) + K with a
-fixed K.  The law changes only across the interface plane, so d_k is
-constant along the two tangential axes, and on the uniform PEC grid K maps
+SolutionOperator is the one frequency loop.  Each bin eliminates H with the
+sparse curl pair C = C0^T and C0,
+
+    (z^2 eps(z) + C mu^{-1} C0) E = z g_E + C mu^{-1} g_H,
+    H = (g_H - C0 E) / (z mu),
+
+which halves the unknowns.  With data (Phi, Psi) the first line is the
+second-order E-field form, so second_order_solve is the E block of this
+solve and gets its checks.
+
+The law changes only across the interface plane, so eps is constant along
+the two tangential axes, and on the uniform PEC grid the edge system maps
 each transverse cavity mode (DST-I/DCT-II along those axes,
-operators.transverse_mode_basis) to itself.  Each bin is therefore solved
-in the modal basis, where the system is block-diagonal by transverse mode;
-data goes in as T g and the solution comes out as T^T u_hat.  The modal
-system comes from the modal curl T_f C0 T_e^T, which the operators build
-from 1-D factors; T K T^T is never formed.
-
-Both orders factor the same edge system, z^2 eps(z) + Chat^T mu^{-1} Chat:
-the first-order solve eliminates H,
-
-    (z^2 eps + Chat^T mu^{-1} Chat) E = z g_E + Chat^T mu^{-1} g_H,
-    H = (g_H - Chat E) / (z mu),
-
-which halves the unknowns and the bandwidth.  The modal edges are ordered
+operators.transverse_mode_basis) to itself.  It is solved in the edge rows
+T_e of that basis, where it is z^2 eps + Chat^T mu^{-1} Chat with Chat the
+modal curl T_f C0 T_e^T, which the operators build from 1-D factors; the
+product T_e C mu^{-1} C0 T_e^T is never formed.  The modal edges are ordered
 once by mode label and then by interface coordinate, so the system is one
 narrow band (half-width 3 on the Yee grid, read off the pattern) and each
-bin is one LAPACK banded LU.  The residual, refinement and growth checks use
-the original matrix.  The band is built once and each bin only adds its
-diagonal.  The region laws are evaluated once over the whole line.
+bin is one LAPACK banded LU.  The band is built once and each bin only adds
+its diagonal; the region laws are evaluated once over the whole line.  The
+residual, refinement and growth checks use z M + A in the original basis.
 
 A is real and M(conj z) = conj M(z), so real time data (a
 conjugate-symmetric spectrum) has a conjugate-symmetric solution: only bins
@@ -49,8 +48,8 @@ interpolated over: material-law poles on the solve line violate the solution
 theory and must surface as PoleHit or FrequencySingular.  On a certified
 line (c_min > 0) the theory bounds every bin, |u_k| <= |g_k| / c_min, so a
 solve whose growth * c_min exceeds 1 + BOUND_SLACK raises FrequencySingular;
-without a certificate, and for the second-order form, the growth * |z|
-heuristic against COND_LIMIT stands in.
+without a certificate the growth * |z| heuristic against COND_LIMIT stands
+in.
 """
 
 from __future__ import annotations
@@ -80,12 +79,12 @@ FACTOR_CACHE_DOF_LIMIT = 1500   # cache LU factors below this state size
 
 
 def _is_hermitian_spectrum(ghat: np.ndarray, tol: float = 1e-12) -> bool:
-    n = ghat.shape[0]
-    mirror = ghat[(-np.arange(n)) % n]
+    """max_k |g_k - conj g_{-k}| <= tol max |g|; bin 0 is its own mirror."""
     scale = np.abs(ghat).max()
     if scale == 0.0:
         return True
-    return bool(np.abs(ghat - mirror.conj()).max() <= tol * scale)
+    gap = max(2.0 * np.abs(ghat[0].imag).max(), np.abs(ghat[1:] - ghat[:0:-1].conj()).max(initial=0.0))
+    return bool(gap <= tol * scale)
 
 
 @dataclass(frozen=True)
@@ -118,172 +117,6 @@ def _band_lu(ab: np.ndarray, kl: int, ku: int) -> _BandLU:
     if info > 0:
         raise np.linalg.LinAlgError(f"zgbtrf: pivot {info} is exactly zero")
     return _BandLU(lu, ipiv, kl, ku)
-
-
-class _FrequencyLine:
-    """The frequency loop shared by the first- and second-order solves.
-
-    order=1 is (z M(z) + A) on the (E, H) state, order=2 is
-    (z^2 eps(z) + C mu^{-1} C0) on the edges.  Both are diag(d_k) + K with
-    d_k = lines[k, group] * weight, where each column of lines is one
-    coefficient evaluated over the whole line.  d_k is constant per component
-    and interface layer, so in the transverse cavity-mode basis T the system
-    is diag(d_k) + Khat, block-diagonal by mode.  Khat = T K T^T is
-    [[0, -Chat^T], [Chat, 0]] for order 1 and Chat^T diag(1/mu) Chat for
-    order 2 (mu commutes with T_f), Chat the modal curl; construction checks
-    it against K on two seeded vectors.
-
-    The rows of T for the edges are ordered by mode label and then by
-    interface coordinate, which makes K2hat = Chat^T diag(1/mu) Chat a band
-    whose half-widths come from its pattern.  Each bin factors the edge
-    system diag(e_k) + K2hat by one banded LU, with e_k = z d_k on the edges
-    for order 1 (where the face part of d_k is z mu and H is eliminated) and
-    e_k = d_k for order 2.  Its checks (residual, refinement, growth) use
-    diag(d_k) + K in the original basis.
-    """
-
-    def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
-                 z: np.ndarray, order: int, cache: bool, c_min: float = 0.0):
-        l1, l2 = material.eps_laws()
-        zp = z if order == 1 else z * z
-        lines = [zp * l1(z), zp * l2(z)]
-        group = np.where(bundle.edge_region_mask(), 0, 1)
-        weight = np.ones(bundle.n_edges)
-        mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
-        ne = bundle.n_edges
-        T, mode = transverse_mode_basis(bundle)
-        coord = bundle.edge_positions[:, bundle.grid.interface_axis - 1]
-        perm = np.lexsort((coord, mode[:ne]))
-        chat = _modal_curl(bundle.grid)[:, perm]
-        k2hat = (chat.T @ sparse.diags(1.0 / mu) @ chat).tocoo()
-        if order == 1:
-            K = bundle.A
-            Khat = sparse.bmat([[None, -chat.T], [chat, None]])
-            T = T[np.concatenate([perm, np.arange(ne, bundle.n_state)])]
-            lines.append(z)
-            group = np.concatenate([group, np.full(bundle.n_faces, 2)])
-            weight = np.concatenate([weight, mu])
-        else:
-            K = bundle.C @ sparse.diags(1.0 / mu) @ bundle.C0
-            Khat = k2hat
-            T = T[perm, :ne]
-        self.z = z
-        self._order = order
-        self._lines = np.stack(lines, axis=1)
-        self._group = group
-        self._weight = weight
-        self._cond_unit = max(abs(material.mu1), abs(material.mu2), 1.0)
-        self._c_min = c_min
-        self._K = K
-        self._T = T
-        self._Tt = T.T.tocsr()
-        self._perm = perm
-        self._chat = chat
-        self._mu = mu
-
-        x = np.random.default_rng(0).standard_normal((K.shape[0], 2))
-        gap = np.abs(K @ x - self._Tt @ (Khat @ (T @ x))).max()
-        k_max = np.abs(K.data).max()
-        if gap > 1e-12 * k_max * np.abs(x).max():
-            raise MemaxError(f"transverse modes couple: the modal system misses K by {gap:.3e} "
-                             f"against max |K| {k_max:.3e}")
-        offset = k2hat.row - k2hat.col
-        kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
-        band = np.zeros((2 * kl + ku + 1, ne), dtype=np.complex128)
-        np.add.at(band, (kl + ku + offset, k2hat.col), k2hat.data)
-        self._band, self._kl, self._ku = band, kl, ku
-        self._use_cache = cache
-        self._cache: dict = {}
-
-    def _factor(self, k: int, e: np.ndarray) -> _BandLU:
-        """Banded LU of diag(e) + K2hat, the bin-k edge system."""
-        if self._use_cache and k in self._cache:
-            return self._cache[k]
-        if self._order == 1 and self.z[k] == 0:
-            raise FrequencySingular(0j, np.inf)   # H cannot be eliminated at z = 0
-        ab = self._band.copy()
-        ab[self._kl + self._ku] += e
-        try:
-            lu = _band_lu(ab, self._kl, self._ku)
-        except np.linalg.LinAlgError as exc:
-            raise FrequencySingular(complex(self.z[k]), np.inf) from exc
-        if self._use_cache:
-            self._cache[k] = lu
-        return lu
-
-    def _solve_modal(self, ks: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Solve diag(d) + Khat for the modal right-hand sides g, one row per bin ks."""
-        ne = self._band.shape[1]
-        e = d[:, self._perm]
-        if self._order == 1:
-            z = self.z[ks, None]
-            e = z * e
-            rhs = z * g[:, :ne] + (self._chat.T @ (g[:, ne:] / self._mu).T).T
-        else:
-            rhs = g
-        out = np.empty(rhs.shape, dtype=np.complex128)
-        for j, k in enumerate(ks):
-            out[j] = self._factor(k, e[j]).solve(rhs[j])
-        if self._order == 1:
-            h = (g[:, ne:] - (self._chat @ out.T).T) / d[:, ne:]
-            out = np.concatenate([out, h], axis=1)
-        return out
-
-    def _apply(self, d: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(diag(d) + K) u in the original basis, one row of u per bin."""
-        return d * u + (self._K @ u.T).T
-
-    def solve(self, ghat: np.ndarray, half: bool, collect: dict | None = None) -> np.ndarray:
-        """Solve bins 0 .. n//2 and mirror them (half=True), or every bin.
-
-        The transforms, residuals and checks run over all solved bins at
-        once; a check that fails raises for the first such bin.  Without the
-        factor cache, a bin that needs refinement is factored again.
-        """
-        n_freq = ghat.shape[0]
-        out = np.zeros(ghat.shape, dtype=np.complex128)
-        ks = np.arange(n_freq // 2 + 1 if half else n_freq)
-        ks = ks[np.any(ghat[ks], axis=1)]
-        g = ghat[ks]
-        d = self._lines[ks][:, self._group] * self._weight
-        u = (self._Tt @ self._solve_modal(ks, d, (self._T @ g.T).T).T).T
-        gn = np.linalg.norm(g, axis=1)
-        first = np.linalg.norm(u, axis=1)
-        r = g - self._apply(d, u)
-        res = np.linalg.norm(r, axis=1) / gn
-        refine = np.flatnonzero(res > 1e-10)
-        if refine.size:
-            # one step of iterative refinement before giving up
-            rm = (self._T @ r[refine].T).T
-            u[refine] += (self._Tt @ self._solve_modal(ks[refine], d[refine], rm).T).T
-            res[refine] = np.linalg.norm(g[refine] - self._apply(d[refine], u[refine]),
-                                         axis=1) / gn[refine]
-        if half:
-            mirror = (2 * ks) % n_freq == 0
-            u[mirror] = u[mirror].real   # xi = 0 and Nyquist are their own mirror
-        un = np.linalg.norm(u, axis=1)
-        growth = un / gn
-        if self._c_min > 0:
-            # the certificate bounds every solve, the unrefined one included
-            limit = np.maximum(first, un) / gn * self._c_min
-            faulty = limit > 1.0 + BOUND_SLACK
-        else:
-            limit = growth * np.abs(self.z[ks]) * self._cond_unit
-            faulty = limit > COND_LIMIT
-        bad = np.flatnonzero(faulty | ~np.isfinite(un))
-        if bad.size:
-            raise FrequencySingular(complex(self.z[ks[bad[0]]]), float(limit[bad[0]]))
-        out[ks] = u
-        if half:
-            k = np.arange(1, (n_freq + 1) // 2)
-            out[n_freq - k] = out[k].conj()
-        if collect is not None and ks.size:
-            collect["max_rel_residual"] = res.max()
-            collect["max_growth"] = growth.max()
-            collect["refined_bins"] = refine.size
-            collect["worst_residual_z"] = _pair(self.z[ks[np.argmax(res)]])
-            collect["worst_growth_z"] = _pair(self.z[ks[np.argmax(growth)]])
-        return out
 
 
 def _pair(z: complex) -> list:
@@ -340,6 +173,12 @@ class SolutionOperator:
     maps a spectral right-hand side array (n_freq, n_state) to the solution
     array; apply() goes signal to signal.  A material-law pole on the line
     raises PoleHit here, at construction.
+
+    Bin k eliminates H in the original basis and factors the edge system in
+    the mode-sorted rows T_e of the cavity-mode basis: diag(z_k^2 eps(z_k))
+    + K2hat, K2hat = Chat^T diag(1/mu) Chat, a band whose half-widths come
+    from its pattern.  Construction checks T_e^T K2hat T_e against
+    C mu^{-1} C0, the system actually factored, on two seeded vectors.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
@@ -348,16 +187,80 @@ class SolutionOperator:
         self.material = material
         self.rho = rho
         self.grid = grid
-        self.z = rho + 1j * grid.xi
+        self.z = z = rho + 1j * grid.xi
         self.c_min = line_certificate(material, rho, grid.xi)
         if certificate_required and self.c_min <= 0.0:
             raise ValueError(
                 f"no accretivity certificate on the line Re z = {rho} "
                 f"(c_min = {self.c_min:.3e}); pass certificate_required=False to override"
             )
-        self._line = _FrequencyLine(bundle, material, self.z, order=1,
-                                    cache=bundle.n_state <= FACTOR_CACHE_DOF_LIMIT,
-                                    c_min=self.c_min)
+        ne = bundle.n_edges
+        l1, l2 = material.eps_laws()
+        mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
+        # bin k of z M(z) is diag(lines[k, group] * weight)
+        self._lines = np.stack([z * l1(z), z * l2(z), z], axis=1)
+        self._group = np.concatenate([np.where(bundle.edge_region_mask(), 0, 1),
+                                      np.full(bundle.n_faces, 2)])
+        self._weight = np.concatenate([np.ones(ne), mu])
+        self._mu = mu
+        self._cond_unit = max(abs(material.mu1), abs(material.mu2), 1.0)
+
+        T, mode = transverse_mode_basis(bundle)
+        coord = bundle.edge_positions[:, bundle.grid.interface_axis - 1]
+        self._perm = perm = np.lexsort((coord, mode[:ne]))
+        self._T = T = T[perm, :ne]
+        self._Tt = T.T.tocsr()
+        chat = _modal_curl(bundle.grid)[:, perm]
+        k2hat = (chat.T @ sparse.diags(1.0 / mu) @ chat).tocoo()
+        K2 = bundle.C @ sparse.diags(1.0 / mu) @ bundle.C0
+        x = np.random.default_rng(0).standard_normal((ne, 2))
+        gap = np.abs(K2 @ x - self._Tt @ (k2hat @ (T @ x))).max()
+        k_max = np.abs(K2.data).max()
+        if gap > 1e-12 * k_max * np.abs(x).max():
+            raise MemaxError(f"transverse modes couple: the modal system misses C mu^-1 C0 "
+                             f"by {gap:.3e} against its max entry {k_max:.3e}")
+        offset = k2hat.row - k2hat.col
+        kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+        band = np.zeros((2 * kl + ku + 1, ne), dtype=np.complex128)
+        np.add.at(band, (kl + ku + offset, k2hat.col), k2hat.data)
+        self._band, self._kl, self._ku = band, kl, ku
+        self._use_cache = bundle.n_state <= FACTOR_CACHE_DOF_LIMIT
+        self._cache: dict = {}
+
+    def _factor(self, k: int, e: np.ndarray) -> _BandLU:
+        """Banded LU of diag(e) + K2hat, the bin-k edge system."""
+        if self._use_cache and k in self._cache:
+            return self._cache[k]
+        if self.z[k] == 0:
+            raise FrequencySingular(0j, np.inf)   # H cannot be eliminated at z = 0
+        ab = self._band.copy()
+        ab[self._kl + self._ku] += e
+        try:
+            lu = _band_lu(ab, self._kl, self._ku)
+        except np.linalg.LinAlgError as exc:
+            raise FrequencySingular(complex(self.z[k]), np.inf) from exc
+        if self._use_cache:
+            self._cache[k] = lu
+        return lu
+
+    def _solve(self, ks: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """(diag(d) + A)^{-1} g, one column per bin ks: E from the modal edge
+        system, then H = (g_H - C0 E) / (z mu) in the original basis."""
+        ne = self.bundle.n_edges
+        z = self.z[ks]
+        rhs = self._T @ (z * g[:ne] + self.bundle.C @ (g[ne:] / self._mu[:, None]))
+        e = z * d[self._perm]
+        for j, k in enumerate(ks):
+            rhs[:, j] = self._factor(k, e[:, j]).solve(rhs[:, j])
+        E = self._Tt @ rhs
+        H = self.bundle.C0 @ E
+        np.subtract(g[ne:], H, out=H)
+        H /= d[ne:]
+        return np.concatenate([E, H])
+
+    def _apply(self, d: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(diag(d) + A) u, one column of u per bin."""
+        return d * u + self.bundle.A @ u
 
     def apply_spectral(self, ghat: np.ndarray, collect: dict | None = None) -> np.ndarray:
         """Solve on the line; ghat and result have shape (n_freq, n_state).
@@ -368,12 +271,61 @@ class SolutionOperator:
         solved, bin -k is conj(u_k), and the self-mirrored bins xi = 0 and
         Nyquist keep the real part of their solve.  Any other input is
         solved on every bin.
+
+        The solved bins are the columns of one dofs x bins array, so the
+        sparse products read contiguous rows.  The transforms, residuals and
+        checks run over all of them at once; a check that fails raises for
+        the first such bin.  Without the factor cache, a bin that needs
+        refinement is factored again.
         """
-        return self._line.solve(ghat, _is_hermitian_spectrum(ghat), collect)
+        n_freq = ghat.shape[0]
+        half = _is_hermitian_spectrum(ghat)
+        ks = np.arange(n_freq // 2 + 1 if half else n_freq)
+        ks = ks[np.any(ghat[ks], axis=1)]
+        g = ghat[ks].T.copy()
+        d = self._lines[ks].T[self._group] * self._weight[:, None]
+        u = self._solve(ks, d, g)
+        gn = np.linalg.norm(g, axis=0)
+        first = np.linalg.norm(u, axis=0)
+        r = g - self._apply(d, u)
+        res = np.linalg.norm(r, axis=0) / gn
+        refine = np.flatnonzero(res > 1e-10)
+        if refine.size:
+            # one step of iterative refinement before giving up
+            u[:, refine] += self._solve(ks[refine], d[:, refine], r[:, refine])
+            res[refine] = np.linalg.norm(g[:, refine] - self._apply(d[:, refine], u[:, refine]),
+                                         axis=0) / gn[refine]
+        if half:
+            mirror = (2 * ks) % n_freq == 0
+            u[:, mirror] = u[:, mirror].real   # xi = 0 and Nyquist are their own mirror
+        un = np.linalg.norm(u, axis=0)
+        growth = un / gn
+        if self.c_min > 0:
+            # the certificate bounds every solve, the unrefined one included
+            limit = np.maximum(first, un) / gn * self.c_min
+            faulty = limit > 1.0 + BOUND_SLACK
+        else:
+            limit = growth * np.abs(self.z[ks]) * self._cond_unit
+            faulty = limit > COND_LIMIT
+        bad = np.flatnonzero(faulty | ~np.isfinite(un))
+        if bad.size:
+            raise FrequencySingular(complex(self.z[ks[bad[0]]]), float(limit[bad[0]]))
+        out = np.zeros(ghat.shape, dtype=np.complex128)
+        out[ks] = u.T
+        if half:
+            k = np.arange(1, (n_freq + 1) // 2)
+            out[n_freq - k] = out[k].conj()
+        if collect is not None and ks.size:
+            collect["max_rel_residual"] = res.max()
+            collect["max_growth"] = growth.max()
+            collect["refined_bins"] = refine.size
+            collect["worst_residual_z"] = _pair(self.z[ks[np.argmax(res)]])
+            collect["worst_growth_z"] = _pair(self.z[ks[np.argmax(growth)]])
+        return out
 
     def apply(self, g: WeightedSignal, collect: dict | None = None) -> WeightedSignal:
-        G = fourier_laplace(g, check=False)
-        U = self.apply_spectral(G.values, collect)
+        # nested, so that neither spectrum outlives its use
+        U = self.apply_spectral(fourier_laplace(g, check=False).values, collect)
         return inverse_fourier_laplace(SpectralSignal(self.grid, self.rho, U, g.wrap_tol))
 
 
@@ -471,18 +423,19 @@ class SecondOrderProblem:
 
 def second_order_solve(problem: SecondOrderProblem,
                        certificate_required: bool = True) -> WeightedSignal:
-    """Solve the E-field second-order formulation per frequency."""
+    """Solve the E-field second-order formulation per frequency.
+
+    Eliminating H from the first-order system with data (Phi, Psi) gives
+    exactly this system, so E is the edge block of the first-order solve,
+    with its residual and growth checks; certificate_required is as for
+    SolutionOperator.
+    """
     b = problem.bundle
-    m = problem.material
-    mu = np.where(b.face_region_mask(), m.mu1, m.mu2)
-    Phi = fourier_laplace(problem.phi, check=False).values
-    Psi = fourier_laplace(problem.psi, check=False).values
-    z = problem.rho + 1j * problem.phi.grid.xi
-    ghat = z[:, None] * Phi + (b.C @ sparse.diags(1.0 / mu) @ Psi.T).T
-    half = _is_hermitian_spectrum(Phi) and _is_hermitian_spectrum(Psi)
-    out = _FrequencyLine(b, m, z, order=2, cache=False).solve(ghat, half)
-    spec = SpectralSignal(problem.phi.grid, problem.rho, out, problem.phi.wrap_tol)
-    return inverse_fourier_laplace(spec)
+    linear = LinearProblem(b, problem.material, problem.rho,
+                           stack_rhs(b, problem.phi, problem.psi), check_wraparound=False)
+    op = SolutionOperator(b, linear.material, linear.rho, linear.rhs.grid, certificate_required)
+    u = op.apply(linear.rhs)
+    return u.with_values(u.values[:, :b.n_edges])
 
 
 def stack_rhs(bundle: OperatorBundle, phi: WeightedSignal, psi: WeightedSignal) -> WeightedSignal:

@@ -152,7 +152,9 @@ class TestCLI:
             assert file_hash(str(tmp_path / "a" / name)) == \
                 file_hash(str(tmp_path / "b" / name))
 
-    def test_picard_certificate(self, config_path, tmp_path):
+    @pytest.fixture(scope="class")
+    def picard_artifact(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("picard")
         raw = default_config_dict()
         raw["nonlinearity"] = {"kind": "saturable", "k": 3, "tau": 1.0,
                                "kernel": {"alpha": 0.8, "gamma": 1.5, "omega0": 3.0}}
@@ -161,13 +163,24 @@ class TestCLI:
         rc = main(["picard", "--config", str(path), "--rho", "2.0",
                    "--out", str(tmp_path / "picard")])
         assert rc == 0
-        cert = json.loads((tmp_path / "picard" / "certificate.json").read_text())
+        return json.loads((tmp_path / "picard" / "certificate.json").read_text())
+
+    def test_picard_certificate(self, picard_artifact):
+        cert = picard_artifact
         c = cert["certificate"]
         assert c["converged"] is True
         assert c["theoretical_bound"] < 1.0
         assert c["empirical_ratio"] <= c["theoretical_bound"] * 1.05
         for key in ("L_kappa", "kappa_at_0plus", "q_lip", "c_min_line"):
             assert key in cert["manifest"]["constants"]
+
+    def test_picard_ratio_recomputable(self, picard_artifact):
+        # the certified rate is the largest ratio of successive step gaps
+        c = picard_artifact["certificate"]
+        gaps = c["gaps"]
+        assert len(gaps) == c["iterations"] >= 2
+        ratios = [b / max(a, 1e-300) for a, b in zip(gaps, gaps[1:])]
+        assert max(ratios) == c["empirical_ratio"]
 
     def test_history_roundtrip(self, config_path, tmp_path, bundle4):
         from memax import TimeGrid, WeightedSignal, write_signal
