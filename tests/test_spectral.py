@@ -295,12 +295,32 @@ class TestModalSystem:
         np.add.at(out, (formed.row[keep], formed.col[keep]), formed.data[keep])
         return out
 
+    @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("axis", [1, 2, 3])
     @pytest.mark.parametrize("n", [(4, 4, 4), (3, 4, 5)])
-    def test_matches_formed_product(self, n, axis, material_mix):
-        # material_mix has mu = (1, 2)
+    def test_matches_formed_product(self, n, axis, order, material_mix, rng, monkeypatch):
+        # the operator that solve_linear (order 1) or second_order_solve
+        # (order 2) factors; material_mix has mu = (1, 2)
         b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
-        op = SolutionOperator(b, material_mix, 2.0, TimeGrid(-2.0, 1.0 / 8.0, 16))
+        grid = TimeGrid(-2.0, 1.0 / 8.0, 16)
+        built = []
+
+        class Recorded(SolutionOperator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(spectral, "SolutionOperator", Recorded)
+        if order == 1:
+            g = pulse_rhs(b, grid, 2.0, rng, t_on=-1.5, t_off=-0.5)
+            solve_linear(LinearProblem(b, material_mix, 2.0, g, check_wraparound=False))
+        else:
+            prof = smooth_pulse(grid.times, -1.5, -0.5)
+            phi = WeightedSignal(grid, 2.0, prof[:, None] * rng.standard_normal(b.n_edges)[None, :])
+            psi = WeightedSignal(grid, 2.0, prof[:, None] * rng.standard_normal(b.n_faces)[None, :])
+            second_order_solve(SecondOrderProblem(b, material_mix, 2.0, phi, psi))
+        assert len(built) == 1
+        op = built[0]
         T, mode = transverse_mode_basis(b)
         ne, perm = b.n_edges, op._perm
         assert np.array_equal(np.sort(perm), np.arange(ne))
