@@ -294,10 +294,10 @@ def fourier_laplace(u: WeightedSignal, check: bool = True) -> SpectralSignal:
         u.check_wraparound()
     g = u.grid
     w = u.values * np.exp(-u.rho * g.times)[:, None]
-    spec = np.fft.fft(w, axis=0)
-    phase = np.exp(-1j * g.xi * g.t_start)
-    spec = spec * phase[:, None] * (g.dt / np.sqrt(2.0 * np.pi))
-    return SpectralSignal(g, u.rho, spec, u.wrap_tol)
+    np.fft.fft(w, axis=0, out=w)
+    w *= np.exp(-1j * g.xi * g.t_start)[:, None]
+    w *= g.dt / np.sqrt(2.0 * np.pi)
+    return SpectralSignal(g, u.rho, w, u.wrap_tol)
 
 
 def inverse_fourier_laplace(U: SpectralSignal) -> WeightedSignal:
@@ -350,7 +350,8 @@ def causal_convolve(kernel: SampledKernel, u: WeightedSignal) -> WeightedSignal:
     Trapezoid in the lag variable over the kernel support; a single-sample
     kernel acts as a pure pointwise multiplier (delta-like).  Output support
     is clipped to support(u) + support(kernel) exactly, so causality holds on
-    the grid bit-for-bit.
+    the grid bit-for-bit.  An exactly real kernel and signal are convolved
+    in real arithmetic, so the result is exactly real.
     """
     kernel.check_causal()
     if abs(kernel.grid.dt - u.grid.dt) > 1e-12 * u.grid.dt:
@@ -374,7 +375,10 @@ def causal_convolve(kernel: SampledKernel, u: WeightedSignal) -> WeightedSignal:
     if nz_u.size and nz_k.size:
         from scipy.signal import convolve as _convolve
 
-        full = _convolve(u.values, kw[:, None], mode="full", method="auto")
+        x = u.values
+        if not (kw.imag.any() or x.imag.any()):
+            x, kw = x.real, kw.real
+        full = _convolve(x, kw[:, None], mode="full", method="auto")
         # clip to window and to the exact support sum
         first = max(nz_u[0] + nz_k[0] + lag0_offset, 0)
         last = min(nz_u[-1] + nz_k[-1] + lag0_offset, n - 1)

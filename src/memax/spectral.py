@@ -34,12 +34,15 @@ bin is one LAPACK banded LU.  The band is built once and each bin only adds
 its diagonal; the region laws are evaluated once over the whole line.  The
 residual, refinement and growth checks use z M + A in the original basis.
 
-A is real and M(conj z) = conj M(z), so real time data (a
-conjugate-symmetric spectrum) has a conjugate-symmetric solution: only bins
-0 .. n//2 are factored and solved, and bin -k is filled with conj(u_k).  The
-self-mirrored bins xi = 0 and Nyquist keep the real part of their solve; at
-Nyquist this removes the asymmetry that the e^{rho t} unweighting would
-otherwise amplify.  Any other spectrum is solved on every bin.
+A is real and M(conj z) = conj M(z), so the operator maps real fields to
+real fields.  apply() keeps them real: for real weighted samples
+g e^{-rho t} it takes the real DFT (rfft), solves bins 0 .. n//2 and returns
+irfft(U) e^{rho t}, exactly real.  The transform's unit phase
+e^{-i xi t_start} and constant dt / sqrt(2 pi) are left out, because the
+inverse undoes both and every per-bin check (residual, refinement, growth,
+1/c_min bound, zero-bin skip) is invariant under scaling a bin by a nonzero
+scalar.  Any other data is solved on every bin of its full DFT.  The
+self-mirrored bins xi = 0 and Nyquist keep the real part of their solve.
 
 Factorizations are reused across right-hand sides at a fixed frequency; the
 frequency loop dominates runtime and the fixed-point solvers call the same
@@ -64,14 +67,7 @@ from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracing.py wraps this
 from .errors import FrequencySingular, MemaxError
 from .materials import PiecewiseMaterial, line_certificate
 from .operators import OperatorBundle, _modal_curl, transverse_mode_basis
-from .signals import (
-    SpectralSignal,
-    TimeGrid,
-    WeightedSignal,
-    fourier_laplace,
-    inverse_fourier_laplace,
-    weighted_norm,
-)
+from .signals import TimeGrid, WeightedSignal, fourier_laplace, weighted_norm
 
 COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
 BOUND_SLACK = 0.02              # growth * c_min <= 1 + slack on a certified line
@@ -156,6 +152,7 @@ class SolveReport:
     refined_bins: int = 0                    # bins that took a refinement step
     worst_residual_z: list | None = None     # [re, im] of the largest final residual
     worst_growth_z: list | None = None       # [re, im] of the largest |u_k| / |g_k|
+    growth_x_cmin: float = 0.0               # max_growth * c_min_line; 0 without a certificate
 
     def bound_ok(self, slack: float = BOUND_SLACK) -> bool:
         if self.c_min_line <= 0:
@@ -170,9 +167,11 @@ class SolutionOperator:
     """g -> (z M(z) + A)^{-1} g per frequency, with factor reuse.
 
     Instances are bound to (bundle, material, rho, grid).  apply_spectral()
-    maps a spectral right-hand side array (n_freq, n_state) to the solution
-    array; apply() goes signal to signal.  A material-law pole on the line
-    raises PoleHit here, at construction.
+    maps a spectral right-hand side array, the full line (n, n_state) or
+    the half line (n//2 + 1, n_state), to the solution array of the same
+    shape; apply() goes signal to signal, real data to an exactly real
+    solution.  A material-law pole on the line raises PoleHit here, at
+    construction.
 
     Bin k eliminates H in the original basis and factors the edge system in
     the mode-sorted rows T_e of the cavity-mode basis: diag(z_k^2 eps(z_k))
@@ -263,14 +262,17 @@ class SolutionOperator:
         return d * u + self.bundle.A @ u
 
     def apply_spectral(self, ghat: np.ndarray, collect: dict | None = None) -> np.ndarray:
-        """Solve on the line; ghat and result have shape (n_freq, n_state).
+        """Solve on the line, one row of ghat per bin.
 
-        A conjugate-symmetric spectrum (real time data) has a
+        A full spectrum has n rows, bins in FFT order, and the result has
+        the same shape.  A conjugate-symmetric one (real time data) has a
         conjugate-symmetric solution, because A is real and
-        M(conj z) = conj M(z).  For such input only bins 0 .. n//2 are
-        solved, bin -k is conj(u_k), and the self-mirrored bins xi = 0 and
-        Nyquist keep the real part of their solve.  Any other input is
-        solved on every bin.
+        M(conj z) = conj M(z): only bins 0 .. n//2 are solved and bin -k is
+        conj(u_k).  Any other full spectrum is solved on every bin.  A half
+        spectrum has n//2 + 1 rows, bins 0 .. n//2 of real data (rfft
+        order); they are solved and returned as they are, not mirrored.  In
+        both symmetric cases the self-mirrored bins xi = 0 and Nyquist keep
+        the real part of their solve.
 
         The solved bins are the columns of one dofs x bins array, so the
         sparse products read contiguous rows.  The transforms, residuals and
@@ -278,9 +280,13 @@ class SolutionOperator:
         the first such bin.  Without the factor cache, a bin that needs
         refinement is factored again.
         """
-        n_freq = ghat.shape[0]
-        half = _is_hermitian_spectrum(ghat)
-        ks = np.arange(n_freq // 2 + 1 if half else n_freq)
+        n = self.z.size
+        if ghat.shape[0] not in (n, n // 2 + 1):
+            raise ValueError(f"spectrum has {ghat.shape[0]} rows; "
+                             f"expected {n} bins or the half line's {n // 2 + 1}")
+        full = ghat.shape[0] == n
+        half = not full or _is_hermitian_spectrum(ghat)
+        ks = np.arange(n // 2 + 1 if half else n)
         ks = ks[np.any(ghat[ks], axis=1)]
         g = ghat[ks].T.copy()
         d = self._lines[ks].T[self._group] * self._weight[:, None]
@@ -296,7 +302,7 @@ class SolutionOperator:
             res[refine] = np.linalg.norm(g[:, refine] - self._apply(d[:, refine], u[:, refine]),
                                          axis=0) / gn[refine]
         if half:
-            mirror = (2 * ks) % n_freq == 0
+            mirror = (2 * ks) % n == 0
             u[:, mirror] = u[:, mirror].real   # xi = 0 and Nyquist are their own mirror
         un = np.linalg.norm(u, axis=0)
         growth = un / gn
@@ -312,9 +318,9 @@ class SolutionOperator:
             raise FrequencySingular(complex(self.z[ks[bad[0]]]), float(limit[bad[0]]))
         out = np.zeros(ghat.shape, dtype=np.complex128)
         out[ks] = u.T
-        if half:
-            k = np.arange(1, (n_freq + 1) // 2)
-            out[n_freq - k] = out[k].conj()
+        if half and full:
+            k = np.arange(1, (n + 1) // 2)
+            out[n - k] = out[k].conj()
         if collect is not None and ks.size:
             collect["max_rel_residual"] = res.max()
             collect["max_growth"] = growth.max()
@@ -324,9 +330,27 @@ class SolutionOperator:
         return out
 
     def apply(self, g: WeightedSignal, collect: dict | None = None) -> WeightedSignal:
-        # nested, so that neither spectrum outlives its use
-        U = self.apply_spectral(fourier_laplace(g, check=False).values, collect)
-        return inverse_fourier_laplace(SpectralSignal(self.grid, self.rho, U, g.wrap_tol))
+        """Signal to signal on the plain DFT of w = g e^{-rho t}.
+
+        Real w (imaginary part at most 1e-12 of max |w|, the tolerance of
+        _is_hermitian_spectrum) goes through rfft, the half line and irfft,
+        so the solution is exactly real; any other w through fft and ifft
+        on every bin.  The unit phase and the constant of fourier_laplace
+        are left out: the inverse would undo both, and no per-bin check
+        sees a nonzero scale.
+        """
+        n, t = self.grid.n_samples, self.grid.times
+        w = g.values * np.exp(-self.rho * t)[:, None]
+        im = np.abs(w.imag).max(initial=0.0)
+        if im == 0.0 or im <= 1e-12 * np.abs(w).max():
+            w = np.fft.rfft(w.real, axis=0)
+            w = np.fft.irfft(self.apply_spectral(w, collect), n, axis=0)
+        else:
+            np.fft.fft(w, axis=0, out=w)
+            w = self.apply_spectral(w, collect)
+            np.fft.ifft(w, axis=0, out=w)
+        w *= np.exp(self.rho * t)[:, None]
+        return WeightedSignal(self.grid, self.rho, w, g.wrap_tol)
 
 
 def solve_linear(problem: LinearProblem, certificate_required: bool = True):
@@ -350,6 +374,7 @@ def solve_linear(problem: LinearProblem, certificate_required: bool = True):
         refined_bins=stats.get("refined_bins", 0),
         worst_residual_z=stats.get("worst_residual_z"),
         worst_growth_z=stats.get("worst_growth_z"),
+        growth_x_cmin=stats.get("max_growth", 0.0) * max(op.c_min, 0.0),
     )
     return u, report
 

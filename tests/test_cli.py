@@ -143,6 +143,19 @@ class TestCLI:
         assert rep["manifest"]["constants"]["c_min_line"] > 0
         assert (tmp_path / "solve" / "solution.sig").exists()
 
+    def test_growth_against_certificate(self, config_path, tmp_path):
+        # the worst bin growth times c_min stays under the certified bound
+        # and is recomputable from the report's own fields
+        from memax.spectral import BOUND_SLACK
+
+        rc = main(["solve", "--config", config_path, "--rho", "2.0",
+                   "--out", str(tmp_path / "solve")])
+        assert rc == 0
+        rep = json.loads((tmp_path / "solve" / "solve_report.json").read_text())["report"]
+        assert rep["c_min_line"] > 0
+        assert rep["growth_x_cmin"] == rep["max_growth"] * rep["c_min_line"]
+        assert 0.0 < rep["growth_x_cmin"] <= 1.0 + BOUND_SLACK
+
     def test_deterministic_reruns(self, config_path, tmp_path):
         for d in ("a", "b"):
             rc = main(["solve", "--config", config_path, "--rho", "2.0",

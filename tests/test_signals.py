@@ -105,6 +105,16 @@ class TestFourierLaplace:
             fourier_laplace(u)
 
 
+    @pytest.mark.parametrize("n, m", [(512, 300), (511, 17), (1024, 5)])
+    def test_in_place_transform_bit_identical(self, n, m, rng):
+        # the in-place transform rounds exactly as the out-of-place formula
+        g = TimeGrid(-2.01, 1.0 / 32.0, n)
+        u = WeightedSignal(g, 0.7, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+        spec = np.fft.fft(u.values * np.exp(-u.rho * g.times)[:, None], axis=0)
+        ref = spec * np.exp(-1j * g.xi * g.t_start)[:, None] * (g.dt / np.sqrt(2.0 * np.pi))
+        assert np.array_equal(fourier_laplace(u, check=False).values, ref)
+
+
 class TestInverse:
     def test_round_trip_both_ways(self, rng):
         u = make_signal(rng)
@@ -231,11 +241,71 @@ class TestCausalConvolve:
         err = np.abs(C.values - K[:, None] * U.values).max()
         assert err < 5e-5 * np.abs(C.values).max()
 
+    def test_real_inputs_exactly_real(self, rng):
+        # long enough for an FFT convolution, whose complex form leaves
+        # round-off in the imaginary part of real data
+        g = TimeGrid(-1.0, 1.0 / 32.0, 512)
+        u = WeightedSignal(g, 1.0, smooth_pulse(g.times, 0.0, 2.0)[:, None]
+                           * rng.standard_normal((3,))[None, :])
+        lag = TimeGrid(0.0, g.dt, 512)
+        kern = SampledKernel(lag, np.exp(-lag.times) * np.sin(3.0 * lag.times))
+        assert not causal_convolve(kern, u).values.imag.any()
+
     def test_noncausal_kernel_rejected(self):
         lag = TimeGrid(-0.5, 0.01, 128)
         kern = SampledKernel(lag, np.ones(128))
         with pytest.raises(NonCausalKernel):
             kern.check_causal()
+
+
+def direct_convolution(kern: SampledKernel, u: WeightedSignal) -> np.ndarray:
+    """O(n^2) trapezoid sum dt sum_j c_j kappa(l_j) u(t - l_j) over the lags
+    l_j >= 0; c_j is 1/2 at both ends unless only one sample is nonzero."""
+    dt, n = u.grid.dt, u.grid.n_samples
+    keep = kern.lags > -0.5 * dt
+    k = kern.values[keep]
+    shift = int(round(kern.lags[keep][0] / dt))
+    c = np.ones(k.size)
+    if np.count_nonzero(k) > 1:
+        c[0] = c[-1] = 0.5
+    out = np.zeros((n, u.state_dim), dtype=complex)
+    for i in range(n):
+        for j in range(k.size):
+            if 0 <= i - shift - j < n:
+                out[i] += dt * c[j] * k[j] * u.values[i - shift - j]
+    return out
+
+
+class TestConvolveProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 40), m=st.integers(2, 24), offset=st.integers(-5, 6),
+           dim=st.integers(1, 3), complex_kernel=st.booleans(), complex_signal=st.booleans(),
+           single=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_direct_sum(self, n, m, offset, dim, complex_kernel, complex_signal,
+                                single, seed):
+        rng = np.random.default_rng(seed)
+        dt = 0.1
+        offset = max(offset, 1 - m)      # at least one lag >= 0
+        k = rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_kernel else 0.0)
+        k[: max(-offset, 0)] = 0.0       # no mass at negative lags
+        if single:                       # one nonzero sample: a pointwise multiplier
+            j = rng.integers(max(-offset, 0), m)
+            k[np.arange(m) != j] = 0.0
+        x = rng.standard_normal((n, dim)) + (1j * rng.standard_normal((n, dim))
+                                             if complex_signal else 0.0)
+        a, b = sorted(rng.integers(0, n + 1, 2))
+        x[:a] = 0.0                      # data supported on samples a .. b-1
+        x[b:] = 0.0
+        kern = SampledKernel(TimeGrid(offset * dt, dt, m), k)
+        u = WeightedSignal(TimeGrid(-1.0, dt, n), 0.5, x)
+        out = causal_convolve(kern, u).values
+        ref = direct_convolution(kern, u)
+        scale = dt * np.abs(k).sum() * np.abs(x).max(initial=0.0)
+        assert np.abs(out - ref).max() <= 1e-12 * scale
+        if not (complex_kernel or complex_signal):
+            assert not out.imag.any()    # real arithmetic on the real path
+        elif complex_kernel and np.abs(ref.imag).max() > 1e-12 * scale:
+            assert out.imag.any()        # a complex kernel keeps the complex path
 
 
 class TestSpectralDerivative:

@@ -9,9 +9,13 @@ from scipy.sparse.linalg import splu, spsolve
 
 import memax.spectral as spectral
 from memax import (
+    DrudeLorentzParams,
+    DtPolarization,
     FrequencySingular,
+    KernelSpec,
     LinearProblem,
     PiecewiseMaterial,
+    SaturableNonlinearity,
     SecondOrderProblem,
     SolutionOperator,
     TimeGrid,
@@ -20,10 +24,13 @@ from memax import (
     build_curl_pair,
     dl_law,
     fourier_laplace,
+    inverse_fourier_laplace,
+    picard_solve,
     second_order_solve,
     smooth_pulse,
     solve_linear,
     stack_rhs,
+    suggest_rho,
     verify_causality,
     verify_rho_independence,
     verify_time_regularity,
@@ -152,6 +159,34 @@ class TestHalfLine:
             assert res <= 1e-10 * np.linalg.norm(G[k])
 
 
+class TestRealPath:
+    """apply() solves real data on the rfft half line and returns it exactly
+    real; the plain-DFT route agrees with the transform route."""
+
+    @pytest.mark.parametrize("rho", [2.0, -0.015])
+    @pytest.mark.parametrize("n, axis", [((4, 4, 4), 3), ((3, 4, 5), 1),
+                                         ((3, 4, 5), 2), ((3, 4, 5), 3)])
+    def test_matches_transform_route(self, n, axis, rho, material_mix, rng):
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 2))
+        for grid in (GRID, TimeGrid(-2.0, 1.0 / 32.0, 511)):
+            g = pulse_rhs(b, grid, rho, rng)
+            op = SolutionOperator(b, material_mix, rho, grid, certificate_required=False)
+            G = fourier_laplace(g, check=False)
+            ref = inverse_fourier_laplace(G.with_values(op.apply_spectral(G.values)))
+            u = op.apply(g)
+            assert not u.values.imag.any()
+            assert weighted_norm(u - ref) <= 1e-12 * weighted_norm(ref)
+
+    def test_half_spectrum_rows_solved_as_given(self, bundle4, material_mix, rng):
+        g = pulse_rhs(bundle4, GRID, 2.0, rng)
+        op = SolutionOperator(bundle4, material_mix, 2.0, GRID)
+        G = fourier_laplace(g).values
+        n = GRID.n_samples
+        assert np.array_equal(op.apply_spectral(G[: n // 2 + 1]), op.apply_spectral(G)[: n // 2 + 1])
+        with pytest.raises(ValueError, match="rows"):
+            op.apply_spectral(G[: n // 2])
+
+
 class TestFactorCounts:
     @pytest.fixture()
     def factor_calls(self, monkeypatch):
@@ -171,6 +206,36 @@ class TestFactorCounts:
         assert len(factor_calls) == GRID.n_samples // 2 + 1
         op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
         assert len(factor_calls) == GRID.n_samples // 2 + 1
+
+    def test_non_integer_window_start(self, bundle4, material_dl, rng, factor_calls):
+        # the unit phase of the window offset no longer breaks the Nyquist
+        # symmetry: real data stays on the half line
+        grid = TimeGrid(-2.01, GRID.dt, GRID.n_samples)
+        u = SolutionOperator(bundle4, material_dl, 2.0, grid).apply(pulse_rhs(bundle4, grid, 2.0, rng))
+        assert len(factor_calls) == grid.n_samples // 2 + 1
+        assert not u.values.imag.any()
+
+    def test_nearly_real_data_half_line(self, bundle4, material_dl, rng, factor_calls):
+        g = pulse_rhs(bundle4, GRID, 2.0, rng)
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        u = op.apply(g + g * 1e-14j)
+        assert len(factor_calls) == GRID.n_samples // 2 + 1
+        assert not u.values.imag.any()
+
+    def test_picard_real_to_real(self, bundle4, material_dl, rng, factor_calls):
+        # every Picard iterate stays real, so one half-line factor pass
+        # serves all iterations
+        grid = TimeGrid(-1.0, 1.0 / 32.0, 512)
+        g = WeightedSignal(grid, 1.0, 0.5 * smooth_pulse(grid.times, 0.0, 2.0)[:, None]
+                           * rng.standard_normal(bundle4.n_state)[None, :])
+        spec = KernelSpec.from_dl(DrudeLorentzParams(1.0, [(0.8, 1.5, 3.0)]),
+                                  TimeGrid(0.0, grid.dt, grid.n_samples))
+        pol = DtPolarization(spec, SaturableNonlinearity(3, 1.0))
+        prob = LinearProblem(bundle4, material_dl, 1.0, g)
+        u, cert = picard_solve(prob, pol, rho=suggest_rho(prob, pol.lip_bound(), target=0.5))
+        assert cert.iterations >= 3
+        assert len(factor_calls) == grid.n_samples // 2 + 1
+        assert not u.values.imag.any()
 
     def test_complex_data(self, bundle4, material_dl, rng, factor_calls):
         g = pulse_rhs(bundle4, GRID, 2.0, rng)
@@ -389,6 +454,14 @@ class TestSmallFrequency:
                                             pulse_rhs(bundle4, GRID, 2.0, rng)))
         assert rep.refined_bins == 0
         assert len(rep.worst_residual_z) == len(rep.worst_growth_z) == 2
+
+    def test_growth_x_cmin_zero_without_certificate(self, bundle4, material_dl, rng):
+        rho = -0.001
+        _, rep = solve_linear(LinearProblem(bundle4, material_dl, rho,
+                                            pulse_rhs(bundle4, GRID, rho, rng)),
+                              certificate_required=False)
+        assert rep.c_min_line <= 0 and rep.max_growth > 0
+        assert rep.growth_x_cmin == 0.0
 
     def test_zero_frequency_raises(self, bundle4, material_dl, rng):
         # H cannot be eliminated at z = 0: refused before any division
