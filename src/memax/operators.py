@@ -19,7 +19,8 @@ The same curl builder, with the cavity-mode factors of transverse_mode_basis
 applied along the two tangential axes, gives the block-diagonal T_f C0 T_e^T
 without forming the product.  The Helmholtz kernels, the discrete Poincare
 constant and the weighted projection check come from one small SVD per
-transverse mode of it; no dense SVD of C0 is taken.
+transverse mode of it; no dense SVD of C0 is taken.  The same factors, as
+1-D contractions, apply T to data without forming T (_mode_transform).
 """
 
 from __future__ import annotations
@@ -172,6 +173,59 @@ def _modal_curl(grid: YeeGrid) -> sparse.csr_matrix:
     return _curl(grid, [b != ax for b in range(3)])
 
 
+def _component_modes(grid: YeeGrid, kind: str) -> list:
+    """The edge or face block of the cavity-mode basis T, one entry per field
+    component in dof order: (shape, factors, labels).
+
+    shape is the component's samples along the three axes, factors maps each
+    tangential axis to its square 1-D factor (the factor along the interface
+    axis is the identity) and labels is the transverse mode label of each
+    dof.  The component's block of T is the Kronecker product of the three
+    factors.
+    """
+    n = grid.n_cells
+    ax = grid.interface_axis - 1
+    t1, t2 = [b for b in range(3) if b != ax]
+    out = []
+    for a in range(3):
+        factors, labels = zip(*(_mode_factor(s, n[b], b != ax)
+                                for b, s in enumerate(_samplings(kind, a))))
+        label = np.meshgrid(*labels, indexing="ij")
+        out.append((tuple(len(F) for F in factors), {b: factors[b] for b in (t1, t2)},
+                    (label[t1] * (n[t2] + 1) + label[t2]).ravel()))
+    return out
+
+
+def _mode_transform(components: list, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """T x, or T^T x, for the block of T that components (_component_modes)
+    describe, written over x and returned.  x is a C-contiguous float array
+    with one row per dof, such as the float view of complex columns (the
+    factors are real).
+
+    Each component's rows are reshaped to its three axes and contracted along
+    the two tangential ones with the 1-D factors (the fast diagonalization
+    method of Lynch, Rice & Thomas, Numer. Math. 6, 1964), so T is never
+    formed.
+    """
+    start = 0
+    for shape, factors, _ in components:
+        stop = start + int(np.prod(shape))
+        block = x[start:stop]
+        (b1, F1), (b2, F2) = factors.items()
+        if transpose:
+            F1, F2 = F1.T, F2.T
+        partial = np.matmul(F1, _along(block, shape, b1))
+        np.matmul(F2, _along(partial, shape, b2), out=_along(block, shape, b2))
+        start = stop
+    return x
+
+
+def _along(a: np.ndarray, shape: tuple, b: int) -> np.ndarray:
+    """The rows of a, one component of the given shape, as a 3-D view with
+    axis b of the component in the middle."""
+    return a.reshape(int(np.prod(shape[:b])), shape[b], -1)
+
+
 def transverse_mode_basis(bundle: OperatorBundle):
     """Orthonormal transverse cavity-mode basis T of the (E, H) state space.
 
@@ -185,21 +239,15 @@ def transverse_mode_basis(bundle: OperatorBundle):
     dof r, and any diagonal that is constant per component and interface
     layer commutes with T.  On the uniform PEC grid the curl pair maps each
     transverse mode to itself, so T A T^T couples only rows of equal mode.
+    The explicit T is the reference for _mode_transform, which applies it
+    from the same 1-D factors.
 
     Returns (T as a CSR matrix, the integer mode label of each row).
     """
-    n = bundle.grid.n_cells
-    ax = bundle.grid.interface_axis - 1
-    t1, t2 = [b for b in range(3) if b != ax]
-    blocks, modes = [], []
-    for kind in ("edge", "face"):
-        for a in range(3):
-            factors, labels = zip(*(_mode_factor(s, n[b], b != ax)
-                                    for b, s in enumerate(_samplings(kind, a))))
-            blocks.append(_kron(factors))
-            label = np.meshgrid(*labels, indexing="ij")
-            modes.append((label[t1] * (n[t2] + 1) + label[t2]).ravel())
-    return sparse.block_diag(blocks, format="csr"), np.concatenate(modes)
+    comps = _component_modes(bundle.grid, "edge") + _component_modes(bundle.grid, "face")
+    blocks = [_kron([factors.get(b, np.eye(m)) for b, m in enumerate(shape)])
+              for shape, factors, _ in comps]
+    return sparse.block_diag(blocks, format="csr"), np.concatenate([c[2] for c in comps])
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,17 @@ each transverse cavity mode (DST-I/DCT-II along those axes,
 operators.transverse_mode_basis) to itself.  It is solved in the edge rows
 T_e of that basis, where it is z^2 eps + Chat^T mu^{-1} Chat with Chat the
 modal curl T_f C0 T_e^T, which the operators build from 1-D factors; the
-product T_e C mu^{-1} C0 T_e^T is never formed.  The modal edges are ordered
-once by mode label and then by interface coordinate, so the system is one
-narrow band (half-width 3 on the Yee grid, read off the pattern) and each
-bin is one LAPACK banded LU.  The band is built once and each bin only adds
-its diagonal; the region laws are evaluated once over the whole line.  The
-residual, refinement and growth checks use z M + A in the original basis.
+product T_e C mu^{-1} C0 T_e^T is never formed.  Neither is T_e: it and its
+transpose are applied as dense 1-D contractions along the two tangential
+axes of each edge component (operators._mode_transform), on the float view
+of the complex data, since the factors are real.  The modal edges are
+ordered once by mode label and then by interface coordinate, a gather, so
+the system is one narrow band (half-width 3 on the Yee grid, read off the
+pattern) and each bin is one LAPACK banded LU.  The modal right-hand sides
+are laid out one contiguous row per bin, which LAPACK solves in place.  The
+band is built once and each bin only adds its diagonal; the region laws are
+evaluated once over the whole line.  The residual, refinement and growth
+checks use z M + A in the original basis.
 
 A is real and M(conj z) = conj M(z), so the operator maps real fields to
 real fields.  apply() keeps them real: for real weighted samples
@@ -66,7 +71,7 @@ from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracing.py wraps this
 
 from .errors import FrequencySingular, MemaxError
 from .materials import PiecewiseMaterial, line_certificate
-from .operators import OperatorBundle, _modal_curl, transverse_mode_basis
+from .operators import OperatorBundle, _component_modes, _modal_curl, _mode_transform
 from .signals import TimeGrid, WeightedSignal, fourier_laplace, weighted_norm
 
 COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
@@ -97,7 +102,8 @@ class _BandLU:
         return self.lu.size   # stored band entries, pivoting fill included
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return zgbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv)[0]
+        """The solution for one contiguous right-hand side, written over it."""
+        return zgbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv, overwrite_b=1)[0]
 
 
 def _band_lu(ab: np.ndarray, kl: int, ku: int) -> _BandLU:
@@ -176,8 +182,11 @@ class SolutionOperator:
     Bin k eliminates H in the original basis and factors the edge system in
     the mode-sorted rows T_e of the cavity-mode basis: diag(z_k^2 eps(z_k))
     + K2hat, K2hat = Chat^T diag(1/mu) Chat, a band whose half-widths come
-    from its pattern.  Construction checks T_e^T K2hat T_e against
-    C mu^{-1} C0, the system actually factored, on two seeded vectors.
+    from its pattern.  T_e is held as its 1-D factors, the mode labels and
+    the sort permutation, never as a matrix.  Construction checks
+    T_e^T K2hat T_e against C mu^{-1} C0, the system actually factored, on
+    two seeded vectors, through the same matrix-free transforms the solve
+    uses.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
@@ -204,16 +213,15 @@ class SolutionOperator:
         self._mu = mu
         self._cond_unit = max(abs(material.mu1), abs(material.mu2), 1.0)
 
-        T, mode = transverse_mode_basis(bundle)
+        self._modes = _component_modes(bundle.grid, "edge")
+        mode = np.concatenate([labels for *_, labels in self._modes])
         coord = bundle.edge_positions[:, bundle.grid.interface_axis - 1]
-        self._perm = perm = np.lexsort((coord, mode[:ne]))
-        self._T = T = T[perm, :ne]
-        self._Tt = T.T.tocsr()
+        self._perm = perm = np.lexsort((coord, mode))
         chat = _modal_curl(bundle.grid)[:, perm]
         k2hat = (chat.T @ sparse.diags(1.0 / mu) @ chat).tocoo()
         K2 = bundle.C @ sparse.diags(1.0 / mu) @ bundle.C0
         x = np.random.default_rng(0).standard_normal((ne, 2))
-        gap = np.abs(K2 @ x - self._Tt @ (k2hat @ (T @ x))).max()
+        gap = np.abs(K2 @ x - self._from_modal((k2hat @ self._to_modal(x).T).T)).max()
         k_max = np.abs(K2.data).max()
         if gap > 1e-12 * k_max * np.abs(x).max():
             raise MemaxError(f"transverse modes couple: the modal system misses C mu^-1 C0 "
@@ -225,6 +233,20 @@ class SolutionOperator:
         self._band, self._kl, self._ku = band, kl, ku
         self._use_cache = bundle.n_state <= FACTOR_CACHE_DOF_LIMIT
         self._cache: dict = {}
+
+    def _to_modal(self, x: np.ndarray) -> np.ndarray:
+        """(T_e x)^T for complex edge columns x, which it may overwrite, the
+        modal edges in the sorted order: one contiguous row per column."""
+        x = np.ascontiguousarray(x, dtype=np.complex128)
+        x = _mode_transform(self._modes, x.view(np.float64))
+        x = x.view(np.complex128)[self._perm]
+        return x.T.copy()
+
+    def _from_modal(self, y: np.ndarray) -> np.ndarray:
+        """T_e^T y^T for rows y laid out as _to_modal returns them."""
+        x = np.empty(y.shape[::-1], dtype=np.complex128)
+        x[self._perm] = y.T
+        return _mode_transform(self._modes, x.view(np.float64), transpose=True).view(np.complex128)
 
     def _factor(self, k: int, e: np.ndarray) -> _BandLU:
         """Banded LU of diag(e) + K2hat, the bin-k edge system."""
@@ -247,11 +269,11 @@ class SolutionOperator:
         system, then H = (g_H - C0 E) / (z mu) in the original basis."""
         ne = self.bundle.n_edges
         z = self.z[ks]
-        rhs = self._T @ (z * g[:ne] + self.bundle.C @ (g[ne:] / self._mu[:, None]))
-        e = z * d[self._perm]
+        rhs = self._to_modal(z * g[:ne] + self.bundle.C @ (g[ne:] / self._mu[:, None]))
+        e = z[:, None] * d[self._perm].T
         for j, k in enumerate(ks):
-            rhs[:, j] = self._factor(k, e[:, j]).solve(rhs[:, j])
-        E = self._Tt @ rhs
+            rhs[j] = self._factor(k, e[j]).solve(rhs[j])
+        E = self._from_modal(rhs)
         H = self.bundle.C0 @ E
         np.subtract(g[ne:], H, out=H)
         H /= d[ne:]

@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
+import memax.operators as operators
 import memax.spectral as spectral
 from memax import (
     DrudeLorentzParams,
@@ -14,6 +17,7 @@ from memax import (
     FrequencySingular,
     KernelSpec,
     LinearProblem,
+    ModDLParams,
     PiecewiseMaterial,
     SaturableNonlinearity,
     SecondOrderProblem,
@@ -25,6 +29,7 @@ from memax import (
     dl_law,
     fourier_laplace,
     inverse_fourier_laplace,
+    mod_dl_law,
     picard_solve,
     second_order_solve,
     smooth_pulse,
@@ -187,6 +192,42 @@ class TestRealPath:
             op.apply_spectral(G[: n // 2])
 
 
+TERMS = st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 2.0), st.floats(0.0, 4.0)),
+                 min_size=1, max_size=2)
+LAW = st.tuples(st.floats(0.5, 3.0), TERMS, st.one_of(st.none(), st.floats(1.0, 8.0)))
+
+
+def random_law(eps0, terms, r):
+    """A DL law, or a mod-DL law when r is drawn."""
+    p = DrudeLorentzParams(eps0, terms)
+    return dl_law(p) if r is None else mod_dl_law(ModDLParams(p, r))
+
+
+class TestRealPathProperty:
+    """Real data gives an exactly real solution equal to the transform
+    route's, on random grids, interfaces, laws and sample counts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.tuples(*[st.integers(2, 6)] * 3), axis=st.integers(1, 3),
+           index=st.integers(1, 5), laws=st.tuples(LAW, LAW),
+           mu=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+           rho=st.floats(0.5, 3.0), n_samples=st.integers(16, 65),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_exactly_real_and_matches_transform_route(self, n, axis, index, laws, mu, rho,
+                                                      n_samples, seed):
+        index = 1 + (index - 1) % (n[axis - 1] - 1)    # every interior interface index
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, index))
+        material = PiecewiseMaterial(random_law(*laws[0]), random_law(*laws[1]), *mu)
+        grid = TimeGrid(-1.0, 1.0 / 8.0, n_samples)
+        g = pulse_rhs(b, grid, rho, np.random.default_rng(seed), t_on=-0.5, t_off=1.0)
+        op = SolutionOperator(b, material, rho, grid, certificate_required=False)
+        G = fourier_laplace(g, check=False)
+        ref = inverse_fourier_laplace(G.with_values(op.apply_spectral(G.values)))
+        u = op.apply(g)
+        assert not u.values.imag.any()
+        assert weighted_norm(u - ref) <= 1e-12 * weighted_norm(ref)
+
+
 class TestFactorCounts:
     @pytest.fixture()
     def factor_calls(self, monkeypatch):
@@ -338,12 +379,53 @@ class TestModalSolve:
         assert factors[k].nnz <= 0.5 * full.nnz
 
     def test_mode_coupling_raises(self, bundle4, material_dl, monkeypatch):
-        # a basis that does not decouple K is refused at construction
-        n = bundle4.n_state
-        monkeypatch.setattr(spectral, "transverse_mode_basis",
-                            lambda b: (sparse.identity(n, format="csr"), np.arange(n)))
+        # a basis that does not decouple K is refused at construction: identity
+        # tangential factors keep the mode labels but not the modes
+        component_modes = spectral._component_modes
+
+        def identity(grid, kind):
+            return [(shape, {b: np.eye(len(F)) for b, F in factors.items()}, labels)
+                    for shape, factors, labels in component_modes(grid, kind)]
+
+        monkeypatch.setattr(spectral, "_component_modes", identity)
         with pytest.raises(MemaxError, match="transverse modes couple"):
             SolutionOperator(bundle4, material_dl, 2.0, GRID)
+
+    def test_solve_never_forms_basis(self, bundle4, material_dl, rng, monkeypatch):
+        # the transforms are matrix-free: the solve path builds no explicit T
+        def refuse(bundle):
+            raise AssertionError("transverse_mode_basis called on the solve path")
+
+        monkeypatch.setattr(operators, "transverse_mode_basis", refuse)
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        u = op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
+        assert np.isfinite(u.values).all() and not u.values.imag.any()
+        assert not any(sparse.issparse(v) for v in vars(op).values())
+
+
+class TestModalTransform:
+    """The matrix-free T_e and T_e^T against the rows of the explicit
+    transverse_mode_basis, in the solver's sorted order."""
+
+    @pytest.mark.parametrize("cols", [1, 257])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", [(4, 4, 4), (3, 4, 5), (2, 3, 2)])
+    def test_matches_explicit_basis(self, n, axis, cols, material_mix, rng):
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        op = SolutionOperator(b, material_mix, 2.0, GRID, certificate_required=False)
+        T, mode = transverse_mode_basis(b)
+        ne = b.n_edges
+        labels = np.concatenate([c[2] for c in op._modes])
+        assert np.array_equal(labels, mode[:ne])
+        Te = T[:ne, :ne][op._perm]
+        x = rng.standard_normal((ne, cols)) + 1j * rng.standard_normal((ne, cols))
+        ref = (Te @ x).T
+        modal = op._to_modal(x.copy())      # it may overwrite its input
+        assert modal.flags.c_contiguous      # each bin's column handed to LAPACK as is
+        assert np.abs(modal - ref).max() <= 1e-14 * np.abs(ref).max()
+        y = rng.standard_normal((cols, ne)) + 1j * rng.standard_normal((cols, ne))
+        ref = Te.T @ y.T
+        assert np.abs(op._from_modal(y) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestModalSystem:
