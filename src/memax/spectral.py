@@ -88,6 +88,14 @@ def _is_hermitian_spectrum(ghat: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(gap <= tol * scale)
 
 
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """2-norms of the columns of a complex array, summing re^2 + im^2 over
+    its float view (np.linalg.norm would make a conjugate copy)."""
+    f = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    sq = np.einsum("ij,ij->j", f, f)
+    return np.sqrt(sq[0::2] + sq[1::2])
+
+
 @dataclass(frozen=True)
 class _BandLU:
     """Banded LU factors and pivots of one bin's edge system (zgbtrf)."""
@@ -313,20 +321,20 @@ class SolutionOperator:
         g = ghat[ks].T.copy()
         d = self._lines[ks].T[self._group] * self._weight[:, None]
         u = self._solve(ks, d, g)
-        gn = np.linalg.norm(g, axis=0)
-        first = np.linalg.norm(u, axis=0)
+        gn = _column_norms(g)
+        first = _column_norms(u)
         r = g - self._apply(d, u)
-        res = np.linalg.norm(r, axis=0) / gn
+        res = _column_norms(r) / gn
         refine = np.flatnonzero(res > 1e-10)
         if refine.size:
             # one step of iterative refinement before giving up
             u[:, refine] += self._solve(ks[refine], d[:, refine], r[:, refine])
-            res[refine] = np.linalg.norm(g[:, refine] - self._apply(d[:, refine], u[:, refine]),
-                                         axis=0) / gn[refine]
+            res[refine] = _column_norms(g[:, refine] - self._apply(d[:, refine], u[:, refine])) \
+                / gn[refine]
         if half:
             mirror = (2 * ks) % n == 0
             u[:, mirror] = u[:, mirror].real   # xi = 0 and Nyquist are their own mirror
-        un = np.linalg.norm(u, axis=0)
+        un = _column_norms(u)
         growth = un / gn
         if self.c_min > 0:
             # the certificate bounds every solve, the unrefined one included

@@ -22,6 +22,23 @@ and H = D_h^{-1} (rhs_h - (1/2) C0 E).  S is ordered once by reverse
 Cuthill-McKee and factored once by banded Cholesky, so every step is two
 banded triangular solves.
 
+A step folds the two C products of the elimination into one.  With
+a_e = eps_inf/dt - sigma/2, 1/D_h and the memory weights
+c_j (e^{lam_j dt} - 1)/dt and c_j e^{lam_j dt}/2 fixed at construction,
+
+    dJ    = (J_known - J_old)/dt, one bincount over the accumulator entries
+            of Im(c_j (e^{lam_j dt} - 1)/dt Q_j) + Im(c_j e^{lam_j dt})/2 E,
+    u     = rhs_h / D_h = H - D_h^{-1} (C0 E)/2 + D_h^{-1} psi,
+    rhs_s = a_e E - dJ + phi + (1/2) C (H + u),
+    E'    = S^{-1} rhs_s           (LAPACK dpbtrs on the stored factor),
+    H'    = u - D_h^{-1} (C0 E')/2.
+
+The sparse products are C0 E, C (H + u) and C0 E'.  C0 E' is kept, keyed
+on the E' array the step returns (made read-only), and is the next step's
+C0 E, so a run takes two products per step.  Temporaries live in scratch
+buffers owned by the stepper; the E, H and Q of each returned state are
+fresh arrays.
+
 The (lam_j, c_j) pairs are the parameter records' kernel_terms(), the one
 time-domain expansion of the laws.  This module exists to be an oracle: it
 shares no machinery with the spectral solver (which evaluates the laws in z)
@@ -35,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import MemaxError
@@ -83,7 +101,8 @@ class OracleStepper:
     oscillator laws, expanded by their kernel_terms(); None means no memory
     and eps_inf = 1).  sigma_edges is an optional per-edge conductivity.
     Every checkpoint_every steps, run() compares the accumulators with the
-    direct trapezoid sums over the samples it recorded.
+    direct trapezoid sums over the samples it recorded.  step() works in
+    scratch buffers owned by the stepper, so one stepper serves one thread.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
@@ -121,8 +140,8 @@ class OracleStepper:
         d_e = self.eps_inf / dt + 0.5 * zero_lag
         if self.sigma_edges is not None:
             d_e = d_e + 0.5 * self.sigma_edges
-        self._d_h = self.mu / dt
-        S = sparse.diags(d_e) + 0.25 * (bundle.C @ sparse.diags(1.0 / self._d_h) @ bundle.C0)
+        d_h = self.mu / dt
+        S = sparse.diags(d_e) + 0.25 * (bundle.C @ sparse.diags(1.0 / d_h) @ bundle.C0)
         self._perm = reverse_cuthill_mckee(sparse.csr_matrix(S), symmetric_mode=True)
         self._iperm = np.argsort(self._perm)
         try:
@@ -131,6 +150,25 @@ class OracleStepper:
             raise LinearSolveFailure(
                 f"edge system D_e + C D_h^-1 C0 / 4 is not positive definite ({exc})"
             ) from exc
+
+        # per-step constants: the explicit edge diagonal, 1/D_h, and the
+        # weights of (J_known - J_old)/dt in the old Q and the old E
+        self._a_e = self.eps_inf / dt
+        if self.sigma_edges is not None:
+            self._a_e = self._a_e - 0.5 * self.sigma_edges
+        self._inv_d_h = 1.0 / d_h
+        self._half_inv_d_h = 0.5 * self._inv_d_h
+        self._dj_q = self._coeff * (self._decay - 1.0) / dt
+        self._dj_e = np.imag(self._coeff * self._decay) / 2
+        # C0 E of the last E that step() returned, keyed on that (read-only) array
+        self._c0e_of = None
+        self._c0e = None
+        # scratch: two per edge, two per face, three per accumulator entry
+        nq = len(self._edge)
+        self._e, self._e_perm = np.empty(bundle.n_edges), np.empty(bundle.n_edges)
+        self._h, self._u = np.empty(bundle.n_faces), np.empty(bundle.n_faces)
+        self._q_e, self._q_r = np.empty(nq), np.empty(nq)
+        self._q_c = np.empty(nq, dtype=np.complex128)
 
     # -- state construction ----------------------------------------------------
 
@@ -153,10 +191,6 @@ class OracleStepper:
 
     # -- memory bookkeeping ------------------------------------------------------
 
-    def _memory_current(self, Q: np.ndarray) -> np.ndarray:
-        return np.bincount(self._edge, weights=np.imag(self._coeff * Q),
-                           minlength=self.bundle.n_edges)
-
     def _direct_sums(self, t: float, times: np.ndarray, E_samples: np.ndarray,
                      dt: float) -> np.ndarray:
         """Trapezoid sums dt * sum_k w_k e^{lam_j (t - t_k)} E(t_k) for every
@@ -172,27 +206,41 @@ class OracleStepper:
 
     def step(self, state: StepperState, phi_mid: np.ndarray, psi_mid: np.ndarray) -> StepperState:
         """One implicit-midpoint step with midpoint source samples."""
-        dt = self.dt
-        C, C0 = self.bundle.C, self.bundle.C0
-        J_old = self._memory_current(state.Q)
-        # accumulator known parts: e^{lam dt}(Q + dt/2 x_old)
-        Q_known = self._decay * (state.Q + 0.5 * dt * state.E[self._edge])
-        J_known = self._memory_current(Q_known)
+        C, C0, edge, half_dt = self.bundle.C, self.bundle.C0, self._edge, 0.5 * self.dt
+        E, H, Q = state.E, state.H, state.Q
+        E_q = np.take(E, edge, out=self._q_e, mode="clip")
+        # (J_known - J_old)/dt as one reduction over the accumulator entries
+        w = np.multiply(self._dj_q, Q, out=self._q_c).imag
+        w += np.multiply(self._dj_e, E_q, out=self._q_r)
+        dJ = np.bincount(edge, weights=w, minlength=self.bundle.n_edges)
+        c0e = self._c0e if E is self._c0e_of else C0 @ E
 
-        rhs_e = (self.eps_inf / dt) * state.E + 0.5 * (C @ state.H) \
-            - (J_known - J_old) / dt + phi_mid
-        if self.sigma_edges is not None:
-            rhs_e = rhs_e - 0.5 * self.sigma_edges * state.E
-        rhs_h = self._d_h * state.H - 0.5 * (C0 @ state.E) + psi_mid
-        rhs_s = rhs_e + 0.5 * (C @ (rhs_h / self._d_h))
-        E_new = cho_solve_banded((self._chol, False), rhs_s[self._perm],
-                                 check_finite=False)[self._iperm]
-        H_new = (rhs_h - 0.5 * (C0 @ E_new)) / self._d_h
-        if not (np.all(np.isfinite(E_new)) and np.all(np.isfinite(H_new))):
-            raise LinearSolveFailure(f"non-finite step solution at t = {state.t + dt:.6g}")
+        # u = rhs_h / D_h, and rhs_s = rhs_e + C u / 2 = a_e E - dJ + phi + C (H + u) / 2
+        u = np.subtract(H, np.multiply(self._half_inv_d_h, c0e, out=self._h), out=self._u)
+        u += np.multiply(self._inv_d_h, psi_mid, out=self._h)
+        rhs = np.multiply(self._a_e, E, out=self._e)
+        rhs -= dJ
+        rhs += phi_mid
+        rhs += 0.5 * (C @ np.add(H, u, out=self._h))
+        x, info = dpbtrs(self._chol, np.take(rhs, self._perm, out=self._e_perm, mode="clip"),
+                         lower=0, overwrite_b=1)
+        if info != 0:
+            raise LinearSolveFailure(f"banded solve failed at t = {state.t + self.dt:.6g} "
+                                     f"(dpbtrs info {info})")
+        E_new = x[self._iperm]
+        c0e_new = C0 @ E_new
+        H_new = u - np.multiply(self._half_inv_d_h, c0e_new, out=self._h)
+        if not (np.isfinite(E_new).all() and np.isfinite(H_new).all()):
+            raise LinearSolveFailure(f"non-finite step solution at t = {state.t + self.dt:.6g}")
 
-        Q_new = Q_known + 0.5 * dt * E_new[self._edge]
-        return StepperState(state.t + dt, E_new, H_new, Q_new, state.step_index + 1)
+        # accumulators: e^{lam dt}(Q + dt/2 x_old) + dt/2 x_new
+        E_q *= half_dt
+        q_known = np.add(Q, E_q, out=self._q_c)
+        q_known *= self._decay
+        Q_new = q_known + np.multiply(half_dt, E_new[edge], out=self._q_r)
+        E_new.flags.writeable = False
+        self._c0e_of, self._c0e = E_new, c0e_new
+        return StepperState(state.t + self.dt, E_new, H_new, Q_new, state.step_index + 1)
 
     def run(self, state: StepperState, phi_of_t, psi_of_t, n_steps: int):
         """March n_steps from state; returns (times, E_traj, H_traj)."""
@@ -204,12 +252,13 @@ class OracleStepper:
         E_traj[0] = state.E
         H_traj[0] = state.H
         Q_start = state.Q
+        zeros_e, zeros_h = np.zeros(ne), np.zeros(nf)
         for n in range(n_steps):
             t_mid = state.t + 0.5 * self.dt
             phi = phi_of_t(t_mid) if phi_of_t is not None else None
             psi = psi_of_t(t_mid) if psi_of_t is not None else None
-            phi = np.zeros(ne) if phi is None else np.asarray(phi)
-            psi = np.zeros(nf) if psi is None else np.asarray(psi)
+            phi = zeros_e if phi is None else np.asarray(phi)
+            psi = zeros_h if psi is None else np.asarray(psi)
             state = self.step(state, phi, psi)
             times[n + 1] = state.t
             E_traj[n + 1] = state.E

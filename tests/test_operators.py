@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memax
 from memax import (
@@ -58,6 +60,23 @@ class TestExactIdentities:
             b = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), n, 3, 1))
             assert b.n_edges == edge_count_oracle(n)
             assert b.n_faces == face_count_oracle(n)
+
+
+class TestExactIdentitiesProperty:
+    """Skewness and Div Curl0 = 0 hold exactly on random grids: cell counts,
+    extents, interface axes and every interior interface index."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.tuples(*[st.integers(2, 6)] * 3),
+           extents=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+           axis=st.integers(1, 3), index=st.integers(1, 5))
+    def test_skew_and_div_curl_exact(self, n, extents, axis, index):
+        index = 1 + (index - 1) % (n[axis - 1] - 1)    # every interior interface index
+        b = build_curl_pair(YeeGrid(extents, n, axis, index))
+        AT = b.A + b.A.T
+        DC = b.D @ b.C0
+        assert AT.nnz == 0 or np.abs(AT.data).max() == 0.0
+        assert DC.nnz == 0 or np.abs(DC.data).max() == 0.0
 
 
 class TestTransverseModes:

@@ -1,5 +1,7 @@
 """Time-domain reference integrator: conservation, convergence, recursion."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -9,6 +11,7 @@ from memax import (
     LinearProblem,
     OracleStepper,
     PiecewiseMaterial,
+    StepperState,
     TimeGrid,
     WeightedSignal,
     YeeGrid,
@@ -234,3 +237,85 @@ class TestAccumulatorCheck:
         times, E, H = stp.run(state, None, None, 100)
         assert times[0] == pytest.approx(30 * dt)
         assert np.isfinite(E).all() and np.isfinite(H).all()
+
+
+class TestOneKernel:
+    """run() and repeated step() calls are one kernel, bit for bit."""
+
+    @pytest.fixture()
+    def interface_stepper(self, dl_params, dl_params_b, rng):
+        bundle = build_curl_pair(YeeGrid((1.0, 1.2, 0.9), (3, 4, 5), 2, 2))
+        material = PiecewiseMaterial(dl_law(dl_params), dl_law(dl_params_b), 1.0, 2.0)
+        return OracleStepper(bundle, material, dl_params, dl_params_b, 0.02,
+                             sigma_edges=rng.uniform(0.0, 1.0, bundle.n_edges))
+
+    @pytest.mark.parametrize("start", ["fresh", "history"])
+    def test_run_equals_repeated_steps(self, start, interface_stepper, rng):
+        stp = interface_stepper
+        b = stp.bundle
+        if start == "fresh":
+            state = stp.initial_state(rng.standard_normal(b.n_edges),
+                                      rng.standard_normal(b.n_faces))
+        else:
+            state = stp.state_from_history(*_history(b, rng, stp.dt))
+        vec_e, vec_h = rng.standard_normal(b.n_edges), rng.standard_normal(b.n_faces)
+
+        def phi(t):
+            return smooth_pulse(np.array([t]), 0.0, 1.0)[0] * vec_e
+
+        def psi(t):
+            return smooth_pulse(np.array([t]), 0.0, 1.0)[0] * vec_h
+
+        kernel = stp.step
+        last = []
+
+        def recording_step(state, phi_mid, psi_mid):
+            last[:] = [kernel(state, phi_mid, psi_mid)]
+            return last[0]
+
+        stp.step = recording_step
+        times, E, H = stp.run(state, phi, psi, 120)
+        del stp.step
+
+        st = state
+        for n in range(120):
+            t_mid = st.t + 0.5 * stp.dt
+            st = stp.step(st, phi(t_mid), psi(t_mid))
+            assert st.t == times[n + 1]
+            assert np.array_equal(st.E, E[n + 1]) and np.array_equal(st.H, H[n + 1])
+        assert np.array_equal(st.Q, last[0].Q)
+
+    def test_hand_built_state_steps_to_the_same_bits(self, interface_stepper, rng):
+        # a step reuses C0 E of the E it returned last; a state equal in value
+        # but built by hand, or an older stepped state, must give the same bits
+        stp = interface_stepper
+        b = stp.bundle
+        phi, psi = rng.standard_normal(b.n_edges), rng.standard_normal(b.n_faces)
+        state = stp.initial_state(rng.standard_normal(b.n_edges),
+                                  rng.standard_normal(b.n_faces))
+        for _ in range(3):
+            state = stp.step(state, phi, psi)
+        hand = StepperState(state.t, state.E.copy(), state.H.copy(), state.Q.copy(),
+                            state.step_index)
+        cached = stp.step(state, phi, psi)
+        fresh = stp.step(hand, phi, psi)
+        again = stp.step(state, phi, psi)
+        assert not cached.E.flags.writeable
+        for new in (fresh, again):
+            assert new.t == cached.t and new.step_index == cached.step_index
+            for name in ("E", "H", "Q"):
+                assert np.array_equal(getattr(new, name), getattr(cached, name))
+
+    def test_non_finite_source_raises_at_its_step(self, bundle4, material_dl, dl_params,
+                                                  dl_params_b, rng):
+        dt, k = 0.02, 37
+        stp = OracleStepper(bundle4, material_dl, dl_params, dl_params_b, dt)
+        vec = rng.standard_normal(bundle4.n_edges)
+
+        def phi(t):
+            # finite up to step k, whose midpoint is (k + 1/2) dt
+            return vec * (np.nan if t > k * dt else 1.0)
+
+        with pytest.raises(LinearSolveFailure,
+                           match=re.escape(f"non-finite step solution at t = {(k + 1) * dt:.6g}")):
+            stp.run(stp.initial_state(), phi, None, 100)
