@@ -98,10 +98,14 @@ def compute_L_kappa(kappa_prime: SampledKernel, rho_kappa: float = 0.0) -> float
 class SaturableNonlinearity:
     """q(u) = |u|^{k-1}/(1 + tau |u|^{k-1}) u, applied per degree of freedom.
 
-    Globally Lipschitz; the constant is the supremum of the scalar profile
-    derivative d/ds [s^k/(1+tau s^{k-1})], located by dense evaluation of
-    the closed-form derivative with local refinement (not sampled from
-    random probes), so certificates built on it are sound.
+    Globally Lipschitz with the exact supremum of the profile derivative:
+    for g(s) = s^k/(1 + tau s^{k-1}) and x = tau s^{k-1},
+
+        tau g'(s) = x (k + x)/(1 + x)^2,   d/dx of that = (k - (k - 2) x)/(1 + x)^3,
+
+    so for k > 2 the maximum is at x = k/(k - 2) and sup g' = k^2/(4 tau (k - 1));
+    at k = 2, g' rises to its limit 1/tau, the same formula.  The bound is
+    >= 1/tau for every k >= 2, since k^2 - 4 (k - 1) = (k - 2)^2.
     """
 
     k: int
@@ -118,24 +122,9 @@ class SaturableNonlinearity:
         v = mag ** (self.k - 1) / (1.0 + self.tau * mag ** (self.k - 1))
         return v * values
 
-    def profile_derivative(self, s: np.ndarray) -> np.ndarray:
-        """d/ds of g(s) = s^k/(1 + tau s^{k-1})."""
-        s = np.asarray(s, dtype=float)
-        p = s ** (self.k - 1)
-        return p * (self.k + self.tau * p) / (1.0 + self.tau * p) ** 2
-
     @property
     def lip_bound(self) -> float:
-        s = np.geomspace(1e-8, 1e8, 20001)
-        grid_max = float(self.profile_derivative(s).max())
-        i = int(np.argmax(self.profile_derivative(s)))
-        lo, hi = s[max(i - 1, 0)], s[min(i + 1, len(s) - 1)]
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(lambda x: -self.profile_derivative(np.array([x]))[0],
-                              bounds=(lo, hi), method="bounded")
-        refined = float(-res.fun)
-        return max(grid_max, refined, 1.0 / self.tau) * (1.0 + 1e-9)
+        return self.k ** 2 / (4.0 * self.tau * (self.k - 1)) * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True)

@@ -348,24 +348,23 @@ def causal_convolve(kernel: SampledKernel, u: WeightedSignal) -> WeightedSignal:
     """Discrete causal convolution (kappa * u)(t) = integral kappa(t-s) u(s) ds.
 
     Trapezoid in the lag variable over the kernel support; a single-sample
-    kernel acts as a pure pointwise multiplier (delta-like).  Output support
-    is clipped to support(u) + support(kernel) exactly, so causality holds on
-    the grid bit-for-bit.  An exactly real kernel and signal are convolved
-    in real arithmetic, so the result is exactly real.
+    kernel acts as a pointwise multiplier (delta-like).  The linear
+    convolution is an FFT product zero-padded to a power of two
+    nfft >= n + m - 1, so no term wraps (Stockham 1966); an exactly real
+    kernel and signal use rfft/irfft, so the result is exactly real.  Output
+    support is clipped to support(u) + support(kernel) exactly, so causality
+    holds on the grid bit-for-bit.
     """
     kernel.check_causal()
     if abs(kernel.grid.dt - u.grid.dt) > 1e-12 * u.grid.dt:
         raise ValueError("kernel and signal must share dt")
-    kvals = kernel.values.copy()
-    lags = kernel.lags
-    keep = lags > -0.5 * kernel.grid.dt
-    kvals = kvals[keep]
-    lag0_offset = int(round(lags[keep][0] / u.grid.dt))
+    keep = kernel.lags > -0.5 * kernel.grid.dt
+    kvals = kernel.values[keep]
+    lag0_offset = int(round(kernel.lags[keep][0] / u.grid.dt))
     m = kvals.shape[0]
     weights = np.ones(m)
     if np.count_nonzero(kvals) > 1:
-        weights[0] = 0.5
-        weights[-1] = 0.5
+        weights[[0, -1]] = 0.5
     kw = kvals * weights
 
     n = u.grid.n_samples
@@ -373,12 +372,11 @@ def causal_convolve(kernel: SampledKernel, u: WeightedSignal) -> WeightedSignal:
     nz_u = np.nonzero(np.abs(u.values).sum(axis=1))[0]
     nz_k = np.nonzero(np.abs(kw))[0]
     if nz_u.size and nz_k.size:
-        from scipy.signal import convolve as _convolve
-
-        x = u.values
+        x, fft, ifft = u.values, np.fft.fft, np.fft.ifft
         if not (kw.imag.any() or x.imag.any()):
-            x, kw = x.real, kw.real
-        full = _convolve(x, kw[:, None], mode="full", method="auto")
+            x, kw, fft, ifft = x.real, kw.real, np.fft.rfft, np.fft.irfft
+        nfft = 1 << (n + m - 2).bit_length()
+        full = ifft(fft(x, nfft, axis=0) * fft(kw, nfft)[:, None], nfft, axis=0)
         # clip to window and to the exact support sum
         first = max(nz_u[0] + nz_k[0] + lag0_offset, 0)
         last = min(nz_u[-1] + nz_k[-1] + lag0_offset, n - 1)

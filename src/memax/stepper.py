@@ -101,7 +101,9 @@ class OracleStepper:
     oscillator laws, expanded by their kernel_terms(); None means no memory
     and eps_inf = 1).  sigma_edges is an optional per-edge conductivity.
     Every checkpoint_every steps, run() compares the accumulators with the
-    direct trapezoid sums over the samples it recorded.  step() works in
+    direct trapezoid sums over the samples it recorded: a checkpoint sums
+    the samples since the one before and propagates that one's sum exactly,
+    and the run's last checkpoint re-sums every sample.  step() works in
     scratch buffers owned by the stepper, so one stepper serves one thread.
     """
 
@@ -251,7 +253,8 @@ class OracleStepper:
         times[0] = state.t
         E_traj[0] = state.E
         H_traj[0] = state.H
-        Q_start = state.Q
+        Q_start, direct, first = state.Q, state.Q, 0    # direct sum at times[first]
+        last_check = n_steps - n_steps % self.checkpoint_every if self.checkpoint_every else 0
         zeros_e, zeros_h = np.zeros(ne), np.zeros(nf)
         for n in range(n_steps):
             t_mid = state.t + 0.5 * self.dt
@@ -264,17 +267,22 @@ class OracleStepper:
             E_traj[n + 1] = state.E
             H_traj[n + 1] = state.H
             if self.checkpoint_every and (n + 1) % self.checkpoint_every == 0:
-                self._check_accumulators(state, Q_start, times[: n + 2], E_traj[: n + 2])
+                if n + 1 == last_check:                 # re-sum from the start
+                    direct, first = Q_start, 0
+                direct = self._check_accumulators(state, direct, times[first:n + 2],
+                                                  E_traj[first:n + 2])
+                first = n + 1
         return times, E_traj, H_traj
 
-    def _check_accumulators(self, state: StepperState, Q_start: np.ndarray,
+    def _check_accumulators(self, state: StepperState, before: np.ndarray,
                             times: np.ndarray, E_traj: np.ndarray, tol: float = 1e-10):
-        """Recursion vs direct trapezoid sum over the recorded run samples,
-        plus the exactly-propagated accumulators of the state the run began
-        from (zero for a fresh start, the seed for a history start)."""
+        """Recursion vs the direct trapezoid sum over the recorded samples plus
+        the exactly-propagated direct sum `before` at their first time (the
+        accumulators the run began from, or the last checkpoint's sum);
+        returns the direct sum at state.t for the next checkpoint to carry."""
         # the shared first sample keeps its half-weights from both trapezoid rules
         direct = self._direct_sums(state.t, times, E_traj, self.dt) \
-            + np.exp(self._lam[self._term] * (state.t - times[0])) * Q_start
+            + np.exp(self._lam[self._term] * (state.t - times[0])) * before
         for j, sl in enumerate(self._slices):
             scale = max(np.abs(state.Q[sl]).max(), np.abs(direct[sl]).max(), 1e-300)
             gap = np.abs(direct[sl] - state.Q[sl]).max() / scale
@@ -283,6 +291,7 @@ class OracleStepper:
                     f"memory accumulator of term {j} drifted from the direct sum "
                     f"at t = {state.t:.6g} (rel {gap:.2e})"
                 )
+        return direct
 
 
 def energy_series(E_traj: np.ndarray, H_traj: np.ndarray, eps_inf: np.ndarray,

@@ -68,7 +68,33 @@ class TestLKappa:
         assert kernel_spec.lip_factor() == pytest.approx(kernel_spec.L_kappa)
 
 
+def searched_lip(q: SaturableNonlinearity) -> tuple[float, float]:
+    """Grid maximum of g'(s), g(s) = s^k/(1 + tau s^{k-1}), over 20001
+    log-spaced points, and its bounded-Brent refinement around the argmax."""
+    from scipy.optimize import minimize_scalar
+
+    def deriv(s):
+        p = np.asarray(s, dtype=float) ** (q.k - 1)
+        return p * (q.k + q.tau * p) / (1.0 + q.tau * p) ** 2
+
+    s = np.geomspace(1e-8, 1e8, 20001)
+    i = int(np.argmax(deriv(s)))
+    bracket = (s[max(i - 1, 0)], s[min(i + 1, s.size - 1)])
+    res = minimize_scalar(lambda x: -deriv(x), bounds=bracket, method="bounded")
+    return float(deriv(s[i])), float(-res.fun)
+
+
 class TestSaturable:
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+    def test_closed_form_lipschitz_matches_search(self, k, tau):
+        q = SaturableNonlinearity(k, tau)
+        grid_max, refined = searched_lip(q)
+        assert q.lip_bound == pytest.approx(max(grid_max, refined, 1.0 / tau) * (1.0 + 1e-9),
+                                            rel=1e-9)
+        assert q.lip_bound >= grid_max
+        assert q.lip_bound >= 1.0 / tau
+
     def test_lipschitz_bound_on_random_pairs(self, rng):
         q = SaturableNonlinearity(3, 1.0)
         lip = q.lip_bound

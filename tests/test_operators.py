@@ -240,6 +240,48 @@ def test_import_does_not_load_scipy_fft():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
+LAB_TRAFFIC = """
+import sys
+import numpy as np
+from memax import (BumpSpec, DrudeLorentzParams, DtPolarization, HistorySpec, KernelSpec,
+                   LinearProblem, OracleStepper, PiecewiseMaterial, SampledKernel,
+                   SaturableNonlinearity, TimeGrid, WeightedSignal, YeeGrid,
+                   build_curl_pair, build_maxwell_inhomogeneity, causal_convolve, dl_law,
+                   picard_solve, smooth_pulse)
+p1, p2 = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)]), DrudeLorentzParams(1.0, [(0.5, 1.2, 2.5)])
+bundle = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), (3, 3, 3), 2, 1))
+material = PiecewiseMaterial(dl_law(p1), dl_law(p2), 1.0, 1.0)
+rng = np.random.default_rng(1)
+grid = TimeGrid(-1.0, 1.0 / 32.0, 256)
+lag = TimeGrid(0.0, grid.dt, grid.n_samples)
+g = WeightedSignal(grid, 2.0, 0.5 * smooth_pulse(grid.times, 0.0, 2.0)[:, None]
+                   * rng.standard_normal(bundle.n_state)[None, :])
+spec = KernelSpec.from_dl(DrudeLorentzParams(1.0, [(0.8, 1.5, 3.0)]), lag)
+q = SaturableNonlinearity(3, 1.0)
+picard_solve(LinearProblem(bundle, material, 2.0, g), DtPolarization(spec, q))
+causal_convolve(SampledKernel(lag, np.exp(-lag.times)), g)
+ht = np.arange(-16, 1) * grid.dt
+h = HistorySpec(ht, np.outer(np.exp(0.8 * ht), rng.standard_normal(bundle.n_state)))
+build_maxwell_inhomogeneity(h, BumpSpec(0.5), bundle, material, p1, p2, grid, 1.0,
+                            nl_spec=spec, q=q)
+stp = OracleStepper(bundle, material, p1, p2, 0.02, checkpoint_every=2)
+stp.run(stp.initial_state(rng.standard_normal(bundle.n_edges)), None, None, 4)
+heavy = ("signal", "optimize", "stats", "ndimage", "interpolate", "integrate")
+sys.exit(", ".join(m for m in heavy if "scipy." + m in sys.modules) or None)
+"""
+
+
+def test_lab_traffic_loads_only_linalg_and_sparse():
+    # a Picard solve, a convolution, a history conversion and stepper steps
+    # in a fresh process (pytest may already hold SciPy): none of them may
+    # pull in the heavy SciPy subpackages, each costing cold-start time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(memax.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", LAB_TRAFFIC], env=env, timeout=300,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 class TestProjections:
     def test_gradient_fields_fixed_by_pi0(self, bundle4, basis4, rng):
         grad = bundle4.G0 @ rng.standard_normal(bundle4.G0.shape[1])

@@ -276,6 +276,31 @@ def direct_convolution(kern: SampledKernel, u: WeightedSignal) -> np.ndarray:
     return out
 
 
+class TestConvolveBenchShape:
+    @pytest.mark.parametrize("path", ["real", "complex"])
+    def test_matches_per_column_direct_sum(self, path, rng):
+        # 512 samples x 108 columns against a 512-lag damped sine, data
+        # supported on samples a .. b-1: the shapes of the Picard iterates
+        n, dim, a, b = 512, 108, 130, 400
+        g = TimeGrid(-1.0, 1.0 / 32.0, n)
+        lag = TimeGrid(0.0, g.dt, n)
+        k = np.exp(-0.8 * lag.times) * np.sin(2.5 * lag.times)
+        x = rng.standard_normal((n, dim))
+        if path == "complex":
+            k = k * np.exp(0.7j * lag.times)
+            x = x + 1j * rng.standard_normal((n, dim))
+        x[:a] = 0.0
+        x[b:] = 0.0
+        out = causal_convolve(SampledKernel(lag, k), WeightedSignal(g, 1.0, x)).values
+        kw = k.copy()
+        kw[[0, -1]] *= 0.5
+        ref = np.stack([g.dt * np.convolve(x[:, j], kw)[:n] for j in range(dim)], axis=1)
+        scale = g.dt * np.abs(k).sum() * np.abs(x).max()
+        assert np.abs(out - ref).max() <= 1e-12 * scale
+        assert not out[: a + 1].any()        # k(0) = 0: support starts one lag after a
+        assert out.imag.any() == (path == "complex")
+
+
 class TestConvolveProperty:
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(2, 40), m=st.integers(2, 24), offset=st.integers(-5, 6),

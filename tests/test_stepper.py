@@ -220,6 +220,47 @@ class TestAccumulatorCheck:
             stp.run(state, None, None, 200)
         assert taken[-1] == 50
 
+    @pytest.mark.parametrize("perturb_at", [0, 60])
+    def test_perturbed_decay_caught_at_a_checkpoint(self, perturb_at, bundle4, material_dl,
+                                                     dl_params, dl_params_b, rng):
+        # a recursion factor off by 1e-6 relative, from construction or from
+        # step 60 on: the checkpoint at step 100 carries the direct sum of the
+        # one at step 50 and must catch it before the run's final re-sum
+        stp = OracleStepper(bundle4, material_dl, dl_params, dl_params_b, 0.02,
+                            checkpoint_every=50)
+        state = stp.initial_state(rng.standard_normal(bundle4.n_edges),
+                                  rng.standard_normal(bundle4.n_faces))
+        clean_step = stp.step
+        taken = []
+
+        def perturbing_step(state, phi, psi):
+            if state.step_index == perturb_at:
+                stp._decay = stp._decay * (1.0 + 1e-6)
+            new = clean_step(state, phi, psi)
+            taken.append(new.step_index)
+            return new
+
+        stp.step = perturbing_step
+        with pytest.raises(LinearSolveFailure, match="drifted from the direct sum"):
+            stp.run(state, None, None, 400)
+        assert taken[-1] == (50 if perturb_at == 0 else 100)
+
+    def test_checkpoints_carry_forward_and_the_last_resums(self, bundle4, material_dl,
+                                                           dl_params, dl_params_b, rng):
+        stp = OracleStepper(bundle4, material_dl, dl_params, dl_params_b, 0.02,
+                            checkpoint_every=50)
+        clean_check = stp._check_accumulators
+        windows = []
+
+        def recording_check(state, before, times, E_traj):
+            windows.append((state.step_index, len(times)))
+            return clean_check(state, before, times, E_traj)
+
+        stp._check_accumulators = recording_check
+        stp.run(stp.state_from_history(*_history(bundle4, rng, 0.02)), None, None, 220)
+        # 51 samples since each earlier checkpoint; all 201 at the last one
+        assert windows == [(50, 51), (100, 51), (150, 51), (200, 201)]
+
     def test_check_follows_the_state_each_run_starts_from(self, bundle4, material_dl,
                                                           dl_params, dl_params_b, rng):
         # a history seed, then a fresh start on the same stepper, then a
