@@ -108,6 +108,17 @@ class WeightedSignal:
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
+    @classmethod
+    def _adopt(cls, grid: TimeGrid, rho: float, values: np.ndarray,
+               wrap_tol: float = DEFAULT_WRAP_TOL) -> "WeightedSignal":
+        """A signal over values, a fresh complex128 (n_samples, state_dim)
+        array that the caller hands over: frozen in place, not copied."""
+        sig = object.__new__(cls)
+        values.setflags(write=False)
+        for name, value in (("grid", grid), ("rho", rho), ("values", values), ("wrap_tol", wrap_tol)):
+            object.__setattr__(sig, name, value)
+        return sig
+
     # -- basic structure ---------------------------------------------------
 
     @property

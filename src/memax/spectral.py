@@ -51,7 +51,10 @@ self-mirrored bins xi = 0 and Nyquist keep the real part of their solve.
 
 Factorizations are reused across right-hand sides at a fixed frequency; the
 frequency loop dominates runtime and the fixed-point solvers call the same
-factors every iteration.  A singular frequency is never skipped or
+factors every iteration.  A one-shot solve keeps none.  The bins are solved
+in consecutive blocks bounded in bytes (LINE_BLOCK_BYTES per dofs x bins
+working array), in buffers the operator reuses, never in whole-line
+bins x dofs temporaries.  A singular frequency is never skipped or
 interpolated over: material-law poles on the solve line violate the solution
 theory and must surface as PoleHit or FrequencySingular.  On a certified
 line (c_min > 0) the theory bounds every bin, |u_k| <= |g_k| / c_min, so a
@@ -77,6 +80,7 @@ from .signals import TimeGrid, WeightedSignal, fourier_laplace, weighted_norm
 COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
 BOUND_SLACK = 0.02              # growth * c_min <= 1 + slack on a certified line
 FACTOR_CACHE_DOF_LIMIT = 1500   # cache LU factors below this state size
+LINE_BLOCK_BYTES = 1 << 20      # bytes of one dofs x bins working array of a line block
 
 
 def _is_hermitian_spectrum(ghat: np.ndarray, tol: float = 1e-12) -> bool:
@@ -195,10 +199,18 @@ class SolutionOperator:
     T_e^T K2hat T_e against C mu^{-1} C0, the system actually factored, on
     two seeded vectors, through the same matrix-free transforms the solve
     uses.
+
+    Each bin's factors are kept for later applies below
+    FACTOR_CACHE_DOF_LIMIT dofs, unless keep_factors=False: a caller that
+    applies the operator once (solve_linear, second_order_solve) says so,
+    and every bin then factors into one reused band buffer.  The line is
+    solved in blocks whose working arrays the operator allocates on its
+    first apply and reuses, so one operator serves one thread.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
-                 rho: float, grid: TimeGrid, certificate_required: bool = True):
+                 rho: float, grid: TimeGrid, certificate_required: bool = True, *,
+                 keep_factors: bool = True):
         self.bundle = bundle
         self.material = material
         self.rho = rho
@@ -239,8 +251,17 @@ class SolutionOperator:
         band = np.zeros((2 * kl + ku + 1, ne), dtype=np.complex128)
         np.add.at(band, (kl + ku + offset, k2hat.col), k2hat.data)
         self._band, self._kl, self._ku = band, kl, ku
-        self._use_cache = bundle.n_state <= FACTOR_CACHE_DOF_LIMIT
+        self._band_group = self._group[perm]     # region of each sorted modal edge
+        self._use_cache = keep_factors and bundle.n_state <= FACTOR_CACHE_DOF_LIMIT
         self._cache: dict = {}
+        # without a cache every bin factors in this one buffer
+        self._ab = None if self._use_cache else np.empty_like(band, order="F")
+        self._work = None   # the block workspace, allocated on the first apply
+
+    @property
+    def factor_cache_bytes(self) -> int:
+        """Bytes of the banded LU factors the operator holds for reuse."""
+        return sum(lu.lu.nbytes for lu in self._cache.values())
 
     def _to_modal(self, x: np.ndarray) -> np.ndarray:
         """(T_e x)^T for complex edge columns x, which it may overwrite, the
@@ -250,87 +271,89 @@ class SolutionOperator:
         x = x.view(np.complex128)[self._perm]
         return x.T.copy()
 
-    def _from_modal(self, y: np.ndarray) -> np.ndarray:
-        """T_e^T y^T for rows y laid out as _to_modal returns them."""
-        x = np.empty(y.shape[::-1], dtype=np.complex128)
+    def _from_modal(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """T_e^T y^T for rows y laid out as _to_modal returns them, written
+        into out (C-contiguous edges x columns) when it is given."""
+        x = np.empty(y.shape[::-1], dtype=np.complex128) if out is None else out
         x[self._perm] = y.T
         return _mode_transform(self._modes, x.view(np.float64), transpose=True).view(np.complex128)
 
-    def _factor(self, k: int, e: np.ndarray) -> _BandLU:
-        """Banded LU of diag(e) + K2hat, the bin-k edge system."""
-        if self._use_cache and k in self._cache:
+    def _factor(self, k: int) -> _BandLU:
+        """Banded LU of diag(z_k^2 eps(z_k)) + K2hat, the bin-k edge system."""
+        if k in self._cache:
             return self._cache[k]
-        if self.z[k] == 0:
+        z = self.z[k]
+        if z == 0:
             raise FrequencySingular(0j, np.inf)   # H cannot be eliminated at z = 0
-        ab = self._band.copy()
-        ab[self._kl + self._ku] += e
+        if self._use_cache:
+            ab = np.array(self._band, order="F")
+        else:
+            ab = self._ab
+            ab[...] = self._band
+        ab[self._kl + self._ku] += z * self._lines[k, self._band_group]
         try:
             lu = _band_lu(ab, self._kl, self._ku)
         except np.linalg.LinAlgError as exc:
-            raise FrequencySingular(complex(self.z[k]), np.inf) from exc
+            raise FrequencySingular(complex(z), np.inf) from exc
         if self._use_cache:
             self._cache[k] = lu
         return lu
 
-    def _solve(self, ks: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """(diag(d) + A)^{-1} g, one column per bin ks: E from the modal edge
-        system, then H = (g_H - C0 E) / (z mu) in the original basis."""
+    def _solve(self, ks: np.ndarray, d: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """u = (diag(d) + A)^{-1} g, one column per bin ks, written into u
+        (C-contiguous, apart from g and d): E from the modal edge system,
+        then H = (g_H - C0 E) / (z mu) in the original basis."""
         ne = self.bundle.n_edges
-        z = self.z[ks]
-        rhs = self._to_modal(z * g[:ne] + self.bundle.C @ (g[ne:] / self._mu[:, None]))
-        e = z[:, None] * d[self._perm].T
+        E, H = u[:ne], u[ne:]
+        np.divide(g[ne:], self._mu[:, None], out=H)
+        np.multiply(self.z[ks], g[:ne], out=E)
+        E += self.bundle.C @ H
+        rhs = self._to_modal(E)
         for j, k in enumerate(ks):
-            rhs[j] = self._factor(k, e[j]).solve(rhs[j])
-        E = self._from_modal(rhs)
-        H = self.bundle.C0 @ E
-        np.subtract(g[ne:], H, out=H)
+            rhs[j] = self._factor(k).solve(rhs[j])
+        self._from_modal(rhs, out=E)
+        np.subtract(g[ne:], self.bundle.C0 @ E, out=H)
         H /= d[ne:]
-        return np.concatenate([E, H])
+        return u
 
-    def _apply(self, d: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(diag(d) + A) u, one column of u per bin."""
-        return d * u + self.bundle.A @ u
+    def _residual(self, d: np.ndarray, u: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """g - (diag(d) + A) u, one column per bin, written into out."""
+        np.multiply(d, u, out=out)
+        out += self.bundle.A @ u
+        return np.subtract(g, out, out=out)
 
-    def apply_spectral(self, ghat: np.ndarray, collect: dict | None = None) -> np.ndarray:
-        """Solve on the line, one row of ghat per bin.
+    def _workspace(self, m: int) -> list:
+        """Data, diagonal, solution and residual of an m-bin block: dofs x m
+        C-contiguous views of the operator's buffers, grown when m needs it."""
+        size = self.bundle.n_state * m
+        if self._work is None or self._work.shape[1] < size:
+            self._work = np.empty((4, size), dtype=np.complex128)
+        return [w[:size].reshape(-1, m) for w in self._work]
 
-        A full spectrum has n rows, bins in FFT order, and the result has
-        the same shape.  A conjugate-symmetric one (real time data) has a
-        conjugate-symmetric solution, because A is real and
-        M(conj z) = conj M(z): only bins 0 .. n//2 are solved and bin -k is
-        conj(u_k).  Any other full spectrum is solved on every bin.  A half
-        spectrum has n//2 + 1 rows, bins 0 .. n//2 of real data (rfft
-        order); they are solved and returned as they are, not mirrored.  In
-        both symmetric cases the self-mirrored bins xi = 0 and Nyquist keep
-        the real part of their solve.
+    def _solve_block(self, ks: np.ndarray, gk: np.ndarray, half: bool):
+        """Solve the bins ks, whose data are the rows of gk, in the workspace.
 
-        The solved bins are the columns of one dofs x bins array, so the
-        sparse products read contiguous rows.  The transforms, residuals and
-        checks run over all of them at once; a check that fails raises for
-        the first such bin.  Without the factor cache, a bin that needs
-        refinement is factored again.
+        Returns the solution (a workspace view, one column per bin), the
+        relative residual and growth per bin and the number of refined bins.
+        A bin whose solve the certificate (or the conditioning heuristic)
+        rejects raises FrequencySingular, the first such bin in ks.
         """
         n = self.z.size
-        if ghat.shape[0] not in (n, n // 2 + 1):
-            raise ValueError(f"spectrum has {ghat.shape[0]} rows; "
-                             f"expected {n} bins or the half line's {n // 2 + 1}")
-        full = ghat.shape[0] == n
-        half = not full or _is_hermitian_spectrum(ghat)
-        ks = np.arange(n // 2 + 1 if half else n)
-        ks = ks[np.any(ghat[ks], axis=1)]
-        g = ghat[ks].T.copy()
-        d = self._lines[ks].T[self._group] * self._weight[:, None]
-        u = self._solve(ks, d, g)
+        g, d, u, r = self._workspace(ks.size)
+        np.copyto(g, gk.T)
+        np.take(self._lines[ks].T, self._group, axis=0, out=d, mode="clip")   # "raise" would buffer
+        d *= self._weight[:, None]
+        self._solve(ks, d, g, u)
         gn = _column_norms(g)
         first = _column_norms(u)
-        r = g - self._apply(d, u)
-        res = _column_norms(r) / gn
+        res = _column_norms(self._residual(d, u, g, r)) / gn
         refine = np.flatnonzero(res > 1e-10)
         if refine.size:
             # one step of iterative refinement before giving up
-            u[:, refine] += self._solve(ks[refine], d[:, refine], r[:, refine])
-            res[refine] = _column_norms(g[:, refine] - self._apply(d[:, refine], u[:, refine])) \
-                / gn[refine]
+            du = np.empty((u.shape[0], refine.size), dtype=np.complex128)
+            u[:, refine] += self._solve(ks[refine], d[:, refine], r[:, refine], du)
+            res[refine] = _column_norms(
+                self._residual(d[:, refine], u[:, refine], g[:, refine], du)) / gn[refine]
         if half:
             mirror = (2 * ks) % n == 0
             u[:, mirror] = u[:, mirror].real   # xi = 0 and Nyquist are their own mirror
@@ -346,15 +369,55 @@ class SolutionOperator:
         bad = np.flatnonzero(faulty | ~np.isfinite(un))
         if bad.size:
             raise FrequencySingular(complex(self.z[ks[bad[0]]]), float(limit[bad[0]]))
+        return u, res, growth, refine.size
+
+    def apply_spectral(self, ghat: np.ndarray, collect: dict | None = None) -> np.ndarray:
+        """Solve on the line, one row of ghat per bin; ghat is not modified.
+
+        A full spectrum has n rows, bins in FFT order, and the result has
+        the same shape.  A conjugate-symmetric one (real time data) has a
+        conjugate-symmetric solution, because A is real and
+        M(conj z) = conj M(z): only bins 0 .. n//2 are solved and bin -k is
+        conj(u_k).  Any other full spectrum is solved on every bin.  A half
+        spectrum has n//2 + 1 rows, bins 0 .. n//2 of real data (rfft
+        order); they are solved and returned as they are, not mirrored.  In
+        both symmetric cases the self-mirrored bins xi = 0 and Nyquist keep
+        the real part of their solve.
+
+        The nonzero bins are solved in consecutive blocks, each the columns
+        of dofs x bins arrays of at most LINE_BLOCK_BYTES (one bin at least),
+        so the sparse products read contiguous rows.  The arrays belong to
+        the operator and are reused by every block and every apply.  The
+        transforms, residuals, the one refinement step and the checks run
+        per block; a check that fails raises for the first such bin in bin
+        order.  collect receives the maxima over all blocks.  Without the
+        factor cache, a bin that needs refinement is factored again.
+        """
+        n = self.z.size
+        if ghat.shape[0] not in (n, n // 2 + 1):
+            raise ValueError(f"spectrum has {ghat.shape[0]} rows; "
+                             f"expected {n} bins or the half line's {n // 2 + 1}")
+        full = ghat.shape[0] == n
+        half = not full or _is_hermitian_spectrum(ghat)
+        ks = np.flatnonzero(np.any(ghat[:n // 2 + 1 if half else n], axis=1))
         out = np.zeros(ghat.shape, dtype=np.complex128)
-        out[ks] = u.T
+        res, growth = np.empty(ks.size), np.empty(ks.size)
+        refined = 0
+        step = max(1, LINE_BLOCK_BYTES // (16 * self.bundle.n_state))
+        for b in range(0, ks.size, step):
+            kb = ks[b:b + step]
+            # consecutive bins are read and written through a view
+            rows = slice(kb[0], kb[-1] + 1) if kb[-1] - kb[0] < kb.size else kb
+            u, res[b:b + step], growth[b:b + step], m = self._solve_block(kb, ghat[rows], half)
+            out[rows] = u.T
+            refined += m
         if half and full:
             k = np.arange(1, (n + 1) // 2)
             out[n - k] = out[k].conj()
         if collect is not None and ks.size:
             collect["max_rel_residual"] = res.max()
             collect["max_growth"] = growth.max()
-            collect["refined_bins"] = refine.size
+            collect["refined_bins"] = refined
             collect["worst_residual_z"] = _pair(self.z[ks[np.argmax(res)]])
             collect["worst_growth_z"] = _pair(self.z[ks[np.argmax(growth)]])
         return out
@@ -367,20 +430,32 @@ class SolutionOperator:
         so the solution is exactly real; any other w through fft and ifft
         on every bin.  The unit phase and the constant of fourier_laplace
         are left out: the inverse would undo both, and no per-bin check
-        sees a nonzero scale.
+        sees a nonzero scale.  Exactly real g is weighted in real
+        arithmetic, and irfft writes into the real part of the array the
+        returned signal adopts, so no complex temporary is made.
         """
         n, t = self.grid.n_samples, self.grid.times
-        w = g.values * np.exp(-self.rho * t)[:, None]
-        im = np.abs(w.imag).max(initial=0.0)
-        if im == 0.0 or im <= 1e-12 * np.abs(w).max():
-            w = np.fft.rfft(w.real, axis=0)
-            w = np.fft.irfft(self.apply_spectral(w, collect), n, axis=0)
+        decay = np.exp(-self.rho * t)[:, None]
+        if not g.values.imag.any():
+            w = g.values.real * decay          # exactly real: no complex product
         else:
-            np.fft.fft(w, axis=0, out=w)
-            w = self.apply_spectral(w, collect)
-            np.fft.ifft(w, axis=0, out=w)
-        w *= np.exp(self.rho * t)[:, None]
-        return WeightedSignal(self.grid, self.rho, w, g.wrap_tol)
+            w = g.values * decay
+            im = np.abs(w.imag).max(initial=0.0)
+            if not (im == 0.0 or im <= 1e-12 * np.abs(w).max()):
+                np.fft.fft(w, axis=0, out=w)
+                w = self.apply_spectral(w, collect)
+                np.fft.ifft(w, axis=0, out=w)
+                w *= np.exp(self.rho * t)[:, None]
+                return WeightedSignal._adopt(self.grid, self.rho, w, g.wrap_tol)
+            w = w.real
+        w = np.fft.rfft(w, axis=0)
+        w = self.apply_spectral(w, collect)
+        u = np.zeros(g.values.shape, dtype=np.complex128)
+        real = u.real
+        np.fft.irfft(w, n, axis=0, out=real)
+        del w   # free the spectrum before the strided scaling buffers its operands
+        real *= np.exp(self.rho * t)[:, None]
+        return WeightedSignal._adopt(self.grid, self.rho, u, g.wrap_tol)
 
 
 def solve_linear(problem: LinearProblem, certificate_required: bool = True):
@@ -389,7 +464,7 @@ def solve_linear(problem: LinearProblem, certificate_required: bool = True):
     if problem.check_wraparound:
         g.check_wraparound()
     op = SolutionOperator(problem.bundle, problem.material, problem.rho, g.grid,
-                          certificate_required=certificate_required)
+                          certificate_required=certificate_required, keep_factors=False)
     stats: dict = {}
     u = op.apply(g, collect=stats)
     gn = weighted_norm(g)
@@ -488,7 +563,8 @@ def second_order_solve(problem: SecondOrderProblem,
     b = problem.bundle
     linear = LinearProblem(b, problem.material, problem.rho,
                            stack_rhs(b, problem.phi, problem.psi), check_wraparound=False)
-    op = SolutionOperator(b, linear.material, linear.rho, linear.rhs.grid, certificate_required)
+    op = SolutionOperator(b, linear.material, linear.rho, linear.rhs.grid, certificate_required,
+                          keep_factors=False)
     u = op.apply(linear.rhs)
     return u.with_values(u.values[:, :b.n_edges])
 

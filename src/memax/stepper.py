@@ -100,10 +100,11 @@ class OracleStepper:
     dl_params1/2 are the per-region permittivity records (plain or modified
     oscillator laws, expanded by their kernel_terms(); None means no memory
     and eps_inf = 1).  sigma_edges is an optional per-edge conductivity.
-    Every checkpoint_every steps, run() compares the accumulators with the
-    direct trapezoid sums over the samples it recorded: a checkpoint sums
-    the samples since the one before and propagates that one's sum exactly,
-    and the run's last checkpoint re-sums every sample.  step() works in
+    Every checkpoint_every steps and at its last step, run() compares the
+    accumulators with the direct trapezoid sums over the samples it
+    recorded: a checkpoint sums the samples since the one before and
+    propagates that one's sum exactly, and the last step re-sums every
+    sample, so no run ends unchecked.  step() works in
     scratch buffers owned by the stepper, so one stepper serves one thread.
     """
 
@@ -254,7 +255,6 @@ class OracleStepper:
         E_traj[0] = state.E
         H_traj[0] = state.H
         Q_start, direct, first = state.Q, state.Q, 0    # direct sum at times[first]
-        last_check = n_steps - n_steps % self.checkpoint_every if self.checkpoint_every else 0
         zeros_e, zeros_h = np.zeros(ne), np.zeros(nf)
         for n in range(n_steps):
             t_mid = state.t + 0.5 * self.dt
@@ -266,8 +266,9 @@ class OracleStepper:
             times[n + 1] = state.t
             E_traj[n + 1] = state.E
             H_traj[n + 1] = state.H
-            if self.checkpoint_every and (n + 1) % self.checkpoint_every == 0:
-                if n + 1 == last_check:                 # re-sum from the start
+            last = n + 1 == n_steps
+            if self.checkpoint_every and (last or (n + 1) % self.checkpoint_every == 0):
+                if last:                                # re-sum from the start
                     direct, first = Q_start, 0
                 direct = self._check_accumulators(state, direct, times[first:n + 2],
                                                   E_traj[first:n + 2])

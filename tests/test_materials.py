@@ -384,3 +384,35 @@ class TestMaterialInvariants:
             p = random_dl(rng)
             x = rng.uniform(0.1, 5.0)
             assert np.real(eval_dl(x, p)) > 0
+
+
+# (alpha, gamma, omega0 - gamma): oscillatory terms only, omega0 > gamma
+OSCILLATORS = st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 2.0), st.floats(0.05, 3.0)),
+                       min_size=1, max_size=3)
+
+
+class TestKernelTermsProperty:
+    """kernel_terms() and the z-domain laws are two hand-kept derivations of
+    one law: the Laplace transform of sum_j Im(c_j e^{lam_j t}) must be chi(z)
+    for the plain law and M_r(z) - eps0 for the modified one (z0 = 0)."""
+
+    @staticmethod
+    def transform(terms, z):
+        """sum_j (c_j/(z - lam_j) - conj(c_j)/(z - conj(lam_j))) / 2i."""
+        return sum((c / (z - lam) - c.conjugate() / (z - lam.conjugate())) / 2j
+                   for lam, c in terms)
+
+    @settings(max_examples=80, deadline=None)
+    @given(eps0=st.floats(0.5, 3.0), oscillators=OSCILLATORS,
+           r=st.one_of(st.none(), st.floats(2.5, 8.0)),
+           right_of_poles=st.floats(0.01, 6.0), xi=st.floats(-20.0, 20.0))
+    def test_transform_matches_z_domain_law(self, eps0, oscillators, r, right_of_poles, xi):
+        # r > max gamma keeps the zero z = -r of (1 + z/r) left of the line
+        p = DrudeLorentzParams(eps0, [(a, g, g + dw) for a, g, dw in oscillators])
+        z = complex(-min(g for _, g, _ in p.terms) + right_of_poles, xi)
+        if r is None:
+            terms, law = p.kernel_terms(), eval_chi_dl(z, p)
+        else:
+            mod = ModDLParams(p, r)
+            terms, law = mod.kernel_terms(), mod_dl_eval(z, mod) - eps0
+        assert abs(self.transform(terms, z) - law) <= 1e-12 * abs(law)

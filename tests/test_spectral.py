@@ -1,5 +1,6 @@
 """Per-frequency solution operator: bounds, causality, weight independence."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -310,6 +311,137 @@ class TestFactorCounts:
             op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
         assert info.value.z == op.z[0]
         assert info.value.cond > 1.0 + spectral.BOUND_SLACK
+
+    def test_one_shot_refactors_refined_bins(self, bundle4, material_dl, rng, factor_calls):
+        # solve_linear keeps no factors: a bin that takes the refinement
+        # step is factored a second time
+        rho = -0.001
+        _, rep = solve_linear(LinearProblem(bundle4, material_dl, rho,
+                                            pulse_rhs(bundle4, GRID, rho, rng)),
+                              certificate_required=False)
+        assert rep.refined_bins >= 1
+        assert len(factor_calls) == GRID.n_samples // 2 + 1 + rep.refined_bins
+
+
+class TestFactorCacheBytes:
+    def test_one_shot_holds_none(self, bundle4, material_dl, rng, monkeypatch):
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID, keep_factors=False)
+        op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
+        assert op.factor_cache_bytes == 0
+        built = []
+
+        class Recorded(SolutionOperator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(spectral, "SolutionOperator", Recorded)
+        solve_linear(LinearProblem(bundle4, material_dl, 2.0, pulse_rhs(bundle4, GRID, 2.0, rng)))
+        assert len(built) == 1 and built[0].factor_cache_bytes == 0
+
+    def test_kept_factors_counted(self, bundle4, material_dl, rng):
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        g = pulse_rhs(bundle4, GRID, 2.0, rng)
+        op.apply(g)
+        op.apply(g)
+        rows = 2 * op._kl + op._ku + 1
+        assert op.factor_cache_bytes == (GRID.n_samples // 2 + 1) * rows * bundle4.n_edges * 16
+
+
+class TestLineBlocks:
+    """apply_spectral solves the line in blocks of LINE_BLOCK_BYTES per
+    working array: 1 bin, 7 bins and the whole line give the same bits."""
+
+    BLOCKS = (1, 7, GRID.n_samples)
+
+    @pytest.mark.parametrize("rho", [-0.001, 2.0])
+    def test_results_independent_of_block_size(self, rho, bundle4, material_dl, rng, monkeypatch):
+        n = GRID.n_samples
+        g = pulse_rhs(bundle4, GRID, rho, rng)
+        shape = (n, bundle4.n_state)
+        full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)   # every bin
+        hermitian = fourier_laplace(g, check=False).values                     # the half line
+        spectra = (full, hermitian, hermitian[: n // 2 + 1].copy())
+        runs = []
+        for bins in self.BLOCKS:
+            monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 16 * bundle4.n_state * bins)
+            op = SolutionOperator(bundle4, material_dl, rho, GRID, certificate_required=False)
+            stats = {}
+            run = [(op.apply(g, stats).values, stats)]
+            for ghat in spectra:
+                given = ghat.copy()
+                stats = {}
+                run.append((op.apply_spectral(ghat, stats), stats))
+                assert np.array_equal(ghat, given)     # the input is left as it was
+            runs.append(run)
+        if rho < 0:
+            assert runs[0][0][1]["refined_bins"] >= 1
+        for run in runs[1:]:
+            for (u, stats), (u0, stats0) in zip(run, runs[0]):
+                assert np.array_equal(u, u0)
+                assert stats.keys() == stats0.keys()
+                assert all(np.array_equal(stats[k], stats0[k]) for k in stats)
+
+    def test_growth_failure_names_the_same_bin(self, bundle4, material_dl, rng, monkeypatch):
+        # the factors of bins 9 and 20 (factored in bin order) solve to four
+        # times the solution, past the certificate (growth * c_min is about
+        # 0.43 and 0.39 there); every block size raises for bin 9
+        band_lu = spectral._band_lu
+
+        class Scaled:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return 4.0 * self.lu.solve(rhs)
+
+        g = pulse_rhs(bundle4, GRID, 2.0, rng)
+        for bins in self.BLOCKS:
+            calls = []
+
+            def scaling(ab, kl, ku):
+                calls.append(ab.shape[1])
+                lu = band_lu(ab, kl, ku)
+                return Scaled(lu) if len(calls) - 1 in (9, 20) else lu
+
+            monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 16 * bundle4.n_state * bins)
+            monkeypatch.setattr(spectral, "_band_lu", scaling)
+            op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+            with pytest.raises(FrequencySingular) as info:
+                op.apply(g)
+            assert info.value.z == op.z[9]
+            assert info.value.cond > 1.0 + spectral.BOUND_SLACK
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak bytes above the start while call() runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingBytes:
+    """Peak bytes of the solve path against the bytes of the data signal:
+    the line is solved in reused block buffers, not in bins x dofs arrays."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_kept_operator_reapply(self, n, material_dl, rng):
+        b = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), (n, n, n), 3, n // 2))
+        g = pulse_rhs(b, GRID, 2.0, rng)
+        op = SolutionOperator(b, material_dl, 2.0, GRID)
+        op.apply(g)
+        assert traced_peak(lambda: op.apply(g)) <= 1.6 * g.values.nbytes
+
+    def test_one_shot_solve(self, material_dl, rng):
+        b = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), (6, 6, 6), 3, 3))
+        g = pulse_rhs(b, GRID, 2.0, rng)
+        peak = traced_peak(lambda: solve_linear(LinearProblem(b, material_dl, 2.0, g)))
+        assert peak <= 2.5 * g.values.nbytes
 
 
 class TestModalSolve:

@@ -258,8 +258,27 @@ class TestAccumulatorCheck:
 
         stp._check_accumulators = recording_check
         stp.run(stp.state_from_history(*_history(bundle4, rng, 0.02)), None, None, 220)
-        # 51 samples since each earlier checkpoint; all 201 at the last one
-        assert windows == [(50, 51), (100, 51), (150, 51), (200, 201)]
+        # 51 samples since each earlier checkpoint; all 221 at the final step
+        assert windows == [(50, 51), (100, 51), (150, 51), (200, 51), (220, 221)]
+
+    def test_tail_after_the_last_checkpoint_is_checked(self, bundle4, material_dl,
+                                                       dl_params, dl_params_b, rng):
+        # a recursion factor off by 1e-6 relative from step 60 of a 90-step
+        # run: no checkpoint falls after it, the final step's re-sum does
+        stp = OracleStepper(bundle4, material_dl, dl_params, dl_params_b, 0.02,
+                            checkpoint_every=50)
+        state = stp.initial_state(rng.standard_normal(bundle4.n_edges),
+                                  rng.standard_normal(bundle4.n_faces))
+        clean_step = stp.step
+
+        def perturbing_step(state, phi, psi):
+            if state.step_index == 60:
+                stp._decay = stp._decay * (1.0 + 1e-6)
+            return clean_step(state, phi, psi)
+
+        stp.step = perturbing_step
+        with pytest.raises(LinearSolveFailure, match="drifted from the direct sum"):
+            stp.run(state, None, None, 90)
 
     def test_check_follows_the_state_each_run_starts_from(self, bundle4, material_dl,
                                                           dl_params, dl_params_b, rng):
