@@ -132,28 +132,29 @@ class ModDLParams:
                 for (lam, c), (a, g, _) in zip(self.base.kernel_terms(), self.base.terms)]
 
 
-def _denominators(z, terms):
+def _check_poles(z, terms) -> list:
+    """The term denominators omega0_j^2 + z^2 + 2 gamma_j z at z; PoleHit when
+    one is within POLE_PROXIMITY of zero relative to its size."""
     z = np.asarray(z, dtype=np.complex128)
-    return [w * w + z * z + 2.0 * g * z for _, g, w in terms]
-
-
-def _check_poles(z, terms):
-    z = np.asarray(z, dtype=np.complex128)
-    for (a, g, w), den in zip(terms, _denominators(z, terms)):
-        scale = max(w * w, 1.0) + np.abs(z) ** 2 + 2.0 * g * np.abs(z)
+    absz = np.abs(z)
+    dens = []
+    for _, g, w in terms:
+        den = w * w + z * z + 2.0 * g * z
+        scale = max(w * w, 1.0) + absz ** 2 + 2.0 * g * absz
         bad = np.abs(den) < POLE_PROXIMITY * scale
         if np.any(bad):
             zb = z[bad] if z.ndim else z
             zb = np.atleast_1d(zb)[0]
             raise PoleHit(complex(zb), float(np.min(np.abs(den))))
+        dens.append(den)
+    return dens
 
 
 def eval_chi_dl(z, p: DrudeLorentzParams):
     """chi(z) = sum_j alpha_j / (omega0_j^2 + z^2 + 2 gamma_j z)."""
     zz = np.asarray(z, dtype=np.complex128)
-    _check_poles(zz, p.terms)
     out = np.zeros_like(zz)
-    for (a, g, w), den in zip(p.terms, _denominators(zz, p.terms)):
+    for (a, _, _), den in zip(p.terms, _check_poles(zz, p.terms)):
         out = out + a / den
     return out if np.ndim(z) else complex(out)
 
@@ -382,15 +383,28 @@ class AccretivityScan:
 
 
 def _scan_points(nu: float, delta: float, t_max: float, n_nu: int, n_t: int,
-                 nu_hi: float) -> np.ndarray:
-    """Half-plane grid: linear in the abscissa on [-nu, nu_hi], logarithmic in
-    |Im z| from delta/10 up to t_max, both signs, plus the real axis."""
+                 nu_hi: float, poles: np.ndarray) -> tuple:
+    """(points, skipped pole cells) of a scan region.
+
+    Half-plane grid: linear in the abscissa on [-nu, nu_hi], logarithmic in
+    |Im z| from delta/10 up to t_max, both signs, plus the real axis.  Points
+    in B[0, delta] are dropped; so are those within SCAN_POLE_MARGIN
+    (relative) of a pole, and the latter are counted."""
     nus = np.linspace(-nu, nu_hi, n_nu)
     t_lo = max(delta / 10.0, t_max * 1e-8)
     ts = np.geomspace(t_lo, t_max, n_t)
     ts = np.concatenate([-ts[::-1], [0.0], ts])
-    Z = nus[:, None] + 1j * ts[None, :]
-    return Z.ravel()
+    Z = (nus[:, None] + 1j * ts[None, :]).ravel()
+    keep = np.abs(Z) > delta
+    skipped = 0
+    if poles.size:
+        dist = np.abs(Z - poles[0])
+        for p in poles[1:]:
+            np.minimum(dist, np.abs(Z - p), out=dist)
+        near = dist < SCAN_POLE_MARGIN * np.maximum(np.abs(Z), 1.0)
+        skipped = int(np.count_nonzero(near & keep))
+        keep &= ~near
+    return Z[keep], skipped
 
 
 def hermitian_min(mat: np.ndarray) -> float:
@@ -421,15 +435,7 @@ def accretivity_scan(law, nu: float, delta_exclusion: float = 0.0,
     if nu_hi is None:
         nu_hi = max(10.0 * max(nu, delta_exclusion, 1.0), 1.0)
 
-    Z = _scan_points(nu, delta_exclusion, t_max, n_nu, n_t, nu_hi)
-    keep = np.abs(Z) > delta_exclusion
-    skipped = 0
-    if poles.size:
-        dist = np.min(np.abs(Z[:, None] - poles[None, :]), axis=1)
-        near = dist < SCAN_POLE_MARGIN * np.maximum(np.abs(Z), 1.0)
-        skipped = int(np.count_nonzero(near & keep))
-        keep &= ~near
-    Z = Z[keep]
+    Z, skipped = _scan_points(nu, delta_exclusion, t_max, n_nu, n_t, nu_hi, poles)
 
     if scalar:
         M = law(Z)

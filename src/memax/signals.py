@@ -161,16 +161,11 @@ class WeightedSignal:
 
     def weighted_envelope(self) -> np.ndarray:
         """max_j |u_j(t)| e^{-rho t} per sample."""
-        mags = np.abs(self.values).max(axis=1)
-        return mags * np.exp(-self.rho * self.times)
+        return _envelope(self, np.abs(self.values))
 
     def wraparound_measure(self) -> float:
         """Weighted endpoint magnitude relative to the weighted peak."""
-        env = self.weighted_envelope()
-        peak = env.max()
-        if peak == 0.0:
-            return 0.0
-        return max(env[0], env[-1]) / peak
+        return _endpoint_ratio(self.weighted_envelope())
 
     def check_wraparound(self):
         m = self.wraparound_measure()
@@ -288,10 +283,34 @@ def smooth_pulse(times: np.ndarray, t0: float, t1: float, power: int = 8) -> np.
 # operations
 
 
+def _envelope(u: WeightedSignal, mags: np.ndarray) -> np.ndarray:
+    """weighted_envelope of u from mags = |u.values|."""
+    return mags.max(axis=1) * np.exp(-u.rho * u.times)
+
+
+def _endpoint_ratio(env: np.ndarray) -> float:
+    """wraparound_measure from the weighted envelope."""
+    peak = env.max()
+    if peak == 0.0:
+        return 0.0
+    return max(env[0], env[-1]) / peak
+
+
+def _trapezoid_norm(u: WeightedSignal, mags: np.ndarray) -> float:
+    """weighted_norm of u from mags = |u.values|, which it squares in place."""
+    w = np.sum(np.square(mags, out=mags), axis=1) * np.exp(-2.0 * u.rho * u.times)
+    return float(np.sqrt(np.trapezoid(w, dx=u.grid.dt)))
+
+
 def weighted_norm(u: WeightedSignal) -> float:
     """Trapezoid approximation of (integral |u(t)|^2 e^{-2 rho t} dt)^(1/2)."""
-    w = np.sum(np.abs(u.values) ** 2, axis=1) * np.exp(-2.0 * u.rho * u.times)
-    return float(np.sqrt(np.trapezoid(w, dx=u.grid.dt)))
+    return _trapezoid_norm(u, np.abs(u.values))
+
+
+def _wraparound_and_norm(u: WeightedSignal) -> tuple:
+    """(u.wraparound_measure(), weighted_norm(u)) from one |u.values| array."""
+    mags = np.abs(u.values)
+    return _endpoint_ratio(_envelope(u, mags)), _trapezoid_norm(u, mags)
 
 
 def fourier_laplace(u: WeightedSignal, check: bool = True) -> SpectralSignal:

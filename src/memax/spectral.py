@@ -72,10 +72,10 @@ from scipy import sparse
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracing.py wraps this name)
 
-from .errors import FrequencySingular, MemaxError
+from .errors import FrequencySingular, MemaxError, WraparoundExceeded
 from .materials import PiecewiseMaterial, line_certificate
 from .operators import OperatorBundle, _component_modes, _modal_curl, _mode_transform
-from .signals import TimeGrid, WeightedSignal, fourier_laplace, weighted_norm
+from .signals import TimeGrid, WeightedSignal, _wraparound_and_norm, fourier_laplace
 
 COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
 BOUND_SLACK = 0.02              # growth * c_min <= 1 + slack on a certified line
@@ -84,12 +84,22 @@ LINE_BLOCK_BYTES = 1 << 20      # bytes of one dofs x bins working array of a li
 
 
 def _is_hermitian_spectrum(ghat: np.ndarray, tol: float = 1e-12) -> bool:
-    """max_k |g_k - conj g_{-k}| <= tol max |g|; bin 0 is its own mirror."""
-    scale = np.abs(ghat).max()
-    if scale == 0.0:
-        return True
-    gap = max(2.0 * np.abs(ghat[0].imag).max(), np.abs(ghat[1:] - ghat[:0:-1].conj()).max(initial=0.0))
-    return bool(gap <= tol * scale)
+    """max_k |g_k - conj g_{-k}| <= tol max |g|; bin 0 is its own mirror.
+
+    Rows are compared in blocks of at most LINE_BLOCK_BYTES, so the
+    temporaries stay as small as the solve's."""
+    n = ghat.shape[0]
+    step = max(1, LINE_BLOCK_BYTES // ghat[:1].nbytes)
+    scale = 0.0
+    gap = 2.0 * np.abs(ghat[0].imag).max()
+    for k0 in range(0, n, step):
+        k1 = min(k0 + step, n)
+        scale = max(scale, np.abs(ghat[k0:k1]).max())
+        lo = max(k0, 1)      # rows lo .. k1-1 against their mirrors n-lo .. n-k1+1
+        if lo < k1:
+            mirror = ghat[n - k1 + 1:n - lo + 1][::-1]
+            gap = max(gap, np.abs(ghat[lo:k1] - mirror.conj()).max())
+    return bool(scale == 0.0 or gap <= tol * scale)
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
@@ -411,9 +421,8 @@ class SolutionOperator:
             u, res[b:b + step], growth[b:b + step], m = self._solve_block(kb, ghat[rows], half)
             out[rows] = u.T
             refined += m
-        if half and full:
-            k = np.arange(1, (n + 1) // 2)
-            out[n - k] = out[k].conj()
+        if half and full:   # bin -k is conj(u_k), written in place through views
+            np.conjugate(out[1:(n + 1) // 2], out=out[n - 1:n // 2:-1])
         if collect is not None and ks.size:
             collect["max_rel_residual"] = res.max()
             collect["max_growth"] = growth.max()
@@ -461,21 +470,21 @@ class SolutionOperator:
 def solve_linear(problem: LinearProblem, certificate_required: bool = True):
     """Solve the first-order system; returns (u, SolveReport)."""
     g = problem.rhs
-    if problem.check_wraparound:
-        g.check_wraparound()
+    g_wrap, gn = _wraparound_and_norm(g)
+    if problem.check_wraparound and g_wrap > g.wrap_tol:
+        raise WraparoundExceeded(g_wrap, g.wrap_tol)
     op = SolutionOperator(problem.bundle, problem.material, problem.rho, g.grid,
                           certificate_required=certificate_required, keep_factors=False)
     stats: dict = {}
     u = op.apply(g, collect=stats)
-    gn = weighted_norm(g)
-    un = weighted_norm(u)
+    u_wrap, un = _wraparound_and_norm(u)
     report = SolveReport(
         rho=problem.rho,
         c_min_line=op.c_min,
         norm_ratio=(un / gn if gn > 0 else 0.0),
         max_rel_residual=stats.get("max_rel_residual", 0.0),
         max_growth=stats.get("max_growth", 0.0),
-        wraparound_residual=u.wraparound_measure(),
+        wraparound_residual=u_wrap,
         refined_bins=stats.get("refined_bins", 0),
         worst_residual_z=stats.get("worst_residual_z"),
         worst_growth_z=stats.get("worst_growth_z"),

@@ -23,6 +23,13 @@ Hermitian-part tail limit is eps0 * Re z), while the modified law with
 2 gamma r > omega0^2 passes; the capability matrix reproduces exactly that
 split.  Decay rates are measured by a log-linear fit of the state norm
 after the sources switch off, with the window policy logged.
+
+A certificate evaluates each law once per scan grid.  At each trial weight
+the damping sweep takes every value of d from one evaluation of M0 and M1
+on the M_d grid, and the disk bound is one stacked 2x2 spectral norm per
+law; the M1 -> 0 ray check runs once per law.  The reductions keep their
+order (argmin per law, then the smallest over laws), so the certificates
+are those of the one-scan-per-d, one-point-per-norm evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .errors import NotCertified
 from .materials import (
     PiecewiseMaterial,
     ScalarLaw,
+    _scan_points,
     accretivity_scan,
     hermitian_min,
 )
@@ -47,6 +55,61 @@ from .spectral import LinearProblem, solve_linear, stack_rhs
 
 # ---------------------------------------------------------------------------
 # M_d reduction
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) from real parts, rounded as a scalar complex
+    product is (numpy's complex loops may fuse the products)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) from real parts by Smith's method, rounded as
+    a scalar complex quotient is (numpy's multiplies by a reciprocal)."""
+    ar, ai, br, bi = np.broadcast_arrays(ar, ai, br, bi)
+    by_re = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_re, bi / br, br / bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _md_blocks(Z: np.ndarray, M0, M1, C: float, d: float) -> np.ndarray:
+    """M_d(z) at every point of Z as a (k, 2, 2) stack, from M0(Z) and M1(Z).
+
+    The entries are formed from real and imaginary parts in the operation
+    order of scalar complex arithmetic, so a stacked block equals the
+    one-point block bit for bit, and so does the disk bound built on it.
+    """
+    if np.any(Z == 0):
+        raise ZeroDivisionError("M_d has a pole at z = 0")
+    M0, M1 = np.asarray(M0), np.asarray(M1)
+    zr, zi = Z.real, Z.imag
+    out = np.zeros(Z.shape + (2, 2), dtype=np.complex128)
+    # silent like scalar arithmetic; Smith's method also computes the branch it drops
+    with np.errstate(all="ignore"):
+        qr, qi = _cdiv(M1.real, M1.imag, zr, zi)                   # M1/z
+        dzr, dzi = _cdiv(d, 0.0, zr, zi)                           # d/z
+        tr, ti = _cmul(dzr, dzi, M0.real, M0.imag)                 # (d/z) M0
+        sr, si = _cmul(d, 0.0, M0.real, M0.imag)                   # d M0
+        vr, vi = _cmul(dzr, dzi, M1.real - sr, M1.imag - si)       # (d/z)(M1 - d M0)
+        out.real[..., 0, 0] = (M0.real + qr) - tr
+        out.imag[..., 0, 0] = (M0.imag + qi) - ti
+        out.real[..., 0, 1], out.imag[..., 0, 1] = _cdiv(vr, vi, C, 0.0)
+        out.real[..., 1, 1] = 1.0 + dzr
+        out.imag[..., 1, 1] = 0.0 + dzi
+    return out
+
+
+def _md_herm_min(Z: np.ndarray, M0, M1, C: float, d: float) -> np.ndarray:
+    """lambda_min(Herm(z M_d(z))) in closed form (2x2 upper triangular) at
+    every point of Z, from M0(Z) and M1(Z)."""
+    a = Z * (M0 + M1 / Z) - d * M0
+    b = d * (M1 - d * M0) / C
+    c = Z + d
+    ra, rc = a.real, c.real
+    return 0.5 * (ra + rc) - np.sqrt(0.25 * (ra - rc) ** 2 + 0.25 * np.abs(b) ** 2)
 
 
 @dataclass(frozen=True)
@@ -66,25 +129,18 @@ class MdSystem:
             if abs(m1) > 1e-2:
                 raise ValueError("M1(z) must vanish as z -> 0 along rays")
 
+    def _parts(self, Z: np.ndarray) -> tuple:
+        """(M0(Z), M1(Z)); neither depends on d."""
+        return np.asarray(self.M0(Z)), np.asarray(self.M1(Z))
+
     def __call__(self, z):
-        z = complex(z)
-        M0 = complex(np.asarray(self.M0(np.asarray([z]))).ravel()[0])
-        M1 = complex(np.asarray(self.M1(np.asarray([z]))).ravel()[0])
-        M = M0 + M1 / z
-        top = [M - self.d / z * M0, self.d / z * (M1 - self.d * M0) / self.C]
-        bot = [0.0, 1.0 + self.d / z]
-        return np.array([top, bot], dtype=np.complex128)
+        Z = np.asarray([complex(z)])
+        return _md_blocks(Z, *self._parts(Z), self.C, self.d)[0]
 
     def herm_min_vec(self, z: np.ndarray) -> np.ndarray:
         """lambda_min(Herm(z M_d(z))) in closed form (2x2 upper triangular)."""
         z = np.asarray(z, dtype=np.complex128)
-        M0 = np.asarray(self.M0(z))
-        M1 = np.asarray(self.M1(z))
-        a = z * (M0 + M1 / z) - self.d * M0
-        b = self.d * (M1 - self.d * M0) / self.C
-        c = z + self.d
-        ra, rc = a.real, c.real
-        return 0.5 * (ra + rc) - np.sqrt(0.25 * (ra - rc) ** 2 + 0.25 * np.abs(b) ** 2)
+        return _md_herm_min(z, *self._parts(z), self.C, self.d)
 
 
 def build_Md(M0, M1, C: float, d: float) -> MdSystem:
@@ -104,17 +160,35 @@ def md_from_scalar_law(law: ScalarLaw, eps_inf: float, C: float, d: float) -> Md
     return build_Md(M0, M1, C, d)
 
 
+def _md_split(laws, eps_infs, C: float) -> list:
+    """One MdSystem per law, its d left at 0: the sweeps supply d, and the
+    M1 -> 0 ray check run on building it does not depend on d."""
+    return [md_from_scalar_law(law, eps_inf, C, 0.0) for law, eps_inf in zip(laws, eps_infs)]
+
+
+def _md_margins(mds, ds, nu: float, delta: float) -> np.ndarray:
+    """The M_d scan margin at weight -nu for every damping value in ds.
+
+    The grid is that of accretivity_scan(md, nu, delta, t_max=1e4, n_nu=11,
+    n_t=200, nu_hi=5.0); each law is evaluated on it once, and every d reads
+    the same M0(Z) and M1(Z).  Per d the margin is each law's scan minimum
+    at its argmin, then the smallest over laws.
+    """
+    Z, _ = _scan_points(nu, delta, 1e4, 11, 200, 5.0, np.array([]))
+    parts = [md._parts(Z) for md in mds]
+    margins = []
+    for d in ds:
+        vals = []
+        for md, (M0, M1) in zip(mds, parts):
+            h = _md_herm_min(Z, M0, M1, md.C, d)
+            vals.append(float(h[int(np.argmin(h))]))
+        margins.append(float(min(vals)))
+    return np.array(margins)
+
+
 def md_margin(laws, eps_infs, C: float, d: float, nu: float, delta: float) -> float:
     """min over laws of the M_d accretivity-scan margin at weight -nu."""
-    vals = []
-    for law, eps_inf in zip(laws, eps_infs):
-        md = md_from_scalar_law(law, eps_inf, C, d)
-        scan = accretivity_scan(
-            md, nu=nu, delta_exclusion=delta,
-            t_max=1e4, n_nu=11, n_t=200, nu_hi=5.0, condition_id="Md",
-        )
-        vals.append(scan.c_min)
-    return float(min(vals))
+    return float(_md_margins(_md_split(laws, eps_infs, C), [d], nu, delta)[0])
 
 
 def select_damping(laws, eps_infs, C: float, nu: float, delta: float,
@@ -124,21 +198,42 @@ def select_damping(laws, eps_infs, C: float, nu: float, delta: float,
     The admissible window is roughly nu < d < c/eps_inf: the identity block
     needs Re z + d > 0 at Re z = -nu, while the -d M0 shift eats the scalar
     margin c.  The largest d meeting half the attainable margin is kept
-    (recorded either way); no admissible d means no certificate.
+    (recorded either way); no admissible d means no certificate.  Each law
+    is evaluated once on the M_d scan grid, and all n_grid values of d are
+    swept from that one evaluation; the margins equal md_margin's per d.
     """
-    eps_max = max(eps_infs)
+    return _select_damping(_md_split(laws, eps_infs, C), max(eps_infs), nu, delta,
+                           c_at_nu, n_grid)
+
+
+def _select_damping(mds, eps_max: float, nu: float, delta: float, c_at_nu: float,
+                    n_grid: int) -> tuple:
+    """select_damping over the prepared M_d splits of the laws."""
     d_hi = c_at_nu / eps_max
     d_lo = 1.02 * nu
     if d_hi <= d_lo:
         return 0.0, -np.inf
     ds = np.linspace(d_lo, d_hi, n_grid)
-    margins = np.array([md_margin(laws, eps_infs, C, d, nu, delta) for d in ds])
+    margins = _md_margins(mds, ds, nu, delta)
     best = margins.max()
     if best <= 0:
         return 0.0, float(best)
-    ok = margins >= 0.5 * best
-    d0 = float(ds[np.nonzero(ok)[0][-1]])
-    return d0, float(margins[np.nonzero(ok)[0][-1]])
+    i = np.nonzero(margins >= 0.5 * best)[0][-1]
+    return float(ds[i]), float(margins[i])
+
+
+def _disk_sup(mds, d: float, nu: float, delta: float) -> float:
+    """sup |z M_d(z)| (spectral norm) on a polar grid of B[0, delta] right of
+    Re z = -nu: per law one evaluation and one stacked 2x2 norm."""
+    rr = np.linspace(1e-3, delta, 12)
+    th = np.linspace(0, 2 * np.pi, 25)
+    Z = (rr[:, None] * np.exp(1j * th)[None, :]).ravel()
+    Z = Z[np.real(Z) > -nu]
+    sup = 0.0
+    for md in mds:
+        blocks = Z[:, None, None] * _md_blocks(Z, *md._parts(Z), md.C, d)
+        sup = max(sup, float(np.linalg.norm(blocks, 2, axis=(1, 2)).max(initial=0.0)))
+    return sup
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +348,24 @@ def certify_decay_rate(laws, eps_infs, sigma_min_B: float, delta: float = 1.0,
             vals.append(scan.c_min)
         return min(vals)
 
-    if m2_margin(1e-6) <= 0:
+    c_axis = m2_margin(1e-6)
+    if c_axis <= 0:
         return StabilityCertificate(
-            nu0=0.0, c=m2_margin(1e-6), c1=0.0, delta=delta, d0=0.0,
+            nu0=0.0, c=c_axis, c1=0.0, delta=delta, d0=0.0,
             disk_sup=np.inf, sigma_min_B=sigma_min_B, certified=False,
             reason="no strict accretivity on any right neighborhood "
                    "(Re z M(z) tail limit nonpositive)",
         )
 
     eps_max = max(eps_infs)
+    mds = _md_split(laws, eps_infs, sigma_min_B)
 
     def md_feasible(nu):
         """Margin of the damped reduction with the best d at this weight."""
         c = m2_margin(nu)
         if c <= 1.02 * eps_max * nu:
             return -np.inf
-        _, m = select_damping(laws, eps_infs, sigma_min_B, nu, delta, c, n_grid=6)
+        _, m = _select_damping(mds, eps_max, nu, delta, c, n_grid=6)
         return m
 
     # stay off the bisected edge so the margins below carry real headroom
@@ -287,16 +384,8 @@ def certify_decay_rate(laws, eps_infs, sigma_min_B: float, delta: float = 1.0,
     c = min(c_vals)
     c1 = min(c1_vals)
 
-    d0, md_m = select_damping(laws, eps_infs, sigma_min_B, nu0, delta, c)
-    disk_sup = 0.0
-    for law, eps_inf in zip(laws, eps_infs):
-        md = md_from_scalar_law(law, eps_inf, sigma_min_B, d0 if d0 > 0 else 1.0)
-        rr = np.linspace(1e-3, delta, 12)
-        th = np.linspace(0, 2 * np.pi, 25)
-        Z = (rr[:, None] * np.exp(1j * th)[None, :]).ravel()
-        Z = Z[np.real(Z) > -nu0]
-        for z in Z:
-            disk_sup = max(disk_sup, float(np.linalg.norm(z * md(z), 2)))
+    d0, _ = _select_damping(mds, eps_max, nu0, delta, c, n_grid=12)
+    disk_sup = _disk_sup(mds, d0 if d0 > 0 else 1.0, nu0, delta)
 
     certified = (c > 0) and (c1 > 0) and (d0 > 0) and (disk_sup < sigma_min_B)
     reason = "" if certified else "margin failure (see scans)"

@@ -437,6 +437,32 @@ class TestWorkingBytes:
         op.apply(g)
         assert traced_peak(lambda: op.apply(g)) <= 1.6 * g.values.nbytes
 
+    def test_conjugate_symmetric_full_spectrum(self, material_dl, rng):
+        # the symmetry check runs in row blocks and bin -k is mirrored in place:
+        # no spectrum-sized temporaries beside the result
+        b = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), (6, 6, 6), 3, 3))
+        g = pulse_rhs(b, GRID, 2.0, rng)
+        ghat = np.fft.fft(g.values.real * np.exp(-2.0 * GRID.times)[:, None], axis=0)
+        op = SolutionOperator(b, material_dl, 2.0, GRID)
+        op.apply_spectral(ghat)
+        assert traced_peak(lambda: op.apply_spectral(ghat)) <= 1.3 * g.values.nbytes
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 64, 10_000])
+    def test_blocked_symmetry_verdict(self, block_rows, monkeypatch, rng):
+        n, dofs = 64, 5
+        monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 16 * dofs * block_rows)
+        ghat = np.fft.fft(rng.standard_normal((n, dofs)), axis=0)
+
+        def whole(x, tol=1e-12):   # the comparison on the whole spectrum at once
+            gap = max(2.0 * np.abs(x[0].imag).max(), np.abs(x[1:] - x[:0:-1].conj()).max())
+            return bool(gap <= tol * np.abs(x).max())
+
+        for row, bump in ((0, 0.0), (1, 1e-9j), (n // 2, 1e-9j), (n - 1, 1e-13), (n - 1, 1e-9), (0, 1e-3j)):
+            x = ghat.copy()
+            x[row] += bump
+            assert spectral._is_hermitian_spectrum(x) == whole(x)
+        assert spectral._is_hermitian_spectrum(np.zeros((n, dofs), dtype=np.complex128))
+
     def test_one_shot_solve(self, material_dl, rng):
         b = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), (6, 6, 6), 3, 3))
         g = pulse_rhs(b, GRID, 2.0, rng)

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import memax.materials as materials
+import memax.stability as stability
 from memax import (
     DrudeLorentzParams,
     LinearProblem,
@@ -34,6 +38,7 @@ from memax import (
     verify_first_order_estimates,
 )
 from memax.materials import accretivity_scan, hermitian_min
+from memax.stability import StabilityCertificate
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +205,140 @@ class TestCertification:
         d = mod_cert.to_dict()
         assert d["certified"] is True
         assert "M2_law0" in d["scans"]
+
+
+def reference_certificate(laws, eps_infs, sigma_min_B, delta=1.0, bisect_iters=25):
+    """The disk route of certify_decay_rate with one accretivity_scan per
+    damping value and law and one 2x2 norm per disk point; the conductivity
+    route is shared."""
+    if any(law.base is not None for law in laws):
+        return stability._certify_conductivity(laws, eps_infs, sigma_min_B, None, bisect_iters)
+    eps_max = max(eps_infs)
+
+    def m2(nu):
+        return min(accretivity_scan(law, nu=nu, delta_exclusion=delta, n_nu=15, n_t=250,
+                                    condition_id="M2").c_min for law in laws)
+
+    def md_margin(d, nu):
+        return float(min(
+            accretivity_scan(md_from_scalar_law(law, e, sigma_min_B, d), nu=nu,
+                             delta_exclusion=delta, t_max=1e4, n_nu=11, n_t=200,
+                             nu_hi=5.0, condition_id="Md").c_min
+            for law, e in zip(laws, eps_infs)))
+
+    def damping(nu, c, n_grid):
+        d_lo, d_hi = 1.02 * nu, c / eps_max
+        if d_hi <= d_lo:
+            return 0.0, -np.inf
+        ds = np.linspace(d_lo, d_hi, n_grid)
+        margins = np.array([md_margin(d, nu) for d in ds])
+        best = margins.max()
+        if best <= 0:
+            return 0.0, float(best)
+        i = np.nonzero(margins >= 0.5 * best)[0][-1]
+        return float(ds[i]), float(margins[i])
+
+    c_axis = m2(1e-6)
+    if c_axis <= 0:
+        return StabilityCertificate(
+            nu0=0.0, c=c_axis, c1=0.0, delta=delta, d0=0.0, disk_sup=np.inf,
+            sigma_min_B=sigma_min_B, certified=False,
+            reason="no strict accretivity on any right neighborhood "
+                   "(Re z M(z) tail limit nonpositive)")
+
+    def feasible(nu):
+        c = m2(nu)
+        return c > 1.02 * eps_max * nu and damping(nu, c, 6)[1] > 0
+
+    nu_hi = 0.9 * min(-float(np.max(law.poles.real)) for law in laws)
+    nu0 = 0.8 * stability._largest_feasible_nu(feasible, nu_hi, bisect_iters)
+    scans, c_vals, c1_vals = {}, [], []
+    for i, law in enumerate(laws):
+        scans[f"M2_law{i}"] = accretivity_scan(law, nu=nu0, delta_exclusion=delta, n_nu=15,
+                                               n_t=250, condition_id="M2")
+        scans[f"M3_law{i}"] = accretivity_scan(law, nu=nu0, delta_exclusion=0.0, n_nu=15,
+                                               n_t=250, condition_id="M3", scan_re_M=True)
+        c_vals.append(scans[f"M2_law{i}"].c_min)
+        c1_vals.append(scans[f"M3_law{i}"].c_min)
+    c, c1 = min(c_vals), min(c1_vals)
+    d0, _ = damping(nu0, c, 12)
+    disk_sup = 0.0
+    rr = np.linspace(1e-3, delta, 12)
+    th = np.linspace(0, 2 * np.pi, 25)
+    Z = (rr[:, None] * np.exp(1j * th)[None, :]).ravel()
+    for law, e in zip(laws, eps_infs):
+        md = md_from_scalar_law(law, e, sigma_min_B, d0 if d0 > 0 else 1.0)
+        for z in Z[np.real(Z) > -nu0]:
+            disk_sup = max(disk_sup, float(np.linalg.norm(z * md(z), 2)))
+    certified = c > 0 and c1 > 0 and d0 > 0 and disk_sup < sigma_min_B
+    return StabilityCertificate(
+        nu0=nu0, c=c, c1=c1, delta=delta, d0=d0, disk_sup=disk_sup,
+        sigma_min_B=sigma_min_B, certified=certified, scans=scans,
+        reason="" if certified else "margin failure (see scans)")
+
+
+def _mod(alpha=1.0, gamma=1.0, omega0=2.0, r=4.0, eps0=1.0):
+    return mod_dl_law(ModDLParams(DrudeLorentzParams(eps0, [(alpha, gamma, omega0)]), r))
+
+
+_DL = dl_law(DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)]))
+BATTERY = {
+    "dl": ([_DL], [1.0]),
+    "mod_dl": ([_mod()], [1.0]),
+    "dl_sigma": ([conductivity_law(_DL, 0.5)], [1.0]),
+    "readme_pair": ([_mod(), _mod()], [1.0, 1.0]),
+    "mod_dl_interface": ([_mod(), _mod(0.7, 1.3, 1.8, 3.0, 1.5)], [1.0, 1.5]),
+}
+SIGMA_MIN_B8 = 4.414390068527091    # reduced curl sigma_min of the unit n=8 box
+
+
+class TestBatchedCertificate:
+    """One law evaluation per scan grid: the damping sweep reads one M0(Z),
+    M1(Z) for every d and the disk bound is one stacked norm, with the
+    reductions in the same order, so certificates stay bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(BATTERY))
+    def test_matches_per_point_reference(self, case):
+        laws, eps_infs = BATTERY[case]
+        cert = certify_decay_rate(laws, eps_infs, SIGMA_MIN_B8)
+        assert cert.to_dict() == reference_certificate(laws, eps_infs, SIGMA_MIN_B8).to_dict()
+        assert cert.certified == (case != "dl")
+
+    @settings(max_examples=60, deadline=None)
+    @given(re=st.floats(-3.0, 3.0), im=st.floats(-30.0, 30.0),
+           d=st.floats(0.0, 2.0), C=st.floats(0.1, 10.0))
+    def test_block_stack_equals_call(self, re, im, d, C):
+        z = complex(re, im)
+        assume(abs(z) >= 1e-6)     # the scans and the disk bound keep |z| >= 1e-3
+        md = md_from_scalar_law(_mod(), 1.0, C, d)
+        Z = np.array([z, 2.5 * z, z.conjugate(), 0.5j + z])
+        stacked = stability._md_blocks(Z, *md._parts(Z), C, d)
+        for k, zk in enumerate(Z):
+            assert stacked[k].tobytes() == md(zk).tobytes()
+        # the rounding of the formula in scalar complex arithmetic
+        m0 = complex(md.M0(np.asarray([z]))[0])
+        m1 = complex(md.M1(np.asarray([z]))[0])
+        top = [m0 + m1 / z - d / z * m0, d / z * (m1 - d * m0) / C]
+        scalar = np.array([top, [0.0, 1.0 + d / z]], dtype=np.complex128)
+        assert md(z).tobytes() == scalar.tobytes()
+
+    def test_law_evaluations_per_certificate(self, monkeypatch):
+        sizes = []
+        points = []
+        eval_chi_dl = materials.eval_chi_dl
+
+        def counted(z, p):
+            sizes.append(np.size(z))
+            if np.size(z) == 1:
+                points.append(complex(np.ravel(z)[0]))
+            return eval_chi_dl(z, p)
+
+        monkeypatch.setattr(materials, "eval_chi_dl", counted)
+        cert = certify_decay_rate([_mod()], [1.0], SIGMA_MIN_B8)
+        assert cert.certified
+        assert len(sizes) <= 100
+        # the only one-point evaluations are the M1 -> 0 ray check, once per law
+        assert points == [1e-3, 1e-3 + 1e-3j, 1e-3 - 1e-3j]
 
 
 DEC_GRID = TimeGrid(-4.0, 0.25, 1024)
