@@ -15,12 +15,12 @@ D @ C0 = 0 with exact floating-point cancellation.  The material
 discontinuity at the interface never touches the stencils; it enters only
 through per-dof coefficient masks.
 
-The same curl builder, with the cavity-mode factors of transverse_mode_basis
-applied along the two tangential axes, gives the block-diagonal T_f C0 T_e^T
-without forming the product.  The Helmholtz kernels, the discrete Poincare
-constant and the weighted projection check come from one small SVD per
-transverse mode of it; no dense SVD of C0 is taken.  The same factors, as
-1-D contractions, apply T to data without forming T (_mode_transform).
+The transverse cavity-mode basis T (per component, orthonormal DCT-II/DST-I
+factors along the two tangential axes) is never formed.  The curl builder
+with its factors gives the block-diagonal T_f C0 T_e^T, whose per-mode SVDs
+give the Helmholtz kernels, the discrete Poincare constant and the weighted
+projection check (no dense SVD of C0), and the same factors, as 1-D
+contractions, apply T to data (_mode_transform).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 
 from .errors import MemaxError, RankAmbiguous
 
@@ -198,19 +198,20 @@ def _component_modes(grid: YeeGrid, kind: str) -> list:
 
 def _mode_transform(components: list, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     """T x, or T^T x, for the block of T that components (_component_modes)
-    describe, written over x and returned.  x is a C-contiguous float array
-    with one row per dof, such as the float view of complex columns (the
-    factors are real).
+    describe, written over x and returned.  x is C-contiguous, real or
+    complex, with one row per dof (a 1-D x is one column); complex x is
+    transformed through its float view, since the factors are real.
 
     Each component's rows are reshaped to its three axes and contracted along
     the two tangential ones with the 1-D factors (the fast diagonalization
     method of Lynch, Rice & Thomas, Numer. Math. 6, 1964), so T is never
     formed.
     """
+    f = x.reshape(len(x), -1).view(np.float64)
     start = 0
     for shape, factors, _ in components:
         stop = start + int(np.prod(shape))
-        block = x[start:stop]
+        block = f[start:stop]
         (b1, F1), (b2, F2) = factors.items()
         if transpose:
             F1, F2 = F1.T, F2.T
@@ -224,30 +225,6 @@ def _along(a: np.ndarray, shape: tuple, b: int) -> np.ndarray:
     """The rows of a, one component of the given shape, as a 3-D view with
     axis b of the component in the middle."""
     return a.reshape(int(np.prod(shape[:b])), shape[b], -1)
-
-
-def transverse_mode_basis(bundle: OperatorBundle):
-    """Orthonormal transverse cavity-mode basis T of the (E, H) state space.
-
-    T is block-diagonal by field component; each block is the Kronecker
-    product over the three axes of the orthonormal DCT-II (cell-centred
-    samples), the orthonormal DST-I (interior nodes) or, along the interface
-    axis, the identity: the discrete cavity modes of the Yee scheme (Taflove
-    & Hagness, Computational Electrodynamics).  The wall nodes of the normal
-    H faces, which C0 leaves uncoupled, stay as they are.  Every factor is
-    square, so modal row r has the component and interface coordinate of
-    dof r, and any diagonal that is constant per component and interface
-    layer commutes with T.  On the uniform PEC grid the curl pair maps each
-    transverse mode to itself, so T A T^T couples only rows of equal mode.
-    The explicit T is the reference for _mode_transform, which applies it
-    from the same 1-D factors.
-
-    Returns (T as a CSR matrix, the integer mode label of each row).
-    """
-    comps = _component_modes(bundle.grid, "edge") + _component_modes(bundle.grid, "face")
-    blocks = [_kron([factors.get(b, np.eye(m)) for b, m in enumerate(shape)])
-              for shape, factors, _ in comps]
-    return sparse.block_diag(blocks, format="csr"), np.concatenate([c[2] for c in comps])
 
 
 @dataclass(frozen=True)
@@ -336,27 +313,28 @@ class ProjectionBasis:
 
     ker_C0_modal spans ker(C0) in modal edge coordinates (Pi0 projects onto
     it) and ker_C_modal spans ker(C) = ran(C0)^perp in modal face coordinates
-    (Pi1 projects onto it); each column lives on the rows of one mode.  The
-    projections apply T, the per-mode product and T^T.  Dimension bookkeeping
-    is reported, not asserted: on a discrete box the boundary faces
-    contribute exceptional vectors to ker(C) beyond the continuum picture.
+    (Pi1 projects onto it), one (modal rows, block) pair per mode.  T_e and
+    T_f are held as their 1-D factors (_component_modes); the projections
+    apply T, the per-mode product and T^T.  Dimension bookkeeping is
+    reported, not asserted: on a discrete box the boundary faces contribute
+    exceptional vectors to ker(C) beyond the continuum picture.
     """
 
-    T_e: sparse.csr_matrix
-    T_f: sparse.csr_matrix
-    ker_C0_modal: sparse.csr_matrix
-    ker_C_modal: sparse.csr_matrix
+    T_e: list
+    T_f: list
+    ker_C0_modal: tuple
+    ker_C_modal: tuple
     modes: tuple                  # one ModeBlock per transverse mode
     sigma_min_C0: float
     dims: dict
 
     @property
     def basis_ker_C0(self) -> np.ndarray:
-        return (self.T_e.T @ self.ker_C0_modal).toarray()
+        return _kernel_basis(self.T_e, self.ker_C0_modal)
 
     @property
     def basis_ker_C(self) -> np.ndarray:
-        return (self.T_f.T @ self.ker_C_modal).toarray()
+        return _kernel_basis(self.T_f, self.ker_C_modal)
 
     def pi0(self, v: np.ndarray) -> np.ndarray:
         return _project(self.T_e, self.ker_C0_modal, v)
@@ -365,10 +343,22 @@ class ProjectionBasis:
         return _project(self.T_f, self.ker_C_modal, v)
 
 
-def _project(T, K, v):
-    """T^T K K^T T applied to v, or to each row of a 2-D v."""
-    x = T @ np.asarray(v).T
-    return (T.T @ (K @ (K.T @ x))).T
+def _project(components: list, kernels: tuple, v) -> np.ndarray:
+    """T^T K K^T T applied to v, or to each row of a 2-D v, with K the
+    kernel blocks, each on its modal rows."""
+    v = np.asarray(v)
+    x = _mode_transform(components, np.array(v.T, dtype=np.result_type(v, np.float64), order="C"))
+    y = np.zeros_like(x)
+    for rows, K in kernels:
+        y[rows] = K @ (K.T @ x[rows])
+    return _mode_transform(components, y, transpose=True).T
+
+
+def _kernel_basis(components: list, kernels: tuple) -> np.ndarray:
+    """T^T K as a dense array, the kernel blocks side by side on their rows."""
+    rows = np.concatenate([r for r, _ in kernels])
+    blocks = linalg.block_diag(*[K for _, K in kernels])[np.argsort(rows)]
+    return _mode_transform(components, blocks, transpose=True)
 
 
 def _numerical_rank(s: np.ndarray) -> tuple:
@@ -388,22 +378,16 @@ def _numerical_rank(s: np.ndarray) -> tuple:
     return rank, thresh
 
 
-def _modal_columns(blocks) -> sparse.csr_matrix:
-    """The (rows, block) pairs side by side, each block on its rows; the
-    rows of all pairs together are each modal row once."""
-    rows = np.concatenate([r for r, _ in blocks])
-    return sparse.block_diag([K for _, K in blocks], format="csr")[np.argsort(rows)]
-
-
 def helmholtz_projections(bundle: OperatorBundle) -> ProjectionBasis:
     """Kernels of C0 and C from one full SVD per transverse mode.
 
     The rank rule is applied to the union of all modes' singular values, so
     its thresholds mean what they mean for one SVD of C0.
     """
-    T, mode = transverse_mode_basis(bundle)
+    edge_modes = _component_modes(bundle.grid, "edge")
+    face_modes = _component_modes(bundle.grid, "face")
     ne, nf = bundle.n_edges, bundle.n_faces
-    mode_e, mode_f = mode[:ne], mode[ne:]
+    mode_e, mode_f = (np.concatenate([c[2] for c in m]) for m in (edge_modes, face_modes))
     chat = _modal_curl(bundle.grid)
     svds = []
     for label in np.union1d(mode_e, mode_f):
@@ -429,8 +413,8 @@ def helmholtz_projections(bundle: OperatorBundle) -> ProjectionBasis:
         "dim_ker_C": nf - rank,
     }
     return ProjectionBasis(
-        T_e=T[:ne, :ne], T_f=T[ne:, ne:],
-        ker_C0_modal=_modal_columns(ker_e), ker_C_modal=_modal_columns(ker_f),
+        T_e=edge_modes, T_f=face_modes,
+        ker_C0_modal=tuple(ker_e), ker_C_modal=tuple(ker_f),
         modes=tuple(modes), sigma_min_C0=float(s_all[rank - 1]) if rank else 0.0, dims=dims,
     )
 

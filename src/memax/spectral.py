@@ -23,9 +23,9 @@ solve and gets its checks.
 
 The law changes only across the interface plane, so eps is constant along
 the two tangential axes, and on the uniform PEC grid the edge system maps
-each transverse cavity mode (DST-I/DCT-II along those axes,
-operators.transverse_mode_basis) to itself.  It is solved in the edge rows
-T_e of that basis, where it is z^2 eps + Chat^T mu^{-1} Chat with Chat the
+each transverse cavity mode (DST-I/DCT-II along those axes; see
+memax.operators) to itself.  It is solved in the edge rows T_e of that
+basis, where it is z^2 eps + Chat^T mu^{-1} Chat with Chat the
 modal curl T_f C0 T_e^T, which the operators build from 1-D factors; the
 product T_e C mu^{-1} C0 T_e^T is never formed.  Neither is T_e: it and its
 transpose are applied as dense 1-D contractions along the two tangential
@@ -40,14 +40,16 @@ evaluated once over the whole line.  The residual, refinement and growth
 checks use z M + A in the original basis.
 
 A is real and M(conj z) = conj M(z), so the operator maps real fields to
-real fields.  apply() keeps them real: for real weighted samples
-g e^{-rho t} it takes the real DFT (rfft), solves bins 0 .. n//2 and returns
-irfft(U) e^{rho t}, exactly real.  The transform's unit phase
+real fields.  apply() alone tells real data from complex: real weighted
+samples g e^{-rho t} go through rfft, the half line and irfft, exactly real;
+other data through fft and the full line.  apply_spectral() detects no
+symmetry: a half spectrum (n//2 + 1 rows) is real data, its self-mirrored
+bins xi = 0 and Nyquist keeping the real part of their solve, and a full
+spectrum (n rows) is solved on every bin.  The transform's unit phase
 e^{-i xi t_start} and constant dt / sqrt(2 pi) are left out, because the
 inverse undoes both and every per-bin check (residual, refinement, growth,
 1/c_min bound, zero-bin skip) is invariant under scaling a bin by a nonzero
-scalar.  Any other data is solved on every bin of its full DFT.  The
-self-mirrored bins xi = 0 and Nyquist keep the real part of their solve.
+scalar.
 
 Factorizations are reused across right-hand sides at a fixed frequency; the
 frequency loop dominates runtime and the fixed-point solvers call the same
@@ -75,31 +77,12 @@ from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracing.py wraps this
 from .errors import FrequencySingular, MemaxError, WraparoundExceeded
 from .materials import PiecewiseMaterial, line_certificate
 from .operators import OperatorBundle, _component_modes, _modal_curl, _mode_transform
-from .signals import TimeGrid, WeightedSignal, _wraparound_and_norm, fourier_laplace
+from .signals import TimeGrid, WeightedSignal, _wraparound_and_norm
 
 COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
 BOUND_SLACK = 0.02              # growth * c_min <= 1 + slack on a certified line
 FACTOR_CACHE_DOF_LIMIT = 1500   # cache LU factors below this state size
 LINE_BLOCK_BYTES = 1 << 20      # bytes of one dofs x bins working array of a line block
-
-
-def _is_hermitian_spectrum(ghat: np.ndarray, tol: float = 1e-12) -> bool:
-    """max_k |g_k - conj g_{-k}| <= tol max |g|; bin 0 is its own mirror.
-
-    Rows are compared in blocks of at most LINE_BLOCK_BYTES, so the
-    temporaries stay as small as the solve's."""
-    n = ghat.shape[0]
-    step = max(1, LINE_BLOCK_BYTES // ghat[:1].nbytes)
-    scale = 0.0
-    gap = 2.0 * np.abs(ghat[0].imag).max()
-    for k0 in range(0, n, step):
-        k1 = min(k0 + step, n)
-        scale = max(scale, np.abs(ghat[k0:k1]).max())
-        lo = max(k0, 1)      # rows lo .. k1-1 against their mirrors n-lo .. n-k1+1
-        if lo < k1:
-            mirror = ghat[n - k1 + 1:n - lo + 1][::-1]
-            gap = max(gap, np.abs(ghat[lo:k1] - mirror.conj()).max())
-    return bool(scale == 0.0 or gap <= tol * scale)
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
@@ -195,11 +178,10 @@ class SolutionOperator:
     """g -> (z M(z) + A)^{-1} g per frequency, with factor reuse.
 
     Instances are bound to (bundle, material, rho, grid).  apply_spectral()
-    maps a spectral right-hand side array, the full line (n, n_state) or
-    the half line (n//2 + 1, n_state), to the solution array of the same
-    shape; apply() goes signal to signal, real data to an exactly real
-    solution.  A material-law pole on the line raises PoleHit here, at
-    construction.
+    maps the half line (n//2 + 1, n_state) of real data, or the full line
+    (n, n_state), to the solution array of the same shape; apply() goes
+    signal to signal, real data to an exactly real solution.  A
+    material-law pole on the line raises PoleHit here, at construction.
 
     Bin k eliminates H in the original basis and factors the edge system in
     the mode-sorted rows T_e of the cavity-mode basis: diag(z_k^2 eps(z_k))
@@ -276,17 +258,15 @@ class SolutionOperator:
     def _to_modal(self, x: np.ndarray) -> np.ndarray:
         """(T_e x)^T for complex edge columns x, which it may overwrite, the
         modal edges in the sorted order: one contiguous row per column."""
-        x = np.ascontiguousarray(x, dtype=np.complex128)
-        x = _mode_transform(self._modes, x.view(np.float64))
-        x = x.view(np.complex128)[self._perm]
-        return x.T.copy()
+        x = _mode_transform(self._modes, np.ascontiguousarray(x, dtype=np.complex128))
+        return x[self._perm].T.copy()
 
     def _from_modal(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """T_e^T y^T for rows y laid out as _to_modal returns them, written
         into out (C-contiguous edges x columns) when it is given."""
         x = np.empty(y.shape[::-1], dtype=np.complex128) if out is None else out
         x[self._perm] = y.T
-        return _mode_transform(self._modes, x.view(np.float64), transpose=True).view(np.complex128)
+        return _mode_transform(self._modes, x, transpose=True)
 
     def _factor(self, k: int) -> _BandLU:
         """Banded LU of diag(z_k^2 eps(z_k)) + K2hat, the bin-k edge system."""
@@ -384,15 +364,12 @@ class SolutionOperator:
     def apply_spectral(self, ghat: np.ndarray, collect: dict | None = None) -> np.ndarray:
         """Solve on the line, one row of ghat per bin; ghat is not modified.
 
-        A full spectrum has n rows, bins in FFT order, and the result has
-        the same shape.  A conjugate-symmetric one (real time data) has a
-        conjugate-symmetric solution, because A is real and
-        M(conj z) = conj M(z): only bins 0 .. n//2 are solved and bin -k is
-        conj(u_k).  Any other full spectrum is solved on every bin.  A half
-        spectrum has n//2 + 1 rows, bins 0 .. n//2 of real data (rfft
-        order); they are solved and returned as they are, not mirrored.  In
-        both symmetric cases the self-mirrored bins xi = 0 and Nyquist keep
-        the real part of their solve.
+        A half spectrum has n//2 + 1 rows, bins 0 .. n//2 of real data (rfft
+        order): those bins are solved, and the self-mirrored bins xi = 0
+        and Nyquist keep the real part of their solve.  A full spectrum has
+        n rows, bins in FFT order, and every bin is solved as it is; no
+        symmetry is looked for, so real data belongs on the half line.  The
+        result has the shape of ghat.
 
         The nonzero bins are solved in consecutive blocks, each the columns
         of dofs x bins arrays of at most LINE_BLOCK_BYTES (one bin at least),
@@ -407,9 +384,8 @@ class SolutionOperator:
         if ghat.shape[0] not in (n, n // 2 + 1):
             raise ValueError(f"spectrum has {ghat.shape[0]} rows; "
                              f"expected {n} bins or the half line's {n // 2 + 1}")
-        full = ghat.shape[0] == n
-        half = not full or _is_hermitian_spectrum(ghat)
-        ks = np.flatnonzero(np.any(ghat[:n // 2 + 1 if half else n], axis=1))
+        half = ghat.shape[0] != n
+        ks = np.flatnonzero(np.any(ghat, axis=1))
         out = np.zeros(ghat.shape, dtype=np.complex128)
         res, growth = np.empty(ks.size), np.empty(ks.size)
         refined = 0
@@ -421,8 +397,6 @@ class SolutionOperator:
             u, res[b:b + step], growth[b:b + step], m = self._solve_block(kb, ghat[rows], half)
             out[rows] = u.T
             refined += m
-        if half and full:   # bin -k is conj(u_k), written in place through views
-            np.conjugate(out[1:(n + 1) // 2], out=out[n - 1:n // 2:-1])
         if collect is not None and ks.size:
             collect["max_rel_residual"] = res.max()
             collect["max_growth"] = growth.max()
@@ -431,32 +405,35 @@ class SolutionOperator:
             collect["worst_growth_z"] = _pair(self.z[ks[np.argmax(growth)]])
         return out
 
+    def _weighted(self, g: WeightedSignal) -> np.ndarray:
+        """w = g e^{-rho t}, a float array when its imaginary part is at most
+        1e-12 of max |w| (exactly real g makes no complex product)."""
+        decay = np.exp(-self.rho * self.grid.times)[:, None]
+        if not g.values.imag.any():
+            return g.values.real * decay
+        w = g.values * decay
+        im = np.abs(w.imag).max(initial=0.0)
+        return w.real if im == 0.0 or im <= 1e-12 * np.abs(w).max() else w
+
     def apply(self, g: WeightedSignal, collect: dict | None = None) -> WeightedSignal:
         """Signal to signal on the plain DFT of w = g e^{-rho t}.
 
-        Real w (imaginary part at most 1e-12 of max |w|, the tolerance of
-        _is_hermitian_spectrum) goes through rfft, the half line and irfft,
-        so the solution is exactly real; any other w through fft and ifft
-        on every bin.  The unit phase and the constant of fourier_laplace
-        are left out: the inverse would undo both, and no per-bin check
-        sees a nonzero scale.  Exactly real g is weighted in real
-        arithmetic, and irfft writes into the real part of the array the
-        returned signal adopts, so no complex temporary is made.
+        This is where real and complex data part ways.  Real w goes through
+        rfft, the half line and irfft, so the solution is exactly real; any
+        other w through fft, the full line and ifft.  The unit phase and
+        the constant of fourier_laplace are left out: the inverse would
+        undo both, and no per-bin check sees a nonzero scale.  irfft writes
+        into the real part of the array the returned signal adopts, so real
+        data makes no complex temporary.
         """
         n, t = self.grid.n_samples, self.grid.times
-        decay = np.exp(-self.rho * t)[:, None]
-        if not g.values.imag.any():
-            w = g.values.real * decay          # exactly real: no complex product
-        else:
-            w = g.values * decay
-            im = np.abs(w.imag).max(initial=0.0)
-            if not (im == 0.0 or im <= 1e-12 * np.abs(w).max()):
-                np.fft.fft(w, axis=0, out=w)
-                w = self.apply_spectral(w, collect)
-                np.fft.ifft(w, axis=0, out=w)
-                w *= np.exp(self.rho * t)[:, None]
-                return WeightedSignal._adopt(self.grid, self.rho, w, g.wrap_tol)
-            w = w.real
+        w = self._weighted(g)
+        if np.iscomplexobj(w):
+            np.fft.fft(w, axis=0, out=w)
+            w = self.apply_spectral(w, collect)
+            np.fft.ifft(w, axis=0, out=w)
+            w *= np.exp(self.rho * t)[:, None]
+            return WeightedSignal._adopt(self.grid, self.rho, w, g.wrap_tol)
         w = np.fft.rfft(w, axis=0)
         w = self.apply_spectral(w, collect)
         u = np.zeros(g.values.shape, dtype=np.complex128)
@@ -533,13 +510,16 @@ def verify_rho_independence(problem: LinearProblem, rho1: float, rho2: float,
 
 
 def verify_time_regularity(problem: LinearProblem) -> float:
-    """Gap between solve(d/dt g) and d/dt solve(g), both spectral derivatives."""
+    """Gap between solve(d/dt g) and d/dt solve(g), both spectral derivatives,
+    relative to the latter: on the half line (the rfft of g e^{-rho t}) for
+    real data and on the full line otherwise, as apply() takes them."""
     g = problem.rhs
-    G = fourier_laplace(g, check=False)
     op = SolutionOperator(problem.bundle, problem.material, problem.rho, g.grid)
-    zcol = op.z[:, None]
-    u_of_dg = op.apply_spectral(G.values * zcol)
-    du = op.apply_spectral(G.values) * zcol
+    w = op._weighted(g)
+    G = np.fft.fft(w, axis=0) if np.iscomplexobj(w) else np.fft.rfft(w, axis=0)
+    zcol = op.z[:G.shape[0], None]
+    u_of_dg = op.apply_spectral(G * zcol)
+    du = op.apply_spectral(G) * zcol
     num = np.linalg.norm(u_of_dg - du)
     den = max(np.linalg.norm(du), 1e-300)
     return float(num / den)

@@ -102,10 +102,10 @@ def _md_blocks(Z: np.ndarray, M0, M1, C: float, d: float) -> np.ndarray:
     return out
 
 
-def _md_herm_min(Z: np.ndarray, M0, M1, C: float, d: float) -> np.ndarray:
+def _md_herm_min(Z: np.ndarray, M0, M1, zm, C: float, d: float) -> np.ndarray:
     """lambda_min(Herm(z M_d(z))) in closed form (2x2 upper triangular) at
-    every point of Z, from M0(Z) and M1(Z)."""
-    a = Z * (M0 + M1 / Z) - d * M0
+    every point of Z, from M0(Z), M1(Z) and the d-free zm = Z (M0 + M1 / Z)."""
+    a = zm - d * M0
     b = d * (M1 - d * M0) / C
     c = Z + d
     ra, rc = a.real, c.real
@@ -140,7 +140,8 @@ class MdSystem:
     def herm_min_vec(self, z: np.ndarray) -> np.ndarray:
         """lambda_min(Herm(z M_d(z))) in closed form (2x2 upper triangular)."""
         z = np.asarray(z, dtype=np.complex128)
-        return _md_herm_min(z, *self._parts(z), self.C, self.d)
+        M0, M1 = self._parts(z)
+        return _md_herm_min(z, M0, M1, z * (M0 + M1 / z), self.C, self.d)
 
 
 def build_Md(M0, M1, C: float, d: float) -> MdSystem:
@@ -175,12 +176,12 @@ def _md_margins(mds, ds, nu: float, delta: float) -> np.ndarray:
     at its argmin, then the smallest over laws.
     """
     Z, _ = _scan_points(nu, delta, 1e4, 11, 200, 5.0, np.array([]))
-    parts = [md._parts(Z) for md in mds]
+    parts = [(M0, M1, Z * (M0 + M1 / Z)) for M0, M1 in (md._parts(Z) for md in mds)]
     margins = []
     for d in ds:
         vals = []
-        for md, (M0, M1) in zip(mds, parts):
-            h = _md_herm_min(Z, M0, M1, md.C, d)
+        for md, (M0, M1, zm) in zip(mds, parts):
+            h = _md_herm_min(Z, M0, M1, zm, md.C, d)
             vals.append(float(h[int(np.argmin(h))]))
         margins.append(float(min(vals)))
     return np.array(margins)
@@ -191,9 +192,10 @@ def md_margin(laws, eps_infs, C: float, d: float, nu: float, delta: float) -> fl
     return float(_md_margins(_md_split(laws, eps_infs, C), [d], nu, delta)[0])
 
 
-def select_damping(laws, eps_infs, C: float, nu: float, delta: float,
-                   c_at_nu: float, n_grid: int = 12) -> tuple:
-    """Best damping parameter for the M_d reduction at weight -nu.
+def _select_damping(mds, eps_max: float, nu: float, delta: float, c_at_nu: float,
+                    n_grid: int) -> tuple:
+    """Best damping parameter for the M_d reduction at weight -nu, over the
+    prepared M_d splits of the laws (_md_split).
 
     The admissible window is roughly nu < d < c/eps_inf: the identity block
     needs Re z + d > 0 at Re z = -nu, while the -d M0 shift eats the scalar
@@ -202,13 +204,6 @@ def select_damping(laws, eps_infs, C: float, nu: float, delta: float,
     is evaluated once on the M_d scan grid, and all n_grid values of d are
     swept from that one evaluation; the margins equal md_margin's per d.
     """
-    return _select_damping(_md_split(laws, eps_infs, C), max(eps_infs), nu, delta,
-                           c_at_nu, n_grid)
-
-
-def _select_damping(mds, eps_max: float, nu: float, delta: float, c_at_nu: float,
-                    n_grid: int) -> tuple:
-    """select_damping over the prepared M_d splits of the laws."""
     d_hi = c_at_nu / eps_max
     d_lo = 1.02 * nu
     if d_hi <= d_lo:

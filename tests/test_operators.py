@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import memax
 from memax import (
@@ -18,7 +19,8 @@ from memax import (
     helmholtz_projections,
     poincare_constant,
 )
-from memax.operators import RANK_TOL, _modal_curl, transverse_mode_basis
+from memax.operators import RANK_TOL, _modal_curl
+from modal_oracle import transverse_mode_basis
 
 GRIDS = [(4, 4, 4), (3, 4, 5)]
 
@@ -213,9 +215,19 @@ class TestModalKernels:
         assert np.abs(basis.pi1(np.eye(b.n_faces)) - P1).max() <= 1e-12
         v = rng.standard_normal(b.n_edges) + 1j * rng.standard_normal(b.n_edges)
         assert np.abs(basis.pi0(v) - P0 @ v).max() <= 1e-12 * np.abs(v).max()
+        # complex rows, as verify_first_order_estimates passes its signals
+        for P, n_dofs, pi in ((P0, b.n_edges, basis.pi0), (P1, b.n_faces, basis.pi1)):
+            rows = rng.standard_normal((7, n_dofs)) + 1j * rng.standard_normal((7, n_dofs))
+            assert np.abs(pi(rows) - rows @ P.T).max() <= 1e-12 * np.abs(rows).max()
         B0, B1 = basis.basis_ker_C0, basis.basis_ker_C
         assert np.abs(B0.T @ B0 - np.eye(B0.shape[1])).max() <= 1e-12
         assert np.abs(B1 @ B1.T - P1).max() <= 1e-12
+
+    def test_basis_holds_no_sparse_matrix(self, basis4):
+        # T_e and T_f are held as their 1-D factors, the kernels as one dense
+        # block per mode
+        assert not any(sparse.issparse(v) for v in vars(basis4).values())
+        assert all(not sparse.issparse(K) for _, K in basis4.ker_C0_modal + basis4.ker_C_modal)
 
 
 class TestClosedFormPoincare:
