@@ -54,7 +54,6 @@ from .materials import (  # noqa: F401
     accretivity_scan,
     conductivity_law,
     dl_law,
-    dl_time_kernel,
     eval_chi_dl,
     eval_dl,
     line_certificate,

@@ -254,7 +254,8 @@ def cmd_oracle(args) -> int:
     grid = cfg.time_grid()
     from .stepper import OracleStepper
 
-    stp = OracleStepper(bundle, material, params1, params2, grid.dt)
+    sigma_edges = np.where(bundle.edge_region_mask(), material.sigma1, material.sigma2)
+    stp = OracleStepper(bundle, material, params1, params2, grid.dt, sigma_edges=sigma_edges)
     src = cfg.raw.get("source", {})
     g = _source_signal(cfg, bundle, grid, 0.0)
 

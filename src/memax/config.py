@@ -260,13 +260,9 @@ class RunConfig:
             params2, law2, sigma2 = self._law_params(m2)
         else:
             params2, law2, sigma2 = params1, law1, sigma1
-        model = m.get("model", "dl")
-        if model == "dl_sigma":
-            # sigma enters the solver through the piecewise law blocks
-            material = PiecewiseMaterial(law1.base, law2.base, mu[0], mu[1],
-                                         sigma1=sigma1, sigma2=sigma2)
-        else:
-            material = PiecewiseMaterial(law1, law2, mu[0], mu[1])
+        # a region's sigma enters through the material, on top of its base law
+        material = PiecewiseMaterial(law1.base if sigma1 else law1, law2.base if sigma2 else law2,
+                                     mu[0], mu[1], sigma1=sigma1, sigma2=sigma2)
         eps_infs = [params1.eps_inf, params2.eps_inf]
         return material, params1, params2, [law1, law2], eps_infs
 

@@ -9,12 +9,14 @@ u at t = 0 is smoothed by a compactly supported bump,
 
 and the shifted unknown solves a right-hand side supported in [0, infty):
 
-    g_phi = -theta^+ [ d/dt (M0 phi^+ + G(phi)) + A phi^+ ].
+    g_phi = -theta^+ [ d/dt (M0 phi^+ + G(phi)) + sigma phi^+ + A phi^+ ].
 
-All time derivatives of the bump terms use the closed-form profile
-derivatives, so no discrete delta is ever formed; the assembled right-hand
-side is smooth at t = 0 exactly when the history satisfies the
-compatibility condition d/dt M(phi)(0) + A phi(0) = 0, which
+Memory terms d/dt (kappa * x) are KernelSpec.dt_convolve, the formula of the
+Picard polarization, on each region's KernelSpec.from_dl kernel.  All time
+derivatives of the bump terms use the closed-form profile derivatives, so
+no discrete delta is ever formed; the assembled right-hand side is smooth
+at t = 0 exactly when the history satisfies the compatibility condition
+d/dt M(phi)(0) + sigma phi(0) + A phi(0) = 0, which
 check_compatibility measures.  The solved u~ vanishes on t <= 0 (causality),
 and the solution is reconstructed as U = u~ + phi + phi^+, with the history
 samples copied verbatim on t <= 0.
@@ -27,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import ModDLParams, PiecewiseMaterial, sample_kernel
+from .errors import MemaxError
+from .materials import ModDLParams, PiecewiseMaterial
 from .nonlinear import KernelSpec
 from .operators import OperatorBundle
-from .signals import SampledKernel, TimeGrid, WeightedSignal, causal_convolve
+from .signals import TimeGrid, WeightedSignal
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,6 @@ class HistorySpec:
     values: np.ndarray
     dphi_at_0minus: np.ndarray | None = None
     derivs_at_0minus: np.ndarray | None = None
-    zero_extend: bool = True
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -96,7 +98,8 @@ class HistorySpec:
             raise ValueError("history dt must match the master grid")
         k0 = int(round((self.times[0] - grid.t_start) / grid.dt))
         if k0 < 0:
-            raise ValueError("master grid does not reach the history start")
+            raise MemaxError(f"the history starts at t = {self.times[0]:g}, before the "
+                             f"window start t = {grid.t_start:g}")
         if abs(grid.t_start + k0 * grid.dt - self.times[0]) > 1e-9 * grid.dt:
             raise ValueError("history samples do not align with the master grid")
         out = np.zeros((grid.n_samples, self.values.shape[1]), dtype=np.complex128)
@@ -160,27 +163,15 @@ class BumpSpec:
         return (t ** (j - 1) / math.factorial(j - 1)) * self._core(t) \
             + (t ** j / math.factorial(j)) * self._core_prime(t)
 
-    # spec-facing names for the first two profiles
-    def eta(self, t: np.ndarray) -> np.ndarray:
-        return self.beta(0, t)
-
-    def eta_prime(self, t: np.ndarray) -> np.ndarray:
-        return self.beta_prime(0, t)
-
-    def gamma(self, t: np.ndarray) -> np.ndarray:
-        return self.beta(1, t)
-
-    def gamma_prime(self, t: np.ndarray) -> np.ndarray:
-        return self.beta_prime(1, t)
-
     def check_endpoints(self, tol: float = 1e-10) -> bool:
+        """eta = beta_0 and gamma = beta_1 match (1, 0) and (0, 1) at 0."""
         zero = np.array([0.0])
-        ok = abs(self.eta(zero)[0] - 1.0) <= tol
-        ok &= abs(self.eta_prime(zero)[0]) <= tol
-        ok &= abs(self.gamma(zero)[0]) <= tol
-        ok &= abs(self.gamma_prime(zero)[0] - 1.0) <= tol
+        ok = abs(self.beta(0, zero)[0] - 1.0) <= tol
+        ok &= abs(self.beta_prime(0, zero)[0]) <= tol
+        ok &= abs(self.beta(1, zero)[0]) <= tol
+        ok &= abs(self.beta_prime(1, zero)[0] - 1.0) <= tol
         edge = np.array([self.support * (1.0 - 1e-9)])
-        ok &= abs(self.eta(edge)[0]) <= 1e-3
+        ok &= abs(self.beta(0, edge)[0]) <= 1e-3
         return bool(ok)
 
 
@@ -218,46 +209,19 @@ def _theta_plus(times: np.ndarray) -> np.ndarray:
     return (times > 0.0).astype(float)
 
 
-def smooth_jump(h: HistorySpec, b: BumpSpec, grid: TimeGrid, rho: float) -> WeightedSignal:
-    """phi^+ = sum_j phi^{(j)}(0-) theta^+ beta_j, supported in (0, support]."""
+def _bump_terms(h: HistorySpec, b: BumpSpec, grid: TimeGrid, profile) -> np.ndarray:
+    """sum_j phi^{(j)}(0-) theta^+ profile(j, t), for profile beta or beta_prime."""
     t = grid.times
     theta = _theta_plus(t)
     vals = np.zeros((grid.n_samples, h.values.shape[1]), dtype=np.complex128)
     for j in range(b.n_derivatives + 1):
-        vals += np.outer(b.beta(j, t) * theta, h.deriv(j))
-    return WeightedSignal(grid, rho, vals)
+        vals += np.outer(profile(j, t) * theta, h.deriv(j))
+    return vals
 
 
-def _dphi_plus(h: HistorySpec, b: BumpSpec, grid: TimeGrid) -> np.ndarray:
-    """d(phi^+)/dt for t > 0 via the closed-form profile derivatives."""
-    t = grid.times
-    theta = _theta_plus(t)
-    out = np.zeros((grid.n_samples, h.values.shape[1]), dtype=np.complex128)
-    for j in range(b.n_derivatives + 1):
-        out += np.outer(b.beta_prime(j, t) * theta, h.deriv(j))
-    return out
-
-
-@dataclass(frozen=True)
-class MaterialKernels:
-    """Region-wise linear memory kernels (on E dofs) for history assembly."""
-
-    kernel1: SampledKernel | None
-    kernel2: SampledKernel | None
-    kernel1_prime: SampledKernel | None
-    kernel2_prime: SampledKernel | None
-
-    @staticmethod
-    def from_params(params1, params2, grid: TimeGrid) -> "MaterialKernels":
-        def kernel_pair(params):
-            if params is None:
-                return None, None
-            terms = params.kernel_terms()
-            return sample_kernel(terms, grid), sample_kernel(terms, grid, derivative=True)
-
-        k1, k1p = kernel_pair(params1)
-        k2, k2p = kernel_pair(params2)
-        return MaterialKernels(k1, k2, k1p, k2p)
+def smooth_jump(h: HistorySpec, b: BumpSpec, grid: TimeGrid, rho: float) -> WeightedSignal:
+    """phi^+ = sum_j phi^{(j)}(0-) theta^+ beta_j, supported in (0, support]."""
+    return WeightedSignal(grid, rho, _bump_terms(h, b, grid, b.beta))
 
 
 def _chi_hat(params, z: np.ndarray) -> np.ndarray:
@@ -288,27 +252,12 @@ def _spectral_memory_derivative(sig_E: WeightedSignal, params1, params2,
     return out
 
 
-def _convolve_regions(kernels: MaterialKernels, emask1: np.ndarray,
-                      sig: WeightedSignal, derivative: bool) -> np.ndarray:
-    """Per-region kernel convolution on the E block."""
-    out = np.zeros_like(sig.values)
-    k1 = kernels.kernel1_prime if derivative else kernels.kernel1
-    k2 = kernels.kernel2_prime if derivative else kernels.kernel2
-    if k1 is not None:
-        sub = sig.with_values(sig.values * emask1[None, :])
-        out += causal_convolve(k1, sub).values
-    if k2 is not None:
-        sub = sig.with_values(sig.values * (~emask1)[None, :])
-        out += causal_convolve(k2, sub).values
-    return out
-
-
 @dataclass
 class HistoryConversion:
     """Output bundle of the history-to-evolutionary conversion."""
 
     phi_plus: WeightedSignal          # full-state bump (E and H rows)
-    g_phi: WeightedSignal             # -theta^+[d/dt(M0 phi^+ + G(phi)) + A phi^+]
+    g_phi: WeightedSignal             # -theta^+[d/dt(M0 phi^+ + G(phi)) + sigma phi^+ + A phi^+]
     Phi: WeightedSignal               # E-block inhomogeneity
     Psi: WeightedSignal               # H-block inhomogeneity
     compatibility_residual: float
@@ -346,7 +295,7 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
     M0 = np.concatenate([eps_inf, mu])
 
     phi_plus = smooth_jump(h, b, grid, rho)
-    dphi_plus = _dphi_plus(h, b, grid)
+    dphi_plus = _bump_terms(h, b, grid, b.beta_prime)
 
     phi_embedded = WeightedSignal(grid, rho, h.embed(grid))
     phi_E = phi_embedded.with_values(phi_embedded.values[:, :ne])
@@ -359,39 +308,33 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
         total_E = phi_E + phip_E
         dG_full[:, :ne] = _spectral_memory_derivative(total_E, params1, params2, emask1)
     elif conv_method == "trapezoid":
-        kernels = MaterialKernels.from_params(params1, params2,
-                                              TimeGrid(0.0, grid.dt, grid.n_samples))
-        dG_full[:, :ne] = _convolve_regions(kernels, emask1, phi_E, derivative=True)
-        # zero-lag kernel currents chi(0+) phi(t): phi vanishes for t > 0, so
-        # this only feeds the t = 0 sample (and the compatibility residual)
-        zero_lag = np.zeros(ne)
-        if kernels.kernel1 is not None:
-            zero_lag[emask1] = np.real(kernels.kernel1.at_zero_plus())
-        if kernels.kernel2 is not None:
-            zero_lag[~emask1] = np.real(kernels.kernel2.at_zero_plus())
-        dG_full[:, :ne] += zero_lag[None, :] * np.where(
-            grid.times[:, None] > 0, 0.0, phi_E.values
-        )
-        # the solver keeps chi * E~ on its left-hand side, so the bump's own
-        # linear memory d/dt(chi * phi^+) belongs to the data (the identity
-        # g(0+) = d/dt M(phi)(0) + A phi(0) only closes with it)
-        dG_full[:, :ne] += _convolve_regions(kernels, emask1, phip_E, derivative=True)
-        dG_full[:, :ne] += zero_lag[None, :] * phip_E.values
+        lag_grid = TimeGrid(0.0, grid.dt, grid.n_samples)
+        regions = [(KernelSpec.from_dl(p, lag_grid), mask)
+                   for p, mask in ((params1, emask1), (params2, ~emask1)) if p is not None]
+        # d/dt(chi * phi), then the bump's own linear memory d/dt(chi * phi^+):
+        # the solver keeps chi * E~ on its left-hand side, so that part belongs
+        # to the data (the identity g(0+) = d/dt M(phi)(0) + sigma phi(0) +
+        # A phi(0) only closes with it).  phi vanishes for t > 0, so its zero-lag current
+        # chi(0+) phi only feeds the t = 0 sample and the compatibility residual.
+        for x in (phi_E, phip_E):
+            for spec, mask in regions:
+                spec.dt_convolve(x.with_values(x.values * mask[None, :]), dG_full[:, :ne])
     else:
         raise ValueError(f"unknown conv_method {conv_method!r}")
     if nl_spec is not None and q is not None:
-        qE = phi_E.with_values(q(phi_E.values))
-        dG_full[:, :ne] += causal_convolve(nl_spec.kappa_prime, qE).values
-        dG_full[:, :ne] += nl_spec.kappa_at_0plus * np.where(
-            grid.times[:, None] > 0, 0.0, qE.values
-        )
+        nl_spec.dt_convolve(phi_E.with_values(q(phi_E.values)), dG_full[:, :ne])
+    sigma_e = np.where(emask1, material.sigma1, material.sigma2)
+    if sigma_e.any():
+        # conduction current sigma E: sigma phi(0-) at t = 0, sigma phi^+ after
+        dG_full[:, :ne] += sigma_e * (phi_E.values + phip_E.values)
 
     A_phi_plus = (bundle.A @ phi_plus.values.T).T
     theta = _theta_plus(grid.times)[:, None]
     g_vals = -theta * (M0[None, :] * dphi_plus + dG_full + A_phi_plus)
     g_phi = WeightedSignal(grid, rho, g_vals)
 
-    # compatibility residual: |M0 dphi(0-) + dG(phi)(0) + A phi(0-)|
+    # compatibility residual: |M0 dphi(0-) + dG(phi)(0) + sigma phi(0-) + A phi(0-)|,
+    # the sigma term being part of dG_full
     k0 = grid.index_of(0.0)
     dG_at_0 = dG_full[k0]
     resid_vec = M0 * h.dphi() + dG_at_0 + bundle.A @ h.phi_at_0minus
@@ -408,11 +351,7 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
 
     shift = None
     if nl_spec is not None and q is not None:
-        Ep = phi_plus.with_values(phi_plus.values[:, :ne])
-        qEp = Ep.with_values(q(Ep.values))
-        shift_vals = causal_convolve(nl_spec.kappa_prime, qEp).values \
-            + nl_spec.kappa_at_0plus * qEp.values
-        shift = Ep.with_values(shift_vals)
+        shift = phip_E.with_values(nl_spec.dt_convolve(phip_E.with_values(q(phip_E.values))))
 
     return HistoryConversion(
         phi_plus=phi_plus, g_phi=g_phi, Phi=Phi, Psi=Psi,
@@ -442,8 +381,9 @@ def check_compatibility(h: HistorySpec, bundle: OperatorBundle,
                         material: PiecewiseMaterial, params1, params2,
                         grid: TimeGrid, nl_spec: KernelSpec | None = None,
                         q=None) -> float:
-    """Relative norm of d/dt M(phi)(0) + A phi(0); small values certify
-    once-differentiable whole-line data (the H^1 route for reconstruction)."""
+    """Relative norm of d/dt M(phi)(0) + sigma phi(0) + A phi(0); small values
+    certify once-differentiable whole-line data (the H^1 route for
+    reconstruction)."""
     b = BumpSpec(support=max(10 * grid.dt, 1e-6))
     conv = build_g_phi(h, b, bundle, material, params1, params2, grid, 0.0,
                        nl_spec=nl_spec, q=q)

@@ -11,10 +11,11 @@ and a conductivity shift sigma adds z^{-1} sigma.
 
 Time domain: each parameter record expands into (lam_j, c_j) pairs whose
 kernel is Im(c_j e^{lam_j t}) for t > 0 (the recursive-convolution form of
-Luebbers et al., IEEE Trans. EMC 32, 1990), and sample_kernel samples it.
-Every time-domain consumer (kernels, Picard memory, history conversion, the
-oracle stepper) goes through this one expansion; the z-domain evaluators and
-closed forms below do not, so they stay independent checks on it.
+Luebbers et al., IEEE Trans. EMC 32, 1990), and sample_kernel samples it
+for nonlinear.KernelSpec.from_dl.  Every time-domain consumer (Picard
+memory, history conversion through KernelSpec, the oracle stepper) goes
+through this one expansion; the z-domain evaluators and closed forms below
+do not, so they stay independent checks on it.
 
 Accretivity is always measured as the smallest eigenvalue of the Hermitian
 part: "Re B >= c" means <(B + B*)/2 x, x> >= c |x|^2.  Scans walk a half-plane
@@ -233,16 +234,6 @@ def sample_kernel(terms, grid: TimeGrid, derivative: bool = False) -> SampledKer
     return SampledKernel(grid, vals)
 
 
-def dl_time_kernel(p, grid: TimeGrid) -> SampledKernel:
-    """Sampled memory kernel of a plain or modified (z0 = 0) oscillator law.
-
-    For the plain law chi(t) = theta(t) sum_j (alpha_j/b_j) e^{-gamma_j t}
-    sin(b_j t); its plain Laplace transform reproduces eval_chi_dl (and, for
-    the modified law, mod_dl_eval - eps0) to quadrature accuracy.
-    """
-    return sample_kernel(p.kernel_terms(), grid)
-
-
 # ---------------------------------------------------------------------------
 # law objects: callables z -> scalar (or matrix) with pole sets and limits
 
@@ -420,15 +411,20 @@ def accretivity_scan(law, nu: float, delta_exclusion: float = 0.0,
                      scan_re_M: bool = False) -> AccretivityScan:
     """Scan min over {Re z > -nu} \\ B[0, delta] of Re(z M(z)) (or Re M(z)).
 
-    law is a ScalarLaw or a callable z -> matrix.  Pole-adjacent cells
+    law is a ScalarLaw, or, for Re(z M(z)) only, has herm_min_vec(Z), the
+    vectorized Hermitian-part minimum (stability.MdSystem); anything else
+    raises TypeError.  Pole-adjacent cells
     (within SCAN_POLE_MARGIN relative distance) are skipped and counted; the
     analytic |Im z| -> infinity limit, when the law declares one, is appended
     so that enlarging t_max can only confirm, never manufacture, a
     certificate.  GridTooCoarse is raised when the minimum sits on a cell
     adjacent to a skipped one (the scan cannot be trusted there).
     """
-    scalar = isinstance(law, ScalarLaw) and law.eval_fn is not None
-    poles = law.poles if isinstance(law, ScalarLaw) else np.array([])
+    scalar = isinstance(law, ScalarLaw)
+    if not (scalar or (hasattr(law, "herm_min_vec") and not scan_re_M)):
+        raise TypeError(f"accretivity_scan takes a ScalarLaw, or an object with "
+                        f"herm_min_vec for Re(z M(z)); got {type(law).__name__}")
+    poles = law.poles if scalar else np.array([])
     if t_max is None:
         pole_scale = max((abs(p) for p in poles), default=1.0)
         t_max = 1e4 * max(pole_scale, 1.0)
@@ -440,20 +436,8 @@ def accretivity_scan(law, nu: float, delta_exclusion: float = 0.0,
     if scalar:
         M = law(Z)
         vals = np.real(M) if scan_re_M else np.real(Z * M)
-    elif hasattr(law, "herm_min_vec") and not scan_re_M:
-        vals = law.herm_min_vec(Z)
     else:
-        fn = law if callable(law) else law[1]
-        vals = np.empty(Z.shape[0])
-        for i, z in enumerate(Z):
-            out = fn(z)
-            if np.ndim(out) == 0:
-                vals[i] = out.real if scan_re_M else (z * out).real
-            elif np.ndim(out) == 1:
-                # already a pointwise Hermitian-part value
-                vals[i] = float(np.min(out))
-            else:
-                vals[i] = hermitian_min(out if scan_re_M else z * out)
+        vals = law.herm_min_vec(Z)
 
     i_min = int(np.argmin(vals))
     c_min = float(vals[i_min])
@@ -461,7 +445,7 @@ def accretivity_scan(law, nu: float, delta_exclusion: float = 0.0,
 
     tail = None
     limit_fn = None
-    if isinstance(law, ScalarLaw):
+    if scalar:
         limit_fn = law.re_M_limit if scan_re_M else law.re_zM_limit
     if limit_fn is not None:
         tail = float(min(limit_fn(s) for s in np.linspace(-nu, nu_hi, n_nu)))

@@ -82,6 +82,20 @@ class KernelSpec:
         """|kappa(0+)| + L_kappa."""
         return abs(self.kappa_at_0plus) + self.L_kappa
 
+    def dt_convolve(self, x: WeightedSignal, out: np.ndarray | None = None) -> np.ndarray:
+        """d/dt (kappa * x) = kappa' * x + kappa(0+) x, the two-term formula.
+
+        With out given, the two terms are added to it in that order and out
+        is returned; otherwise the sum is a new array.
+        """
+        conv = causal_convolve(self.kappa_prime, x).values
+        zero_lag = self.kappa_at_0plus * x.values
+        if out is None:
+            return conv + zero_lag
+        out += conv
+        out += zero_lag
+        return out
+
 
 def compute_L_kappa(kappa_prime: SampledKernel, rho_kappa: float = 0.0) -> float:
     """L_kappa = integral |kappa'(s)| e^{-rho_kappa s} ds (trapezoid)."""
@@ -184,9 +198,7 @@ def apply_P_nl(spec: KernelSpec, q, E: WeightedSignal) -> WeightedSignal:
 
 def apply_dt_P_nl(spec: KernelSpec, q, E: WeightedSignal) -> WeightedSignal:
     """dP/dt = kappa(0+) q(E) + kappa' * q(E) (the two-term formula)."""
-    qE = E.with_values(q(E.values))
-    conv = causal_convolve(spec.kappa_prime, qE)
-    return conv.with_values(conv.values + spec.kappa_at_0plus * qE.values)
+    return E.with_values(spec.dt_convolve(E.with_values(q(E.values))))
 
 
 @dataclass(frozen=True)

@@ -512,12 +512,16 @@ def verify_rho_independence(problem: LinearProblem, rho1: float, rho2: float,
 def verify_time_regularity(problem: LinearProblem) -> float:
     """Gap between solve(d/dt g) and d/dt solve(g), both spectral derivatives,
     relative to the latter: on the half line (the rfft of g e^{-rho t}) for
-    real data and on the full line otherwise, as apply() takes them."""
+    real data and on the full line otherwise, as apply() takes them.  On the
+    half line an even n's Nyquist row differentiates with z = rho, as real
+    spectral differentiation does, since that row is solved as real."""
     g = problem.rhs
     op = SolutionOperator(problem.bundle, problem.material, problem.rho, g.grid)
     w = op._weighted(g)
     G = np.fft.fft(w, axis=0) if np.iscomplexobj(w) else np.fft.rfft(w, axis=0)
-    zcol = op.z[:G.shape[0], None]
+    zcol = op.z[:G.shape[0], None].copy()
+    if not np.iscomplexobj(w) and g.grid.n_samples % 2 == 0:
+        zcol[-1] = problem.rho
     u_of_dg = op.apply_spectral(G * zcol)
     du = op.apply_spectral(G) * zcol
     num = np.linalg.norm(u_of_dg - du)

@@ -108,6 +108,15 @@ class TestConfig:
         raw["material"]["r"] = 4.0
         RunConfig.from_dict(raw).material()
 
+    def test_region2_conductivity_reaches_the_material(self):
+        raw = default_config_dict()
+        raw["material"] = {"model": "dl", "eps0": 1.0,
+                           "terms": [{"alpha": 1.0, "gamma": 1.0, "omega0": 2.0}],
+                           "mu": [1.0, 1.0], "region2": {"model": "dl_sigma", "sigma": 0.3}}
+        material, *_ = RunConfig.from_dict(raw).material()
+        assert (material.sigma1, material.sigma2) == (0.0, 0.3)
+        assert material.eps_laws()[1].name == "dl_sigma"
+
     def test_hash_stable(self):
         c1 = RunConfig.from_dict(default_config_dict())
         c2 = RunConfig.from_dict(default_config_dict())
@@ -211,6 +220,20 @@ class TestCLI:
         assert (tmp_path / "hist_out" / "Phi.sig").exists()
         assert (tmp_path / "hist_out" / "Psi.sig").exists()
 
+    def test_history_longer_than_window_is_an_error(self, config_path, tmp_path, bundle4,
+                                                    capsys):
+        from memax import TimeGrid, WeightedSignal, write_signal
+
+        # the default window starts at t = -2; this history starts at t = -4
+        grid = TimeGrid(-4.0, 1.0 / 32.0, 129)
+        vals = np.outer(np.exp(grid.times), np.ones(bundle4.n_state))
+        write_signal(WeightedSignal(grid, 0.0, vals), str(tmp_path / "hist.sig"))
+        rc = main(["history", "--in", str(tmp_path / "hist.sig"),
+                   "--config", config_path, "--out", str(tmp_path / "hist_out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "t = -4" in err and "t = -2" in err
+
     def test_stability_refuses_plain_dl_strict(self, tmp_path):
         raw = default_config_dict()
         raw["material"] = {"model": "dl", "eps0": 1.0,
@@ -246,6 +269,28 @@ class TestCLI:
                    "--out", str(tmp_path / "oracle")])
         assert rc == 0
         assert (tmp_path / "oracle" / "oracle.sig").exists()
+
+    def test_oracle_conduction_current(self, tmp_path):
+        # a conductive config: the oracle integrates sigma E on each region's
+        # edges and so agrees with the spectral solve of the same run
+        from memax.signals import read_signal
+
+        raw = default_config_dict()
+        raw["material"] = {"model": "dl_sigma", "eps0": 1.0, "sigma": 0.5,
+                           "terms": [{"alpha": 1.0, "gamma": 1.0, "omega0": 2.0}],
+                           "mu": [1.0, 1.0], "region2": {"sigma": 0.2}}
+        raw["time"] = {"t_start": -0.5, "dt": 1.0 / 256.0, "n_samples": 1024}
+        raw["source"]["t_off"] = 1.0
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(raw))
+        assert main(["oracle", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert main(["solve", "--config", str(path), "--rho", "4.0",
+                     "--out", str(tmp_path / "s")]) == 0
+        oracle = read_signal(str(tmp_path / "o" / "oracle.sig")).values.real
+        spectral = read_signal(str(tmp_path / "s" / "solution.sig"))
+        spectral = spectral.values[spectral.grid.index_of(0.0):].real
+        rel = np.linalg.norm(oracle - spectral) / np.linalg.norm(spectral)
+        assert rel < 5e-3
 
 
 def test_artifacts_independent_of_blas_threads(tmp_path):

@@ -251,6 +251,27 @@ class TestReconstruction:
             / np.linalg.norm(u_full.values[K0:cut])
         assert rel < 1e-4
 
+    @pytest.mark.parametrize("conv_method, tol", [("spectral", 1e-5), ("trapezoid", 1e-2)])
+    def test_conductivity_round_trip(self, conv_method, tol, bundle4, dl_params,
+                                     dl_params_b, rng):
+        # the conduction current sigma phi^+ belongs to the data, and
+        # sigma phi(0-) to the compatibility residual
+        from memax import PiecewiseMaterial, dl_law
+
+        material = PiecewiseMaterial(dl_law(dl_params), dl_law(dl_params_b), 1.0, 1.0,
+                                     sigma1=0.5, sigma2=0.2)
+        hist, u_full = generated_history(bundle4, material, rng)
+        bump = BumpSpec(2.0, n_derivatives=5, flatness=6, power=6)
+        conv = build_g_phi(hist, bump, bundle4, material, dl_params, dl_params_b,
+                           MASTER, 1.0, conv_method=conv_method)
+        assert conv.compatibility_residual < 1e-4
+        u_t, _ = solve_linear(LinearProblem(bundle4, material, 1.0, conv.g_phi))
+        U = reconstruct_solution(u_t, hist, conv.phi_plus)
+        cut = MASTER.index_of(6.0)
+        rel = np.linalg.norm(U.values[K0:cut] - u_full.values[K0:cut]) \
+            / np.linalg.norm(u_full.values[K0:cut])
+        assert rel < tol
+
     def test_oracle_stepper_match(self, bundle4, material_dl, dl_params,
                                   dl_params_b, rng):
         hist, _ = generated_history(bundle4, material_dl, rng)

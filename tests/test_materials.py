@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from memax import (
     BlockSingular,
     DrudeLorentzParams,
+    KernelSpec,
     ModDLParams,
     OverdampedUnsupported,
     PoleHit,
@@ -15,7 +16,6 @@ from memax import (
     accretivity_scan,
     conductivity_law,
     dl_law,
-    dl_time_kernel,
     eval_chi_dl,
     eval_dl,
     mod_dl_eval,
@@ -64,7 +64,7 @@ class TestChiEval:
 class TestTimeKernel:
     def test_zero_at_zero_lag(self):
         p = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)])
-        kern = dl_time_kernel(p, TimeGrid(0.0, 0.01, 256))
+        kern = KernelSpec.from_dl(p, TimeGrid(0.0, 0.01, 256)).kappa
         assert kern.values[0] == 0.0
         assert abs(kern.values[1]) < 0.05  # continuous ramp from zero
 
@@ -72,18 +72,18 @@ class TestTimeKernel:
         # gamma=1, omega0=2: b = sqrt(3), a = alpha/sqrt(3)
         p = DrudeLorentzParams(1.0, [(1.5, 1.0, 2.0)])
         g = TimeGrid(0.0, 1e-4, 64)
-        kern = dl_time_kernel(p, g)
+        kern = KernelSpec.from_dl(p, g).kappa
         t = g.times[1:5]
         expect = (1.5 / np.sqrt(3.0)) * np.exp(-t) * np.sin(np.sqrt(3.0) * t)
         assert np.abs(kern.values[1:5].real - expect).max() < 1e-12
 
     def test_overdamped_rejected(self, bundle4, material_dl):
-        from memax import (BumpSpec, HistorySpec, KernelSpec, OracleStepper,
-                           build_g_phi, build_maxwell_inhomogeneity)
+        from memax import (BumpSpec, HistorySpec, OracleStepper, build_g_phi,
+                           build_maxwell_inhomogeneity)
 
         p = DrudeLorentzParams(1.0, [(1.0, 2.0, 1.0)])
         with pytest.raises(OverdampedUnsupported):
-            dl_time_kernel(p, TimeGrid(0.0, 0.01, 64))
+            KernelSpec.from_dl(p, TimeGrid(0.0, 0.01, 64))
         # z-domain evaluation still works for the overdamped branch
         assert np.isfinite(eval_chi_dl(1.0 + 1j, p))
 
@@ -114,7 +114,7 @@ class TestTimeKernel:
         g = TimeGrid(0.0, 1e-3, 2 ** 14)
         for law, chi in ((p, lambda z: eval_chi_dl(z, p)),
                          (mp, lambda z: mod_dl_eval(z, mp) - mp.base.eps0)):
-            vals = np.array(dl_time_kernel(law, g).values)
+            vals = np.array(KernelSpec.from_dl(law, g).kappa.values)
             # the DFT is a rectangle rule; halving the t = 0 sample makes it
             # the trapezoid rule on [0, T].  The plain kernel vanishes there,
             # the modified one jumps to alpha/r.
@@ -153,21 +153,15 @@ class TestOneExpansion:
     @pytest.mark.parametrize("law", [TWO_TERM, ModDLParams(TWO_TERM, 4.0)],
                              ids=["dl", "mod_dl"])
     def test_callers_match_hand_formulas(self, law, bundle4, material_dl):
-        from memax import KernelSpec, OracleStepper
-        from memax.history import MaterialKernels
+        from memax import OracleStepper
 
         grid = TimeGrid(0.0, 1.0 / 64.0, 512)
         k, kp = hand_kernel(law, grid.times)
         tol, tol_p = 1e-14 * np.abs(k).max(), 1e-14 * np.abs(kp).max()
 
-        assert np.abs(dl_time_kernel(law, grid).values - k).max() <= tol
         spec = KernelSpec.from_dl(law, grid)
         assert np.abs(spec.kappa.values - k).max() <= tol
         assert np.abs(spec.kappa_prime.values - kp).max() <= tol_p
-        mk = MaterialKernels.from_params(law, None, grid)
-        assert np.abs(mk.kernel1.values - k).max() <= tol
-        assert np.abs(mk.kernel1_prime.values - kp).max() <= tol_p
-        assert mk.kernel2 is None and mk.kernel2_prime is None
 
         stp = OracleStepper(bundle4, material_dl, law, None, grid.dt)
         emask1 = bundle4.edge_region_mask()
@@ -177,12 +171,11 @@ class TestOneExpansion:
         assert np.array_equal(stp.eps_inf, np.where(emask1, 1.3, 1.0))
 
     def test_shifted_modified_law_raises_everywhere(self, bundle4, material_dl):
-        from memax import KernelSpec, MemaxError, OracleStepper
+        from memax import MemaxError, OracleStepper
 
         shifted = ModDLParams(TWO_TERM, 4.0, z0=0.5)
         kgrid = TimeGrid(0.0, 1.0 / 32.0, 64)
-        for build in (lambda: dl_time_kernel(shifted, kgrid),
-                      lambda: KernelSpec.from_dl(shifted, kgrid),
+        for build in (lambda: KernelSpec.from_dl(shifted, kgrid),
                       lambda: OracleStepper(bundle4, material_dl, shifted, None, kgrid.dt)):
             with pytest.raises(MemaxError, match="z0"):
                 build()
@@ -311,6 +304,16 @@ class TestConductivity:
         sig = conductivity_law(dl_law(p), 0.5)
         scan = accretivity_scan(sig, nu=0.1, delta_exclusion=0.0, condition_id="M4")
         assert scan.certified and scan.c_min > 0
+
+    def test_scan_rejects_other_laws(self):
+        # a ScalarLaw, or herm_min_vec for Re(z M(z)); nothing else
+        from memax import md_from_scalar_law
+
+        law = dl_law(DrudeLorentzParams(1.0, [(0.2, 1.0, 2.0)]))
+        with pytest.raises(TypeError, match="function"):
+            accretivity_scan(lambda z: 1.0 + 0.0 * z, nu=0.1)
+        with pytest.raises(TypeError, match="MdSystem"):
+            accretivity_scan(md_from_scalar_law(law, 1.0, 3.0, 0.05), nu=0.1, scan_re_M=True)
 
 
 class TestSchurLaw:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memax import (
+    KernelSpec,
     NonCausalKernel,
     NonPositiveWeight,
     SampledKernel,
@@ -15,7 +16,6 @@ from memax import (
     antiderivative,
     causal_convolve,
     delta_kernel,
-    dl_time_kernel,
     eval_chi_dl,
     fourier_laplace,
     inverse_fourier_laplace,
@@ -81,7 +81,7 @@ class TestFourierLaplace:
         # plain Laplace of the damped-sine kernel equals the rational law
         p = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)])
         g = TimeGrid(0.0, 1e-3, 2 ** 15)  # gamma*T = 32
-        kern = dl_time_kernel(p, g)
+        kern = KernelSpec.from_dl(p, g).kappa
         u = WeightedSignal(g, 2.0, kern.values)
         U = fourier_laplace(u, check=False)
         lhs = np.sqrt(2.0 * np.pi) * U.values[:, 0]

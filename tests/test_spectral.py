@@ -786,6 +786,15 @@ class TestTimeRegularity:
         verify_time_regularity(LinearProblem(bundle4, material_dl, 2.0, g))
         assert len(factor_calls) == GRID.n_samples // 2 + 1
 
+    def test_real_data_nyquist_row(self, bundle4, material_dl, rng):
+        # white noise under a pulse reaches the Nyquist bin; the half line
+        # solves that bin as real, so it commutes with d/dt only at z = rho
+        noise = rng.standard_normal((GRID.n_samples, bundle4.n_state))
+        vals = smooth_pulse(GRID.times, 0.0, 2.0)[:, None] * noise
+        for data in (vals, (1.0 + 1.0j) * vals):
+            g = WeightedSignal(GRID, 2.0, data)
+            assert verify_time_regularity(LinearProblem(bundle4, material_dl, 2.0, g)) <= 1e-12
+
     def test_finite_difference_cross_check(self, bundle4, material_dl, rng):
         # d/dt u by centered differences vs the spectral derivative: O(dt^2)
         from memax import spectral_derivative
