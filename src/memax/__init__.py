@@ -121,7 +121,6 @@ from .stability import (  # noqa: F401
     DecayFit,
     MdSystem,
     StabilityCertificate,
-    build_Md,
     capability_matrix,
     certify_decay_rate,
     fit_decay_rate,

@@ -138,6 +138,17 @@ _VALUE_RULES = (
 )
 
 
+def _region2(material: dict) -> dict:
+    """Region 2's law section: region 1's keys under its own, without mu.
+    sigma is inherited only by a dl_sigma region 2."""
+    own = material["region2"]
+    law = {k: v for k, v in material.items() if k not in ("region2", "mu")}
+    law.update(own)
+    if "sigma" not in own and law.get("model", "dl") != "dl_sigma":
+        law.pop("sigma", None)
+    return law
+
+
 def _check_values(raw: dict):
     for path, required, test, what in _VALUE_RULES:
         *parents, key = path.split(".")
@@ -153,8 +164,8 @@ def _check_values(raw: dict):
     material = raw["material"]
     laws = [("material", material)]
     if isinstance(material, dict) and isinstance(material.get("region2"), dict):
-        laws.append(("material.region2", {**material, **material["region2"]}))
-    for path, law in laws:   # region 2 inherits what it does not set
+        laws.append(("material.region2", _region2(material)))
+    for path, law in laws:
         if isinstance(law, dict) and law.get("model", "dl") == "mod_dl" and "r" not in law:
             raise ConfigError(f"missing config key: {path}.r (model mod_dl needs r)")
     kernel = raw.get("nonlinearity", {}).get("kernel")
@@ -253,11 +264,7 @@ class RunConfig:
             mu = [float(mu), float(mu)]
         params1, law1, sigma1 = self._law_params(m)
         if "region2" in m:
-            m2 = dict(m)
-            m2.update(m["region2"])
-            m2.pop("region2", None)
-            m2.pop("mu", None)
-            params2, law2, sigma2 = self._law_params(m2)
+            params2, law2, sigma2 = self._law_params(_region2(m))
         else:
             params2, law2, sigma2 = params1, law1, sigma1
         # a region's sigma enters through the material, on top of its base law

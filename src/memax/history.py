@@ -95,13 +95,16 @@ class HistorySpec:
     def embed(self, grid: TimeGrid) -> np.ndarray:
         """Zero-extended samples on a master grid (alignment is required)."""
         if abs(grid.dt - self.dt) > 1e-12 * self.dt:
-            raise ValueError("history dt must match the master grid")
+            raise MemaxError(f"the history step dt = {self.dt:g} differs from the window "
+                             f"step dt = {grid.dt:g}")
         k0 = int(round((self.times[0] - grid.t_start) / grid.dt))
         if k0 < 0:
             raise MemaxError(f"the history starts at t = {self.times[0]:g}, before the "
                              f"window start t = {grid.t_start:g}")
-        if abs(grid.t_start + k0 * grid.dt - self.times[0]) > 1e-9 * grid.dt:
-            raise ValueError("history samples do not align with the master grid")
+        offset = self.times[0] - (grid.t_start + k0 * grid.dt)
+        if abs(offset) > 1e-9 * grid.dt:
+            raise MemaxError(f"the history samples sit {offset:g} off the window grid "
+                             f"(t_start = {grid.t_start:g}, dt = {grid.dt:g})")
         out = np.zeros((grid.n_samples, self.values.shape[1]), dtype=np.complex128)
         out[k0:k0 + len(self.times)] = self.values
         return out

@@ -53,16 +53,16 @@ scalar.
 
 Factorizations are reused across right-hand sides at a fixed frequency; the
 frequency loop dominates runtime and the fixed-point solvers call the same
-factors every iteration.  A one-shot solve keeps none.  The bins are solved
-in consecutive blocks bounded in bytes (LINE_BLOCK_BYTES per dofs x bins
-working array), in buffers the operator reuses, never in whole-line
-bins x dofs temporaries.  A singular frequency is never skipped or
-interpolated over: material-law poles on the solve line violate the solution
-theory and must surface as PoleHit or FrequencySingular.  On a certified
-line (c_min > 0) the theory bounds every bin, |u_k| <= |g_k| / c_min, so a
-solve whose growth * c_min exceeds 1 + BOUND_SLACK raises FrequencySingular;
-without a certificate the growth * |z| heuristic against COND_LIMIT stands
-in.
+factors every iteration, so an operator keeps them up to FACTOR_CACHE_BYTES.
+A one-shot solve keeps none.  The bins are solved in consecutive blocks
+bounded in bytes (LINE_BLOCK_BYTES per dofs x bins working array), in
+buffers the operator reuses, never in whole-line bins x dofs temporaries.
+A singular frequency is never skipped or interpolated over: material-law
+poles on the solve line violate the solution theory and must surface as
+PoleHit or FrequencySingular.  On a certified line (c_min > 0) the theory
+bounds every bin, |u_k| <= |g_k| / c_min, so a solve whose growth * c_min
+exceeds 1 + BOUND_SLACK raises FrequencySingular; without a certificate the
+growth * |z| heuristic against COND_LIMIT stands in.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from .signals import TimeGrid, WeightedSignal, _wraparound_and_norm
 
 COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
 BOUND_SLACK = 0.02              # growth * c_min <= 1 + slack on a certified line
-FACTOR_CACHE_DOF_LIMIT = 1500   # cache LU factors below this state size
+FACTOR_CACHE_BYTES = 1 << 27    # bytes of banded LU factors an operator keeps for reuse
 LINE_BLOCK_BYTES = 1 << 20      # bytes of one dofs x bins working array of a line block
 
 
@@ -192,12 +192,13 @@ class SolutionOperator:
     two seeded vectors, through the same matrix-free transforms the solve
     uses.
 
-    Each bin's factors are kept for later applies below
-    FACTOR_CACHE_DOF_LIMIT dofs, unless keep_factors=False: a caller that
-    applies the operator once (solve_linear, second_order_solve) says so,
-    and every bin then factors into one reused band buffer.  The line is
-    solved in blocks whose working arrays the operator allocates on its
-    first apply and reuses, so one operator serves one thread.
+    Every bin factors in the operator's one band buffer.  While their bytes
+    stay within FACTOR_CACHE_BYTES, the factors of the first bins met are
+    kept, each with its buffer, for later applies, which visit the bins in
+    the same order; a one-shot caller (solve_linear) turns keep_factors
+    off.  The line is solved in blocks whose working arrays the operator
+    allocates on its first apply and reuses, so one operator serves one
+    thread.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
@@ -240,20 +241,19 @@ class SolutionOperator:
                              f"by {gap:.3e} against its max entry {k_max:.3e}")
         offset = k2hat.row - k2hat.col
         kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
-        band = np.zeros((2 * kl + ku + 1, ne), dtype=np.complex128)
+        band = np.zeros((2 * kl + ku + 1, ne), dtype=np.complex128, order="F")
         np.add.at(band, (kl + ku + offset, k2hat.col), k2hat.data)
         self._band, self._kl, self._ku = band, kl, ku
         self._band_group = self._group[perm]     # region of each sorted modal edge
-        self._use_cache = keep_factors and bundle.n_state <= FACTOR_CACHE_DOF_LIMIT
+        self._keep = keep_factors
         self._cache: dict = {}
-        # without a cache every bin factors in this one buffer
-        self._ab = None if self._use_cache else np.empty_like(band, order="F")
+        self._ab = np.empty_like(band)   # the buffer the next bin factors in
         self._work = None   # the block workspace, allocated on the first apply
 
     @property
     def factor_cache_bytes(self) -> int:
         """Bytes of the banded LU factors the operator holds for reuse."""
-        return sum(lu.lu.nbytes for lu in self._cache.values())
+        return len(self._cache) * self._ab.nbytes
 
     def _to_modal(self, x: np.ndarray) -> np.ndarray:
         """(T_e x)^T for complex edge columns x, which it may overwrite, the
@@ -275,18 +275,16 @@ class SolutionOperator:
         z = self.z[k]
         if z == 0:
             raise FrequencySingular(0j, np.inf)   # H cannot be eliminated at z = 0
-        if self._use_cache:
-            ab = np.array(self._band, order="F")
-        else:
-            ab = self._ab
-            ab[...] = self._band
+        ab = self._ab
+        ab[...] = self._band
         ab[self._kl + self._ku] += z * self._lines[k, self._band_group]
         try:
             lu = _band_lu(ab, self._kl, self._ku)
         except np.linalg.LinAlgError as exc:
             raise FrequencySingular(complex(z), np.inf) from exc
-        if self._use_cache:
-            self._cache[k] = lu
+        if self._keep and self.factor_cache_bytes + ab.nbytes <= FACTOR_CACHE_BYTES:
+            self._cache[k] = lu   # the factor keeps the buffer it was written over
+            self._ab = np.empty_like(ab)
         return lu
 
     def _solve(self, ks: np.ndarray, d: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -377,8 +375,8 @@ class SolutionOperator:
         the operator and are reused by every block and every apply.  The
         transforms, residuals, the one refinement step and the checks run
         per block; a check that fails raises for the first such bin in bin
-        order.  collect receives the maxima over all blocks.  Without the
-        factor cache, a bin that needs refinement is factored again.
+        order.  collect receives the maxima over all blocks.  A bin whose
+        factors are not kept is factored again if it needs refinement.
         """
         n = self.z.size
         if ghat.shape[0] not in (n, n // 2 + 1):
@@ -554,11 +552,9 @@ def second_order_solve(problem: SecondOrderProblem,
     SolutionOperator.
     """
     b = problem.bundle
-    linear = LinearProblem(b, problem.material, problem.rho,
-                           stack_rhs(b, problem.phi, problem.psi), check_wraparound=False)
-    op = SolutionOperator(b, linear.material, linear.rho, linear.rhs.grid, certificate_required,
-                          keep_factors=False)
-    u = op.apply(linear.rhs)
+    u, _ = solve_linear(LinearProblem(b, problem.material, problem.rho,
+                                      stack_rhs(b, problem.phi, problem.psi), check_wraparound=False),
+                        certificate_required)
     return u.with_values(u.values[:, :b.n_edges])
 
 

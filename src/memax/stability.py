@@ -144,11 +144,6 @@ class MdSystem:
         return _md_herm_min(z, M0, M1, z * (M0 + M1 / z), self.C, self.d)
 
 
-def build_Md(M0, M1, C: float, d: float) -> MdSystem:
-    """Evaluator for the damped block law; accretivity_scan applies to it."""
-    return MdSystem(M0=M0, M1=M1, C=C, d=d)
-
-
 def md_from_scalar_law(law: ScalarLaw, eps_inf: float, C: float, d: float) -> MdSystem:
     """Split M(z) = eps_inf + z^{-1}(z chi(z)) into the M_d form."""
     def M0(z):
@@ -158,7 +153,7 @@ def md_from_scalar_law(law: ScalarLaw, eps_inf: float, C: float, d: float) -> Md
         zz = np.asarray(z, dtype=np.complex128)
         return zz * (law(zz) - eps_inf)
 
-    return build_Md(M0, M1, C, d)
+    return MdSystem(M0=M0, M1=M1, C=C, d=d)
 
 
 def _md_split(laws, eps_infs, C: float) -> list:
@@ -187,11 +182,6 @@ def _md_margins(mds, ds, nu: float, delta: float) -> np.ndarray:
     return np.array(margins)
 
 
-def md_margin(laws, eps_infs, C: float, d: float, nu: float, delta: float) -> float:
-    """min over laws of the M_d accretivity-scan margin at weight -nu."""
-    return float(_md_margins(_md_split(laws, eps_infs, C), [d], nu, delta)[0])
-
-
 def _select_damping(mds, eps_max: float, nu: float, delta: float, c_at_nu: float,
                     n_grid: int) -> tuple:
     """Best damping parameter for the M_d reduction at weight -nu, over the
@@ -202,7 +192,8 @@ def _select_damping(mds, eps_max: float, nu: float, delta: float, c_at_nu: float
     margin c.  The largest d meeting half the attainable margin is kept
     (recorded either way); no admissible d means no certificate.  Each law
     is evaluated once on the M_d scan grid, and all n_grid values of d are
-    swept from that one evaluation; the margins equal md_margin's per d.
+    swept from that one evaluation; per d the margins equal the smallest
+    accretivity_scan minimum of md_from_scalar_law(law, eps_inf, C, d).
     """
     d_hi = c_at_nu / eps_max
     d_lo = 1.02 * nu

@@ -117,6 +117,16 @@ class TestConfig:
         assert (material.sigma1, material.sigma2) == (0.0, 0.3)
         assert material.eps_laws()[1].name == "dl_sigma"
 
+    def test_region2_inherits_no_conductivity(self):
+        # a dl region 2 beside a dl_sigma region 1 takes its terms, not its sigma
+        raw = default_config_dict()
+        raw["material"] = {"model": "dl_sigma", "sigma": 0.5, "eps0": 1.0,
+                           "terms": [{"alpha": 1.0, "gamma": 1.0, "omega0": 2.0}],
+                           "mu": [1.0, 1.0], "region2": {"model": "dl"}}
+        material, params1, params2, *_ = RunConfig.from_dict(raw).material()
+        assert (material.sigma1, material.sigma2) == (0.5, 0.0)
+        assert material.eps_laws()[1].name == "dl" and params2 == params1
+
     def test_hash_stable(self):
         c1 = RunConfig.from_dict(default_config_dict())
         c2 = RunConfig.from_dict(default_config_dict())
@@ -233,6 +243,26 @@ class TestCLI:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "t = -4" in err and "t = -2" in err
+
+    @pytest.mark.parametrize("dt, t_start, names", [
+        (1.0 / 64.0, -2.0, ("dt = 0.015625", "dt = 0.03125")),   # the step differs
+        (1.0 / 32.0, -2.01, ("0.01 off", "t_start = -2.01")),     # off the window grid
+    ])
+    def test_history_off_the_window_grid_is_an_error(self, dt, t_start, names, tmp_path,
+                                                     bundle4, capsys):
+        from memax import TimeGrid, WeightedSignal, write_signal
+
+        raw = default_config_dict()
+        raw["time"]["t_start"] = t_start
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        grid = TimeGrid(-1.0, dt, int(round(1.0 / dt)) + 1)   # ends at t = 0
+        vals = np.outer(np.exp(grid.times), np.ones(bundle4.n_state))
+        write_signal(WeightedSignal(grid, 0.0, vals), str(tmp_path / "hist.sig"))
+        rc = main(["history", "--in", str(tmp_path / "hist.sig"),
+                   "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "hist_out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(name in err for name in names)
 
     def test_stability_refuses_plain_dl_strict(self, tmp_path):
         raw = default_config_dict()

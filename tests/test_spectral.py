@@ -353,6 +353,42 @@ class TestFactorCacheBytes:
         rows = 2 * op._kl + op._ku + 1
         assert op.factor_cache_bytes == (GRID.n_samples // 2 + 1) * rows * bundle4.n_edges * 16
 
+    def test_n8_reapply_factors_nothing(self, material_dl, rng, factor_calls):
+        # 2904 dofs: the line's factors (about 80 MB) fit the byte budget
+        b = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), (8, 8, 8), 3, 4))
+        g = pulse_rhs(b, GRID, 2.0, rng)
+        op = SolutionOperator(b, material_dl, 2.0, GRID)
+        op.apply(g)
+        assert len(factor_calls) == GRID.n_samples // 2 + 1
+        op.apply(g)
+        assert len(factor_calls) == GRID.n_samples // 2 + 1
+        assert op.factor_cache_bytes <= spectral.FACTOR_CACHE_BYTES
+
+    @pytest.mark.parametrize("spare", [0, 0.5])
+    def test_budget_keeps_the_first_bins(self, spare, bundle4, material_dl, rng, factor_calls,
+                                         monkeypatch):
+        # a budget of 7 bins' worth (and half a bin to spare) keeps the
+        # factors of the first 7 bins; every other bin factors on each apply,
+        # and the solution has the same bits as an unbounded operator's
+        g = pulse_rhs(bundle4, GRID, 2.0, rng)
+        unbounded = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        ref = [unbounded.apply(g).values for _ in range(2)]
+        bins = GRID.n_samples // 2 + 1
+        assert len(factor_calls) == bins
+        per_bin = unbounded._ab.nbytes
+        monkeypatch.setattr(spectral, "FACTOR_CACHE_BYTES", int((7 + spare) * per_bin))
+        factor_calls.clear()
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        u = op.apply(g)
+        assert len(factor_calls) == bins
+        assert sorted(op._cache) == list(range(7))
+        assert op.factor_cache_bytes == 7 * per_bin <= spectral.FACTOR_CACHE_BYTES
+        assert np.array_equal(u.values, ref[0])
+        u = op.apply(g)
+        assert len(factor_calls) == bins + bins - 7
+        assert len(op._cache) == 7 and op.factor_cache_bytes <= spectral.FACTOR_CACHE_BYTES
+        assert np.array_equal(u.values, ref[1])
+
 
 class TestLineBlocks:
     """apply_spectral solves the line in blocks of LINE_BLOCK_BYTES per

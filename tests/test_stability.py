@@ -10,13 +10,13 @@ import memax.stability as stability
 from memax import (
     DrudeLorentzParams,
     LinearProblem,
+    MdSystem,
     ModDLParams,
     NotCertified,
     PiecewiseMaterial,
     TimeGrid,
     WeightedSignal,
     YeeGrid,
-    build_Md,
     build_curl_pair,
     capability_matrix,
     certify_decay_rate,
@@ -101,8 +101,7 @@ class TestMd:
 
     def test_m1_must_vanish_at_zero(self):
         with pytest.raises(ValueError, match="vanish"):
-            build_Md(lambda z: np.ones_like(z),
-                     lambda z: np.ones_like(z), 1.0, 0.1)
+            MdSystem(lambda z: np.ones_like(z), lambda z: np.ones_like(z), 1.0, 0.1)
 
 
 class TestSchurCheck:
