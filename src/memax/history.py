@@ -245,7 +245,7 @@ def _spectral_memory_derivative(sig_E: WeightedSignal, params1, params2,
 
     S = fourier_laplace(sig_E, check=False)
     z = S.z
-    out = np.zeros_like(sig_E.values)
+    out = np.zeros_like(sig_E.values, dtype=np.complex128)
     for params, mask in ((params1, emask1), (params2, ~emask1)):
         if params is None or not mask.any():
             continue
@@ -303,7 +303,7 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
     phi_embedded = WeightedSignal(grid, rho, h.embed(grid))
     phi_E = phi_embedded.with_values(phi_embedded.values[:, :ne])
     phip_E = phi_plus.with_values(phi_plus.values[:, :ne])
-    dG_full = np.zeros_like(phi_embedded.values)
+    dG_full = np.zeros_like(phi_embedded.values, dtype=np.complex128)
     if conv_method == "spectral":
         # d/dt(chi * (phi + phi^+)) via the closed-form law on the line:
         # multiply the transform by z * chi_hat(z) per region.  This shares
@@ -402,7 +402,7 @@ def reconstruct_solution(u_tilde: WeightedSignal, h: HistorySpec,
     """
     grid = u_tilde.grid
     vals = u_tilde.values + phi_plus.values
-    out = np.array(vals)
+    out = np.array(vals, dtype=np.complex128)
     hist = h.embed(grid)
     neg = grid.times <= 0.0
     out[neg] = hist[neg]

@@ -376,12 +376,6 @@ class ContractionCertificate:
         }
 
 
-def _embed_E(E_values: np.ndarray, n_state: int) -> np.ndarray:
-    out = np.zeros((E_values.shape[0], n_state), dtype=E_values.dtype)
-    out[:, : E_values.shape[1]] = E_values
-    return out
-
-
 def suggest_rho(problem: LinearProblem, lip: float, target: float = 0.9,
                 rho_hi: float = 1e4) -> float:
     """Smallest weight (by bisection) at which lip / c_min(line) <= target."""
@@ -413,14 +407,13 @@ def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: flo
     Returns u, the certificate fields measured on the run and the trace of
     iterate norms checked against the ball.
     """
-    bundle = op.bundle
-    n_edges = bundle.n_edges
+    n_edges = op.bundle.n_edges
 
     def step(u: WeightedSignal) -> WeightedSignal:
-        E = u.with_values(u.values[:, :n_edges])
-        N = nonlinearity(E)
-        rhs = g.with_values(g.values - _embed_E(N.values, bundle.n_state))
-        return op.apply(rhs)
+        N = nonlinearity(u.with_values(u.values[:, :n_edges])).values
+        rhs = np.array(g.values, dtype=np.result_type(g.values, N), order="F")
+        rhs[:, :n_edges] -= N
+        return op.apply(WeightedSignal._adopt(g.grid, g.rho, rhs, g.wrap_tol))
 
     def inside_ball(u: WeightedSignal) -> float:
         norm_u = weighted_norm(u)

@@ -14,6 +14,12 @@ adjoint.  All quadrature is trapezoidal (second order); the windowed DFT is
 only trusted when the weighted signal has decayed at both window ends, which
 every transform call checks.
 
+Storage: WeightedSignal construction is the one conversion point.  Exactly
+real samples are stored as float64 and anything else as complex128, always
+in Fortran order, so every time-axis transform and convolution reads
+contiguous columns and a real signal holds half the bytes.  No other module
+re-checks a signal's dtype; the operations here keep real data real.
+
 Convolution convention: for a causal kernel kappa the plain Laplace symbol
 
     hat(kappa)(z) = integral_0^inf kappa(t) e^{-z t} dt
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonCausalKernel, NonPositiveWeight, WraparoundExceeded
+from .errors import MemaxError, NonCausalKernel, NonPositiveWeight, WraparoundExceeded
 
 DEFAULT_WRAP_TOL = 1e-8
 
@@ -92,6 +98,12 @@ class WeightedSignal:
     values has shape (n_samples, state_dim) and is frozen after construction;
     operations return new signals.  Signals with different weights or grids
     never mix silently: arithmetic raises instead of reweighting.
+
+    Construction is the one place that picks the storage: exactly real data
+    (a real dtype, or complex with every imaginary part zero) is copied to
+    float64, anything else to complex128, in Fortran order either way, so
+    each state column is contiguous in time.  Arithmetic between a real and
+    a complex signal gives a complex one.
     """
 
     grid: TimeGrid
@@ -100,7 +112,10 @@ class WeightedSignal:
     wrap_tol: float = DEFAULT_WRAP_TOL
 
     def __post_init__(self):
-        a = _as_2d(self.values).astype(np.complex128, copy=True)
+        a = _as_2d(self.values)
+        real = not np.iscomplexobj(a) or not a.imag.any()
+        a = np.array(a.real if real else a, dtype=np.float64 if real else np.complex128,
+                     order="F")
         if a.shape[0] != self.grid.n_samples:
             raise ValueError(
                 f"values rows {a.shape[0]} != grid n_samples {self.grid.n_samples}"
@@ -111,8 +126,9 @@ class WeightedSignal:
     @classmethod
     def _adopt(cls, grid: TimeGrid, rho: float, values: np.ndarray,
                wrap_tol: float = DEFAULT_WRAP_TOL) -> "WeightedSignal":
-        """A signal over values, a fresh complex128 (n_samples, state_dim)
-        array that the caller hands over: frozen in place, not copied."""
+        """A signal over values, a fresh (n_samples, state_dim) array in
+        Fortran order that the caller hands over, float64 or complex128 as
+        construction would store it: frozen in place, not copied."""
         sig = object.__new__(cls)
         values.setflags(write=False)
         for name, value in (("grid", grid), ("rho", rho), ("values", values), ("wrap_tol", wrap_tol)):
@@ -323,7 +339,7 @@ def fourier_laplace(u: WeightedSignal, check: bool = True) -> SpectralSignal:
     if check:
         u.check_wraparound()
     g = u.grid
-    w = u.values * np.exp(-u.rho * g.times)[:, None]
+    w = np.multiply(u.values, np.exp(-u.rho * g.times)[:, None], dtype=np.complex128)
     np.fft.fft(w, axis=0, out=w)
     w *= np.exp(-1j * g.xi * g.t_start)[:, None]
     w *= g.dt / np.sqrt(2.0 * np.pi)
@@ -398,13 +414,13 @@ def causal_convolve(kernel: SampledKernel, u: WeightedSignal) -> WeightedSignal:
     kw = kvals * weights
 
     n = u.grid.n_samples
-    out = np.zeros((n, u.state_dim), dtype=np.complex128)
-    nz_u = np.nonzero(np.abs(u.values).sum(axis=1))[0]
-    nz_k = np.nonzero(np.abs(kw))[0]
+    x, fft, ifft = u.values, np.fft.fft, np.fft.ifft
+    if not (kw.imag.any() or np.iscomplexobj(x)):
+        kw, fft, ifft = kw.real, np.fft.rfft, np.fft.irfft
+    out = np.zeros((n, u.state_dim), dtype=np.result_type(x, kw), order="F")
+    nz_u = np.flatnonzero(np.any(x, axis=1))
+    nz_k = np.flatnonzero(kw)
     if nz_u.size and nz_k.size:
-        x, fft, ifft = u.values, np.fft.fft, np.fft.ifft
-        if not (kw.imag.any() or x.imag.any()):
-            x, kw, fft, ifft = x.real, kw.real, np.fft.rfft, np.fft.irfft
         nfft = 1 << (n + m - 2).bit_length()
         full = ifft(fft(x, nfft, axis=0) * fft(kw, nfft)[:, None], nfft, axis=0)
         # clip to window and to the exact support sum
@@ -447,16 +463,25 @@ def write_signal(u: WeightedSignal, path: str):
 
 
 def read_signal(path: str) -> WeightedSignal:
+    """The signal write_signal stored at path; a file that is not such a
+    container, or whose size disagrees with its header, raises MemaxError."""
     with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        magic, version, dt, t_start, n, rho, state_dim, wrap_tol = _HEADER.unpack(head)
-        if magic != _CONTAINER_MAGIC:
-            raise ValueError(f"{path}: not a signal container")
-        if version != _CONTAINER_VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
-        payload = np.frombuffer(f.read(), dtype="<c8").reshape(state_dim, n)
-    grid = TimeGrid(t_start, dt, n)
-    return WeightedSignal(grid, rho, payload.T.astype(np.complex128), wrap_tol)
+        data = f.read()
+    if len(data) < _HEADER.size:
+        raise MemaxError(f"{path}: {len(data)} bytes, fewer than the "
+                         f"{_HEADER.size}-byte signal container header")
+    magic, version, dt, t_start, n, rho, state_dim, wrap_tol = _HEADER.unpack_from(data)
+    if magic != _CONTAINER_MAGIC:
+        raise MemaxError(f"{path}: not a signal container: its first 4 bytes are {magic!r}, "
+                         f"expected {_CONTAINER_MAGIC!r}")
+    if version != _CONTAINER_VERSION:
+        raise MemaxError(f"{path}: container version {version}, expected {_CONTAINER_VERSION}")
+    size = _HEADER.size + 8 * n * state_dim
+    if n < 2 or state_dim < 1 or len(data) != size:
+        raise MemaxError(f"{path}: {len(data)} bytes, expected {size}: the header declares "
+                         f"{n} samples x {state_dim} states of 8 bytes after {_HEADER.size}")
+    payload = np.frombuffer(data, dtype="<c8", offset=_HEADER.size).reshape(state_dim, n)
+    return WeightedSignal(TimeGrid(t_start, dt, n), rho, payload.T, wrap_tol)
 
 
 def write_signal_csv(u: WeightedSignal, path: str):

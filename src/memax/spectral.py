@@ -41,11 +41,13 @@ checks use z M + A in the original basis.
 
 A is real and M(conj z) = conj M(z), so the operator maps real fields to
 real fields.  apply() alone tells real data from complex: real weighted
-samples g e^{-rho t} go through rfft, the half line and irfft, exactly real;
-other data through fft and the full line.  apply_spectral() detects no
-symmetry: a half spectrum (n//2 + 1 rows) is real data, its self-mirrored
-bins xi = 0 and Nyquist keeping the real part of their solve, and a full
-spectrum (n rows) is solved on every bin.  The transform's unit phase
+samples g e^{-rho t} (a float64 signal, time-contiguous as every signal is
+stored) go through rfft into a half spectrum contiguous per dof, the half
+line and irfft, which writes the float64 solution; other data through fft
+and the full line.  apply_spectral() detects no symmetry: a half spectrum
+(n//2 + 1 rows) is real data, its self-mirrored bins xi = 0 and Nyquist
+keeping the real part of their solve, and a full spectrum (n rows) is
+solved on every bin.  The transform's unit phase
 e^{-i xi t_start} and constant dt / sqrt(2 pi) are left out, because the
 inverse undoes both and every per-bin check (residual, refinement, growth,
 1/c_min bound, zero-bin skip) is invariant under scaling a bin by a nonzero
@@ -384,7 +386,7 @@ class SolutionOperator:
                              f"expected {n} bins or the half line's {n // 2 + 1}")
         half = ghat.shape[0] != n
         ks = np.flatnonzero(np.any(ghat, axis=1))
-        out = np.zeros(ghat.shape, dtype=np.complex128)
+        out = np.zeros_like(ghat, dtype=np.complex128)
         res, growth = np.empty(ks.size), np.empty(ks.size)
         refined = 0
         step = max(1, LINE_BLOCK_BYTES // (16 * self.bundle.n_state))
@@ -404,14 +406,12 @@ class SolutionOperator:
         return out
 
     def _weighted(self, g: WeightedSignal) -> np.ndarray:
-        """w = g e^{-rho t}, a float array when its imaginary part is at most
-        1e-12 of max |w| (exactly real g makes no complex product)."""
-        decay = np.exp(-self.rho * self.grid.times)[:, None]
-        if not g.values.imag.any():
-            return g.values.real * decay
-        w = g.values * decay
-        im = np.abs(w.imag).max(initial=0.0)
-        return w.real if im == 0.0 or im <= 1e-12 * np.abs(w).max() else w
+        """w = g e^{-rho t}: float for a real signal, and for a complex one
+        whose imaginary part is at most 1e-12 of max |w|."""
+        w = g.values * np.exp(-self.rho * self.grid.times)[:, None]
+        if not np.iscomplexobj(w) or np.abs(w.imag).max() > 1e-12 * np.abs(w).max():
+            return w
+        return w.real
 
     def apply(self, g: WeightedSignal, collect: dict | None = None) -> WeightedSignal:
         """Signal to signal on the plain DFT of w = g e^{-rho t}.
@@ -420,9 +420,10 @@ class SolutionOperator:
         rfft, the half line and irfft, so the solution is exactly real; any
         other w through fft, the full line and ifft.  The unit phase and
         the constant of fourier_laplace are left out: the inverse would
-        undo both, and no per-bin check sees a nonzero scale.  irfft writes
-        into the real part of the array the returned signal adopts, so real
-        data makes no complex temporary.
+        undo both, and no per-bin check sees a nonzero scale.  A signal's
+        values are time-contiguous, so rfft reads contiguous columns into a
+        spectrum contiguous per dof, and irfft writes the float64 solution
+        the returned signal adopts.
         """
         n, t = self.grid.n_samples, self.grid.times
         w = self._weighted(g)
@@ -434,11 +435,8 @@ class SolutionOperator:
             return WeightedSignal._adopt(self.grid, self.rho, w, g.wrap_tol)
         w = np.fft.rfft(w, axis=0)
         w = self.apply_spectral(w, collect)
-        u = np.zeros(g.values.shape, dtype=np.complex128)
-        real = u.real
-        np.fft.irfft(w, n, axis=0, out=real)
-        del w   # free the spectrum before the strided scaling buffers its operands
-        real *= np.exp(self.rho * t)[:, None]
+        u = np.fft.irfft(w, n, axis=0)
+        u *= np.exp(self.rho * t)[:, None]
         return WeightedSignal._adopt(self.grid, self.rho, u, g.wrap_tol)
 
 

@@ -528,7 +528,8 @@ def simulate_decay(bundle: OperatorBundle, material: PiecewiseMaterial,
                       WeightedSignal(Psi.grid, -nu, Psi.values))
         problem = LinearProblem(bundle, material, -nu, g)
         u, _ = solve_linear(problem, certificate_required=False)
-        norms = np.linalg.norm(u.values.real, axis=1)
+        # contiguous rows: each norm is a pairwise sum over the dofs
+        norms = np.linalg.norm(np.ascontiguousarray(u.values.real), axis=1)
         t_lo = window_factor * t_src_off
         nu_hat, r2, t_hi, amp = fit_decay_rate(u.times, norms, t_lo)
         fits.append(DecayFit(t_lo=t_lo, t_hi=t_hi, nu_hat=nu_hat, r_squared=r2,

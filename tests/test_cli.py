@@ -264,6 +264,26 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and all(name in err for name in names)
 
+    @pytest.mark.parametrize("damage, names", [
+        (lambda b: b[:12], ("12 bytes", "56-byte")),                       # no whole header
+        (lambda b: b[:-8], ("1608 bytes", "expected 1616")),              # a sample cut off
+        (lambda b: b"XXXX" + b[4:], ("b'XXXX'", "b'MXSG'")),              # wrong magic
+        (lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:], ("version 2", "expected 1")),
+    ], ids=["short", "truncated", "magic", "version"])
+    def test_history_from_a_damaged_container_is_an_error(self, damage, names, config_path,
+                                                           tmp_path, capsys):
+        from memax import TimeGrid, WeightedSignal, write_signal
+
+        path = tmp_path / "hist.sig"
+        grid = TimeGrid(-2.0, 1.0 / 32.0, 65)
+        write_signal(WeightedSignal(grid, 0.0, np.ones((65, 3))), str(path))
+        path.write_bytes(damage(path.read_bytes()))
+        rc = main(["history", "--in", str(path), "--config", config_path,
+                   "--out", str(tmp_path / "hist_out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and all(name in err for name in names)
+
     def test_stability_refuses_plain_dl_strict(self, tmp_path):
         raw = default_config_dict()
         raw["material"] = {"model": "dl", "eps0": 1.0,

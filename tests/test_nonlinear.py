@@ -226,7 +226,7 @@ class TestQuadKernel:
         wts = np.ones(n)
         wts[0] = wts[-1] = 0.5
         dt = grid.dt
-        expect = np.zeros_like(E.values)
+        expect = np.zeros_like(E.values, dtype=complex)
         for k in range(n):
             acc = np.zeros(E.state_dim, dtype=complex)
             for l1 in range(n):

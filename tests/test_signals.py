@@ -25,7 +25,7 @@ from memax import (
     truncate_after,
     weighted_norm,
 )
-from memax import DrudeLorentzParams
+from memax import DrudeLorentzParams, SolutionOperator
 from memax.signals import read_signal, write_signal
 
 
@@ -364,3 +364,59 @@ class TestContainer:
         write_signal_csv(u, path)
         text = open(path).read()
         assert "re_0" in text and str(u.rho) in text
+
+
+class TestStorage:
+    """Construction stores exactly real data as float64 and anything else as
+    complex128, Fortran-ordered (time contiguous) and read-only."""
+
+    @pytest.mark.parametrize("values, dtype", [
+        (np.arange(12.0).reshape(6, 2), np.float64),
+        (np.arange(12).reshape(6, 2), np.float64),
+        (np.arange(12.0).reshape(6, 2).astype(np.float32), np.float64),
+        (np.arange(12.0).reshape(6, 2) + 0j, np.float64),
+        (np.arange(12.0).reshape(6, 2) - 0j * np.ones((6, 2)), np.float64),
+        (np.arange(12.0).reshape(6, 2) + 1e-300j, np.complex128),
+        (np.arange(12.0).reshape(6, 2).astype(np.complex64) * 1j, np.complex128),
+    ])
+    def test_dtype_rule_and_layout(self, values, dtype):
+        u = WeightedSignal(TimeGrid(0.0, 0.1, 6), 1.0, values)
+        assert u.values.dtype == dtype
+        assert u.values.flags.f_contiguous and not u.values.flags.writeable
+        assert np.array_equal(u.values, values)
+
+    def test_real_and_complex_mix_to_complex(self, rng):
+        grid = TimeGrid(0.0, 0.1, 8)
+        x = WeightedSignal(grid, 1.0, rng.standard_normal((8, 3)))
+        z = WeightedSignal(grid, 1.0, rng.standard_normal((8, 3)) * 1j)
+        for w in (x + z, z + x, x - z, z - x, x * 1j):
+            assert w.values.dtype == np.complex128 and w.values.flags.f_contiguous
+        assert (x + x).values.dtype == np.float64 and (-x).values.dtype == np.float64
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_container_round_trip(self, imag, rng, tmp_path):
+        u = make_signal(rng, n=64, dim=3)
+        u = u.with_values(u.values + imag * 1j * u.values[::-1])
+        first, second = str(tmp_path / "a.sig"), str(tmp_path / "b.sig")
+        write_signal(u, first)
+        v = read_signal(first)
+        assert v.values.dtype == u.values.dtype and v.values.flags.f_contiguous
+        assert np.array_equal(v.values, u.values.astype(np.complex64))
+        assert np.array_equal(read_signal(first).values, v.values)
+        write_signal(v, second)
+        assert open(first, "rb").read() == open(second, "rb").read()
+
+    def test_apply_real_data_gives_float64_fortran(self, bundle4, material_dl, rng):
+        grid = TimeGrid(-2.0, 1.0 / 8.0, 128)
+        g = WeightedSignal(grid, 2.0, smooth_pulse(grid.times, 0.0, 2.0)[:, None]
+                           * rng.standard_normal(bundle4.n_state)[None, :])
+        u = SolutionOperator(bundle4, material_dl, 2.0, grid).apply(g)
+        assert u.values.dtype == np.float64 and u.values.flags.f_contiguous
+
+    def test_apply_spectral_layout_independent(self, bundle4, material_dl, rng):
+        grid = TimeGrid(-2.0, 1.0 / 8.0, 128)
+        w = smooth_pulse(grid.times, 0.0, 2.0)[:, None] * rng.standard_normal(bundle4.n_state)
+        half = np.fft.rfft(w * np.exp(-2.0 * grid.times)[:, None], axis=0)
+        op = SolutionOperator(bundle4, material_dl, 2.0, grid)
+        c, f = np.ascontiguousarray(half), np.asfortranarray(half)
+        assert np.array_equal(op.apply_spectral(c), op.apply_spectral(f))
