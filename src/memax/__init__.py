@@ -22,9 +22,9 @@ from .errors import (  # noqa: F401
     NonPositiveWeight,
     NotAContraction,
     NotCertified,
-    OverdampedUnsupported,
     PoleHit,
     RankAmbiguous,
+    UncertifiedLine,
     WraparoundExceeded,
 )
 from .signals import (  # noqa: F401

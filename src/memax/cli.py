@@ -37,6 +37,15 @@ def _load(args) -> RunConfig:
     return RunConfig.from_file(args.config)
 
 
+def _float_list(text: str) -> list:
+    """A comma-separated list of floats, for argparse; '' is the empty list."""
+    try:
+        return [float(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
+
+
 def _source_signal(cfg: RunConfig, bundle, grid: TimeGrid, rho: float) -> WeightedSignal:
     src = cfg.raw.get("source", {})
     t_on = float(src.get("t_on", 0.0))
@@ -168,8 +177,7 @@ def cmd_stability(args) -> int:
     s2 = stability_mod.projection_invertibility_check(bundle, basis, 1.0 / mu_faces)
     cert = stability_mod.certify_decay_rate(laws, eps_infs, float(np.sqrt(s2)),
                                             delta=tol["scan_delta"])
-    nu_list = [float(x) for x in args.nu.split(",")] if args.nu else \
-        ([0.5 * cert.nu0] if cert.certified else [])
+    nu_list = args.nu or ([0.5 * cert.nu0] if cert.certified else [])
     os.makedirs(args.out, exist_ok=True)
     payload = {
         "manifest": reporting.manifest(cfg.content_hash(), tol,
@@ -316,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="decay certificate and simulated decay")
     p.add_argument("--config", required=True)
-    p.add_argument("--nu", default="")
+    p.add_argument("--nu", type=_float_list, default="")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_stability)
 

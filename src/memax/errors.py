@@ -42,14 +42,6 @@ class PoleHit(MemaxError):
         super().__init__(f"evaluation at z={z} within {distance:.3e} of a pole")
 
 
-class OverdampedUnsupported(MemaxError):
-    """Time-kernel sampling requested for an overdamped oscillator term.
-
-    The damped-sine closed form only covers omega0 > gamma; z-domain
-    evaluation still works for overdamped terms.
-    """
-
-
 class GridTooCoarse(MemaxError):
     """An accretivity scan minimum is dominated by pole-adjacent cells."""
 
@@ -118,6 +110,16 @@ class NotCertified(MemaxError):
     def __init__(self, nu: float, reason: str = ""):
         self.nu = nu
         super().__init__(f"no accretivity certificate at weight -{nu}" + (f": {reason}" if reason else ""))
+
+
+class UncertifiedLine(MemaxError):
+    """A solve was requested on a line Re z = rho without an accretivity certificate."""
+
+    def __init__(self, rho: float, c_min: float):
+        self.rho = rho
+        self.c_min = c_min
+        super().__init__(f"no accretivity certificate on the line Re z = {rho} "
+                         f"(c_min = {c_min:.3e}); pass certificate_required=False to override")
 
 
 class KernelRankTooHigh(MemaxError):

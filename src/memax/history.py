@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MemaxError
-from .materials import ModDLParams, PiecewiseMaterial
+from .materials import PiecewiseMaterial
 from .nonlinear import KernelSpec
 from .operators import OperatorBundle
 from .signals import TimeGrid, WeightedSignal
@@ -227,20 +227,9 @@ def smooth_jump(h: HistorySpec, b: BumpSpec, grid: TimeGrid, rho: float) -> Weig
     return WeightedSignal(grid, rho, _bump_terms(h, b, grid, b.beta))
 
 
-def _chi_hat(params, z: np.ndarray) -> np.ndarray:
-    """Frequency multiplier of the region's linear memory convolution."""
-    from .materials import eval_chi_dl, mod_dl_eval
-
-    if params is None:
-        return np.zeros_like(z)
-    if isinstance(params, ModDLParams):
-        return mod_dl_eval(z, params) - params.base.eps0
-    return eval_chi_dl(z, params)
-
-
 def _spectral_memory_derivative(sig_E: WeightedSignal, params1, params2,
                                 emask1: np.ndarray) -> np.ndarray:
-    """d/dt(chi * sig) per region, evaluated as z*chi_hat(z) on the line."""
+    """d/dt(chi * sig) per region, evaluated as z chi(z) on the line."""
     from .signals import fourier_laplace, inverse_fourier_laplace
 
     S = fourier_laplace(sig_E, check=False)
@@ -249,7 +238,7 @@ def _spectral_memory_derivative(sig_E: WeightedSignal, params1, params2,
     for params, mask in ((params1, emask1), (params2, ~emask1)):
         if params is None or not mask.any():
             continue
-        mult = (z * _chi_hat(params, z))[:, None]
+        mult = (z * params.chi(z))[:, None]
         sub = S.with_values(S.values * mask[None, :] * mult)
         out += inverse_fourier_laplace(sub).values * mask[None, :]
     return out
@@ -281,8 +270,8 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
 
     conv_method picks how the linear memory terms are evaluated:
     "trapezoid" samples the kernels and convolves in time (the module's
-    standard quadrature; it needs the time-domain expansion, so overdamped
-    terms raise OverdampedUnsupported and z0 != 0 raises MemaxError),
+    standard quadrature; it needs the time-domain expansion, so a critically
+    damped term, omega0 == gamma, or a non-real z0 raises MemaxError),
     "spectral" multiplies by the closed-form law on
     the frequency line, which matches the solver's own convention and keeps
     the converted data's kink at t=0 at the compatibility level rather than
@@ -306,7 +295,7 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
     dG_full = np.zeros_like(phi_embedded.values, dtype=np.complex128)
     if conv_method == "spectral":
         # d/dt(chi * (phi + phi^+)) via the closed-form law on the line:
-        # multiply the transform by z * chi_hat(z) per region.  This shares
+        # multiply the transform by z chi(z) per region.  This shares
         # the solver's quadrature convention exactly.
         total_E = phi_E + phip_E
         dG_full[:, :ne] = _spectral_memory_derivative(total_E, params1, params2, emask1)

@@ -4,18 +4,19 @@ The laws here are rational in z.  The damped-oscillator susceptibility
 
     chi(z) = sum_j alpha_j / (omega0_j^2 + z^2 + 2 gamma_j z)
 
-has all poles in the open left half-plane for gamma_j > 0.  The modified law
-multiplies each term by (1 + (z - z0)/r), which restores strict half-plane
-accretivity outside a disk around the origin when 2 gamma r - omega0^2 > 0,
-and a conductivity shift sigma adds z^{-1} sigma.
+has its poles in the open left half-plane for gamma_j > 0, except the pole
+at 0 of a Drude term (omega0_j = 0).  The modified law multiplies each term
+by (1 + (z - z0)/r), which restores strict half-plane accretivity outside a
+disk around the origin when 2 gamma r - omega0^2 > 0, and a conductivity
+shift sigma adds z^{-1} sigma.
 
-Time domain: each parameter record expands into (lam_j, c_j) pairs whose
-kernel is Im(c_j e^{lam_j t}) for t > 0 (the recursive-convolution form of
-Luebbers et al., IEEE Trans. EMC 32, 1990), and sample_kernel samples it
-for nonlinear.KernelSpec.from_dl.  Every time-domain consumer (Picard
-memory, history conversion through KernelSpec, the oracle stepper) goes
-through this one expansion; the z-domain evaluators and closed forms below
-do not, so they stay independent checks on it.
+Time domain: _oscillator expands each term into (lam, c) pairs whose kernel
+is Im(c e^{lam t}) for t > 0 (the recursive-convolution form of Luebbers et
+al., IEEE Trans. EMC 32, 1990, which covers Debye media too), and
+sample_kernel samples it for nonlinear.KernelSpec.from_dl.  Every
+time-domain consumer (Picard memory, history conversion through KernelSpec,
+the oracle stepper) goes through this one expansion; the z-domain evaluators
+and closed forms below do not, so they stay independent checks on it.
 
 Accretivity is always measured as the smallest eigenvalue of the Hermitian
 part: "Re B >= c" means <(B + B*)/2 x, x> >= c |x|^2.  Scans walk a half-plane
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, MemaxError, OverdampedUnsupported, PoleHit
+from .errors import GridTooCoarse, MemaxError, PoleHit
 from .signals import SampledKernel, TimeGrid
 
 POLE_PROXIMITY = 1e-14        # relative denominator threshold for PoleHit
@@ -64,36 +65,53 @@ class DrudeLorentzParams:
         object.__setattr__(self, "terms", terms)
 
     def poles(self) -> np.ndarray:
-        """Roots of the term denominators; all satisfy Re z < 0."""
-        out = []
-        for _, g, w in self.terms:
-            disc = w * w - g * g
-            if disc > 0:
-                out += [-g + 1j * math.sqrt(disc), -g - 1j * math.sqrt(disc)]
-            else:
-                out += [-g + math.sqrt(-disc), -g - math.sqrt(-disc)]
-        return np.asarray(out, dtype=np.complex128)
+        """Roots of the term denominators; Re z < 0 except a Drude term's 0."""
+        return np.asarray([z for _, g, w in self.terms for z in _oscillator(g, w)[0]],
+                          dtype=np.complex128)
 
     @property
     def eps_inf(self) -> float:
         return self.eps0
 
-    def kernel_terms(self) -> list:
-        """(lam, c) per term: (alpha/b) e^{-gamma t} sin(b t) = Im(c e^{lam t})
-        with lam = -gamma + i b, c = alpha/b, b = sqrt(omega0^2 - gamma^2).
+    def chi(self, z):
+        """The memory part of the law, eps(z) - eps_inf."""
+        return eval_chi_dl(z, self)
 
-        Only the oscillatory branch omega0 > gamma is covered.
-        """
+    def kernel_terms(self) -> list:
+        """(lam, c) pairs of the terms alpha / (z^2 + 2 gamma z + omega0^2)."""
+        return self._expand(lambda a: (0.0, a))
+
+    def _expand(self, numerator) -> list:
+        """The (lam, c) pairs of every term, with numerator(alpha) -> (n1, n0)."""
         out = []
         for a, g, w in self.terms:
-            if w <= g:
-                raise OverdampedUnsupported(
-                    f"term (alpha={a}, gamma={g}, omega0={w}) is overdamped; "
-                    "z-domain evaluation still works"
+            pairs = _oscillator(g, w, *numerator(a))[1]
+            if pairs is None:
+                raise MemaxError(
+                    f"term (alpha={a}, gamma={g}, omega0={w}) is critically damped: its "
+                    "kernel t e^(-gamma t) has no Im(c e^(lam t)) form"
                 )
-            b = math.sqrt(w * w - g * g)
-            out.append((complex(-g, b), complex(a / b)))
+            out += pairs
         return out
+
+
+def _oscillator(g: float, w: float, n1: float = 0.0, n0: float = 0.0) -> tuple:
+    """The two roots of z^2 + 2 g z + w^2, and the (lam, c) pairs whose kernel
+    sum Im(c e^{lam t}) is that of (n1 z + n0) / (z^2 + 2 g z + w^2): for w > g
+    lam = -g + i b, c = (n0 - n1 g)/b + i n1 with b = sqrt(w^2 - g^2); for w < g
+    the partial fractions, c+- = +-i (n1 lam+- + n0) / (lam+ - lam-) on the real
+    roots lam+-.  The pairs are None at the double root w == g."""
+    disc = w * w - g * g
+    if disc > 0:
+        b = math.sqrt(disc)
+        lam = complex(-g, b)
+        return (lam, lam.conjugate()), [(lam, complex(n0 / b - n1 * (g / b), n1))]
+    s = math.sqrt(-disc)
+    hi, lo = complex(-g + s), complex(-g - s)
+    if s == 0:
+        return (hi, lo), None
+    return (hi, lo), [(hi, 1j * (n1 * hi + n0) / (hi - lo)),
+                      (lo, -1j * (n1 * lo + n0) / (hi - lo))]
 
 
 @dataclass(frozen=True)
@@ -116,21 +134,19 @@ class ModDLParams:
     def eps_inf(self) -> float:
         return self.base.eps0
 
+    def chi(self, z):
+        """The memory part of the law, M_r(z) - eps_inf."""
+        return mod_dl_eval(z, self) - self.base.eps0
+
     def kernel_terms(self) -> list:
-        """The plain terms plus the (1 + z/r) correction per oscillator,
-
-            (alpha/r) e^{-gamma t} (cos(b t) - (gamma/b) sin(b t)),
-
-        which only changes the coefficient: c = alpha/b - (alpha/r)(gamma/b)
-        + i alpha/r on the same lam (Re x = Im(i x)).  Covers z0 = 0 only.
-        """
-        if self.z0 != 0.0:
-            raise MemaxError(
-                f"time-domain kernel covers the z0 = 0 modified law only, got z0 = {self.z0}"
-            )
+        """(lam, c) pairs of the terms alpha (1 + (z - z0)/r) / (z^2 + 2 gamma z
+        + omega0^2): n1 = alpha/r, n0 = alpha (1 - z0/r), for real z0."""
+        z0 = complex(self.z0)
+        if z0.imag != 0.0:
+            raise MemaxError(f"z0 = {self.z0} is not real, so the modified law has no "
+                             "real time-domain kernel")
         r = self.r
-        return [(lam, complex(c.real - (a / r) * (g / lam.imag), a / r))
-                for (lam, c), (a, g, _) in zip(self.base.kernel_terms(), self.base.terms)]
+        return self.base._expand(lambda a: (a / r, a * (1 - z0.real / r)))
 
 
 def _check_poles(z, terms) -> list:

@@ -89,7 +89,9 @@ class KernelSpec:
         is returned; otherwise the sum is a new array.
         """
         conv = causal_convolve(self.kappa_prime, x).values
-        zero_lag = self.kappa_at_0plus * x.values
+        k0 = self.kappa_at_0plus
+        # a real kernel on real data gives a real current
+        zero_lag = (k0.real if k0.imag == 0 and conv.dtype == np.float64 else k0) * x.values
         if out is None:
             return conv + zero_lag
         out += conv
@@ -198,7 +200,7 @@ def apply_P_nl(spec: KernelSpec, q, E: WeightedSignal) -> WeightedSignal:
 
 def apply_dt_P_nl(spec: KernelSpec, q, E: WeightedSignal) -> WeightedSignal:
     """dP/dt = kappa(0+) q(E) + kappa' * q(E) (the two-term formula)."""
-    return E.with_values(spec.dt_convolve(E.with_values(q(E.values))))
+    return E._with_fresh(spec.dt_convolve(E._with_fresh(q(E.values))))
 
 
 @dataclass(frozen=True)
@@ -410,7 +412,7 @@ def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: flo
     n_edges = op.bundle.n_edges
 
     def step(u: WeightedSignal) -> WeightedSignal:
-        N = nonlinearity(u.with_values(u.values[:, :n_edges])).values
+        N = nonlinearity(u._with_fresh(u.values[:, :n_edges])).values
         rhs = np.array(g.values, dtype=np.result_type(g.values, N), order="F")
         rhs[:, :n_edges] -= N
         return op.apply(WeightedSignal._adopt(g.grid, g.rho, rhs, g.wrap_tol))

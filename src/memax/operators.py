@@ -26,6 +26,7 @@ contractions, apply T to data (_mode_transform).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -253,6 +254,11 @@ class OperatorBundle:
     def n_state(self) -> int:
         return self.n_edges + self.n_faces
 
+    @cached_property
+    def modal_curl(self) -> sparse.csr_matrix:
+        """_modal_curl of the grid, built on first use and only read after."""
+        return _modal_curl(self.grid)
+
     def edge_region_mask(self) -> np.ndarray:
         """True where an edge dof belongs to region 1 (midpoint strictly below
         the interface plane along the interface axis; ties go to region 2)."""
@@ -388,7 +394,7 @@ def helmholtz_projections(bundle: OperatorBundle) -> ProjectionBasis:
     face_modes = _component_modes(bundle.grid, "face")
     ne, nf = bundle.n_edges, bundle.n_faces
     mode_e, mode_f = (np.concatenate([c[2] for c in m]) for m in (edge_modes, face_modes))
-    chat = _modal_curl(bundle.grid)
+    chat = bundle.modal_curl
     svds = []
     for label in np.union1d(mode_e, mode_f):
         edges, faces = np.flatnonzero(mode_e == label), np.flatnonzero(mode_f == label)

@@ -148,6 +148,14 @@ class WeightedSignal:
     def with_values(self, values: np.ndarray) -> "WeightedSignal":
         return WeightedSignal(self.grid, self.rho, values, self.wrap_tol)
 
+    def _with_fresh(self, values: np.ndarray) -> "WeightedSignal":
+        """with_values for an array no one else writes (a fresh result, or a
+        view of frozen storage): float64 in Fortran order is adopted, anything
+        else goes through construction."""
+        if values.dtype == np.float64 and values.flags.f_contiguous:
+            return WeightedSignal._adopt(self.grid, self.rho, values, self.wrap_tol)
+        return self.with_values(values)
+
     def _check_compatible(self, other: "WeightedSignal"):
         if self.grid != other.grid:
             raise ValueError("signals live on different time grids")
@@ -159,11 +167,11 @@ class WeightedSignal:
 
     def __add__(self, other: "WeightedSignal") -> "WeightedSignal":
         self._check_compatible(other)
-        return self.with_values(self.values + other.values)
+        return self._with_fresh(self.values + other.values)
 
     def __sub__(self, other: "WeightedSignal") -> "WeightedSignal":
         self._check_compatible(other)
-        return self.with_values(self.values - other.values)
+        return self._with_fresh(self.values - other.values)
 
     def __mul__(self, scalar) -> "WeightedSignal":
         return self.with_values(self.values * scalar)
@@ -429,7 +437,7 @@ def causal_convolve(kernel: SampledKernel, u: WeightedSignal) -> WeightedSignal:
         if last >= first:
             out[first:last + 1] = full[first - lag0_offset:last + 1 - lag0_offset]
         out *= u.grid.dt
-    return u.with_values(out)
+    return u._with_fresh(out)
 
 
 def plain_laplace(kernel: SampledKernel, z: np.ndarray) -> np.ndarray:

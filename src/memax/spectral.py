@@ -76,9 +76,9 @@ from scipy import sparse
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracing.py wraps this name)
 
-from .errors import FrequencySingular, MemaxError, WraparoundExceeded
+from .errors import FrequencySingular, MemaxError, UncertifiedLine, WraparoundExceeded
 from .materials import PiecewiseMaterial, line_certificate
-from .operators import OperatorBundle, _component_modes, _modal_curl, _mode_transform
+from .operators import OperatorBundle, _component_modes, _mode_transform
 from .signals import TimeGrid, WeightedSignal, _wraparound_and_norm
 
 COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
@@ -213,10 +213,7 @@ class SolutionOperator:
         self.z = z = rho + 1j * grid.xi
         self.c_min = line_certificate(material, rho, grid.xi)
         if certificate_required and self.c_min <= 0.0:
-            raise ValueError(
-                f"no accretivity certificate on the line Re z = {rho} "
-                f"(c_min = {self.c_min:.3e}); pass certificate_required=False to override"
-            )
+            raise UncertifiedLine(rho, self.c_min)
         ne = bundle.n_edges
         l1, l2 = material.eps_laws()
         mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
@@ -232,7 +229,7 @@ class SolutionOperator:
         mode = np.concatenate([labels for *_, labels in self._modes])
         coord = bundle.edge_positions[:, bundle.grid.interface_axis - 1]
         self._perm = perm = np.lexsort((coord, mode))
-        chat = _modal_curl(bundle.grid)[:, perm]
+        chat = bundle.modal_curl[:, perm]
         k2hat = (chat.T @ sparse.diags(1.0 / mu) @ chat).tocoo()
         K2 = bundle.C @ sparse.diags(1.0 / mu) @ bundle.C0
         x = np.random.default_rng(0).standard_normal((ne, 2))

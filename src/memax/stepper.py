@@ -2,9 +2,10 @@
 
 Implicit midpoint on the instantaneous part of the first-order system plus a
 trapezoid memory convolution carried by exponential recursions: one complex
-accumulator per damped-oscillator kernel term and masked edge,
+accumulator per kernel pair (lam_j, c_j) and masked edge, lam_j = -gamma + i b
+for an oscillatory term and real for an overdamped or Drude one,
 
-    Q_j(t) = integral_{-inf}^t e^{lam_j (t-s)} x(s) ds,   lam_j = -gamma + i b,
+    Q_j(t) = integral_{-inf}^t e^{lam_j (t-s)} x(s) ds,
     Q_j(t+dt) = e^{lam_j dt} (Q_j(t) + (dt/2) x(t)) + (dt/2) x(t+dt),
 
 so that the memory current Im(c_j Q_j) reproduces the trapezoid convolution

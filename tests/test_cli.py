@@ -343,6 +343,50 @@ class TestCLI:
         assert rel < 5e-3
 
 
+class TestTypedFailures:
+    """Bad arguments end in one `error: ...` line and exit 1, or in argparse's
+    usage line and exit 2, never in a traceback."""
+
+    @pytest.mark.parametrize("command, rho", [("solve", "0"), ("solve", "-5"),
+                                              ("picard", "0")])
+    def test_uncertified_line(self, command, rho, tmp_path, capsys):
+        raw = default_config_dict()
+        raw["nonlinearity"] = {"kind": "saturable", "k": 3, "tau": 1.0}
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        rc = main([command, "--config", str(tmp_path / "cfg.json"), "--rho", rho,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: no accretivity certificate on the line Re z = {float(rho)} (c_min = ")
+
+    def test_non_numeric_nu_is_a_usage_error(self, config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stability", "--config", config_path, "--nu", "abc",
+                  "--out", str(tmp_path / "stab")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: memax stability")
+        assert err[-1].endswith("argument --nu: not a comma-separated list of numbers: 'abc'")
+        assert not (tmp_path / "stab").exists()
+
+    def test_overdamped_region_runs_in_the_oracle(self, tmp_path):
+        raw = default_config_dict()
+        raw["material"]["region2"] = {"model": "dl", "eps0": 1.0,
+                                      "terms": [{"alpha": 0.8, "gamma": 2.0, "omega0": 1.2}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        assert main(["oracle", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "oracle.sig").exists()
+
+    def test_python_dash_m(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(memax.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-m", "memax", "--help"], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0 and run.stdout.startswith("usage: memax")
+
+
 def test_artifacts_independent_of_blas_threads(tmp_path):
     """solve, oracle and the mod-DL stability run write the same bytes with
     one and with two BLAS/OpenMP threads, each in a fresh process."""

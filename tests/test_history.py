@@ -5,8 +5,10 @@ import pytest
 
 from memax import (
     BumpSpec,
+    DrudeLorentzParams,
     HistorySpec,
     LinearProblem,
+    ModDLParams,
     OracleStepper,
     TimeGrid,
     WeightedSignal,
@@ -155,20 +157,20 @@ class TestBuildGPhi:
         gap = np.abs(c1.g_phi.values - c2.g_phi.values).max()
         assert gap < 1e-3 * scale  # same object, two quadratures
 
-
-    def test_shifted_modified_law_needs_spectral_path(self, bundle4, material_dl, rng):
-        from memax import DrudeLorentzParams, MemaxError, ModDLParams
-
-        # the time-domain expansion covers z0 = 0 only; the spectral path
-        # evaluates mod_dl_eval, which takes any z0
-        shifted = ModDLParams(DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)]), 4.0, z0=0.5)
-        h = raw_history(bundle4, rng)
-        with pytest.raises(MemaxError, match="z0"):
-            build_g_phi(h, BumpSpec(0.5), bundle4, material_dl, shifted, None,
-                        MASTER, 1.0, conv_method="trapezoid")
-        conv = build_g_phi(h, BumpSpec(0.5), bundle4, material_dl, shifted, None,
-                           MASTER, 1.0, conv_method="spectral")
-        assert np.all(np.isfinite(conv.g_phi.values))
+    @pytest.mark.parametrize("law", [
+        ModDLParams(DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)]), 4.0, z0=0.5),
+        DrudeLorentzParams(1.0, [(0.8, 2.0, 1.2)]),
+        DrudeLorentzParams(1.0, [(0.8, 2.0, 0.0)]),
+    ], ids=["shifted", "overdamped", "drude"])
+    def test_expanded_laws_agree_on_both_paths(self, law, bundle4, material_dl, rng):
+        # the time-domain expansion covers real z0, overdamped and Drude terms;
+        # the spectral path evaluates the law in z
+        hist, _ = generated_history(bundle4, material_dl, rng, n_derivatives=1)
+        c1, c2 = (build_g_phi(hist, BumpSpec(0.5), bundle4, material_dl, law, None,
+                              MASTER, 1.0, conv_method=method)
+                  for method in ("trapezoid", "spectral"))
+        scale = np.abs(c1.g_phi.values).max()
+        assert np.abs(c1.g_phi.values - c2.g_phi.values).max() < 1e-3 * scale
 
 
 class TestMaxwellInhomogeneity:

@@ -9,8 +9,8 @@ from memax import (
     BlockSingular,
     DrudeLorentzParams,
     KernelSpec,
+    MemaxError,
     ModDLParams,
-    OverdampedUnsupported,
     PoleHit,
     TimeGrid,
     accretivity_scan,
@@ -77,34 +77,46 @@ class TestTimeKernel:
         expect = (1.5 / np.sqrt(3.0)) * np.exp(-t) * np.sin(np.sqrt(3.0) * t)
         assert np.abs(kern.values[1:5].real - expect).max() < 1e-12
 
-    def test_overdamped_rejected(self, bundle4, material_dl):
+    def test_overdamped_expands_in_time(self, bundle4, material_dl):
         from memax import (BumpSpec, HistorySpec, OracleStepper, build_g_phi,
                            build_maxwell_inhomogeneity)
 
+        # alpha / ((z - lam+)(z - lam-)) on the real roots lam+- = -2 +- sqrt(3)
         p = DrudeLorentzParams(1.0, [(1.0, 2.0, 1.0)])
-        with pytest.raises(OverdampedUnsupported):
-            KernelSpec.from_dl(p, TimeGrid(0.0, 0.01, 64))
-        # z-domain evaluation still works for the overdamped branch
         assert np.isfinite(eval_chi_dl(1.0 + 1j, p))
+        assert [lam.imag for lam, _ in p.kernel_terms()] == [0.0, 0.0]
+        g = TimeGrid(0.0, 0.01, 64)
+        kern = KernelSpec.from_dl(p, g).kappa
+        s3 = np.sqrt(3.0)
+        expect = (np.exp((-2.0 + s3) * g.times) - np.exp((-2.0 - s3) * g.times)) / (2.0 * s3)
+        assert np.abs(kern.values - expect).max() <= 1e-14 * np.abs(expect).max()
 
         # every other time-domain entry point, on a law with one overdamped term
         mixed = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0), (0.5, 2.0, 1.0)])
         grid = TimeGrid(-1.0, 1.0 / 32.0, 64)
-        with pytest.raises(OverdampedUnsupported):
-            KernelSpec.from_dl(mixed, TimeGrid(0.0, grid.dt, grid.n_samples))
-        with pytest.raises(OverdampedUnsupported):
-            OracleStepper(bundle4, material_dl, None, mixed, grid.dt)
+        spec = KernelSpec.from_dl(mixed, TimeGrid(0.0, grid.dt, grid.n_samples))
+        assert np.all(np.isfinite(spec.kappa.values))
+        stp = OracleStepper(bundle4, material_dl, None, mixed, grid.dt)
+        assert len(stp.terms) == 3
         k0 = grid.index_of(0.0)
         ht = grid.times[: k0 + 1] - grid.times[k0]
         h = HistorySpec(ht, np.outer(np.exp(ht), np.ones(bundle4.n_state)))
-        with pytest.raises(OverdampedUnsupported):
-            build_maxwell_inhomogeneity(h, BumpSpec(0.5), bundle4, material_dl, mixed,
-                                        None, grid, 1.0)
+        Phi, Psi, _ = build_maxwell_inhomogeneity(h, BumpSpec(0.5), bundle4, material_dl,
+                                                  mixed, None, grid, 1.0)
+        assert np.all(np.isfinite(Phi.values)) and np.all(np.isfinite(Psi.values))
         # the spectral path evaluates the law in z and never expands it in time
         conv = build_g_phi(h, BumpSpec(0.5), bundle4, material_dl, mixed, None, grid, 1.0,
                            conv_method="spectral")
         assert np.all(np.isfinite(conv.g_phi.values))
         assert np.isfinite(conv.compatibility_residual)
+
+        # a critical term, omega0 == gamma, has a double pole and no expansion
+        critical = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0), (0.7, 1.5, 1.5)])
+        assert np.array_equal(critical.poles()[2:], [-1.5, -1.5])
+        for build in (lambda: KernelSpec.from_dl(critical, g),
+                      lambda: OracleStepper(bundle4, material_dl, critical, None, g.dt)):
+            with pytest.raises(MemaxError, match=r"alpha=0\.7, gamma=1\.5, omega0=1\.5"):
+                build()
 
     def test_transform_match(self):
         from memax import fourier_laplace, WeightedSignal
@@ -170,15 +182,50 @@ class TestOneExpansion:
         assert np.abs(k_stp - k).max() <= tol
         assert np.array_equal(stp.eps_inf, np.where(emask1, 1.3, 1.0))
 
-    def test_shifted_modified_law_raises_everywhere(self, bundle4, material_dl):
-        from memax import MemaxError, OracleStepper
+    @pytest.mark.parametrize("z0", [0.5, -1.0])
+    def test_shifted_modified_law_expands_everywhere(self, z0, bundle4, material_dl):
+        from memax import OracleStepper
 
-        shifted = ModDLParams(TWO_TERM, 4.0, z0=0.5)
+        # (1 + (z - z0)/r) chi = (1 - z0/r) chi + (z/r) chi: the kernel of a
+        # real shift is the z0 = 0 kernel less z0/r times the plain one
+        shifted = ModDLParams(TWO_TERM, 4.0, z0=z0)
+        grid = TimeGrid(0.0, 1.0 / 64.0, 512)
+        k_mod, kp_mod = hand_kernel(ModDLParams(TWO_TERM, 4.0), grid.times)
+        k_dl, kp_dl = hand_kernel(TWO_TERM, grid.times)
+        k, kp = k_mod - (z0 / 4.0) * k_dl, kp_mod - (z0 / 4.0) * kp_dl
+        spec = KernelSpec.from_dl(shifted, grid)
+        assert np.abs(spec.kappa.values - k).max() <= 1e-14 * np.abs(k).max()
+        assert np.abs(spec.kappa_prime.values - kp).max() <= 1e-14 * np.abs(kp).max()
+        stp = OracleStepper(bundle4, material_dl, shifted, None, grid.dt)
+        k_stp = sum(np.imag(term.coeff * np.exp(term.lam * grid.times)) for term in stp.terms)
+        assert np.abs(k_stp - k).max() <= 1e-14 * np.abs(k).max()
+
+    def test_non_real_shift_raises_everywhere(self, bundle4, material_dl):
+        from memax import OracleStepper
+
+        shifted = ModDLParams(TWO_TERM, 4.0, z0=0.5 + 0.25j)
         kgrid = TimeGrid(0.0, 1.0 / 32.0, 64)
         for build in (lambda: KernelSpec.from_dl(shifted, kgrid),
                       lambda: OracleStepper(bundle4, material_dl, shifted, None, kgrid.dt)):
             with pytest.raises(MemaxError, match="z0"):
                 build()
+
+    def test_oscillatory_terms_keep_their_bits(self):
+        # the hand formulas of the oscillatory branch, evaluated inline
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            p = random_dl(rng)
+            p = DrudeLorentzParams(p.eps0, [(a, g, g + w) for a, g, w in p.terms])
+            r = rng.uniform(0.5, 8.0)
+            plain, mod, poles = [], [], []
+            for a, g, w in p.terms:
+                b = np.sqrt(w * w - g * g)
+                plain.append((complex(-g, b), complex(a / b)))
+                mod.append((complex(-g, b), complex(a / b - (a / r) * (g / b), a / r)))
+                poles += [-g + 1j * np.sqrt(w * w - g * g), -g - 1j * np.sqrt(w * w - g * g)]
+            assert p.kernel_terms() == plain
+            assert ModDLParams(p, r).kernel_terms() == mod
+            assert np.array_equal(p.poles(), np.asarray(poles, dtype=np.complex128))
 
 
 class TestClosedForm:
@@ -392,12 +439,16 @@ class TestMaterialInvariants:
 # (alpha, gamma, omega0 - gamma): oscillatory terms only, omega0 > gamma
 OSCILLATORS = st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 2.0), st.floats(0.05, 3.0)),
                        min_size=1, max_size=3)
+# overdamped terms, omega0 = f gamma with f in [0, 0.95]: f = 0 is a Drude term
+DAMPING = st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 2.0),
+                             st.one_of(st.just(0.0), st.floats(0.0, 0.95))), max_size=2)
 
 
 class TestKernelTermsProperty:
-    """kernel_terms() and the z-domain laws are two hand-kept derivations of
-    one law: the Laplace transform of sum_j Im(c_j e^{lam_j t}) must be chi(z)
-    for the plain law and M_r(z) - eps0 for the modified one (z0 = 0)."""
+    """kernel_terms() and the z-domain laws are two derivations of one law:
+    the Laplace transform of sum_j Im(c_j e^{lam_j t}) must be chi(z) for the
+    plain law and M_r(z) - eps0 for the modified one, for oscillatory,
+    overdamped and Drude terms and any real z0."""
 
     @staticmethod
     def transform(terms, z):
@@ -406,16 +457,84 @@ class TestKernelTermsProperty:
                    for lam, c in terms)
 
     @settings(max_examples=80, deadline=None)
-    @given(eps0=st.floats(0.5, 3.0), oscillators=OSCILLATORS,
-           r=st.one_of(st.none(), st.floats(2.5, 8.0)),
+    @given(eps0=st.floats(0.5, 3.0), oscillators=OSCILLATORS, damping=DAMPING,
+           r=st.one_of(st.none(), st.floats(3.5, 8.0)), z0=st.floats(-1.0, 1.0),
            right_of_poles=st.floats(0.01, 6.0), xi=st.floats(-20.0, 20.0))
-    def test_transform_matches_z_domain_law(self, eps0, oscillators, r, right_of_poles, xi):
-        # r > max gamma keeps the zero z = -r of (1 + z/r) left of the line
-        p = DrudeLorentzParams(eps0, [(a, g, g + dw) for a, g, dw in oscillators])
-        z = complex(-min(g for _, g, _ in p.terms) + right_of_poles, xi)
+    def test_transform_matches_z_domain_law(self, eps0, oscillators, damping, r, z0,
+                                            right_of_poles, xi):
+        # r - z0 > 2 > max gamma keeps the zero z = z0 - r of (1 + (z - z0)/r)
+        # left of the line, which passes right of the rightmost pole
+        p = DrudeLorentzParams(eps0, [(a, g, g + dw) for a, g, dw in oscillators]
+                               + [(a, g, f * g) for a, g, f in damping])
+        z = complex(max(z.real for z in p.poles()) + right_of_poles, xi)
         if r is None:
             terms, law = p.kernel_terms(), eval_chi_dl(z, p)
         else:
-            mod = ModDLParams(p, r)
+            mod = ModDLParams(p, r, z0)
             terms, law = mod.kernel_terms(), mod_dl_eval(z, mod) - eps0
         assert abs(self.transform(terms, z) - law) <= 1e-12 * abs(law)
+
+
+OVERDAMPED = DrudeLorentzParams(1.0, [(0.8, 2.0, 1.2)])     # poles -0.4 and -3.6
+
+
+class TestOverdampedEndToEnd:
+    """An overdamped region-2 law beside a mod_dl region 1 goes through the
+    oracle stepper, the decay certificate and a Picard solve."""
+
+    def test_stepper_matches_spectral_solve(self, bundle4):
+        from memax import (LinearProblem, OracleStepper, PiecewiseMaterial, WeightedSignal,
+                           smooth_pulse, solve_linear)
+
+        # acceptance test 06's set-up with region 2 overdamped
+        p1 = ModDLParams(DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)]), 4.0)
+        material = PiecewiseMaterial(mod_dl_law(p1), dl_law(OVERDAMPED), 1.0, 1.0)
+        rng = np.random.default_rng(808)
+        vecE, vecH = rng.standard_normal(bundle4.n_edges), rng.standard_normal(bundle4.n_faces)
+        rho = 22.0
+
+        def gap_at(dt, n):
+            grid = TimeGrid(-0.2, dt, n)
+            prof = smooth_pulse(grid.times, 0.05, 0.35)
+            g = WeightedSignal(grid, rho, prof[:, None] * np.concatenate([vecE, vecH])[None, :])
+            u, _ = solve_linear(LinearProblem(bundle4, material, rho, g))
+            stp = OracleStepper(bundle4, material, p1, OVERDAMPED, dt)
+            k0 = grid.index_of(0.0)
+            _, E, H = stp.run(stp.initial_state(),
+                              lambda t: smooth_pulse(np.array([t]), 0.05, 0.35)[0] * vecE,
+                              lambda t: smooth_pulse(np.array([t]), 0.05, 0.35)[0] * vecH,
+                              n - 1 - k0)
+            ref = u.values[k0:].real
+            return np.linalg.norm(np.concatenate([E, H], axis=1) - ref) / np.linalg.norm(ref)
+
+        fine = gap_at(1e-3, 1024)
+        assert fine < 1e-3
+        assert 2.5 < gap_at(2e-3, 512) / fine < 7.0
+
+    def test_decay_certificate(self, bundle4, basis4):
+        from memax import certify_decay_rate, projection_invertibility_check
+
+        sigma = np.sqrt(projection_invertibility_check(bundle4, basis4, np.ones(bundle4.n_faces)))
+        cert = certify_decay_rate([mod_dl_law(ModDLParams(OVERDAMPED, 4.0))], [1.0], sigma)
+        assert cert.certified and 0.0 < cert.nu0 < 0.4
+
+    @pytest.mark.parametrize("law", [OVERDAMPED, DrudeLorentzParams(1.0, [(0.8, 2.0, 0.0)])],
+                             ids=["overdamped", "drude"])
+    def test_picard_kernel(self, law, bundle4):
+        from memax import (DtPolarization, LinearProblem, PiecewiseMaterial,
+                           SaturableNonlinearity, WeightedSignal, picard_solve, smooth_pulse)
+
+        grid = TimeGrid(-2.0, 1.0 / 32.0, 512)
+        p1 = ModDLParams(DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)]), 4.0)
+        p2 = DrudeLorentzParams(1.0, [(0.5, 1.2, 2.5)])
+        material = PiecewiseMaterial(mod_dl_law(p1), dl_law(p2), 1.0, 1.0, sigma2=0.5)
+        spec = KernelSpec.from_dl(law, TimeGrid(0.0, grid.dt, grid.n_samples), scale=4.0)
+        pol = DtPolarization(spec, SaturableNonlinearity(3, 1.0))
+        rng = np.random.default_rng(1)
+        vec = np.concatenate([bundle4.C @ rng.standard_normal(bundle4.n_faces),
+                              bundle4.C0 @ rng.standard_normal(bundle4.n_edges)])
+        g = WeightedSignal(grid, 2.0, smooth_pulse(grid.times, 0.0, 2.0)[:, None]
+                           * (200.0 / np.linalg.norm(vec) * vec)[None, :])
+        u, cert = picard_solve(LinearProblem(bundle4, material, 2.0, g), pol, tol=1e-10)
+        assert cert.converged and np.all(np.isfinite(u.values))
+        assert cert.empirical_ratio <= 1.05 * cert.theoretical_bound

@@ -393,6 +393,41 @@ class TestStorage:
             assert w.values.dtype == np.complex128 and w.values.flags.f_contiguous
         assert (x + x).values.dtype == np.float64 and (-x).values.dtype == np.float64
 
+    def test_difference_is_not_copied(self, rng):
+        import tracemalloc
+
+        grid = TimeGrid(0.0, 0.01, 512)
+        u, v = (WeightedSignal(grid, 1.0, rng.standard_normal((512, 64))) for _ in range(2))
+        tracemalloc.start()
+        try:
+            w = u - v
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * u.values.nbytes
+        assert w.values.dtype == np.float64 and w.values.flags.f_contiguous
+        assert not w.values.flags.writeable
+        assert np.array_equal(w.values, u.values - v.values)
+
+    def test_real_polarization_current_stays_real(self, rng):
+        # kappa(0+) q(E) with a real kernel: the bits of the complex product's
+        # real part, stored float64 without a complex intermediate
+        from memax import ModDLParams, SaturableNonlinearity, apply_dt_P_nl
+
+        grid = TimeGrid(-1.0, 1.0 / 32.0, 256)
+        spec = KernelSpec.from_dl(ModDLParams(DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)]), 4.0),
+                                  TimeGrid(0.0, grid.dt, grid.n_samples))
+        q = SaturableNonlinearity(3, 1.0)
+        E = WeightedSignal(grid, 1.0, smooth_pulse(grid.times, 0.0, 2.0)[:, None]
+                           * rng.standard_normal((1, 5)))
+        out = apply_dt_P_nl(spec, q, E).values
+        qE = q(E.values)
+        ref = causal_convolve(spec.kappa_prime, E.with_values(qE)).values \
+            + complex(spec.kappa_at_0plus) * qE
+        assert spec.kappa_at_0plus != 0 and not ref.imag.any()
+        assert out.dtype == np.float64 and out.flags.f_contiguous
+        assert np.array_equal(out, ref.real)
+
     @pytest.mark.parametrize("imag", [0.0, 1.0])
     def test_container_round_trip(self, imag, rng, tmp_path):
         u = make_signal(rng, n=64, dim=3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
+import memax.operators as operators
 import memax.spectral as spectral
 from memax import (
     DrudeLorentzParams,
@@ -23,11 +24,13 @@ from memax import (
     SecondOrderProblem,
     SolutionOperator,
     TimeGrid,
+    UncertifiedLine,
     WeightedSignal,
     YeeGrid,
     build_curl_pair,
     dl_law,
     fourier_laplace,
+    helmholtz_projections,
     inverse_fourier_laplace,
     mod_dl_law,
     picard_solve,
@@ -142,8 +145,9 @@ class TestSolveLinear:
 
     def test_refuses_uncertified_line(self, bundle4, material_dl, rng):
         g = pulse_rhs(bundle4, GRID, -0.5, rng)
-        with pytest.raises(ValueError, match="certificate"):
+        with pytest.raises(UncertifiedLine, match="certificate") as exc:
             solve_linear(LinearProblem(bundle4, material_dl, -0.5, g))
+        assert exc.value.rho == -0.5 and exc.value.c_min <= 0.0
 
 
 @pytest.fixture(scope="module")
@@ -679,16 +683,34 @@ class TestModalSystem:
 
     def test_perturbed_modal_curl_raises(self, bundle4, material_dl, monkeypatch):
         # a modal curl that no longer carries C0 is refused at construction
-        modal_curl = spectral._modal_curl
+        modal_curl = operators._modal_curl
 
         def perturbed(grid):
             chat = modal_curl(grid).copy()
             chat.data[7] *= 1.0 + 1e-8
             return chat
 
-        monkeypatch.setattr(spectral, "_modal_curl", perturbed)
+        monkeypatch.setattr(operators, "_modal_curl", perturbed)
+        fresh = build_curl_pair(bundle4.grid)     # bundle4 has its modal curl built
         with pytest.raises(MemaxError, match="transverse modes couple"):
-            SolutionOperator(bundle4, material_dl, 2.0, GRID)
+            SolutionOperator(fresh, material_dl, 2.0, GRID)
+
+    def test_modal_curl_built_once_per_bundle(self, bundle4, material_dl, rng, monkeypatch):
+        calls = []
+
+        def counted(grid):
+            calls.append(grid)
+            return modal_curl(grid)
+
+        modal_curl = operators._modal_curl
+        monkeypatch.setattr(operators, "_modal_curl", counted)
+        fresh = build_curl_pair(bundle4.grid)
+        g = pulse_rhs(fresh, GRID, 2.0, rng)
+        u1, u2 = (SolutionOperator(fresh, material_dl, 2.0, GRID).apply(g) for _ in range(2))
+        helmholtz_projections(fresh)
+        assert len(calls) == 1
+        u0 = SolutionOperator(bundle4, material_dl, 2.0, GRID).apply(g)
+        assert np.array_equal(u1.values, u2.values) and np.array_equal(u1.values, u0.values)
 
 
 class TestSmallFrequency:
@@ -876,7 +898,7 @@ class TestSecondOrder:
         phi = WeightedSignal(GRID, rho, prof[:, None] * rng.standard_normal(bundle4.n_edges)[None, :])
         psi = WeightedSignal(GRID, rho, prof[:, None] * rng.standard_normal(bundle4.n_faces)[None, :])
         problem = SecondOrderProblem(bundle4, material_dl, rho, phi, psi)
-        with pytest.raises(ValueError, match="no accretivity certificate"):
+        with pytest.raises(UncertifiedLine, match="no accretivity certificate"):
             second_order_solve(problem)
         E = second_order_solve(problem, certificate_required=False)
         assert E.state_dim == bundle4.n_edges
