@@ -75,7 +75,7 @@ def cmd_scan(args) -> int:
         out[f"law{i}"] = scan
     reporting.write_json(os.path.join(args.out, "scan.json"), {
         "manifest": reporting.manifest(cfg.content_hash(), tol),
-        "scans": {k: __import__("json").loads(v.to_json()) for k, v in out.items()},
+        "scans": {k: v.to_dict() for k, v in out.items()},
     })
     if args.strict and not all(s.certified for s in out.values()):
         return 1
@@ -186,7 +186,7 @@ def cmd_stability(args) -> int:
         "certificate": cert.to_dict(),
         "fits": [],
     }
-    code = 0
+    code = 1 if args.strict and not cert.certified else 0
     try:
         src = cfg.raw.get("source", {})
         t_off = float(src.get("t_off", 2.0))

@@ -33,7 +33,8 @@ from .errors import MemaxError
 from .materials import PiecewiseMaterial
 from .nonlinear import KernelSpec
 from .operators import OperatorBundle
-from .signals import TimeGrid, WeightedSignal
+from .signals import (TimeGrid, WeightedSignal, fourier_laplace, inverse_fourier_laplace,
+                      spectral_derivative)
 
 
 @dataclass(frozen=True)
@@ -187,8 +188,6 @@ def default_bump(grid: TimeGrid, history_free_time: float) -> BumpSpec:
 def history_from_solution(u: "WeightedSignal", n_derivatives: int = 1) -> HistorySpec:
     """Cut a whole-line solution at t = 0 into a history, with spectrally
     exact derivatives at 0- (the strongest compatible-history source)."""
-    from .signals import spectral_derivative
-
     grid = u.grid
     k0 = grid.index_of(0.0)
     if abs(grid.times[k0]) > 1e-9 * grid.dt:
@@ -230,8 +229,6 @@ def smooth_jump(h: HistorySpec, b: BumpSpec, grid: TimeGrid, rho: float) -> Weig
 def _spectral_memory_derivative(sig_E: WeightedSignal, params1, params2,
                                 emask1: np.ndarray) -> np.ndarray:
     """d/dt(chi * sig) per region, evaluated as z chi(z) on the line."""
-    from .signals import fourier_laplace, inverse_fourier_laplace
-
     S = fourier_laplace(sig_E, check=False)
     z = S.z
     out = np.zeros_like(sig_E.values, dtype=np.complex128)

@@ -27,13 +27,12 @@ the origin and pole-adjacent cells, and append the known analytic limits at
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, MemaxError, PoleHit
+from .errors import BlockSingular, GridTooCoarse, MemaxError, PoleHit
 from .signals import SampledKernel, TimeGrid
 
 POLE_PROXIMITY = 1e-14        # relative denominator threshold for PoleHit
@@ -371,22 +370,20 @@ class AccretivityScan:
     tail_limit: float | None
     certified: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "condition_id": self.condition_id,
-                "nu": self.nu,
-                "delta": self.delta_exclusion,
-                "c_min": self.c_min,
-                "argmin_re": self.argmin.real,
-                "argmin_im": self.argmin.imag,
-                "grid": self.n_grid,
-                "skipped_pole_cells": self.n_skipped_pole_cells,
-                "tail_limit": self.tail_limit,
-                "certified": self.certified,
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        """The record as JSON values, keys in the sorted order artifacts print."""
+        return {
+            "argmin_im": self.argmin.imag,
+            "argmin_re": self.argmin.real,
+            "c_min": self.c_min,
+            "certified": self.certified,
+            "condition_id": self.condition_id,
+            "delta": self.delta_exclusion,
+            "grid": self.n_grid,
+            "nu": self.nu,
+            "skipped_pole_cells": self.n_skipped_pole_cells,
+            "tail_limit": self.tail_limit,
+        }
 
 
 def _scan_points(nu: float, delta: float, t_max: float, n_nu: int, n_t: int,
@@ -509,8 +506,6 @@ def schur_effective_law(blocks, split: int):
     Hermitian-part lower bound there.  Raises BlockSingular when B11 cannot
     be inverted reliably.
     """
-    from .errors import BlockSingular
-
     def eval_schur(z):
         B = np.asarray(blocks(z), dtype=np.complex128)
         B00 = B[:split, :split]

@@ -1,12 +1,16 @@
 """Exponential-stability machinery and diagnostics.
 
-A decay certificate for the field equations rests on three checkable
-ingredients, all recorded per run:
+One driver, certify_decay_rate, checks the conditions on the material laws
+on one of two routes, picked once per law set.  Laws with a conductivity
+part z^{-1} sigma take the strict route: Re(z M(z)) >= c on the whole
+half-plane (z = 0 is a discrete material-law pole) and Re eps(z) >= c for
+the base permittivity (conditions M4, M4_reM).  All other law sets take the
+disk route, which rests on three checkable ingredients:
 
   1. half-plane accretivity of the permittivity outside a disk around the
-     origin (scan, with the analytic tail limit appended),
+     origin (M2: scan, with the analytic tail limit appended),
   2. positivity of the Hermitian part of the permittivity itself on the
-     half-plane (the z -> 0 regularization route),
+     half-plane (M3, the z -> 0 regularization route),
   3. the disk condition: the reduced curl block is boundedly invertible
      (smallest singular value sigma_min of the curl on its kernel
      complement), and |z M_d(z)| stays below it on the excluded disk, for
@@ -18,11 +22,13 @@ ingredients, all recorded per run:
      whose accretivity is inherited from z M(z) for small d > 0 (the lab
      picks d by bisection to the largest value keeping half the margin).
 
-The plain oscillator law fails (1) for every positive abscissa (its
-Hermitian-part tail limit is eps0 * Re z), while the modified law with
-2 gamma r > omega0^2 passes; the capability matrix reproduces exactly that
-split.  Decay rates are measured by a log-linear fit of the state norm
-after the sources switch off, with the window policy logged.
+The reduction needs M1(z) = z (M(z) - eps_inf) -> 0 as z -> 0, so a law
+with a pole at z = 0 (a Drude term) is refused on the disk route.  The plain
+oscillator law fails (1) for every positive abscissa (its Hermitian-part
+tail limit is eps0 * Re z), while the modified law with 2 gamma r > omega0^2
+passes; the capability matrix reproduces exactly that split.  Decay rates
+are measured by a log-linear fit of the state norm after the sources switch
+off, with the window policy logged.
 
 A certificate evaluates each law once per scan grid.  At each trial weight
 the damping sweep takes every value of d from one evaluation of M0 and M1
@@ -34,7 +40,6 @@ are those of the one-scan-per-d, one-point-per-norm evaluation bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -49,7 +54,8 @@ from .materials import (
     hermitian_min,
 )
 from .operators import OperatorBundle, ProjectionBasis, reduced_curl_sigma_min
-from .signals import TimeGrid, WeightedSignal, _cumulative_trapezoid, smooth_pulse, weighted_norm
+from .signals import (TimeGrid, WeightedSignal, _cumulative_trapezoid, smooth_pulse,
+                      spectral_derivative, weighted_norm)
 from .spectral import LinearProblem, solve_linear, stack_rhs
 
 
@@ -156,51 +162,33 @@ def md_from_scalar_law(law: ScalarLaw, eps_inf: float, C: float, d: float) -> Md
     return MdSystem(M0=M0, M1=M1, C=C, d=d)
 
 
-def _md_split(laws, eps_infs, C: float) -> list:
-    """One MdSystem per law, its d left at 0: the sweeps supply d, and the
-    M1 -> 0 ray check run on building it does not depend on d."""
-    return [md_from_scalar_law(law, eps_inf, C, 0.0) for law, eps_inf in zip(laws, eps_infs)]
-
-
-def _md_margins(mds, ds, nu: float, delta: float) -> np.ndarray:
-    """The M_d scan margin at weight -nu for every damping value in ds.
-
-    The grid is that of accretivity_scan(md, nu, delta, t_max=1e4, n_nu=11,
-    n_t=200, nu_hi=5.0); each law is evaluated on it once, and every d reads
-    the same M0(Z) and M1(Z).  Per d the margin is each law's scan minimum
-    at its argmin, then the smallest over laws.
-    """
-    Z, _ = _scan_points(nu, delta, 1e4, 11, 200, 5.0, np.array([]))
-    parts = [(M0, M1, Z * (M0 + M1 / Z)) for M0, M1 in (md._parts(Z) for md in mds)]
-    margins = []
-    for d in ds:
-        vals = []
-        for md, (M0, M1, zm) in zip(mds, parts):
-            h = _md_herm_min(Z, M0, M1, zm, md.C, d)
-            vals.append(float(h[int(np.argmin(h))]))
-        margins.append(float(min(vals)))
-    return np.array(margins)
-
-
 def _select_damping(mds, eps_max: float, nu: float, delta: float, c_at_nu: float,
                     n_grid: int) -> tuple:
     """Best damping parameter for the M_d reduction at weight -nu, over the
-    prepared M_d splits of the laws (_md_split).
+    M_d splits of the laws (their own d unused).
 
     The admissible window is roughly nu < d < c/eps_inf: the identity block
     needs Re z + d > 0 at Re z = -nu, while the -d M0 shift eats the scalar
     margin c.  The largest d meeting half the attainable margin is kept
     (recorded either way); no admissible d means no certificate.  Each law
-    is evaluated once on the M_d scan grid, and all n_grid values of d are
-    swept from that one evaluation; per d the margins equal the smallest
-    accretivity_scan minimum of md_from_scalar_law(law, eps_inf, C, d).
+    is evaluated once on the grid of accretivity_scan(md, nu, delta,
+    t_max=1e4, n_nu=11, n_t=200, nu_hi=5.0), and all n_grid values of d are
+    swept from that one evaluation; per d the margin is each law's scan
+    minimum at its argmin, then the smallest over laws, so it equals the
+    smallest accretivity_scan minimum of md_from_scalar_law(law, eps_inf, C, d).
     """
     d_hi = c_at_nu / eps_max
     d_lo = 1.02 * nu
     if d_hi <= d_lo:
         return 0.0, -np.inf
     ds = np.linspace(d_lo, d_hi, n_grid)
-    margins = _md_margins(mds, ds, nu, delta)
+    Z, _ = _scan_points(nu, delta, 1e4, 11, 200, 5.0, np.array([]))
+    parts = [(M0, M1, Z * (M0 + M1 / Z)) for M0, M1 in (md._parts(Z) for md in mds)]
+    margins = []
+    for d in ds:
+        hs = [_md_herm_min(Z, M0, M1, zm, md.C, d) for md, (M0, M1, zm) in zip(mds, parts)]
+        margins.append(min(float(h[int(np.argmin(h))]) for h in hs))
+    margins = np.array(margins)
     best = margins.max()
     if best <= 0:
         return 0.0, float(best)
@@ -267,9 +255,9 @@ def projection_invertibility_check(bundle: OperatorBundle, basis: ProjectionBasi
 @dataclass
 class StabilityCertificate:
     nu0: float
-    c: float                      # (M2)-type margin outside the disk
-    c1: float                     # (M3)-type Hermitian-part margin
-    delta: float
+    c: float                      # Re(z M) margin: M2 outside the disk, or M4
+    c1: float                     # Re M margin: M3, or M4_reM of the base law
+    delta: float                  # excluded disk radius; 0 on the strict route
     d0: float                     # damping parameter retained by bisection
     disk_sup: float               # sup |z M_d(z)| over the excluded disk
     sigma_min_B: float            # invertibility of the reduced curl block
@@ -278,14 +266,13 @@ class StabilityCertificate:
     reason: str = ""
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "nu0": self.nu0, "c": self.c, "c1": self.c1, "delta": self.delta,
             "d0": self.d0, "disk_sup": self.disk_sup,
             "sigma_min_B": self.sigma_min_B, "certified": self.certified,
             "reason": self.reason,
+            "scans": {k: v.to_dict() for k, v in self.scans.items()},
         }
-        out["scans"] = {k: json.loads(v.to_json()) for k, v in self.scans.items()}
-        return out
 
 
 def _largest_feasible_nu(feasible, nu_hi: float, iters: int) -> float:
@@ -307,129 +294,88 @@ def certify_decay_rate(laws, eps_infs, sigma_min_B: float, delta: float = 1.0,
                        nu_hi: float | None = None, bisect_iters: int = 25) -> StabilityCertificate:
     """Scan-based decay certificate for one or more scalar permittivity laws.
 
-    Conductivity-augmented laws (a z^{-1} sigma part) take the strict route:
-    Re(z M(z)) >= c on the whole numerical half-plane (z = 0 is a discrete
-    material-law pole) together with Re(eps(z)) >= c, and need no disk
-    exclusion or damped reduction.  Plain permittivities take the disk
-    route: bisect the largest nu with a positive margin outside B[0, delta]
-    for every law, require the Hermitian-part margin of the law itself,
-    retain a damping parameter d for the reduced second-order block, and
-    check sup |z M_d(z)| < sigma_min_B on the disk.  All margins are
-    recorded; `certified` is the conjunction.
+    The route is picked once.  When any law has a conductivity part (a
+    z^{-1} sigma on a base permittivity) it is the strict route: Re(z M(z))
+    >= c on the whole numerical half-plane (z = 0 is a discrete material-law
+    pole) and Re eps(z) >= c for the base, conditions M4 and M4_reM, with no
+    disk exclusion or damped reduction.  Otherwise it is the disk route:
+    the M2 margin outside B[0, delta] and the M3 margin Re M(z) of the law
+    itself, a damping parameter d retained for the reduced second-order
+    block, and sup |z M_d(z)| < sigma_min_B on the disk.  A law with a pole
+    at z = 0 (a Drude term) is refused there, since z (M(z) - eps_inf) does
+    not vanish at 0.  Both routes bisect the largest feasible nu below nu_hi
+    (default 0.9 times the smallest pole gap -Re p, over poles with Re p < 0)
+    and record every margin; `certified` is the conjunction.
     """
-    laws = list(laws)
-    eps_infs = list(eps_infs)
-    if any(getattr(law, "base", None) is not None for law in laws):
-        return _certify_conductivity(laws, eps_infs, sigma_min_B, nu_hi, bisect_iters)
-    pole_gap = min(-float(np.max(p.real)) for law in laws for p in [law.poles] if len(p)) \
-        if any(len(l.poles) for l in laws) else 1.0
+    laws, eps_infs = list(laws), list(eps_infs)
+    strict = any(law.base is not None for law in laws)
+    ids, radius = (("M4", "M4_reM"), 0.0) if strict else (("M2", "M3"), delta)
     if nu_hi is None:
-        nu_hi = 0.9 * pole_gap
+        nu_hi = 0.9 * min((-float(p.real) for law in laws for p in law.poles if p.real < 0),
+                          default=1.0)
 
-    def m2_margin(nu):
-        vals = []
+    def scans(nu, pair=strict):
+        """Per law the Re(z M) scan outside B[0, radius] and, with pair, the
+        Re M scan of the law without its conductivity part; the disk route
+        bisects on its M2 scan alone."""
+        rows = []
         for law in laws:
-            scan = accretivity_scan(law, nu=nu, delta_exclusion=delta,
-                                    n_nu=15, n_t=250, condition_id="M2")
-            vals.append(scan.c_min)
-        return min(vals)
+            rows.append([accretivity_scan(law, nu=nu, delta_exclusion=radius, n_nu=15,
+                                          n_t=250, condition_id=ids[0])])
+            if pair:
+                rows[-1].append(accretivity_scan(law.base or law, nu=nu, delta_exclusion=0.0,
+                                                 n_nu=15, n_t=250, condition_id=ids[1],
+                                                 scan_re_M=True))
+        return rows
 
-    c_axis = m2_margin(1e-6)
-    if c_axis <= 0:
+    def margins(rows):
+        """Per condition, the smallest c_min over the laws."""
+        return [min(s.c_min for s in col) for col in zip(*rows)]
+
+    drude = [i for i, law in enumerate(laws) if not strict and np.any(law.poles == 0)]
+    c_axis = [0.0] if drude else margins(scans(1e-6))
+    if min(c_axis) <= 0:
+        if drude:
+            reason = (f"law {drude[0]} has a pole at z = 0 (a Drude term), so the damped "
+                      "reduction M_d does not apply: z (M(z) - eps_inf) does not vanish at 0")
+        elif strict:
+            reason = "conductivity route: no strict accretivity near the axis"
+        else:
+            reason = ("no strict accretivity on any right neighborhood "
+                      "(Re z M(z) tail limit nonpositive)")
         return StabilityCertificate(
-            nu0=0.0, c=c_axis, c1=0.0, delta=delta, d0=0.0,
-            disk_sup=np.inf, sigma_min_B=sigma_min_B, certified=False,
-            reason="no strict accretivity on any right neighborhood "
-                   "(Re z M(z) tail limit nonpositive)",
+            nu0=0.0, c=c_axis[0], c1=c_axis[1] if strict else 0.0, delta=radius, d0=0.0,
+            disk_sup=0.0 if strict else np.inf, sigma_min_B=sigma_min_B, certified=False,
+            reason=reason,
         )
 
-    eps_max = max(eps_infs)
-    mds = _md_split(laws, eps_infs, sigma_min_B)
+    if strict:
+        def feasible(nu):
+            return min(margins(scans(nu))) > 0
+    else:
+        eps_max = max(eps_infs)
+        # d is supplied by the sweeps; building checks M1 -> 0 once per law
+        mds = [md_from_scalar_law(law, e, sigma_min_B, 0.0) for law, e in zip(laws, eps_infs)]
 
-    def md_feasible(nu):
-        """Margin of the damped reduction with the best d at this weight."""
-        c = m2_margin(nu)
-        if c <= 1.02 * eps_max * nu:
-            return -np.inf
-        _, m = _select_damping(mds, eps_max, nu, delta, c, n_grid=6)
-        return m
+        def feasible(nu):
+            """Positive margin of the damped reduction with the best d at this weight."""
+            (c,) = margins(scans(nu))
+            return c > 1.02 * eps_max * nu and _select_damping(mds, eps_max, nu, delta, c,
+                                                               n_grid=6)[1] > 0
 
     # stay off the bisected edge so the margins below carry real headroom
-    nu0 = 0.8 * _largest_feasible_nu(lambda nu: md_feasible(nu) > 0, nu_hi, bisect_iters)
-    scans = {}
-    c_vals, c1_vals = [], []
-    for i, law in enumerate(laws):
-        s2 = accretivity_scan(law, nu=nu0, delta_exclusion=delta,
-                              n_nu=15, n_t=250, condition_id="M2")
-        s3 = accretivity_scan(law, nu=nu0, delta_exclusion=0.0,
-                              n_nu=15, n_t=250, condition_id="M3", scan_re_M=True)
-        scans[f"M2_law{i}"] = s2
-        scans[f"M3_law{i}"] = s3
-        c_vals.append(s2.c_min)
-        c1_vals.append(s3.c_min)
-    c = min(c_vals)
-    c1 = min(c1_vals)
-
-    d0, _ = _select_damping(mds, eps_max, nu0, delta, c, n_grid=12)
-    disk_sup = _disk_sup(mds, d0 if d0 > 0 else 1.0, nu0, delta)
-
-    certified = (c > 0) and (c1 > 0) and (d0 > 0) and (disk_sup < sigma_min_B)
-    reason = "" if certified else "margin failure (see scans)"
+    nu0 = 0.8 * _largest_feasible_nu(feasible, nu_hi, bisect_iters)
+    final = scans(nu0, pair=True)
+    c, c1 = margins(final)
+    d0, disk_sup = 0.0, 0.0
+    if not strict:
+        d0, _ = _select_damping(mds, eps_max, nu0, delta, c, n_grid=12)
+        disk_sup = _disk_sup(mds, d0 if d0 > 0 else 1.0, nu0, delta)
+    certified = c > 0 and c1 > 0 and (strict or (d0 > 0 and disk_sup < sigma_min_B))
     return StabilityCertificate(
-        nu0=nu0, c=c, c1=c1, delta=delta, d0=d0, disk_sup=disk_sup,
-        sigma_min_B=sigma_min_B, certified=certified, scans=scans, reason=reason,
-    )
-
-
-def _certify_conductivity(laws, eps_infs, sigma_min_B: float,
-                          nu_hi: float | None, bisect_iters: int) -> StabilityCertificate:
-    """Strict-accretivity certificate for laws with a z^{-1} sigma part."""
-    pole_gap = min(
-        (-float(p.real) for law in laws for p in law.poles if p.real < 0),
-        default=1.0,
-    )
-    if nu_hi is None:
-        nu_hi = 0.9 * pole_gap
-
-    def margins(nu):
-        vals, base_vals = [], []
-        for law in laws:
-            s = accretivity_scan(law, nu=nu, delta_exclusion=0.0,
-                                 n_nu=15, n_t=250, condition_id="M4")
-            vals.append(s.c_min)
-            base = getattr(law, "base", None) or law
-            sb_ = accretivity_scan(base, nu=nu, delta_exclusion=0.0,
-                                   n_nu=15, n_t=250, condition_id="M4_reM",
-                                   scan_re_M=True)
-            base_vals.append(sb_.c_min)
-        return min(vals), min(base_vals)
-
-    m0 = margins(1e-6)
-    if min(m0) <= 0:
-        return StabilityCertificate(
-            nu0=0.0, c=m0[0], c1=m0[1], delta=0.0, d0=0.0, disk_sup=0.0,
-            sigma_min_B=sigma_min_B, certified=False,
-            reason="conductivity route: no strict accretivity near the axis",
-        )
-    nu0 = 0.8 * _largest_feasible_nu(lambda nu: min(margins(nu)) > 0, nu_hi, bisect_iters)
-    scans = {}
-    c_vals, c1_vals = [], []
-    for i, law in enumerate(laws):
-        s = accretivity_scan(law, nu=nu0, delta_exclusion=0.0,
-                             n_nu=15, n_t=250, condition_id="M4")
-        base = getattr(law, "base", None) or law
-        sb_ = accretivity_scan(base, nu=nu0, delta_exclusion=0.0,
-                               n_nu=15, n_t=250, condition_id="M4_reM",
-                               scan_re_M=True)
-        scans[f"M4_law{i}"] = s
-        scans[f"M4_reM_law{i}"] = sb_
-        c_vals.append(s.c_min)
-        c1_vals.append(sb_.c_min)
-    c, c1 = min(c_vals), min(c1_vals)
-    certified = c > 0 and c1 > 0
-    return StabilityCertificate(
-        nu0=nu0, c=c, c1=c1, delta=0.0, d0=0.0, disk_sup=0.0,
-        sigma_min_B=sigma_min_B, certified=certified, scans=scans,
+        nu0=nu0, c=c, c1=c1, delta=radius, d0=d0, disk_sup=disk_sup,
+        sigma_min_B=sigma_min_B, certified=certified,
+        scans={f"{s.condition_id}_law{i}": s for i, pair in enumerate(final) for s in pair},
         reason="" if certified else "margin failure (see scans)",
     )
 
@@ -547,8 +493,6 @@ def verify_first_order_estimates(bundle: OperatorBundle, basis: ProjectionBasis,
     w = Pi1 (antiderivative of Psi); ratios are reported, not asserted to a
     universal constant.
     """
-    from .signals import spectral_derivative
-
     ne = bundle.n_edges
     E = u.with_values(u.values[:, :ne])
     H = u.with_values(u.values[:, ne:])

@@ -298,6 +298,21 @@ class TestCLI:
         rep = json.loads((tmp_path / "stab" / "stability.json").read_text())
         assert "refused" in rep
 
+    @pytest.mark.parametrize("strict, code", [(False, 0), (True, 1)])
+    def test_stability_refuses_drude_term(self, tmp_path, strict, code):
+        # a Drude term (omega0 = 0) puts a pole at z = 0, outside the damped
+        # reduction: a refused certificate, not a traceback
+        raw = default_config_dict()
+        raw["material"]["terms"] = [{"alpha": 0.8, "gamma": 2.0, "omega0": 0.0}]
+        path = tmp_path / "drude.json"
+        path.write_text(json.dumps(raw))
+        rc = main((["--strict"] if strict else []) + [
+            "stability", "--config", str(path), "--out", str(tmp_path / "stab")])
+        assert rc == code
+        cert = json.loads((tmp_path / "stab" / "stability.json").read_text())["certificate"]
+        assert cert["certified"] is False
+        assert "pole at z = 0" in cert["reason"]
+
     def test_stability_mod_dl_runs(self, tmp_path):
         raw = default_config_dict()
         raw["time"] = {"t_start": -4.0, "dt": 0.25, "n_samples": 1024}

@@ -326,9 +326,10 @@ class TestScans:
 
         law = mod_dl_law(mod_params)
         scan = accretivity_scan(law, nu=0.02, delta_exclusion=1.0)
-        payload = json.loads(scan.to_json())
+        payload = scan.to_dict()
         assert payload["condition_id"] == "M2"
         assert payload["c_min"] == scan.c_min
+        assert json.loads(json.dumps(payload)) == payload
 
 
 class TestConductivity:

@@ -204,14 +204,15 @@ class TestCertification:
         d = mod_cert.to_dict()
         assert d["certified"] is True
         assert "M2_law0" in d["scans"]
+        assert d["scans"]["M2_law0"] == mod_cert.scans["M2_law0"].to_dict()
 
 
 def reference_certificate(laws, eps_infs, sigma_min_B, delta=1.0, bisect_iters=25):
-    """The disk route of certify_decay_rate with one accretivity_scan per
-    damping value and law and one 2x2 norm per disk point; the conductivity
-    route is shared."""
+    """certify_decay_rate with one accretivity_scan per law and condition on
+    either route, one per damping value and law on the disk route, and one
+    2x2 norm per disk point."""
     if any(law.base is not None for law in laws):
-        return stability._certify_conductivity(laws, eps_infs, sigma_min_B, None, bisect_iters)
+        return _reference_strict(laws, sigma_min_B, bisect_iters)
     eps_max = max(eps_infs)
 
     def m2(nu):
@@ -276,19 +277,68 @@ def reference_certificate(laws, eps_infs, sigma_min_B, delta=1.0, bisect_iters=2
         reason="" if certified else "margin failure (see scans)")
 
 
+def _reference_strict(laws, sigma_min_B, bisect_iters):
+    """The strict route: M4 and M4_reM scans on the whole half-plane."""
+    def pair(nu):
+        return [(accretivity_scan(law, nu=nu, delta_exclusion=0.0, n_nu=15, n_t=250,
+                                  condition_id="M4"),
+                 accretivity_scan(law.base or law, nu=nu, delta_exclusion=0.0, n_nu=15,
+                                  n_t=250, condition_id="M4_reM", scan_re_M=True))
+                for law in laws]
+
+    def margins(ss):
+        return min(s.c_min for s, _ in ss), min(t.c_min for _, t in ss)
+
+    c_axis, c1_axis = margins(pair(1e-6))
+    if min(c_axis, c1_axis) <= 0:
+        return StabilityCertificate(
+            nu0=0.0, c=c_axis, c1=c1_axis, delta=0.0, d0=0.0, disk_sup=0.0,
+            sigma_min_B=sigma_min_B, certified=False,
+            reason="conductivity route: no strict accretivity near the axis")
+    nu_hi = 0.9 * min(-p.real for law in laws for p in law.poles if p.real < 0)
+    nu0 = 0.8 * stability._largest_feasible_nu(lambda nu: min(margins(pair(nu))) > 0,
+                                               nu_hi, bisect_iters)
+    final = pair(nu0)
+    scans = {}
+    for i, (s, t) in enumerate(final):
+        scans[f"M4_law{i}"], scans[f"M4_reM_law{i}"] = s, t
+    c, c1 = margins(final)
+    certified = c > 0 and c1 > 0
+    return StabilityCertificate(
+        nu0=nu0, c=c, c1=c1, delta=0.0, d0=0.0, disk_sup=0.0, sigma_min_B=sigma_min_B,
+        certified=certified, scans=scans, reason="" if certified else "margin failure (see scans)")
+
+
 def _mod(alpha=1.0, gamma=1.0, omega0=2.0, r=4.0, eps0=1.0):
     return mod_dl_law(ModDLParams(DrudeLorentzParams(eps0, [(alpha, gamma, omega0)]), r))
 
 
 _DL = dl_law(DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)]))
+_DRUDE_P = DrudeLorentzParams(1.0, [(0.8, 2.0, 0.0)])     # omega0 = 0: a pole at z = 0
+_DRUDE = mod_dl_law(ModDLParams(_DRUDE_P, 4.0))
 BATTERY = {
     "dl": ([_DL], [1.0]),
     "mod_dl": ([_mod()], [1.0]),
     "dl_sigma": ([conductivity_law(_DL, 0.5)], [1.0]),
     "readme_pair": ([_mod(), _mod()], [1.0, 1.0]),
     "mod_dl_interface": ([_mod(), _mod(0.7, 1.3, 1.8, 3.0, 1.5)], [1.0, 1.5]),
+    # one conductive law sends the whole set down the strict route, where the
+    # mod_dl law's Re(z M) -> 0 at the origin refuses it near the axis
+    "mod_dl_with_dl_sigma": ([_mod(), conductivity_law(_DL, 0.5)], [1.0, 1.0]),
+    "overdamped_mod_dl": ([_mod(0.8, 2.0, 1.2)], [1.0]),
 }
+UNCERTIFIED = {"dl", "mod_dl_with_dl_sigma"}
 SIGMA_MIN_B8 = 4.414390068527091    # reduced curl sigma_min of the unit n=8 box
+
+
+@pytest.mark.parametrize("laws", [[_mod(), _DRUDE], [dl_law(_DRUDE_P)]],
+                         ids=["mod_dl_pair", "plain_dl"])
+def test_drude_term_refused(laws):
+    # a pole at z = 0 keeps z (M(z) - eps_inf) away from 0, outside the damped
+    # reduction: the disk route refuses the set and names the pole
+    cert = certify_decay_rate(laws, [1.0] * len(laws), SIGMA_MIN_B8)
+    assert not cert.certified and cert.nu0 == 0.0 and cert.scans == {}
+    assert f"law {len(laws) - 1} has a pole at z = 0" in cert.reason
 
 
 class TestBatchedCertificate:
@@ -301,7 +351,7 @@ class TestBatchedCertificate:
         laws, eps_infs = BATTERY[case]
         cert = certify_decay_rate(laws, eps_infs, SIGMA_MIN_B8)
         assert cert.to_dict() == reference_certificate(laws, eps_infs, SIGMA_MIN_B8).to_dict()
-        assert cert.certified == (case != "dl")
+        assert cert.certified == (case not in UNCERTIFIED)
 
     @settings(max_examples=60, deadline=None)
     @given(re=st.floats(-3.0, 3.0), im=st.floats(-30.0, 30.0),
