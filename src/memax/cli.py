@@ -19,7 +19,7 @@ from .config import RunConfig
 from .errors import MemaxError, NotCertified
 from .nonlinear import (DtPolarization, KernelSpec, SaturableNonlinearity, ball_solve,
                         picard_solve)
-from .operators import helmholtz_projections
+from .operators import YeeGrid, build_curl_pair, helmholtz_projections
 from .signals import (
     TimeGrid,
     WeightedSignal,
@@ -28,9 +28,11 @@ from .signals import (
     write_signal,
 )
 from .spectral import LinearProblem, solve_linear
+from .stepper import OracleStepper
 from . import history as history_mod
 from . import stability as stability_mod
-from .materials import accretivity_scan
+from .materials import (DrudeLorentzParams, ModDLParams, PiecewiseMaterial, accretivity_scan,
+                        conductivity_law, dl_law, mod_dl_law)
 
 
 def _load(args) -> RunConfig:
@@ -61,7 +63,7 @@ def _source_signal(cfg: RunConfig, bundle, grid: TimeGrid, rho: float) -> Weight
         vec = rng.standard_normal(bundle.n_state)
     vec *= amp / max(np.linalg.norm(vec), 1e-300)
     prof = smooth_pulse(grid.times, t_on, t_off)
-    return WeightedSignal(grid, rho, prof[:, None] * vec[None, :])
+    return WeightedSignal(grid, rho, prof[:, None] * vec[None, :], cfg.tolerances()["wrap_tol"])
 
 
 def cmd_scan(args) -> int:
@@ -112,8 +114,6 @@ def cmd_picard(args) -> int:
         print("picard needs a saturable nonlinearity in the config", file=sys.stderr)
         return 2
     kcfg = nl_cfg.get("kernel", {"alpha": 1.0, "gamma": 1.5, "omega0": 3.0})
-    from .materials import DrudeLorentzParams
-
     spec = KernelSpec.from_dl(
         DrudeLorentzParams(1.0, [(kcfg["alpha"], kcfg["gamma"], kcfg["omega0"])]),
         TimeGrid(0.0, grid.dt, grid.n_samples), scale=float(kcfg.get("scale", 1.0)),
@@ -195,7 +195,8 @@ def cmd_stability(args) -> int:
             float(src.get("t_on", 0.0)), t_off)
         fits = stability_mod.simulate_decay(bundle, material, cert, Phi, Psi,
                                             nu_list, t_off,
-                                            window_factor=tol["decay_window_factor"])
+                                            window_factor=tol["decay_window_factor"],
+                                            decades=tol["decay_decades"])
         for f in fits:
             payload["fits"].append(f.to_dict())
             reporting.write_series_csv(
@@ -211,9 +212,6 @@ def cmd_stability(args) -> int:
 
 
 def _default_battery():
-    from .materials import (DrudeLorentzParams, ModDLParams, PiecewiseMaterial,
-                            conductivity_law, dl_law, mod_dl_law)
-
     p = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)])
     mp = ModDLParams(p, 4.0)
     law_dl = dl_law(p)
@@ -228,8 +226,6 @@ def _default_battery():
 
 
 def cmd_matrix(args) -> int:
-    from .operators import YeeGrid, build_curl_pair
-
     if args.battery != "default":
         print("only the built-in 'default' battery is packaged", file=sys.stderr)
         return 2
@@ -260,11 +256,8 @@ def cmd_oracle(args) -> int:
     bundle = cfg.bundle()
     material, params1, params2, _, _ = cfg.material()
     grid = cfg.time_grid()
-    from .stepper import OracleStepper
-
     sigma_edges = np.where(bundle.edge_region_mask(), material.sigma1, material.sigma2)
     stp = OracleStepper(bundle, material, params1, params2, grid.dt, sigma_edges=sigma_edges)
-    src = cfg.raw.get("source", {})
     g = _source_signal(cfg, bundle, grid, 0.0)
 
     def phi_of(t):

@@ -135,6 +135,10 @@ _VALUE_RULES = (
     ("nonlinearity.kernel.gamma", False, _positive, "a positive number"),
     ("nonlinearity.kernel.omega0", False, _nonnegative, "a finite number >= 0"),
     ("nonlinearity.kernel.scale", False, _real, "a finite number"),
+    *((f"tolerances.{key}", False, _positive, "a positive number")
+      for key in TOLERANCE_DEFAULTS if key != "max_iter"),
+    ("tolerances.max_iter", False, lambda x: _integer(x) and x >= 1, "an integer >= 1"),
+    ("seed", False, _integer, "an integer"),
 )
 
 

@@ -33,8 +33,7 @@ from .errors import MemaxError
 from .materials import PiecewiseMaterial
 from .nonlinear import KernelSpec
 from .operators import OperatorBundle
-from .signals import (TimeGrid, WeightedSignal, fourier_laplace, inverse_fourier_laplace,
-                      spectral_derivative)
+from .signals import TimeGrid, WeightedSignal, _from_line, _to_line, spectral_derivative
 
 
 @dataclass(frozen=True)
@@ -228,17 +227,14 @@ def smooth_jump(h: HistorySpec, b: BumpSpec, grid: TimeGrid, rho: float) -> Weig
 
 def _spectral_memory_derivative(sig_E: WeightedSignal, params1, params2,
                                 emask1: np.ndarray) -> np.ndarray:
-    """d/dt(chi * sig) per region, evaluated as z chi(z) on the line."""
-    S = fourier_laplace(sig_E, check=False)
-    z = S.z
-    out = np.zeros_like(sig_E.values, dtype=np.complex128)
+    """d/dt(chi * sig) per region, evaluated as z chi(z) on the line: one
+    transform, each region's columns multiplied in place, one inverse.
+    Columns of a region without a law have no memory term."""
+    W, z, real = _to_line(sig_E)
     for params, mask in ((params1, emask1), (params2, ~emask1)):
-        if params is None or not mask.any():
-            continue
-        mult = (z * params.chi(z))[:, None]
-        sub = S.with_values(S.values * mask[None, :] * mult)
-        out += inverse_fourier_laplace(sub).values * mask[None, :]
-    return out
+        if mask.any():
+            W[:, mask] *= 0.0 if params is None else (z * params.chi(z))[:, None]
+    return _from_line(W, sig_E, real).values
 
 
 @dataclass
@@ -291,11 +287,8 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
     phip_E = phi_plus.with_values(phi_plus.values[:, :ne])
     dG_full = np.zeros_like(phi_embedded.values, dtype=np.complex128)
     if conv_method == "spectral":
-        # d/dt(chi * (phi + phi^+)) via the closed-form law on the line:
-        # multiply the transform by z chi(z) per region.  This shares
-        # the solver's quadrature convention exactly.
-        total_E = phi_E + phip_E
-        dG_full[:, :ne] = _spectral_memory_derivative(total_E, params1, params2, emask1)
+        # d/dt(chi * (phi + phi^+)) by the closed-form law on the solver's own line
+        dG_full[:, :ne] = _spectral_memory_derivative(phi_E + phip_E, params1, params2, emask1)
     elif conv_method == "trapezoid":
         lag_grid = TimeGrid(0.0, grid.dt, grid.n_samples)
         regions = [(KernelSpec.from_dl(p, lag_grid), mask)

@@ -20,6 +20,12 @@ in Fortran order, so every time-axis transform and convolution reads
 contiguous columns and a real signal holds half the bytes.  No other module
 re-checks a signal's dtype; the operations here keep real data real.
 
+_to_line and _from_line are the working transform to the line and back, and
+the one place that tells real data from complex: the rfft half line or the
+fft full line.  They drop the unit phase e^{-i xi t_start} and the constant
+dt / sqrt(2 pi), which the inverse undoes and no per-bin multiplier or solve
+sees; fourier_laplace keeps both.
+
 Convolution convention: for a causal kernel kappa the plain Laplace symbol
 
     hat(kappa)(z) = integral_0^inf kappa(t) e^{-z t} dt
@@ -365,11 +371,38 @@ def inverse_fourier_laplace(U: SpectralSignal) -> WeightedSignal:
     return WeightedSignal(g, U.rho, w, U.wrap_tol)
 
 
+def _to_line(u: WeightedSignal) -> tuple:
+    """(W, z, real): the fresh plain DFT along time of w = u e^{-rho t}, the
+    z = rho + i xi of its rows, and whether W is the rfft half line (bins
+    0 .. n//2, Nyquist with the full line's z), taken when u is float64 or
+    |Im w| <= 1e-12 max |w|, or the fft full line.  real is carried, since
+    at n = 2 both lines have two rows."""
+    g = u.grid
+    w = u.values * np.exp(-u.rho * g.times)[:, None]
+    z = u.rho + 1j * g.xi
+    if np.iscomplexobj(w) and np.abs(w.imag).max() > 1e-12 * np.abs(w).max():
+        return np.fft.fft(w, axis=0, out=w), z, False
+    return np.fft.rfft(w.real, axis=0), z[:g.n_samples // 2 + 1], True
+
+
+def _from_line(W: np.ndarray, like: WeightedSignal, real: bool) -> WeightedSignal:
+    """The signal with _to_line spectrum W and like's grid, weight and
+    wrap_tol: float64 by irfft from the half line (the self-mirrored rows
+    count by their real part), or by ifft in place in W."""
+    g = like.grid
+    w = np.fft.irfft(W, g.n_samples, axis=0) if real else np.fft.ifft(W, axis=0, out=W)
+    w *= np.exp(like.rho * g.times)[:, None]
+    return WeightedSignal._adopt(g, like.rho, w, like.wrap_tol)
+
+
 def spectral_derivative(u: WeightedSignal, order: int = 1, check: bool = True) -> WeightedSignal:
-    """d/dt realized as multiplication by z = rho + i xi on the line."""
-    U = fourier_laplace(u, check=check)
-    zpow = (U.z ** order)[:, None]
-    return inverse_fourier_laplace(U.with_values(U.values * zpow))
+    """d/dt realized as multiplication by z = rho + i xi on the line; real
+    data gives a float64 signal."""
+    if check:
+        u.check_wraparound()
+    W, z, real = _to_line(u)
+    W *= (z ** order)[:, None]
+    return _from_line(W, u, real)
 
 
 def antiderivative(u: WeightedSignal) -> WeightedSignal:

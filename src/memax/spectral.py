@@ -36,22 +36,15 @@ the system is one narrow band (half-width 3 on the Yee grid, read off the
 pattern) and each bin is one LAPACK banded LU.  The modal right-hand sides
 are laid out one contiguous row per bin, which LAPACK solves in place.  The
 band is built once and each bin only adds its diagonal; the region laws are
-evaluated once over the whole line.  The residual, refinement and growth
-checks use z M + A in the original basis.
+evaluated once over the whole line, c_min included.  The residual,
+refinement and growth checks use z M + A in the original basis.
 
 A is real and M(conj z) = conj M(z), so the operator maps real fields to
-real fields.  apply() alone tells real data from complex: real weighted
-samples g e^{-rho t} (a float64 signal, time-contiguous as every signal is
-stored) go through rfft into a half spectrum contiguous per dof, the half
-line and irfft, which writes the float64 solution; other data through fft
-and the full line.  apply_spectral() detects no symmetry: a half spectrum
-(n//2 + 1 rows) is real data, its self-mirrored bins xi = 0 and Nyquist
-keeping the real part of their solve, and a full spectrum (n rows) is
-solved on every bin.  The transform's unit phase
-e^{-i xi t_start} and constant dt / sqrt(2 pi) are left out, because the
-inverse undoes both and every per-bin check (residual, refinement, growth,
-1/c_min bound, zero-bin skip) is invariant under scaling a bin by a nonzero
-scalar.
+real fields.  apply() solves between the transform pair of memax.signals,
+real data on the rfft half line, and makes no transform of its own; every
+per-bin check (residual, refinement, growth, 1/c_min bound, zero-bin skip)
+is invariant under the scaling the pair leaves out.  apply_spectral() looks
+for no symmetry: a half spectrum (n//2 + 1 rows) is real data.
 
 Factorizations are reused across right-hand sides at a fixed frequency; the
 frequency loop dominates runtime and the fixed-point solvers call the same
@@ -77,9 +70,9 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracing.py wraps this name)
 
 from .errors import FrequencySingular, MemaxError, UncertifiedLine, WraparoundExceeded
-from .materials import PiecewiseMaterial, line_certificate
+from .materials import PiecewiseMaterial
 from .operators import OperatorBundle, _component_modes, _mode_transform
-from .signals import TimeGrid, WeightedSignal, _wraparound_and_norm
+from .signals import TimeGrid, WeightedSignal, _from_line, _to_line, _wraparound_and_norm
 
 COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
 BOUND_SLACK = 0.02              # growth * c_min <= 1 + slack on a certified line
@@ -211,14 +204,14 @@ class SolutionOperator:
         self.rho = rho
         self.grid = grid
         self.z = z = rho + 1j * grid.xi
-        self.c_min = line_certificate(material, rho, grid.xi)
+        l1, l2 = material.eps_laws()
+        # bin k of z M(z) is diag(lines[k, group] * weight); c_min as line_certificate
+        self._lines = np.stack([z * l1(z), z * l2(z), z], axis=1)
+        self.c_min = min(float(self._lines[:, :2].real.min()), rho * material.mu_min)
         if certificate_required and self.c_min <= 0.0:
             raise UncertifiedLine(rho, self.c_min)
         ne = bundle.n_edges
-        l1, l2 = material.eps_laws()
         mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
-        # bin k of z M(z) is diag(lines[k, group] * weight)
-        self._lines = np.stack([z * l1(z), z * l2(z), z], axis=1)
         self._group = np.concatenate([np.where(bundle.edge_region_mask(), 0, 1),
                                       np.full(bundle.n_faces, 2)])
         self._weight = np.concatenate([np.ones(ne), mu])
@@ -402,39 +395,14 @@ class SolutionOperator:
             collect["worst_growth_z"] = _pair(self.z[ks[np.argmax(growth)]])
         return out
 
-    def _weighted(self, g: WeightedSignal) -> np.ndarray:
-        """w = g e^{-rho t}: float for a real signal, and for a complex one
-        whose imaginary part is at most 1e-12 of max |w|."""
-        w = g.values * np.exp(-self.rho * self.grid.times)[:, None]
-        if not np.iscomplexobj(w) or np.abs(w.imag).max() > 1e-12 * np.abs(w).max():
-            return w
-        return w.real
-
     def apply(self, g: WeightedSignal, collect: dict | None = None) -> WeightedSignal:
-        """Signal to signal on the plain DFT of w = g e^{-rho t}.
-
-        This is where real and complex data part ways.  Real w goes through
-        rfft, the half line and irfft, so the solution is exactly real; any
-        other w through fft, the full line and ifft.  The unit phase and
-        the constant of fourier_laplace are left out: the inverse would
-        undo both, and no per-bin check sees a nonzero scale.  A signal's
-        values are time-contiguous, so rfft reads contiguous columns into a
-        spectrum contiguous per dof, and irfft writes the float64 solution
-        the returned signal adopts.
-        """
-        n, t = self.grid.n_samples, self.grid.times
-        w = self._weighted(g)
-        if np.iscomplexobj(w):
-            np.fft.fft(w, axis=0, out=w)
-            w = self.apply_spectral(w, collect)
-            np.fft.ifft(w, axis=0, out=w)
-            w *= np.exp(self.rho * t)[:, None]
-            return WeightedSignal._adopt(self.grid, self.rho, w, g.wrap_tol)
-        w = np.fft.rfft(w, axis=0)
-        w = self.apply_spectral(w, collect)
-        u = np.fft.irfft(w, n, axis=0)
-        u *= np.exp(self.rho * t)[:, None]
-        return WeightedSignal._adopt(self.grid, self.rho, u, g.wrap_tol)
+        """apply_spectral between the transform pair of memax.signals: real
+        data on the half line, to an exactly real solution."""
+        if (g.grid, g.rho) != (self.grid, self.rho):
+            raise ValueError("the signal's grid or weight is not the operator's")
+        W, _, real = _to_line(g)
+        W = self.apply_spectral(W, collect)   # rebound, so the data spectrum is freed
+        return _from_line(W, g, real)
 
 
 def solve_linear(problem: LinearProblem, certificate_required: bool = True):
@@ -504,16 +472,15 @@ def verify_rho_independence(problem: LinearProblem, rho1: float, rho2: float,
 
 def verify_time_regularity(problem: LinearProblem) -> float:
     """Gap between solve(d/dt g) and d/dt solve(g), both spectral derivatives,
-    relative to the latter: on the half line (the rfft of g e^{-rho t}) for
-    real data and on the full line otherwise, as apply() takes them.  On the
-    half line an even n's Nyquist row differentiates with z = rho, as real
-    spectral differentiation does, since that row is solved as real."""
+    relative to the latter, on the line apply() takes: the half line for
+    real data and the full line otherwise.  On the half line an even n's
+    Nyquist row differentiates with z = rho, as real spectral
+    differentiation does, since that row is solved as real."""
     g = problem.rhs
     op = SolutionOperator(problem.bundle, problem.material, problem.rho, g.grid)
-    w = op._weighted(g)
-    G = np.fft.fft(w, axis=0) if np.iscomplexobj(w) else np.fft.rfft(w, axis=0)
-    zcol = op.z[:G.shape[0], None].copy()
-    if not np.iscomplexobj(w) and g.grid.n_samples % 2 == 0:
+    G, z, real = _to_line(g)
+    zcol = z[:, None]
+    if real and g.grid.n_samples % 2 == 0:
         zcol[-1] = problem.rho
     u_of_dg = op.apply_spectral(G * zcol)
     du = op.apply_spectral(G) * zcol

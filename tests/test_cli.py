@@ -85,6 +85,14 @@ class TestConfig:
         ("nonlinearity.kernel", {"gamma": 1.5, "omega0": 3.0}),
         ("nonlinearity.kernel", {"alpha": 1.0, "omega0": 3.0}),
         ("nonlinearity.kernel", {"alpha": 1.0, "gamma": 1.5}),
+        ("tolerances.wrap_tol", 0.0),
+        ("tolerances.picard_tol", "1e-10"),
+        ("tolerances.max_iter", 0),
+        ("tolerances.max_iter", 200.0),
+        ("tolerances.scan_delta", -1.0),
+        ("tolerances.decay_window_factor", None),
+        ("tolerances.decay_decades", float("inf")),
+        ("seed", 1.5),
     ])
     def test_bad_value_names_key(self, path, value):
         raw = default_config_dict()
@@ -374,6 +382,48 @@ class TestTypedFailures:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(
             f"error: no accretivity certificate on the line Re z = {float(rho)} (c_min = ")
+
+    @pytest.mark.parametrize("path, value, command", [
+        ("tolerances.max_iter", "abc", ["picard", "--rho", "2.0"]),
+        ("seed", "x", ["stability"]),
+        ("tolerances.scan_delta", "a", ["scan"]),
+        ("tolerances.decay_window_factor", -1, ["stability", "--nu", "0.01"]),
+    ], ids=["max_iter-picard", "seed-stability", "scan_delta-scan",
+            "decay_window_factor-stability"])
+    def test_config_value_checked_before_use(self, path, value, command, tmp_path, capsys):
+        raw = default_config_dict()
+        raw["nonlinearity"] = {"kind": "saturable", "k": 3, "tau": 1.0}
+        *parents, key = path.split(".")
+        section = raw
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        rc = main([command[0], "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out"), *command[1:]])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path} must be ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("wrap_tol, code", [(1e-9, 0), (1e-300, 1)])
+    def test_solve_reads_wrap_tol(self, wrap_tol, code, tmp_path, capsys):
+        # a pulse ending past the window leaves a weighted endpoint of 2e-13
+        from memax.signals import read_signal
+
+        raw = default_config_dict()
+        raw["source"]["t_off"] = 15.0
+        raw["tolerances"] = {"wrap_tol": wrap_tol}
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        rc = main(["solve", "--config", str(tmp_path / "cfg.json"), "--rho", "2.0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: weighted endpoint magnitude ")
+            assert err[0].endswith("exceeds the declared wraparound tolerance 1.000e-300")
+        else:
+            assert read_signal(str(tmp_path / "out" / "solution.sig")).wrap_tol == wrap_tol
 
     def test_non_numeric_nu_is_a_usage_error(self, config_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -26,7 +26,7 @@ from memax import (
     weighted_norm,
 )
 from memax import DrudeLorentzParams, SolutionOperator
-from memax.signals import read_signal, write_signal
+from memax.signals import _from_line, _to_line, read_signal, write_signal
 
 
 def make_signal(rng, n=512, dt=0.01, t_start=-1.0, rho=0.7, dim=3, center=1.5, width=0.3):
@@ -343,6 +343,47 @@ class TestSpectralDerivative:
         interior = slice(10, -10)
         err = np.abs(du.values[interior, 0].real - fd[interior]).max()
         assert err < 1e-3
+
+    @pytest.mark.parametrize("n", [511, 512])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_real_data_gives_float64(self, n, order, rng):
+        # the real part of the full-line route, to round-off
+        u = make_signal(rng, n=n)
+        du = spectral_derivative(u, order=order)
+        U = fourier_laplace(u)
+        ref = inverse_fourier_laplace(U.with_values(U.values * (U.z ** order)[:, None]))
+        ref = ref.with_values(ref.values.real)
+        assert du.values.dtype == np.float64 and du.values.flags.f_contiguous
+        assert weighted_norm(du - ref) <= 1e-13 * weighted_norm(ref)
+
+
+class TestLinePair:
+    """_to_line and _from_line, the one weighted transform to the line and
+    back, and its real-data rule."""
+
+    @pytest.mark.parametrize("n", [2, 3, 512])
+    @pytest.mark.parametrize("imag, real", [(0.0, True), (1e-14, True), (1e-10, False),
+                                            (1.0, False)])
+    def test_round_trip(self, n, imag, real, rng):
+        # at n = 2 both lines have two rows: the choice is carried, not read off W
+        g = TimeGrid(-0.5, 0.01, n)
+        values = rng.standard_normal((n, 3)) + imag * 1j * rng.standard_normal((n, 3))
+        u = WeightedSignal(g, 0.7, values, wrap_tol=1e-6)
+        W, z, is_real = _to_line(u)
+        rows = n // 2 + 1 if real else n
+        assert is_real == real and W.shape == (rows, 3)
+        assert np.array_equal(z, (0.7 + 1j * g.xi)[:rows])
+        back = _from_line(W, u, is_real)
+        assert back.values.dtype == (np.float64 if real else np.complex128)
+        assert (back.grid, back.rho, back.wrap_tol) == (g, 0.7, 1e-6)
+        ref = values.real if real else values
+        assert np.abs(back.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_half_line_is_the_rfft_of_the_weighted_samples(self, rng):
+        u = make_signal(rng, n=64)
+        W, _, _ = _to_line(u)
+        w = u.values * np.exp(-u.rho * u.times)[:, None]
+        assert np.array_equal(W, np.fft.rfft(w, axis=0))
 
 
 class TestContainer:

@@ -20,6 +20,7 @@ from memax import (
     LinearProblem,
     ModDLParams,
     PiecewiseMaterial,
+    RunConfig,
     SaturableNonlinearity,
     SecondOrderProblem,
     SolutionOperator,
@@ -28,10 +29,12 @@ from memax import (
     WeightedSignal,
     YeeGrid,
     build_curl_pair,
+    default_config_dict,
     dl_law,
     fourier_laplace,
     helmholtz_projections,
     inverse_fourier_laplace,
+    line_certificate,
     mod_dl_law,
     picard_solve,
     second_order_solve,
@@ -198,6 +201,53 @@ class TestRealPath:
             u = op.apply(g)
             assert not u.values.imag.any()
             assert weighted_norm(u - ref) <= 1e-12 * weighted_norm(ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 128])
+    @pytest.mark.parametrize("imag", [0.0, 1e-14, 1.0])
+    def test_apply_is_the_inline_formula(self, n, imag, bundle4, material_mix, rng):
+        # the plain DFT of g e^{-rho t}: the rfft half line when the weighted
+        # samples are real to 1e-12, the fft full line otherwise
+        grid = TimeGrid(-2.0, 1.0 / 8.0, n)
+        prof = smooth_pulse(grid.times, -2.5, 2.0)[:, None]
+        g = WeightedSignal(grid, 2.0, prof * (rng.standard_normal(bundle4.n_state)
+                                             + imag * 1j * rng.standard_normal(bundle4.n_state)))
+        op = SolutionOperator(bundle4, material_mix, 2.0, grid)
+        w = g.values * np.exp(-2.0 * grid.times)[:, None]
+        if np.iscomplexobj(w) and np.abs(w.imag).max() > 1e-12 * np.abs(w).max():
+            ref = np.fft.ifft(op.apply_spectral(np.fft.fft(w, axis=0)), axis=0)
+        else:
+            ref = np.fft.irfft(op.apply_spectral(np.fft.rfft(w.real, axis=0)), n, axis=0)
+        ref *= np.exp(2.0 * grid.times)[:, None]
+        u = op.apply(g)
+        assert u.values.dtype == ref.dtype and np.array_equal(u.values, ref)
+
+    def test_apply_refuses_another_grid_or_weight(self, bundle4, material_mix, rng):
+        # the transform pair weights by the signal's own rho: a signal on
+        # another line is refused, not solved at the operator's z
+        op = SolutionOperator(bundle4, material_mix, 2.0, GRID)
+        for g in (pulse_rhs(bundle4, GRID, 3.0, rng),
+                  pulse_rhs(bundle4, TimeGrid(-2.0, 1.0 / 32.0, 256), 2.0, rng)):
+            with pytest.raises(ValueError, match="grid or weight"):
+                op.apply(g)
+
+    def test_construction_evaluates_each_law_once(self, bundle4, monkeypatch):
+        # c_min is read off the line values the solve uses: one eval_chi_dl
+        # call per region law over the whole line, none for the certificate
+        import memax.materials as materials
+
+        sizes = []
+        eval_chi_dl = materials.eval_chi_dl
+
+        def counted(z, p):
+            sizes.append(np.size(z))
+            return eval_chi_dl(z, p)
+
+        monkeypatch.setattr(materials, "eval_chi_dl", counted)
+        material, *_ = RunConfig.from_dict(default_config_dict()).material()
+        op = SolutionOperator(bundle4, material, 2.0, GRID)
+        assert sizes == [GRID.n_samples] * 2
+        monkeypatch.undo()
+        assert op.c_min == line_certificate(material, 2.0, GRID.xi)
 
     def test_half_spectrum_rows_solved_as_given(self, bundle4, material_mix, rng):
         g = pulse_rhs(bundle4, GRID, 2.0, rng)

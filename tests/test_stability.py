@@ -10,7 +10,6 @@ import memax.stability as stability
 from memax import (
     DrudeLorentzParams,
     LinearProblem,
-    MdSystem,
     ModDLParams,
     NotCertified,
     PiecewiseMaterial,
@@ -37,6 +36,7 @@ from memax import (
     stack_rhs,
     verify_first_order_estimates,
 )
+from memax.errors import MemaxError
 from memax.materials import accretivity_scan, hermitian_min
 from memax.stability import StabilityCertificate
 
@@ -100,8 +100,13 @@ class TestMd:
         assert np.abs(fast - slow).max() < 1e-10
 
     def test_m1_must_vanish_at_zero(self):
-        with pytest.raises(ValueError, match="vanish"):
-            MdSystem(lambda z: np.ones_like(z), lambda z: np.ones_like(z), 1.0, 0.1)
+        # M1(z) = z chi(z) -> 0 exactly when the law has no pole at z = 0:
+        # a Drude term is refused by name, a law with chi(0) = 11 is split
+        with pytest.raises(MemaxError, match="law 'mod_dl' has a pole at z = 0"):
+            md_from_scalar_law(_DRUDE, 1.0, 1.0, 0.1)
+        md = md_from_scalar_law(_LOW_OMEGA0, 1.0, 1.0, 0.1)
+        assert abs(_LOW_OMEGA0(1e-3) - 1.0) > 10.0
+        assert abs(md.M1(np.asarray([1e-9]))[0]) < 1e-7
 
 
 class TestSchurCheck:
@@ -316,6 +321,7 @@ def _mod(alpha=1.0, gamma=1.0, omega0=2.0, r=4.0, eps0=1.0):
 _DL = dl_law(DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)]))
 _DRUDE_P = DrudeLorentzParams(1.0, [(0.8, 2.0, 0.0)])     # omega0 = 0: a pole at z = 0
 _DRUDE = mod_dl_law(ModDLParams(_DRUDE_P, 4.0))
+_LOW_OMEGA0 = _mod(omega0=0.3)      # chi(0) = alpha / omega0^2 = 11: M1(1e-3) is not small
 BATTERY = {
     "dl": ([_DL], [1.0]),
     "mod_dl": ([_mod()], [1.0]),
@@ -326,6 +332,8 @@ BATTERY = {
     # mod_dl law's Re(z M) -> 0 at the origin refuses it near the axis
     "mod_dl_with_dl_sigma": ([_mod(), conductivity_law(_DL, 0.5)], [1.0, 1.0]),
     "overdamped_mod_dl": ([_mod(0.8, 2.0, 1.2)], [1.0]),
+    # a large but finite chi(0) keeps z chi(z) -> 0: the disk route certifies
+    "low_omega0_mod_dl": ([_LOW_OMEGA0], [1.0]),
 }
 UNCERTIFIED = {"dl", "mod_dl_with_dl_sigma"}
 SIGMA_MIN_B8 = 4.414390068527091    # reduced curl sigma_min of the unit n=8 box
@@ -339,6 +347,25 @@ def test_drude_term_refused(laws):
     cert = certify_decay_rate(laws, [1.0] * len(laws), SIGMA_MIN_B8)
     assert not cert.certified and cert.nu0 == 0.0 and cert.scans == {}
     assert f"law {len(laws) - 1} has a pole at z = 0" in cert.reason
+
+
+def test_no_feasible_weight_refused():
+    # the damped reduction of this pair has no admissible d at any weight:
+    # the bisection never leaves its floor 1e-6, which fails too
+    laws = [_mod(), _mod(0.8, 2.0, 1.2)]
+    calls = []
+    largest = stability._largest_feasible_nu
+
+    def traced(feasible, nu_hi, iters):
+        return largest(lambda nu: calls.append(nu) or feasible(nu), nu_hi, iters)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_largest_feasible_nu", traced)
+        cert = certify_decay_rate(laws, [1.0, 2.0], SIGMA_MIN_B8)
+    assert calls[-1] == 1e-6 and 1e-6 not in calls[:-1]
+    assert not cert.certified and cert.nu0 == 0.0 and cert.scans == {}
+    assert cert.d0 == 0.0 and cert.disk_sup == np.inf
+    assert "no weight in [1e-6, 0.36] is feasible" in cert.reason
 
 
 class TestBatchedCertificate:
@@ -386,8 +413,8 @@ class TestBatchedCertificate:
         cert = certify_decay_rate([_mod()], [1.0], SIGMA_MIN_B8)
         assert cert.certified
         assert len(sizes) <= 100
-        # the only one-point evaluations are the M1 -> 0 ray check, once per law
-        assert points == [1e-3, 1e-3 + 1e-3j, 1e-3 - 1e-3j]
+        # no one-point evaluations: M1 -> 0 is read off the pole set
+        assert points == []
 
 
 DEC_GRID = TimeGrid(-4.0, 0.25, 1024)
@@ -416,6 +443,17 @@ class TestDecay:
         assert f.nu_hat >= 0.8 * nu_run
         assert f.r_squared > 0.99
         assert f.nu_hat >= mod_cert.nu0 * 0.9  # true rate at least the certificate
+
+    def test_decades_move_the_window_end(self, bundle4_module, material_mod, mod_cert):
+        nu_run = 0.5 * mod_cert.nu0
+        Phi, Psi = make_divergence_free_data(bundle4_module, DEC_GRID, -nu_run,
+                                             seed=11, t_on=0.0, t_off=2.0)
+        default, four, two = (
+            simulate_decay(bundle4_module, material_mod, mod_cert, Phi, Psi, [nu_run], 2.0,
+                           **kw)[0] for kw in ({}, {"decades": 4.0}, {"decades": 2.0}))
+        assert four.to_dict() == default.to_dict()
+        assert two.t_lo == four.t_lo and two.t_hi < four.t_hi
+        assert two.r_squared > 0.99
 
     def test_refuses_without_certificate(self, bundle4_module, material_dl, sigma_min_B):
         law = dl_law(DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)]))
