@@ -9,6 +9,7 @@ any certificate failure turns into a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -31,21 +32,41 @@ from .spectral import LinearProblem, solve_linear
 from .stepper import OracleStepper
 from . import history as history_mod
 from . import stability as stability_mod
-from .materials import (DrudeLorentzParams, ModDLParams, PiecewiseMaterial, accretivity_scan,
-                        conductivity_law, dl_law, mod_dl_law)
+from .materials import (DrudeLorentzParams, ModDLParams, PiecewiseMaterial, ScalarLaw,
+                        accretivity_scan)
 
 
-def _load(args) -> RunConfig:
-    return RunConfig.from_file(args.config)
+def _finite(text: str) -> float:
+    """A finite float, for argparse."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+
+
+def _ball_radius(text: str):
+    """'auto' or a positive finite radius, for argparse."""
+    if text != "auto" and not _finite(text) > 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
+    return text if text == "auto" else float(text)
 
 
 def _float_list(text: str) -> list:
-    """A comma-separated list of floats, for argparse; '' is the empty list."""
+    """A comma-separated list of finite floats, for argparse; '' is the empty list."""
     try:
-        return [float(x) for x in text.split(",")] if text else []
-    except ValueError:
+        return [_finite(x) for x in text.split(",")] if text else []
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"not a comma-separated list of numbers: {text!r}") from None
+
+
+def _out_dir(path: str) -> str:
+    """An output directory, for argparse: one that does not exist yet, or a directory."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"not a directory: {path!r}")
+    return path
 
 
 def _source_signal(cfg: RunConfig, bundle, grid: TimeGrid, rho: float) -> WeightedSignal:
@@ -67,25 +88,20 @@ def _source_signal(cfg: RunConfig, bundle, grid: TimeGrid, rho: float) -> Weight
 
 
 def cmd_scan(args) -> int:
-    cfg = _load(args)
+    cfg = RunConfig.from_file(args.config)
     _, _, _, laws, _ = cfg.material()
     tol = cfg.tolerances()
-    out = {}
-    for i, law in enumerate(laws):
-        scan = accretivity_scan(law, nu=args.nu, delta_exclusion=tol["scan_delta"],
-                                condition_id="M2")
-        out[f"law{i}"] = scan
+    out = {f"law{i}": accretivity_scan(law, nu=args.nu, delta_exclusion=tol["scan_delta"],
+                                       condition_id="M2") for i, law in enumerate(laws)}
     reporting.write_json(os.path.join(args.out, "scan.json"), {
         "manifest": reporting.manifest(cfg.content_hash(), tol),
         "scans": {k: v.to_dict() for k, v in out.items()},
     })
-    if args.strict and not all(s.certified for s in out.values()):
-        return 1
-    return 0
+    return 1 if args.strict and not all(s.certified for s in out.values()) else 0
 
 
 def cmd_solve(args) -> int:
-    cfg = _load(args)
+    cfg = RunConfig.from_file(args.config)
     bundle = cfg.bundle()
     material, *_ = cfg.material()
     grid = cfg.time_grid()
@@ -98,13 +114,11 @@ def cmd_solve(args) -> int:
                                        {"c_min_line": rep.c_min_line}),
         "report": rep.to_dict(),
     })
-    if args.strict and not rep.bound_ok():
-        return 1
-    return 0
+    return 1 if args.strict and not rep.bound_ok() else 0
 
 
 def cmd_picard(args) -> int:
-    cfg = _load(args)
+    cfg = RunConfig.from_file(args.config)
     bundle = cfg.bundle()
     material, *_ = cfg.material()
     grid = cfg.time_grid()
@@ -123,9 +137,8 @@ def cmd_picard(args) -> int:
     g = _source_signal(cfg, bundle, grid, args.rho)
     problem = LinearProblem(bundle, material, args.rho, g)
     if args.ball_radius is not None:
-        policy = "auto" if args.ball_radius == "auto" else float(args.ball_radius)
         u, cert = ball_solve(problem, pol, weight=args.rho, alpha=1.0,
-                             radius_policy=policy, tol=tol["picard_tol"],
+                             radius_policy=args.ball_radius, tol=tol["picard_tol"],
                              max_iter=int(tol["max_iter"]))
     else:
         u, cert = picard_solve(problem, pol,
@@ -137,13 +150,11 @@ def cmd_picard(args) -> int:
         "certificate": cert.to_dict(),
     })
     ok = cert.converged and cert.empirical_ratio <= cert.theoretical_bound * 1.05
-    if args.strict and not ok:
-        return 1
-    return 0
+    return 1 if args.strict and not ok else 0
 
 
 def cmd_history(args) -> int:
-    cfg = _load(args)
+    cfg = RunConfig.from_file(args.config)
     bundle = cfg.bundle()
     material, params1, params2, _, _ = cfg.material()
     grid = cfg.time_grid()
@@ -167,7 +178,7 @@ def cmd_history(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    cfg = _load(args)
+    cfg = RunConfig.from_file(args.config)
     bundle = cfg.bundle()
     material, _, _, laws, eps_infs = cfg.material()
     grid = cfg.time_grid()
@@ -212,17 +223,15 @@ def cmd_stability(args) -> int:
 
 
 def _default_battery():
+    """(model, material, laws, eps_infs) rows; each law is its material's region-1 law."""
     p = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)])
-    mp = ModDLParams(p, 4.0)
-    law_dl = dl_law(p)
-    law_mod = mod_dl_law(mp)
-    sig = conductivity_law(law_dl, 0.5)
-    return [
-        ("dl", PiecewiseMaterial(law_dl, law_dl, 1.0, 1.0), [law_dl], [1.0]),
-        ("mod_dl", PiecewiseMaterial(law_mod, law_mod, 1.0, 1.0), [law_mod], [1.0]),
-        ("dl_sigma", PiecewiseMaterial(law_dl, law_dl, 1.0, 1.0, sigma1=0.5, sigma2=0.5),
-         [sig], [1.0]),
-    ]
+    rows = []
+    for model, params, sigma in [("dl", p, 0.0), ("mod_dl", ModDLParams(p, 4.0), 0.0),
+                                 ("dl_sigma", p, 0.5)]:
+        law = ScalarLaw(params)
+        material = PiecewiseMaterial(law, law, 1.0, 1.0, sigma1=sigma, sigma2=sigma)
+        rows.append((model, material, [material.eps_laws()[0]], [1.0]))
+    return rows
 
 
 def cmd_matrix(args) -> int:
@@ -246,13 +255,11 @@ def cmd_matrix(args) -> int:
         })
     expected = {"dl": (True, False), "mod_dl": (True, True), "dl_sigma": (True, True)}
     ok = all(expected.get(r.model, (r.wp0, r.es0)) == (r.wp0, r.es0) for r in rows)
-    if args.strict and not ok:
-        return 1
-    return 0
+    return 1 if args.strict and not ok else 0
 
 
 def cmd_oracle(args) -> int:
-    cfg = _load(args)
+    cfg = RunConfig.from_file(args.config)
     bundle = cfg.bundle()
     material, params1, params2, _, _ = cfg.material()
     grid = cfg.time_grid()
@@ -261,12 +268,10 @@ def cmd_oracle(args) -> int:
     g = _source_signal(cfg, bundle, grid, 0.0)
 
     def phi_of(t):
-        k = grid.index_of(t)
-        return g.values[k, : bundle.n_edges].real
+        return g.values[grid.index_of(t), : bundle.n_edges].real
 
     def psi_of(t):
-        k = grid.index_of(t)
-        return g.values[k, bundle.n_edges:].real
+        return g.values[grid.index_of(t), bundle.n_edges:].real
 
     k0 = grid.index_of(0.0)
     state = stp.initial_state()
@@ -291,45 +296,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="accretivity scan of the configured law")
     p.add_argument("--config", required=True)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--nu", type=_finite, default=0.0)
+    p.add_argument("--out", type=_out_dir, required=True)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("solve", help="linear forward solve")
     p.add_argument("--config", required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--rho", type=_finite, required=True)
+    p.add_argument("--out", type=_out_dir, required=True)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("picard", help="nonlinear fixed-point solve")
     p.add_argument("--config", required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--ball-radius", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--rho", type=_finite, required=True)
+    p.add_argument("--ball-radius", type=_ball_radius, default=None)
+    p.add_argument("--out", type=_out_dir, required=True)
     p.set_defaults(fn=cmd_picard)
 
     p = sub.add_parser("history", help="convert a stored history to (Phi, Psi)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--rho", type=_finite, default=1.0)
+    p.add_argument("--out", type=_out_dir, required=True)
     p.set_defaults(fn=cmd_history)
 
     p = sub.add_parser("stability", help="decay certificate and simulated decay")
     p.add_argument("--config", required=True)
     p.add_argument("--nu", type=_float_list, default="")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_dir, required=True)
     p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("matrix", help="capability matrix battery")
     p.add_argument("--battery", default="default")
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--out", default="")
+    p.add_argument("--out", type=_out_dir, default="")
     p.set_defaults(fn=cmd_matrix)
 
     p = sub.add_parser("oracle", help="time-domain reference run")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_dir, required=True)
     p.set_defaults(fn=cmd_oracle)
 
     return ap

@@ -19,9 +19,7 @@ from .materials import (
     DrudeLorentzParams,
     ModDLParams,
     PiecewiseMaterial,
-    conductivity_law,
-    dl_law,
-    mod_dl_law,
+    ScalarLaw,
 )
 from .operators import YeeGrid, build_curl_pair
 from .signals import TimeGrid
@@ -193,11 +191,14 @@ class RunConfig:
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
-        with open(path) as f:
-            try:
+        """The config stored at path; an unreadable file or bad JSON raises ConfigError."""
+        try:
+            with open(path) as f:
                 raw = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
         return RunConfig.from_dict(raw)
 
     @staticmethod
@@ -241,41 +242,34 @@ class RunConfig:
         return TimeGrid(float(t["t_start"]), float(t["dt"]), int(t["n_samples"]))
 
     def _law_params(self, section: dict):
+        """(parameter record, sigma) of one region's law section."""
         model = section.get("model", "dl")
         eps0 = float(section.get("eps0", 1.0))
         terms = [(float(t["alpha"]), float(t["gamma"]), float(t["omega0"]))
                  for t in section.get("terms", [{"alpha": 1.0, "gamma": 1.0, "omega0": 2.0}])]
         params = DrudeLorentzParams(eps0, terms)
         sigma = float(section.get("sigma", 0.0))
-        if model in ("dl", "mod_dl") and sigma != 0.0:
+        if model not in ("dl", "mod_dl", "dl_sigma"):
+            raise ConfigError(f"unknown material model {model!r}")
+        if model != "dl_sigma" and sigma != 0.0:
             raise ConfigError("sigma requires model = dl_sigma")
-        if model == "dl":
-            return params, dl_law(params), sigma
-        if model == "mod_dl":
-            mp = ModDLParams(params, float(section["r"]))
-            return mp, mod_dl_law(mp), sigma
-        if model == "dl_sigma":
-            if sigma <= 0:
-                raise ConfigError("dl_sigma needs a positive sigma")
-            return params, conductivity_law(dl_law(params), sigma), sigma
-        raise ConfigError(f"unknown material model {model!r}")
+        if model == "dl_sigma" and sigma <= 0:
+            raise ConfigError("dl_sigma needs a positive sigma")
+        return (ModDLParams(params, float(section["r"])) if model == "mod_dl" else params), sigma
 
     def material(self):
-        """(PiecewiseMaterial, params1, params2, laws, eps_infs)."""
+        """(PiecewiseMaterial, params1, params2, laws, eps_infs); laws are
+        material.eps_laws(), each region's record with its sigma."""
         m = self.raw["material"]
         mu = m.get("mu", [1.0, 1.0])
         if np.isscalar(mu):
             mu = [float(mu), float(mu)]
-        params1, law1, sigma1 = self._law_params(m)
-        if "region2" in m:
-            params2, law2, sigma2 = self._law_params(_region2(m))
-        else:
-            params2, law2, sigma2 = params1, law1, sigma1
-        # a region's sigma enters through the material, on top of its base law
-        material = PiecewiseMaterial(law1.base if sigma1 else law1, law2.base if sigma2 else law2,
-                                     mu[0], mu[1], sigma1=sigma1, sigma2=sigma2)
-        eps_infs = [params1.eps_inf, params2.eps_inf]
-        return material, params1, params2, [law1, law2], eps_infs
+        params1, sigma1 = self._law_params(m)
+        params2, sigma2 = self._law_params(_region2(m)) if "region2" in m else (params1, sigma1)
+        material = PiecewiseMaterial(ScalarLaw(params1), ScalarLaw(params2), mu[0], mu[1],
+                                     sigma1=sigma1, sigma2=sigma2)
+        return (material, params1, params2, list(material.eps_laws()),
+                [params1.eps_inf, params2.eps_inf])
 
     def bundle(self):
         return build_curl_pair(self.yee_grid())

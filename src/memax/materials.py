@@ -8,7 +8,8 @@ has its poles in the open left half-plane for gamma_j > 0, except the pole
 at 0 of a Drude term (omega0_j = 0).  The modified law multiplies each term
 by (1 + (z - z0)/r), which restores strict half-plane accretivity outside a
 disk around the origin when 2 gamma r - omega0^2 > 0, and a conductivity
-shift sigma adds z^{-1} sigma.
+shift sigma adds z^{-1} sigma.  ScalarLaw is one region's law: a parameter
+record (DrudeLorentzParams or ModDLParams) plus its sigma.
 
 Time domain: _oscillator expands each term into (lam, c) pairs whose kernel
 is Im(c e^{lam t}) for t > 0 (the recursive-convolution form of Luebbers et
@@ -250,66 +251,72 @@ def sample_kernel(terms, grid: TimeGrid, derivative: bool = False) -> SampledKer
 
 
 # ---------------------------------------------------------------------------
-# law objects: callables z -> scalar (or matrix) with pole sets and limits
+# law records: M(z) = eps(z) + z^{-1} sigma
 
 
 @dataclass(frozen=True)
 class ScalarLaw:
-    """A scalar material law: evaluator, pole set, and |Im z| -> inf limit data.
-
-    re_zM_limit(nu) returns lim_{|t|->inf} Re((nu+it) M(nu+it)) when known
-    (None disables the analytic tail append in scans).  Laws with a z^{-1}
-    conductivity part keep a reference to their base permittivity in `base`.
+    """A scalar material law M(z) = eps(z) + z^{-1} sigma: a parameter record
+    (DrudeLorentzParams for eps = eval_dl, ModDLParams for eps = mod_dl_eval)
+    plus its conductivity.  Name, poles and the |Im z| -> inf limits of
+    Re(z M(z)) (eps_inf nu, plus sum alpha/r for ModDLParams, plus sigma) and
+    of Re M(z) (eps_inf) are read off the record.  A conductive law (sigma >
+    0) has a pole at 0 and keeps its conductivity-free law as `base` (None
+    when sigma == 0).
     """
 
-    name: str
-    eval_fn: object
-    poles: np.ndarray
-    re_zM_limit: object = None
-    re_M_limit: object = None
-    base: object = None
+    params: DrudeLorentzParams | ModDLParams
+    sigma: float = 0.0
+
+    def __post_init__(self):
+        if self.sigma < 0:
+            raise ValueError("sigma must be nonnegative")
+
+    @property
+    def _mod(self) -> bool:
+        return isinstance(self.params, ModDLParams)
+
+    @property
+    def name(self) -> str:
+        return ("mod_dl" if self._mod else "dl") + ("_sigma" if self.sigma > 0 else "")
+
+    @property
+    def poles(self) -> np.ndarray:
+        poles = (self.params.base if self._mod else self.params).poles()
+        return np.concatenate([poles, [0.0 + 0.0j]]) if self.sigma > 0 else poles
+
+    @property
+    def base(self) -> ScalarLaw | None:
+        return ScalarLaw(self.params) if self.sigma > 0 else None
 
     def __call__(self, z):
-        return self.eval_fn(z)
+        eps = mod_dl_eval if self._mod else eval_dl
+        if not self.sigma > 0:
+            return eps(z, self.params)
+        zz = np.asarray(z, dtype=np.complex128)
+        return eps(zz, self.params) + self.sigma / zz
+
+    def re_zM_limit(self, nu: float) -> float:
+        p, limit = self.params, self.params.eps_inf * nu
+        if self._mod:
+            limit += sum(a / p.r for a, _, _ in p.base.terms)
+        return limit + self.sigma if self.sigma > 0 else limit
+
+    def re_M_limit(self, nu: float) -> float:
+        return self.params.eps_inf
 
 
 def dl_law(p: DrudeLorentzParams) -> ScalarLaw:
-    return ScalarLaw(
-        name="dl",
-        eval_fn=lambda z: eval_dl(z, p),
-        poles=p.poles(),
-        re_zM_limit=lambda nu: p.eps0 * nu,
-        re_M_limit=lambda nu: p.eps0,
-    )
+    return ScalarLaw(p)
 
 
 def mod_dl_law(p: ModDLParams) -> ScalarLaw:
-    alpha_over_r = sum(a / p.r for a, _, _ in p.base.terms)
-    return ScalarLaw(
-        name="mod_dl",
-        eval_fn=lambda z: mod_dl_eval(z, p),
-        poles=p.base.poles(),
-        re_zM_limit=lambda nu: p.base.eps0 * nu + alpha_over_r,
-        re_M_limit=lambda nu: p.base.eps0,
-    )
+    return ScalarLaw(p)
 
 
 def conductivity_law(eps_law: ScalarLaw, sigma: float) -> ScalarLaw:
-    """M(z) = eps(z) + z^{-1} sigma.  Re(z M(z)) = Re(z eps(z)) + sigma."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0:
-        return eps_law
-    base_limit = eps_law.re_zM_limit
-    return ScalarLaw(
-        name=eps_law.name + "_sigma",
-        eval_fn=lambda z: eps_law(np.asarray(z, dtype=np.complex128))
-        + sigma / np.asarray(z, dtype=np.complex128),
-        poles=np.concatenate([eps_law.poles, [0.0 + 0.0j]]),
-        re_zM_limit=(lambda nu: base_limit(nu) + sigma) if base_limit else None,
-        re_M_limit=eps_law.re_M_limit,
-        base=eps_law,
-    )
+    """M(z) = eps(z) + z^{-1} sigma, the conductivity added to eps_law's own."""
+    return ScalarLaw(eps_law.params, eps_law.sigma + sigma) if sigma else eps_law
 
 
 @dataclass(frozen=True)
@@ -340,9 +347,7 @@ class PiecewiseMaterial:
         return min(self.mu1, self.mu2)
 
     def eps_laws(self):
-        l1 = conductivity_law(self.law1, self.sigma1) if self.sigma1 else self.law1
-        l2 = conductivity_law(self.law2, self.sigma2) if self.sigma2 else self.law2
-        return l1, l2
+        return conductivity_law(self.law1, self.sigma1), conductivity_law(self.law2, self.sigma2)
 
     def eps_values(self, z, mask1: np.ndarray) -> np.ndarray:
         """Permittivity per dof at one frequency: law1 on mask1, law2 elsewhere."""
@@ -426,12 +431,12 @@ def accretivity_scan(law, nu: float, delta_exclusion: float = 0.0,
 
     law is a ScalarLaw, or, for Re(z M(z)) only, has herm_min_vec(Z), the
     vectorized Hermitian-part minimum (stability.MdSystem); anything else
-    raises TypeError.  Pole-adjacent cells
-    (within SCAN_POLE_MARGIN relative distance) are skipped and counted; the
-    analytic |Im z| -> infinity limit, when the law declares one, is appended
-    so that enlarging t_max can only confirm, never manufacture, a
-    certificate.  GridTooCoarse is raised when the minimum sits on a cell
-    adjacent to a skipped one (the scan cannot be trusted there).
+    raises TypeError.  Pole-adjacent cells (within SCAN_POLE_MARGIN relative
+    distance) are skipped and counted; a ScalarLaw's analytic |Im z| ->
+    infinity limit is appended so that enlarging t_max can only confirm,
+    never manufacture, a certificate.  GridTooCoarse is raised when the
+    minimum sits on a cell adjacent to a skipped one (the scan cannot be
+    trusted there).
     """
     scalar = isinstance(law, ScalarLaw)
     if not (scalar or (hasattr(law, "herm_min_vec") and not scan_re_M)):
@@ -457,10 +462,8 @@ def accretivity_scan(law, nu: float, delta_exclusion: float = 0.0,
     argmin = complex(Z[i_min])
 
     tail = None
-    limit_fn = None
     if scalar:
         limit_fn = law.re_M_limit if scan_re_M else law.re_zM_limit
-    if limit_fn is not None:
         tail = float(min(limit_fn(s) for s in np.linspace(-nu, nu_hi, n_nu)))
         if tail < c_min:
             c_min = tail

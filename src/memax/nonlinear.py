@@ -23,7 +23,7 @@ that powers small-ball solves in forward or negative weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -366,16 +366,7 @@ class ContractionCertificate:
     gaps: list = field(default_factory=list)   # step gaps |u_{j+1} - u_j|, one per iteration
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "theoretical_bound": self.theoretical_bound,
-            "empirical_ratio": self.empirical_ratio,
-            "gaps": list(self.gaps),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_residual": self.final_residual,
-            "constants": dict(self.constants),
-        }
+        return asdict(self)
 
 
 def suggest_rho(problem: LinearProblem, lip: float, target: float = 0.9,
@@ -404,11 +395,16 @@ def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: flo
     """Iterate u <- S(g - (N(E), 0)) from u0 = S g until the step gap drops
     below tol times the scale: |u0| without a ball, the radius with one.
 
-    Without a ball, three successive gap ratios above 2 stop the run as a
-    runaway.  With a ball, an iterate outside the radius raises BallEscape.
-    Returns u, the certificate fields measured on the run and the trace of
-    iterate norms checked against the ball.
+    g is taken at the solve weight op.rho, where data above its wraparound
+    tolerance raises WraparoundExceeded, as in solve_linear.  Without a
+    ball, three successive gap ratios above 2 stop the run as a runaway.
+    With a ball, an iterate outside the radius raises BallEscape.  Returns
+    u, the certificate fields measured on the run and the trace of iterate
+    norms checked against the ball.
     """
+    if g.rho != op.rho:
+        g = WeightedSignal(g.grid, op.rho, g.values, g.wrap_tol)
+    g.check_wraparound()
     n_edges = op.bundle.n_edges
 
     def step(u: WeightedSignal) -> WeightedSignal:
@@ -465,11 +461,7 @@ def picard_solve(problem: LinearProblem, nonlinearity, rho: float | None = None,
     """
     if rho is None:
         rho = problem.rho
-    g = problem.rhs
-    if rho != g.rho:
-        g = WeightedSignal(g.grid, rho, g.values, g.wrap_tol)
-    bundle = problem.bundle
-    op = SolutionOperator(bundle, problem.material, rho, g.grid)
+    op = SolutionOperator(problem.bundle, problem.material, rho, problem.rhs.grid)
     lip = nonlinearity.lip_bound()
     bound = lip / op.c_min
     if bound >= 1.0:
@@ -479,7 +471,7 @@ def picard_solve(problem: LinearProblem, nonlinearity, rho: float | None = None,
             suggestion = None
         raise NotAContraction(rho, bound, suggestion)
 
-    u, run, _ = _fixed_point(op, g, nonlinearity, tol, max_iter)
+    u, run, _ = _fixed_point(op, problem.rhs, nonlinearity, tol, max_iter)
     cert = ContractionCertificate(
         rho=rho,
         theoretical_bound=bound,
@@ -503,11 +495,7 @@ def ball_solve(problem: LinearProblem, nonlinearity, weight: float, alpha: float
     are checked against the ball every step: leaving it raises BallEscape,
     the signal that the data is too large for the small-solution regime.
     """
-    g = problem.rhs
-    if weight != g.rho:
-        g = WeightedSignal(g.grid, weight, g.values, g.wrap_tol)
-    bundle = problem.bundle
-    op = SolutionOperator(bundle, problem.material, weight, g.grid,
+    op = SolutionOperator(problem.bundle, problem.material, weight, problem.rhs.grid,
                           certificate_required=weight > 0)
     C_loc = nonlinearity.loc_lip_constant(weight)
 
@@ -525,7 +513,7 @@ def ball_solve(problem: LinearProblem, nonlinearity, weight: float, alpha: float
     else:
         radius = float(radius_policy)
 
-    u, run, trace = _fixed_point(op, g, nonlinearity, tol, max_iter, radius)
+    u, run, trace = _fixed_point(op, problem.rhs, nonlinearity, tol, max_iter, radius)
     cert = ContractionCertificate(
         rho=weight,
         theoretical_bound=gain * C_loc * (2.0 * radius) ** alpha,

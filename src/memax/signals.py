@@ -505,9 +505,13 @@ def write_signal(u: WeightedSignal, path: str):
 
 def read_signal(path: str) -> WeightedSignal:
     """The signal write_signal stored at path; a file that is not such a
-    container, or whose size disagrees with its header, raises MemaxError."""
-    with open(path, "rb") as f:
-        data = f.read()
+    container, whose size disagrees with its header, or that cannot be read
+    raises MemaxError."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise MemaxError(f"{path}: {exc.strerror}") from exc
     if len(data) < _HEADER.size:
         raise MemaxError(f"{path}: {len(data)} bytes, fewer than the "
                          f"{_HEADER.size}-byte signal container header")

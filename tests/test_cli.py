@@ -425,6 +425,84 @@ class TestTypedFailures:
         else:
             assert read_signal(str(tmp_path / "out" / "solution.sig")).wrap_tol == wrap_tol
 
+    @pytest.mark.parametrize("ball", [[], ["--ball-radius", "auto"]], ids=["picard", "ball"])
+    def test_picard_reads_wrap_tol(self, ball, tmp_path, capsys):
+        # the data test_solve_reads_wrap_tol refuses to solve: picard refuses it too
+        raw = default_config_dict()
+        raw["source"]["t_off"] = 15.0
+        raw["tolerances"] = {"wrap_tol": 1e-300}
+        raw["nonlinearity"] = {"kind": "saturable", "k": 3, "tau": 1.0}
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        rc = main(["picard", "--config", str(tmp_path / "cfg.json"), "--rho", "2.0", *ball,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: weighted endpoint magnitude ")
+        assert err[0].endswith("exceeds the declared wraparound tolerance 1.000e-300")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["picard", "--rho", "2.0", "--ball-radius", "abc"], "--ball-radius: not a finite number"),
+        (["picard", "--rho", "2.0", "--ball-radius", "0"], "--ball-radius: not a positive number"),
+        (["picard", "--rho", "2.0", "--ball-radius", "-1"], "--ball-radius: not a positive number"),
+        (["picard", "--rho", "2.0", "--ball-radius", "nan"], "--ball-radius: not a finite number"),
+        (["picard", "--rho", "inf"], "--rho: not a finite number"),
+        (["solve", "--rho", "nan"], "--rho: not a finite number"),
+        (["solve", "--rho", "inf"], "--rho: not a finite number"),
+        (["solve", "--rho=-inf"], "--rho: not a finite number"),
+        (["scan", "--nu", "nan"], "--nu: not a finite number"),
+        (["stability", "--nu", "nan"], "--nu: not a comma-separated list of numbers"),
+        (["stability", "--nu", "0.01,inf"], "--nu: not a comma-separated list of numbers"),
+    ], ids=["ball-abc", "ball-0", "ball-neg", "ball-nan", "picard-rho-inf", "solve-rho-nan",
+            "solve-rho-inf", "solve-rho-neg-inf", "scan-nu-nan", "stability-nu-nan",
+            "stability-nu-inf"])
+    def test_bad_number_is_a_usage_error(self, argv, message, config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", config_path, "--out", str(tmp_path / "out"), *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: memax {argv[0]}")
+        value = argv[-1].split("=")[-1]
+        assert err[-1].endswith(f"argument {message}: {value!r}")
+        assert not (tmp_path / "out").exists()
+
+    def test_out_that_is_a_file_is_a_usage_error(self, config_path, tmp_path, capsys):
+        (tmp_path / "out").write_text("kept")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", config_path, "--rho", "2.0", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: memax solve")
+        assert err[-1].endswith(f"argument --out: not a directory: {str(tmp_path / 'out')!r}")
+        assert (tmp_path / "out").read_text() == "kept"
+
+    @pytest.mark.parametrize("argv", [["scan"], ["solve", "--rho", "2.0"],
+                                      ["picard", "--rho", "2.0"],
+                                      ["history", "--in", "h.sig"], ["stability"], ["oracle"]],
+                             ids=lambda argv: argv[0])
+    def test_missing_config_file(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        rc = main([argv[0], "--config", missing, "--out", str(tmp_path / "out"), *argv[1:]])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {missing}: No such file or directory"]
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        rc = main(["solve", "--config", str(tmp_path), "--rho", "2.0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path}: Is a directory"]
+
+    def test_missing_history_file(self, config_path, tmp_path, capsys):
+        missing = str(tmp_path / "missing.sig")
+        rc = main(["history", "--in", missing, "--config", config_path,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {missing}: No such file or directory"]
+        assert not (tmp_path / "out").exists()
+
     def test_non_numeric_nu_is_a_usage_error(self, config_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["stability", "--config", config_path, "--nu", "abc",

@@ -11,10 +11,14 @@ from memax import (
     KernelSpec,
     MemaxError,
     ModDLParams,
+    PiecewiseMaterial,
     PoleHit,
+    RunConfig,
+    ScalarLaw,
     TimeGrid,
     accretivity_scan,
     conductivity_law,
+    default_config_dict,
     dl_law,
     eval_chi_dl,
     eval_dl,
@@ -474,6 +478,97 @@ class TestKernelTermsProperty:
             mod = ModDLParams(p, r, z0)
             terms, law = mod.kernel_terms(), mod_dl_eval(z, mod) - eps0
         assert abs(self.transform(terms, z) - law) <= 1e-12 * abs(law)
+
+
+def closure_law(p, sigma: float) -> tuple:
+    """(value, poles, name, re_zM_limit, re_M_limit) of the dl or mod_dl law
+    of p plus z^{-1} sigma, written out as closures: the reference that
+    ScalarLaw(p, sigma) must match bit for bit."""
+    if isinstance(p, ModDLParams):
+        alpha_over_r = sum(a / p.r for a, _, _ in p.base.terms)
+        value, poles, name = (lambda z: mod_dl_eval(z, p)), p.base.poles(), "mod_dl"
+        re_zm = lambda nu: p.base.eps0 * nu + alpha_over_r       # noqa: E731
+        re_m = lambda nu: p.base.eps0                            # noqa: E731
+    else:
+        value, poles, name = (lambda z: eval_dl(z, p)), p.poles(), "dl"
+        re_zm = lambda nu: p.eps0 * nu                           # noqa: E731
+        re_m = lambda nu: p.eps0                                 # noqa: E731
+    if sigma > 0:
+        eps, eps_zm = value, re_zm
+        value = lambda z: (eps(np.asarray(z, dtype=np.complex128))     # noqa: E731
+                           + sigma / np.asarray(z, dtype=np.complex128))
+        poles = np.concatenate([poles, [0.0 + 0.0j]])
+        name += "_sigma"
+        re_zm = lambda nu: eps_zm(nu) + sigma                   # noqa: E731
+    return value, poles, name, re_zm, re_m
+
+
+def same_bits(a, b) -> bool:
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestLawRecord:
+    """ScalarLaw reads its value, poles, name, base and limits off the
+    (params, sigma) record with the closure laws' own expressions, bit for bit,
+    for oscillatory, overdamped and Drude terms, any real z0, with and without
+    a conductivity, at scalar and array z."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(eps0=st.floats(0.5, 3.0), oscillators=OSCILLATORS, damping=DAMPING,
+           r=st.one_of(st.none(), st.floats(0.5, 8.0)), z0=st.floats(-1.0, 1.0),
+           sigma=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+           points=st.lists(st.tuples(st.floats(0.01, 6.0), st.floats(-50.0, 50.0)),
+                           min_size=1, max_size=4),
+           scalar=st.booleans(), nus=st.lists(st.floats(-2.0, 20.0), min_size=1, max_size=3))
+    def test_record_matches_closures(self, eps0, oscillators, damping, r, z0, sigma, points,
+                                     scalar, nus):
+        p = DrudeLorentzParams(eps0, [(a, g, g + dw) for a, g, dw in oscillators]
+                               + [(a, g, f * g) for a, g, f in damping])
+        params = p if r is None else ModDLParams(p, r, z0)
+        law = conductivity_law(dl_law(p) if r is None else mod_dl_law(params), sigma)
+        value, poles, name, re_zm, re_m = closure_law(params, sigma)
+        # right of every pole and of z = 0, where a conductive law has its own pole
+        right = max(0.0, max(z.real for z in p.poles()))
+        zs = np.array([complex(right + a, b) for a, b in points])
+        for z in ([complex(zs[0]), zs[0]] if scalar else [zs]):
+            assert same_bits(law(z), value(z))
+        assert same_bits(law.poles, poles) and law.name == name
+        assert law.base == (ScalarLaw(params) if sigma > 0 else None)
+        for nu in nus:
+            assert same_bits(law.re_zM_limit(nu), re_zm(nu))
+            assert same_bits(law.re_M_limit(nu), re_m(nu))
+        assert law == ScalarLaw(params, sigma)
+        assert PiecewiseMaterial(ScalarLaw(params), law, 1.0, 1.0,
+                                 sigma1=sigma).eps_laws() == (law, law)
+
+    def test_zero_conductivity_is_the_law(self, dl_params):
+        for law in (dl_law(dl_params), conductivity_law(dl_law(dl_params), 0.5)):
+            assert conductivity_law(law, 0.0) is law
+
+    def test_conductivity_adds_to_the_law_own(self, dl_params):
+        law = conductivity_law(conductivity_law(dl_law(dl_params), 0.5), 0.25)
+        assert law == ScalarLaw(dl_params, 0.75) and law.base == dl_law(dl_params)
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            conductivity_law(dl_law(dl_params), -0.5)
+
+    @pytest.mark.parametrize("material", [
+        {},
+        {"model": "dl", "r": None},
+        {"model": "dl_sigma", "sigma": 0.5, "r": None,
+         "region2": {"model": "dl_sigma", "sigma": 0.3, "eps0": 1.5}},
+        {"region2": {"model": "dl_sigma", "sigma": 0.3,
+                     "terms": [{"alpha": 0.8, "gamma": 2.0, "omega0": 0.0}]}},
+        {"model": "dl_sigma", "sigma": 0.5, "r": None, "region2": {"model": "mod_dl", "r": 3.0}},
+    ], ids=["mod_dl", "dl", "dl_sigma_pair", "mod_dl_drude_sigma", "dl_sigma_mod_dl"])
+    def test_config_laws_are_the_material_laws(self, material):
+        raw = default_config_dict()
+        raw["material"].update(material)
+        raw["material"] = {k: v for k, v in raw["material"].items() if v is not None}
+        mat, params1, params2, laws, eps_infs = RunConfig.from_dict(raw).material()
+        assert tuple(laws) == mat.eps_laws()
+        assert [law.params for law in laws] == [params1, params2]
+        assert [law.sigma for law in laws] == [mat.sigma1, mat.sigma2]
+        assert eps_infs == [params1.eps_inf, params2.eps_inf]
 
 
 OVERDAMPED = DrudeLorentzParams(1.0, [(0.8, 2.0, 1.2)])     # poles -0.4 and -3.6
