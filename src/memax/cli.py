@@ -63,9 +63,14 @@ def _float_list(text: str) -> list:
 
 
 def _out_dir(path: str) -> str:
-    """An output directory, for argparse: one that does not exist yet, or a directory."""
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"not a directory: {path!r}")
+    """An output directory, for argparse: a directory, or a path whose nearest
+    existing ancestor is one."""
+    found = path
+    while found and not os.path.exists(found):
+        found = os.path.dirname(found)
+    if found and not os.path.isdir(found):
+        raise argparse.ArgumentTypeError(f"not a directory: {path!r}" if found == path
+                                         else f"not a directory: {found!r} (in {path!r})")
     return path
 
 

@@ -191,12 +191,16 @@ class RunConfig:
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
-        """The config stored at path; an unreadable file or bad JSON raises ConfigError."""
+        """The config stored at path; an unreadable file, text that is not
+        UTF-8 or bad JSON raises ConfigError."""
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 raw = json.load(f)
         except OSError as exc:
             raise ConfigError(f"{path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                              f"0x{exc.object[exc.start]:02x})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
         return RunConfig.from_dict(raw)

@@ -25,19 +25,21 @@ The law changes only across the interface plane, so eps is constant along
 the two tangential axes, and on the uniform PEC grid the edge system maps
 each transverse cavity mode (DST-I/DCT-II along those axes; see
 memax.operators) to itself.  It is solved in the edge rows T_e of that
-basis, where it is z^2 eps + Chat^T mu^{-1} Chat with Chat the
-modal curl T_f C0 T_e^T, which the operators build from 1-D factors; the
-product T_e C mu^{-1} C0 T_e^T is never formed.  Neither is T_e: it and its
-transpose are applied as dense 1-D contractions along the two tangential
-axes of each edge component (operators._mode_transform), on the float view
-of the complex data, since the factors are real.  The modal edges are
-ordered once by mode label and then by interface coordinate, a gather, so
-the system is one narrow band (half-width 3 on the Yee grid, read off the
-pattern) and each bin is one LAPACK banded LU.  The modal right-hand sides
-are laid out one contiguous row per bin, which LAPACK solves in place.  The
-band is built once and each bin only adds its diagonal; the region laws are
-evaluated once over the whole line, c_min included.  The residual,
-refinement and growth checks use z M + A in the original basis.
+basis, where it is z^2 eps + K2hat, K2hat = Chat^T mu^{-1} Chat with Chat
+the modal curl T_f C0 T_e^T; T_e is applied as 1-D contractions
+(operators._mode_transform) and never formed.  In a mode with tangential
+wave vector s, rotating (E_t1, E_t2) at each node by s/|s| splits off the
+TE part b = (s2 E_t1 - s1 E_t2)/|s|, tridiagonal along the interface axis;
+the TM part a meets only E_n, whose block is diagonal, and eliminating E_n
+leaves a tridiagonal Schur complement.  A bin is thus 2F + S tridiagonal
+systems of length n_axis - 1 (F full modes, S with one tangential
+component), and a block of bins is factored and solved at once by Thomas
+sweeps along that axis, without pivoting: on a certified line
+z^{-1}(z^2 eps + K2hat) has Hermitian part >= c_min, so every pivot has
+|p| >= |z| c_min (Golub & Van Loan, Linear Algebra Appl. 28, 1979).  The
+coefficients are read once off the sparse K2hat and the region laws are
+evaluated once over the line, c_min included; the residual, refinement and
+growth checks use z M + A in the original basis.
 
 A is real and M(conj z) = conj M(z), so the operator maps real fields to
 real fields.  apply() solves between the transform pair of memax.signals,
@@ -63,10 +65,10 @@ growth * |z| heuristic against COND_LIMIT stands in.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracing.py wraps this name)
 
 from .errors import FrequencySingular, MemaxError, UncertifiedLine, WraparoundExceeded
@@ -88,37 +90,43 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[0::2] + sq[1::2])
 
 
-@dataclass(frozen=True)
-class _BandLU:
-    """Banded LU factors and pivots of one bin's edge system (zgbtrf)."""
+class _LineFactors(NamedTuple):
+    """Thomas factors of a block of bins' edge systems, bins on the last axis."""
 
-    lu: np.ndarray
-    ipiv: np.ndarray
-    kl: int
-    ku: int
+    ks: np.ndarray      # the bins
+    q: np.ndarray       # reciprocal pivots, systems x m x bins
+    e: np.ndarray       # TM off-diagonals, F x (m - 1) x bins
+    dn: np.ndarray      # reciprocal E_n diagonals, F x (m + 1) x bins
 
     @property
-    def nnz(self) -> int:
-        return self.lu.size   # stored band entries, pivoting fill included
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution for one contiguous right-hand side, written over it."""
-        return zgbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv, overwrite_b=1)[0]
+    def nbytes(self) -> int:
+        return self.q.nbytes + self.e.nbytes + self.dn.nbytes
 
 
-def _band_lu(ab: np.ndarray, kl: int, ku: int) -> _BandLU:
-    """LAPACK banded LU of ab, overwritten.
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    """x <- 1/x in place where x != 0; flags the bins (last axis) holding a zero."""
+    zero = x == 0
+    np.divide(1.0, x, out=x, where=~zero)
+    return zero.reshape(-1, x.shape[-1]).any(axis=0)
 
-    ab holds the matrix in rows kl .. 2 kl + ku, ab[kl + ku + i - j, j] =
-    a_ij; its first kl rows take the fill of row pivoting.  An exactly zero
-    pivot raises LinAlgError.
-    """
-    lu, ipiv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
-    if info < 0:
-        raise ValueError(f"zgbtrf: argument {-info} is invalid")
-    if info > 0:
-        raise np.linalg.LinAlgError(f"zgbtrf: pivot {info} is exactly zero")
-    return _BandLU(lu, ipiv, kl, ku)
+
+def _thomas_pivots(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """LDL^T of symmetric tridiagonal systems, diagonals d (systems x m x bins, overwritten by
+    the reciprocal pivots) and off-diagonals e; flags the bins with a zero pivot."""
+    zero = _reciprocal(d[:, 0])
+    for j in range(1, d.shape[1]):
+        d[:, j] -= e[:, j - 1] * e[:, j - 1] * d[:, j - 1]
+        zero |= _reciprocal(d[:, j])
+    return zero
+
+
+def _thomas_solve(q: np.ndarray, e: np.ndarray, w: np.ndarray):
+    """w <- the solution for right-hand sides w, from the factors (q, e) of _thomas_pivots."""
+    for j in range(1, w.shape[1]):
+        w[:, j] -= e[:, j - 1] * q[:, j - 1] * w[:, j - 1]
+    w[:, -1] *= q[:, -1]
+    for j in range(w.shape[1] - 2, -1, -1):
+        w[:, j] = q[:, j] * (w[:, j] - e[:, j] * w[:, j + 1])
 
 
 def _pair(z: complex) -> list:
@@ -178,22 +186,20 @@ class SolutionOperator:
     signal to signal, real data to an exactly real solution.  A
     material-law pole on the line raises PoleHit here, at construction.
 
-    Bin k eliminates H in the original basis and factors the edge system in
-    the mode-sorted rows T_e of the cavity-mode basis: diag(z_k^2 eps(z_k))
-    + K2hat, K2hat = Chat^T diag(1/mu) Chat, a band whose half-widths come
-    from its pattern.  T_e is held as its 1-D factors, the mode labels and
-    the sort permutation, never as a matrix.  Construction checks
-    T_e^T K2hat T_e against C mu^{-1} C0, the system actually factored, on
-    two seeded vectors, through the same matrix-free transforms the solve
-    uses.
+    Bin k eliminates H in the original basis and solves the edge system
+    diag(z_k^2 eps(z_k)) + K2hat in the rows T_e, sorted by (class, mode,
+    interface coordinate) so that a block's modal data, edges x bins, holds
+    the tridiagonal systems' rows as views.  T_e is held as its 1-D factors,
+    the mode labels and the sort, never as a matrix.  Construction refuses a
+    TE-TM entry of K2hat above round-off and checks the reduced form against
+    C mu^{-1} C0 on two seeded vectors, through the solve's transforms.
 
-    Every bin factors in the operator's one band buffer.  While their bytes
-    stay within FACTOR_CACHE_BYTES, the factors of the first bins met are
-    kept, each with its buffer, for later applies, which visit the bins in
-    the same order; a one-shot caller (solve_linear) turns keep_factors
-    off.  The line is solved in blocks whose working arrays the operator
-    allocates on its first apply and reuses, so one operator serves one
-    thread.
+    Each block of bins is factored at once, and refinement reuses the
+    block's factors.  While their bytes stay within FACTOR_CACHE_BYTES, the
+    factors of the first blocks met are kept for later applies, which visit
+    the same blocks; a one-shot caller (solve_linear) turns keep_factors
+    off.  The block working arrays are allocated on the first apply and
+    reused, so one operator serves one thread.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
@@ -219,79 +225,134 @@ class SolutionOperator:
         self._cond_unit = max(abs(material.mu1), abs(material.mu2), 1.0)
 
         self._modes = _component_modes(bundle.grid, "edge")
+        ax = bundle.grid.interface_axis - 1
         mode = np.concatenate([labels for *_, labels in self._modes])
-        coord = bundle.edge_positions[:, bundle.grid.interface_axis - 1]
-        self._perm = perm = np.lexsort((coord, mode))
+        comp = np.repeat(np.arange(3), [labels.size for *_, labels in self._modes])
+        # class 0/1: the first/second tangential component of a full mode (one
+        # with an E_n part), 2: a single-component mode, 3: E_n
+        full = np.isin(mode, self._modes[ax][2])
+        cls = np.where(comp == ax, 3, np.where(full, comp != int(ax == 0), 2))
+        self._perm = perm = np.lexsort((bundle.edge_positions[:, ax], mode, cls))
+        m = bundle.grid.n_cells[ax] - 1
+        F = np.count_nonzero(cls == 3) // (m + 1)
+        R, T = ne - F * (m + 1), F * m
         chat = bundle.modal_curl[:, perm]
-        k2hat = (chat.T @ sparse.diags(1.0 / mu) @ chat).tocoo()
+        k2hat = (chat.T @ sparse.diags(1.0 / mu) @ chat).tocsr()
+        diag, up = k2hat.diagonal(), k2hat.diagonal(1)[:R].reshape(-1, m)[:, :-1]
+        rows = np.arange(2 * T)
+        below = R + rows % T // m * (m + 1) + rows % m      # the cell below each node
+        # the coupling of each node to the cell below and above: side, component, mode, node
+        tn = np.asarray(k2hat[np.tile(rows, 2), np.r_[below, below + 1]]).reshape(2, 2, F, m)
+        # rotate (E_t1, E_t2) by the mode's unit vector (s1, s2)/|s|, read off
+        # the node-cell coupling, to a (TM) and b (TE); then b meets no E_n
+        c1, c2 = tn[0, :, :, :1] / np.hypot(*tn[0, :, :, :1])
+        d1, d2 = diag[:T].reshape(F, m), diag[T:2 * T].reshape(F, m)
+        d12, u1, u2 = k2hat[:T, T:2 * T].diagonal().reshape(F, m), up[:F], up[F:2 * F]
+        te_tm = (c1 * c2 * (d1 - d2) - (c1 * c1 - c2 * c2) * d12, c1 * c2 * (u1 - u2),
+                 c2 * tn[:, 0] - c1 * tn[:, 1])
+        dropped, k_max = max(np.abs(v).max(initial=0.0) for v in te_tm), np.abs(k2hat.data).max()
+        if dropped > 1e-13 * k_max:
+            raise MemaxError(f"transverse modes couple: TE-TM entry {dropped:.3e} "
+                             f"against the max entry {k_max:.3e}")
+        self._c = np.stack([c1, c2])[..., None]
+        self._diag = np.concatenate([c1 * c1 * d1 + 2 * c1 * c2 * d12 + c2 * c2 * d2,
+                                     c2 * c2 * d1 - 2 * c1 * c2 * d12 + c1 * c1 * d2,
+                                     diag[2 * T:R].reshape(-1, m)])
+        self._off = np.concatenate([c1 * c1 * u1 + c2 * c2 * u2, c2 * c2 * u1 + c1 * c1 * u2,
+                                    up[2 * F:]])
+        self._pa = (c1 * tn[:, 0] + c2 * tn[:, 1])[..., None]   # a at node j: E_n at cells j, j + 1
+        self._nn = diag[R:].reshape(F, m + 1)
+        group = self._group[perm]
+        self._node_group, self._cell_group = group[:R].reshape(-1, m), group[R:].reshape(F, m + 1)
+        # the reduced form, shifted by its max entry to be well conditioned,
+        # solves C mu^-1 C0 + k_max on two seeded vectors
         K2 = bundle.C @ sparse.diags(1.0 / mu) @ bundle.C0
         x = np.random.default_rng(0).standard_normal((ne, 2))
-        gap = np.abs(K2 @ x - self._from_modal((k2hat @ self._to_modal(x).T).T)).max()
-        k_max = np.abs(K2.data).max()
-        if gap > 1e-12 * k_max * np.abs(x).max():
-            raise MemaxError(f"transverse modes couple: the modal system misses C mu^-1 C0 "
-                             f"by {gap:.3e} against its max entry {k_max:.3e}")
-        offset = k2hat.row - k2hat.col
-        kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
-        band = np.zeros((2 * kl + ku + 1, ne), dtype=np.complex128, order="F")
-        np.add.at(band, (kl + ku + offset, k2hat.col), k2hat.data)
-        self._band, self._kl, self._ku = band, kl, ku
-        self._band_group = self._group[perm]     # region of each sorted modal edge
+        fac, _ = self._factor_shifted(np.arange(2), np.full((2, 2), k_max))
+        y = self._solve_edges(fac, self._to_modal(K2 @ x + k_max * x))
+        gap = np.abs(self._from_modal(y) - x).max()
+        if gap > 1e-12 * np.abs(x).max():
+            raise MemaxError(f"transverse modes couple: the reduced modal system misses "
+                             f"C mu^-1 C0 by {gap:.3e} (relative)")
         self._keep = keep_factors
         self._cache: dict = {}
-        self._ab = np.empty_like(band)   # the buffer the next bin factors in
         self._work = None   # the block workspace, allocated on the first apply
 
     @property
     def factor_cache_bytes(self) -> int:
-        """Bytes of the banded LU factors the operator holds for reuse."""
-        return len(self._cache) * self._ab.nbytes
+        """Bytes of the line factors the operator holds for reuse."""
+        return sum(f.nbytes for f in self._cache.values())
 
     def _to_modal(self, x: np.ndarray) -> np.ndarray:
-        """(T_e x)^T for complex edge columns x, which it may overwrite, the
-        modal edges in the sorted order: one contiguous row per column."""
-        x = _mode_transform(self._modes, np.ascontiguousarray(x, dtype=np.complex128))
-        return x[self._perm].T.copy()
+        """T_e x, the modal edges sorted, for complex edge columns x, which it may overwrite."""
+        return _mode_transform(self._modes, np.ascontiguousarray(x, dtype=np.complex128))[self._perm]
 
     def _from_modal(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """T_e^T y^T for rows y laid out as _to_modal returns them, written
-        into out (C-contiguous edges x columns) when it is given."""
-        x = np.empty(y.shape[::-1], dtype=np.complex128) if out is None else out
-        x[self._perm] = y.T
+        """T_e^T y for sorted modal rows y, written into out (C-contiguous
+        edges x columns) when it is given."""
+        x = np.empty_like(y) if out is None else out
+        x[self._perm] = y
         return _mode_transform(self._modes, x, transpose=True)
 
-    def _factor(self, k: int) -> _BandLU:
-        """Banded LU of diag(z_k^2 eps(z_k)) + K2hat, the bin-k edge system."""
-        if k in self._cache:
-            return self._cache[k]
-        z = self.z[k]
-        if z == 0:
-            raise FrequencySingular(0j, np.inf)   # H cannot be eliminated at z = 0
-        ab = self._ab
-        ab[...] = self._band
-        ab[self._kl + self._ku] += z * self._lines[k, self._band_group]
-        try:
-            lu = _band_lu(ab, self._kl, self._ku)
-        except np.linalg.LinAlgError as exc:
-            raise FrequencySingular(complex(z), np.inf) from exc
-        if self._keep and self.factor_cache_bytes + ab.nbytes <= FACTOR_CACHE_BYTES:
-            self._cache[k] = lu   # the factor keeps the buffer it was written over
-            self._ab = np.empty_like(ab)
-        return lu
+    def _rotate(self, w: np.ndarray):
+        """(t1, t2) <-> (a, b) on the full modes' node rows of w, in place;
+        the rotation is its own inverse."""
+        c1, c2 = self._c
+        t1, t2 = np.split(w[:2 * len(c1)], 2)
+        t1[...], t2[...] = c1 * t1 + c2 * t2, c2 * t1 - c1 * t2
 
-    def _solve(self, ks: np.ndarray, d: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """u = (diag(d) + A)^{-1} g, one column per bin ks, written into u
-        (C-contiguous, apart from g and d): E from the modal edge system,
+    def _factor(self, ks: np.ndarray) -> _LineFactors:
+        """Factors of the edge systems diag(z_k^2 eps(z_k)) + K2hat of the bins
+        ks; a zero pivot raises FrequencySingular for the first such bin."""
+        z = self.z[ks]
+        if not z.all():
+            raise FrequencySingular(0j, np.inf)   # H cannot be eliminated at z = 0
+        fac, zero = self._factor_shifted(ks, z * self._lines[ks, :2].T)
+        if zero.any():
+            raise FrequencySingular(complex(z[np.argmax(zero)]), np.inf)
+        return fac
+
+    def _factor_shifted(self, ks: np.ndarray, zl: np.ndarray) -> tuple:
+        """Factors of diag(zl[region]) + K2hat, one column of zl per bin ks, and
+        the bins with a zero pivot: E_n eliminated from each TM system, then
+        Thomas on every system, all bins at once."""
+        F = len(self._nn)
+        dn = self._nn[..., None] + zl[self._cell_group]
+        d = self._diag[..., None] + zl[self._node_group]
+        zero = _reciprocal(dn)
+        pa0, pa1 = self._pa
+        d[:F] -= pa0 * pa0 * dn[:, :-1] + pa1 * pa1 * dn[:, 1:]
+        e = self._off[:F, :, None] - pa1[:, :-1] * pa0[:, 1:] * dn[:, 1:-1]
+        zero |= _thomas_pivots(d[:F], e) | _thomas_pivots(d[F:], self._off[F:, :, None])
+        return _LineFactors(ks, d, e, dn), zero
+
+    def _solve_edges(self, fac: _LineFactors, y: np.ndarray) -> np.ndarray:
+        """The edge systems of the bins fac.ks solved for sorted modal rows y
+        (edges x bins), in place: node rows w (systems x m x bins), E_n rows n."""
+        R, F = self._diag.size, len(self._nn)
+        w, n = y[:R].reshape(*self._diag.shape, -1), y[R:].reshape(*self._nn.shape, -1)
+        pa0, pa1 = self._pa
+        self._rotate(w)
+        t = n * fac.dn
+        w[:F] -= pa0 * t[:, :-1] + pa1 * t[:, 1:]
+        _thomas_solve(fac.q[:F], fac.e, w[:F])
+        _thomas_solve(fac.q[F:], self._off[F:, :, None], w[F:])
+        n[:, :-1] -= pa0 * w[:F]
+        n[:, 1:] -= pa1 * w[:F]
+        n *= fac.dn
+        self._rotate(w)
+        return y
+
+    def _solve(self, fac: _LineFactors, d: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """u = (diag(d) + A)^{-1} g, one column per bin fac.ks, written into u
+        (C-contiguous, apart from g and d): E from the modal edge systems,
         then H = (g_H - C0 E) / (z mu) in the original basis."""
         ne = self.bundle.n_edges
         E, H = u[:ne], u[ne:]
         np.divide(g[ne:], self._mu[:, None], out=H)
-        np.multiply(self.z[ks], g[:ne], out=E)
+        np.multiply(self.z[fac.ks], g[:ne], out=E)
         E += self.bundle.C @ H
-        rhs = self._to_modal(E)
-        for j, k in enumerate(ks):
-            rhs[j] = self._factor(k).solve(rhs[j])
-        self._from_modal(rhs, out=E)
+        self._from_modal(self._solve_edges(fac, self._to_modal(E)), out=E)
         np.subtract(g[ne:], self.bundle.C0 @ E, out=H)
         H /= d[ne:]
         return u
@@ -323,21 +384,26 @@ class SolutionOperator:
         np.copyto(g, gk.T)
         np.take(self._lines[ks].T, self._group, axis=0, out=d, mode="clip")   # "raise" would buffer
         d *= self._weight[:, None]
-        self._solve(ks, d, g, u)
+        fac = self._cache.get(ks.tobytes())
+        if fac is None:
+            fac = self._factor(ks)
+            if self._keep and self.factor_cache_bytes + fac.nbytes <= FACTOR_CACHE_BYTES:
+                self._cache[ks.tobytes()] = fac
+        self._solve(fac, d, g, u)
         gn = _column_norms(g)
         first = _column_norms(u)
         res = _column_norms(self._residual(d, u, g, r)) / gn
         refine = np.flatnonzero(res > 1e-10)
         if refine.size:
-            # one step of iterative refinement before giving up
+            # one step of iterative refinement before giving up, on the block's factors
             du = np.empty((u.shape[0], refine.size), dtype=np.complex128)
-            u[:, refine] += self._solve(ks[refine], d[:, refine], r[:, refine], du)
+            part = _LineFactors(*(a[..., refine] for a in fac))
+            u[:, refine] += self._solve(part, d[:, refine], r[:, refine], du)
             res[refine] = _column_norms(
                 self._residual(d[:, refine], u[:, refine], g[:, refine], du)) / gn[refine]
-        if half:
-            mirror = (2 * ks) % n == 0
-            u[:, mirror] = u[:, mirror].real   # xi = 0 and Nyquist are their own mirror
-        un = _column_norms(u)
+        mirror = np.flatnonzero((2 * ks) % n == 0) if half else ks[:0]
+        u[:, mirror] = u[:, mirror].real   # xi = 0 and Nyquist are their own mirror
+        un = _column_norms(u) if refine.size or mirror.size else first
         growth = un / gn
         if self.c_min > 0:
             # the certificate bounds every solve, the unrefined one included
@@ -367,16 +433,17 @@ class SolutionOperator:
         the operator and are reused by every block and every apply.  The
         transforms, residuals, the one refinement step and the checks run
         per block; a check that fails raises for the first such bin in bin
-        order.  collect receives the maxima over all blocks.  A bin whose
-        factors are not kept is factored again if it needs refinement.
+        order.  collect receives the maxima over all blocks.
         """
         n = self.z.size
         if ghat.shape[0] not in (n, n // 2 + 1):
             raise ValueError(f"spectrum has {ghat.shape[0]} rows; "
                              f"expected {n} bins or the half line's {n // 2 + 1}")
         half = ghat.shape[0] != n
-        ks = np.flatnonzero(np.any(ghat, axis=1))
-        out = np.zeros_like(ghat, dtype=np.complex128)
+        nonzero = np.any(ghat, axis=1)
+        ks = np.flatnonzero(nonzero)
+        out = np.empty_like(ghat, dtype=np.complex128)
+        out[~nonzero] = 0.0
         res, growth = np.empty(ks.size), np.empty(ks.size)
         refined = 0
         step = max(1, LINE_BLOCK_BYTES // (16 * self.bundle.n_state))

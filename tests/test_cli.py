@@ -476,6 +476,28 @@ class TestTypedFailures:
         assert err[-1].endswith(f"argument --out: not a directory: {str(tmp_path / 'out')!r}")
         assert (tmp_path / "out").read_text() == "kept"
 
+    def test_out_below_a_file_is_a_usage_error(self, config_path, tmp_path, capsys):
+        # refused by argparse before any work, and the file is left as it was
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = str(afile / "sub")
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--config", config_path, "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: memax scan")
+        assert err[-1].endswith(f"argument --out: not a directory: {str(afile)!r} (in {out!r})")
+        assert afile.read_text() == "kept"
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe\x00{}")
+        rc = main(["scan", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: not UTF-8 text (byte 0: 0xff)"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [["scan"], ["solve", "--rho", "2.0"],
                                       ["picard", "--rho", "2.0"],
                                       ["history", "--in", "h.sig"], ["stability"], ["oracle"]],

@@ -75,16 +75,24 @@ GRID = TimeGrid(-2.0, 1.0 / 32.0, 512)  # t in [-2, 14)
 
 @pytest.fixture()
 def factor_calls(monkeypatch):
-    """The edge count of every banded LU the solver takes, in order."""
+    """The number of bins each batched factor of the solver covers, in order."""
     calls = []
-    band_lu = spectral._band_lu
+    factor = SolutionOperator._factor
 
-    def counting(ab, kl, ku):
-        calls.append(ab.shape[1])
-        return band_lu(ab, kl, ku)
+    def counting(self, ks):
+        calls.append(ks.size)
+        return factor(self, ks)
 
-    monkeypatch.setattr(spectral, "_band_lu", counting)
+    monkeypatch.setattr(SolutionOperator, "_factor", counting)
     return calls
+
+
+def edge_systems(grid):
+    """(F, S, m): the full and single-component transverse modes of the edge
+    system and the length of every tridiagonal system, from the grid alone."""
+    ax = grid.interface_axis - 1
+    n1, n2 = (grid.n_cells[b] for b in range(3) if b != ax)
+    return (n1 - 1) * (n2 - 1), n1 + n2 - 2, grid.n_cells[ax] - 1
 
 
 class TestSolveLinear:
@@ -167,7 +175,7 @@ class TestHalfLine:
         G = fourier_laplace(g).values
         U = op.apply_spectral(G)
         n = GRID.n_samples
-        assert len(factor_calls) == n
+        assert sum(factor_calls) == n
         for k in range(n):
             res = np.linalg.norm(frequency_matrix(bundle4, material_mix, op.z[k]) @ U[k] - G[k])
             assert res <= 1e-10 * np.linalg.norm(G[k])
@@ -182,6 +190,21 @@ class TestHalfLine:
         for k in (0, 5, n // 2, n - 5, n - 37):
             res = np.linalg.norm(frequency_matrix(bundle4, material_mix, op.z[k]) @ U[k] - G[k])
             assert res <= 1e-10 * np.linalg.norm(G[k])
+
+
+    def test_zeroed_rows_of_a_half_spectrum(self, bundle4, material_mix, rng):
+        # rows left out of the solve are exact zeros, and the solved rows
+        # have the bytes of the same rows in a solve of the whole spectrum
+        n = GRID.n_samples
+        G = fourier_laplace(pulse_rhs(bundle4, GRID, 2.0, rng)).values[: n // 2 + 1].copy()
+        op = SolutionOperator(bundle4, material_mix, 2.0, GRID)
+        whole = op.apply_spectral(G)
+        rows = [0, 3, 4, 100, n // 2]
+        G[rows] = 0.0
+        U = op.apply_spectral(G)
+        assert np.array_equal(U[rows], np.zeros((len(rows), bundle4.n_state)))
+        solved = np.setdiff1d(np.arange(n // 2 + 1), rows)
+        assert U[solved].tobytes() == whole[solved].tobytes()
 
 
 class TestRealPath:
@@ -305,23 +328,23 @@ class TestFactorCounts:
     def test_real_then_cached(self, bundle4, material_dl, rng, factor_calls):
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
-        assert len(factor_calls) == GRID.n_samples // 2 + 1
+        assert sum(factor_calls) == GRID.n_samples // 2 + 1
         op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
-        assert len(factor_calls) == GRID.n_samples // 2 + 1
+        assert sum(factor_calls) == GRID.n_samples // 2 + 1
 
     def test_non_integer_window_start(self, bundle4, material_dl, rng, factor_calls):
         # the unit phase of the window offset no longer breaks the Nyquist
         # symmetry: real data stays on the half line
         grid = TimeGrid(-2.01, GRID.dt, GRID.n_samples)
         u = SolutionOperator(bundle4, material_dl, 2.0, grid).apply(pulse_rhs(bundle4, grid, 2.0, rng))
-        assert len(factor_calls) == grid.n_samples // 2 + 1
+        assert sum(factor_calls) == grid.n_samples // 2 + 1
         assert not u.values.imag.any()
 
     def test_nearly_real_data_half_line(self, bundle4, material_dl, rng, factor_calls):
         g = pulse_rhs(bundle4, GRID, 2.0, rng)
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         u = op.apply(g + g * 1e-14j)
-        assert len(factor_calls) == GRID.n_samples // 2 + 1
+        assert sum(factor_calls) == GRID.n_samples // 2 + 1
         assert not u.values.imag.any()
 
     def test_picard_real_to_real(self, bundle4, material_dl, rng, factor_calls):
@@ -336,51 +359,53 @@ class TestFactorCounts:
         prob = LinearProblem(bundle4, material_dl, 1.0, g)
         u, cert = picard_solve(prob, pol, rho=suggest_rho(prob, pol.lip_bound(), target=0.5))
         assert cert.iterations >= 3
-        assert len(factor_calls) == grid.n_samples // 2 + 1
+        assert sum(factor_calls) == grid.n_samples // 2 + 1
         assert not u.values.imag.any()
 
     def test_complex_data(self, bundle4, material_dl, rng, factor_calls):
         g = pulse_rhs(bundle4, GRID, 2.0, rng)
         SolutionOperator(bundle4, material_dl, 2.0, GRID).apply(g * 1j + g)
-        assert len(factor_calls) == GRID.n_samples
+        assert sum(factor_calls) == GRID.n_samples
 
-    def test_second_order_real_data(self, bundle4, material_dl, rng, factor_calls):
+    def test_second_order_real_data(self, bundle4, material_dl, rng, monkeypatch):
+        # the half line's bins, each factored once, as systems of the edges alone
+        rows = []
+        factor = SolutionOperator._factor
+
+        def counting(self, ks):
+            rows.extend([self._diag.size + self._nn.size] * ks.size)
+            return factor(self, ks)
+
+        monkeypatch.setattr(SolutionOperator, "_factor", counting)
         prof = smooth_pulse(GRID.times, 0.0, 1.5)
         phi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(bundle4.n_edges)[None, :])
         psi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(bundle4.n_faces)[None, :])
         second_order_solve(SecondOrderProblem(bundle4, material_dl, 2.5, phi, psi))
-        assert factor_calls == [bundle4.n_edges] * (GRID.n_samples // 2 + 1)
+        assert rows == [bundle4.n_edges] * (GRID.n_samples // 2 + 1)
 
     def test_growth_beyond_certificate_raises(self, bundle4, material_dl, rng, monkeypatch):
-        # a factor whose solve returns twice the true solution breaks
+        # factors whose solve returns twice the true solution break
         # growth * c_min <= 1 + slack on the first solved bin
-        band_lu = spectral._band_lu
-
-        class Doubled:
-            def __init__(self, lu):
-                self.lu = lu
-
-            def solve(self, rhs):
-                return 2.0 * self.lu.solve(rhs)
-
-        monkeypatch.setattr(spectral, "_band_lu",
-                            lambda ab, kl, ku: Doubled(band_lu(ab, kl, ku)))
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         assert op.c_min > 0
+        solve_edges = SolutionOperator._solve_edges
+        monkeypatch.setattr(SolutionOperator, "_solve_edges",
+                            lambda self, fac, y: 2.0 * solve_edges(self, fac, y))
         with pytest.raises(FrequencySingular) as info:
             op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
         assert info.value.z == op.z[0]
         assert info.value.cond > 1.0 + spectral.BOUND_SLACK
 
-    def test_one_shot_refactors_refined_bins(self, bundle4, material_dl, rng, factor_calls):
-        # solve_linear keeps no factors: a bin that takes the refinement
-        # step is factored a second time
+    def test_one_shot_refines_on_the_block_factors(self, bundle4, material_dl, rng,
+                                                   factor_calls):
+        # solve_linear keeps no factors, yet a bin that takes the refinement
+        # step is not factored a second time: it reuses its block's factors
         rho = -0.001
         _, rep = solve_linear(LinearProblem(bundle4, material_dl, rho,
                                             pulse_rhs(bundle4, GRID, rho, rng)),
                               certificate_required=False)
         assert rep.refined_bins >= 1
-        assert len(factor_calls) == GRID.n_samples // 2 + 1 + rep.refined_bins
+        assert sum(factor_calls) == GRID.n_samples // 2 + 1
 
 
 class TestFactorCacheBytes:
@@ -404,8 +429,10 @@ class TestFactorCacheBytes:
         g = pulse_rhs(bundle4, GRID, 2.0, rng)
         op.apply(g)
         op.apply(g)
-        rows = 2 * op._kl + op._ku + 1
-        assert op.factor_cache_bytes == (GRID.n_samples // 2 + 1) * rows * bundle4.n_edges * 16
+        # per bin: (2F + S) m reciprocal pivots, F (m - 1) TM off-diagonals
+        # and F (m + 1) reciprocal E_n diagonals, complex
+        F, S, m = edge_systems(bundle4.grid)
+        assert op.factor_cache_bytes == (GRID.n_samples // 2 + 1) * (4 * F + S) * m * 16
 
     def test_n8_reapply_factors_nothing(self, material_dl, rng, factor_calls):
         # 2904 dofs: the line's factors (about 80 MB) fit the byte budget
@@ -413,34 +440,36 @@ class TestFactorCacheBytes:
         g = pulse_rhs(b, GRID, 2.0, rng)
         op = SolutionOperator(b, material_dl, 2.0, GRID)
         op.apply(g)
-        assert len(factor_calls) == GRID.n_samples // 2 + 1
+        assert sum(factor_calls) == GRID.n_samples // 2 + 1
         op.apply(g)
-        assert len(factor_calls) == GRID.n_samples // 2 + 1
+        assert sum(factor_calls) == GRID.n_samples // 2 + 1
         assert op.factor_cache_bytes <= spectral.FACTOR_CACHE_BYTES
 
     @pytest.mark.parametrize("spare", [0, 0.5])
     def test_budget_keeps_the_first_bins(self, spare, bundle4, material_dl, rng, factor_calls,
                                          monkeypatch):
-        # a budget of 7 bins' worth (and half a bin to spare) keeps the
-        # factors of the first 7 bins; every other bin factors on each apply,
-        # and the solution has the same bits as an unbounded operator's
+        # in blocks of 7 bins, a budget of two blocks' worth (and half a block
+        # to spare) keeps the factors of the first 14 bins; every other bin
+        # factors on each apply, and the solution has the same bits as an
+        # unbounded operator's
+        monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 16 * bundle4.n_state * 7)
         g = pulse_rhs(bundle4, GRID, 2.0, rng)
         unbounded = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         ref = [unbounded.apply(g).values for _ in range(2)]
         bins = GRID.n_samples // 2 + 1
-        assert len(factor_calls) == bins
-        per_bin = unbounded._ab.nbytes
-        monkeypatch.setattr(spectral, "FACTOR_CACHE_BYTES", int((7 + spare) * per_bin))
+        assert sum(factor_calls) == bins
+        per_block = 7 * unbounded.factor_cache_bytes // bins
+        monkeypatch.setattr(spectral, "FACTOR_CACHE_BYTES", int((2 + spare) * per_block))
         factor_calls.clear()
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         u = op.apply(g)
-        assert len(factor_calls) == bins
-        assert sorted(op._cache) == list(range(7))
-        assert op.factor_cache_bytes == 7 * per_bin <= spectral.FACTOR_CACHE_BYTES
+        assert sum(factor_calls) == bins
+        assert sorted(np.concatenate([f.ks for f in op._cache.values()])) == list(range(14))
+        assert op.factor_cache_bytes == 2 * per_block <= spectral.FACTOR_CACHE_BYTES
         assert np.array_equal(u.values, ref[0])
         u = op.apply(g)
-        assert len(factor_calls) == bins + bins - 7
-        assert len(op._cache) == 7 and op.factor_cache_bytes <= spectral.FACTOR_CACHE_BYTES
+        assert sum(factor_calls) == bins + bins - 14
+        assert len(op._cache) == 2 and op.factor_cache_bytes <= spectral.FACTOR_CACHE_BYTES
         assert np.array_equal(u.values, ref[1])
 
 
@@ -479,29 +508,20 @@ class TestLineBlocks:
                 assert all(np.array_equal(stats[k], stats0[k]) for k in stats)
 
     def test_growth_failure_names_the_same_bin(self, bundle4, material_dl, rng, monkeypatch):
-        # the factors of bins 9 and 20 (factored in bin order) solve to four
-        # times the solution, past the certificate (growth * c_min is about
-        # 0.43 and 0.39 there); every block size raises for bin 9
-        band_lu = spectral._band_lu
+        # the factors of bins 9 and 20 solve to four times the solution, past
+        # the certificate (growth * c_min is about 0.43 and 0.39 there);
+        # every block size raises for bin 9
+        solve_edges = SolutionOperator._solve_edges
 
-        class Scaled:
-            def __init__(self, lu):
-                self.lu = lu
+        def scaling(self, fac, y):
+            solve_edges(self, fac, y)
+            y[:, np.isin(fac.ks, (9, 20))] *= 4.0
+            return y
 
-            def solve(self, rhs):
-                return 4.0 * self.lu.solve(rhs)
-
+        monkeypatch.setattr(SolutionOperator, "_solve_edges", scaling)
         g = pulse_rhs(bundle4, GRID, 2.0, rng)
         for bins in self.BLOCKS:
-            calls = []
-
-            def scaling(ab, kl, ku):
-                calls.append(ab.shape[1])
-                lu = band_lu(ab, kl, ku)
-                return Scaled(lu) if len(calls) - 1 in (9, 20) else lu
-
             monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 16 * bundle4.n_state * bins)
-            monkeypatch.setattr(spectral, "_band_lu", scaling)
             op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
             with pytest.raises(FrequencySingular) as info:
                 op.apply(g)
@@ -601,32 +621,29 @@ class TestModalSolve:
             assert np.linalg.norm(E[k] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_modal_factors_sparse_and_exact(self, bundle4, material_mix, rng, monkeypatch):
-        # guards the within-mode assembly (a coupled system widens the band) and
-        # the transforms (refinement would hide a wrong one, at two solves a bin);
-        # nnz is the stored band of the edge system against SuperLU's fill of the full one
-        factors, solves = [], []
-        band_lu = spectral._band_lu
+        # guards the within-mode assembly (a coupled system would not reduce)
+        # and the transforms (refinement would hide a wrong one, at two solves
+        # a bin); a bin's factors hold fewer entries than half of SuperLU's
+        # fill of the full system
+        factors, solved = [], []
+        factor, solve_edges = SolutionOperator._factor, SolutionOperator._solve_edges
 
-        class Counted:
-            def __init__(self, lu):
-                self.lu = lu
-                self.nnz = lu.nnz
-
-            def solve(self, rhs):
-                solves.append(rhs.shape)
-                return self.lu.solve(rhs)
-
-        def keeping(ab, kl, ku):
-            factors.append(Counted(band_lu(ab, kl, ku)))
+        def keeping(self, ks):
+            factors.append(factor(self, ks))
             return factors[-1]
 
-        monkeypatch.setattr(spectral, "_band_lu", keeping)
+        def counted(self, fac, y):
+            solved.extend(fac.ks)
+            return solve_edges(self, fac, y)
+
         op = SolutionOperator(bundle4, material_mix, 2.0, GRID)
+        monkeypatch.setattr(SolutionOperator, "_factor", keeping)
+        monkeypatch.setattr(SolutionOperator, "_solve_edges", counted)
         op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
-        assert len(solves) == len(factors) == GRID.n_samples // 2 + 1
-        k = 5
-        full = splu(frequency_matrix(bundle4, material_mix, op.z[k]).tocsc())
-        assert factors[k].nnz <= 0.5 * full.nnz
+        bins = GRID.n_samples // 2 + 1
+        assert solved == list(np.concatenate([f.ks for f in factors])) == list(range(bins))
+        full = splu(frequency_matrix(bundle4, material_mix, op.z[5]).tocsc())
+        assert sum(f.nbytes for f in factors) / (16 * bins) <= 0.5 * full.nnz
 
     def test_mode_coupling_raises(self, bundle4, material_dl, monkeypatch):
         # a basis that does not decouple K is refused at construction: identity
@@ -665,12 +682,12 @@ class TestModalTransform:
         assert np.array_equal(labels, mode[:ne])
         Te = T[:ne, :ne][op._perm]
         x = rng.standard_normal((ne, cols)) + 1j * rng.standard_normal((ne, cols))
-        ref = (Te @ x).T
+        ref = Te @ x
         modal = op._to_modal(x.copy())      # it may overwrite its input
-        assert modal.flags.c_contiguous      # each bin's column handed to LAPACK as is
+        assert modal.flags.c_contiguous      # edges x bins, as the block's columns
         assert np.abs(modal - ref).max() <= 1e-14 * np.abs(ref).max()
-        y = rng.standard_normal((cols, ne)) + 1j * rng.standard_normal((cols, ne))
-        ref = Te.T @ y.T
+        y = rng.standard_normal((ne, cols)) + 1j * rng.standard_normal((ne, cols))
+        ref = Te.T @ y
         assert np.abs(op._from_modal(y) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -717,19 +734,41 @@ class TestModalSystem:
         T, mode = transverse_mode_basis(b)
         ne, perm = b.n_edges, op._perm
         assert np.array_equal(np.sort(perm), np.arange(ne))
-        assert np.all(np.diff(mode[perm]) >= 0)   # one block per mode
+        # one mode per system: a full mode's t1, t2 and E_n rows, then the single modes
+        F, S, m = edge_systems(b.grid)
+        nodes = mode[perm][:(2 * F + S) * m].reshape(-1, m)
+        cells = mode[perm][(2 * F + S) * m:].reshape(F, m + 1)
+        assert (nodes == nodes[:, :1]).all() and (cells == cells[:, :1]).all()
+        assert np.array_equal(nodes[:F], nodes[F:2 * F])
+        assert np.array_equal(nodes[:F, 0], cells[:, 0])
         Te = T[:ne, :ne][perm]
         mu = np.where(b.face_region_mask(), material_mix.mu1, material_mix.mu2)
         K = b.C @ sparse.diags(1.0 / mu) @ b.C0
         oracle = self.within_mode(Te @ K @ Te.T, mode[perm], mode[perm])
-        kl, ku, ab = op._kl, op._ku, op._band
-        assert max(kl, ku) <= 3
-        unpacked = np.zeros((ne, ne), dtype=complex)
-        for off in range(-ku, kl + 1):
-            j = np.arange(max(0, -off), min(ne, ne - off))
-            unpacked[j + off, j] = ab[kl + ku + off, j]
-        assert not ab[:kl].any()
-        assert np.abs(unpacked - oracle).max() <= 1e-13 * np.abs(K.data).max()
+        # 2F + S tridiagonal systems of length m and F diagonal E_n blocks;
+        # the reduced coefficients, rotated back, give the oracle
+        assert op._diag.shape == (2 * F + S, m) and op._off.shape == (2 * F + S, m - 1)
+        assert op._nn.shape == (F, m + 1) and op._pa.shape == (2, F, m, 1)
+        assert np.abs(self.reduced_matrix(op) - oracle).max() <= 1e-13 * np.abs(K.data).max()
+
+    @staticmethod
+    def reduced_matrix(op):
+        """The sorted modal edge matrix that the reduced coefficients stand
+        for, rebuilt densely: the tridiagonal (a, b, single-mode) systems and
+        the a-E_n coupling, with (a, b) rotated back to (E_t1, E_t2)."""
+        F, m = len(op._nn), op._diag.shape[1]
+        nodes = np.arange(op._diag.size).reshape(-1, m)
+        cells = op._diag.size + np.arange(op._nn.size).reshape(op._nn.shape)
+        M = np.diag(np.concatenate([op._diag.ravel(), op._nn.ravel()]))
+        M[nodes[:, :-1], nodes[:, 1:]] = M[nodes[:, 1:], nodes[:, :-1]] = op._off
+        for side in (0, 1):
+            a, n = nodes[:F], cells[:, side:side + m]
+            M[a, n] = M[n, a] = op._pa[side, ..., 0]
+        c1, c2 = op._c[:, :, :, 0]
+        t1, t2 = nodes[:F], nodes[F:2 * F]
+        Q = np.eye(len(M))
+        Q[t1, t1], Q[t1, t2], Q[t2, t1], Q[t2, t2] = c1, c2, c2, -c1
+        return Q @ M @ Q
 
     def test_perturbed_modal_curl_raises(self, bundle4, material_dl, monkeypatch):
         # a modal curl that no longer carries C0 is refused at construction
@@ -761,6 +800,50 @@ class TestModalSystem:
         assert len(calls) == 1
         u0 = SolutionOperator(bundle4, material_dl, 2.0, GRID).apply(g)
         assert np.array_equal(u1.values, u2.values) and np.array_equal(u1.values, u0.values)
+
+
+class TestReduction:
+    """Each full transverse mode split into its TE part and its TM part with
+    E_n eliminated: the batched Thomas solves against a dense solve of each
+    formed mode block, and the pivots of a certified line."""
+
+    @pytest.mark.parametrize("index", ["first", "last"])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", [(4, 4, 4), (3, 4, 5)])
+    def test_matches_dense_mode_blocks(self, n, axis, index, material_mix, rng):
+        # the interface after the first or before the last cell layer, so
+        # either region of material_mix is the thin one
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis,
+                                    1 if index == "first" else n[axis - 1] - 1))
+        grid = TimeGrid(-2.0, 1.0 / 8.0, 64)
+        op = SolutionOperator(b, material_mix, 2.0, grid)
+        T, mode = transverse_mode_basis(b)
+        ne, perm = b.n_edges, op._perm
+        Te = T[:ne, :ne][perm]
+        mu = np.where(b.face_region_mask(), material_mix.mu1, material_mix.mu2)
+        K = (Te @ b.C @ sparse.diags(1.0 / mu) @ b.C0 @ Te.T).toarray()
+        ks = np.sort(rng.choice(grid.n_samples, 6, replace=False))
+        y = rng.standard_normal((ne, ks.size)) + 1j * rng.standard_normal((ne, ks.size))
+        x = op._solve_edges(op._factor(ks), y.copy())
+        for j, k in enumerate(ks):
+            z = op.z[k]
+            eps = material_mix.eps_values(z, b.edge_region_mask())[perm]
+            for label in np.unique(mode[perm]):
+                rows = np.flatnonzero(mode[perm] == label)
+                block = K[np.ix_(rows, rows)] + np.diag(z * z * eps[rows])
+                ref = np.linalg.solve(block, y[rows, j])
+                assert np.linalg.norm(x[rows, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_pivots_bounded_on_a_certified_line(self, axis, material_mix):
+        # z^{-1} (z^2 eps + K) has Hermitian part >= c_min, and so has every
+        # Schur complement: each E_n diagonal and Thomas pivot has |p| >= |z| c_min
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), (3, 4, 5), axis, 1))
+        op = SolutionOperator(b, material_mix, 2.0, GRID)
+        assert op.c_min > 0
+        fac = op._factor(np.arange(GRID.n_samples))
+        smallest = 1.0 / np.maximum(np.abs(fac.q).max(axis=(0, 1)), np.abs(fac.dn).max(axis=(0, 1)))
+        assert (smallest >= np.abs(op.z) * op.c_min * (1 - 1e-12)).all()
 
 
 class TestSmallFrequency:
@@ -801,6 +884,18 @@ class TestSmallFrequency:
         assert rep.refined_bins == 0
         assert len(rep.worst_residual_z) == len(rep.worst_growth_z) == 2
 
+    def test_growth_read_off_the_final_solution(self, bundle4, material_dl, rng):
+        # a block holding a refined bin (xi = 0) and the self-mirrored Nyquist
+        # bin reports the growth of the solution it returns, not of the first solve
+        rho, n = -0.001, GRID.n_samples
+        op = SolutionOperator(bundle4, material_dl, rho, GRID, certificate_required=False)
+        G = fourier_laplace(pulse_rhs(bundle4, GRID, rho, rng), check=False).values
+        ks = np.array([0, 1, n // 2])
+        u, _, growth, refined = op._solve_block(ks, G[ks], half=True)
+        assert refined >= 1 and not u[:, -1].imag.any()
+        norms = spectral._column_norms
+        assert np.array_equal(growth, norms(u) / norms(G[ks].T))
+
     def test_growth_x_cmin_zero_without_certificate(self, bundle4, material_dl, rng):
         rho = -0.001
         _, rep = solve_linear(LinearProblem(bundle4, material_dl, rho,
@@ -820,18 +915,21 @@ class TestSmallFrequency:
         assert info.value.__cause__ is None   # not a failed factorization
 
     def test_zero_pivot_names_bin(self, bundle4, material_dl, rng, monkeypatch):
-        zgbtrf, calls = spectral.zgbtrf, []
-
-        def failing(ab, kl, ku, **kwargs):
-            lu, ipiv, info = zgbtrf(ab, kl, ku, **kwargs)
-            calls.append(info)
-            return lu, ipiv, 3 if len(calls) == 6 else info
-
-        monkeypatch.setattr(spectral, "zgbtrf", failing)
-        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
-        with pytest.raises(FrequencySingular, match="singular") as info:
-            op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
-        assert info.value.z == op.z[5]
+        # bins 5 and 9 made to hold an exactly zero first pivot in the last
+        # (single-mode) system: z = 1 and 2 there, and z^2 eps cancelling its
+        # diagonal entry; every block size raises for bin 5, without a warning
+        g = pulse_rhs(bundle4, GRID, 2.0, rng)
+        for bins in (1, 7, GRID.n_samples):
+            monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 16 * bundle4.n_state * bins)
+            op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+            for k, z in ((5, 1.0), (9, 2.0)):
+                op.z[k] = z
+                op._lines[k, :2] = -op._diag[-1, 0] / z
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FrequencySingular, match="singular") as info:
+                    op.apply(g)
+            assert info.value.z == 1.0
 
 
 class TestCausality:
@@ -904,7 +1002,7 @@ class TestTimeRegularity:
         # real data is checked on the rfft bins, each factored once and kept
         g = pulse_rhs(bundle4, GRID, 2.0, rng)
         verify_time_regularity(LinearProblem(bundle4, material_dl, 2.0, g))
-        assert len(factor_calls) == GRID.n_samples // 2 + 1
+        assert sum(factor_calls) == GRID.n_samples // 2 + 1
 
     def test_real_data_nyquist_row(self, bundle4, material_dl, rng):
         # white noise under a pulse reaches the Nyquist bin; the half line
