@@ -17,49 +17,27 @@ sparse curl pair C = C0^T and C0,
     (z^2 eps(z) + C mu^{-1} C0) E = z g_E + C mu^{-1} g_H,
     H = (g_H - C0 E) / (z mu),
 
-which halves the unknowns.  With data (Phi, Psi) the first line is the
+which halves the unknowns; with data (Phi, Psi) the first line is the
 second-order E-field form, so second_order_solve is the E block of this
-solve and gets its checks.
+solve.  The law changes only across the interface plane, so each
+transverse cavity mode maps to itself, and ModalReduction splits the edge
+system into tridiagonal systems along the interface axis, solved for a
+block of bins at once by Thomas sweeps without pivoting: on a certified
+line every pivot has |p| >= |z| c_min (Golub & Van Loan, Linear Algebra
+Appl. 28, 1979); the checks use z M + A in the original basis.
 
-The law changes only across the interface plane, so eps is constant along
-the two tangential axes, and on the uniform PEC grid the edge system maps
-each transverse cavity mode (DST-I/DCT-II along those axes; see
-memax.operators) to itself.  It is solved in the edge rows T_e of that
-basis, where it is z^2 eps + K2hat, K2hat = Chat^T mu^{-1} Chat with Chat
-the modal curl T_f C0 T_e^T; T_e is applied as 1-D contractions
-(operators._mode_transform) and never formed.  In a mode with tangential
-wave vector s, rotating (E_t1, E_t2) at each node by s/|s| splits off the
-TE part b = (s2 E_t1 - s1 E_t2)/|s|, tridiagonal along the interface axis;
-the TM part a meets only E_n, whose block is diagonal, and eliminating E_n
-leaves a tridiagonal Schur complement.  A bin is thus 2F + S tridiagonal
-systems of length n_axis - 1 (F full modes, S with one tangential
-component), and a block of bins is factored and solved at once by Thomas
-sweeps along that axis, without pivoting: on a certified line
-z^{-1}(z^2 eps + K2hat) has Hermitian part >= c_min, so every pivot has
-|p| >= |z| c_min (Golub & Van Loan, Linear Algebra Appl. 28, 1979).  The
-coefficients are read once off the sparse K2hat and the region laws are
-evaluated once over the line, c_min included; the residual, refinement and
-growth checks use z M + A in the original basis.
+A is real and M(conj z) = conj M(z), so real fields map to real fields:
+apply() solves real data on the rfft half line of the transform pair of
+memax.signals, and every per-bin check is invariant under the scaling the
+pair leaves out.  An operator keeps each bin's factors for the next
+iterations of the fixed-point solvers (a one-shot solve keeps none), and
+solves the bins in byte-bounded blocks, in buffers it reuses.
 
-A is real and M(conj z) = conj M(z), so the operator maps real fields to
-real fields.  apply() solves between the transform pair of memax.signals,
-real data on the rfft half line, and makes no transform of its own; every
-per-bin check (residual, refinement, growth, 1/c_min bound, zero-bin skip)
-is invariant under the scaling the pair leaves out.  apply_spectral() looks
-for no symmetry: a half spectrum (n//2 + 1 rows) is real data.
-
-Factorizations are reused across right-hand sides at a fixed frequency; the
-frequency loop dominates runtime and the fixed-point solvers call the same
-factors every iteration, so an operator keeps them up to FACTOR_CACHE_BYTES.
-A one-shot solve keeps none.  The bins are solved in consecutive blocks
-bounded in bytes (LINE_BLOCK_BYTES per dofs x bins working array), in
-buffers the operator reuses, never in whole-line bins x dofs temporaries.
-A singular frequency is never skipped or interpolated over: material-law
-poles on the solve line violate the solution theory and must surface as
-PoleHit or FrequencySingular.  On a certified line (c_min > 0) the theory
-bounds every bin, |u_k| <= |g_k| / c_min, so a solve whose growth * c_min
-exceeds 1 + BOUND_SLACK raises FrequencySingular; without a certificate the
-growth * |z| heuristic against COND_LIMIT stands in.
+A singular frequency is never skipped: material-law poles on the line
+surface as PoleHit or FrequencySingular.  On a certified line (c_min > 0)
+a solve whose growth * c_min exceeds 1 + BOUND_SLACK raises
+FrequencySingular (|u_k| <= |g_k| / c_min in theory); without a
+certificate the growth * |z| heuristic against COND_LIMIT stands in.
 """
 
 from __future__ import annotations
@@ -78,7 +56,7 @@ from .signals import TimeGrid, WeightedSignal, _from_line, _to_line, _wraparound
 
 COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
 BOUND_SLACK = 0.02              # growth * c_min <= 1 + slack on a certified line
-FACTOR_CACHE_BYTES = 1 << 27    # bytes of banded LU factors an operator keeps for reuse
+FACTOR_CACHE_BYTES = 1 << 27    # bytes of line factors an operator keeps for reuse
 LINE_BLOCK_BYTES = 1 << 20      # bytes of one dofs x bins working array of a line block
 
 
@@ -101,6 +79,16 @@ class _LineFactors(NamedTuple):
     @property
     def nbytes(self) -> int:
         return self.q.nbytes + self.e.nbytes + self.dn.nbytes
+
+
+def _run(ks: np.ndarray):
+    """A slice for ascending consecutive indices ks, so reads through it are views; else ks."""
+    return slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] < ks.size else ks
+
+
+def _columns(fac: _LineFactors, cols: np.ndarray) -> _LineFactors:
+    """The factors of the columns cols (ascending) of fac, as views when they are consecutive."""
+    return _LineFactors(*(a[..., _run(cols)] for a in fac))
 
 
 def _reciprocal(x: np.ndarray) -> np.ndarray:
@@ -127,10 +115,6 @@ def _thomas_solve(q: np.ndarray, e: np.ndarray, w: np.ndarray):
     w[:, -1] *= q[:, -1]
     for j in range(w.shape[1] - 2, -1, -1):
         w[:, j] = q[:, j] * (w[:, j] - e[:, j] * w[:, j + 1])
-
-
-def _pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
 
 
 @dataclass(frozen=True)
@@ -177,62 +161,34 @@ class SolveReport:
         return asdict(self)
 
 
-class SolutionOperator:
-    """g -> (z M(z) + A)^{-1} g per frequency, with factor reuse.
+class ModalReduction:
+    """C mu^{-1} C0 in the transverse cavity modes (DST-I/DCT-II along the
+    tangential axes), reduced to tridiagonal systems along the interface
+    axis: built from (bundle, mu) alone, with no law, weight or line.
 
-    Instances are bound to (bundle, material, rho, grid).  apply_spectral()
-    maps the half line (n//2 + 1, n_state) of real data, or the full line
-    (n, n_state), to the solution array of the same shape; apply() goes
-    signal to signal, real data to an exactly real solution.  A
-    material-law pole on the line raises PoleHit here, at construction.
-
-    Bin k eliminates H in the original basis and solves the edge system
-    diag(z_k^2 eps(z_k)) + K2hat in the rows T_e, sorted by (class, mode,
-    interface coordinate) so that a block's modal data, edges x bins, holds
-    the tridiagonal systems' rows as views.  T_e is held as its 1-D factors,
-    the mode labels and the sort, never as a matrix.  Construction refuses a
-    TE-TM entry of K2hat above round-off and checks the reduced form against
-    C mu^{-1} C0 on two seeded vectors, through the solve's transforms.
-
-    Each block of bins is factored at once, and refinement reuses the
-    block's factors.  While their bytes stay within FACTOR_CACHE_BYTES, the
-    factors of the first blocks met are kept for later applies, which visit
-    the same blocks; a one-shot caller (solve_linear) turns keep_factors
-    off.  The block working arrays are allocated on the first apply and
-    reused, so one operator serves one thread.
+    In the edge rows T_e it is K2hat = Chat^T mu^{-1} Chat, Chat the modal
+    curl; T_e is applied as 1-D contractions, and neither it nor K2hat is
+    kept.  Rotating a full mode's (E_t1, E_t2) by s/|s|, s its tangential
+    wave vector, gives its TM part a = c1 E_t1 + c2 E_t2, which meets only
+    E_n, and its TE part b = c2 E_t1 - c1 E_t2, which meets no E_n.  The
+    attributes are real and documented where they are set (F full modes, S
+    single-component modes, m = n_axis - 1 nodes).  Construction refuses a
+    TE-TM entry above round-off and checks the systems against C mu^{-1} C0
+    on two seeded vectors.
     """
 
-    def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
-                 rho: float, grid: TimeGrid, certificate_required: bool = True, *,
-                 keep_factors: bool = True):
-        self.bundle = bundle
-        self.material = material
-        self.rho = rho
-        self.grid = grid
-        self.z = z = rho + 1j * grid.xi
-        l1, l2 = material.eps_laws()
-        # bin k of z M(z) is diag(lines[k, group] * weight); c_min as line_certificate
-        self._lines = np.stack([z * l1(z), z * l2(z), z], axis=1)
-        self.c_min = min(float(self._lines[:, :2].real.min()), rho * material.mu_min)
-        if certificate_required and self.c_min <= 0.0:
-            raise UncertifiedLine(rho, self.c_min)
+    def __init__(self, bundle: OperatorBundle, mu: np.ndarray):
         ne = bundle.n_edges
-        mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
-        self._group = np.concatenate([np.where(bundle.edge_region_mask(), 0, 1),
-                                      np.full(bundle.n_faces, 2)])
-        self._weight = np.concatenate([np.ones(ne), mu])
-        self._mu = mu
-        self._cond_unit = max(abs(material.mu1), abs(material.mu2), 1.0)
-
-        self._modes = _component_modes(bundle.grid, "edge")
+        self.modes = _component_modes(bundle.grid, "edge")   # T_e: 1-D factors and mode labels
         ax = bundle.grid.interface_axis - 1
-        mode = np.concatenate([labels for *_, labels in self._modes])
-        comp = np.repeat(np.arange(3), [labels.size for *_, labels in self._modes])
+        mode = np.concatenate([labels for *_, labels in self.modes])
+        comp = np.repeat(np.arange(3), [labels.size for *_, labels in self.modes])
         # class 0/1: the first/second tangential component of a full mode (one
-        # with an E_n part), 2: a single-component mode, 3: E_n
-        full = np.isin(mode, self._modes[ax][2])
+        # with an E_n part), 2: a single-component mode, 3: E_n; sorted modal
+        # row i (by class, mode, interface coordinate) is T_e row perm[i]
+        full = np.isin(mode, self.modes[ax][2])
         cls = np.where(comp == ax, 3, np.where(full, comp != int(ax == 0), 2))
-        self._perm = perm = np.lexsort((bundle.edge_positions[:, ax], mode, cls))
+        self.perm = perm = np.lexsort((bundle.edge_positions[:, ax], mode, cls))
         m = bundle.grid.n_cells[ax] - 1
         F = np.count_nonzero(cls == 3) // (m + 1)
         R, T = ne - F * (m + 1), F * m
@@ -254,52 +210,122 @@ class SolutionOperator:
         if dropped > 1e-13 * k_max:
             raise MemaxError(f"transverse modes couple: TE-TM entry {dropped:.3e} "
                              f"against the max entry {k_max:.3e}")
-        self._c = np.stack([c1, c2])[..., None]
-        self._diag = np.concatenate([c1 * c1 * d1 + 2 * c1 * c2 * d12 + c2 * c2 * d2,
-                                     c2 * c2 * d1 - 2 * c1 * c2 * d12 + c1 * c1 * d2,
-                                     diag[2 * T:R].reshape(-1, m)])
-        self._off = np.concatenate([c1 * c1 * u1 + c2 * c2 * u2, c2 * c2 * u1 + c1 * c1 * u2,
-                                    up[2 * F:]])
-        self._pa = (c1 * tn[:, 0] + c2 * tn[:, 1])[..., None]   # a at node j: E_n at cells j, j + 1
-        self._nn = diag[R:].reshape(F, m + 1)
-        group = self._group[perm]
-        self._node_group, self._cell_group = group[:R].reshape(-1, m), group[R:].reshape(F, m + 1)
+        self.c = np.stack([c1, c2])[..., None]   # 2 x F x 1 x 1
+        # the 2F + S systems (a, b, single modes): diagonals x m, off-diagonals x (m - 1)
+        self.diag = np.concatenate([c1 * c1 * d1 + 2 * c1 * c2 * d12 + c2 * c2 * d2,
+                                    c2 * c2 * d1 - 2 * c1 * c2 * d12 + c1 * c1 * d2,
+                                    diag[2 * T:R].reshape(-1, m)])
+        self.off = np.concatenate([c1 * c1 * u1 + c2 * c2 * u2, c2 * c2 * u1 + c1 * c1 * u2,
+                                   up[2 * F:]])
+        self.pa = (c1 * tn[:, 0] + c2 * tn[:, 1])[..., None]   # a at node j: E_n at cells j, j + 1
+        self.nn = diag[R:].reshape(F, m + 1)                    # the E_n diagonals
+        group = np.where(bundle.edge_region_mask(), 0, 1)[perm]   # the region of each row
+        self.node_group, self.cell_group = group[:R].reshape(-1, m), group[R:].reshape(F, m + 1)
         # the reduced form, shifted by its max entry to be well conditioned,
         # solves C mu^-1 C0 + k_max on two seeded vectors
         K2 = bundle.C @ sparse.diags(1.0 / mu) @ bundle.C0
         x = np.random.default_rng(0).standard_normal((ne, 2))
-        fac, _ = self._factor_shifted(np.arange(2), np.full((2, 2), k_max))
-        y = self._solve_edges(fac, self._to_modal(K2 @ x + k_max * x))
-        gap = np.abs(self._from_modal(y) - x).max()
+        fac, _ = self.factor(np.arange(2), np.full((2, 2), k_max))
+        y = self.solve(fac, self.to_modal(K2 @ x + k_max * x))
+        gap = np.abs(self.from_modal(y) - x).max()
         if gap > 1e-12 * np.abs(x).max():
             raise MemaxError(f"transverse modes couple: the reduced modal system misses "
                              f"C mu^-1 C0 by {gap:.3e} (relative)")
+
+    def to_modal(self, x: np.ndarray) -> np.ndarray:
+        """T_e x, the modal edges sorted, for complex edge columns x, which it may overwrite."""
+        return _mode_transform(self.modes, np.ascontiguousarray(x, dtype=np.complex128))[self.perm]
+
+    def from_modal(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """T_e^T y for sorted modal rows y, written into out (C-contiguous
+        edges x columns) when it is given."""
+        x = np.empty_like(y) if out is None else out
+        x[self.perm] = y
+        return _mode_transform(self.modes, x, transpose=True)
+
+    def _rotate(self, w: np.ndarray):
+        """(t1, t2) <-> (a, b) on the full modes' node rows of w, in place;
+        the rotation is its own inverse."""
+        c1, c2 = self.c
+        t1, t2 = np.split(w[:2 * len(c1)], 2)
+        t1[...], t2[...] = c1 * t1 + c2 * t2, c2 * t1 - c1 * t2
+
+    def factor(self, ks: np.ndarray, zl: np.ndarray) -> tuple:
+        """Factors of diag(zl[region]) + K2hat, one column of zl per label in
+        ks, and the columns with a zero pivot: E_n eliminated from each TM
+        system, then Thomas on every system, all columns at once."""
+        F = len(self.nn)
+        dn = self.nn[..., None] + zl[self.cell_group]
+        d = self.diag[..., None] + zl[self.node_group]
+        zero = _reciprocal(dn)
+        pa0, pa1 = self.pa
+        d[:F] -= pa0 * pa0 * dn[:, :-1] + pa1 * pa1 * dn[:, 1:]
+        e = self.off[:F, :, None] - pa1[:, :-1] * pa0[:, 1:] * dn[:, 1:-1]
+        zero |= _thomas_pivots(d[:F], e) | _thomas_pivots(d[F:], self.off[F:, :, None])
+        return _LineFactors(ks, d, e, dn), zero
+
+    def solve(self, fac: _LineFactors, y: np.ndarray) -> np.ndarray:
+        """The systems of fac solved for sorted modal rows y (edges x
+        columns), in place: node rows w (systems x m x columns), E_n rows n."""
+        R, F = self.diag.size, len(self.nn)
+        w, n = y[:R].reshape(*self.diag.shape, -1), y[R:].reshape(*self.nn.shape, -1)
+        pa0, pa1 = self.pa
+        self._rotate(w)
+        t = n * fac.dn
+        w[:F] -= pa0 * t[:, :-1] + pa1 * t[:, 1:]
+        _thomas_solve(fac.q[:F], fac.e, w[:F])
+        _thomas_solve(fac.q[F:], self.off[F:, :, None], w[F:])
+        n[:, :-1] -= pa0 * w[:F]
+        n[:, 1:] -= pa1 * w[:F]
+        n *= fac.dn
+        self._rotate(w)
+        return y
+
+
+class SolutionOperator:
+    """g -> (z M(z) + A)^{-1} g per frequency, with factor reuse.
+
+    Instances are bound to (bundle, material, rho, grid): apply_spectral()
+    maps a half or full line spectrum to the solution array of its shape,
+    apply() a signal to a signal.  A material-law pole on the line raises
+    PoleHit at construction.
+
+    Bin k eliminates H and solves diag(z_k^2 eps(z_k)) + K2hat through a
+    ModalReduction, a block of bins at once; refinement slices the block's
+    factors.  Factors are kept per bin (_factors) unless keep_factors is
+    off, as in solve_linear.  The block working arrays are allocated on the
+    first apply and reused, so one operator serves one thread.
+    """
+
+    def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
+                 rho: float, grid: TimeGrid, certificate_required: bool = True, *,
+                 keep_factors: bool = True):
+        self.bundle = bundle
+        self.material = material
+        self.rho = rho
+        self.grid = grid
+        self.z = z = rho + 1j * grid.xi
+        l1, l2 = material.eps_laws()
+        # bin k of z M(z) is diag(lines[k, group] * weight); c_min as line_certificate
+        self._lines = np.stack([z * l1(z), z * l2(z), z], axis=1)
+        self.c_min = min(float(self._lines[:, :2].real.min()), rho * material.mu_min)
+        if certificate_required and self.c_min <= 0.0:
+            raise UncertifiedLine(rho, self.c_min)
+        self._mu = mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
+        self._reduction = ModalReduction(bundle, mu)
+        self._group = np.concatenate([np.where(bundle.edge_region_mask(), 0, 1),
+                                      np.full(bundle.n_faces, 2)])
+        self._weight = np.concatenate([np.ones(bundle.n_edges), mu])
+        self._cond_unit = max(abs(material.mu1), abs(material.mu2), 1.0)
         self._keep = keep_factors
-        self._cache: dict = {}
+        self._kept: list = []                   # kept factors, as factored (or a first part)
+        self._held = np.full((2, z.size), -1)   # per bin: its kept factors and column, or -1
         self._work = None   # the block workspace, allocated on the first apply
 
     @property
     def factor_cache_bytes(self) -> int:
         """Bytes of the line factors the operator holds for reuse."""
-        return sum(f.nbytes for f in self._cache.values())
-
-    def _to_modal(self, x: np.ndarray) -> np.ndarray:
-        """T_e x, the modal edges sorted, for complex edge columns x, which it may overwrite."""
-        return _mode_transform(self._modes, np.ascontiguousarray(x, dtype=np.complex128))[self._perm]
-
-    def _from_modal(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """T_e^T y for sorted modal rows y, written into out (C-contiguous
-        edges x columns) when it is given."""
-        x = np.empty_like(y) if out is None else out
-        x[self._perm] = y
-        return _mode_transform(self._modes, x, transpose=True)
-
-    def _rotate(self, w: np.ndarray):
-        """(t1, t2) <-> (a, b) on the full modes' node rows of w, in place;
-        the rotation is its own inverse."""
-        c1, c2 = self._c
-        t1, t2 = np.split(w[:2 * len(c1)], 2)
-        t1[...], t2[...] = c1 * t1 + c2 * t2, c2 * t1 - c1 * t2
+        return sum(f.nbytes for f in self._kept)
 
     def _factor(self, ks: np.ndarray) -> _LineFactors:
         """Factors of the edge systems diag(z_k^2 eps(z_k)) + K2hat of the bins
@@ -307,52 +333,47 @@ class SolutionOperator:
         z = self.z[ks]
         if not z.all():
             raise FrequencySingular(0j, np.inf)   # H cannot be eliminated at z = 0
-        fac, zero = self._factor_shifted(ks, z * self._lines[ks, :2].T)
+        fac, zero = self._reduction.factor(ks, z * self._lines[ks, :2].T)
         if zero.any():
             raise FrequencySingular(complex(z[np.argmax(zero)]), np.inf)
         return fac
 
-    def _factor_shifted(self, ks: np.ndarray, zl: np.ndarray) -> tuple:
-        """Factors of diag(zl[region]) + K2hat, one column of zl per bin ks, and
-        the bins with a zero pivot: E_n eliminated from each TM system, then
-        Thomas on every system, all bins at once."""
-        F = len(self._nn)
-        dn = self._nn[..., None] + zl[self._cell_group]
-        d = self._diag[..., None] + zl[self._node_group]
-        zero = _reciprocal(dn)
-        pa0, pa1 = self._pa
-        d[:F] -= pa0 * pa0 * dn[:, :-1] + pa1 * pa1 * dn[:, 1:]
-        e = self._off[:F, :, None] - pa1[:, :-1] * pa0[:, 1:] * dn[:, 1:-1]
-        zero |= _thomas_pivots(d[:F], e) | _thomas_pivots(d[F:], self._off[F:, :, None])
-        return _LineFactors(ks, d, e, dn), zero
-
-    def _solve_edges(self, fac: _LineFactors, y: np.ndarray) -> np.ndarray:
-        """The edge systems of the bins fac.ks solved for sorted modal rows y
-        (edges x bins), in place: node rows w (systems x m x bins), E_n rows n."""
-        R, F = self._diag.size, len(self._nn)
-        w, n = y[:R].reshape(*self._diag.shape, -1), y[R:].reshape(*self._nn.shape, -1)
-        pa0, pa1 = self._pa
-        self._rotate(w)
-        t = n * fac.dn
-        w[:F] -= pa0 * t[:, :-1] + pa1 * t[:, 1:]
-        _thomas_solve(fac.q[:F], fac.e, w[:F])
-        _thomas_solve(fac.q[F:], self._off[F:, :, None], w[F:])
-        n[:, :-1] -= pa0 * w[:F]
-        n[:, 1:] -= pa1 * w[:F]
-        n *= fac.dn
-        self._rotate(w)
-        return y
+    def _factors(self, ks: np.ndarray) -> _LineFactors:
+        """Factors of the bins ks.  Held bins are read from the kept factors,
+        as views when they are consecutive columns of one factoring, else
+        gathered; the rest are factored, and kept (the first met, so the
+        lowest bins first) while the bytes stay within FACTOR_CACHE_BYTES."""
+        blocks, (src, col) = self._kept, self._held[:, ks]
+        new = src < 0
+        if new.any():
+            fac = self._factor(ks[new])
+            blocks = blocks + [fac]
+            src[new], col[new] = len(self._kept), np.arange(fac.ks.size)
+            room = (FACTOR_CACHE_BYTES - self.factor_cache_bytes) // (fac.nbytes // fac.ks.size)
+            if self._keep and room > 0:
+                if room < fac.ks.size:   # the first bins, copied so the rest can be freed
+                    fac = _LineFactors(*(a[..., :room].copy() for a in fac))
+                self._held[0, fac.ks], self._held[1, fac.ks] = len(self._kept), np.arange(fac.ks.size)
+                self._kept.append(fac)
+        if (src == src[0]).all():
+            return _columns(blocks[src[0]], col)
+        out = _LineFactors(ks, *(np.empty(a.shape[:-1] + ks.shape, a.dtype) for a in blocks[0][1:]))
+        for b in np.unique(src):
+            sel = np.flatnonzero(src == b)
+            for a, f in zip(out[1:], blocks[b][1:]):
+                a[..., sel] = f[..., col[sel]]
+        return out
 
     def _solve(self, fac: _LineFactors, d: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
         """u = (diag(d) + A)^{-1} g, one column per bin fac.ks, written into u
         (C-contiguous, apart from g and d): E from the modal edge systems,
         then H = (g_H - C0 E) / (z mu) in the original basis."""
-        ne = self.bundle.n_edges
+        ne, red = self.bundle.n_edges, self._reduction
         E, H = u[:ne], u[ne:]
         np.divide(g[ne:], self._mu[:, None], out=H)
         np.multiply(self.z[fac.ks], g[:ne], out=E)
         E += self.bundle.C @ H
-        self._from_modal(self._solve_edges(fac, self._to_modal(E)), out=E)
+        red.from_modal(red.solve(fac, red.to_modal(E)), out=E)
         np.subtract(g[ne:], self.bundle.C0 @ E, out=H)
         H /= d[ne:]
         return u
@@ -372,23 +393,16 @@ class SolutionOperator:
         return [w[:size].reshape(-1, m) for w in self._work]
 
     def _solve_block(self, ks: np.ndarray, gk: np.ndarray, half: bool):
-        """Solve the bins ks, whose data are the rows of gk, in the workspace.
-
-        Returns the solution (a workspace view, one column per bin), the
-        relative residual and growth per bin and the number of refined bins.
-        A bin whose solve the certificate (or the conditioning heuristic)
-        rejects raises FrequencySingular, the first such bin in ks.
-        """
+        """Solve the bins ks, whose data are the rows of gk, in the workspace:
+        the solution (a workspace view, one column per bin), the relative
+        residual and growth per bin and the number of refined bins.  The
+        first bin the certificate (or the heuristic) rejects raises."""
         n = self.z.size
         g, d, u, r = self._workspace(ks.size)
         np.copyto(g, gk.T)
         np.take(self._lines[ks].T, self._group, axis=0, out=d, mode="clip")   # "raise" would buffer
         d *= self._weight[:, None]
-        fac = self._cache.get(ks.tobytes())
-        if fac is None:
-            fac = self._factor(ks)
-            if self._keep and self.factor_cache_bytes + fac.nbytes <= FACTOR_CACHE_BYTES:
-                self._cache[ks.tobytes()] = fac
+        fac = self._factors(ks)
         self._solve(fac, d, g, u)
         gn = _column_norms(g)
         first = _column_norms(u)
@@ -397,8 +411,7 @@ class SolutionOperator:
         if refine.size:
             # one step of iterative refinement before giving up, on the block's factors
             du = np.empty((u.shape[0], refine.size), dtype=np.complex128)
-            part = _LineFactors(*(a[..., refine] for a in fac))
-            u[:, refine] += self._solve(part, d[:, refine], r[:, refine], du)
+            u[:, refine] += self._solve(_columns(fac, refine), d[:, refine], r[:, refine], du)
             res[refine] = _column_norms(
                 self._residual(d[:, refine], u[:, refine], g[:, refine], du)) / gn[refine]
         mirror = np.flatnonzero((2 * ks) % n == 0) if half else ks[:0]
@@ -428,12 +441,9 @@ class SolutionOperator:
         result has the shape of ghat.
 
         The nonzero bins are solved in consecutive blocks, each the columns
-        of dofs x bins arrays of at most LINE_BLOCK_BYTES (one bin at least),
-        so the sparse products read contiguous rows.  The arrays belong to
-        the operator and are reused by every block and every apply.  The
-        transforms, residuals, the one refinement step and the checks run
-        per block; a check that fails raises for the first such bin in bin
-        order.  collect receives the maxima over all blocks.
+        of the workspace's dofs x bins arrays (one bin at least), so the
+        sparse products read contiguous rows.  A check that fails raises for
+        the first such bin in bin order; collect receives the maxima.
         """
         n = self.z.size
         if ghat.shape[0] not in (n, n // 2 + 1):
@@ -449,8 +459,7 @@ class SolutionOperator:
         step = max(1, LINE_BLOCK_BYTES // (16 * self.bundle.n_state))
         for b in range(0, ks.size, step):
             kb = ks[b:b + step]
-            # consecutive bins are read and written through a view
-            rows = slice(kb[0], kb[-1] + 1) if kb[-1] - kb[0] < kb.size else kb
+            rows = _run(kb)   # consecutive bins are read and written through a view
             u, res[b:b + step], growth[b:b + step], m = self._solve_block(kb, ghat[rows], half)
             out[rows] = u.T
             refined += m
@@ -458,8 +467,8 @@ class SolutionOperator:
             collect["max_rel_residual"] = res.max()
             collect["max_growth"] = growth.max()
             collect["refined_bins"] = refined
-            collect["worst_residual_z"] = _pair(self.z[ks[np.argmax(res)]])
-            collect["worst_growth_z"] = _pair(self.z[ks[np.argmax(growth)]])
+            for key, worst in (("worst_residual_z", res), ("worst_growth_z", growth)):
+                collect[key] = self.z[ks[[np.argmax(worst)]]].view(float).tolist()   # [re, im]
         return out
 
     def apply(self, g: WeightedSignal, collect: dict | None = None) -> WeightedSignal:
@@ -515,15 +524,11 @@ def verify_causality(problem: LinearProblem, a: float) -> float:
 
 def verify_rho_independence(problem: LinearProblem, rho1: float, rho2: float,
                             t_hi: float | None = None) -> float:
-    """Relative L2 gap between solves at two admissible weights.
-
-    The data must genuinely live in both weighted spaces on the window;
-    compactly supported data does.  The gap is plain (unweighted) L2 on the
-    common window up to t_hi.  The final stretch of the window is excluded by
-    default: there the unweighting e^{rho t} amplifies the representation
-    floor past any fixed tolerance, so no reconstruction is trustworthy in
-    unweighted terms (the weighted solutions themselves agree).
-    """
+    """Relative plain L2 gap between solves at two admissible weights, on
+    the window up to t_hi, for data living in both weighted spaces (as
+    compactly supported data does).  The last quarter of the window is left
+    out by default: there the unweighting e^{rho t} amplifies the
+    representation floor past any fixed tolerance."""
     g = problem.rhs
     g1 = WeightedSignal(g.grid, rho1, g.values, g.wrap_tol)
     g2 = WeightedSignal(g.grid, rho2, g.values, g.wrap_tol)
@@ -573,13 +578,8 @@ class SecondOrderProblem:
 
 def second_order_solve(problem: SecondOrderProblem,
                        certificate_required: bool = True) -> WeightedSignal:
-    """Solve the E-field second-order formulation per frequency.
-
-    Eliminating H from the first-order system with data (Phi, Psi) gives
-    exactly this system, so E is the edge block of the first-order solve,
-    with its residual and growth checks; certificate_required is as for
-    SolutionOperator.
-    """
+    """Solve the E-field second-order formulation per frequency: the edge
+    block of the first-order solve with data (Phi, Psi), with its checks."""
     b = problem.bundle
     u, _ = solve_linear(LinearProblem(b, problem.material, problem.rho,
                                       stack_rhs(b, problem.phi, problem.psi), check_wraparound=False),

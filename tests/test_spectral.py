@@ -48,6 +48,7 @@ from memax import (
     weighted_norm,
 )
 from memax.errors import MemaxError
+from memax.spectral import ModalReduction
 from modal_oracle import transverse_mode_basis
 
 
@@ -368,29 +369,29 @@ class TestFactorCounts:
         assert sum(factor_calls) == GRID.n_samples
 
     def test_second_order_real_data(self, bundle4, material_dl, rng, monkeypatch):
-        # the half line's bins, each factored once, as systems of the edges alone
+        # the construction check's two seeded columns, then the half line's
+        # bins, each factored once, as systems of the edges alone
         rows = []
-        factor = SolutionOperator._factor
+        factor = ModalReduction.factor
 
-        def counting(self, ks):
-            rows.extend([self._diag.size + self._nn.size] * ks.size)
-            return factor(self, ks)
+        def counting(self, ks, zl):
+            rows.extend([self.diag.size + self.nn.size] * zl.shape[1])
+            return factor(self, ks, zl)
 
-        monkeypatch.setattr(SolutionOperator, "_factor", counting)
+        monkeypatch.setattr(ModalReduction, "factor", counting)
         prof = smooth_pulse(GRID.times, 0.0, 1.5)
         phi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(bundle4.n_edges)[None, :])
         psi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(bundle4.n_faces)[None, :])
         second_order_solve(SecondOrderProblem(bundle4, material_dl, 2.5, phi, psi))
-        assert rows == [bundle4.n_edges] * (GRID.n_samples // 2 + 1)
+        assert rows == [bundle4.n_edges] * (2 + GRID.n_samples // 2 + 1)
 
     def test_growth_beyond_certificate_raises(self, bundle4, material_dl, rng, monkeypatch):
         # factors whose solve returns twice the true solution break
         # growth * c_min <= 1 + slack on the first solved bin
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         assert op.c_min > 0
-        solve_edges = SolutionOperator._solve_edges
-        monkeypatch.setattr(SolutionOperator, "_solve_edges",
-                            lambda self, fac, y: 2.0 * solve_edges(self, fac, y))
+        solve = ModalReduction.solve
+        monkeypatch.setattr(ModalReduction, "solve", lambda self, fac, y: 2.0 * solve(self, fac, y))
         with pytest.raises(FrequencySingular) as info:
             op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
         assert info.value.z == op.z[0]
@@ -434,43 +435,64 @@ class TestFactorCacheBytes:
         F, S, m = edge_systems(bundle4.grid)
         assert op.factor_cache_bytes == (GRID.n_samples // 2 + 1) * (4 * F + S) * m * 16
 
-    def test_n8_reapply_factors_nothing(self, material_dl, rng, factor_calls):
-        # 2904 dofs: the line's factors (about 80 MB) fit the byte budget
+    def test_n8_reapply_factors_nothing(self, material_dl, rng, factor_calls, monkeypatch):
+        # 2904 dofs: the line's factors (about 6 MB) fit the byte budget, and
+        # a re-apply solves every block on views of the kept factors
         b = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), (8, 8, 8), 3, 4))
         g = pulse_rhs(b, GRID, 2.0, rng)
         op = SolutionOperator(b, material_dl, 2.0, GRID)
         op.apply(g)
         assert sum(factor_calls) == GRID.n_samples // 2 + 1
+        used, solve = [], ModalReduction.solve
+        monkeypatch.setattr(ModalReduction, "solve",
+                            lambda self, fac, y: used.append(fac) or solve(self, fac, y))
         op.apply(g)
         assert sum(factor_calls) == GRID.n_samples // 2 + 1
         assert op.factor_cache_bytes <= spectral.FACTOR_CACHE_BYTES
+        assert used and all(any(np.shares_memory(f.q, kept.q) for kept in op._kept) for f in used)
 
     @pytest.mark.parametrize("spare", [0, 0.5])
     def test_budget_keeps_the_first_bins(self, spare, bundle4, material_dl, rng, factor_calls,
                                          monkeypatch):
-        # in blocks of 7 bins, a budget of two blocks' worth (and half a block
-        # to spare) keeps the factors of the first 14 bins; every other bin
-        # factors on each apply, and the solution has the same bits as an
-        # unbounded operator's
+        # in blocks of 7 bins, a budget of 14 bins' worth (17.5 with half a
+        # block to spare) keeps the factors of the first 14 (17) bins; every
+        # other bin factors on each apply, and the solution has the same bits
+        # as an unbounded operator's
         monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 16 * bundle4.n_state * 7)
         g = pulse_rhs(bundle4, GRID, 2.0, rng)
         unbounded = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         ref = [unbounded.apply(g).values for _ in range(2)]
         bins = GRID.n_samples // 2 + 1
         assert sum(factor_calls) == bins
-        per_block = 7 * unbounded.factor_cache_bytes // bins
-        monkeypatch.setattr(spectral, "FACTOR_CACHE_BYTES", int((2 + spare) * per_block))
+        per_bin = unbounded.factor_cache_bytes // bins
+        monkeypatch.setattr(spectral, "FACTOR_CACHE_BYTES", int((2 + spare) * 7 * per_bin))
+        kept = 14 if spare == 0 else 17
         factor_calls.clear()
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         u = op.apply(g)
         assert sum(factor_calls) == bins
-        assert sorted(np.concatenate([f.ks for f in op._cache.values()])) == list(range(14))
-        assert op.factor_cache_bytes == 2 * per_block <= spectral.FACTOR_CACHE_BYTES
+        assert list(np.flatnonzero(op._held[0] >= 0)) == list(range(kept))
+        assert op.factor_cache_bytes == kept * per_bin <= spectral.FACTOR_CACHE_BYTES
         assert np.array_equal(u.values, ref[0])
         u = op.apply(g)
-        assert sum(factor_calls) == bins + bins - 14
-        assert len(op._cache) == 2 and op.factor_cache_bytes <= spectral.FACTOR_CACHE_BYTES
+        assert sum(factor_calls) == bins + bins - kept
+        assert op.factor_cache_bytes == kept * per_bin <= spectral.FACTOR_CACHE_BYTES
         assert np.array_equal(u.values, ref[1])
+
+    def test_reapply_with_other_zero_rows_factors_nothing(self, bundle4, material_dl, rng,
+                                                          factor_calls):
+        # the factors are kept per bin: a re-apply whose zero rows differ
+        # reads every bin it solves from the kept factors, and holds one copy
+        n = GRID.n_samples
+        G = fourier_laplace(pulse_rhs(bundle4, GRID, 2.0, rng)).values[: n // 2 + 1].copy()
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        op.apply_spectral(G)
+        assert sum(factor_calls) == n // 2 + 1 and op.factor_cache_bytes == 518112
+        G[3] = 0.0
+        U = op.apply_spectral(G)
+        assert sum(factor_calls) == n // 2 + 1 and op.factor_cache_bytes == 518112
+        fresh = SolutionOperator(bundle4, material_dl, 2.0, GRID).apply_spectral(G)
+        assert U.tobytes() == fresh.tobytes()
 
 
 class TestLineBlocks:
@@ -478,19 +500,28 @@ class TestLineBlocks:
     working array: 1 bin, 7 bins and the whole line give the same bits."""
 
     BLOCKS = (1, 7, GRID.n_samples)
+    # (rho, grid): bundle4's grid, n=8, and (3, 4, 5) on every interface axis
+    CONFIGS = [pytest.param(-0.001, None, id="-0.001"), pytest.param(2.0, None, id="2.0"),
+               pytest.param(2.0, YeeGrid((1.0, 1.0, 1.0), (8, 8, 8), 3, 4), id="2.0-n8")] + [
+        pytest.param(2.0, YeeGrid((1.0, 1.3, 0.8), (3, 4, 5), axis, 2), id=f"2.0-345-axis{axis}")
+        for axis in (1, 2, 3)]
 
-    @pytest.mark.parametrize("rho", [-0.001, 2.0])
-    def test_results_independent_of_block_size(self, rho, bundle4, material_dl, rng, monkeypatch):
+    @pytest.mark.parametrize("rho, grid", CONFIGS)
+    def test_results_independent_of_block_size(self, rho, grid, bundle4, material_dl, rng,
+                                               monkeypatch):
+        b = bundle4 if grid is None else build_curl_pair(grid)
         n = GRID.n_samples
-        g = pulse_rhs(bundle4, GRID, rho, rng)
-        shape = (n, bundle4.n_state)
+        g = pulse_rhs(b, GRID, rho, rng)
+        shape = (n, b.n_state)
         full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)   # every bin
         hermitian = fourier_laplace(g, check=False).values                     # every bin too
-        spectra = (full, hermitian, hermitian[: n // 2 + 1].copy())
+        # the other grids check apply() alone: at n=8 a whole-line block of a
+        # full spectrum (512 columns) moves the bits of the dense mode transform
+        spectra = (full, hermitian, hermitian[: n // 2 + 1].copy()) if grid is None else ()
         runs = []
         for bins in self.BLOCKS:
-            monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 16 * bundle4.n_state * bins)
-            op = SolutionOperator(bundle4, material_dl, rho, GRID, certificate_required=False)
+            monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 16 * b.n_state * bins)
+            op = SolutionOperator(b, material_dl, rho, GRID, certificate_required=False)
             stats = {}
             run = [(op.apply(g, stats).values, stats)]
             for ghat in spectra:
@@ -511,14 +542,14 @@ class TestLineBlocks:
         # the factors of bins 9 and 20 solve to four times the solution, past
         # the certificate (growth * c_min is about 0.43 and 0.39 there);
         # every block size raises for bin 9
-        solve_edges = SolutionOperator._solve_edges
+        solve = ModalReduction.solve
 
         def scaling(self, fac, y):
-            solve_edges(self, fac, y)
+            solve(self, fac, y)
             y[:, np.isin(fac.ks, (9, 20))] *= 4.0
             return y
 
-        monkeypatch.setattr(SolutionOperator, "_solve_edges", scaling)
+        monkeypatch.setattr(ModalReduction, "solve", scaling)
         g = pulse_rhs(bundle4, GRID, 2.0, rng)
         for bins in self.BLOCKS:
             monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 16 * bundle4.n_state * bins)
@@ -626,7 +657,7 @@ class TestModalSolve:
         # a bin); a bin's factors hold fewer entries than half of SuperLU's
         # fill of the full system
         factors, solved = [], []
-        factor, solve_edges = SolutionOperator._factor, SolutionOperator._solve_edges
+        factor, solve = SolutionOperator._factor, ModalReduction.solve
 
         def keeping(self, ks):
             factors.append(factor(self, ks))
@@ -634,18 +665,18 @@ class TestModalSolve:
 
         def counted(self, fac, y):
             solved.extend(fac.ks)
-            return solve_edges(self, fac, y)
+            return solve(self, fac, y)
 
         op = SolutionOperator(bundle4, material_mix, 2.0, GRID)
         monkeypatch.setattr(SolutionOperator, "_factor", keeping)
-        monkeypatch.setattr(SolutionOperator, "_solve_edges", counted)
+        monkeypatch.setattr(ModalReduction, "solve", counted)
         op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
         bins = GRID.n_samples // 2 + 1
         assert solved == list(np.concatenate([f.ks for f in factors])) == list(range(bins))
         full = splu(frequency_matrix(bundle4, material_mix, op.z[5]).tocsc())
         assert sum(f.nbytes for f in factors) / (16 * bins) <= 0.5 * full.nnz
 
-    def test_mode_coupling_raises(self, bundle4, material_dl, monkeypatch):
+    def test_mode_coupling_raises(self, bundle4, monkeypatch):
         # a basis that does not decouple K is refused at construction: identity
         # tangential factors keep the mode labels but not the modes
         component_modes = spectral._component_modes
@@ -656,14 +687,16 @@ class TestModalSolve:
 
         monkeypatch.setattr(spectral, "_component_modes", identity)
         with pytest.raises(MemaxError, match="transverse modes couple"):
-            SolutionOperator(bundle4, material_dl, 2.0, GRID)
+            ModalReduction(bundle4, np.ones(bundle4.n_faces))
 
     def test_solve_never_forms_basis(self, bundle4, material_dl, rng):
-        # the transforms are matrix-free: the operator holds no sparse T
+        # the transforms are matrix-free: neither the operator nor its
+        # reduction holds a sparse T or K2hat
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         u = op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
         assert np.isfinite(u.values).all() and not u.values.imag.any()
         assert not any(sparse.issparse(v) for v in vars(op).values())
+        assert not any(sparse.issparse(v) for v in vars(op._reduction).values())
 
 
 class TestModalTransform:
@@ -673,22 +706,22 @@ class TestModalTransform:
     @pytest.mark.parametrize("cols", [1, 257])
     @pytest.mark.parametrize("axis", [1, 2, 3])
     @pytest.mark.parametrize("n", [(4, 4, 4), (3, 4, 5), (2, 3, 2)])
-    def test_matches_explicit_basis(self, n, axis, cols, material_mix, rng):
+    def test_matches_explicit_basis(self, n, axis, cols, rng):
         b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
-        op = SolutionOperator(b, material_mix, 2.0, GRID, certificate_required=False)
+        red = ModalReduction(b, np.where(b.face_region_mask(), 1.0, 2.0))
         T, mode = transverse_mode_basis(b)
         ne = b.n_edges
-        labels = np.concatenate([c[2] for c in op._modes])
+        labels = np.concatenate([c[2] for c in red.modes])
         assert np.array_equal(labels, mode[:ne])
-        Te = T[:ne, :ne][op._perm]
+        Te = T[:ne, :ne][red.perm]
         x = rng.standard_normal((ne, cols)) + 1j * rng.standard_normal((ne, cols))
         ref = Te @ x
-        modal = op._to_modal(x.copy())      # it may overwrite its input
+        modal = red.to_modal(x.copy())      # it may overwrite its input
         assert modal.flags.c_contiguous      # edges x bins, as the block's columns
         assert np.abs(modal - ref).max() <= 1e-14 * np.abs(ref).max()
         y = rng.standard_normal((ne, cols)) + 1j * rng.standard_normal((ne, cols))
         ref = Te.T @ y
-        assert np.abs(op._from_modal(y) - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(red.from_modal(y) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestModalSystem:
@@ -709,30 +742,30 @@ class TestModalSystem:
     @pytest.mark.parametrize("axis", [1, 2, 3])
     @pytest.mark.parametrize("n", [(4, 4, 4), (3, 4, 5)])
     def test_matches_formed_product(self, n, axis, order, material_mix, rng, monkeypatch):
-        # the operator that solve_linear (order 1) or second_order_solve
-        # (order 2) factors; material_mix has mu = (1, 2)
+        # order 1: the record built from (bundle, mu) alone; order 2: the one
+        # second_order_solve's operator builds; material_mix has mu = (1, 2)
         b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
-        grid = TimeGrid(-2.0, 1.0 / 8.0, 16)
+        mu = np.where(b.face_region_mask(), material_mix.mu1, material_mix.mu2)
         built = []
 
-        class Recorded(SolutionOperator):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
+        class Recorded(ModalReduction):
+            def __init__(self, *args):
+                super().__init__(*args)
                 built.append(self)
 
-        monkeypatch.setattr(spectral, "SolutionOperator", Recorded)
+        monkeypatch.setattr(spectral, "ModalReduction", Recorded)
         if order == 1:
-            g = pulse_rhs(b, grid, 2.0, rng, t_on=-1.5, t_off=-0.5)
-            solve_linear(LinearProblem(b, material_mix, 2.0, g, check_wraparound=False))
+            Recorded(b, mu)
         else:
+            grid = TimeGrid(-2.0, 1.0 / 8.0, 16)
             prof = smooth_pulse(grid.times, -1.5, -0.5)
             phi = WeightedSignal(grid, 2.0, prof[:, None] * rng.standard_normal(b.n_edges)[None, :])
             psi = WeightedSignal(grid, 2.0, prof[:, None] * rng.standard_normal(b.n_faces)[None, :])
             second_order_solve(SecondOrderProblem(b, material_mix, 2.0, phi, psi))
         assert len(built) == 1
-        op = built[0]
+        red = built[0]
         T, mode = transverse_mode_basis(b)
-        ne, perm = b.n_edges, op._perm
+        ne, perm = b.n_edges, red.perm
         assert np.array_equal(np.sort(perm), np.arange(ne))
         # one mode per system: a full mode's t1, t2 and E_n rows, then the single modes
         F, S, m = edge_systems(b.grid)
@@ -742,29 +775,28 @@ class TestModalSystem:
         assert np.array_equal(nodes[:F], nodes[F:2 * F])
         assert np.array_equal(nodes[:F, 0], cells[:, 0])
         Te = T[:ne, :ne][perm]
-        mu = np.where(b.face_region_mask(), material_mix.mu1, material_mix.mu2)
         K = b.C @ sparse.diags(1.0 / mu) @ b.C0
         oracle = self.within_mode(Te @ K @ Te.T, mode[perm], mode[perm])
         # 2F + S tridiagonal systems of length m and F diagonal E_n blocks;
         # the reduced coefficients, rotated back, give the oracle
-        assert op._diag.shape == (2 * F + S, m) and op._off.shape == (2 * F + S, m - 1)
-        assert op._nn.shape == (F, m + 1) and op._pa.shape == (2, F, m, 1)
-        assert np.abs(self.reduced_matrix(op) - oracle).max() <= 1e-13 * np.abs(K.data).max()
+        assert red.diag.shape == (2 * F + S, m) and red.off.shape == (2 * F + S, m - 1)
+        assert red.nn.shape == (F, m + 1) and red.pa.shape == (2, F, m, 1)
+        assert np.abs(self.reduced_matrix(red) - oracle).max() <= 1e-13 * np.abs(K.data).max()
 
     @staticmethod
-    def reduced_matrix(op):
+    def reduced_matrix(red):
         """The sorted modal edge matrix that the reduced coefficients stand
         for, rebuilt densely: the tridiagonal (a, b, single-mode) systems and
         the a-E_n coupling, with (a, b) rotated back to (E_t1, E_t2)."""
-        F, m = len(op._nn), op._diag.shape[1]
-        nodes = np.arange(op._diag.size).reshape(-1, m)
-        cells = op._diag.size + np.arange(op._nn.size).reshape(op._nn.shape)
-        M = np.diag(np.concatenate([op._diag.ravel(), op._nn.ravel()]))
-        M[nodes[:, :-1], nodes[:, 1:]] = M[nodes[:, 1:], nodes[:, :-1]] = op._off
+        F, m = len(red.nn), red.diag.shape[1]
+        nodes = np.arange(red.diag.size).reshape(-1, m)
+        cells = red.diag.size + np.arange(red.nn.size).reshape(red.nn.shape)
+        M = np.diag(np.concatenate([red.diag.ravel(), red.nn.ravel()]))
+        M[nodes[:, :-1], nodes[:, 1:]] = M[nodes[:, 1:], nodes[:, :-1]] = red.off
         for side in (0, 1):
             a, n = nodes[:F], cells[:, side:side + m]
-            M[a, n] = M[n, a] = op._pa[side, ..., 0]
-        c1, c2 = op._c[:, :, :, 0]
+            M[a, n] = M[n, a] = red.pa[side, ..., 0]
+        c1, c2 = red.c[:, :, :, 0]
         t1, t2 = nodes[:F], nodes[F:2 * F]
         Q = np.eye(len(M))
         Q[t1, t1], Q[t1, t2], Q[t2, t1], Q[t2, t2] = c1, c2, c2, -c1
@@ -818,13 +850,13 @@ class TestReduction:
         grid = TimeGrid(-2.0, 1.0 / 8.0, 64)
         op = SolutionOperator(b, material_mix, 2.0, grid)
         T, mode = transverse_mode_basis(b)
-        ne, perm = b.n_edges, op._perm
+        ne, perm = b.n_edges, op._reduction.perm
         Te = T[:ne, :ne][perm]
         mu = np.where(b.face_region_mask(), material_mix.mu1, material_mix.mu2)
         K = (Te @ b.C @ sparse.diags(1.0 / mu) @ b.C0 @ Te.T).toarray()
         ks = np.sort(rng.choice(grid.n_samples, 6, replace=False))
         y = rng.standard_normal((ne, ks.size)) + 1j * rng.standard_normal((ne, ks.size))
-        x = op._solve_edges(op._factor(ks), y.copy())
+        x = op._reduction.solve(op._factor(ks), y.copy())
         for j, k in enumerate(ks):
             z = op.z[k]
             eps = material_mix.eps_values(z, b.edge_region_mask())[perm]
@@ -924,7 +956,7 @@ class TestSmallFrequency:
             op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
             for k, z in ((5, 1.0), (9, 2.0)):
                 op.z[k] = z
-                op._lines[k, :2] = -op._diag[-1, 0] / z
+                op._lines[k, :2] = -op._reduction.diag[-1, 0] / z
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(FrequencySingular, match="singular") as info:
