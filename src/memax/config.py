@@ -175,6 +175,10 @@ def _check_values(raw: dict):
         if kernel is not None and key not in kernel:
             raise ConfigError(f"missing config key: nonlinearity.kernel.{key} "
                               "(a kernel needs alpha, gamma and omega0)")
+    source = raw.get("source", {})
+    t_on, t_off = source.get("t_on", 0.0), source.get("t_off", 2.0)
+    if t_off <= t_on:
+        raise ConfigError(f"source.t_off must be after source.t_on, got {t_off!r} <= {t_on!r}")
     grid = raw["grid"]
     if "interface_index" in grid:
         n = grid["n_cells"][grid.get("interface_axis", 3) - 1]

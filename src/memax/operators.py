@@ -259,6 +259,11 @@ class OperatorBundle:
         """_modal_curl of the grid, built on first use and only read after."""
         return _modal_curl(self.grid)
 
+    @cached_property
+    def modal_reductions(self) -> dict:
+        """memax.spectral's ModalReduction of each mu seen, by mu.tobytes(); filled on use."""
+        return {}
+
     def edge_region_mask(self) -> np.ndarray:
         """True where an edge dof belongs to region 1 (midpoint strictly below
         the interface plane along the interface axis; ties go to region 2)."""

@@ -21,7 +21,8 @@ which halves the unknowns; with data (Phi, Psi) the first line is the
 second-order E-field form, so second_order_solve is the E block of this
 solve.  The law changes only across the interface plane, so each
 transverse cavity mode maps to itself, and ModalReduction splits the edge
-system into tridiagonal systems along the interface axis, solved for a
+system into tridiagonal systems along the interface axis, one record per
+(bundle, mu) that every operator on them shares, solved for a
 block of bins at once by Thomas sweeps without pivoting: on a certified
 line every pivot has |p| >= |z| c_min (Golub & Van Loan, Linear Algebra
 Appl. 28, 1979); the checks use z M + A in the original basis.
@@ -91,21 +92,13 @@ def _columns(fac: _LineFactors, cols: np.ndarray) -> _LineFactors:
     return _LineFactors(*(a[..., _run(cols)] for a in fac))
 
 
-def _reciprocal(x: np.ndarray) -> np.ndarray:
-    """x <- 1/x in place where x != 0; flags the bins (last axis) holding a zero."""
-    zero = x == 0
-    np.divide(1.0, x, out=x, where=~zero)
-    return zero.reshape(-1, x.shape[-1]).any(axis=0)
-
-
-def _thomas_pivots(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _thomas_pivots(d: np.ndarray, e: np.ndarray):
     """LDL^T of symmetric tridiagonal systems, diagonals d (systems x m x bins, overwritten by
-    the reciprocal pivots) and off-diagonals e; flags the bins with a zero pivot."""
-    zero = _reciprocal(d[:, 0])
+    the reciprocal pivots) and off-diagonals e; a zero pivot leaves non-finite entries."""
+    np.divide(1.0, d[:, 0], out=d[:, 0])
     for j in range(1, d.shape[1]):
         d[:, j] -= e[:, j - 1] * e[:, j - 1] * d[:, j - 1]
-        zero |= _reciprocal(d[:, j])
-    return zero
+        np.divide(1.0, d[:, j], out=d[:, j])
 
 
 def _thomas_solve(q: np.ndarray, e: np.ndarray, w: np.ndarray):
@@ -252,17 +245,20 @@ class ModalReduction:
 
     def factor(self, ks: np.ndarray, zl: np.ndarray) -> tuple:
         """Factors of diag(zl[region]) + K2hat, one column of zl per label in
-        ks, and the columns with a zero pivot: E_n eliminated from each TM
-        system, then Thomas on every system, all columns at once."""
+        ks, and the columns with a zero pivot (non-finite factors): E_n out
+        of each TM system, then Thomas on every system, all columns at once."""
         F = len(self.nn)
         dn = self.nn[..., None] + zl[self.cell_group]
         d = self.diag[..., None] + zl[self.node_group]
-        zero = _reciprocal(dn)
         pa0, pa1 = self.pa
-        d[:F] -= pa0 * pa0 * dn[:, :-1] + pa1 * pa1 * dn[:, 1:]
-        e = self.off[:F, :, None] - pa1[:, :-1] * pa0[:, 1:] * dn[:, 1:-1]
-        zero |= _thomas_pivots(d[:F], e) | _thomas_pivots(d[F:], self.off[F:, :, None])
-        return _LineFactors(ks, d, e, dn), zero
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(1.0, dn, out=dn)
+            d[:F] -= pa0 * pa0 * dn[:, :-1] + pa1 * pa1 * dn[:, 1:]
+            e = self.off[:F, :, None] - pa1[:, :-1] * pa0[:, 1:] * dn[:, 1:-1]
+            _thomas_pivots(d[:F], e)
+            _thomas_pivots(d[F:], self.off[F:, :, None])
+        finite = np.isfinite(d).all(axis=(0, 1)) & np.isfinite(dn).all(axis=(0, 1))
+        return _LineFactors(ks, d, e, dn), ~finite
 
     def solve(self, fac: _LineFactors, y: np.ndarray) -> np.ndarray:
         """The systems of fac solved for sorted modal rows y (edges x
@@ -290,11 +286,11 @@ class SolutionOperator:
     apply() a signal to a signal.  A material-law pole on the line raises
     PoleHit at construction.
 
-    Bin k eliminates H and solves diag(z_k^2 eps(z_k)) + K2hat through a
-    ModalReduction, a block of bins at once; refinement slices the block's
-    factors.  Factors are kept per bin (_factors) unless keep_factors is
-    off, as in solve_linear.  The block working arrays are allocated on the
-    first apply and reused, so one operator serves one thread.
+    Bin k eliminates H and solves diag(z_k^2 eps(z_k)) + K2hat through the
+    bundle's ModalReduction for mu, a block of bins at once; refinement
+    slices the block's factors.  Factors are kept per bin (_factors) unless
+    keep_factors is off, as in solve_linear.  The block working arrays are
+    allocated on the first apply and reused, so one operator serves one thread.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
@@ -306,16 +302,19 @@ class SolutionOperator:
         self.grid = grid
         self.z = z = rho + 1j * grid.xi
         l1, l2 = material.eps_laws()
-        # bin k of z M(z) is diag(lines[k, group] * weight); c_min as line_certificate
-        self._lines = np.stack([z * l1(z), z * l2(z), z], axis=1)
+        # bin k of z M(z) is diag(lines[k, group]); c_min as line_certificate
+        self._lines = np.stack([z * l1(z), z * l2(z), z * material.mu1, z * material.mu2], axis=1)
         self.c_min = min(float(self._lines[:, :2].real.min()), rho * material.mu_min)
         if certificate_required and self.c_min <= 0.0:
             raise UncertifiedLine(rho, self.c_min)
-        self._mu = mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
-        self._reduction = ModalReduction(bundle, mu)
+        mu = np.where(bundle.face_region_mask(), material.mu1, material.mu2)
+        key = mu.tobytes()
+        if key not in bundle.modal_reductions:   # one record per (bundle, mu), built on first use
+            bundle.modal_reductions[key] = ModalReduction(bundle, mu)
+        self._reduction = bundle.modal_reductions[key]
         self._group = np.concatenate([np.where(bundle.edge_region_mask(), 0, 1),
-                                      np.full(bundle.n_faces, 2)])
-        self._weight = np.concatenate([np.ones(bundle.n_edges), mu])
+                                      np.where(bundle.face_region_mask(), 2, 3)])
+        self._inv_mu = 1.0 / mu
         self._cond_unit = max(abs(material.mu1), abs(material.mu2), 1.0)
         self._keep = keep_factors
         self._kept: list = []                   # kept factors, as factored (or a first part)
@@ -367,21 +366,26 @@ class SolutionOperator:
     def _solve(self, fac: _LineFactors, d: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
         """u = (diag(d) + A)^{-1} g, one column per bin fac.ks, written into u
         (C-contiguous, apart from g and d): E from the modal edge systems,
-        then H = (g_H - C0 E) / (z mu) in the original basis."""
+        then H = (g_H - C0 E) / (z mu) in the original basis.  Returns C0 E."""
         ne, red = self.bundle.n_edges, self._reduction
         E, H = u[:ne], u[ne:]
-        np.divide(g[ne:], self._mu[:, None], out=H)
+        np.multiply(g[ne:], self._inv_mu[:, None], out=H)   # g_H / mu, as numpy divides
         np.multiply(self.z[fac.ks], g[:ne], out=E)
         E += self.bundle.C @ H
         red.from_modal(red.solve(fac, red.to_modal(E)), out=E)
-        np.subtract(g[ne:], self.bundle.C0 @ E, out=H)
+        c0e = self.bundle.C0 @ E
+        np.subtract(g[ne:], c0e, out=H)
         H /= d[ne:]
-        return u
+        return c0e
 
-    def _residual(self, d: np.ndarray, u: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """g - (diag(d) + A) u, one column per bin, written into out."""
+    def _residual(self, d: np.ndarray, u: np.ndarray, g: np.ndarray, out: np.ndarray,
+                  c0e: np.ndarray | None = None) -> np.ndarray:
+        """g - (diag(d) + A) u, one column per bin, written into out; c0e is the solve's C0 E
+        (A's rows hold -C's and C0's entries in their order: the bits are those of A u)."""
+        ne = self.bundle.n_edges
         np.multiply(d, u, out=out)
-        out += self.bundle.A @ u
+        out[:ne] -= self.bundle.C @ u[ne:]
+        out[ne:] += self.bundle.C0 @ u[:ne] if c0e is None else c0e
         return np.subtract(g, out, out=out)
 
     def _workspace(self, m: int) -> list:
@@ -401,17 +405,17 @@ class SolutionOperator:
         g, d, u, r = self._workspace(ks.size)
         np.copyto(g, gk.T)
         np.take(self._lines[ks].T, self._group, axis=0, out=d, mode="clip")   # "raise" would buffer
-        d *= self._weight[:, None]
         fac = self._factors(ks)
-        self._solve(fac, d, g, u)
+        c0e = self._solve(fac, d, g, u)
         gn = _column_norms(g)
         first = _column_norms(u)
-        res = _column_norms(self._residual(d, u, g, r)) / gn
+        res = _column_norms(self._residual(d, u, g, r, c0e)) / gn
         refine = np.flatnonzero(res > 1e-10)
         if refine.size:
             # one step of iterative refinement before giving up, on the block's factors
             du = np.empty((u.shape[0], refine.size), dtype=np.complex128)
-            u[:, refine] += self._solve(_columns(fac, refine), d[:, refine], r[:, refine], du)
+            self._solve(_columns(fac, refine), d[:, refine], r[:, refine], du)
+            u[:, refine] += du
             res[refine] = _column_norms(
                 self._residual(d[:, refine], u[:, refine], g[:, refine], du)) / gn[refine]
         mirror = np.flatnonzero((2 * ks) % n == 0) if half else ks[:0]

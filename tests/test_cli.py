@@ -93,6 +93,8 @@ class TestConfig:
         ("tolerances.decay_window_factor", None),
         ("tolerances.decay_decades", float("inf")),
         ("seed", 1.5),
+        ("source.t_off", 0.0),     # the pulse would have no support: t_off <= t_on (0)
+        ("source.t_on", 3.0),      # after the default t_off (2)
     ])
     def test_bad_value_names_key(self, path, value):
         raw = default_config_dict()

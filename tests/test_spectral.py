@@ -369,8 +369,10 @@ class TestFactorCounts:
         assert sum(factor_calls) == GRID.n_samples
 
     def test_second_order_real_data(self, bundle4, material_dl, rng, monkeypatch):
-        # the construction check's two seeded columns, then the half line's
-        # bins, each factored once, as systems of the edges alone
+        # on a fresh bundle the construction check's two seeded columns, then
+        # the half line's bins, each factored once, as systems of the edges
+        # alone; a second solve reuses the bundle's record and its check
+        b = build_curl_pair(bundle4.grid)
         rows = []
         factor = ModalReduction.factor
 
@@ -380,10 +382,12 @@ class TestFactorCounts:
 
         monkeypatch.setattr(ModalReduction, "factor", counting)
         prof = smooth_pulse(GRID.times, 0.0, 1.5)
-        phi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(bundle4.n_edges)[None, :])
-        psi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(bundle4.n_faces)[None, :])
-        second_order_solve(SecondOrderProblem(bundle4, material_dl, 2.5, phi, psi))
-        assert rows == [bundle4.n_edges] * (2 + GRID.n_samples // 2 + 1)
+        phi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(b.n_edges)[None, :])
+        psi = WeightedSignal(GRID, 2.5, prof[:, None] * rng.standard_normal(b.n_faces)[None, :])
+        for check in (2, 0):
+            rows.clear()
+            second_order_solve(SecondOrderProblem(b, material_dl, 2.5, phi, psi))
+            assert rows == [b.n_edges] * (check + GRID.n_samples // 2 + 1)
 
     def test_growth_beyond_certificate_raises(self, bundle4, material_dl, rng, monkeypatch):
         # factors whose solve returns twice the true solution break
@@ -558,6 +562,41 @@ class TestLineBlocks:
                 op.apply(g)
             assert info.value.z == op.z[9]
             assert info.value.cond > 1.0 + spectral.BOUND_SLACK
+
+
+class TestBlockPasses:
+    """A block's diagonal, its H data scaling and its residual, bit for bit
+    against the formulas they stand for: take(lines) * weight with lines
+    (z eps1, z eps2, z) and weight (1, mu), g_H / mu, and g - (d u + A u)."""
+
+    @pytest.mark.parametrize("half", [True, False])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_bits_of_the_formed_passes(self, axis, half, material_dl, rng):
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), (3, 4, 5), axis, 2))
+        material = PiecewiseMaterial(material_dl.law1, material_dl.law2, 1.0, 2.5, sigma2=0.3)
+        grid = TimeGrid(-2.0, 1.0 / 8.0, 64)
+        op = SolutionOperator(b, material, 2.0, grid)
+        n, ne = grid.n_samples, b.n_edges
+        ks = np.arange(n // 2 + 1 if half else n)
+        G = rng.standard_normal((ks.size, b.n_state)) + 1j * rng.standard_normal((ks.size, b.n_state))
+        u, _, _, refined = op._solve_block(ks, G, half)
+        g, d, _, r = op._workspace(ks.size)
+        assert refined == 0   # r holds the residual of the first solve
+        l1, l2 = material.eps_laws()
+        lines = np.stack([op.z * l1(op.z), op.z * l2(op.z), op.z], axis=1)[ks]
+        mu = np.where(b.face_region_mask(), 1.0, 2.5)
+        group = np.concatenate([np.where(b.edge_region_mask(), 0, 1), np.full(b.n_faces, 2)])
+        weight = np.concatenate([np.ones(ne), mu])
+        formed = np.take(lines.T, group, axis=0) * weight[:, None]
+        assert d.tobytes() == formed.tobytes()
+        red = op._reduction
+        E = red.to_modal(op.z[ks] * g[:ne] + b.C @ (g[ne:] / mu[:, None]))
+        E = red.from_modal(red.solve(op._factors(ks), E))
+        H = (g[ne:] - b.C0 @ E) / formed[ne:]
+        keep = slice(1, -1) if half else slice(None)   # xi = 0 and Nyquist keep their real part
+        assert u[:, keep].tobytes() == np.concatenate([E, H])[:, keep].tobytes()
+        uk, gk = u[:, keep], g[:, keep]
+        assert r[:, keep].tobytes() == (gk - (formed[:, keep] * uk + b.A @ uk)).tobytes()
 
 
 def traced_peak(call) -> int:
@@ -832,6 +871,30 @@ class TestModalSystem:
         assert len(calls) == 1
         u0 = SolutionOperator(bundle4, material_dl, 2.0, GRID).apply(g)
         assert np.array_equal(u1.values, u2.values) and np.array_equal(u1.values, u0.values)
+
+    def test_reduction_kept_per_mu(self, bundle4, material_dl, rng, monkeypatch):
+        # operators on one bundle share the record of their mu, built (and
+        # checked) once; another mu gets its own; each solves to the bytes of
+        # an operator on a fresh bundle
+        built = []
+
+        class Recorded(ModalReduction):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(spectral, "ModalReduction", Recorded)
+        other = PiecewiseMaterial(material_dl.law1, material_dl.law2, 1.0, 2.5)
+        shared = build_curl_pair(bundle4.grid)
+        ops = [SolutionOperator(shared, m, 2.0, GRID) for m in (material_dl, material_dl, other)]
+        assert ops[0]._reduction is ops[1]._reduction is built[0]
+        assert ops[2]._reduction is built[1] and len(built) == 2
+        assert len(shared.modal_reductions) == 2
+        g = pulse_rhs(shared, GRID, 2.0, rng)
+        for op in ops:
+            alone = SolutionOperator(build_curl_pair(bundle4.grid), op.material, 2.0, GRID)
+            assert alone._reduction is not op._reduction
+            assert op.apply(g).values.tobytes() == alone.apply(g).values.tobytes()
 
 
 class TestReduction:
