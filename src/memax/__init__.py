@@ -16,6 +16,7 @@ from .errors import (  # noqa: F401
     FrequencySingular,
     GridTooCoarse,
     KernelRankTooHigh,
+    LinearSolveFailure,
     MaxIterExceeded,
     MemaxError,
     NonCausalKernel,

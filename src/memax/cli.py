@@ -268,7 +268,7 @@ def cmd_oracle(args) -> int:
     bundle = cfg.bundle()
     material, params1, params2, _, _ = cfg.material()
     grid = cfg.time_grid()
-    sigma_edges = np.where(bundle.edge_region_mask(), material.sigma1, material.sigma2)
+    sigma_edges = np.where(bundle.edge_region_mask(), *(law.sigma for law in material.eps_laws()))
     stp = OracleStepper(bundle, material, params1, params2, grid.dt, sigma_edges=sigma_edges)
     g = _source_signal(cfg, bundle, grid, 0.0)
 

@@ -58,6 +58,11 @@ class RankAmbiguous(MemaxError):
     """Singular values straddle the rank threshold too closely to trust."""
 
 
+class LinearSolveFailure(MemaxError):
+    """The oracle stepper's edge system is not positive definite, a step's
+    solve failed or went non-finite, or a memory accumulator drifted."""
+
+
 class FrequencySingular(MemaxError):
     """A per-frequency system solve hit a (near-)singular matrix."""
 

@@ -305,7 +305,7 @@ def build_g_phi(h: HistorySpec, b: BumpSpec, bundle: OperatorBundle,
         raise ValueError(f"unknown conv_method {conv_method!r}")
     if nl_spec is not None and q is not None:
         nl_spec.dt_convolve(phi_E.with_values(q(phi_E.values)), dG_full[:, :ne])
-    sigma_e = np.where(emask1, material.sigma1, material.sigma2)
+    sigma_e = np.where(emask1, *(law.sigma for law in material.eps_laws()))
     if sigma_e.any():
         # conduction current sigma E: sigma phi(0-) at t = 0, sigma phi^+ after
         dG_full[:, :ne] += sigma_e * (phi_E.values + phip_E.values)

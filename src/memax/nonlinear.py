@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import BallEscape, KernelRankTooHigh, MaxIterExceeded, NotAContraction
+from .errors import BallEscape, KernelRankTooHigh, MaxIterExceeded, NotAContraction, NotCertified
 from .materials import line_certificate, sample_kernel
 from .signals import (
     SampledKernel,
@@ -503,7 +503,8 @@ def ball_solve(problem: LinearProblem, nonlinearity, weight: float, alpha: float
         gain = 1.0 / op.c_min
     else:
         if K_linear is None:
-            raise ValueError("decay-weight ball solves need the linear stability constant K")
+            raise NotCertified(-weight, "a decay-weight ball solve needs the linear "
+                                        "stability constant K_linear")
         gain = K_linear
 
     if radius_policy == "auto":

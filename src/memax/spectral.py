@@ -30,9 +30,10 @@ Appl. 28, 1979); the checks use z M + A in the original basis.
 A is real and M(conj z) = conj M(z), so real fields map to real fields:
 apply() solves real data on the rfft half line of the transform pair of
 memax.signals, and every per-bin check is invariant under the scaling the
-pair leaves out.  An operator keeps each bin's factors for the next
-iterations of the fixed-point solvers (a one-shot solve keeps none), and
-solves the bins in byte-bounded blocks, in buffers it reuses.
+pair leaves out.  An operator keeps its first bins' factors, one sweep,
+for the next iterations of the fixed-point solvers (a one-shot solve
+keeps none), and solves the bins in byte-bounded blocks, in buffers it
+reuses.
 
 A singular frequency is never skipped: material-law poles on the line
 surface as PoleHit or FrequencySingular.  On a certified line (c_min > 0)
@@ -185,6 +186,7 @@ class ModalReduction:
         m = bundle.grid.n_cells[ax] - 1
         F = np.count_nonzero(cls == 3) // (m + 1)
         R, T = ne - F * (m + 1), F * m
+        self.bytes_per_bin = 16 * (R + 2 * T)   # a bin's factors: R pivots, 2T TM and E_n entries
         chat = bundle.modal_curl[:, perm]
         k2hat = (chat.T @ sparse.diags(1.0 / mu) @ chat).tocsr()
         diag, up = k2hat.diagonal(), k2hat.diagonal(1)[:R].reshape(-1, m)[:, :-1]
@@ -248,8 +250,9 @@ class ModalReduction:
         ks, and the columns with a zero pivot (non-finite factors): E_n out
         of each TM system, then Thomas on every system, all columns at once."""
         F = len(self.nn)
-        dn = self.nn[..., None] + zl[self.cell_group]
-        d = self.diag[..., None] + zl[self.node_group]
+        dn, d = zl[self.cell_group], zl[self.node_group]   # shifted in place: no second copy
+        dn += self.nn[..., None]
+        d += self.diag[..., None]
         pa0, pa1 = self.pa
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(1.0, dn, out=dn)
@@ -288,9 +291,9 @@ class SolutionOperator:
 
     Bin k eliminates H and solves diag(z_k^2 eps(z_k)) + K2hat through the
     bundle's ModalReduction for mu, a block of bins at once; refinement
-    slices the block's factors.  Factors are kept per bin (_factors) unless
-    keep_factors is off, as in solve_linear.  The block working arrays are
-    allocated on the first apply and reused, so one operator serves one thread.
+    slices the block's factors.  The first bins' factors are kept, one sweep
+    (_kept), unless keep_factors is off, as in solve_linear.  The block working
+    arrays are allocated on the first apply and reused, so one operator serves one thread.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
@@ -317,14 +320,13 @@ class SolutionOperator:
         self._inv_mu = 1.0 / mu
         self._cond_unit = max(abs(material.mu1), abs(material.mu2), 1.0)
         self._keep = keep_factors
-        self._kept: list = []                   # kept factors, as factored (or a first part)
-        self._held = np.full((2, z.size), -1)   # per bin: its kept factors and column, or -1
+        self._kept: _LineFactors | None = None   # the sweep of the line's first bins
         self._work = None   # the block workspace, allocated on the first apply
 
     @property
     def factor_cache_bytes(self) -> int:
         """Bytes of the line factors the operator holds for reuse."""
-        return sum(f.nbytes for f in self._kept)
+        return 0 if self._kept is None else self._kept.nbytes
 
     def _factor(self, ks: np.ndarray) -> _LineFactors:
         """Factors of the edge systems diag(z_k^2 eps(z_k)) + K2hat of the bins
@@ -336,32 +338,6 @@ class SolutionOperator:
         if zero.any():
             raise FrequencySingular(complex(z[np.argmax(zero)]), np.inf)
         return fac
-
-    def _factors(self, ks: np.ndarray) -> _LineFactors:
-        """Factors of the bins ks.  Held bins are read from the kept factors,
-        as views when they are consecutive columns of one factoring, else
-        gathered; the rest are factored, and kept (the first met, so the
-        lowest bins first) while the bytes stay within FACTOR_CACHE_BYTES."""
-        blocks, (src, col) = self._kept, self._held[:, ks]
-        new = src < 0
-        if new.any():
-            fac = self._factor(ks[new])
-            blocks = blocks + [fac]
-            src[new], col[new] = len(self._kept), np.arange(fac.ks.size)
-            room = (FACTOR_CACHE_BYTES - self.factor_cache_bytes) // (fac.nbytes // fac.ks.size)
-            if self._keep and room > 0:
-                if room < fac.ks.size:   # the first bins, copied so the rest can be freed
-                    fac = _LineFactors(*(a[..., :room].copy() for a in fac))
-                self._held[0, fac.ks], self._held[1, fac.ks] = len(self._kept), np.arange(fac.ks.size)
-                self._kept.append(fac)
-        if (src == src[0]).all():
-            return _columns(blocks[src[0]], col)
-        out = _LineFactors(ks, *(np.empty(a.shape[:-1] + ks.shape, a.dtype) for a in blocks[0][1:]))
-        for b in np.unique(src):
-            sel = np.flatnonzero(src == b)
-            for a, f in zip(out[1:], blocks[b][1:]):
-                a[..., sel] = f[..., col[sel]]
-        return out
 
     def _solve(self, fac: _LineFactors, d: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
         """u = (diag(d) + A)^{-1} g, one column per bin fac.ks, written into u
@@ -396,16 +372,16 @@ class SolutionOperator:
             self._work = np.empty((4, size), dtype=np.complex128)
         return [w[:size].reshape(-1, m) for w in self._work]
 
-    def _solve_block(self, ks: np.ndarray, gk: np.ndarray, half: bool):
-        """Solve the bins ks, whose data are the rows of gk, in the workspace:
-        the solution (a workspace view, one column per bin), the relative
-        residual and growth per bin and the number of refined bins.  The
-        first bin the certificate (or the heuristic) rejects raises."""
-        n = self.z.size
+    def _solve_block(self, fac: _LineFactors, gk: np.ndarray, half: bool):
+        """Solve the bins fac.ks, factored as fac, whose data are the rows of
+        gk, in the workspace: the solution (a workspace view, one column per
+        bin), the relative residual and growth per bin and the number of
+        refined bins.  The first bin the certificate (or the heuristic)
+        rejects raises."""
+        n, ks = self.z.size, fac.ks
         g, d, u, r = self._workspace(ks.size)
         np.copyto(g, gk.T)
         np.take(self._lines[ks].T, self._group, axis=0, out=d, mode="clip")   # "raise" would buffer
-        fac = self._factors(ks)
         c0e = self._solve(fac, d, g, u)
         gn = _column_norms(g)
         first = _column_norms(u)
@@ -446,8 +422,13 @@ class SolutionOperator:
 
         The nonzero bins are solved in consecutive blocks, each the columns
         of the workspace's dofs x bins arrays (one bin at least), so the
-        sparse products read contiguous rows.  A check that fails raises for
-        the first such bin in bin order; collect receives the maxima.
+        sparse products read contiguous rows, cut every `step` bins and at
+        `held`.  The first `held` bins (as many as FACTOR_CACHE_BYTES holds;
+        0 without keep_factors) read one kept sweep, factored unless it holds
+        them all already; later blocks are factored one by one.  A check that
+        fails raises for the first such bin in bin order, but the sweep checks
+        its zero pivots before any bin is solved, so it names such a bin ahead
+        of a failed check at a lower bin; collect receives the maxima.
         """
         n = self.z.size
         if ghat.shape[0] not in (n, n // 2 + 1):
@@ -461,10 +442,18 @@ class SolutionOperator:
         res, growth = np.empty(ks.size), np.empty(ks.size)
         refined = 0
         step = max(1, LINE_BLOCK_BYTES // (16 * self.bundle.n_state))
-        for b in range(0, ks.size, step):
-            kb = ks[b:b + step]
+        held = (min(ks.size, FACTOR_CACHE_BYTES // self._reduction.bytes_per_bin)
+                if self._keep else 0)
+        if held and (self._kept is None or not np.isin(ks[:held], self._kept.ks).all()):
+            self._kept = None   # the old sweep is freed before the new one is factored
+            self._kept = self._factor(ks[:held])
+        cuts = sorted({*range(0, ks.size, step), held, ks.size})
+        for a, b in zip(cuts, cuts[1:]):
+            kb = ks[a:b]
+            fac = (_columns(self._kept, np.searchsorted(self._kept.ks, kb)) if b <= held
+                   else self._factor(kb))
             rows = _run(kb)   # consecutive bins are read and written through a view
-            u, res[b:b + step], growth[b:b + step], m = self._solve_block(kb, ghat[rows], half)
+            u, res[a:b], growth[a:b], m = self._solve_block(fac, ghat[rows], half)
             out[rows] = u.T
             refined += m
         if collect is not None and ks.size:

@@ -57,13 +57,9 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import MemaxError
+from .errors import LinearSolveFailure
 from .materials import PiecewiseMaterial
 from .operators import OperatorBundle
-
-
-class LinearSolveFailure(MemaxError):
-    pass
 
 
 @dataclass

@@ -609,3 +609,19 @@ class TestPicardBall:
         cert = json.loads((tmp_path / "ball" / "certificate.json").read_text())
         assert cert["certificate"]["converged"] is True
         assert "radius" in cert["certificate"]["constants"]
+
+    @pytest.mark.parametrize("radius", ["auto", "0.01"])
+    def test_decay_weight_needs_a_stability_constant(self, radius, tmp_path, capsys):
+        # a ball solve at a decay weight has no K_linear to take from the CLI:
+        # a typed refusal, exit 1, no artifacts
+        raw = default_config_dict()
+        raw["nonlinearity"] = {"kind": "saturable", "k": 3, "tau": 1.0}
+        path = tmp_path / "nl.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["picard", "--config", str(path), "--rho", "-0.05",
+                   "--ball-radius", radius, "--out", str(tmp_path / "ball")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: no accretivity certificate at weight -0.05: a decay-weight "
+                       "ball solve needs the linear stability constant K_linear"]
+        assert not (tmp_path / "ball").exists()

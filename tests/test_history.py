@@ -274,6 +274,22 @@ class TestReconstruction:
             / np.linalg.norm(u_full.values[K0:cut])
         assert rel < tol
 
+    @pytest.mark.parametrize("conv_method", ["spectral", "trapezoid"])
+    def test_conductivity_read_off_the_laws(self, conv_method, bundle4, dl_params, rng):
+        # a conductivity carried by the law records converts as the same one
+        # carried by the material: the solver sees one law, and so does g_phi
+        from memax import PiecewiseMaterial, conductivity_law, dl_law
+
+        law = dl_law(dl_params)
+        on_laws = PiecewiseMaterial(conductivity_law(law, 0.5), conductivity_law(law, 0.5),
+                                    1.0, 1.0)
+        on_material = PiecewiseMaterial(law, law, 1.0, 1.0, sigma1=0.5, sigma2=0.5)
+        hist = raw_history(bundle4, rng)
+        c1, c2 = (build_g_phi(hist, BumpSpec(0.5), bundle4, material, dl_params, dl_params,
+                              MASTER, 1.0, conv_method=conv_method)
+                  for material in (on_laws, on_material))
+        assert c1.g_phi.values.tobytes() == c2.g_phi.values.tobytes()
+
     def test_oracle_stepper_match(self, bundle4, material_dl, dl_params,
                                   dl_params_b, rng):
         hist, _ = generated_history(bundle4, material_dl, rng)

@@ -11,6 +11,7 @@ from memax import (
     KernelSpec,
     LinearProblem,
     NotAContraction,
+    NotCertified,
     QuadDtPolarization,
     QuadKernelSpec,
     SampledKernel,
@@ -385,6 +386,14 @@ class TestBallSolve:
         assert cert.converged
         assert weighted_norm(u) <= cert.constants["radius"]
         assert cert.theoretical_bound < 1.0
+
+    def test_decay_weight_needs_K_linear(self, bundle4, material_dl):
+        grid = TimeGrid(-1.0, 1.0 / 32.0, 256)
+        g = WeightedSignal(grid, -0.05, np.zeros((grid.n_samples, bundle4.n_state)))
+        with pytest.raises(NotCertified, match="K_linear") as info:
+            ball_solve(LinearProblem(bundle4, material_dl, -0.05, g), self.quad_pol(grid),
+                       weight=-0.05, alpha=1.0)
+        assert info.value.nu == 0.05
 
     def test_large_data_escapes(self, bundle4, material_dl, rng):
         grid = TimeGrid(-1.0, 1.0 / 32.0, 512)

@@ -327,11 +327,12 @@ class TestRealPathProperty:
 
 class TestFactorCounts:
     def test_real_then_cached(self, bundle4, material_dl, rng, factor_calls):
+        # the half line's factors are one sweep, which the re-apply reads
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
-        assert sum(factor_calls) == GRID.n_samples // 2 + 1
+        assert factor_calls == [GRID.n_samples // 2 + 1]
         op.apply(pulse_rhs(bundle4, GRID, 2.0, rng))
-        assert sum(factor_calls) == GRID.n_samples // 2 + 1
+        assert factor_calls == [GRID.n_samples // 2 + 1]
 
     def test_non_integer_window_start(self, bundle4, material_dl, rng, factor_calls):
         # the unit phase of the window offset no longer breaks the Nyquist
@@ -453,15 +454,15 @@ class TestFactorCacheBytes:
         op.apply(g)
         assert sum(factor_calls) == GRID.n_samples // 2 + 1
         assert op.factor_cache_bytes <= spectral.FACTOR_CACHE_BYTES
-        assert used and all(any(np.shares_memory(f.q, kept.q) for kept in op._kept) for f in used)
+        assert used and all(np.shares_memory(f.q, op._kept.q) for f in used)
 
     @pytest.mark.parametrize("spare", [0, 0.5])
     def test_budget_keeps_the_first_bins(self, spare, bundle4, material_dl, rng, factor_calls,
                                          monkeypatch):
         # in blocks of 7 bins, a budget of 14 bins' worth (17.5 with half a
-        # block to spare) keeps the factors of the first 14 (17) bins; every
-        # other bin factors on each apply, and the solution has the same bits
-        # as an unbounded operator's
+        # block to spare) keeps the factors of the first 14 (17) bins, swept
+        # in the first call; every other bin factors on each apply, and the
+        # solution has the same bits as an unbounded operator's
         monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 16 * bundle4.n_state * 7)
         g = pulse_rhs(bundle4, GRID, 2.0, rng)
         unbounded = SolutionOperator(bundle4, material_dl, 2.0, GRID)
@@ -474,8 +475,8 @@ class TestFactorCacheBytes:
         factor_calls.clear()
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         u = op.apply(g)
-        assert sum(factor_calls) == bins
-        assert list(np.flatnonzero(op._held[0] >= 0)) == list(range(kept))
+        assert sum(factor_calls) == bins and factor_calls[0] == kept
+        assert list(op._kept.ks) == list(range(kept))
         assert op.factor_cache_bytes == kept * per_bin <= spectral.FACTOR_CACHE_BYTES
         assert np.array_equal(u.values, ref[0])
         u = op.apply(g)
@@ -485,8 +486,9 @@ class TestFactorCacheBytes:
 
     def test_reapply_with_other_zero_rows_factors_nothing(self, bundle4, material_dl, rng,
                                                           factor_calls):
-        # the factors are kept per bin: a re-apply whose zero rows differ
-        # reads every bin it solves from the kept factors, and holds one copy
+        # a re-apply whose zero rows differ reads every bin it solves from the
+        # kept sweep, and holds one copy; a complex full line then replaces
+        # the sweep by its 512 bins
         n = GRID.n_samples
         G = fourier_laplace(pulse_rhs(bundle4, GRID, 2.0, rng)).values[: n // 2 + 1].copy()
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
@@ -496,6 +498,12 @@ class TestFactorCacheBytes:
         U = op.apply_spectral(G)
         assert sum(factor_calls) == n // 2 + 1 and op.factor_cache_bytes == 518112
         fresh = SolutionOperator(bundle4, material_dl, 2.0, GRID).apply_spectral(G)
+        assert U.tobytes() == fresh.tobytes()
+        full = rng.standard_normal((n, bundle4.n_state)) + 1j * rng.standard_normal((n, bundle4.n_state))
+        factor_calls.clear()
+        U = op.apply_spectral(full)
+        assert factor_calls == [n] and op._kept.ks.size == n
+        fresh = SolutionOperator(bundle4, material_dl, 2.0, GRID).apply_spectral(full)
         assert U.tobytes() == fresh.tobytes()
 
 
@@ -579,7 +587,7 @@ class TestBlockPasses:
         n, ne = grid.n_samples, b.n_edges
         ks = np.arange(n // 2 + 1 if half else n)
         G = rng.standard_normal((ks.size, b.n_state)) + 1j * rng.standard_normal((ks.size, b.n_state))
-        u, _, _, refined = op._solve_block(ks, G, half)
+        u, _, _, refined = op._solve_block(op._factor(ks), G, half)
         g, d, _, r = op._workspace(ks.size)
         assert refined == 0   # r holds the residual of the first solve
         l1, l2 = material.eps_laws()
@@ -591,7 +599,7 @@ class TestBlockPasses:
         assert d.tobytes() == formed.tobytes()
         red = op._reduction
         E = red.to_modal(op.z[ks] * g[:ne] + b.C @ (g[ne:] / mu[:, None]))
-        E = red.from_modal(red.solve(op._factors(ks), E))
+        E = red.from_modal(red.solve(op._factor(ks), E))
         H = (g[ne:] - b.C0 @ E) / formed[ne:]
         keep = slice(1, -1) if half else slice(None)   # xi = 0 and Nyquist keep their real part
         assert u[:, keep].tobytes() == np.concatenate([E, H])[:, keep].tobytes()
@@ -986,7 +994,7 @@ class TestSmallFrequency:
         op = SolutionOperator(bundle4, material_dl, rho, GRID, certificate_required=False)
         G = fourier_laplace(pulse_rhs(bundle4, GRID, rho, rng), check=False).values
         ks = np.array([0, 1, n // 2])
-        u, _, growth, refined = op._solve_block(ks, G[ks], half=True)
+        u, _, growth, refined = op._solve_block(op._factor(ks), G[ks], half=True)
         assert refined >= 1 and not u[:, -1].imag.any()
         norms = spectral._column_norms
         assert np.array_equal(growth, norms(u) / norms(G[ks].T))

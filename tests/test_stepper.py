@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import memax
 from memax import (
     DrudeLorentzParams,
     LinearProblem,
@@ -22,6 +23,12 @@ from memax import (
     solve_linear,
 )
 from memax.stepper import LinearSolveFailure
+
+
+def test_linear_solve_failure_is_the_package_error():
+    # defined with the other typed errors, exported, and still importable from the stepper
+    assert LinearSolveFailure is memax.LinearSolveFailure
+    assert issubclass(memax.LinearSolveFailure, memax.MemaxError)
 
 
 @pytest.fixture(scope="module")
