@@ -26,6 +26,15 @@ fft full line.  They drop the unit phase e^{-i xi t_start} and the constant
 dt / sqrt(2 pi), which the inverse undoes and no per-bin multiplier or solve
 sees; fourier_laplace keeps both.
 
+Working bytes: a real signal's trip to the line and back is one buffer, its
+Fortran-ordered half spectrum, which _to_line fills, a solve may overwrite
+and _from_line transforms back in place.  Every pass over a signal's
+columns (these transforms, the norms and causal_convolve) runs in ascending
+column blocks of at most LINE_BLOCK_BYTES, bit for bit as one whole-array
+call: each column's FFT is unchanged, and |u_j|^2 is summed over columns
+left to right from a running total, numpy's order for axis 1 of a
+Fortran-ordered array.
+
 Convolution convention: for a causal kernel kappa the plain Laplace symbol
 
     hat(kappa)(z) = integral_0^inf kappa(t) e^{-z t} dt
@@ -46,6 +55,7 @@ import numpy as np
 from .errors import MemaxError, NonCausalKernel, NonPositiveWeight, WraparoundExceeded
 
 DEFAULT_WRAP_TOL = 1e-8
+LINE_BLOCK_BYTES = 1 << 20      # bytes of one working array of a block: columns of a signal, bins of a line
 
 _CONTAINER_MAGIC = b"MXSG"
 _CONTAINER_VERSION = 1
@@ -191,11 +201,11 @@ class WeightedSignal:
 
     def weighted_envelope(self) -> np.ndarray:
         """max_j |u_j(t)| e^{-rho t} per sample."""
-        return _envelope(self, np.abs(self.values))
+        return _magnitudes(self)[0] * np.exp(-self.rho * self.times)
 
     def wraparound_measure(self) -> float:
         """Weighted endpoint magnitude relative to the weighted peak."""
-        return _endpoint_ratio(self.weighted_envelope())
+        return _wraparound_and_norm(self)[0]
 
     def check_wraparound(self):
         m = self.wraparound_measure()
@@ -313,34 +323,42 @@ def smooth_pulse(times: np.ndarray, t0: float, t1: float, power: int = 8) -> np.
 # operations
 
 
-def _envelope(u: WeightedSignal, mags: np.ndarray) -> np.ndarray:
-    """weighted_envelope of u from mags = |u.values|."""
-    return mags.max(axis=1) * np.exp(-u.rho * u.times)
+def _column_blocks(rows: int, cols: int, itemsize: int = 8) -> list:
+    """Ascending [a, b) ranges over cols columns of rows items of itemsize
+    bytes: as many columns as LINE_BLOCK_BYTES holds, one at least."""
+    step = max(1, LINE_BLOCK_BYTES // (itemsize * rows))
+    return [(a, min(a + step, cols)) for a in range(0, cols, step)]
 
 
-def _endpoint_ratio(env: np.ndarray) -> float:
-    """wraparound_measure from the weighted envelope."""
-    peak = env.max()
-    if peak == 0.0:
-        return 0.0
-    return max(env[0], env[-1]) / peak
-
-
-def _trapezoid_norm(u: WeightedSignal, mags: np.ndarray) -> float:
-    """weighted_norm of u from mags = |u.values|, which it squares in place."""
-    w = np.sum(np.square(mags, out=mags), axis=1) * np.exp(-2.0 * u.rho * u.times)
-    return float(np.sqrt(np.trapezoid(w, dx=u.grid.dt)))
+def _magnitudes(u: WeightedSignal) -> tuple:
+    """(max_j |u_j|, sum_j |u_j|^2) per sample, in column blocks.  A block's
+    squares sit behind the running sum, the buffer's first column, so the
+    sum folds the columns left to right as np.sum(|u|^2, axis=1) does."""
+    n, dim = u.values.shape
+    blocks = _column_blocks(n, dim)
+    buf = np.zeros((n, blocks[0][1] + 1), order="F")
+    peak = np.zeros(n)
+    for a, b in blocks:
+        mags = np.abs(u.values[:, a:b], out=buf[:, 1:b - a + 1])
+        np.maximum(peak, mags.max(axis=1), out=peak)
+        np.square(mags, out=mags)
+        buf[:, 0] = buf[:, :b - a + 1].sum(axis=1)
+    return peak, buf[:, 0]
 
 
 def weighted_norm(u: WeightedSignal) -> float:
     """Trapezoid approximation of (integral |u(t)|^2 e^{-2 rho t} dt)^(1/2)."""
-    return _trapezoid_norm(u, np.abs(u.values))
+    return _wraparound_and_norm(u)[1]
 
 
 def _wraparound_and_norm(u: WeightedSignal) -> tuple:
-    """(u.wraparound_measure(), weighted_norm(u)) from one |u.values| array."""
-    mags = np.abs(u.values)
-    return _endpoint_ratio(_envelope(u, mags)), _trapezoid_norm(u, mags)
+    """(u.wraparound_measure(), weighted_norm(u)) from one magnitude sweep."""
+    peak, squares = _magnitudes(u)
+    env = peak * np.exp(-u.rho * u.times)
+    top = env.max()
+    wrap = max(env[0], env[-1]) / top if top != 0.0 else 0.0
+    return wrap, float(np.sqrt(np.trapezoid(squares * np.exp(-2.0 * u.rho * u.times),
+                                            dx=u.grid.dt)))
 
 
 def fourier_laplace(u: WeightedSignal, check: bool = True) -> SpectralSignal:
@@ -376,22 +394,50 @@ def _to_line(u: WeightedSignal) -> tuple:
     z = rho + i xi of its rows, and whether W is the rfft half line (bins
     0 .. n//2, Nyquist with the full line's z), taken when u is float64 or
     |Im w| <= 1e-12 max |w|, or the fft full line.  real is carried, since
-    at n = 2 both lines have two rows."""
+    at n = 2 both lines have two rows.
+
+    W is Fortran-ordered.  The half line is one buffer, filled in column
+    blocks: each block is weighted into a block buffer and rfft'd into its
+    columns of W.  Complex data is weighted whole and fft'd in place."""
     g = u.grid
-    w = u.values * np.exp(-u.rho * g.times)[:, None]
+    x, weight = u.values, np.exp(-u.rho * g.times)[:, None]
     z = u.rho + 1j * g.xi
-    if np.iscomplexobj(w) and np.abs(w.imag).max() > 1e-12 * np.abs(w).max():
-        return np.fft.fft(w, axis=0, out=w), z, False
-    return np.fft.rfft(w.real, axis=0), z[:g.n_samples // 2 + 1], True
+    if np.iscomplexobj(x):
+        w = x * weight
+        if np.abs(w.imag).max() > 1e-12 * np.abs(w).max():
+            return np.fft.fft(w, axis=0, out=w), z, False
+        x, weight = w.real, 1.0   # weighted already
+    n, dim = x.shape
+    W = np.empty((n // 2 + 1, dim), dtype=np.complex128, order="F")
+    blocks = _column_blocks(n, dim)
+    buf = np.empty((n, blocks[0][1]), order="F")
+    for a, b in blocks:
+        np.fft.rfft(np.multiply(x[:, a:b], weight, out=buf[:, :b - a]), axis=0, out=W[:, a:b])
+    return W, z[:n // 2 + 1], True
 
 
 def _from_line(W: np.ndarray, like: WeightedSignal, real: bool) -> WeightedSignal:
     """The signal with _to_line spectrum W and like's grid, weight and
-    wrap_tol: float64 by irfft from the half line (the self-mirrored rows
-    count by their real part), or by ifft in place in W."""
+    wrap_tol, computed in W's own bytes, which it takes over: float64 by
+    irfft from the half line (the self-mirrored rows count by their real
+    part), or by ifft in place in W.
+
+    On the half line, W (Fortran-ordered, as _to_line made it) is viewed as
+    floats; in ascending column blocks, block [a, b) is irfft'd into the
+    floats [n a, n b), which end before spectrum column b, and unweighted
+    there.  numpy copies a block's input, which its output overlaps, so the
+    blocks bound that copy.  The signal adopts the first n dim floats."""
     g = like.grid
-    w = np.fft.irfft(W, g.n_samples, axis=0) if real else np.fft.ifft(W, axis=0, out=W)
-    w *= np.exp(like.rho * g.times)[:, None]
+    weight = np.exp(like.rho * g.times)[:, None]
+    if real:
+        n, dim = g.n_samples, W.shape[1]
+        w = W.reshape(-1, order="F").view(np.float64)[:n * dim].reshape((n, dim), order="F")
+        for a, b in _column_blocks(n, dim):
+            np.fft.irfft(W[:, a:b], n, axis=0, out=w[:, a:b])
+            w[:, a:b] *= weight
+    else:
+        w = np.fft.ifft(W, axis=0, out=W)
+        w *= weight
     return WeightedSignal._adopt(g, like.rho, w, like.wrap_tol)
 
 
@@ -440,7 +486,8 @@ def causal_convolve(kernel: SampledKernel, u: WeightedSignal) -> WeightedSignal:
     nfft >= n + m - 1, so no term wraps (Stockham 1966); an exactly real
     kernel and signal use rfft/irfft, so the result is exactly real.  Output
     support is clipped to support(u) + support(kernel) exactly, so causality
-    holds on the grid bit-for-bit.
+    holds on the grid bit-for-bit.  The kernel is transformed once and the
+    signal's columns in blocks of LINE_BLOCK_BYTES of padded samples.
     """
     kernel.check_causal()
     if abs(kernel.grid.dt - u.grid.dt) > 1e-12 * u.grid.dt:
@@ -463,12 +510,14 @@ def causal_convolve(kernel: SampledKernel, u: WeightedSignal) -> WeightedSignal:
     nz_k = np.flatnonzero(kw)
     if nz_u.size and nz_k.size:
         nfft = 1 << (n + m - 2).bit_length()
-        full = ifft(fft(x, nfft, axis=0) * fft(kw, nfft)[:, None], nfft, axis=0)
+        kf = fft(kw, nfft)[:, None]
         # clip to window and to the exact support sum
         first = max(nz_u[0] + nz_k[0] + lag0_offset, 0)
         last = min(nz_u[-1] + nz_k[-1] + lag0_offset, n - 1)
         if last >= first:
-            out[first:last + 1] = full[first - lag0_offset:last + 1 - lag0_offset]
+            for a, b in _column_blocks(nfft, u.state_dim, out.itemsize):
+                full = ifft(fft(x[:, a:b], nfft, axis=0) * kf, nfft, axis=0)
+                out[first:last + 1, a:b] = full[first - lag0_offset:last + 1 - lag0_offset]
         out *= u.grid.dt
     return u._with_fresh(out)
 

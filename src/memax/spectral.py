@@ -33,7 +33,7 @@ memax.signals, and every per-bin check is invariant under the scaling the
 pair leaves out.  An operator keeps its first bins' factors, one sweep,
 for the next iterations of the fixed-point solvers (a one-shot solve
 keeps none), and solves the bins in byte-bounded blocks, in buffers it
-reuses.
+reuses, writing each block's solution over its data in the spectrum.
 
 A singular frequency is never skipped: material-law poles on the line
 surface as PoleHit or FrequencySingular.  On a certified line (c_min > 0)
@@ -54,12 +54,12 @@ from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracing.py wraps this
 from .errors import FrequencySingular, MemaxError, UncertifiedLine, WraparoundExceeded
 from .materials import PiecewiseMaterial
 from .operators import OperatorBundle, _component_modes, _mode_transform
-from .signals import TimeGrid, WeightedSignal, _from_line, _to_line, _wraparound_and_norm
+from .signals import (LINE_BLOCK_BYTES, TimeGrid, WeightedSignal, _from_line, _to_line,
+                      _wraparound_and_norm)
 
 COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
 BOUND_SLACK = 0.02              # growth * c_min <= 1 + slack on a certified line
 FACTOR_CACHE_BYTES = 1 << 27    # bytes of line factors an operator keeps for reuse
-LINE_BLOCK_BYTES = 1 << 20      # bytes of one dofs x bins working array of a line block
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
@@ -256,8 +256,11 @@ class ModalReduction:
         pa0, pa1 = self.pa
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(1.0, dn, out=dn)
-            d[:F] -= pa0 * pa0 * dn[:, :-1] + pa1 * pa1 * dn[:, 1:]
-            e = self.off[:F, :, None] - pa1[:, :-1] * pa0[:, 1:] * dn[:, 1:-1]
+            t = np.multiply(pa0 * pa0, dn[:, :-1])   # the products one at a time, in their order
+            t += np.multiply(pa1 * pa1, dn[:, 1:])
+            d[:F] -= t
+            e = np.multiply(pa1[:, :-1] * pa0[:, 1:], dn[:, 1:-1])
+            np.subtract(self.off[:F, :, None], e, out=e)
             _thomas_pivots(d[:F], e)
             _thomas_pivots(d[F:], self.off[F:, :, None])
         finite = np.isfinite(d).all(axis=(0, 1)) & np.isfinite(dn).all(axis=(0, 1))
@@ -286,8 +289,10 @@ class SolutionOperator:
 
     Instances are bound to (bundle, material, rho, grid): apply_spectral()
     maps a half or full line spectrum to the solution array of its shape,
-    apply() a signal to a signal.  A material-law pole on the line raises
-    PoleHit at construction.
+    apply() a signal to a signal.  Both solve a spectrum in place:
+    apply_spectral a copy of its argument, apply the buffer the transform
+    pair of memax.signals makes and transforms back in place.  A
+    material-law pole on the line raises PoleHit at construction.
 
     Bin k eliminates H and solves diag(z_k^2 eps(z_k)) + K2hat through the
     bundle's ModalReduction for mu, a block of bins at once; refinement
@@ -418,27 +423,35 @@ class SolutionOperator:
         and Nyquist keep the real part of their solve.  A full spectrum has
         n rows, bins in FFT order, and every bin is solved as it is; no
         symmetry is looked for, so real data belongs on the half line.  The
-        result has the shape of ghat.
-
-        The nonzero bins are solved in consecutive blocks, each the columns
-        of the workspace's dofs x bins arrays (one bin at least), so the
-        sparse products read contiguous rows, cut every `step` bins and at
-        `held`.  The first `held` bins (as many as FACTOR_CACHE_BYTES holds;
-        0 without keep_factors) read one kept sweep, factored unless it holds
-        them all already; later blocks are factored one by one.  A check that
-        fails raises for the first such bin in bin order, but the sweep checks
-        its zero pivots before any bin is solved, so it names such a bin ahead
-        of a failed check at a lower bin; collect receives the maxima.
+        result is a Fortran-ordered copy of ghat, solved in place.
         """
         n = self.z.size
         if ghat.shape[0] not in (n, n // 2 + 1):
             raise ValueError(f"spectrum has {ghat.shape[0]} rows; "
                              f"expected {n} bins or the half line's {n // 2 + 1}")
-        half = ghat.shape[0] != n
-        nonzero = np.any(ghat, axis=1)
+        out = np.array(ghat, dtype=np.complex128, order="F")
+        self._solve_line(out, collect)
+        return out
+
+    def _solve_line(self, W: np.ndarray, collect: dict | None):
+        """apply_spectral's solve, written over the spectrum W, one row per bin.
+
+        The nonzero bins are solved in consecutive blocks, each the columns
+        of the workspace's dofs x bins arrays (one bin at least), so the
+        sparse products read contiguous rows, cut every `step` bins and at
+        `held`; a block's rows are copied into the workspace before its
+        solution is written back over them.  The first `held` bins (as many
+        as FACTOR_CACHE_BYTES holds; 0 without keep_factors) read one kept
+        sweep, factored unless it holds them all already; later blocks are
+        factored one by one.  A check that fails raises for the first such
+        bin in bin order, but the sweep checks its zero pivots before any bin
+        is solved, so it names such a bin ahead of a failed check at a lower
+        bin; collect receives the maxima.
+        """
+        half = W.shape[0] != self.z.size
+        nonzero = np.any(W, axis=1)
         ks = np.flatnonzero(nonzero)
-        out = np.empty_like(ghat, dtype=np.complex128)
-        out[~nonzero] = 0.0
+        W[~nonzero] = 0.0   # a zero row solves to +0.0, whatever the sign of its zeros
         res, growth = np.empty(ks.size), np.empty(ks.size)
         refined = 0
         step = max(1, LINE_BLOCK_BYTES // (16 * self.bundle.n_state))
@@ -453,8 +466,8 @@ class SolutionOperator:
             fac = (_columns(self._kept, np.searchsorted(self._kept.ks, kb)) if b <= held
                    else self._factor(kb))
             rows = _run(kb)   # consecutive bins are read and written through a view
-            u, res[a:b], growth[a:b], m = self._solve_block(fac, ghat[rows], half)
-            out[rows] = u.T
+            u, res[a:b], growth[a:b], m = self._solve_block(fac, W[rows], half)
+            W[rows] = u.T
             refined += m
         if collect is not None and ks.size:
             collect["max_rel_residual"] = res.max()
@@ -462,15 +475,16 @@ class SolutionOperator:
             collect["refined_bins"] = refined
             for key, worst in (("worst_residual_z", res), ("worst_growth_z", growth)):
                 collect[key] = self.z[ks[[np.argmax(worst)]]].view(float).tolist()   # [re, im]
-        return out
 
     def apply(self, g: WeightedSignal, collect: dict | None = None) -> WeightedSignal:
         """apply_spectral between the transform pair of memax.signals: real
-        data on the half line, to an exactly real solution."""
+        data on the half line, to an exactly real solution.  The data's
+        spectrum is solved in place and transformed back in place, so a real
+        signal's solve holds one half-spectrum buffer beside g."""
         if (g.grid, g.rho) != (self.grid, self.rho):
             raise ValueError("the signal's grid or weight is not the operator's")
         W, _, real = _to_line(g)
-        W = self.apply_spectral(W, collect)   # rebound, so the data spectrum is freed
+        self._solve_line(W, collect)
         return _from_line(W, g, real)
 
 

@@ -25,8 +25,10 @@ from memax import (
     truncate_after,
     weighted_norm,
 )
-from memax import DrudeLorentzParams, SolutionOperator
-from memax.signals import _from_line, _to_line, read_signal, write_signal
+import memax.signals as signals
+from memax import DrudeLorentzParams, SolutionOperator, YeeGrid, build_curl_pair
+from memax.signals import (_from_line, _to_line, _wraparound_and_norm, read_signal,
+                           write_signal)
 
 
 def make_signal(rng, n=512, dt=0.01, t_start=-1.0, rho=0.7, dim=3, center=1.5, width=0.3):
@@ -384,6 +386,79 @@ class TestLinePair:
         W, _, _ = _to_line(u)
         w = u.values * np.exp(-u.rho * u.times)[:, None]
         assert np.array_equal(W, np.fft.rfft(w, axis=0))
+
+
+class TestColumnBlocks:
+    """Every pass over a signal's columns runs in blocks of LINE_BLOCK_BYTES:
+    one column, three columns and the whole signal give the bytes of the
+    unblocked numpy formulas, for real and complex data, one column and many.
+    At one column the in-place irfft's output overlaps its input the most."""
+
+    @staticmethod
+    def budgets(column_bytes):
+        return (1, 3 * column_bytes, 1 << 40)
+
+    @staticmethod
+    def signal(n, dim, imag, rng):
+        g = TimeGrid(-0.5, 0.01, n)
+        values = rng.standard_normal((n, dim)) * np.exp(-4.0 * rng.random(dim))
+        return WeightedSignal(g, 0.7, values + imag * 1j * rng.standard_normal((n, dim)),
+                              wrap_tol=1.0)
+
+    CASES = [(n, dim, imag) for n in (64, 65) for dim in (1, 40) for imag in (0.0, 1e-14, 1.0)]
+
+    @pytest.mark.parametrize("n, dim, imag", CASES)
+    def test_line_pair(self, n, dim, imag, rng, monkeypatch):
+        u = self.signal(n, dim, imag, rng)
+        w = u.values * np.exp(-u.rho * u.times)[:, None]
+        real = imag < 1e-12
+        spectrum = np.fft.rfft(w.real, axis=0) if real else np.fft.fft(w, axis=0)
+        back = (np.fft.irfft(spectrum, n, axis=0) if real else np.fft.ifft(spectrum, axis=0)) \
+            * np.exp(u.rho * u.times)[:, None]
+        for budget in self.budgets(8 * n):
+            monkeypatch.setattr(signals, "LINE_BLOCK_BYTES", budget)
+            W, _, is_real = _to_line(u)
+            assert is_real == real and W.flags.f_contiguous
+            assert W.tobytes() == spectrum.tobytes()
+            v = _from_line(W, u, is_real).values
+            assert v.flags.f_contiguous and v.tobytes() == back.tobytes()
+
+    @pytest.mark.parametrize("n, dim, imag", CASES)
+    def test_norms(self, n, dim, imag, rng, monkeypatch):
+        u = self.signal(n, dim, imag, rng)
+        mags = np.abs(u.values)
+        env = mags.max(axis=1) * np.exp(-u.rho * u.times)
+        wrap = max(env[0], env[-1]) / env.max()
+        squares = np.sum(np.square(mags), axis=1) * np.exp(-2.0 * u.rho * u.times)
+        norm = float(np.sqrt(np.trapezoid(squares, dx=u.grid.dt)))
+        for budget in self.budgets(8 * n):
+            monkeypatch.setattr(signals, "LINE_BLOCK_BYTES", budget)
+            assert u.weighted_envelope().tobytes() == env.tobytes()
+            assert u.wraparound_measure() == wrap and weighted_norm(u) == norm
+            assert _wraparound_and_norm(u) == (wrap, norm)
+
+    @pytest.mark.parametrize("n, dim, imag", CASES)
+    def test_causal_convolve(self, n, dim, imag, rng, monkeypatch):
+        u = self.signal(n, dim, imag, rng)
+        lag = TimeGrid(0.0, u.grid.dt, 30)
+        kern = SampledKernel(lag, np.exp(-lag.times) * np.sin(3.0 * lag.times))
+        runs = []
+        for budget in self.budgets(16 * 128):   # 128 padded samples
+            monkeypatch.setattr(signals, "LINE_BLOCK_BYTES", budget)
+            runs.append(causal_convolve(kern, u).values.tobytes())
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_apply(self, imag, material_dl, rng, monkeypatch):
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), (3, 4, 5), 1, 2))
+        grid = TimeGrid(-2.0, 1.0 / 8.0, 128)
+        vec = rng.standard_normal(b.n_state) + imag * 1j * rng.standard_normal(b.n_state)
+        g = WeightedSignal(grid, 2.0, smooth_pulse(grid.times, 0.0, 2.0)[:, None] * vec)
+        runs = []
+        for budget in self.budgets(8 * grid.n_samples):
+            monkeypatch.setattr(signals, "LINE_BLOCK_BYTES", budget)
+            runs.append(SolutionOperator(b, material_dl, 2.0, grid).apply(g).values.tobytes())
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestContainer:

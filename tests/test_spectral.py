@@ -659,6 +659,30 @@ class TestWorkingBytes:
         # real data in, the float64 solution out: no complex signal-sized array
         assert self.one_shot_peak(material_dl, rng) <= 1.7
 
+    def test_one_shot_solve_one_spectrum_buffer(self, material_dl, rng):
+        # real data: one half spectrum, solved and transformed back in place,
+        # and norms read in column blocks; about 1.5x the input at n=8, where
+        # a separate solution spectrum and a |u| array made it 2.5x
+        b = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), (8, 8, 8), 3, 4))
+        g = pulse_rhs(b, GRID, 2.0, rng)
+        peak = traced_peak(lambda: solve_linear(LinearProblem(b, material_dl, 2.0, g)))
+        assert peak <= 1.75 * g.values.nbytes
+
+    @pytest.mark.parametrize("half", [True, False])
+    def test_apply_spectral_leaves_its_argument(self, half, bundle4, material_dl, rng):
+        # the solve runs in place in a copy: zero rows (a negative zero among
+        # them) are zeroed and solved rows written there, not in ghat
+        n = GRID.n_samples
+        ghat = fourier_laplace(pulse_rhs(bundle4, GRID, 2.0, rng), check=False).values
+        ghat = ghat[: n // 2 + 1].copy() if half else ghat.copy()
+        ghat[[3, 9]] = 0.0
+        ghat[9, 0] = -0.0
+        given = ghat.tobytes()
+        U = SolutionOperator(bundle4, material_dl, 2.0, GRID).apply_spectral(ghat)
+        assert ghat.tobytes() == given
+        assert U.flags.f_contiguous and U.shape == ghat.shape
+        assert not U[[3, 9]].any() and not np.signbit(U[9, 0].real)
+
 
 class TestModalSolve:
     """The per-bin solve in the transverse cavity-mode basis against sparse LU
