@@ -32,8 +32,7 @@ from .spectral import LinearProblem, solve_linear
 from .stepper import OracleStepper
 from . import history as history_mod
 from . import stability as stability_mod
-from .materials import (DrudeLorentzParams, ModDLParams, PiecewiseMaterial, ScalarLaw,
-                        accretivity_scan)
+from .materials import DrudeLorentzParams, ModDLParams, PiecewiseMaterial, accretivity_scan
 
 
 def _finite(text: str) -> float:
@@ -231,9 +230,8 @@ def _default_battery():
     """(model, material, laws, eps_infs) rows; each law is its material's region-1 law."""
     p = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)])
     rows = []
-    for model, params, sigma in [("dl", p, 0.0), ("mod_dl", ModDLParams(p, 4.0), 0.0),
-                                 ("dl_sigma", p, 0.5)]:
-        law = ScalarLaw(params)
+    for model, law, sigma in [("dl", p, 0.0), ("mod_dl", ModDLParams(p, 4.0), 0.0),
+                              ("dl_sigma", p, 0.5)]:
         material = PiecewiseMaterial(law, law, 1.0, 1.0, sigma1=sigma, sigma2=sigma)
         rows.append((model, material, [material.eps_laws()[0]], [1.0]))
     return rows

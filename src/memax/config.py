@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .materials import (
-    DrudeLorentzParams,
-    ModDLParams,
-    PiecewiseMaterial,
-    ScalarLaw,
-)
+from .materials import PiecewiseMaterial, ScalarLaw
 from .operators import YeeGrid, build_curl_pair
 from .signals import TimeGrid
 
@@ -249,13 +244,9 @@ class RunConfig:
         t = self.raw["time"]
         return TimeGrid(float(t["t_start"]), float(t["dt"]), int(t["n_samples"]))
 
-    def _law_params(self, section: dict):
-        """(parameter record, sigma) of one region's law section."""
+    def _law(self, section: dict):
+        """(law without its conductivity, sigma) of one region's law section."""
         model = section.get("model", "dl")
-        eps0 = float(section.get("eps0", 1.0))
-        terms = [(float(t["alpha"]), float(t["gamma"]), float(t["omega0"]))
-                 for t in section.get("terms", [{"alpha": 1.0, "gamma": 1.0, "omega0": 2.0}])]
-        params = DrudeLorentzParams(eps0, terms)
         sigma = float(section.get("sigma", 0.0))
         if model not in ("dl", "mod_dl", "dl_sigma"):
             raise ConfigError(f"unknown material model {model!r}")
@@ -263,21 +254,23 @@ class RunConfig:
             raise ConfigError("sigma requires model = dl_sigma")
         if model == "dl_sigma" and sigma <= 0:
             raise ConfigError("dl_sigma needs a positive sigma")
-        return (ModDLParams(params, float(section["r"])) if model == "mod_dl" else params), sigma
+        terms = [(float(t["alpha"]), float(t["gamma"]), float(t["omega0"]))
+                 for t in section.get("terms", [{"alpha": 1.0, "gamma": 1.0, "omega0": 2.0}])]
+        r = float(section["r"]) if model == "mod_dl" else None
+        return ScalarLaw(float(section.get("eps0", 1.0)), terms, r), sigma
 
     def material(self):
-        """(PiecewiseMaterial, params1, params2, laws, eps_infs); laws are
-        material.eps_laws(), each region's record with its sigma."""
+        """(PiecewiseMaterial, law1, law2, laws, eps_infs): law1 and law2 are
+        the material's region laws without their conductivity, laws are
+        material.eps_laws(), each region's law with its sigma."""
         m = self.raw["material"]
         mu = m.get("mu", [1.0, 1.0])
         if np.isscalar(mu):
             mu = [float(mu), float(mu)]
-        params1, sigma1 = self._law_params(m)
-        params2, sigma2 = self._law_params(_region2(m)) if "region2" in m else (params1, sigma1)
-        material = PiecewiseMaterial(ScalarLaw(params1), ScalarLaw(params2), mu[0], mu[1],
-                                     sigma1=sigma1, sigma2=sigma2)
-        return (material, params1, params2, list(material.eps_laws()),
-                [params1.eps_inf, params2.eps_inf])
+        law1, sigma1 = self._law(m)
+        law2, sigma2 = self._law(_region2(m)) if "region2" in m else (law1, sigma1)
+        material = PiecewiseMaterial(law1, law2, mu[0], mu[1], sigma1=sigma1, sigma2=sigma2)
+        return material, law1, law2, list(material.eps_laws()), [law1.eps_inf, law2.eps_inf]
 
     def bundle(self):
         return build_curl_pair(self.yee_grid())

@@ -41,14 +41,13 @@ class HistorySpec:
     """Sampled history on [-T_h, 0], extended by zero to the left.
 
     values rows follow times; the last row is phi(0-).  The derivative at
-    0- defaults to the one-sided second-order difference when not given;
-    higher derivatives (used by higher-order jump smoothing) may be supplied
-    as extra rows of derivs_at_0minus = [dphi, d2phi, ...].
+    0- is the first row of derivs_at_0minus = [dphi, d2phi, ...] when given,
+    else the one-sided second-order difference; the higher rows are used by
+    higher-order jump smoothing.
     """
 
     times: np.ndarray
     values: np.ndarray
-    dphi_at_0minus: np.ndarray | None = None
     derivs_at_0minus: np.ndarray | None = None
 
     def __post_init__(self):
@@ -73,8 +72,6 @@ class HistorySpec:
         return self.values[-1]
 
     def dphi(self) -> np.ndarray:
-        if self.dphi_at_0minus is not None:
-            return np.asarray(self.dphi_at_0minus, dtype=np.complex128)
         if self.derivs_at_0minus is not None:
             return np.asarray(self.derivs_at_0minus[0], dtype=np.complex128)
         v = self.values

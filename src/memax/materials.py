@@ -8,8 +8,9 @@ has its poles in the open left half-plane for gamma_j > 0, except the pole
 at 0 of a Drude term (omega0_j = 0).  The modified law multiplies each term
 by (1 + (z - z0)/r), which restores strict half-plane accretivity outside a
 disk around the origin when 2 gamma r - omega0^2 > 0, and a conductivity
-shift sigma adds z^{-1} sigma.  ScalarLaw is one region's law: a parameter
-record (DrudeLorentzParams or ModDLParams) plus its sigma.
+shift sigma adds z^{-1} sigma.  One frozen record, ScalarLaw(eps0, terms,
+r, z0, sigma), is one region's law (r = None for the plain law);
+DrudeLorentzParams and ModDLParams are constructors that return it.
 
 Time domain: _oscillator expands each term into (lam, c) pairs whose kernel
 is Im(c e^{lam t}) for t > 0 (the recursive-convolution form of Luebbers et
@@ -28,8 +29,9 @@ the origin and pole-adjacent cells, and append the known analytic limits at
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,58 +43,134 @@ SCAN_POLE_MARGIN = 1e-6       # scan cells closer than this to a pole are skippe
 
 
 # ---------------------------------------------------------------------------
-# parameter records
+# the law record: M(z) = eps(z) + z^{-1} sigma
+
+
+def _require(field: str, value, positive: bool = True) -> None:
+    """ValueError naming field unless value is finite and positive (or nonnegative)."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{field} must be {'positive' if positive else 'nonnegative'} "
+                         f"and finite, got {value}")
 
 
 @dataclass(frozen=True)
-class DrudeLorentzParams:
-    """eps0 plus a sum of damped-oscillator terms (alpha_j, gamma_j, omega0_j)."""
+class ScalarLaw:
+    """One region's law M(z) = eps(z) + z^{-1} sigma, eps the damped-oscillator
+    terms (alpha_j, gamma_j, omega0_j) plus eps0: eval_dl when r is None, else
+    mod_dl_eval (each term times (1 + (z - z0)/r)).  chi and kernel_terms
+    describe eps alone; `base` is the law without its conductivity (None
+    when sigma == 0), and a conductive law has a pole at 0.
+    """
 
     eps0: float
     terms: tuple
+    r: float | None = None
+    z0: complex = 0.0
+    sigma: float = 0.0
 
     def __post_init__(self):
-        if not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
+        _require("eps0", self.eps0)
         terms = tuple((float(a), float(g), float(w)) for (a, g, w) in self.terms)
         if not terms:
             raise ValueError("need at least one oscillator term")
         for a, g, w in terms:
-            if not (a > 0 and g > 0 and w >= 0):
-                raise ValueError(f"bad term (alpha={a}, gamma={g}, omega0={w})")
-            if not all(map(math.isfinite, (a, g, w))):
-                raise ValueError("parameters must be finite")
+            if not (a > 0 and g > 0 and w >= 0 and all(map(math.isfinite, (a, g, w)))):
+                raise ValueError(f"bad term (alpha={a}, gamma={g}, omega0={w}): alpha and "
+                                 "gamma must be positive, omega0 nonnegative, all finite")
         object.__setattr__(self, "terms", terms)
-
-    def poles(self) -> np.ndarray:
-        """Roots of the term denominators; Re z < 0 except a Drude term's 0."""
-        return np.asarray([z for _, g, w in self.terms for z in _oscillator(g, w)[0]],
-                          dtype=np.complex128)
+        if self.r is not None:
+            _require("r", self.r)
+        if not cmath.isfinite(self.z0):
+            raise ValueError(f"z0 must be finite, got {self.z0}")
+        _require("sigma", self.sigma, positive=False)
 
     @property
     def eps_inf(self) -> float:
         return self.eps0
 
+    @property
+    def name(self) -> str:
+        return ("dl" if self.r is None else "mod_dl") + ("_sigma" if self.sigma > 0 else "")
+
+    @property
+    def poles(self) -> np.ndarray:
+        """The terms' roots (Re z < 0 but a Drude term's 0), and 0 if conductive."""
+        poles = np.asarray([z for _, g, w in self.terms for z in _oscillator(g, w)[0]],
+                           dtype=np.complex128)
+        return np.concatenate([poles, [0.0 + 0.0j]]) if self.sigma > 0 else poles
+
+    @property
+    def base(self) -> ScalarLaw | None:
+        return replace(self, sigma=0.0) if self.sigma > 0 else None
+
     def chi(self, z):
-        """The memory part of the law, eps(z) - eps_inf."""
-        return eval_chi_dl(z, self)
+        """The memory part of the permittivity, eps(z) - eps0."""
+        return eval_chi_dl(z, self) if self.r is None else mod_dl_eval(z, self) - self.eps0
+
+    def __call__(self, z):
+        eps = eval_dl if self.r is None else mod_dl_eval
+        if not self.sigma > 0:
+            return eps(z, self)
+        zz = np.asarray(z, dtype=np.complex128)
+        return eps(zz, self) + self.sigma / zz
 
     def kernel_terms(self) -> list:
-        """(lam, c) pairs of the terms alpha / (z^2 + 2 gamma z + omega0^2)."""
-        return self._expand(lambda a: (0.0, a))
-
-    def _expand(self, numerator) -> list:
-        """The (lam, c) pairs of every term, with numerator(alpha) -> (n1, n0)."""
+        """(lam, c) pairs of the terms (n1 z + n0) / (z^2 + 2 gamma z + omega0^2):
+        n1 = 0, n0 = alpha for a plain law; n1 = alpha/r, n0 = alpha (1 - z0/r)
+        for a modified law with real z0."""
+        z0, r = complex(self.z0), self.r
+        if r is not None and z0.imag != 0.0:
+            raise MemaxError(f"z0 = {self.z0} is not real, so the modified law has no "
+                             "real time-domain kernel")
         out = []
         for a, g, w in self.terms:
-            pairs = _oscillator(g, w, *numerator(a))[1]
+            n1, n0 = (0.0, a) if r is None else (a / r, a * (1 - z0.real / r))
+            pairs = _oscillator(g, w, n1, n0)[1]
             if pairs is None:
-                raise MemaxError(
-                    f"term (alpha={a}, gamma={g}, omega0={w}) is critically damped: its "
-                    "kernel t e^(-gamma t) has no Im(c e^(lam t)) form"
-                )
+                raise MemaxError(f"term (alpha={a}, gamma={g}, omega0={w}) is critically damped: "
+                                 "its kernel t e^(-gamma t) has no Im(c e^(lam t)) form")
             out += pairs
         return out
+
+    def accretivity_margin(self) -> float:
+        """min over terms of 2*gamma*r - omega0^2 (must be > 0 for the certificate)."""
+        if self.r is None:
+            raise ValueError("a plain law has no correction factor, so no accretivity margin")
+        return min(2.0 * g * self.r - w * w for _, g, w in self.terms)
+
+    def re_zM_limit(self, nu: float) -> float:
+        limit = self.eps0 * nu
+        if self.r is not None:
+            limit += sum(a / self.r for a, _, _ in self.terms)
+        return limit + self.sigma if self.sigma > 0 else limit
+
+    def re_M_limit(self, nu: float) -> float:
+        return self.eps0
+
+
+def DrudeLorentzParams(eps0: float, terms) -> ScalarLaw:
+    """The plain law: eps0 plus a sum of damped-oscillator terms (alpha_j, gamma_j, omega0_j)."""
+    return ScalarLaw(eps0, terms)
+
+
+def ModDLParams(base: ScalarLaw, r: float, z0: complex = 0.0) -> ScalarLaw:
+    """base with the analytic correction factor (1 + (z - z0)/r) on every term."""
+    if base.r is not None:
+        raise ValueError(f"base is already a modified law (r = {base.r})")
+    return replace(base, r=r, z0=z0)
+
+
+def dl_law(p: ScalarLaw) -> ScalarLaw:
+    """The law itself: a ScalarLaw record is its own law."""
+    return p
+
+
+mod_dl_law = dl_law
+
+
+def conductivity_law(eps_law: ScalarLaw, sigma: float) -> ScalarLaw:
+    """M(z) = eps(z) + z^{-1} sigma, the conductivity added to eps_law's own."""
+    return replace(eps_law, sigma=eps_law.sigma + sigma) if sigma else eps_law
 
 
 def _oscillator(g: float, w: float, n1: float = 0.0, n0: float = 0.0) -> tuple:
@@ -114,41 +192,6 @@ def _oscillator(g: float, w: float, n1: float = 0.0, n0: float = 0.0) -> tuple:
                       (lo, -1j * (n1 * lo + n0) / (hi - lo))]
 
 
-@dataclass(frozen=True)
-class ModDLParams:
-    """Damped-oscillator law with the analytic correction factor (1 + (z-z0)/r)."""
-
-    base: DrudeLorentzParams
-    r: float
-    z0: complex = 0.0
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("r must be positive")
-
-    def accretivity_margin(self) -> float:
-        """min over terms of 2*gamma*r - omega0^2 (must be > 0 for the certificate)."""
-        return min(2.0 * g * self.r - w * w for _, g, w in self.base.terms)
-
-    @property
-    def eps_inf(self) -> float:
-        return self.base.eps0
-
-    def chi(self, z):
-        """The memory part of the law, M_r(z) - eps_inf."""
-        return mod_dl_eval(z, self) - self.base.eps0
-
-    def kernel_terms(self) -> list:
-        """(lam, c) pairs of the terms alpha (1 + (z - z0)/r) / (z^2 + 2 gamma z
-        + omega0^2): n1 = alpha/r, n0 = alpha (1 - z0/r), for real z0."""
-        z0 = complex(self.z0)
-        if z0.imag != 0.0:
-            raise MemaxError(f"z0 = {self.z0} is not real, so the modified law has no "
-                             "real time-domain kernel")
-        r = self.r
-        return self.base._expand(lambda a: (a / r, a * (1 - z0.real / r)))
-
-
 def _check_poles(z, terms) -> list:
     """The term denominators omega0_j^2 + z^2 + 2 gamma_j z at z; PoleHit when
     one is within POLE_PROXIMITY of zero relative to its size."""
@@ -167,8 +210,16 @@ def _check_poles(z, terms) -> list:
     return dens
 
 
-def eval_chi_dl(z, p: DrudeLorentzParams):
-    """chi(z) = sum_j alpha_j / (omega0_j^2 + z^2 + 2 gamma_j z)."""
+def _kind(p: ScalarLaw, modified: bool) -> None:
+    """ValueError unless p is a modified (modified=True) or a plain law."""
+    if (p.r is not None) != modified:
+        raise ValueError(f"this reference takes a {'modified' if modified else 'plain'} "
+                         f"law, got {p.name}")
+
+
+def eval_chi_dl(z, p: ScalarLaw):
+    """chi(z) = sum_j alpha_j / (omega0_j^2 + z^2 + 2 gamma_j z) of p's terms,
+    without a modified law's factor."""
     zz = np.asarray(z, dtype=np.complex128)
     out = np.zeros_like(zz)
     for (a, _, _), den in zip(p.terms, _check_poles(zz, p.terms)):
@@ -176,22 +227,22 @@ def eval_chi_dl(z, p: DrudeLorentzParams):
     return out if np.ndim(z) else complex(out)
 
 
-def eval_dl(z, p: DrudeLorentzParams):
-    """Full permittivity eps0 + chi(z)."""
+def eval_dl(z, p: ScalarLaw):
+    """Permittivity eps0 + chi(z) of a plain law."""
+    _kind(p, modified=False)
     return p.eps0 + eval_chi_dl(z, p)
 
 
-def mod_dl_eval(z, p: ModDLParams):
-    """M_r(z) = eps0 + chi(z) * (1 + (z - z0)/r)."""
+def mod_dl_eval(z, p: ScalarLaw):
+    """Permittivity M_r(z) = eps0 + chi(z) * (1 + (z - z0)/r) of a modified law."""
+    _kind(p, modified=True)
     zz = np.asarray(z, dtype=np.complex128)
-    factor = 1.0 + (zz - p.z0) / p.r
-    chi = eval_chi_dl(zz, p.base)
-    out = p.base.eps0 + chi * factor
+    out = p.eps0 + eval_chi_dl(zz, p) * (1.0 + (zz - p.z0) / p.r)
     return out if np.ndim(z) else complex(out)
 
 
-def re_zM_closed_form(nu: float, t: float, p: DrudeLorentzParams) -> float:
-    """Re((nu+it) M(nu+it)) for the plain law via the real rational closed form.
+def re_zM_closed_form(nu: float, t: float, p: ScalarLaw) -> float:
+    """Re((nu+it) eps(nu+it)) for a plain law via the real rational closed form.
 
     Per oscillator term the contribution is
 
@@ -201,6 +252,7 @@ def re_zM_closed_form(nu: float, t: float, p: DrudeLorentzParams) -> float:
     plus eps0*nu once.  Must agree with the direct complex evaluation to
     near machine precision everywhere off the pole set.
     """
+    _kind(p, modified=False)
     z = complex(nu, t)
     _check_poles(np.asarray([z]), p.terms)
     total = p.eps0 * nu
@@ -211,17 +263,18 @@ def re_zM_closed_form(nu: float, t: float, p: DrudeLorentzParams) -> float:
     return float(total)
 
 
-def mod_dl_g(nu: float, t: float, p: ModDLParams) -> float:
+def mod_dl_g(nu: float, t: float, p: ScalarLaw) -> float:
     """g(nu, t) = Re((nu+it) M_r(nu+it)) - eps0*nu for the single-term modified law.
 
     Closed rational form; its limit as |t| -> infinity is alpha/r.
     """
-    if len(p.base.terms) != 1 or p.z0 != 0.0:
+    _kind(p, modified=True)
+    if len(p.terms) != 1 or p.z0 != 0.0:
         raise ValueError("closed form covers the canonical single-term, z0=0 case")
-    a, g, w = p.base.terms[0]
+    a, g, w = p.terms[0]
     r = p.r
     z = complex(nu, t)
-    _check_poles(np.asarray([z]), p.base.terms)
+    _check_poles(np.asarray([z]), p.terms)
     num = (nu * w * w * r + (2.0 * g * r + w * w) * nu ** 2 + (r + 2.0 * g) * nu ** 3
            + ((r + 2.0 * g) * nu + 2.0 * nu ** 2 + 2.0 * g * r - w * w) * t * t
            + nu ** 4 + t ** 4)
@@ -233,7 +286,7 @@ def sample_kernel(terms, grid: TimeGrid, derivative: bool = False) -> SampledKer
     """Sample sum_j Im(c_j e^{lam_j t}) for t >= 0 (zero before), or with
     derivative=True its t-derivative sum_j Im(c_j lam_j e^{lam_j t}).
 
-    terms are (lam, c) pairs from a parameter record's kernel_terms().
+    terms are (lam, c) pairs from a law's kernel_terms().
     """
     t = grid.times
     pos = t >= 0
@@ -248,75 +301,6 @@ def sample_kernel(terms, grid: TimeGrid, derivative: bool = False) -> SampledKer
         else:
             vals[pos] += c.real * e * s + c.imag * e * co
     return SampledKernel(grid, vals)
-
-
-# ---------------------------------------------------------------------------
-# law records: M(z) = eps(z) + z^{-1} sigma
-
-
-@dataclass(frozen=True)
-class ScalarLaw:
-    """A scalar material law M(z) = eps(z) + z^{-1} sigma: a parameter record
-    (DrudeLorentzParams for eps = eval_dl, ModDLParams for eps = mod_dl_eval)
-    plus its conductivity.  Name, poles and the |Im z| -> inf limits of
-    Re(z M(z)) (eps_inf nu, plus sum alpha/r for ModDLParams, plus sigma) and
-    of Re M(z) (eps_inf) are read off the record.  A conductive law (sigma >
-    0) has a pole at 0 and keeps its conductivity-free law as `base` (None
-    when sigma == 0).
-    """
-
-    params: DrudeLorentzParams | ModDLParams
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-
-    @property
-    def _mod(self) -> bool:
-        return isinstance(self.params, ModDLParams)
-
-    @property
-    def name(self) -> str:
-        return ("mod_dl" if self._mod else "dl") + ("_sigma" if self.sigma > 0 else "")
-
-    @property
-    def poles(self) -> np.ndarray:
-        poles = (self.params.base if self._mod else self.params).poles()
-        return np.concatenate([poles, [0.0 + 0.0j]]) if self.sigma > 0 else poles
-
-    @property
-    def base(self) -> ScalarLaw | None:
-        return ScalarLaw(self.params) if self.sigma > 0 else None
-
-    def __call__(self, z):
-        eps = mod_dl_eval if self._mod else eval_dl
-        if not self.sigma > 0:
-            return eps(z, self.params)
-        zz = np.asarray(z, dtype=np.complex128)
-        return eps(zz, self.params) + self.sigma / zz
-
-    def re_zM_limit(self, nu: float) -> float:
-        p, limit = self.params, self.params.eps_inf * nu
-        if self._mod:
-            limit += sum(a / p.r for a, _, _ in p.base.terms)
-        return limit + self.sigma if self.sigma > 0 else limit
-
-    def re_M_limit(self, nu: float) -> float:
-        return self.params.eps_inf
-
-
-def dl_law(p: DrudeLorentzParams) -> ScalarLaw:
-    return ScalarLaw(p)
-
-
-def mod_dl_law(p: ModDLParams) -> ScalarLaw:
-    return ScalarLaw(p)
-
-
-def conductivity_law(eps_law: ScalarLaw, sigma: float) -> ScalarLaw:
-    """M(z) = eps(z) + z^{-1} sigma, the conductivity added to eps_law's own."""
-    return ScalarLaw(eps_law.params, eps_law.sigma + sigma) if sigma else eps_law
 
 
 @dataclass(frozen=True)
@@ -337,10 +321,8 @@ class PiecewiseMaterial:
     sigma2: float = 0.0
 
     def __post_init__(self):
-        if not (self.mu1 > 0 and self.mu2 > 0):
-            raise ValueError("mu must be positive in both regions")
-        if self.sigma1 < 0 or self.sigma2 < 0:
-            raise ValueError("sigma must be nonnegative")
+        for field in ("mu1", "mu2", "sigma1", "sigma2"):
+            _require(field, getattr(self, field), positive=field.startswith("mu"))
 
     @property
     def mu_min(self) -> float:

@@ -40,7 +40,7 @@ C0 E, so a run takes two products per step.  Temporaries live in scratch
 buffers owned by the stepper; the E, H and Q of each returned state are
 fresh arrays.
 
-The (lam_j, c_j) pairs are the parameter records' kernel_terms(), the one
+The (lam_j, c_j) pairs are the region laws' kernel_terms(), the one
 time-domain expansion of the laws.  This module exists to be an oracle: it
 shares no machinery with the spectral solver (which evaluates the laws in z)
 beyond the operator bundle, and the recursion is spot-checked against the
@@ -94,9 +94,9 @@ def _banded_upper(S: sparse.spmatrix) -> np.ndarray:
 class OracleStepper:
     """Implicit-midpoint reference integrator on an operator bundle.
 
-    dl_params1/2 are the per-region permittivity records (plain or modified
-    oscillator laws, expanded by their kernel_terms(); None means no memory
-    and eps_inf = 1).  sigma_edges is an optional per-edge conductivity.
+    dl_params1/2 are the region laws, expanded by their kernel_terms() (None
+    means no memory and eps_inf = 1); their sigma is not read: sigma_edges is
+    an optional per-edge conductivity.
     Every checkpoint_every steps and at its last step, run() compares the
     accumulators with the direct trapezoid sums over the samples it
     recorded: a checkpoint sums the samples since the one before and

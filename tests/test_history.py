@@ -189,7 +189,7 @@ class TestMaxwellInhomogeneity:
         # perturb the H history strictly before t = 0
         vals = np.array(h.values)
         vals[:-1, ne:] += rng.standard_normal(vals[:-1, ne:].shape)
-        h_pert = HistorySpec(h.times, vals, dphi_at_0minus=h.dphi())
+        h_pert = HistorySpec(h.times, vals, derivs_at_0minus=[h.dphi()])
         b = BumpSpec(0.5)
         _, Psi1, _ = build_maxwell_inhomogeneity(h, b, bundle4, material_dl,
                                                  dl_params, dl_params_b, MASTER, 1.0)

@@ -45,14 +45,14 @@ class TestChiEval:
 
     def test_pole_locations(self):
         p = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)])
-        poles = p.poles()
+        poles = p.poles
         expect = np.array([-1 + 1j * np.sqrt(3), -1 - 1j * np.sqrt(3)])
         assert np.abs(np.sort_complex(poles) - np.sort_complex(expect)).max() < 1e-14
         # all poles strictly left of the axis for every gamma > 0
         rng = np.random.default_rng(0)
         for _ in range(20):
             q = random_dl(rng)
-            assert np.all(q.poles().real < 0)
+            assert np.all(q.poles.real < 0)
 
     def test_conjugate_symmetry(self, rng):
         p = random_dl(rng)
@@ -116,7 +116,7 @@ class TestTimeKernel:
 
         # a critical term, omega0 == gamma, has a double pole and no expansion
         critical = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0), (0.7, 1.5, 1.5)])
-        assert np.array_equal(critical.poles()[2:], [-1.5, -1.5])
+        assert np.array_equal(critical.poles[2:], [-1.5, -1.5])
         for build in (lambda: KernelSpec.from_dl(critical, g),
                       lambda: OracleStepper(bundle4, material_dl, critical, None, g.dt)):
             with pytest.raises(MemaxError, match=r"alpha=0\.7, gamma=1\.5, omega0=1\.5"):
@@ -129,7 +129,7 @@ class TestTimeKernel:
         mp = ModDLParams(p, 4.0)
         g = TimeGrid(0.0, 1e-3, 2 ** 14)
         for law, chi in ((p, lambda z: eval_chi_dl(z, p)),
-                         (mp, lambda z: mod_dl_eval(z, mp) - mp.base.eps0)):
+                         (mp, lambda z: mod_dl_eval(z, mp) - mp.eps0)):
             vals = np.array(KernelSpec.from_dl(law, g).kappa.values)
             # the DFT is a rectangle rule; halving the t = 0 sample makes it
             # the trapezoid rule on [0, T].  The plain kernel vanishes there,
@@ -149,10 +149,10 @@ TWO_TERM = DrudeLorentzParams(1.3, [(1.0, 1.0, 2.0), (0.6, 0.4, 3.1)])
 def hand_kernel(p, t):
     """Sum over terms of (a/b) e^{-gt} sin bt, plus (a/r) e^{-gt}(cos bt -
     (g/b) sin bt) for the modified law, and the t-derivative of that sum."""
-    base, r = (p.base, p.r) if isinstance(p, ModDLParams) else (p, None)
+    r = p.r
     k = np.zeros_like(t)
     kp = np.zeros_like(t)
-    for a, g, w in base.terms:
+    for a, g, w in p.terms:
         b = np.sqrt(w * w - g * g)
         e, s, c = np.exp(-g * t), np.sin(b * t), np.cos(b * t)
         k += (a / b) * e * s
@@ -229,7 +229,7 @@ class TestOneExpansion:
                 poles += [-g + 1j * np.sqrt(w * w - g * g), -g - 1j * np.sqrt(w * w - g * g)]
             assert p.kernel_terms() == plain
             assert ModDLParams(p, r).kernel_terms() == mod
-            assert np.array_equal(p.poles(), np.asarray(poles, dtype=np.complex128))
+            assert np.array_equal(p.poles, np.asarray(poles, dtype=np.complex128))
 
 
 class TestClosedForm:
@@ -471,7 +471,7 @@ class TestKernelTermsProperty:
         # left of the line, which passes right of the rightmost pole
         p = DrudeLorentzParams(eps0, [(a, g, g + dw) for a, g, dw in oscillators]
                                + [(a, g, f * g) for a, g, f in damping])
-        z = complex(max(z.real for z in p.poles()) + right_of_poles, xi)
+        z = complex(max(z.real for z in p.poles) + right_of_poles, xi)
         if r is None:
             terms, law = p.kernel_terms(), eval_chi_dl(z, p)
         else:
@@ -483,14 +483,14 @@ class TestKernelTermsProperty:
 def closure_law(p, sigma: float) -> tuple:
     """(value, poles, name, re_zM_limit, re_M_limit) of the dl or mod_dl law
     of p plus z^{-1} sigma, written out as closures: the reference that
-    ScalarLaw(p, sigma) must match bit for bit."""
-    if isinstance(p, ModDLParams):
-        alpha_over_r = sum(a / p.r for a, _, _ in p.base.terms)
-        value, poles, name = (lambda z: mod_dl_eval(z, p)), p.base.poles(), "mod_dl"
-        re_zm = lambda nu: p.base.eps0 * nu + alpha_over_r       # noqa: E731
-        re_m = lambda nu: p.base.eps0                            # noqa: E731
+    conductivity_law(p, sigma) must match bit for bit."""
+    if p.r is not None:
+        alpha_over_r = sum(a / p.r for a, _, _ in p.terms)
+        value, poles, name = (lambda z: mod_dl_eval(z, p)), p.poles, "mod_dl"
+        re_zm = lambda nu: p.eps0 * nu + alpha_over_r            # noqa: E731
+        re_m = lambda nu: p.eps0                                 # noqa: E731
     else:
-        value, poles, name = (lambda z: eval_dl(z, p)), p.poles(), "dl"
+        value, poles, name = (lambda z: eval_dl(z, p)), p.poles, "dl"
         re_zm = lambda nu: p.eps0 * nu                           # noqa: E731
         re_m = lambda nu: p.eps0                                 # noqa: E731
     if sigma > 0:
@@ -503,15 +503,28 @@ def closure_law(p, sigma: float) -> tuple:
     return value, poles, name, re_zm, re_m
 
 
+_P = DrudeLorentzParams(1.0, [(1.0, 1.0, 2.0)])
+NON_FINITE_BUILDS = {
+    "eps0": lambda v: DrudeLorentzParams(v, [(1.0, 1.0, 2.0)]),
+    "r": lambda v: ModDLParams(_P, v),
+    "z0": lambda v: ModDLParams(_P, 4.0, v),
+    "sigma": lambda v: conductivity_law(dl_law(_P), v),
+    "sigma1": lambda v: PiecewiseMaterial(dl_law(_P), dl_law(_P), 1.0, 1.0, sigma1=v),
+    "sigma2": lambda v: PiecewiseMaterial(dl_law(_P), dl_law(_P), 1.0, 1.0, sigma2=v),
+    "mu1": lambda v: PiecewiseMaterial(dl_law(_P), dl_law(_P), v, 1.0),
+    "mu2": lambda v: PiecewiseMaterial(dl_law(_P), dl_law(_P), 1.0, v),
+}
+
+
 def same_bits(a, b) -> bool:
     return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestLawRecord:
     """ScalarLaw reads its value, poles, name, base and limits off the
-    (params, sigma) record with the closure laws' own expressions, bit for bit,
-    for oscillatory, overdamped and Drude terms, any real z0, with and without
-    a conductivity, at scalar and array z."""
+    (eps0, terms, r, z0, sigma) record with the closure laws' own expressions,
+    bit for bit, for oscillatory, overdamped and Drude terms, any real z0,
+    with and without a conductivity, at scalar and array z."""
 
     @settings(max_examples=100, deadline=None)
     @given(eps0=st.floats(0.5, 3.0), oscillators=OSCILLATORS, damping=DAMPING,
@@ -528,17 +541,17 @@ class TestLawRecord:
         law = conductivity_law(dl_law(p) if r is None else mod_dl_law(params), sigma)
         value, poles, name, re_zm, re_m = closure_law(params, sigma)
         # right of every pole and of z = 0, where a conductive law has its own pole
-        right = max(0.0, max(z.real for z in p.poles()))
+        right = max(0.0, max(z.real for z in p.poles))
         zs = np.array([complex(right + a, b) for a, b in points])
         for z in ([complex(zs[0]), zs[0]] if scalar else [zs]):
             assert same_bits(law(z), value(z))
         assert same_bits(law.poles, poles) and law.name == name
-        assert law.base == (ScalarLaw(params) if sigma > 0 else None)
+        assert law.base == (params if sigma > 0 else None)
         for nu in nus:
             assert same_bits(law.re_zM_limit(nu), re_zm(nu))
             assert same_bits(law.re_M_limit(nu), re_m(nu))
-        assert law == ScalarLaw(params, sigma)
-        assert PiecewiseMaterial(ScalarLaw(params), law, 1.0, 1.0,
+        assert law == ScalarLaw(params.eps0, params.terms, params.r, params.z0, sigma)
+        assert PiecewiseMaterial(params, law, 1.0, 1.0,
                                  sigma1=sigma).eps_laws() == (law, law)
 
     def test_zero_conductivity_is_the_law(self, dl_params):
@@ -547,9 +560,32 @@ class TestLawRecord:
 
     def test_conductivity_adds_to_the_law_own(self, dl_params):
         law = conductivity_law(conductivity_law(dl_law(dl_params), 0.5), 0.25)
-        assert law == ScalarLaw(dl_params, 0.75) and law.base == dl_law(dl_params)
+        assert law == ScalarLaw(dl_params.eps0, dl_params.terms, sigma=0.75)
+        assert law.base == dl_law(dl_params)
         with pytest.raises(ValueError, match="sigma must be nonnegative"):
             conductivity_law(dl_law(dl_params), -0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", list(NON_FINITE_BUILDS))
+    def test_non_finite_parameter_is_refused(self, field, value):
+        # a nan or inf parameter would build a law that names itself one
+        # thing and evaluates as another (or as nan)
+        with pytest.raises(ValueError, match=rf"^{field} must be .*finite, got {value}$"):
+            NON_FINITE_BUILDS[field](value)
+
+    def test_twice_modified_law_is_refused(self, mod_params):
+        with pytest.raises(ValueError, match="already a modified law"):
+            ModDLParams(mod_params, 2.0)
+
+    def test_references_refuse_the_other_kind(self, dl_params, mod_params):
+        # a plain reference handed a modified law would drop its factor
+        for call in (lambda: eval_dl(0.5 + 1j, mod_params),
+                     lambda: re_zM_closed_form(0.5, 1.0, mod_params),
+                     lambda: mod_dl_eval(0.5 + 1j, dl_params),
+                     lambda: mod_dl_g(0.5, 1.0, dl_params),
+                     dl_params.accretivity_margin):
+            with pytest.raises(ValueError):
+                call()
 
     @pytest.mark.parametrize("material", [
         {},
@@ -566,7 +602,7 @@ class TestLawRecord:
         raw["material"] = {k: v for k, v in raw["material"].items() if v is not None}
         mat, params1, params2, laws, eps_infs = RunConfig.from_dict(raw).material()
         assert tuple(laws) == mat.eps_laws()
-        assert [law.params for law in laws] == [params1, params2]
+        assert [law.base or law for law in laws] == [params1, params2] == [mat.law1, mat.law2]
         assert [law.sigma for law in laws] == [mat.sigma1, mat.sigma2]
         assert eps_infs == [params1.eps_inf, params2.eps_inf]
 
