@@ -264,10 +264,9 @@ def cmd_matrix(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = RunConfig.from_file(args.config)
     bundle = cfg.bundle()
-    material, params1, params2, _, _ = cfg.material()
+    material, _, _, laws, _ = cfg.material()
     grid = cfg.time_grid()
-    sigma_edges = np.where(bundle.edge_region_mask(), *(law.sigma for law in material.eps_laws()))
-    stp = OracleStepper(bundle, material, params1, params2, grid.dt, sigma_edges=sigma_edges)
+    stp = OracleStepper(bundle, material, *laws, grid.dt)
     g = _source_signal(cfg, bundle, grid, 0.0)
 
     def phi_of(t):

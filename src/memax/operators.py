@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import permutations
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
 
 from .errors import MemaxError, RankAmbiguous
 
@@ -367,8 +367,10 @@ def _project(components: list, kernels: tuple, v) -> np.ndarray:
 
 def _kernel_basis(components: list, kernels: tuple) -> np.ndarray:
     """T^T K as a dense array, the kernel blocks side by side on their rows."""
-    rows = np.concatenate([r for r, _ in kernels])
-    blocks = linalg.block_diag(*[K for _, K in kernels])[np.argsort(rows)]
+    widths = np.cumsum([0] + [K.shape[1] for _, K in kernels])
+    blocks = np.zeros((sum(len(rows) for rows, _ in kernels), widths[-1]))
+    for (rows, K), a, b in zip(kernels, widths[:-1], widths[1:]):
+        blocks[rows, a:b] = K
     return _mode_transform(components, blocks, transpose=True)
 
 

@@ -201,11 +201,11 @@ class WeightedSignal:
 
     def weighted_envelope(self) -> np.ndarray:
         """max_j |u_j(t)| e^{-rho t} per sample."""
-        return _magnitudes(self)[0] * np.exp(-self.rho * self.times)
+        return _magnitudes(self, squares=False)[0] * np.exp(-self.rho * self.times)
 
     def wraparound_measure(self) -> float:
         """Weighted endpoint magnitude relative to the weighted peak."""
-        return _wraparound_and_norm(self)[0]
+        return _wraparound_and_norm(self, squares=False)[0]
 
     def check_wraparound(self):
         m = self.wraparound_measure()
@@ -330,35 +330,39 @@ def _column_blocks(rows: int, cols: int, itemsize: int = 8) -> list:
     return [(a, min(a + step, cols)) for a in range(0, cols, step)]
 
 
-def _magnitudes(u: WeightedSignal) -> tuple:
-    """(max_j |u_j|, sum_j |u_j|^2) per sample, in column blocks.  A block's
-    squares sit behind the running sum, the buffer's first column, so the
-    sum folds the columns left to right as np.sum(|u|^2, axis=1) does."""
+def _magnitudes(u: WeightedSignal, peaks: bool = True, squares: bool = True) -> tuple:
+    """(max_j |u_j|, sum_j |u_j|^2) per sample in column blocks, or None for
+    a part not asked for.  A block's squares sit behind the running sum (the
+    buffer's first column): the columns fold left to right as np.sum does."""
     n, dim = u.values.shape
     blocks = _column_blocks(n, dim)
     buf = np.zeros((n, blocks[0][1] + 1), order="F")
-    peak = np.zeros(n)
+    peak = np.zeros(n) if peaks else None
     for a, b in blocks:
         mags = np.abs(u.values[:, a:b], out=buf[:, 1:b - a + 1])
-        np.maximum(peak, mags.max(axis=1), out=peak)
-        np.square(mags, out=mags)
-        buf[:, 0] = buf[:, :b - a + 1].sum(axis=1)
-    return peak, buf[:, 0]
+        if peaks:
+            np.maximum(peak, mags.max(axis=1), out=peak)
+        if squares:
+            np.square(mags, out=mags)
+            buf[:, 0] = buf[:, :b - a + 1].sum(axis=1)
+    return peak, buf[:, 0] if squares else None
 
 
 def weighted_norm(u: WeightedSignal) -> float:
     """Trapezoid approximation of (integral |u(t)|^2 e^{-2 rho t} dt)^(1/2)."""
-    return _wraparound_and_norm(u)[1]
+    return _wraparound_and_norm(u, peaks=False)[1]
 
 
-def _wraparound_and_norm(u: WeightedSignal) -> tuple:
-    """(u.wraparound_measure(), weighted_norm(u)) from one magnitude sweep."""
-    peak, squares = _magnitudes(u)
+def _wraparound_and_norm(u: WeightedSignal, peaks: bool = True, squares: bool = True) -> tuple:
+    """(u.wraparound_measure(), weighted_norm(u)) in one sweep; None for a part not asked for."""
+    peak, sq = _magnitudes(u, peaks, squares)
+    norm = None if sq is None else float(np.sqrt(np.trapezoid(
+        sq * np.exp(-2.0 * u.rho * u.times), dx=u.grid.dt)))
+    if peak is None:
+        return None, norm
     env = peak * np.exp(-u.rho * u.times)
     top = env.max()
-    wrap = max(env[0], env[-1]) / top if top != 0.0 else 0.0
-    return wrap, float(np.sqrt(np.trapezoid(squares * np.exp(-2.0 * u.rho * u.times),
-                                            dx=u.grid.dt)))
+    return (max(env[0], env[-1]) / top if top != 0.0 else 0.0), norm
 
 
 def fourier_laplace(u: WeightedSignal, check: bool = True) -> SpectralSignal:

@@ -49,7 +49,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracing.py wraps this name)
 
 from .errors import FrequencySingular, MemaxError, UncertifiedLine, WraparoundExceeded
 from .materials import PiecewiseMaterial
@@ -60,6 +59,14 @@ from .signals import (LINE_BLOCK_BYTES, TimeGrid, WeightedSignal, _from_line, _t
 COND_LIMIT = 1e14               # growth * |z| * max(mu, 1) limit without a certificate
 BOUND_SLACK = 0.02              # growth * c_min <= 1 + slack on a certified line
 FACTOR_CACHE_BYTES = 1 << 27    # bytes of line factors an operator keeps for reuse
+
+
+def __getattr__(name):
+    # bench/tracing.py wraps spectral.splu, loaded on first access; ROADMAP item 5 drops both
+    if name == "splu":
+        from scipy.sparse.linalg import splu
+        return globals().setdefault("splu", splu)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:

@@ -53,11 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import LinearSolveFailure
+from .errors import ConfigError, LinearSolveFailure
 from .materials import PiecewiseMaterial
 from .operators import OperatorBundle
 
@@ -95,8 +92,9 @@ class OracleStepper:
     """Implicit-midpoint reference integrator on an operator bundle.
 
     dl_params1/2 are the region laws, expanded by their kernel_terms() (None
-    means no memory and eps_inf = 1); their sigma is not read: sigma_edges is
-    an optional per-edge conductivity.
+    means no memory and eps_inf = 1), each law's sigma on its region's edges
+    unless sigma_edges, an optional per-edge conductivity, is given; then a
+    law with sigma > 0 raises ConfigError, since it would count twice.
     Every checkpoint_every steps and at its last step, run() compares the
     accumulators with the direct trapezoid sums over the samples it
     recorded: a checkpoint sums the samples since the one before and
@@ -118,6 +116,12 @@ class OracleStepper:
         self.mu = np.where(fmask1, material.mu1, material.mu2)
         self.terms = [_KernelTerm(lam, coeff, mask) for p, mask in regions if p is not None
                       for lam, coeff in p.kernel_terms()]
+        sigmas = [0.0 if p is None else p.sigma for p, _ in regions]
+        if any(sigmas) and sigma_edges is not None:
+            raise ConfigError(f"region {1 if sigmas[0] else 2}'s law has sigma > 0 and "
+                              "sigma_edges is given too: pass the conductivity once")
+        if any(sigmas):
+            sigma_edges = np.where(emask1, *sigmas)
         self.sigma_edges = None if sigma_edges is None else np.asarray(sigma_edges, dtype=float)
         self.checkpoint_every = checkpoint_every
 
@@ -141,6 +145,10 @@ class OracleStepper:
         if self.sigma_edges is not None:
             d_e = d_e + 0.5 * self.sigma_edges
         d_h = self.mu / dt
+        # the stepper's own SciPy subpackages load here, not with `import memax`
+        from scipy.linalg import cholesky_banded, lapack
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+        self._dpbtrs = lapack.dpbtrs
         S = sparse.diags(d_e) + 0.25 * (bundle.C @ sparse.diags(1.0 / d_h) @ bundle.C0)
         self._perm = reverse_cuthill_mckee(sparse.csr_matrix(S), symmetric_mode=True)
         self._iperm = np.argsort(self._perm)
@@ -222,8 +230,8 @@ class OracleStepper:
         rhs -= dJ
         rhs += phi_mid
         rhs += 0.5 * (C @ np.add(H, u, out=self._h))
-        x, info = dpbtrs(self._chol, np.take(rhs, self._perm, out=self._e_perm, mode="clip"),
-                         lower=0, overwrite_b=1)
+        rhs = np.take(rhs, self._perm, out=self._e_perm, mode="clip")
+        x, info = self._dpbtrs(self._chol, rhs, lower=0, overwrite_b=1)
         if info != 0:
             raise LinearSolveFailure(f"banded solve failed at t = {state.t + self.dt:.6g} "
                                      f"(dpbtrs info {info})")

@@ -438,6 +438,21 @@ class TestColumnBlocks:
             assert _wraparound_and_norm(u) == (wrap, norm)
 
     @pytest.mark.parametrize("n, dim, imag", CASES)
+    def test_one_part_sweeps(self, n, dim, imag, rng, monkeypatch):
+        # weighted_norm sweeps only the squares and wraparound_measure only the
+        # peaks; both read the bytes of the one sweep that apply() takes
+        u = self.signal(n, dim, imag, rng)
+        for budget in self.budgets(8 * n):
+            monkeypatch.setattr(signals, "LINE_BLOCK_BYTES", budget)
+            peak, squares = signals._magnitudes(u)
+            peak_only, none_sq = signals._magnitudes(u, squares=False)
+            none_peak, squares_only = signals._magnitudes(u, peaks=False)
+            assert none_sq is None and none_peak is None
+            assert peak_only.tobytes() == peak.tobytes()
+            assert squares_only.tobytes() == squares.tobytes()
+            assert (u.wraparound_measure(), weighted_norm(u)) == _wraparound_and_norm(u)
+
+    @pytest.mark.parametrize("n, dim, imag", CASES)
     def test_causal_convolve(self, n, dim, imag, rng, monkeypatch):
         u = self.signal(n, dim, imag, rng)
         lag = TimeGrid(0.0, u.grid.dt, 30)

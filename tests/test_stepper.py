@@ -200,6 +200,30 @@ class TestEliminatedStep:
                           sigma_edges=np.full(bundle4.n_edges, -1e3))
 
 
+class TestRegionConductivity:
+    """A region law's sigma acts on the region's edges, as the sigma-free law
+    plus sigma_edges does; given both, the stepper refuses to count it twice."""
+
+    def test_law_sigma_matches_sigma_edges(self, bundle4, material_dl, dl_params,
+                                           dl_params_b, rng):
+        E0 = rng.standard_normal(bundle4.n_edges)
+        conductive = memax.conductivity_law(dl_law(dl_params_b), 0.5)
+        sigma_edges = np.where(bundle4.edge_region_mask(), 0.0, 0.5)
+        runs = []
+        for law2, sigma in ((conductive, None), (dl_params_b, sigma_edges), (dl_params_b, None)):
+            stp = OracleStepper(bundle4, material_dl, dl_params, law2, 0.02, sigma_edges=sigma)
+            _, E, H = stp.run(stp.initial_state(E0), None, None, 50)
+            runs.append(E.tobytes() + H.tobytes())
+        assert runs[0] == runs[1] != runs[2]
+
+    def test_law_sigma_and_sigma_edges_raise(self, bundle4, material_dl, dl_params,
+                                             dl_params_b):
+        conductive = memax.conductivity_law(dl_law(dl_params_b), 0.5)
+        with pytest.raises(memax.ConfigError, match="region 2"):
+            OracleStepper(bundle4, material_dl, dl_params, conductive, 0.02,
+                          sigma_edges=np.zeros(bundle4.n_edges))
+
+
 class TestAccumulatorCheck:
     @pytest.mark.parametrize("start", ["fresh", "history"])
     def test_corrupted_accumulator_caught(self, start, bundle4, material_dl,
