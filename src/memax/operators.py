@@ -25,6 +25,7 @@ contractions, apply T to data (_mode_transform).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -211,7 +212,7 @@ def _mode_transform(components: list, x: np.ndarray, transpose: bool = False) ->
     f = x.reshape(len(x), -1).view(np.float64)
     start = 0
     for shape, factors, _ in components:
-        stop = start + int(np.prod(shape))
+        stop = start + math.prod(shape)
         block = f[start:stop]
         (b1, F1), (b2, F2) = factors.items()
         if transpose:
@@ -225,7 +226,7 @@ def _mode_transform(components: list, x: np.ndarray, transpose: bool = False) ->
 def _along(a: np.ndarray, shape: tuple, b: int) -> np.ndarray:
     """The rows of a, one component of the given shape, as a 3-D view with
     axis b of the component in the middle."""
-    return a.reshape(int(np.prod(shape[:b])), shape[b], -1)
+    return a.reshape(math.prod(shape[:b]), shape[b], -1)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ contiguous columns and a real signal holds half the bytes.  No other module
 re-checks a signal's dtype; the operations here keep real data real.
 
 _to_line and _from_line are the working transform to the line and back, and
-the one place that tells real data from complex: the rfft half line or the
-fft full line.  They drop the unit phase e^{-i xi t_start} and the constant
-dt / sqrt(2 pi), which the inverse undoes and no per-bin multiplier or solve
-sees; fourier_laplace keeps both.
+_line_input, which _to_line calls, the one place that tells real data from
+complex: the rfft half line or the fft full line.  They drop the unit phase
+e^{-i xi t_start} and the constant dt / sqrt(2 pi), which the inverse undoes
+and no per-bin multiplier or solve sees; fourier_laplace keeps both.
 
 Working bytes: a real signal's trip to the line and back is one buffer, its
 Fortran-ordered half spectrum, which _to_line fills, a solve may overwrite
@@ -330,20 +330,30 @@ def _column_blocks(rows: int, cols: int, itemsize: int = 8) -> list:
     return [(a, min(a + step, cols)) for a in range(0, cols, step)]
 
 
-def _magnitudes(u: WeightedSignal, peaks: bool = True, squares: bool = True) -> tuple:
+def _magnitudes(u: WeightedSignal, peaks: bool = True, squares: bool = True,
+                minus: WeightedSignal | None = None) -> tuple:
     """(max_j |u_j|, sum_j |u_j|^2) per sample in column blocks, or None for
-    a part not asked for.  A block's squares sit behind the running sum (the
-    buffer's first column): the columns fold left to right as np.sum does."""
+    a part not asked for; with minus, of u - minus, each block's difference
+    formed in the buffer.  A block's squares sit behind the running sum (the
+    buffer's first column): the columns fold left to right as np.sum does.
+    Without peaks a real block is squared as it is: x^2 = |x|^2, bit for bit."""
     n, dim = u.values.shape
     blocks = _column_blocks(n, dim)
     buf = np.zeros((n, blocks[0][1] + 1), order="F")
     peak = np.zeros(n) if peaks else None
+    if minus is not None:
+        dtype = np.result_type(u.values, minus.values)
+        diff = buf[:, 1:] if dtype == np.float64 else np.empty((n, blocks[0][1]), dtype, order="F")
     for a, b in blocks:
-        mags = np.abs(u.values[:, a:b], out=buf[:, 1:b - a + 1])
+        mags = buf[:, 1:b - a + 1]
+        x = (u.values[:, a:b] if minus is None else
+             np.subtract(u.values[:, a:b], minus.values[:, a:b], out=diff[:, :b - a]))
+        if peaks or x.dtype != np.float64:
+            x = np.abs(x, out=mags)
         if peaks:
             np.maximum(peak, mags.max(axis=1), out=peak)
         if squares:
-            np.square(mags, out=mags)
+            np.square(x, out=mags)
             buf[:, 0] = buf[:, :b - a + 1].sum(axis=1)
     return peak, buf[:, 0] if squares else None
 
@@ -353,9 +363,17 @@ def weighted_norm(u: WeightedSignal) -> float:
     return _wraparound_and_norm(u, peaks=False)[1]
 
 
-def _wraparound_and_norm(u: WeightedSignal, peaks: bool = True, squares: bool = True) -> tuple:
-    """(u.wraparound_measure(), weighted_norm(u)) in one sweep; None for a part not asked for."""
-    peak, sq = _magnitudes(u, peaks, squares)
+def _gap_norm(a: WeightedSignal, b: WeightedSignal) -> float:
+    """weighted_norm(a - b), bit for bit, without the difference signal."""
+    a._check_compatible(b)
+    return _wraparound_and_norm(a, peaks=False, minus=b)[1]
+
+
+def _wraparound_and_norm(u: WeightedSignal, peaks: bool = True, squares: bool = True,
+                         minus: WeightedSignal | None = None) -> tuple:
+    """(u.wraparound_measure(), weighted_norm(u)) in one sweep, of u - minus
+    with minus given; None for a part not asked for."""
+    peak, sq = _magnitudes(u, peaks, squares, minus)
     norm = None if sq is None else float(np.sqrt(np.trapezoid(
         sq * np.exp(-2.0 * u.rho * u.times), dx=u.grid.dt)))
     if peak is None:
@@ -398,26 +416,46 @@ def _to_line(u: WeightedSignal) -> tuple:
     z = rho + i xi of its rows, and whether W is the rfft half line (bins
     0 .. n//2, Nyquist with the full line's z), taken when u is float64 or
     |Im w| <= 1e-12 max |w|, or the fft full line.  real is carried, since
-    at n = 2 both lines have two rows.
-
-    W is Fortran-ordered.  The half line is one buffer, filled in column
-    blocks: each block is weighted into a block buffer and rfft'd into its
-    columns of W.  Complex data is weighted whole and fft'd in place."""
+    at n = 2 both lines have two rows.  W is Fortran-ordered; see
+    _line_input and _line_columns."""
     g = u.grid
-    x, weight = u.values, np.exp(-u.rho * g.times)[:, None]
     z = u.rho + 1j * g.xi
-    if np.iscomplexobj(x):
-        w = x * weight
-        if np.abs(w.imag).max() > 1e-12 * np.abs(w).max():
-            return np.fft.fft(w, axis=0, out=w), z, False
-        x, weight = w.real, 1.0   # weighted already
-    n, dim = x.shape
-    W = np.empty((n // 2 + 1, dim), dtype=np.complex128, order="F")
+    y, weight, real, _ = _line_input(u.values, np.exp(-u.rho * g.times)[:, None])
+    return _line_columns(y, weight, real), (z[:g.n_samples // 2 + 1] if real else z), real
+
+
+def _line_input(x: np.ndarray, weight: np.ndarray, other=(0.0, 0.0)) -> tuple:
+    """(y, weight, real, peaks): the samples and weight _line_columns
+    transforms for samples x and weight e^{-rho t}, and the line _to_line
+    takes.  Float x goes to the half line as it is.  Complex x is weighted
+    here to w, whose peaks (max |Im w|, max |w|), taken with the peaks
+    other of further columns of the same data, choose the line: the half
+    line takes Re w with weight 1, the full line w."""
+    if not np.iscomplexobj(x):
+        return x, weight, True, None
+    w = x * weight
+    peaks = np.maximum((np.abs(w.imag).max(), np.abs(w).max()), other)
+    if peaks[0] > 1e-12 * peaks[1]:
+        return w, None, False, peaks
+    return w.real, 1.0, True, peaks
+
+
+def _line_columns(y: np.ndarray, weight, real: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """The plain DFT along time of the columns of a _line_input, written into
+    out (Fortran-ordered, fresh when None) and returned.  The full line is
+    fft'd whole, in y itself without out.  The half line is filled in
+    column blocks: each block is weighted into a block buffer and rfft'd
+    into its columns of out."""
+    if not real:
+        return np.fft.fft(y, axis=0, out=y if out is None else out)
+    n, dim = y.shape
+    if out is None:
+        out = np.empty((n // 2 + 1, dim), dtype=np.complex128, order="F")
     blocks = _column_blocks(n, dim)
     buf = np.empty((n, blocks[0][1]), order="F")
     for a, b in blocks:
-        np.fft.rfft(np.multiply(x[:, a:b], weight, out=buf[:, :b - a]), axis=0, out=W[:, a:b])
-    return W, z[:n // 2 + 1], True
+        np.fft.rfft(np.multiply(y[:, a:b], weight, out=buf[:, :b - a]), axis=0, out=out[:, a:b])
+    return out
 
 
 def _from_line(W: np.ndarray, like: WeightedSignal, real: bool) -> WeightedSignal:

@@ -32,6 +32,9 @@ from memax import (
     suggest_rho,
     weighted_norm,
 )
+import memax.nonlinear as nonlinear
+import memax.signals as signals
+from memax import MaxIterExceeded, YeeGrid, build_curl_pair
 from memax.nonlinear import multilinear_cutoff_bound
 
 KGRID = TimeGrid(0.0, 1.0 / 64.0, 512)
@@ -423,3 +426,117 @@ class TestNonlocal:
             v = rng.standard_normal((1, n_dof))
             out = np.linalg.norm(q(u, v)[0]) * w
             assert out <= q.C_q * (np.linalg.norm(u) * w) * (np.linalg.norm(v) * w) * (1 + 1e-12)
+
+
+def reference_fixed_point(op, g, nonlinearity, tol, max_iter, radius=None, iterates=None):
+    """The driver as it stood before one data spectrum per solve: every step
+    solves the whole data g - (N, 0) through op.apply, and the gap is
+    weighted_norm(u_next - u).  The step outputs go to iterates."""
+    if g.rho != op.rho:
+        g = WeightedSignal(g.grid, op.rho, g.values, g.wrap_tol)
+    g.check_wraparound()
+    ne = op.bundle.n_edges
+
+    def step(u):
+        N = nonlinearity(u._with_fresh(u.values[:, :ne])).values
+        rhs = np.array(g.values, dtype=np.result_type(g.values, N), order="F")
+        rhs[:, :ne] -= N
+        iterates.append(op.apply(WeightedSignal._adopt(g.grid, g.rho, rhs, g.wrap_tol)))
+        return iterates[-1]
+
+    def inside_ball(u):
+        norm_u = weighted_norm(u)
+        if norm_u > radius:
+            raise BallEscape(len(gaps), norm_u, radius)
+        return norm_u
+
+    u = op.apply(g)
+    scale = max(weighted_norm(u) if radius is None else radius, 1e-300)
+    gaps, ratios, trace = [], [], []
+    for _ in range(max_iter):
+        if radius is not None:
+            trace.append(inside_ball(u))
+        u_next = step(u)
+        gap = weighted_norm(u_next - u)
+        if gaps:
+            ratios.append(gap / max(gaps[-1], 1e-300))
+        gaps.append(gap)
+        u = u_next
+        if gap <= tol * scale:
+            break
+        if radius is None and len(ratios) >= 3 and all(r > 2.0 for r in ratios[-3:]):
+            raise MaxIterExceeded(len(gaps), gaps)
+    else:
+        raise MaxIterExceeded(len(gaps), gaps)
+    if radius is not None:
+        inside_ball(u)
+    return u, {"empirical_ratio": max(ratios) if ratios else 0.0, "gaps": gaps,
+               "iterations": len(gaps), "converged": True,
+               "final_residual": weighted_norm(step(u) - u)}, trace
+
+
+class TestFixedPointBits:
+    """A Picard step transforms only the edge columns of its data over a
+    copy of g's spectrum, and the gap is taken without a difference signal:
+    every iterate, gap and certificate field keeps the bits of the whole-data
+    step through op.apply."""
+
+    GRID = TimeGrid(-1.0, 1.0 / 32.0, 512)
+
+    def pol(self, phase):
+        spec = KernelSpec.from_dl(DrudeLorentzParams(1.0, [(0.8, 1.5, 3.0)]),
+                                  TimeGrid(0.0, self.GRID.dt, self.GRID.n_samples))
+        if phase != 1.0:   # a complex kernel: N(E) is complex on real data
+            spec = KernelSpec.from_samples(
+                SampledKernel(spec.kappa.grid, phase * spec.kappa.values),
+                SampledKernel(spec.kappa.grid, phase * spec.kappa_prime.values))
+        return DtPolarization(spec, SaturableNonlinearity(3, 1.0))
+
+    @staticmethod
+    def solve(solver, problem, pol):
+        if solver == "picard":
+            return picard_solve(problem, pol)
+        return ball_solve(problem, pol, weight=problem.rho, radius_policy=64.0)
+
+    @pytest.mark.parametrize("solver", ["picard", "ball"])
+    @pytest.mark.parametrize("n_cells", [(4, 4, 4), (3, 4, 5)])
+    # real data steps on the half line; complex data on the full line; a complex
+    # kernel moves real data's steps to the full line; a faintly complex one
+    # leaves them on the half line only for the faces' peaks
+    @pytest.mark.parametrize("imag, phase, faces", [
+        (0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.0, 1.0 + 0.5j, 1.0), (0.0, 1.0 + 1e-11j, 100.0)],
+        ids=["real", "complex", "real-complex-kernel", "real-faint-kernel"])
+    @pytest.mark.parametrize("split", [False, True], ids=["one-block", "split-edges"])
+    def test_iterates_and_certificate(self, solver, n_cells, imag, phase, faces, split,
+                                      material_dl, rng, monkeypatch):
+        bundle = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), n_cells, 3, 2))
+        if split:   # the edge columns fall in two column blocks
+            monkeypatch.setattr(signals, "LINE_BLOCK_BYTES",
+                                8 * self.GRID.n_samples * (bundle.n_edges // 2 + 1))
+        vec = rng.standard_normal(bundle.n_state) + imag * 1j * rng.standard_normal(bundle.n_state)
+        vec[bundle.n_edges:] *= faces
+        g = WeightedSignal(self.GRID, 2.0,
+                           0.5 * smooth_pulse(self.GRID.times, 0.0, 1.5)[:, None] * vec)
+        problem, pol = LinearProblem(bundle, material_dl, 2.0, g), self.pol(phase)
+
+        iterates, gap_norm = [], nonlinear._gap_norm
+
+        def recording(a, b):   # a is each step's output
+            iterates.append(a.values)
+            return gap_norm(a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(nonlinear, "_gap_norm", recording)
+            u, cert = self.solve(solver, problem, pol)
+        expected = []
+        monkeypatch.setattr(nonlinear, "_fixed_point",
+                            lambda *a, **k: reference_fixed_point(*a, **k, iterates=expected))
+        u_ref, cert_ref = self.solve(solver, problem, pol)
+        assert cert.iterations >= 2 and len(iterates) == len(expected) == cert.iterations + 1
+        assert all(a.dtype == b.values.dtype and a.tobytes() == b.values.tobytes()
+                   for a, b in zip(iterates, expected))
+        assert u.values.tobytes() == u_ref.values.tobytes()
+        assert cert.gaps == cert_ref.gaps
+        assert cert.final_residual == cert_ref.final_residual
+        assert cert.empirical_ratio == cert_ref.empirical_ratio
+        assert cert.to_dict() == cert_ref.to_dict()

@@ -453,6 +453,33 @@ class TestColumnBlocks:
             assert (u.wraparound_measure(), weighted_norm(u)) == _wraparound_and_norm(u)
 
     @pytest.mark.parametrize("n, dim, imag", CASES)
+    def test_gap_norm(self, n, dim, imag, rng, monkeypatch):
+        # the Picard gap takes each block's difference in the norm's buffer:
+        # the bytes of weighted_norm(a - b), a real minus a complex signal too
+        a, b = self.signal(n, dim, imag, rng), self.signal(n, dim, imag, rng)
+        real = self.signal(n, dim, 0.0, rng)
+        for budget in self.budgets(8 * n):
+            monkeypatch.setattr(signals, "LINE_BLOCK_BYTES", budget)
+            for x, y in ((a, b), (real, b), (b, real)):
+                gap = signals._gap_norm(x, y)
+                assert gap > 0.0 and gap == weighted_norm(x - y)
+
+    def test_line_choice_by_columns(self, rng):
+        # _to_line picks its line on all columns at once; _line_input picks
+        # the same line for some columns, given the peaks of the others
+        n = 64
+        weight = np.exp(-0.7 * TimeGrid(-0.5, 0.01, n).times)[:, None]
+        small = rng.standard_normal((n, 3)) + 1e-11j * rng.standard_normal((n, 3))
+        large = 1e3 * rng.standard_normal((n, 5)) + 0j
+        rough = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        for head, tail, real in ((small, large, True), (large + 1e-11j, rough, False)):
+            peaks = signals._line_input(tail, weight)[3]
+            whole = WeightedSignal(TimeGrid(-0.5, 0.01, n), 0.7, np.hstack([head, tail]))
+            assert _to_line(whole)[2] is real
+            assert signals._line_input(head, weight, peaks)[2] is real
+            assert signals._line_input(head, weight)[2] is not real
+
+    @pytest.mark.parametrize("n, dim, imag", CASES)
     def test_causal_convolve(self, n, dim, imag, rng, monkeypatch):
         u = self.signal(n, dim, imag, rng)
         lag = TimeGrid(0.0, u.grid.dt, 30)

@@ -607,6 +607,39 @@ class TestBlockPasses:
         assert r[:, keep].tobytes() == (gk - (formed[:, keep] * uk + b.A @ uk)).tobytes()
 
 
+class TestRealViewProducts:
+    """_solve and _residual take their curl products with the real C and C0
+    on the float view of the complex block: the bytes of the complex
+    products, on a block that holds exact zeros and negative zeros."""
+
+    def test_bytes_of_the_complex_products(self, bundle4, material_dl, rng, monkeypatch):
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        ks = np.arange(1, 9)
+        fac = op._factor(ks)
+        d = np.take(op._lines[ks].T, op._group, axis=0)
+        g = rng.standard_normal((bundle4.n_state, ks.size)) + 1j * rng.standard_normal(
+            (bundle4.n_state, ks.size))
+        g[rng.random(g.shape) < 0.3] = 0.0
+        g.real[rng.random(g.shape) < 0.3] = -0.0
+        g.imag[rng.random(g.shape) < 0.3] = -0.0
+        g[:, 0] = complex(-0.0, -0.0)   # a bin of negative zeros only
+        g[:, 1] = g[:, 1].real   # and one of real data
+
+        def run():
+            u = np.empty_like(g)
+            c0e = op._solve(fac, d, g, u)
+            fused = op._residual(d, u, g, np.empty_like(g), c0e)
+            both = op._residual(d, u[:, ::-1], g, np.empty_like(g))   # a strided u
+            return [x.tobytes() for x in (u, c0e, fused, both)]
+
+        real_view = run()
+        zeros = np.frombuffer(real_view[0] + real_view[2], dtype=np.float64)
+        zeros = zeros[zeros == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()   # both signs come out
+        monkeypatch.setattr(spectral, "_real_times", lambda M, x: M @ x)
+        assert run() == real_view
+
+
 def traced_peak(call) -> int:
     """tracemalloc's peak bytes above the start while call() runs."""
     tracemalloc.start()
