@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     BallEscape,
-    BlockSingular,
     ConfigError,
     FrequencySingular,
     GridTooCoarse,
@@ -20,7 +19,6 @@ from .errors import (  # noqa: F401
     MaxIterExceeded,
     MemaxError,
     NonCausalKernel,
-    NonPositiveWeight,
     NotAContraction,
     NotCertified,
     PoleHit,
@@ -33,16 +31,12 @@ from .signals import (  # noqa: F401
     SpectralSignal,
     TimeGrid,
     WeightedSignal,
-    antiderivative,
     causal_convolve,
-    delta_kernel,
     fourier_laplace,
     inverse_fourier_laplace,
-    plain_laplace,
     read_signal,
     smooth_pulse,
     spectral_derivative,
-    truncate_after,
     weighted_norm,
     write_signal,
 )
@@ -62,7 +56,6 @@ from .materials import (  # noqa: F401
     mod_dl_g,
     mod_dl_law,
     re_zM_closed_form,
-    schur_effective_law,
 )
 from .operators import (  # noqa: F401
     OperatorBundle,
@@ -70,33 +63,27 @@ from .operators import (  # noqa: F401
     YeeGrid,
     build_curl_pair,
     divergence_diagnostics,
-    export_triplets,
     helmholtz_projections,
     poincare_constant,
 )
 from .spectral import (  # noqa: F401
     LinearProblem,
-    SecondOrderProblem,
     SolutionOperator,
     SolveReport,
-    second_order_solve,
     solve_linear,
     stack_rhs,
     verify_causality,
     verify_rho_independence,
-    verify_time_regularity,
 )
 from .nonlinear import (  # noqa: F401
     BilinearNonlinearity,
     ContractionCertificate,
     DtPolarization,
     KernelSpec,
-    NonlocalNonlinearity,
     QuadDtPolarization,
     QuadKernelSpec,
     SaturableNonlinearity,
     apply_P2,
-    apply_P_nl,
     apply_cutoff,
     apply_dt_P_nl,
     ball_solve,
@@ -110,13 +97,12 @@ from .history import (  # noqa: F401
     HistorySpec,
     build_g_phi,
     build_maxwell_inhomogeneity,
-    check_compatibility,
     delta_spike_metric,
     history_from_solution,
     reconstruct_solution,
     smooth_jump,
 )
-from .stepper import OracleStepper, StepperState, energy_series  # noqa: F401
+from .stepper import OracleStepper, StepperState  # noqa: F401
 from .stability import (  # noqa: F401
     CapabilityRow,
     DecayFit,
@@ -131,6 +117,5 @@ from .stability import (  # noqa: F401
     render_capability_table,
     schur_accretivity_check,
     simulate_decay,
-    verify_first_order_estimates,
 )
 from .config import RunConfig, default_config_dict  # noqa: F401

@@ -25,10 +25,6 @@ class WraparoundExceeded(MemaxError):
         )
 
 
-class NonPositiveWeight(MemaxError):
-    """Causal antiderivative requested with rho <= 0."""
-
-
 class NonCausalKernel(MemaxError):
     """A convolution kernel carries mass at negative lags."""
 
@@ -44,14 +40,6 @@ class PoleHit(MemaxError):
 
 class GridTooCoarse(MemaxError):
     """An accretivity scan minimum is dominated by pole-adjacent cells."""
-
-
-class BlockSingular(MemaxError):
-    """A block that must be inverted is numerically singular."""
-
-    def __init__(self, what: str, cond: float):
-        self.cond = cond
-        super().__init__(f"{what} is numerically singular (cond ~ {cond:.3e})")
 
 
 class RankAmbiguous(MemaxError):
@@ -86,15 +74,19 @@ class NotAContraction(MemaxError):
 
 
 class MaxIterExceeded(MemaxError):
-    """Fixed-point iteration did not converge within the iteration budget."""
+    """Fixed-point iteration did not converge within the iteration budget,
+    or was stopped early because its step gaps grew (runaway_ratios)."""
 
-    def __init__(self, iterations: int, residual_trace):
+    def __init__(self, iterations: int, residual_trace, runaway_ratios=None):
         self.iterations = iterations
         self.residual_trace = list(residual_trace)
-        super().__init__(
-            f"no convergence after {iterations} iterations "
-            f"(last residual {self.residual_trace[-1]:.3e})"
-        )
+        last = f"last residual {self.residual_trace[-1]:.3e}"
+        if runaway_ratios is None:
+            super().__init__(f"no convergence after {iterations} iterations ({last})")
+        else:
+            grew = ", ".join(f"{r:.3g}" for r in runaway_ratios)
+            super().__init__(f"runaway after {iterations} iterations: the step gaps grew "
+                             f"by ratios {grew} ({last})")
 
 
 class BallEscape(MemaxError):

@@ -16,8 +16,8 @@ Picard polarization, on each region's KernelSpec.from_dl kernel.  All time
 derivatives of the bump terms use the closed-form profile derivatives, so
 no discrete delta is ever formed; the assembled right-hand side is smooth
 at t = 0 exactly when the history satisfies the compatibility condition
-d/dt M(phi)(0) + sigma phi(0) + A phi(0) = 0, which
-check_compatibility measures.  The solved u~ vanishes on t <= 0 (causality),
+d/dt M(phi)(0) + sigma phi(0) + A phi(0) = 0, whose residual
+build_g_phi reports.  The solved u~ vanishes on t <= 0 (causality),
 and the solution is reconstructed as U = u~ + phi + phi^+, with the history
 samples copied verbatim on t <= 0.
 """
@@ -354,19 +354,6 @@ def build_maxwell_inhomogeneity(h: HistorySpec, b: BumpSpec, bundle: OperatorBun
     if conv.nonlinearity_shift is not None:
         Phi = Phi.with_values(Phi.values - conv.nonlinearity_shift.values)
     return Phi, conv.Psi, conv
-
-
-def check_compatibility(h: HistorySpec, bundle: OperatorBundle,
-                        material: PiecewiseMaterial, params1, params2,
-                        grid: TimeGrid, nl_spec: KernelSpec | None = None,
-                        q=None) -> float:
-    """Relative norm of d/dt M(phi)(0) + sigma phi(0) + A phi(0); small values
-    certify once-differentiable whole-line data (the H^1 route for
-    reconstruction)."""
-    b = BumpSpec(support=max(10 * grid.dt, 1e-6))
-    conv = build_g_phi(h, b, bundle, material, params1, params2, grid, 0.0,
-                       nl_spec=nl_spec, q=q)
-    return conv.compatibility_residual
 
 
 def reconstruct_solution(u_tilde: WeightedSignal, h: HistorySpec,

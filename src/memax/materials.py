@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BlockSingular, GridTooCoarse, MemaxError, PoleHit
+from .errors import GridTooCoarse, MemaxError, PoleHit
 from .signals import SampledKernel, TimeGrid
 
 POLE_PROXIMITY = 1e-14        # relative denominator threshold for PoleHit
@@ -477,29 +477,3 @@ def line_certificate(material: PiecewiseMaterial, rho: float, xi: np.ndarray) ->
     l1, l2 = material.eps_laws()
     c = min(float(np.real(z * l1(z)).min()), float(np.real(z * l2(z)).min()))
     return min(c, rho * material.mu_min)
-
-
-# ---------------------------------------------------------------------------
-# Schur-complement effective laws
-
-
-def schur_effective_law(blocks, split: int):
-    """Given blocks(z) -> square matrix, return z -> Schur complement
-    B00(z) - B01(z) B11(z)^{-1} B10(z) for the top-left split x split block.
-
-    When Re(z B(z)) >= c on a region, the effective law inherits the same
-    Hermitian-part lower bound there.  Raises BlockSingular when B11 cannot
-    be inverted reliably.
-    """
-    def eval_schur(z):
-        B = np.asarray(blocks(z), dtype=np.complex128)
-        B00 = B[:split, :split]
-        B01 = B[:split, split:]
-        B10 = B[split:, :split]
-        B11 = B[split:, split:]
-        cond = np.linalg.cond(B11)
-        if not np.isfinite(cond) or cond > 1e14:
-            raise BlockSingular("B11 block", cond)
-        return B00 - B01 @ np.linalg.solve(B11, B10)
-
-    return eval_schur

@@ -166,40 +166,8 @@ class BilinearNonlinearity:
         return abs(self.b) / math.sqrt(self.dof_volume)
 
 
-@dataclass(frozen=True)
-class NonlocalNonlinearity:
-    """Low-rank nonlocal bilinear map q(u,v) = sum_p h_p <f_p, u> <g_p, v>.
-
-    Factors are arrays over the spatial dofs; the inner products carry the
-    quadrature weight, making C_q = sum_p |h_p| |f_p| |g_p| dimension-free.
-    """
-
-    f: np.ndarray   # (rank, n_dof)
-    g: np.ndarray
-    h: np.ndarray
-    dof_volume: float = 1.0
-
-    def __call__(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w = self.dof_volume
-        fu = (u @ self.f.T) * w      # (n_t, rank)
-        gv = (v @ self.g.T) * w
-        return (fu * gv) @ self.h
-
-    @property
-    def C_q(self) -> float:
-        w = math.sqrt(self.dof_volume)
-        return float(sum(np.linalg.norm(f) * w * np.linalg.norm(g) * w * np.linalg.norm(h) * w
-                         for f, g, h in zip(self.f, self.g, self.h)))
-
-
 # ---------------------------------------------------------------------------
 # simple polarization and its time derivative
-
-
-def apply_P_nl(spec: KernelSpec, q, E: WeightedSignal) -> WeightedSignal:
-    """P(E) = kappa * q(E); causal by construction."""
-    qE = E.with_values(q(E.values))
-    return causal_convolve(spec.kappa, qE)
 
 
 def apply_dt_P_nl(spec: KernelSpec, q, E: WeightedSignal) -> WeightedSignal:
@@ -329,11 +297,6 @@ def cutoff_loc_lip_bound(quad: QuadKernelSpec, rho: float, C_q: float) -> float:
     return math.sqrt(T) * math.exp(rho * T) * C_q * math.sqrt(quad.d_K * quad.L_K)
 
 
-def multilinear_cutoff_bound(T: float, rho: float, C: float, n: int) -> float:
-    """sqrt(T) e^{(n-1) rho T} C: the n-linear generalization's coefficient."""
-    return math.sqrt(T) * math.exp((n - 1) * rho * T) * C
-
-
 @dataclass(frozen=True)
 class QuadDtPolarization:
     """E -> (dP2/dt)(E): separable expansion of the (d1+d2)-kernel.
@@ -461,7 +424,7 @@ def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: flo
         if radius is None and len(ratios) >= 3 and all(r > 2.0 for r in ratios[-3:]):
             # runaway: usually the window's unweighted dynamic range
             # e^{rho (t_end - t_data)} exceeding float precision
-            raise MaxIterExceeded(len(gaps), gaps)
+            raise MaxIterExceeded(len(gaps), gaps, ratios[-3:])
     else:
         raise MaxIterExceeded(len(gaps), gaps)
     if radius is not None:

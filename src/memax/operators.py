@@ -494,12 +494,3 @@ def divergence_diagnostics(bundle: OperatorBundle, H_trajectory: np.ndarray,
     div = (bundle.D @ flux.T).T
     ref = div[0] if B0 is None else bundle.D @ (np.asarray(mu_faces) * np.asarray(B0))
     return np.linalg.norm(div - ref[None, :], axis=1)
-
-
-def export_triplets(matrix: sparse.spmatrix, path: str):
-    """Plain-text (row, col, value) triplets for cross-checking elsewhere."""
-    coo = matrix.tocoo()
-    with open(path, "w") as f:
-        f.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{int(r)} {int(c)} {float(v)!r}\n")

@@ -46,13 +46,12 @@ L_rho(kappa * u) = hat(kappa)(rho + i xi) . L_rho(u)
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MemaxError, NonCausalKernel, NonPositiveWeight, WraparoundExceeded
+from .errors import MemaxError, NonCausalKernel, WraparoundExceeded
 
 DEFAULT_WRAP_TOL = 1e-8
 LINE_BLOCK_BYTES = 1 << 20      # bytes of one working array of a block: columns of a signal, bins of a line
@@ -249,10 +248,6 @@ class SpectralSignal:
     def with_values(self, values: np.ndarray) -> "SpectralSignal":
         return SpectralSignal(self.grid, self.rho, values, self.wrap_tol)
 
-    def plancherel_mass(self) -> float:
-        """sum |U|^2 dxi; equals weighted_norm(u)^2 up to endpoint terms."""
-        return float(np.sum(np.abs(self.values) ** 2) * self.grid.d_xi)
-
 
 @dataclass(frozen=True)
 class SampledKernel:
@@ -295,11 +290,6 @@ class SampledKernel:
         """Kernel value at lag 0+ (first nonnegative-lag sample)."""
         k = int(np.argmin(np.abs(self.lags)))
         return complex(self.values[k])
-
-
-def delta_kernel(dt: float) -> SampledKernel:
-    """Single-sample kernel of unit mass: convolution with it is the identity."""
-    return SampledKernel(TimeGrid(0.0, dt, 2), np.array([1.0 / dt, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -493,32 +483,6 @@ def spectral_derivative(u: WeightedSignal, order: int = 1, check: bool = True) -
     return _from_line(W, u, real)
 
 
-def antiderivative(u: WeightedSignal) -> WeightedSignal:
-    """Causal antiderivative: cumulative trapezoid from the left window edge.
-
-    Stands in for integration from -infinity; requires rho > 0 for the causal
-    interpretation (the inverse of d/dt is only causal on forward-weighted
-    spaces, with operator norm at most 1/rho).
-    """
-    if u.rho <= 0:
-        raise NonPositiveWeight(f"causal antiderivative needs rho > 0, got {u.rho}")
-    return u.with_values(_cumulative_trapezoid(u.values, u.grid.dt))
-
-
-def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
-    """Running trapezoid integral along axis 0, zero at the first sample."""
-    mids = 0.5 * dt * (values[1:] + values[:-1])
-    out = np.zeros_like(values)
-    np.cumsum(mids, axis=0, out=out[1:])
-    return out
-
-
-def truncate_after(u: WeightedSignal, a: float) -> WeightedSignal:
-    """theta_a^+: zero all samples with t <= a.  Idempotent."""
-    mask = (u.times > a).astype(float)
-    return u.with_values(u.values * mask[:, None])
-
-
 def causal_convolve(kernel: SampledKernel, u: WeightedSignal) -> WeightedSignal:
     """Discrete causal convolution (kappa * u)(t) = integral kappa(t-s) u(s) ds.
 
@@ -564,22 +528,8 @@ def causal_convolve(kernel: SampledKernel, u: WeightedSignal) -> WeightedSignal:
     return u._with_fresh(out)
 
 
-def plain_laplace(kernel: SampledKernel, z: np.ndarray) -> np.ndarray:
-    """hat(kappa)(z) = integral kappa(t) e^{-z t} dt by trapezoid on the lag grid.
-
-    This is the frequency multiplier of u -> kappa * u (no 2 pi factor).
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    t = kernel.lags
-    w = np.ones(len(t))
-    w[0] = 0.5
-    w[-1] = 0.5
-    integ = (kernel.values * w)[None, :] * np.exp(-np.outer(z, t))
-    return integ.sum(axis=1) * kernel.grid.dt
-
-
 # ---------------------------------------------------------------------------
-# serialization: column-oriented binary container and CSV for small cases
+# serialization: column-oriented binary container
 
 _HEADER = struct.Struct("<4sIddqdqd")  # magic, version, dt, t_start, n, rho, state_dim, wrap_tol
 
@@ -618,19 +568,3 @@ def read_signal(path: str) -> WeightedSignal:
                          f"{n} samples x {state_dim} states of 8 bytes after {_HEADER.size}")
     payload = np.frombuffer(data, dtype="<c8", offset=_HEADER.size).reshape(state_dim, n)
     return WeightedSignal(TimeGrid(t_start, dt, n), rho, payload.T, wrap_tol)
-
-
-def write_signal_csv(u: WeightedSignal, path: str):
-    """CSV for small cases: t, then re/im per state column."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["t"]
-        for j in range(u.state_dim):
-            header += [f"re_{j}", f"im_{j}"]
-        w.writerow(["# rho", u.rho])
-        w.writerow(header)
-        for k, t in enumerate(u.times):
-            row = [repr(float(t))]
-            for j in range(u.state_dim):
-                row += [repr(float(u.values[k, j].real)), repr(float(u.values[k, j].imag))]
-            w.writerow(row)

@@ -18,12 +18,11 @@ sparse curl pair C = C0^T and C0,
     H = (g_H - C0 E) / (z mu),
 
 which halves the unknowns; with data (Phi, Psi) the first line is the
-second-order E-field form, so second_order_solve is the E block of this
-solve.  The law changes only across the interface plane, so each
-transverse cavity mode maps to itself, and ModalReduction splits the edge
-system into tridiagonal systems along the interface axis, one record per
-(bundle, mu) that every operator on them shares, solved for a
-block of bins at once by Thomas sweeps without pivoting: on a certified
+second-order E-field form.  The law changes only across the interface
+plane, so each transverse cavity mode maps to itself, and ModalReduction
+splits the edge system into tridiagonal systems along the interface axis,
+one record per (bundle, mu) that every operator on them shares, solved for
+a block of bins at once by Thomas sweeps without pivoting: on a certified
 line every pivot has |p| >= |z| c_min (Golub & Van Loan, Linear Algebra
 Appl. 28, 1979); the checks use z M + A in the original basis.
 
@@ -561,51 +560,6 @@ def verify_rho_independence(problem: LinearProblem, rho1: float, rho2: float,
     num = np.linalg.norm(u1.values[keep] - u2.values[keep])
     den = max(np.linalg.norm(u1.values[keep]), np.linalg.norm(u2.values[keep]))
     return float(num / den) if den > 0 else 0.0
-
-
-def verify_time_regularity(problem: LinearProblem) -> float:
-    """Gap between solve(d/dt g) and d/dt solve(g), both spectral derivatives,
-    relative to the latter, on the line apply() takes: the half line for
-    real data and the full line otherwise.  On the half line an even n's
-    Nyquist row differentiates with z = rho, as real spectral
-    differentiation does, since that row is solved as real."""
-    g = problem.rhs
-    op = SolutionOperator(problem.bundle, problem.material, problem.rho, g.grid)
-    G, z, real = _to_line(g)
-    zcol = z[:, None]
-    if real and g.grid.n_samples % 2 == 0:
-        zcol[-1] = problem.rho
-    u_of_dg = op.apply_spectral(G * zcol)
-    du = op.apply_spectral(G) * zcol
-    num = np.linalg.norm(u_of_dg - du)
-    den = max(np.linalg.norm(du), 1e-300)
-    return float(num / den)
-
-
-@dataclass(frozen=True)
-class SecondOrderProblem:
-    """E-field wave form: (z^2 eps(z) + C mu^{-1} C0) E_hat = g_hat.
-
-    The right-hand side is z Phi_hat + C mu^{-1} Psi_hat, so Phi, Psi must be
-    once differentiable in time on the grid for the data to be admissible.
-    """
-
-    bundle: OperatorBundle
-    material: PiecewiseMaterial
-    rho: float
-    phi: WeightedSignal
-    psi: WeightedSignal
-
-
-def second_order_solve(problem: SecondOrderProblem,
-                       certificate_required: bool = True) -> WeightedSignal:
-    """Solve the E-field second-order formulation per frequency: the edge
-    block of the first-order solve with data (Phi, Psi), with its checks."""
-    b = problem.bundle
-    u, _ = solve_linear(LinearProblem(b, problem.material, problem.rho,
-                                      stack_rhs(b, problem.phi, problem.psi), check_wraparound=False),
-                        certificate_required)
-    return u.with_values(u.values[:, :b.n_edges])
 
 
 def stack_rhs(bundle: OperatorBundle, phi: WeightedSignal, psi: WeightedSignal) -> WeightedSignal:

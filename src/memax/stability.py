@@ -55,8 +55,7 @@ from .materials import (
     hermitian_min,
 )
 from .operators import OperatorBundle, ProjectionBasis, reduced_curl_sigma_min
-from .signals import (TimeGrid, WeightedSignal, _cumulative_trapezoid, smooth_pulse,
-                      spectral_derivative, weighted_norm)
+from .signals import TimeGrid, WeightedSignal, smooth_pulse
 from .spectral import LinearProblem, solve_linear, stack_rhs
 
 
@@ -490,49 +489,6 @@ def simulate_decay(bundle: OperatorBundle, material: PiecewiseMaterial,
         fits.append(DecayFit(t_lo=t_lo, t_hi=t_hi, nu_hat=nu_hat, r_squared=r2,
                              times=u.times, energy=norms, nu_run=nu, amplitude=amp))
     return fits
-
-
-def verify_first_order_estimates(bundle: OperatorBundle, basis: ProjectionBasis,
-                                 material: PiecewiseMaterial, u: WeightedSignal,
-                                 Phi: WeightedSignal, Psi: WeightedSignal,
-                                 nu: float) -> dict:
-    """Ratios of the four decay estimates (left norm / right norm) at weight -nu.
-
-    g = dPhi/dt + C mu^{-1} Psi, h = Pi0 (antiderivative of Phi),
-    w = Pi1 (antiderivative of Psi); ratios are reported, not asserted to a
-    universal constant.
-    """
-    ne = bundle.n_edges
-    E = u.with_values(u.values[:, :ne])
-    H = u.with_values(u.values[:, ne:])
-    du = spectral_derivative(u, check=False)
-    dE = du.with_values(du.values[:, :ne])
-    dH = du.with_values(du.values[:, ne:])
-
-    fmask = bundle.face_region_mask()
-    mu = np.where(fmask, material.mu1, material.mu2)
-    dPhi = spectral_derivative(Phi, check=False)
-    g = dPhi.with_values(dPhi.values + (bundle.C @ (Psi.values / mu[None, :]).T).T)
-
-    h_vals = basis.pi0(_cumulative_trapezoid(Phi.values, Phi.grid.dt))
-    w_vals = basis.pi1(_cumulative_trapezoid(Psi.values, Psi.grid.dt))
-    h = Phi.with_values(h_vals)
-    w = Psi.with_values(w_vals)
-
-    n = {
-        "E": weighted_norm(E), "H": weighted_norm(H),
-        "dE": weighted_norm(dE), "dH": weighted_norm(dH),
-        "g": weighted_norm(g), "h": weighted_norm(h), "w": weighted_norm(w),
-        "Phi": weighted_norm(Phi), "Psi": weighted_norm(Psi),
-    }
-    eps = 1e-300
-    return {
-        "E_over_g_h": n["E"] / max(n["g"] + n["h"], eps),
-        "H_over_g_Phi_w": n["H"] / max(n["g"] + n["Phi"] + n["w"], eps),
-        "dE_over_g_Phi": n["dE"] / max(n["g"] + n["Phi"], eps),
-        "dH_over_g_Psi": n["dH"] / max(n["g"] + n["Psi"], eps),
-        "norms": n,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -298,10 +298,3 @@ class OracleStepper:
                     f"at t = {state.t:.6g} (rel {gap:.2e})"
                 )
         return direct
-
-
-def energy_series(E_traj: np.ndarray, H_traj: np.ndarray, eps_inf: np.ndarray,
-                  mu: np.ndarray, dof_volume: float) -> np.ndarray:
-    """Quadratic energy eps_inf|E|^2 + mu|H|^2 per recorded step."""
-    return dof_volume * ((E_traj ** 2 * eps_inf).sum(axis=1)
-                         + (H_traj ** 2 * mu).sum(axis=1))

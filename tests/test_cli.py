@@ -408,6 +408,25 @@ class TestTypedFailures:
         assert len(err) == 1 and err[0].startswith(f"error: {path} must be ")
         assert not (tmp_path / "out").exists()
 
+    def test_picard_runaway_says_the_gaps_grew(self, tmp_path, capsys):
+        # the CI's saturable law at rho = 3: the step gaps grow from the first
+        # step on, and the run stops as a runaway long before max_iter (200)
+        raw = default_config_dict()
+        raw["nonlinearity"] = {"kind": "saturable", "k": 3, "tau": 1.0,
+                               "kernel": {"alpha": 0.8, "gamma": 1.5, "omega0": 3.0,
+                                          "scale": 4.0}}
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        rc = main(["picard", "--config", str(tmp_path / "cfg.json"), "--rho", "3.0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        match = re.fullmatch(r"error: runaway after (\d+) iterations: the step gaps grew by "
+                             r"ratios (\S+), (\S+), (\S+) \(last residual \S+\)", err[0])
+        assert match and int(match[1]) < 200
+        assert all(float(r) > 2.0 for r in match.groups()[1:])
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("wrap_tol, code", [(1e-9, 0), (1e-300, 1)])
     def test_solve_reads_wrap_tol(self, wrap_tol, code, tmp_path, capsys):
         # a pulse ending past the window leaves a weighted endpoint of 2e-13

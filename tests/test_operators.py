@@ -15,7 +15,6 @@ from memax import (
     YeeGrid,
     build_curl_pair,
     divergence_diagnostics,
-    export_triplets,
     helmholtz_projections,
     poincare_constant,
 )
@@ -215,7 +214,7 @@ class TestModalKernels:
         assert np.abs(basis.pi1(np.eye(b.n_faces)) - P1).max() <= 1e-12
         v = rng.standard_normal(b.n_edges) + 1j * rng.standard_normal(b.n_edges)
         assert np.abs(basis.pi0(v) - P0 @ v).max() <= 1e-12 * np.abs(v).max()
-        # complex rows, as verify_first_order_estimates passes its signals
+        # complex rows, as the first-order estimates in test_stability.py pass their signals
         for P, n_dofs, pi in ((P0, b.n_edges, basis.pi0), (P1, b.n_faces, basis.pi1)):
             rows = rng.standard_normal((7, n_dofs)) + 1j * rng.standard_normal((7, n_dofs))
             assert np.abs(pi(rows) - rows @ P.T).max() <= 1e-12 * np.abs(rows).max()
@@ -419,15 +418,3 @@ class TestRegionMasks:
         pos = b.edge_positions[:, ax]
         assert np.all(pos[m] < b.grid.interface_position)
         assert np.all(pos[~m] >= b.grid.interface_position - 1e-12)
-
-
-class TestExport:
-    def test_triplet_format(self, bundle4, tmp_path):
-        path = str(tmp_path / "c0.txt")
-        export_triplets(bundle4.C0, path)
-        lines = open(path).read().strip().splitlines()
-        header = lines[0].split()
-        assert header[1] == str(bundle4.n_faces)
-        assert len(lines) - 1 == bundle4.C0.nnz
-        r, c, v = lines[1].split()
-        assert float(v) != 0.0

@@ -33,12 +33,14 @@ from memax import (
     simulate_decay,
     smooth_pulse,
     solve_linear,
+    spectral_derivative,
     stack_rhs,
-    verify_first_order_estimates,
+    weighted_norm,
 )
 from memax.errors import MemaxError
 from memax.materials import accretivity_scan, hermitian_min
 from memax.stability import StabilityCertificate
+from oracles import cumulative_trapezoid
 
 
 @pytest.fixture(scope="module")
@@ -497,6 +499,46 @@ class TestDecay:
                                [nu_run], 2.0)[0]
             rates.append(f.nu_hat)
         assert abs(rates[0] - rates[1]) < 0.05 * rates[1]
+
+
+def verify_first_order_estimates(bundle, basis, material, u, Phi, Psi, nu):
+    """Ratios of the four decay estimates (left norm / right norm) at weight -nu.
+
+    g = dPhi/dt + C mu^{-1} Psi, h = Pi0 (antiderivative of Phi),
+    w = Pi1 (antiderivative of Psi); ratios are reported, not asserted to a
+    universal constant.
+    """
+    ne = bundle.n_edges
+    E = u.with_values(u.values[:, :ne])
+    H = u.with_values(u.values[:, ne:])
+    du = spectral_derivative(u, check=False)
+    dE = du.with_values(du.values[:, :ne])
+    dH = du.with_values(du.values[:, ne:])
+
+    fmask = bundle.face_region_mask()
+    mu = np.where(fmask, material.mu1, material.mu2)
+    dPhi = spectral_derivative(Phi, check=False)
+    g = dPhi.with_values(dPhi.values + (bundle.C @ (Psi.values / mu[None, :]).T).T)
+
+    h_vals = basis.pi0(cumulative_trapezoid(Phi.values, Phi.grid.dt))
+    w_vals = basis.pi1(cumulative_trapezoid(Psi.values, Psi.grid.dt))
+    h = Phi.with_values(h_vals)
+    w = Psi.with_values(w_vals)
+
+    n = {
+        "E": weighted_norm(E), "H": weighted_norm(H),
+        "dE": weighted_norm(dE), "dH": weighted_norm(dH),
+        "g": weighted_norm(g), "h": weighted_norm(h), "w": weighted_norm(w),
+        "Phi": weighted_norm(Phi), "Psi": weighted_norm(Psi),
+    }
+    eps = 1e-300
+    return {
+        "E_over_g_h": n["E"] / max(n["g"] + n["h"], eps),
+        "H_over_g_Phi_w": n["H"] / max(n["g"] + n["Phi"] + n["w"], eps),
+        "dE_over_g_Phi": n["dE"] / max(n["g"] + n["Phi"], eps),
+        "dH_over_g_Psi": n["dH"] / max(n["g"] + n["Psi"], eps),
+        "norms": n,
+    }
 
 
 class TestFirstOrderEstimates:
