@@ -13,7 +13,6 @@ from .errors import (  # noqa: F401
     BallEscape,
     ConfigError,
     FrequencySingular,
-    GridTooCoarse,
     KernelRankTooHigh,
     LinearSolveFailure,
     MaxIterExceeded,

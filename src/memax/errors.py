@@ -38,10 +38,6 @@ class PoleHit(MemaxError):
         super().__init__(f"evaluation at z={z} within {distance:.3e} of a pole")
 
 
-class GridTooCoarse(MemaxError):
-    """An accretivity scan minimum is dominated by pole-adjacent cells."""
-
-
 class RankAmbiguous(MemaxError):
     """Singular values straddle the rank threshold too closely to trust."""
 

@@ -21,10 +21,11 @@ the oracle stepper) goes through this one expansion; the z-domain evaluators
 and closed forms below do not, so they stay independent checks on it.
 
 Accretivity is always measured as the smallest eigenvalue of the Hermitian
-part: "Re B >= c" means <(B + B*)/2 x, x> >= c |x|^2.  Scans walk a half-plane
-grid (linear in the abscissa, logarithmic in |Im z|), exclude a disk around
-the origin and pole-adjacent cells, and append the known analytic limits at
-|Im z| -> infinity so a finite grid cannot fake a certificate.
+part: "Re B >= c" means <(B + B*)/2 x, x> >= c |x|^2.  Off the law's poles
+Re(z M) and Re M are harmonic, so on a scan region {Re z >= -nu} \\ B[0,
+delta] without a pole their infimum lies on its boundary (the line Re z =
+-nu outside the disk and the arc |z| = delta right of it) or at |Im z| ->
+infinity, whose analytic limit is appended; a region with a pole is refused.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridTooCoarse, MemaxError, PoleHit
+from .errors import MemaxError, PoleHit
 from .signals import SampledKernel, TimeGrid
 
 POLE_PROXIMITY = 1e-14        # relative denominator threshold for PoleHit
-SCAN_POLE_MARGIN = 1e-6       # scan cells closer than this to a pole are skipped
+ARC_POINTS = 97               # samples of the arc |z| = delta, corners included
+CHORD_POINTS = 49             # samples of the chord Re z = -nu inside the disk
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,6 @@ class AccretivityScan:
     c_min: float
     argmin: complex
     n_grid: int
-    n_skipped_pole_cells: int
     tail_limit: float | None
     certified: bool
 
@@ -368,34 +369,28 @@ class AccretivityScan:
             "delta": self.delta_exclusion,
             "grid": self.n_grid,
             "nu": self.nu,
-            "skipped_pole_cells": self.n_skipped_pole_cells,
             "tail_limit": self.tail_limit,
         }
 
 
-def _scan_points(nu: float, delta: float, t_max: float, n_nu: int, n_t: int,
-                 nu_hi: float, poles: np.ndarray) -> tuple:
-    """(points, skipped pole cells) of a scan region.
-
-    Half-plane grid: linear in the abscissa on [-nu, nu_hi], logarithmic in
-    |Im z| from delta/10 up to t_max, both signs, plus the real axis.  Points
-    in B[0, delta] are dropped; so are those within SCAN_POLE_MARGIN
-    (relative) of a pole, and the latter are counted."""
-    nus = np.linspace(-nu, nu_hi, n_nu)
+def _boundary(nu: float, delta: float, t_max: float, n_t: int) -> tuple:
+    """(line, arc, chord) right of Re z = -nu: the line outside B[0, delta]
+    at t = 0 and +-geomspace(max(delta/10, 1e-8 t_max), t_max, n_t), the arc
+    |z| = delta (ARC_POINTS, the corners its ends) and the chord of the line
+    inside the disk (CHORD_POINTS).  line and arc bound {Re z >= -nu} \\
+    B[0, delta]; arc and chord bound the disk part."""
     t_lo = max(delta / 10.0, t_max * 1e-8)
     ts = np.geomspace(t_lo, t_max, n_t)
-    ts = np.concatenate([-ts[::-1], [0.0], ts])
-    Z = (nus[:, None] + 1j * ts[None, :]).ravel()
-    keep = np.abs(Z) > delta
-    skipped = 0
-    if poles.size:
-        dist = np.abs(Z - poles[0])
-        for p in poles[1:]:
-            np.minimum(dist, np.abs(Z - p), out=dist)
-        near = dist < SCAN_POLE_MARGIN * np.maximum(np.abs(Z), 1.0)
-        skipped = int(np.count_nonzero(near & keep))
-        keep &= ~near
-    return Z[keep], skipped
+    line = -nu + 1j * np.concatenate([-ts[::-1], [0.0], ts])
+    line = line[np.abs(line) > delta]
+    arc = chord = np.empty(0, dtype=np.complex128)
+    if delta > 0 and nu > -delta:
+        theta0 = np.pi - np.arccos(np.clip(nu / delta, -1.0, 1.0))
+        arc = delta * np.exp(1j * np.linspace(-theta0, theta0, ARC_POINTS))
+        if nu < delta:
+            h = math.sqrt(delta * delta - nu * nu)
+            chord = -nu + 1j * np.linspace(-h, h, CHORD_POINTS)
+    return line, arc, chord
 
 
 def hermitian_min(mat: np.ndarray) -> float:
@@ -405,20 +400,19 @@ def hermitian_min(mat: np.ndarray) -> float:
 
 
 def accretivity_scan(law, nu: float, delta_exclusion: float = 0.0,
-                     t_max: float | None = None, n_nu: int = 21, n_t: int = 400,
-                     nu_hi: float | None = None,
+                     t_max: float | None = None, n_t: int = 400,
                      condition_id: str = "M2",
                      scan_re_M: bool = False) -> AccretivityScan:
-    """Scan min over {Re z > -nu} \\ B[0, delta] of Re(z M(z)) (or Re M(z)).
+    """min over {Re z >= -nu} \\ B[0, delta] of Re(z M(z)) (or Re M(z)) on
+    the region's boundary, _boundary's line and arc.
 
     law is a ScalarLaw, or, for Re(z M(z)) only, has herm_min_vec(Z), the
     vectorized Hermitian-part minimum (stability.MdSystem); anything else
-    raises TypeError.  Pole-adjacent cells (within SCAN_POLE_MARGIN relative
-    distance) are skipped and counted; a ScalarLaw's analytic |Im z| ->
-    infinity limit is appended so that enlarging t_max can only confirm,
-    never manufacture, a certificate.  GridTooCoarse is raised when the
-    minimum sits on a cell adjacent to a skipped one (the scan cannot be
-    trusted there).
+    raises TypeError.  A ScalarLaw pole p in the region (Re p >= -nu, |p| >=
+    delta; one at 0 cancels in z M) makes the infimum -inf: nothing is
+    evaluated and c_min = -inf at argmin = p.  A ScalarLaw's analytic
+    |Im z| -> infinity limit is appended, so that enlarging t_max can only
+    confirm, never manufacture, a certificate.
     """
     scalar = isinstance(law, ScalarLaw)
     if not (scalar or (hasattr(law, "herm_min_vec") and not scan_re_M)):
@@ -428,11 +422,14 @@ def accretivity_scan(law, nu: float, delta_exclusion: float = 0.0,
     if t_max is None:
         pole_scale = max((abs(p) for p in poles), default=1.0)
         t_max = 1e4 * max(pole_scale, 1.0)
-    if nu_hi is None:
-        nu_hi = max(10.0 * max(nu, delta_exclusion, 1.0), 1.0)
+    inside = poles[(poles.real >= -nu) & (np.abs(poles) >= delta_exclusion)
+                   & ((poles != 0) | scan_re_M)]
+    if inside.size:
+        return AccretivityScan(condition_id, nu, delta_exclusion, -np.inf, complex(inside[0]),
+                               0, None, False)
 
-    Z, skipped = _scan_points(nu, delta_exclusion, t_max, n_nu, n_t, nu_hi, poles)
-
+    line, arc, _ = _boundary(nu, delta_exclusion, t_max, n_t)
+    Z = np.concatenate([line, arc])
     if scalar:
         M = law(Z)
         vals = np.real(M) if scan_re_M else np.real(Z * M)
@@ -445,18 +442,10 @@ def accretivity_scan(law, nu: float, delta_exclusion: float = 0.0,
 
     tail = None
     if scalar:
-        limit_fn = law.re_M_limit if scan_re_M else law.re_zM_limit
-        tail = float(min(limit_fn(s) for s in np.linspace(-nu, nu_hi, n_nu)))
+        tail = float((law.re_M_limit if scan_re_M else law.re_zM_limit)(-nu))
         if tail < c_min:
             c_min = tail
             argmin = complex(np.inf)
-
-    if skipped and poles.size:
-        d_argmin = float(np.min(np.abs(argmin - poles))) if np.isfinite(argmin) else np.inf
-        if d_argmin < 10.0 * SCAN_POLE_MARGIN * max(abs(argmin), 1.0):
-            raise GridTooCoarse(
-                f"scan minimum at {argmin} sits next to a skipped pole cell"
-            )
 
     return AccretivityScan(
         condition_id=condition_id,
@@ -465,7 +454,6 @@ def accretivity_scan(law, nu: float, delta_exclusion: float = 0.0,
         c_min=c_min,
         argmin=argmin,
         n_grid=int(Z.shape[0]),
-        n_skipped_pole_cells=skipped,
         tail_limit=tail,
         certified=c_min > 0.0,
     )

@@ -31,12 +31,14 @@ reproduces exactly that split.  Decay rates are measured by a log-linear
 fit of the state norm after the sources switch off, with the window policy
 logged.
 
-A certificate evaluates each law once per scan grid.  At each trial weight
-the damping sweep takes every value of d from one evaluation of M0 and M1
-on the M_d grid, and the disk bound is one stacked 2x2 spectral norm per
-law.  The reductions keep their order (argmin per law, then the smallest
-over laws), so the certificates are those of the one-scan-per-d,
-one-point-per-norm evaluation bit for bit.
+Each margin is read on the boundary of its region (materials._boundary),
+where the minimum principle puts it, since the laws' poles lie left of the
+line Re z = -nu.  The damping sweep takes every value of d from one
+evaluation of M0 and M1 on the line and arc, and the disk bound is one
+stacked 2x2 spectral norm per law on the arc and chord.  The reductions keep
+their order (argmin per law, then the smallest over laws), so the
+certificates are those of the one-scan-per-d, one-point-per-norm evaluation
+bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import MemaxError, NotCertified
 from .materials import (
     PiecewiseMaterial,
     ScalarLaw,
-    _scan_points,
+    _boundary,
     accretivity_scan,
     hermitian_min,
 )
@@ -171,18 +173,19 @@ def _select_damping(mds, eps_max: float, nu: float, delta: float, c_at_nu: float
     needs Re z + d > 0 at Re z = -nu, while the -d M0 shift eats the scalar
     margin c.  The largest d meeting half the attainable margin is kept
     (recorded either way); no admissible d means no certificate.  Each law
-    is evaluated once on the grid of accretivity_scan(md, nu, delta,
-    t_max=1e4, n_nu=11, n_t=200, nu_hi=5.0), and all n_grid values of d are
-    swept from that one evaluation; per d the margin is each law's scan
-    minimum at its argmin, then the smallest over laws, so it equals the
-    smallest accretivity_scan minimum of md_from_scalar_law(law, eps_inf, C, d).
+    is evaluated once on the boundary that accretivity_scan(md, nu, delta,
+    t_max=1e4, n_t=200) reads (lambda_min(Herm(z M_d)) is superharmonic and
+    the laws' poles lie left of the line), and all n_grid values of d are
+    swept from that one evaluation; per d the margin is each law's minimum
+    at its argmin, then the smallest over laws, so it equals the smallest
+    accretivity_scan minimum of md_from_scalar_law(law, eps_inf, C, d).
     """
     d_hi = c_at_nu / eps_max
     d_lo = 1.02 * nu
     if d_hi <= d_lo:
         return 0.0, -np.inf
     ds = np.linspace(d_lo, d_hi, n_grid)
-    Z, _ = _scan_points(nu, delta, 1e4, 11, 200, 5.0, np.array([]))
+    Z = np.concatenate(_boundary(nu, delta, 1e4, 200)[:2])
     parts = [(M0, M1, Z * (M0 + M1 / Z)) for M0, M1 in (md._parts(Z) for md in mds)]
     margins = []
     for d in ds:
@@ -197,12 +200,10 @@ def _select_damping(mds, eps_max: float, nu: float, delta: float, c_at_nu: float
 
 
 def _disk_sup(mds, d: float, nu: float, delta: float) -> float:
-    """sup |z M_d(z)| (spectral norm) on a polar grid of B[0, delta] right of
-    Re z = -nu: per law one evaluation and one stacked 2x2 norm."""
-    rr = np.linspace(1e-3, delta, 12)
-    th = np.linspace(0, 2 * np.pi, 25)
-    Z = (rr[:, None] * np.exp(1j * th)[None, :]).ravel()
-    Z = Z[np.real(Z) > -nu]
+    """max |z M_d(z)| (spectral norm) on the boundary (_boundary's arc and
+    chord) of B[0, delta] right of Re z = -nu, where the subharmonic norm
+    peaks: per law one evaluation and one stacked 2x2 norm."""
+    Z = np.concatenate(_boundary(nu, delta, delta, 0)[1:])    # no line ordinates
     sup = 0.0
     for md in mds:
         blocks = Z[:, None, None] * _md_blocks(Z, *md._parts(Z), md.C, d)
@@ -321,12 +322,11 @@ def certify_decay_rate(laws, eps_infs, sigma_min_B: float, delta: float = 1.0,
         bisects on its M2 scan alone."""
         rows = []
         for law in laws:
-            rows.append([accretivity_scan(law, nu=nu, delta_exclusion=radius, n_nu=15,
-                                          n_t=250, condition_id=ids[0])])
+            rows.append([accretivity_scan(law, nu=nu, delta_exclusion=radius, n_t=250,
+                                          condition_id=ids[0])])
             if pair:
                 rows[-1].append(accretivity_scan(law.base or law, nu=nu, delta_exclusion=0.0,
-                                                 n_nu=15, n_t=250, condition_id=ids[1],
-                                                 scan_re_M=True))
+                                                 n_t=250, condition_id=ids[1], scan_re_M=True))
         return rows
 
     def margins(rows):

@@ -294,6 +294,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and all(name in err for name in names)
 
+    @pytest.mark.parametrize("strict, code", [(False, 0), (True, 1)])
+    def test_scan_refuses_a_region_with_a_pole(self, tmp_path, strict, code):
+        # the poles -1 +- 1.732i lie inside Re z >= -3: no margin, not certified
+        raw = default_config_dict()
+        raw["material"].update(terms=[{"alpha": 8.0, "gamma": 1.0, "omega0": 2.0}], r=0.5)
+        path = tmp_path / "poles.json"
+        path.write_text(json.dumps(raw))
+        rc = main((["--strict"] if strict else []) + [
+            "scan", "--config", str(path), "--nu", "3", "--out", str(tmp_path / "scan")])
+        assert rc == code
+        scan = json.loads((tmp_path / "scan" / "scan.json").read_text())["scans"]["law0"]
+        assert scan["certified"] is False and scan["c_min"] == "-inf"
+        assert scan["argmin_re"] == pytest.approx(-1.0, abs=1e-12)
+
     def test_stability_refuses_plain_dl_strict(self, tmp_path):
         raw = default_config_dict()
         raw["material"] = {"model": "dl", "eps0": 1.0,

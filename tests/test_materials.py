@@ -26,6 +26,7 @@ from memax import (
     mod_dl_law,
     re_zM_closed_form,
 )
+from oracles import dense_boundary
 
 
 def random_dl(rng) -> DrudeLorentzParams:
@@ -311,16 +312,32 @@ class TestScans:
         # on Re z > rho0 > 0: c_min >= eps0 * rho0 (Re z M >= c Re z behavior)
         law = dl_law(dl_params)
         for rho0 in (0.5, 1.0, 2.0):
-            scan = accretivity_scan(law, nu=-rho0, nu_hi=20.0,
-                                    condition_id="PicardStrip")
+            scan = accretivity_scan(law, nu=-rho0, condition_id="PicardStrip")
             assert scan.c_min >= dl_params.eps0 * rho0 - 1e-12
 
     def test_refinement_monotone(self, mod_params):
         law = mod_dl_law(mod_params)
-        coarse = accretivity_scan(law, nu=0.02, delta_exclusion=1.0, n_nu=7, n_t=60)
-        fine = accretivity_scan(law, nu=0.02, delta_exclusion=1.0, n_nu=21, n_t=400)
+        coarse = accretivity_scan(law, nu=0.02, delta_exclusion=1.0, n_t=60)
+        fine = accretivity_scan(law, nu=0.02, delta_exclusion=1.0, n_t=400)
         # the scan minimum never increases when the grid is refined (superset)
         assert fine.c_min <= coarse.c_min + 1e-12
+
+    def test_margin_is_the_dense_boundary_minimum(self, mod_params):
+        # the minimum sits on the corner where the line Re z = -nu meets |z| = delta
+        scan = accretivity_scan(mod_dl_law(mod_params), nu=0.02, delta_exclusion=1.0)
+        Z = dense_boundary(0.02, 1.0, 2e4)
+        oracle = float(np.min(np.real(Z * mod_params(Z))))
+        assert Z.size >= 200_000
+        assert scan.c_min == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_region_with_a_pole_is_refused(self):
+        # poles -1 +- 1.732i lie inside Re z >= -3: the infimum is -inf and
+        # the scan says so without evaluating the law
+        scan = accretivity_scan(ScalarLaw(1.0, [(8.0, 1.0, 2.0)], r=0.5), nu=3.0)
+        assert scan.c_min == -np.inf and not scan.certified
+        assert scan.argmin.real == pytest.approx(-1.0, abs=1e-12)
+        assert abs(scan.argmin.imag) == pytest.approx(np.sqrt(3.0), abs=1e-12)
+        assert scan.n_grid == 0 and scan.tail_limit is None
 
     def test_scan_json(self, mod_params):
         import json
@@ -353,6 +370,13 @@ class TestConductivity:
         sig = conductivity_law(dl_law(p), 0.5)
         scan = accretivity_scan(sig, nu=0.1, delta_exclusion=0.0, condition_id="M4")
         assert scan.certified and scan.c_min > 0
+
+    def test_pole_at_zero_cancels_in_z_M(self):
+        # sigma/z and a Drude term's alpha/(z (z + 2 gamma)) have no pole in z M
+        for law in (conductivity_law(dl_law(DrudeLorentzParams(1.0, [(0.2, 1.0, 2.0)])), 0.5),
+                    ScalarLaw(1.0, [(0.8, 2.0, 0.0)], r=4.0)):
+            scan = accretivity_scan(law, nu=0.0, delta_exclusion=0.0, condition_id="M4")
+            assert np.isfinite(scan.c_min) and scan.n_grid > 0
 
     def test_scan_rejects_other_laws(self):
         # a ScalarLaw, or herm_min_vec for Re(z M(z)); nothing else

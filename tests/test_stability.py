@@ -40,7 +40,7 @@ from memax import (
 from memax.errors import MemaxError
 from memax.materials import accretivity_scan, hermitian_min
 from memax.stability import StabilityCertificate
-from oracles import cumulative_trapezoid
+from oracles import cumulative_trapezoid, dense_boundary
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +86,8 @@ class TestMd:
         base = accretivity_scan(law, nu=nu, delta_exclusion=1.0)
         assert base.c_min > 0
         md = md_from_scalar_law(law, 1.0, sigma_min_B, d=1.5 * nu)
-        scan = accretivity_scan(md, nu=nu, delta_exclusion=1.0, t_max=1e3,
-                                n_nu=9, n_t=150, nu_hi=5.0, condition_id="Md")
+        scan = accretivity_scan(md, nu=nu, delta_exclusion=1.0, t_max=1e3, n_t=150,
+                                condition_id="Md")
         assert scan.c_min > 0
         assert scan.c_min <= base.c_min + 1e-9  # inherited, not improved
 
@@ -217,20 +217,21 @@ class TestCertification:
 def reference_certificate(laws, eps_infs, sigma_min_B, delta=1.0, bisect_iters=25):
     """certify_decay_rate with one accretivity_scan per law and condition on
     either route, one per damping value and law on the disk route, and one
-    2x2 norm per disk point."""
+    2x2 norm per point of the disk's boundary (materials._boundary's arc and
+    chord)."""
     if any(law.base is not None for law in laws):
         return _reference_strict(laws, sigma_min_B, bisect_iters)
     eps_max = max(eps_infs)
 
     def m2(nu):
-        return min(accretivity_scan(law, nu=nu, delta_exclusion=delta, n_nu=15, n_t=250,
+        return min(accretivity_scan(law, nu=nu, delta_exclusion=delta, n_t=250,
                                     condition_id="M2").c_min for law in laws)
 
     def md_margin(d, nu):
         return float(min(
             accretivity_scan(md_from_scalar_law(law, e, sigma_min_B, d), nu=nu,
-                             delta_exclusion=delta, t_max=1e4, n_nu=11, n_t=200,
-                             nu_hi=5.0, condition_id="Md").c_min
+                             delta_exclusion=delta, t_max=1e4, n_t=200,
+                             condition_id="Md").c_min
             for law, e in zip(laws, eps_infs)))
 
     def damping(nu, c, n_grid):
@@ -261,21 +262,19 @@ def reference_certificate(laws, eps_infs, sigma_min_B, delta=1.0, bisect_iters=2
     nu0 = 0.8 * stability._largest_feasible_nu(feasible, nu_hi, bisect_iters)
     scans, c_vals, c1_vals = {}, [], []
     for i, law in enumerate(laws):
-        scans[f"M2_law{i}"] = accretivity_scan(law, nu=nu0, delta_exclusion=delta, n_nu=15,
-                                               n_t=250, condition_id="M2")
-        scans[f"M3_law{i}"] = accretivity_scan(law, nu=nu0, delta_exclusion=0.0, n_nu=15,
-                                               n_t=250, condition_id="M3", scan_re_M=True)
+        scans[f"M2_law{i}"] = accretivity_scan(law, nu=nu0, delta_exclusion=delta, n_t=250,
+                                               condition_id="M2")
+        scans[f"M3_law{i}"] = accretivity_scan(law, nu=nu0, delta_exclusion=0.0, n_t=250,
+                                               condition_id="M3", scan_re_M=True)
         c_vals.append(scans[f"M2_law{i}"].c_min)
         c1_vals.append(scans[f"M3_law{i}"].c_min)
     c, c1 = min(c_vals), min(c1_vals)
     d0, _ = damping(nu0, c, 12)
     disk_sup = 0.0
-    rr = np.linspace(1e-3, delta, 12)
-    th = np.linspace(0, 2 * np.pi, 25)
-    Z = (rr[:, None] * np.exp(1j * th)[None, :]).ravel()
+    _, arc, chord = materials._boundary(nu0, delta, delta, 0)
     for law, e in zip(laws, eps_infs):
         md = md_from_scalar_law(law, e, sigma_min_B, d0 if d0 > 0 else 1.0)
-        for z in Z[np.real(Z) > -nu0]:
+        for z in np.concatenate([arc, chord]):
             disk_sup = max(disk_sup, float(np.linalg.norm(z * md(z), 2)))
     certified = c > 0 and c1 > 0 and d0 > 0 and disk_sup < sigma_min_B
     return StabilityCertificate(
@@ -287,10 +286,9 @@ def reference_certificate(laws, eps_infs, sigma_min_B, delta=1.0, bisect_iters=2
 def _reference_strict(laws, sigma_min_B, bisect_iters):
     """The strict route: M4 and M4_reM scans on the whole half-plane."""
     def pair(nu):
-        return [(accretivity_scan(law, nu=nu, delta_exclusion=0.0, n_nu=15, n_t=250,
-                                  condition_id="M4"),
-                 accretivity_scan(law.base or law, nu=nu, delta_exclusion=0.0, n_nu=15,
-                                  n_t=250, condition_id="M4_reM", scan_re_M=True))
+        return [(accretivity_scan(law, nu=nu, delta_exclusion=0.0, n_t=250, condition_id="M4"),
+                 accretivity_scan(law.base or law, nu=nu, delta_exclusion=0.0, n_t=250,
+                                  condition_id="M4_reM", scan_re_M=True))
                 for law in laws]
 
     def margins(ss):
@@ -417,6 +415,44 @@ class TestBatchedCertificate:
         assert len(sizes) <= 100
         # no one-point evaluations: M1 -> 0 is read off the pole set
         assert points == []
+
+
+def z_md(law, eps_inf, C, d, Z):
+    """z M_d(z) = [[z M0 + M1 - d M0, d (M1 - d M0) / C], [0, z + d]] at every
+    point of Z, with M0 = eps_inf and M1 = z (M(z) - eps_inf)."""
+    M1 = Z * (law(Z) - eps_inf)
+    out = np.zeros(Z.shape + (2, 2), dtype=np.complex128)
+    out[:, 0, 0] = Z * eps_inf + M1 - d * eps_inf
+    out[:, 0, 1] = d * (M1 - d * eps_inf) / C
+    out[:, 1, 1] = Z + d
+    return out
+
+
+class TestDenseBoundaryOracle:
+    """The damped margin and the disk bound against a dense sample of their
+    regions' boundaries (over 2e5 points) at the certificate's own weight
+    and damping: each is on the safe side of the oracle."""
+
+    def test_disk_bound_is_the_dense_maximum(self):
+        # the maximum sits at the middle of the chord Re z = -nu0
+        cert = certify_decay_rate([_LOW_OMEGA0], [1.0], SIGMA_MIN_B8)
+        Z = dense_boundary(cert.nu0, 1.0, 0.0, disk=True)
+        oracle = np.linalg.norm(z_md(_LOW_OMEGA0, 1.0, SIGMA_MIN_B8, cert.d0, Z), 2,
+                                axis=(1, 2)).max()
+        assert Z.size >= 200_000
+        assert cert.disk_sup >= oracle * (1.0 - 1e-12)
+
+    def test_damped_margin_is_the_dense_minimum(self):
+        # the minimum sits near the corner of the line and the circle
+        cert = certify_decay_rate([_mod()], [1.0], SIGMA_MIN_B8)
+        mds = [md_from_scalar_law(_mod(), 1.0, SIGMA_MIN_B8, 0.0)]
+        d0, margin = stability._select_damping(mds, 1.0, cert.nu0, 1.0, cert.c, 12)
+        assert d0 == cert.d0 and margin > 0
+        Z = dense_boundary(cert.nu0, 1.0, 1e4)
+        B = z_md(_mod(), 1.0, SIGMA_MIN_B8, d0, Z)
+        oracle = np.linalg.eigvalsh(0.5 * (B + B.conj().transpose(0, 2, 1)))[:, 0].min()
+        assert Z.size >= 200_000
+        assert margin <= oracle * (1.0 + 1e-12)
 
 
 DEC_GRID = TimeGrid(-4.0, 0.25, 1024)
