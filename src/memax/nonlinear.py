@@ -6,11 +6,12 @@ through its time derivative
     dP(E)/dt = kappa(0+) q(E(t)) + (kappa' * q(E))(t),
 
 whose Lipschitz constant in the rho-weighted norm is bounded by
-|q|_Lip (|kappa(0+)| + L_kappa) with L_kappa the exponentially weighted
-L1 mass of kappa'.  Combined with the certified solution-operator norm
-1/c_min on the solve line, that gives a computable contraction bound for
-the Picard iteration u -> S(g - dP(E)/dt); every run returns the bound
-next to the measured geometric rate as a contraction certificate.
+|q|_Lip (|kappa(0+)| + the L1 mass of kappa'(s) e^{-r s}), r = min(rho,
+rho_kappa).  Combined with the certified solution-operator norm 1/c_min
+on the solve line, that gives a computable contraction bound for the
+Picard iteration u -> S(g - dP(E)/dt), whose memory term is a per-bin
+multiplier on that line; every run returns the bound next to the
+measured geometric rate as a contraction certificate.
 
 Fully nonlocal quadratic polarizations use separable (low-rank)
 two-variable kernels, turning the double integral into products of single
@@ -34,12 +35,10 @@ from .signals import (
     TimeGrid,
     WeightedSignal,
     _from_line,
-    _gap_norm,
     _line_columns,
-    _line_input,
+    _line_norm,
     _to_line,
     causal_convolve,
-    weighted_norm,
 )
 from .spectral import LinearProblem, SolutionOperator
 
@@ -83,9 +82,17 @@ class KernelSpec:
                                        sample_kernel(terms, grid, derivative=True),
                                        rho_kappa)
 
-    def lip_factor(self) -> float:
-        """|kappa(0+)| + L_kappa."""
-        return abs(self.kappa_at_0plus) + self.L_kappa
+    def lip_factor(self, rho: float) -> float:
+        """|kappa(0+)| + the L1 norm of kappa'(s) e^{-r s}, r = min(rho, rho_kappa)."""
+        return abs(self.kappa_at_0plus) + compute_L_kappa(self.kappa_prime, min(rho, self.rho_kappa))
+
+    def weighted_taps(self, grid: TimeGrid, rho: float) -> np.ndarray:
+        """causal_convolve's taps of kappa' on samples weighted by e^{-rho t}: its
+        response to a unit first sample times e^{-rho j dt} at lag j < n."""
+        impulse = np.zeros((grid.n_samples, 1))
+        impulse[0] = 1.0
+        h = causal_convolve(self.kappa_prime, WeightedSignal(grid, 0.0, impulse)).values[:, 0]
+        return h * np.exp(-rho * grid.dt * np.arange(grid.n_samples))
 
     def dt_convolve(self, x: WeightedSignal, out: np.ndarray | None = None) -> np.ndarray:
         """d/dt (kappa * x) = kappa' * x + kappa(0+) x, the two-term formula.
@@ -185,12 +192,11 @@ class DtPolarization:
     def __call__(self, E: WeightedSignal) -> WeightedSignal:
         return apply_dt_P_nl(self.spec, self.q, E)
 
-    def lip_bound(self) -> float:
-        return self.q.lip_bound * self.spec.lip_factor()
+    def lip_bound(self, rho: float) -> float:
+        """The rho-weighted Lipschitz constant: global, so local on every ball."""
+        return self.q.lip_bound * self.spec.lip_factor(rho)
 
-    def loc_lip_constant(self, rho: float) -> float:
-        """A global Lipschitz bound is a local one on every ball."""
-        return self.lip_bound()
+    loc_lip_constant = lip_bound
 
     def constants(self) -> dict:
         return {
@@ -331,6 +337,9 @@ class ContractionCertificate:
     final_residual: float
     constants: dict = field(default_factory=dict)
     gaps: list = field(default_factory=list)   # step gaps |u_{j+1} - u_j|, one per iteration
+    line_steps: int = 0        # steps (the residual's included) whose memory term was a line product
+    time_steps: int = 0        # steps whose memory term was formed in time
+    max_alias_bound: float | None = None   # the largest wrap bound B of a line-gated step
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -369,73 +378,100 @@ def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: flo
     u, the certificate fields measured on the run and the trace of iterate
     norms checked against the ball.
 
-    g is transformed once.  A step copies g's spectrum on the line that
-    _to_line takes for the step's data g - (N(E), 0), transforms into it only
-    the edge columns g_E - N(E), and solves and transforms back in place as
-    op.apply does: each iterate has the bits of op.apply on that data.  The
-    gap norm forms the difference of two iterates one column block at a time.
+    Iterates live on the solve's line: g is transformed once, a step's data
+    is g's spectrum less N(E)'s in the edge columns, written over the
+    buffer of the gap before it, and only a solution's edge columns go back
+    to time, for the next N(E); norms are read off the spectra by
+    _line_norm.  For a DtPolarization N(E)'s spectrum is K Q: Q that of
+    q(E), K = kappa(0+) + DFT(weighted_taps), exact for dt_convolve up to
+    the circular product's wrap, at most B = sum_{j>=1} |taps_j|
+    max_{m>=n-j} x_m per sample, x_m the weighted q(E)'s column peak.  A
+    step with B > wrap_tol max x, and any other nonlinearity, forms N(E)
+    in time.  The line is g's until a complex kernel or N needs the full.
     """
     if g.rho != op.rho:
         g = WeightedSignal(g.grid, op.rho, g.values, g.wrap_tol)
     g.check_wraparound()
-    ne = op.bundle.n_edges
+    n, ne = g.grid.n_samples, op.bundle.n_edges
     weight = np.exp(-g.rho * g.times)[:, None]
     G, _, real = _to_line(g)
-    lines, face_peaks = {real: G}, {}   # g's spectrum per line, its weighted faces' peaks per dtype
+    paths = {"line_steps": 0, "time_steps": 0, "max_alias_bound": None}
 
-    def solve(W: np.ndarray, real: bool) -> WeightedSignal:
-        op._solve_line(W, None)
-        return _from_line(W, g, real)
+    def full(W: np.ndarray) -> np.ndarray:   # the full line of a real signal's half line W
+        return np.asfortranarray(np.concatenate((W, W[(n - 1) // 2:0:-1].conj())))
 
-    def step(u: WeightedSignal) -> WeightedSignal:
-        N = nonlinearity(u._with_fresh(u.values[:, :ne])).values
-        head = np.array(g.values[:, :ne], dtype=np.result_type(g.values, N), order="F")
-        head -= N
-        if head.dtype not in face_peaks:
-            face_peaks[head.dtype] = _line_input(g.values[:, ne:].astype(head.dtype), weight)[3]
-        y, w, real, _ = _line_input(head, weight, face_peaks[head.dtype])
-        if real not in lines:   # g on the other line, weighted as complex data
-            x = np.multiply(g.values, weight, dtype=np.complex128)
-            lines[real] = _line_columns(x.real if real else x, 1.0, real)
-        W = lines[real].copy(order="F")
-        _line_columns(y, w, real, out=W[:, :ne])
-        return solve(W, real)
+    spec = nonlinearity.spec if isinstance(nonlinearity, DtPolarization) else None
+    if spec is not None:
+        taps, k0 = spec.weighted_taps(g.grid, g.rho), spec.kappa_at_0plus
+        if real and (taps.imag.any() or k0.imag):
+            G, real = full(G), False
+        K = (k0.real + np.fft.rfft(taps.real) if real else k0 + np.fft.fft(taps))[:, None]
+        taps = np.abs(taps[1:])
 
-    def inside_ball(u: WeightedSignal) -> float:
-        norm_u = weighted_norm(u)
+    def data(E: WeightedSignal, V: np.ndarray | None) -> np.ndarray:
+        """The spectrum of g - (N(E), 0), in V when V has the line's shape."""
+        nonlocal G, real
+        if spec is not None:
+            qE = nonlinearity.q(E.values)
+            x = np.maximum.accumulate((np.abs(qE).max(axis=1) * weight[:, 0])[::-1])
+            bound = float((taps * x[:-1]).sum())
+            paths["max_alias_bound"] = max(bound, paths["max_alias_bound"] or 0.0)
+        if spec is not None and bound <= g.wrap_tol * x[-1]:
+            paths["line_steps"] += 1
+            M = _line_columns(qE, weight, real)
+            M *= K
+        else:
+            paths["time_steps"] += 1
+            N = nonlinearity(E).values if spec is None else spec.dt_convolve(E._with_fresh(qE))
+            if real and np.iscomplexobj(N):
+                G, real = full(G), False
+            M = _line_columns(N, weight, real)
+        if V is None or V.shape != G.shape:
+            V = np.empty_like(G)
+        V[:, ne:] = G[:, ne:]
+        np.subtract(G[:, :ne], M, out=V[:, :ne])
+        return V
+
+    def solve(V: np.ndarray) -> tuple:
+        """(u's spectrum, solved in V; u's edge columns in time)."""
+        op._solve_line(V, None)
+        return V, _from_line(V[:, :ne].copy(order="F"), g, real)
+
+    def inside_ball(W: np.ndarray) -> float:
+        norm_u = _line_norm(W, g.grid, real)
         if norm_u > radius:
             raise BallEscape(len(gaps), norm_u, radius)
         return norm_u
 
-    u = solve(G.copy(order="F"), real)
-    scale = max(weighted_norm(u) if radius is None else radius, 1e-300)
-    gaps, ratios, trace = [], [], []
+    u = solve(G.copy(order="F"))
+    scale = max(_line_norm(u[0], g.grid, real) if radius is None else radius, 1e-300)
+    gaps, ratios, trace, V = [], [], [], None
     for _ in range(max_iter):
         if radius is not None:
-            trace.append(inside_ball(u))
-        u_next = step(u)
-        gap = _gap_norm(u_next, u)
+            trace.append(inside_ball(u[0]))
+        W, u = u[0], solve(data(u[1], V))
+        V = np.subtract(u[0], W, out=W) if W.shape == u[0].shape else u[0] - full(W)
+        gap = _line_norm(V, g.grid, real)
         if gaps:
             ratios.append(gap / max(gaps[-1], 1e-300))
         gaps.append(gap)
-        u = u_next
         if gap <= tol * scale:
             break
         if radius is None and len(ratios) >= 3 and all(r > 2.0 for r in ratios[-3:]):
-            # runaway: usually the window's unweighted dynamic range
-            # e^{rho (t_end - t_data)} exceeding float precision
+            # runaway: the map is not a contraction on this line (a
+            # Lipschitz bound below the true constant)
             raise MaxIterExceeded(len(gaps), gaps, ratios[-3:])
     else:
         raise MaxIterExceeded(len(gaps), gaps)
     if radius is not None:
-        inside_ball(u)
-    return u, {
-        "empirical_ratio": max(ratios) if ratios else 0.0,
-        "gaps": gaps,
-        "iterations": len(gaps),
-        "converged": True,
-        "final_residual": _gap_norm(step(u), u),
-    }, trace
+        inside_ball(u[0])
+    W, was_real = u[0], real
+    last = solve(data(u[1], V))[0]
+    last -= W if was_real == real else full(W)
+    run = {"empirical_ratio": max(ratios) if ratios else 0.0, "gaps": gaps,
+           "iterations": len(gaps), "converged": True,
+           "final_residual": _line_norm(last, g.grid, real), **paths}
+    return _from_line(W, g, was_real), run, trace
 
 
 def picard_solve(problem: LinearProblem, nonlinearity, rho: float | None = None,
@@ -450,7 +486,7 @@ def picard_solve(problem: LinearProblem, nonlinearity, rho: float | None = None,
     if rho is None:
         rho = problem.rho
     op = SolutionOperator(problem.bundle, problem.material, rho, problem.rhs.grid)
-    lip = nonlinearity.lip_bound()
+    lip = nonlinearity.lip_bound(rho)
     bound = lip / op.c_min
     if bound >= 1.0:
         try:
@@ -463,7 +499,7 @@ def picard_solve(problem: LinearProblem, nonlinearity, rho: float | None = None,
     cert = ContractionCertificate(
         rho=rho,
         theoretical_bound=bound,
-        constants={**getattr(nonlinearity, "constants", dict)(), "c_min_line": op.c_min},
+        constants={**getattr(nonlinearity, "constants", dict)(), "lip_line": lip, "c_min_line": op.c_min},
         **run,
     )
     return u, cert

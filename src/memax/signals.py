@@ -20,11 +20,11 @@ in Fortran order, so every time-axis transform and convolution reads
 contiguous columns and a real signal holds half the bytes.  No other module
 re-checks a signal's dtype; the operations here keep real data real.
 
-_to_line and _from_line are the working transform to the line and back, and
-_line_input, which _to_line calls, the one place that tells real data from
-complex: the rfft half line or the fft full line.  They drop the unit phase
-e^{-i xi t_start} and the constant dt / sqrt(2 pi), which the inverse undoes
-and no per-bin multiplier or solve sees; fourier_laplace keeps both.
+_to_line and _from_line are the working transform to the line and back;
+_to_line alone tells real data (the rfft half line) from complex (the fft
+full line).  They drop the unit phase e^{-i xi t_start} and the constant
+dt / sqrt(2 pi), which the inverse undoes and no per-bin multiplier or
+solve sees (fourier_laplace keeps both); _line_norm is weighted_norm on W.
 
 Working bytes: a real signal's trip to the line and back is one buffer, its
 Fortran-ordered half spectrum, which _to_line fills, a solve may overwrite
@@ -320,24 +320,18 @@ def _column_blocks(rows: int, cols: int, itemsize: int = 8) -> list:
     return [(a, min(a + step, cols)) for a in range(0, cols, step)]
 
 
-def _magnitudes(u: WeightedSignal, peaks: bool = True, squares: bool = True,
-                minus: WeightedSignal | None = None) -> tuple:
+def _magnitudes(u: WeightedSignal, peaks: bool = True, squares: bool = True) -> tuple:
     """(max_j |u_j|, sum_j |u_j|^2) per sample in column blocks, or None for
-    a part not asked for; with minus, of u - minus, each block's difference
-    formed in the buffer.  A block's squares sit behind the running sum (the
+    a part not asked for.  A block's squares sit behind the running sum (the
     buffer's first column): the columns fold left to right as np.sum does.
     Without peaks a real block is squared as it is: x^2 = |x|^2, bit for bit."""
     n, dim = u.values.shape
     blocks = _column_blocks(n, dim)
     buf = np.zeros((n, blocks[0][1] + 1), order="F")
     peak = np.zeros(n) if peaks else None
-    if minus is not None:
-        dtype = np.result_type(u.values, minus.values)
-        diff = buf[:, 1:] if dtype == np.float64 else np.empty((n, blocks[0][1]), dtype, order="F")
     for a, b in blocks:
         mags = buf[:, 1:b - a + 1]
-        x = (u.values[:, a:b] if minus is None else
-             np.subtract(u.values[:, a:b], minus.values[:, a:b], out=diff[:, :b - a]))
+        x = u.values[:, a:b]
         if peaks or x.dtype != np.float64:
             x = np.abs(x, out=mags)
         if peaks:
@@ -353,17 +347,10 @@ def weighted_norm(u: WeightedSignal) -> float:
     return _wraparound_and_norm(u, peaks=False)[1]
 
 
-def _gap_norm(a: WeightedSignal, b: WeightedSignal) -> float:
-    """weighted_norm(a - b), bit for bit, without the difference signal."""
-    a._check_compatible(b)
-    return _wraparound_and_norm(a, peaks=False, minus=b)[1]
-
-
-def _wraparound_and_norm(u: WeightedSignal, peaks: bool = True, squares: bool = True,
-                         minus: WeightedSignal | None = None) -> tuple:
-    """(u.wraparound_measure(), weighted_norm(u)) in one sweep, of u - minus
-    with minus given; None for a part not asked for."""
-    peak, sq = _magnitudes(u, peaks, squares, minus)
+def _wraparound_and_norm(u: WeightedSignal, peaks: bool = True, squares: bool = True) -> tuple:
+    """(u.wraparound_measure(), weighted_norm(u)) in one sweep; None for a
+    part not asked for."""
+    peak, sq = _magnitudes(u, peaks, squares)
     norm = None if sq is None else float(np.sqrt(np.trapezoid(
         sq * np.exp(-2.0 * u.rho * u.times), dx=u.grid.dt)))
     if peak is None:
@@ -405,42 +392,29 @@ def _to_line(u: WeightedSignal) -> tuple:
     """(W, z, real): the fresh plain DFT along time of w = u e^{-rho t}, the
     z = rho + i xi of its rows, and whether W is the rfft half line (bins
     0 .. n//2, Nyquist with the full line's z), taken when u is float64 or
-    |Im w| <= 1e-12 max |w|, or the fft full line.  real is carried, since
-    at n = 2 both lines have two rows.  W is Fortran-ordered; see
-    _line_input and _line_columns."""
+    |Im w| <= 1e-12 max |w| (the half line then takes Re w), or the fft
+    full line.  real is carried, since at n = 2 both lines have two rows.
+    W is Fortran-ordered; see _line_columns."""
     g = u.grid
     z = u.rho + 1j * g.xi
-    y, weight, real, _ = _line_input(u.values, np.exp(-u.rho * g.times)[:, None])
+    y, weight, real = u.values, np.exp(-u.rho * g.times)[:, None], True
+    if np.iscomplexobj(y):
+        y = y * weight
+        real = bool(np.abs(y.imag).max() <= 1e-12 * np.abs(y).max())
+        y, weight = (y.real, 1.0) if real else (y, None)
     return _line_columns(y, weight, real), (z[:g.n_samples // 2 + 1] if real else z), real
 
 
-def _line_input(x: np.ndarray, weight: np.ndarray, other=(0.0, 0.0)) -> tuple:
-    """(y, weight, real, peaks): the samples and weight _line_columns
-    transforms for samples x and weight e^{-rho t}, and the line _to_line
-    takes.  Float x goes to the half line as it is.  Complex x is weighted
-    here to w, whose peaks (max |Im w|, max |w|), taken with the peaks
-    other of further columns of the same data, choose the line: the half
-    line takes Re w with weight 1, the full line w."""
-    if not np.iscomplexobj(x):
-        return x, weight, True, None
-    w = x * weight
-    peaks = np.maximum((np.abs(w.imag).max(), np.abs(w).max()), other)
-    if peaks[0] > 1e-12 * peaks[1]:
-        return w, None, False, peaks
-    return w.real, 1.0, True, peaks
-
-
-def _line_columns(y: np.ndarray, weight, real: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """The plain DFT along time of the columns of a _line_input, written into
-    out (Fortran-ordered, fresh when None) and returned.  The full line is
-    fft'd whole, in y itself without out.  The half line is filled in
-    column blocks: each block is weighted into a block buffer and rfft'd
-    into its columns of out."""
+def _line_columns(y: np.ndarray, weight, real: bool) -> np.ndarray:
+    """The plain DFT along time of the columns of y times weight (None: y
+    is weighted already), fresh and Fortran-ordered: the fft full line, in
+    y itself when weight is None, or the rfft half line, filled in column
+    blocks, each weighted into a block buffer and rfft'd into its columns."""
     if not real:
-        return np.fft.fft(y, axis=0, out=y if out is None else out)
+        x = y if weight is None else np.multiply(y, weight, dtype=np.complex128)
+        return np.fft.fft(x, axis=0, out=x)
     n, dim = y.shape
-    if out is None:
-        out = np.empty((n // 2 + 1, dim), dtype=np.complex128, order="F")
+    out = np.empty((n // 2 + 1, dim), dtype=np.complex128, order="F")
     blocks = _column_blocks(n, dim)
     buf = np.empty((n, blocks[0][1]), order="F")
     for a, b in blocks:
@@ -471,6 +445,25 @@ def _from_line(W: np.ndarray, like: WeightedSignal, real: bool) -> WeightedSigna
         w = np.fft.ifft(W, axis=0, out=W)
         w *= weight
     return WeightedSignal._adopt(g, like.rho, w, like.wrap_tol)
+
+
+def _line_norm(W: np.ndarray, grid: TimeGrid, real: bool) -> float:
+    """weighted_norm of the signal with _to_line spectrum W, read off W:
+    Parseval's sum of squares less the trapezoid's half weights on the two
+    endpoint samples (inverse-DFT rows), reading the half line as irfft
+    does: row 0 (and n/2, n even) by its real part, each other row for two."""
+    n = grid.n_samples
+    c = np.full(W.shape[0], 1.0 / n)
+    mags = np.abs(W)
+    if real:
+        c[1:(n + 1) // 2] = 2.0 / n
+        rows = [0, -1] if n % 2 == 0 else [0]
+        mags[rows] = np.abs(W[rows].real)
+    power = (c * np.square(mags, out=mags).sum(axis=1)).sum()
+    for row in (c, c * np.exp(-2j * np.pi * np.arange(W.shape[0]) / n)):   # samples 0 and n-1
+        end = np.einsum("i,ij->j", row, W)
+        power -= 0.5 * ((end.real if real else np.abs(end)) ** 2).sum()
+    return float(np.sqrt(grid.dt * max(power, 0.0)))
 
 
 def spectral_derivative(u: WeightedSignal, order: int = 1, check: bool = True) -> WeightedSignal:

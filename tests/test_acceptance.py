@@ -208,7 +208,7 @@ def test_07_contraction_certificate(lab):
                               TimeGrid(0.0, grid.dt, grid.n_samples))
     pol = DtPolarization(spec, SaturableNonlinearity(3, 1.0))
     prob = LinearProblem(bundle, material, 1.0, g)
-    rho_half = suggest_rho(prob, pol.lip_bound(), target=0.5)
+    rho_half = suggest_rho(prob, pol.lip_bound(spec.rho_kappa), target=0.5)
     u, cert = picard_solve(prob, pol, rho=rho_half)
     ok = (cert.converged
           and abs(cert.theoretical_bound - 0.5) < 1e-6

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import memax
+import memax.cli as cli
 from memax import ConfigError, RunConfig, default_config_dict
 from memax.cli import main
 from memax.reporting import file_hash
@@ -422,13 +423,20 @@ class TestTypedFailures:
         assert len(err) == 1 and err[0].startswith(f"error: {path} must be ")
         assert not (tmp_path / "out").exists()
 
-    def test_picard_runaway_says_the_gaps_grew(self, tmp_path, capsys):
-        # the CI's saturable law at rho = 3: the step gaps grow from the first
-        # step on, and the run stops as a runaway long before max_iter (200)
+    def test_picard_runaway_says_the_gaps_grew(self, tmp_path, capsys, monkeypatch):
+        # a polarization whose Lipschitz bound under-reports a kernel scaled
+        # up 100-fold passes the contraction check, the step gaps grow from
+        # the first step on, and the run stops as a runaway long before
+        # max_iter (200)
+        class UnderReported(cli.DtPolarization):
+            def lip_bound(self, rho):
+                return 1e-3 * super().lip_bound(rho)
+
+        monkeypatch.setattr(cli, "DtPolarization", UnderReported)
         raw = default_config_dict()
         raw["nonlinearity"] = {"kind": "saturable", "k": 3, "tau": 1.0,
                                "kernel": {"alpha": 0.8, "gamma": 1.5, "omega0": 3.0,
-                                          "scale": 4.0}}
+                                          "scale": 100.0}}
         (tmp_path / "cfg.json").write_text(json.dumps(raw))
         rc = main(["picard", "--config", str(tmp_path / "cfg.json"), "--rho", "3.0",
                    "--out", str(tmp_path / "out")])
@@ -440,6 +448,21 @@ class TestTypedFailures:
         assert match and int(match[1]) < 200
         assert all(float(r) > 2.0 for r in match.groups()[1:])
         assert not (tmp_path / "out").exists()
+
+    def test_picard_converges_at_rho_3(self, tmp_path):
+        # the CI's saturable law at rho = 3: the memory term is a product on
+        # the solve's line, so no e^{rho t} round-off grows the gaps
+        raw = default_config_dict()
+        raw["nonlinearity"] = {"kind": "saturable", "k": 3, "tau": 1.0,
+                               "kernel": {"alpha": 0.8, "gamma": 1.5, "omega0": 3.0,
+                                          "scale": 4.0}}
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        rc = main(["picard", "--config", str(tmp_path / "cfg.json"), "--rho", "3.0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        c = json.loads((tmp_path / "out" / "certificate.json").read_text())["certificate"]
+        assert c["converged"] and c["empirical_ratio"] <= c["theoretical_bound"] < 1.0
+        assert c["line_steps"] == c["iterations"] + 1 and c["time_steps"] == 0
 
     @pytest.mark.parametrize("wrap_tol, code", [(1e-9, 0), (1e-300, 1)])
     def test_solve_reads_wrap_tol(self, wrap_tol, code, tmp_path, capsys):
@@ -588,28 +611,32 @@ class TestTypedFailures:
 
 
 def test_artifacts_independent_of_blas_threads(tmp_path):
-    """solve, oracle and the mod-DL stability run write the same bytes with
-    one and with two BLAS/OpenMP threads, each in a fresh process."""
+    """solve, oracle, the mod-DL stability run and picard with and without a
+    ball write the same bytes with one and with two BLAS/OpenMP threads, each
+    in a fresh process."""
     mod = default_config_dict()
     mod["time"] = {"t_start": -4.0, "dt": 0.25, "n_samples": 1024}
-    configs = {"default": default_config_dict(), "mod": mod}
+    nl = dict(default_config_dict(), nonlinearity={"kind": "saturable", "k": 3, "tau": 1.0})
+    nl["source"] = dict(nl["source"], amplitude=0.01)
+    configs = {"default": default_config_dict(), "mod": mod, "nl": nl}
     for name, raw in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(raw))
     runs = [("solve", "default", ["--rho", "2.0"]), ("oracle", "default", []),
-            ("stability", "mod", [])]
+            ("stability", "mod", []), ("picard", "nl", ["--rho", "2.0"]),
+            ("picard", "nl", ["--rho", "2.0", "--ball-radius", "auto"])]
     src = os.path.dirname(os.path.dirname(os.path.abspath(memax.__file__)))
     hashes = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        for command, config, extra in runs:
-            out = tmp_path / threads / command
+        for i, (command, config, extra) in enumerate(runs):
+            out = tmp_path / threads / f"{command}{i}"
             subprocess.run([sys.executable, "-m", "memax.cli", command, "--config",
                             str(tmp_path / f"{config}.json"), *extra, "--out", str(out)],
                            env=env, check=True, timeout=600)
             for f in sorted(out.iterdir()):
-                hashes.setdefault((command, f.name), []).append(file_hash(str(f)))
-    assert len(hashes) >= 5
+                hashes.setdefault((command, i, f.name), []).append(file_hash(str(f)))
+    assert len(hashes) >= 9
     assert sorted(key for key, h in hashes.items() if len(h) != 2 or h[0] != h[1]) == []
 
 

@@ -434,30 +434,43 @@ class TestColumnBlocks:
 
     @pytest.mark.parametrize("n, dim, imag", CASES)
     def test_gap_norm(self, n, dim, imag, rng, monkeypatch):
-        # the Picard gap takes each block's difference in the norm's buffer:
-        # the bytes of weighted_norm(a - b), a real minus a complex signal too
+        # the Picard gap is read off the two spectra: weighted_norm(a - b) to
+        # round-off, a real minus a complex signal too (the real one's full
+        # line taken by fft)
         a, b = self.signal(n, dim, imag, rng), self.signal(n, dim, imag, rng)
         real = self.signal(n, dim, 0.0, rng)
         for budget in self.budgets(8 * n):
             monkeypatch.setattr(signals, "LINE_BLOCK_BYTES", budget)
             for x, y in ((a, b), (real, b), (b, real)):
-                gap = signals._gap_norm(x, y)
-                assert gap > 0.0 and gap == weighted_norm(x - y)
+                (X, _, rx), (Y, _, ry) = _to_line(x), _to_line(y)
+                if rx != ry:
+                    X, Y = (np.fft.fft(s.values * np.exp(-s.rho * s.times)[:, None], axis=0)
+                            if r else S for s, S, r in ((x, X, rx), (y, Y, ry)))
+                gap = signals._line_norm(X - Y, x.grid, rx and ry)
+                assert gap == pytest.approx(weighted_norm(x - y), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_line_norm_reads_the_half_line_as_irfft(self, n, rng):
+        # a solved half-line spectrum may carry an imaginary part in its
+        # self-mirrored rows (0, and n/2 for even n), which irfft drops: the
+        # norm is that of the signal _from_line returns
+        x = self.signal(n, 5, 0.0, rng)
+        W, _, real = _to_line(x)
+        W[[0, -1]] += 3j * rng.standard_normal((2, 5))
+        norm = signals._line_norm(W, x.grid, real)
+        assert norm == pytest.approx(weighted_norm(signals._from_line(W, x, real)), rel=1e-13)
 
     def test_line_choice_by_columns(self, rng):
-        # _to_line picks its line on all columns at once; _line_input picks
-        # the same line for some columns, given the peaks of the others
+        # _to_line picks its line on all columns at once: faint imaginary
+        # parts beside large real columns take the half line, alone the full
         n = 64
-        weight = np.exp(-0.7 * TimeGrid(-0.5, 0.01, n).times)[:, None]
+        grid = TimeGrid(-0.5, 0.01, n)
         small = rng.standard_normal((n, 3)) + 1e-11j * rng.standard_normal((n, 3))
         large = 1e3 * rng.standard_normal((n, 5)) + 0j
         rough = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         for head, tail, real in ((small, large, True), (large + 1e-11j, rough, False)):
-            peaks = signals._line_input(tail, weight)[3]
-            whole = WeightedSignal(TimeGrid(-0.5, 0.01, n), 0.7, np.hstack([head, tail]))
-            assert _to_line(whole)[2] is real
-            assert signals._line_input(head, weight, peaks)[2] is real
-            assert signals._line_input(head, weight)[2] is not real
+            assert _to_line(WeightedSignal(grid, 0.7, np.hstack([head, tail])))[2] is real
+            assert _to_line(WeightedSignal(grid, 0.7, head))[2] is not real
 
     @pytest.mark.parametrize("n, dim, imag", CASES)
     def test_causal_convolve(self, n, dim, imag, rng, monkeypatch):

@@ -357,7 +357,7 @@ class TestFactorCounts:
                                   TimeGrid(0.0, grid.dt, grid.n_samples))
         pol = DtPolarization(spec, SaturableNonlinearity(3, 1.0))
         prob = LinearProblem(bundle4, material_dl, 1.0, g)
-        u, cert = picard_solve(prob, pol, rho=suggest_rho(prob, pol.lip_bound(), target=0.5))
+        u, cert = picard_solve(prob, pol, rho=suggest_rho(prob, pol.lip_bound(spec.rho_kappa), target=0.5))
         assert cert.iterations >= 3
         assert sum(factor_calls) == grid.n_samples // 2 + 1
         assert not u.values.imag.any()
