@@ -378,23 +378,26 @@ def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: flo
     u, the certificate fields measured on the run and the trace of iterate
     norms checked against the ball.
 
-    Iterates live on the solve's line: g is transformed once, a step's data
-    is g's spectrum less N(E)'s in the edge columns, written over the
-    buffer of the gap before it, and only a solution's edge columns go back
-    to time, for the next N(E); norms are read off the spectra by
-    _line_norm.  For a DtPolarization N(E)'s spectrum is K Q: Q that of
-    q(E), K = kappa(0+) + DFT(weighted_taps), exact for dt_convolve up to
-    the circular product's wrap, at most B = sum_{j>=1} |taps_j|
-    max_{m>=n-j} x_m per sample, x_m the weighted q(E)'s column peak.  A
-    step with B > wrap_tol max x, and any other nonlinearity, forms N(E)
-    in time.  The line is g's until a complex kernel or N needs the full.
+    Iterates live on the solve's line, and S is linear: u_{k+1} = u0 - w_k,
+    w_k = S(N(E_k), 0).  g is transformed and solved once, in place, for
+    u0; a step solves only the edge data N(E_k) (_solve_line with zero
+    faces), and only u_{k+1}'s edge columns U0 - W_k go back to time, for
+    the next N(E).  The gap |u_{k+1} - u_k| is |w_k - w_{k-1}|, written
+    over w_{k-1}'s buffer, and u = u0 - w comes back once, at the end;
+    norms are read off the spectra by _line_norm.  For a DtPolarization
+    N(E)'s spectrum is K Q: Q that of q(E), K = kappa(0+) +
+    DFT(weighted_taps), exact for dt_convolve up to the circular product's
+    wrap, at most B = sum_{j>=1} |taps_j| max_{m>=n-j} x_m per sample, x_m
+    the weighted q(E)'s column peak.  A step with B > wrap_tol max x, and
+    any other nonlinearity, forms N(E) in time.  The line is g's until a
+    complex kernel or N needs the full.
     """
     if g.rho != op.rho:
         g = WeightedSignal(g.grid, op.rho, g.values, g.wrap_tol)
     g.check_wraparound()
     n, ne = g.grid.n_samples, op.bundle.n_edges
     weight = np.exp(-g.rho * g.times)[:, None]
-    G, _, real = _to_line(g)
+    U0, _, real = _to_line(g)
     paths = {"line_steps": 0, "time_steps": 0, "max_alias_bound": None}
 
     def full(W: np.ndarray) -> np.ndarray:   # the full line of a real signal's half line W
@@ -404,13 +407,13 @@ def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: flo
     if spec is not None:
         taps, k0 = spec.weighted_taps(g.grid, g.rho), spec.kappa_at_0plus
         if real and (taps.imag.any() or k0.imag):
-            G, real = full(G), False
+            U0, real = full(U0), False
         K = (k0.real + np.fft.rfft(taps.real) if real else k0 + np.fft.fft(taps))[:, None]
         taps = np.abs(taps[1:])
 
-    def data(E: WeightedSignal, V: np.ndarray | None) -> np.ndarray:
-        """The spectrum of g - (N(E), 0), in V when V has the line's shape."""
-        nonlocal G, real
+    def memory(E: WeightedSignal) -> np.ndarray:
+        """The spectrum of N(E): edge columns, the data a step solves."""
+        nonlocal U0, W, real
         if spec is not None:
             qE = nonlinearity.q(E.values)
             x = np.maximum.accumulate((np.abs(qE).max(axis=1) * weight[:, 0])[::-1])
@@ -420,37 +423,39 @@ def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: flo
             paths["line_steps"] += 1
             M = _line_columns(qE, weight, real)
             M *= K
-        else:
-            paths["time_steps"] += 1
-            N = nonlinearity(E).values if spec is None else spec.dt_convolve(E._with_fresh(qE))
-            if real and np.iscomplexobj(N):
-                G, real = full(G), False
-            M = _line_columns(N, weight, real)
-        if V is None or V.shape != G.shape:
-            V = np.empty_like(G)
-        V[:, ne:] = G[:, ne:]
-        np.subtract(G[:, :ne], M, out=V[:, :ne])
+            return M
+        paths["time_steps"] += 1
+        N = nonlinearity(E).values if spec is None else spec.dt_convolve(E._with_fresh(qE))
+        if real and np.iscomplexobj(N):   # u0 solved on the full line, u_k kept
+            G = _line_columns(g.values, weight, False)
+            op._solve_line(G, None)
+            U0, W, real = G, G - full(U0 - W), False
+        return _line_columns(N, weight, real)
+
+    def step(E: WeightedSignal, V: np.ndarray | None) -> np.ndarray:
+        """w = S(N(E), 0), solved into V when V lies on the line (q(E) is freed by then)."""
+        M = memory(E)
+        if V is None or len(V) != len(M):
+            V = np.empty((len(M), op.bundle.n_state), dtype=np.complex128, order="F")
+        op._solve_line(M, None, V)
         return V
 
-    def solve(V: np.ndarray) -> tuple:
-        """(u's spectrum, solved in V; u's edge columns in time)."""
-        op._solve_line(V, None)
-        return V, _from_line(V[:, :ne].copy(order="F"), g, real)
-
-    def inside_ball(W: np.ndarray) -> float:
-        norm_u = _line_norm(W, g.grid, real)
+    def inside_ball(U: np.ndarray) -> float:
+        norm_u = _line_norm(U, g.grid, real)
         if norm_u > radius:
             raise BallEscape(len(gaps), norm_u, radius)
         return norm_u
 
-    u = solve(G.copy(order="F"))
-    scale = max(_line_norm(u[0], g.grid, real) if radius is None else radius, 1e-300)
-    gaps, ratios, trace, V = [], [], [], None
+    op._solve_line(U0, None)
+    E = _from_line(U0[:, :ne].copy(order="F"), g, real)
+    scale = max(_line_norm(U0, g.grid, real) if radius is None else radius, 1e-300)
+    gaps, ratios, trace, W, V = [], [], [], np.zeros_like(U0), None   # w_{-1} = 0
     for _ in range(max_iter):
         if radius is not None:
-            trace.append(inside_ball(u[0]))
-        W, u = u[0], solve(data(u[1], V))
-        V = np.subtract(u[0], W, out=W) if W.shape == u[0].shape else u[0] - full(W)
+            trace.append(inside_ball(np.subtract(U0, W, out=V)))
+        V = step(E, V)
+        E = _from_line(np.subtract(U0[:, :ne], V[:, :ne], order="F"), g, real)
+        W, V = V, np.subtract(V, W, out=W)   # the gap's spectrum, over w_{k-1}
         gap = _line_norm(V, g.grid, real)
         if gaps:
             ratios.append(gap / max(gaps[-1], 1e-300))
@@ -464,14 +469,12 @@ def _fixed_point(op: SolutionOperator, g: WeightedSignal, nonlinearity, tol: flo
     else:
         raise MaxIterExceeded(len(gaps), gaps)
     if radius is not None:
-        inside_ball(u[0])
-    W, was_real = u[0], real
-    last = solve(data(u[1], V))[0]
-    last -= W if was_real == real else full(W)
+        inside_ball(np.subtract(U0, W, out=V))
+    V = step(E, V)
     run = {"empirical_ratio": max(ratios) if ratios else 0.0, "gaps": gaps,
            "iterations": len(gaps), "converged": True,
-           "final_residual": _line_norm(last, g.grid, real), **paths}
-    return _from_line(W, g, was_real), run, trace
+           "final_residual": _line_norm(np.subtract(V, W, out=V), g.grid, real), **paths}
+    return _from_line(np.subtract(U0, W, out=U0), g, real), run, trace
 
 
 def picard_solve(problem: LinearProblem, nonlinearity, rho: float | None = None,

@@ -305,8 +305,7 @@ def smooth_pulse(times: np.ndarray, t0: float, t1: float, power: int = 8) -> np.
     """
     t = np.asarray(times)
     x = (t - t0) * (t1 - t) * (4.0 / (t1 - t0) ** 2)
-    out = np.where((t > t0) & (t < t1), np.maximum(x, 0.0) ** power, 0.0)
-    return out
+    return np.fmax(x, 0.0) ** power + 0.0   # + 0.0: an odd power keeps a -0.0 that fmax passed
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +447,24 @@ def _from_line(W: np.ndarray, like: WeightedSignal, real: bool) -> WeightedSigna
 
 
 def _line_norm(W: np.ndarray, grid: TimeGrid, real: bool) -> float:
-    """weighted_norm of the signal with _to_line spectrum W, read off W:
-    Parseval's sum of squares less the trapezoid's half weights on the two
-    endpoint samples (inverse-DFT rows), reading the half line as irfft
-    does: row 0 (and n/2, n even) by its real part, each other row for two."""
-    n = grid.n_samples
-    c = np.full(W.shape[0], 1.0 / n)
-    mags = np.abs(W)
+    """weighted_norm of the signal with _to_line spectrum W, read off W in one
+    pass over its float view: Parseval's weighted sum of squares less the
+    trapezoid's half weights on the two endpoint samples, each an
+    inverse-DFT row taken as a BLAS product.  The half line is read as
+    irfft reads it: each row for two but row 0 (and n/2, n even), whose
+    imaginary parts weigh nothing."""
+    n, rows = grid.n_samples, W.shape[0]
+    c = np.full(rows, 1.0 / n)
     if real:
         c[1:(n + 1) // 2] = 2.0 / n
-        rows = [0, -1] if n % 2 == 0 else [0]
-        mags[rows] = np.abs(W[rows].real)
-    power = (c * np.square(mags, out=mags).sum(axis=1)).sum()
-    for row in (c, c * np.exp(-2j * np.pi * np.arange(W.shape[0]) / n)):   # samples 0 and n-1
-        end = np.einsum("i,ij->j", row, W)
-        power -= 0.5 * ((end.real if real else np.abs(end)) ** 2).sum()
+    r = np.stack((c, c * np.exp(-2j * np.pi * np.arange(rows) / n))).conj()   # samples 0, n-1
+    ends = (r if real else np.concatenate((r, 1j * r))).view(np.float64)   # Re (and Im) of each endpoint
+    weights = np.repeat(c, 2)
+    if real:
+        for a in (weights, ends):   # the imaginary parts of rows 0 and n/2
+            a[..., 1::2][..., [0, -1] if n % 2 == 0 else [0]] = 0.0
+    f = np.asfortranarray(W).T.view(np.float64)
+    power = np.einsum("ji,ji->i", f, f) @ weights - 0.5 * np.square(f @ ends.T).sum()
     return float(np.sqrt(grid.dt * max(power, 0.0)))
 
 

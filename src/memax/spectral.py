@@ -360,27 +360,36 @@ class SolutionOperator:
     def _solve(self, fac: _LineFactors, d: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
         """u = (diag(d) + A)^{-1} g, one column per bin fac.ks, written into u
         (C-contiguous, apart from g and d): E from the modal edge systems,
-        then H = (g_H - C0 E) / (z mu) in the original basis.  Returns C0 E."""
+        then H = (g_H - C0 E) / (z mu) in the original basis.  g may hold the
+        edge rows alone, for zero face data.  Returns C0 E."""
         ne, red = self.bundle.n_edges, self._reduction
         E, H = u[:ne], u[ne:]
-        np.multiply(g[ne:], self._inv_mu[:, None], out=H)   # g_H / mu, as numpy divides
+        faces = g.shape[0] > ne   # else g holds edge data alone, its faces zero
         np.multiply(self.z[fac.ks], g[:ne], out=E)
-        E += _real_times(self.bundle.C, H)
+        if faces:
+            np.multiply(g[ne:], self._inv_mu[:, None], out=H)   # g_H / mu, as numpy divides
+            E += _real_times(self.bundle.C, H)
         red.from_modal(red.solve(fac, red.to_modal(E)), out=E)
         c0e = _real_times(self.bundle.C0, E)
-        np.subtract(g[ne:], c0e, out=H)
+        if faces:
+            np.subtract(g[ne:], c0e, out=H)
+        else:
+            np.negative(c0e, out=H)
         H /= d[ne:]
         return c0e
 
     def _residual(self, d: np.ndarray, u: np.ndarray, g: np.ndarray, out: np.ndarray,
                   c0e: np.ndarray | None = None) -> np.ndarray:
         """g - (diag(d) + A) u, one column per bin, written into out; c0e is the solve's C0 E
-        (A's rows hold -C's and C0's entries in their order: the bits are those of A u)."""
-        ne = self.bundle.n_edges
+        (A's rows hold -C's and C0's entries in their order: the bits are those of A u).
+        g may hold the edge rows alone, for zero face data."""
+        ne, m = self.bundle.n_edges, g.shape[0]
         np.multiply(d, u, out=out)
         out[:ne] -= _real_times(self.bundle.C, u[ne:])
         out[ne:] += _real_times(self.bundle.C0, u[:ne]) if c0e is None else c0e
-        return np.subtract(g, out, out=out)
+        np.negative(out[m:], out=out[m:])
+        np.subtract(g, out[:m], out=out[:m])
+        return out
 
     def _workspace(self, m: int) -> list:
         """Data, diagonal, solution and residual of an m-bin block: dofs x m
@@ -392,12 +401,13 @@ class SolutionOperator:
 
     def _solve_block(self, fac: _LineFactors, gk: np.ndarray, half: bool):
         """Solve the bins fac.ks, factored as fac, whose data are the rows of
-        gk, in the workspace: the solution (a workspace view, one column per
-        bin), the relative residual and growth per bin and the number of
-        refined bins.  The first bin the certificate (or the heuristic)
-        rejects raises."""
+        gk (n_state columns, or n_edges for edge data with zero faces), in
+        the workspace: the solution (a workspace view, one column per bin),
+        the relative residual and growth per bin and the number of refined
+        bins.  The first bin the certificate (or the heuristic) rejects raises."""
         n, ks = self.z.size, fac.ks
         g, d, u, r = self._workspace(ks.size)
+        g = g[:gk.shape[1]]
         np.copyto(g, gk.T)
         np.take(self._lines[ks].T, self._group, axis=0, out=d, mode="clip")   # "raise" would buffer
         c0e = self._solve(fac, d, g, u)
@@ -446,8 +456,11 @@ class SolutionOperator:
         self._solve_line(out, collect)
         return out
 
-    def _solve_line(self, W: np.ndarray, collect: dict | None):
-        """apply_spectral's solve, written over the spectrum W, one row per bin.
+    def _solve_line(self, W: np.ndarray, collect: dict | None, out: np.ndarray | None = None):
+        """apply_spectral's solve, written over the spectrum W, one row per bin,
+        or into out, W's rows by n_state columns, when W holds edge data alone
+        (n_edges columns, the faces zero): each block copies and norms only
+        that data, and its checks are those of the whole system.
 
         The nonzero bins are solved in consecutive blocks, each the columns
         of the workspace's dofs x bins arrays (one bin at least), so the
@@ -461,10 +474,11 @@ class SolutionOperator:
         is solved, so it names such a bin ahead of a failed check at a lower
         bin; collect receives the maxima.
         """
+        out = W if out is None else out
         half = W.shape[0] != self.z.size
         nonzero = np.any(W, axis=1)
         ks = np.flatnonzero(nonzero)
-        W[~nonzero] = 0.0   # a zero row solves to +0.0, whatever the sign of its zeros
+        out[~nonzero] = 0.0   # a zero row solves to +0.0, whatever the sign of its zeros
         res, growth = np.empty(ks.size), np.empty(ks.size)
         refined = 0
         step = max(1, LINE_BLOCK_BYTES // (16 * self.bundle.n_state))
@@ -480,7 +494,7 @@ class SolutionOperator:
                    else self._factor(kb))
             rows = _run(kb)   # consecutive bins are read and written through a view
             u, res[a:b], growth[a:b], m = self._solve_block(fac, W[rows], half)
-            W[rows] = u.T
+            out[rows] = u.T
             refined += m
         if collect is not None and ks.size:
             collect["max_rel_residual"] = res.max()

@@ -509,17 +509,20 @@ class TestFixedPointBits:
         if opaque:
             pol = Opaque(pol)
 
-        spectra, solve_line = [], SolutionOperator._solve_line
+        spectra, u0, solve_line = [], [], SolutionOperator._solve_line
 
-        def recording(op, W, collect):   # every solved spectrum, u0's first
-            solve_line(op, W, collect)
-            spectra.append(W.copy(order="F"))
+        def recording(op, W, collect, out=None):   # each step's iterate u0 - w
+            solve_line(op, W, collect, out)
+            if out is None:   # u0, solved in place (again on the full line when N widens it)
+                u0[:] = [W.copy(order="F")]
+            else:
+                spectra.append(np.asfortranarray(u0[0] - out))
 
         with monkeypatch.context() as m:
             m.setattr(SolutionOperator, "_solve_line", recording)
             u, cert = self.solve(solver, problem, pol)
         half = self.GRID.n_samples // 2 + 1
-        iterates = [signals._from_line(W, g, W.shape[0] == half) for W in spectra[1:]]
+        iterates = [signals._from_line(W, g, W.shape[0] == half) for W in spectra]
         expected = []
         with monkeypatch.context() as m:
             m.setattr(nonlinear, "_fixed_point",

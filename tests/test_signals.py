@@ -460,6 +460,21 @@ class TestColumnBlocks:
         norm = signals._line_norm(W, x.grid, real)
         assert norm == pytest.approx(weighted_norm(signals._from_line(W, x, real)), rel=1e-13)
 
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("real", [True, False], ids=["half", "full"])
+    @pytest.mark.parametrize("dim", [1, 40])
+    def test_line_norm_is_the_returned_signals_norm(self, n, real, dim, rng):
+        # any spectrum, imaginary parts in rows 0 and n/2 too (irfft drops
+        # them), C-ordered as well as Fortran-ordered: the weighted norm of
+        # the signal _from_line makes of it
+        like = self.signal(n, dim, 0.0, rng)
+        rows = n // 2 + 1 if real else n
+        W = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+        W *= np.exp(-3.0 * rng.random(dim))
+        expected = weighted_norm(signals._from_line(W.copy(order="F"), like, real))
+        for spectrum in (np.asfortranarray(W), np.ascontiguousarray(W)):
+            assert signals._line_norm(spectrum, like.grid, real) == pytest.approx(expected, rel=1e-13)
+
     def test_line_choice_by_columns(self, rng):
         # _to_line picks its line on all columns at once: faint imaginary
         # parts beside large real columns take the half line, alone the full
@@ -494,6 +509,31 @@ class TestColumnBlocks:
             monkeypatch.setattr(signals, "LINE_BLOCK_BYTES", budget)
             runs.append(SolutionOperator(b, material_dl, 2.0, grid).apply(g).values.tobytes())
         assert runs[0] == runs[1] == runs[2]
+
+
+class TestSmoothPulse:
+    @staticmethod
+    def masked(times, t0, t1, power):
+        """The bump as it was written with a support mask."""
+        t = np.asarray(times)
+        x = (t - t0) * (t1 - t) * (4.0 / (t1 - t0) ** 2)
+        return np.where((t > t0) & (t < t1), np.maximum(x, 0.0) ** power, 0.0)
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (-0.0, 1.5), (-1.0, -0.0), (-1.0, 0.0),
+                                        (-3.0, 7.0), (0.0, 1e-150)])
+    def test_bytes_of_the_masked_formula(self, t0, t1):
+        # the endpoints exactly and one step either side, +-inf, NaN, signed
+        # zeros and subnormals, in a long array and one at a time (numpy's
+        # fmax keeps or drops a -0.0 by position, which odd powers would show)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, t0, t1,
+                    *(np.nextafter(t, s) for t in (t0, t1) for s in (-np.inf, np.inf))]
+        grids = [np.concatenate([np.linspace(t0 - 1.0, t1 + 1.0, 100001), specials]),
+                 np.full(17, -0.0), np.array(-0.0), *(np.array([s]) for s in specials)]
+        with np.errstate(all="ignore"):
+            for times in grids:
+                for power in range(1, 10):
+                    assert (smooth_pulse(times, t0, t1, power).tobytes()
+                            == self.masked(times, t0, t1, power).tobytes())
 
 
 class TestContainer:

@@ -571,6 +571,67 @@ class TestLineBlocks:
             assert info.value.cond > 1.0 + spectral.BOUND_SLACK
 
 
+class TestEdgeData:
+    """_solve_line on edge data alone (n_edges columns, the faces zero) is
+    the solve of the whole spectrum [M, 0], signed zeros aside: the solution
+    written to the caller's n_state-column buffer (a zero row included), the
+    per-bin statistics, and the data left as it was.  Half and full lines,
+    at a certified weight and at a decay weight (the COND_LIMIT branch,
+    where bins refine), and with one block's bin forced through refinement."""
+
+    @pytest.mark.parametrize("rho", [2.0, -0.001], ids=["certified", "decay"])
+    @pytest.mark.parametrize("half", [True, False], ids=["half", "full"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["as-solved", "forced-refine"])
+    def test_edge_data_is_the_whole_solve(self, rho, half, forced, bundle4, material_dl, rng,
+                                          monkeypatch):
+        rows = GRID.n_samples // 2 + 1 if half else GRID.n_samples
+        ne = bundle4.n_edges
+        M = np.asfortranarray(rng.standard_normal((rows, ne)) + 1j * rng.standard_normal((rows, ne)))
+        M[5] = 0.0
+        if half:
+            M[0] = M[0].real
+        norms, calls = spectral._column_norms, []
+
+        def forcing(x):   # a block's third call norms its residuals: report bin 0's as 1
+            calls.append(x.shape)
+            out = norms(x)
+            if forced and len(calls) == 3:
+                out[0] = 1.0
+            return out
+
+        monkeypatch.setattr(spectral, "_column_norms", forcing)
+        op = SolutionOperator(bundle4, material_dl, rho, GRID, certificate_required=False)
+        whole = np.asfortranarray(np.hstack([M, np.zeros((rows, bundle4.n_faces))]))
+        stats = [{}, {}]
+        op._solve_line(whole, stats[0])
+        calls.clear()
+        given, out = M.copy(), np.full((rows, bundle4.n_state), np.nan + 0j, order="F")
+        op._solve_line(M, stats[1], out)
+        assert calls[0] == (ne, calls[1][1])   # the block normed the edge data alone
+        np.testing.assert_array_equal(out, whole)
+        assert np.array_equal(M, given)
+        assert stats[0].keys() == stats[1].keys()
+        assert all(np.array_equal(stats[0][k], stats[1][k]) for k in stats[0])
+        assert (stats[1]["refined_bins"] >= 1) == (forced or rho < 0)
+
+    def test_block_passes_on_edge_rows(self, bundle4, material_dl, rng):
+        # _solve and _residual on the edge rows alone give what they give on
+        # [g_E, 0], for any u: the face residual keeps its sign
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        ks = np.arange(1, 9)
+        d = np.take(op._lines[ks].T, op._group, axis=0)
+        shape = (bundle4.n_state, ks.size)
+        g, u = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        g[bundle4.n_edges:] = 0.0
+        edge = g[:bundle4.n_edges]
+        np.testing.assert_array_equal(op._residual(d, u, edge, np.empty_like(g)),
+                                      op._residual(d, u, g, np.empty_like(g)))
+        x, y = np.empty_like(g), np.empty_like(g)
+        np.testing.assert_array_equal(op._solve(op._factor(ks), d, edge, x),
+                                      op._solve(op._factor(ks), d, g, y))
+        np.testing.assert_array_equal(x, y)
+
+
 class TestBlockPasses:
     """A block's diagonal, its H data scaling and its residual, bit for bit
     against the formulas they stand for: take(lines) * weight with lines
