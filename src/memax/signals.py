@@ -54,7 +54,7 @@ import numpy as np
 from .errors import MemaxError, NonCausalKernel, WraparoundExceeded
 
 DEFAULT_WRAP_TOL = 1e-8
-LINE_BLOCK_BYTES = 1 << 20      # bytes of one working array of a block: columns of a signal, bins of a line
+LINE_BLOCK_BYTES = 3 << 19      # bytes of one working array of a block (1.5 MiB): columns of a signal, bins of a line
 
 _CONTAINER_MAGIC = b"MXSG"
 _CONTAINER_VERSION = 1
@@ -302,7 +302,10 @@ def smooth_pulse(times: np.ndarray, t0: float, t1: float, power: int = 8) -> np.
     Smoothness keeps the spectral floor low, which matters whenever values
     near the right window edge are reconstructed in unweighted terms (the
     e^{rho t} unweighting amplifies any floor by the weight's dynamic range).
+    An empty interval (t1 <= t0, or a NaN end) raises ValueError.
     """
+    if not t0 < t1:
+        raise ValueError(f"smooth_pulse needs t0 < t1, got t0 = {t0!r}, t1 = {t1!r}")
     t = np.asarray(times)
     x = (t - t0) * (t1 - t) * (4.0 / (t1 - t0) ** 2)
     return np.fmax(x, 0.0) ** power + 0.0   # + 0.0: an odd power keeps a -0.0 that fmax passed

@@ -255,7 +255,7 @@ class ModalReduction:
         """(t1, t2) <-> (a, b) on the full modes' node rows of w, in place;
         the rotation is its own inverse."""
         c1, c2 = self.c
-        t1, t2 = np.split(w[:2 * len(c1)], 2)
+        t1, t2 = w[:len(c1)], w[len(c1):2 * len(c1)]   # views; np.split costs more per call
         t1[...], t2[...] = c1 * t1 + c2 * t2, c2 * t1 - c1 * t2
 
     def factor(self, ks: np.ndarray, zl: np.ndarray) -> tuple:
@@ -360,8 +360,9 @@ class SolutionOperator:
     def _solve(self, fac: _LineFactors, d: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
         """u = (diag(d) + A)^{-1} g, one column per bin fac.ks, written into u
         (C-contiguous, apart from g and d): E from the modal edge systems,
-        then H = (g_H - C0 E) / (z mu) in the original basis.  g may hold the
-        edge rows alone, for zero face data.  Returns C0 E."""
+        then H = (g_H - C0 E) / (z mu) in the original basis, z mu read off
+        d's face rows, the only rows of d read.  g may hold the edge rows
+        alone, for zero face data.  Returns C0 E."""
         ne, red = self.bundle.n_edges, self._reduction
         E, H = u[:ne], u[ne:]
         faces = g.shape[0] > ne   # else g holds edge data alone, its faces zero
@@ -380,8 +381,9 @@ class SolutionOperator:
 
     def _residual(self, d: np.ndarray, u: np.ndarray, g: np.ndarray, out: np.ndarray,
                   c0e: np.ndarray | None = None) -> np.ndarray:
-        """g - (diag(d) + A) u, one column per bin, written into out; c0e is the solve's C0 E
-        (A's rows hold -C's and C0's entries in their order: the bits are those of A u).
+        """g - (diag(d) + A) u, one column per bin, written into out, which may be d
+        itself (d u is formed first, in place); c0e is the solve's C0 E (A's rows
+        hold -C's and C0's entries in their order: the bits are those of A u).
         g may hold the edge rows alone, for zero face data."""
         ne, m = self.bundle.n_edges, g.shape[0]
         np.multiply(d, u, out=out)
@@ -392,11 +394,12 @@ class SolutionOperator:
         return out
 
     def _workspace(self, m: int) -> list:
-        """Data, diagonal, solution and residual of an m-bin block: dofs x m
-        C-contiguous views of the operator's buffers, grown when m needs it."""
+        """Data, solution and residual of an m-bin block: dofs x m C-contiguous
+        views of the operator's buffers, grown when m needs it.  The residual
+        buffer holds the block's diagonal until the residual is formed over it."""
         size = self.bundle.n_state * m
         if self._work is None or self._work.shape[1] < size:
-            self._work = np.empty((4, size), dtype=np.complex128)
+            self._work = np.empty((3, size), dtype=np.complex128)
         return [w[:size].reshape(-1, m) for w in self._work]
 
     def _solve_block(self, fac: _LineFactors, gk: np.ndarray, half: bool):
@@ -404,27 +407,34 @@ class SolutionOperator:
         gk (n_state columns, or n_edges for edge data with zero faces), in
         the workspace: the solution (a workspace view, one column per bin),
         the relative residual and growth per bin and the number of refined
-        bins.  The first bin the certificate (or the heuristic) rejects raises."""
+        bins.  The diagonal is gathered into the residual buffer, which the
+        residual then overwrites; a refined bin gathers its own again.  Only
+        the columns that refinement or the mirror step changed are normed
+        again.  The first bin the certificate (or the heuristic) rejects raises."""
         n, ks = self.z.size, fac.ks
-        g, d, u, r = self._workspace(ks.size)
+        g, u, r = self._workspace(ks.size)
         g = g[:gk.shape[1]]
         np.copyto(g, gk.T)
-        np.take(self._lines[ks].T, self._group, axis=0, out=d, mode="clip")   # "raise" would buffer
-        c0e = self._solve(fac, d, g, u)
+        np.take(self._lines[ks].T, self._group, axis=0, out=r, mode="clip")   # "raise" would buffer
+        c0e = self._solve(fac, r, g, u)
         gn = _column_norms(g)
         first = _column_norms(u)
-        res = _column_norms(self._residual(d, u, g, r, c0e)) / gn
+        res = _column_norms(self._residual(r, u, g, r, c0e)) / gn
         refine = np.flatnonzero(res > 1e-10)
         if refine.size:
             # one step of iterative refinement before giving up, on the block's factors
-            du = np.empty((u.shape[0], refine.size), dtype=np.complex128)
-            self._solve(_columns(fac, refine), d[:, refine], r[:, refine], du)
+            d = np.take(self._lines[ks[refine]].T, self._group, axis=0)
+            du = np.empty_like(d)
+            self._solve(_columns(fac, refine), d, r[:, refine], du)
             u[:, refine] += du
             res[refine] = _column_norms(
-                self._residual(d[:, refine], u[:, refine], g[:, refine], du)) / gn[refine]
+                self._residual(d, u[:, refine], g[:, refine], d)) / gn[refine]
         mirror = np.flatnonzero((2 * ks) % n == 0) if half else ks[:0]
         u[:, mirror] = u[:, mirror].real   # xi = 0 and Nyquist are their own mirror
-        un = _column_norms(u) if refine.size or mirror.size else first
+        un, touched = first, np.union1d(refine, mirror)
+        if touched.size:
+            un = first.copy()
+            un[touched] = _column_norms(u[:, touched])
         growth = un / gn
         if self.c_min > 0:
             # the certificate bounds every solve, the unrefined one included
@@ -463,10 +473,12 @@ class SolutionOperator:
         that data, and its checks are those of the whole system.
 
         The nonzero bins are solved in consecutive blocks, each the columns
-        of the workspace's dofs x bins arrays (one bin at least), so the
-        sparse products read contiguous rows, cut every `step` bins and at
-        `held`; a block's rows are copied into the workspace before its
-        solution is written back over them.  The first `held` bins (as many
+        of the workspace's three dofs x bins arrays of at most
+        LINE_BLOCK_BYTES (one bin at least: a 512-sample n=4 half line is
+        one block, an n=16 block 4 bins), so the sparse products read
+        contiguous rows, cut every `step` bins and at `held`; a block's rows
+        are copied into the workspace before its solution is written back
+        over them.  The first `held` bins (as many
         as FACTOR_CACHE_BYTES holds; 0 without keep_factors) read one kept
         sweep, factored unless it holds them all already; later blocks are
         factored one by one.  A check that fails raises for the first such

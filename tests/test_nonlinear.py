@@ -1,5 +1,8 @@
 """Nonlinear polarizations, constants, and fixed-point certificates."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -588,6 +591,40 @@ class TestFixedPointBits:
         for a, b in (*zip(iterates, expected), (u, u_ref)):
             assert weighted_norm(a - b) <= 1e-13 * weighted_norm(b)
         assert cert.iterations == cert_ref.iterations
+
+
+class TestPicardLineBlocks:
+    """The fixed_point benchmark's Picard jobs at n = 4: a half line of 257
+    bins by 348 dofs fits one block of LINE_BLOCK_BYTES, so each line solve
+    (u0's and every step's) is one _solve_block call, 10 or 11 of them per
+    job; two 1 MiB blocks made it two calls per line."""
+
+    BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_block_per_line(self, seed, monkeypatch):
+        monkeypatch.syspath_prepend(str(self.BENCH))
+        workloads = importlib.import_module("workloads")
+        calls = {"_solve_line": 0, "_solve_block": 0}
+
+        def counted(name):
+            method = getattr(SolutionOperator, name)
+
+            def call(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(SolutionOperator, name, counted(name))
+        bench = workloads.FixedPoint()
+        ctx, ledger = bench.setup(seed), workloads.Ledger()
+        for job in range(2):
+            calls.update(dict.fromkeys(calls, 0))
+            bench.job(ctx, bench.make_input(ctx, job), ledger)
+            assert calls["_solve_block"] == calls["_solve_line"] >= 10
+        assert [op["ok"] for op in ledger.ops] == [True, True]
+        assert all(passed == total for passed, total in ledger.checks.values())
 
 
 class TestLineMultiplier:

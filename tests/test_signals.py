@@ -535,6 +535,14 @@ class TestSmoothPulse:
                     assert (smooth_pulse(times, t0, t1, power).tobytes()
                             == self.masked(times, t0, t1, power).tobytes())
 
+    @pytest.mark.parametrize("t0, t1", [(2.0, 0.0), (1.5, -0.0), (1.0, 1.0), (-0.0, 0.0),
+                                        (0.0, np.nan)])
+    def test_empty_interval_refused(self, t0, t1):
+        # a reversed interval once gave a bump on [t1, t0], an equal one a bare ZeroDivisionError
+        with pytest.raises(ValueError, match="t0 < t1") as info:
+            smooth_pulse(np.linspace(-1.0, 3.0, 9), t0, t1)
+        assert f"t0 = {t0!r}, t1 = {t1!r}" in str(info.value)
+
 
 class TestContainer:
     def test_round_trip_float32_payload(self, rng, tmp_path):

@@ -635,11 +635,13 @@ class TestEdgeData:
 class TestBlockPasses:
     """A block's diagonal, its H data scaling and its residual, bit for bit
     against the formulas they stand for: take(lines) * weight with lines
-    (z eps1, z eps2, z) and weight (1, mu), g_H / mu, and g - (d u + A u)."""
+    (z eps1, z eps2, z) and weight (1, mu), g_H / mu, and g - (d u + A u).
+    The diagonal lives in the residual buffer until _residual forms d u over
+    it, so a hook reads it there first."""
 
     @pytest.mark.parametrize("half", [True, False])
     @pytest.mark.parametrize("axis", [1, 2, 3])
-    def test_bits_of_the_formed_passes(self, axis, half, material_dl, rng):
+    def test_bits_of_the_formed_passes(self, axis, half, material_dl, rng, monkeypatch):
         b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), (3, 4, 5), axis, 2))
         material = PiecewiseMaterial(material_dl.law1, material_dl.law2, 1.0, 2.5, sigma2=0.3)
         grid = TimeGrid(-2.0, 1.0 / 8.0, 64)
@@ -647,9 +649,17 @@ class TestBlockPasses:
         n, ne = grid.n_samples, b.n_edges
         ks = np.arange(n // 2 + 1 if half else n)
         G = rng.standard_normal((ks.size, b.n_state)) + 1j * rng.standard_normal((ks.size, b.n_state))
+        diagonals, residual = [], SolutionOperator._residual
+
+        def reading(self, d, *args):   # the diagonal as the residual receives it
+            diagonals.append(d.copy())
+            return residual(self, d, *args)
+
+        monkeypatch.setattr(SolutionOperator, "_residual", reading)
         u, _, _, refined = op._solve_block(op._factor(ks), G, half)
-        g, d, _, r = op._workspace(ks.size)
-        assert refined == 0   # r holds the residual of the first solve
+        g, _, r = op._workspace(ks.size)
+        assert refined == 0 and len(diagonals) == 1   # r holds the residual of the first solve
+        d = diagonals[0]
         l1, l2 = material.eps_laws()
         lines = np.stack([op.z * l1(op.z), op.z * l2(op.z), op.z], axis=1)[ks]
         mu = np.where(b.face_region_mask(), 1.0, 2.5)
@@ -665,6 +675,45 @@ class TestBlockPasses:
         assert u[:, keep].tobytes() == np.concatenate([E, H])[:, keep].tobytes()
         uk, gk = u[:, keep], g[:, keep]
         assert r[:, keep].tobytes() == (gk - (formed[:, keep] * uk + b.A @ uk)).tobytes()
+
+
+class TestRenormedColumns:
+    """After the mirror step and after refinement a block norms again only the
+    columns they changed: its growth is the whole block's _column_norms(u) /
+    gn bit for bit, and a refined bin's residual that of the whole block's
+    final solution.  Half and full lines, with bins 1 and 2 forced through
+    refinement (their first residuals reported as 1) or as solved."""
+
+    @pytest.mark.parametrize("half", [True, False], ids=["half", "full"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["as-solved", "forced-refine"])
+    def test_growth_and_residuals_of_the_whole_block(self, half, forced, bundle4, material_dl,
+                                                     rng, monkeypatch):
+        n = GRID.n_samples
+        ks = np.arange(n // 2 + 1 if half else n)
+        G = rng.standard_normal((ks.size, bundle4.n_state)) + 1j * rng.standard_normal(
+            (ks.size, bundle4.n_state))
+        norms, calls = spectral._column_norms, []
+
+        def forcing(x):   # a block's third call norms its first residuals
+            calls.append(x.shape[1])
+            out = norms(x)
+            if forced and len(calls) == 3:
+                out[1:3] = 1.0
+            return out
+
+        monkeypatch.setattr(spectral, "_column_norms", forcing)
+        op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
+        u, res, growth, refined = op._solve_block(op._factor(ks), G, half)
+        g, _, _ = op._workspace(ks.size)
+        assert refined == (2 if forced else 0)
+        touched = refined + (2 if half else 0)   # the refined bins, xi = 0 and Nyquist
+        assert calls[3:] == ([refined] if forced else []) + ([touched] if touched else [])
+        gn = norms(g)
+        assert growth.tobytes() == (norms(u) / gn).tobytes()   # the whole-block formula
+        d = np.take(op._lines[ks].T, op._group, axis=0)
+        whole = norms(op._residual(d, u, g, np.empty_like(u))) / gn
+        kept = slice(1, -1) if half else slice(None)   # the mirror step leaves res as solved
+        assert res[kept].tobytes() == whole[kept].tobytes()
 
 
 class TestRealViewProducts:
