@@ -530,16 +530,26 @@ def causal_convolve(kernel: SampledKernel, u: WeightedSignal) -> WeightedSignal:
 # serialization: column-oriented binary container
 
 _HEADER = struct.Struct("<4sIddqdqd")  # magic, version, dt, t_start, n, rho, state_dim, wrap_tol
+_WRITE_BLOCK_BYTES = 1 << 16           # payload bytes converted per write, so none is copied whole
 
 
 def write_signal(u: WeightedSignal, path: str):
     """Binary container: little-endian header + complex64 payload, column order."""
+    _write_samples(path, u.grid, u.rho, u.values, u.wrap_tol)
+
+
+def _write_samples(path: str, grid: TimeGrid, rho: float, values: np.ndarray,
+                   wrap_tol: float = DEFAULT_WRAP_TOL):
+    """write_signal's container for the samples values (n_samples x
+    state_dim, in either memory order) on grid: the payload is converted
+    and written in column blocks of at most _WRITE_BLOCK_BYTES."""
+    n, dim = values.shape
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_CONTAINER_MAGIC, _CONTAINER_VERSION,
-                             u.grid.dt, u.grid.t_start, u.grid.n_samples,
-                             u.rho, u.state_dim, u.wrap_tol))
-        payload = np.ascontiguousarray(u.values.T, dtype="<c8")
-        f.write(payload.tobytes())
+                             grid.dt, grid.t_start, n, rho, dim, wrap_tol))
+        step = max(1, _WRITE_BLOCK_BYTES // (8 * n))
+        for a in range(0, dim, step):
+            f.write(np.ascontiguousarray(values[:, a:a + step].T, dtype="<c8"))
 
 
 def read_signal(path: str) -> WeightedSignal:

@@ -202,7 +202,8 @@ class OracleStepper:
     def _direct_sums(self, t: float, times: np.ndarray, E_samples: np.ndarray,
                      dt: float) -> np.ndarray:
         """Trapezoid sums dt * sum_k w_k e^{lam_j (t - t_k)} E(t_k) for every
-        stacked accumulator entry, as one real GEMM over all edges."""
+        stacked accumulator entry, as one real GEMM over all edges, which
+        reads E_samples, a run's strided column view too, where it lies."""
         w = np.ones(len(times))
         w[0] = 0.5
         w[-1] = 0.5
@@ -251,11 +252,13 @@ class OracleStepper:
         return StepperState(state.t + self.dt, E_new, H_new, Q_new, state.step_index + 1)
 
     def run(self, state: StepperState, phi_of_t, psi_of_t, n_steps: int):
-        """March n_steps from state; returns (times, E_traj, H_traj)."""
+        """March n_steps from state; returns (times, E_traj, H_traj).  The
+        states fill one (n_steps + 1) x n_state array, E then H in each row,
+        and E_traj and H_traj are its column views (E_traj.base is the array)."""
         ne, nf = self.bundle.n_edges, self.bundle.n_faces
         times = np.empty(n_steps + 1)
-        E_traj = np.empty((n_steps + 1, ne))
-        H_traj = np.empty((n_steps + 1, nf))
+        traj = np.empty((n_steps + 1, ne + nf))
+        E_traj, H_traj = traj[:, :ne], traj[:, ne:]
         times[0] = state.t
         E_traj[0] = state.E
         H_traj[0] = state.H

@@ -360,6 +360,41 @@ class TestCLI:
         assert rc == 0
         assert (tmp_path / "oracle" / "oracle.sig").exists()
 
+    def test_oracle_steps_take_the_mean_of_two_samples(self, config_path, tmp_path,
+                                                        monkeypatch):
+        # the step from t_k to t_k + dt sees (g_k + g_{k+1}) / 2 of the source
+        # signal the solve command builds: every sample reaches the stepper
+        cfg = RunConfig.from_file(config_path)
+        bundle, grid = cfg.bundle(), cfg.time_grid()
+        g = cli._source_signal(cfg, bundle, grid, 0.0).values
+        received, step = [], memax.OracleStepper.step
+
+        def recording(self, state, phi_mid, psi_mid):
+            received.append(np.concatenate([phi_mid, psi_mid]))
+            return step(self, state, phi_mid, psi_mid)
+
+        monkeypatch.setattr(memax.OracleStepper, "step", recording)
+        assert main(["oracle", "--config", config_path, "--out", str(tmp_path / "o")]) == 0
+        k0 = grid.index_of(0.0)
+        assert len(received) == grid.n_samples - 1 - k0
+        np.testing.assert_array_equal(np.array(received), 0.5 * (g[k0:-1] + g[k0 + 1:]))
+
+    def test_oracle_writes_its_trajectory_without_a_copy(self, config_path, tmp_path):
+        # the command holds the stepper's array of states and little else: no
+        # copy of the source, of the trajectory or of its payload
+        import tracemalloc
+
+        assert main(["oracle", "--config", config_path, "--out", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["oracle", "--config", config_path, "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        traj = memax.read_signal(str(tmp_path / "o" / "oracle.sig")).values
+        assert traj.dtype == np.float64
+        assert peak < 1.3 * traj.nbytes
+
     def test_oracle_conduction_current(self, tmp_path):
         # a conductive config: the oracle integrates sigma E on each region's
         # edges and so agrees with the spectral solve of the same run

@@ -632,10 +632,71 @@ class TestEdgeData:
         np.testing.assert_array_equal(x, y)
 
 
+class TestWholeLineOutput:
+    """A block that holds every row of a Fortran-ordered output is solved
+    into that output's transpose: the bits of the copy-out path (the same
+    data into a C-ordered output), and the workspace's solution buffer is
+    never written.  Edge data and whole spectra, half and full lines, at a
+    certified weight and at a decay weight, where bins refine.  Both lines
+    of a 256-sample grid are one n=4 block (282 bins fit one)."""
+
+    GRID = TimeGrid(-2.0, 1.0 / 16.0, 256)
+
+    @staticmethod
+    def solve(op, W, edge, order):
+        """W solved by _solve_line into a fresh output of the given order, or
+        over a copy of W of that order; the output and the collected stats."""
+        stats = {}
+        if edge:
+            out = np.full((len(W), op.bundle.n_state), np.nan + 0j, order=order)
+            op._solve_line(W, stats, out)
+        else:
+            out = np.array(W, order=order)
+            op._solve_line(out, stats)
+        return out, stats
+
+    @pytest.mark.parametrize("rho", [2.0, -0.001], ids=["certified", "decay"])
+    @pytest.mark.parametrize("half", [True, False], ids=["half", "full"])
+    @pytest.mark.parametrize("edge", [True, False], ids=["edge-data", "whole-data"])
+    def test_bits_of_the_copy_path(self, rho, half, edge, bundle4, material_dl, rng):
+        rows = self.GRID.n_samples // 2 + 1 if half else self.GRID.n_samples
+        cols = bundle4.n_edges if edge else bundle4.n_state
+        W = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        if half:
+            W[[0, -1]] = W[[0, -1]].real
+        op = SolutionOperator(bundle4, material_dl, rho, self.GRID, certificate_required=False)
+        op._workspace(rows)
+        sentinel = op._work[1]
+        sentinel[:] = np.nan
+        direct, stats = self.solve(op, W, edge, "F")
+        assert np.isnan(sentinel).all()   # no block was solved in the workspace
+        copied, stats_c = self.solve(op, W, edge, "C")
+        assert not np.isnan(sentinel).all()   # the copy path solves there
+        assert direct.tobytes(order="C") == copied.tobytes(order="C")
+        assert stats.keys() == stats_c.keys()
+        assert all(np.array_equal(stats[k], stats_c[k]) for k in stats)
+        assert (stats["refined_bins"] >= 1) == (rho < 0)
+
+    # TestSmallFrequency holds apply's half line of whole data
+    @pytest.mark.parametrize("half, edge", [(True, True), (False, True), (False, False)],
+                             ids=["half-edge-data", "full-edge-data", "full-whole-data"])
+    def test_zero_frequency_raises(self, half, edge, bundle4, material_dl, rng):
+        # at rho = 0, bin 0 is z = 0: refused before H is scaled by 1/z
+        rows = self.GRID.n_samples // 2 + 1 if half else self.GRID.n_samples
+        W = rng.standard_normal((rows, bundle4.n_edges if edge else bundle4.n_state)) + 0j
+        op = SolutionOperator(bundle4, material_dl, 0.0, self.GRID, certificate_required=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrequencySingular) as info:
+                self.solve(op, W, edge, "F")
+        assert info.value.z == 0
+
+
 class TestBlockPasses:
     """A block's diagonal, its H data scaling and its residual, bit for bit
     against the formulas they stand for: take(lines) * weight with lines
-    (z eps1, z eps2, z) and weight (1, mu), g_H / mu, and g - (d u + A u).
+    (z eps1, z eps2, z) and weight (1, mu), g_H / mu, H = (g_H - C0 E) times
+    1/mu per row and 1/z per bin, and g - (d u + A u).
     The diagonal lives in the residual buffer until _residual forms d u over
     it, so a hook reads it there first."""
 
@@ -670,7 +731,7 @@ class TestBlockPasses:
         red = op._reduction
         E = red.to_modal(op.z[ks] * g[:ne] + b.C @ (g[ne:] / mu[:, None]))
         E = red.from_modal(red.solve(op._factor(ks), E))
-        H = (g[ne:] - b.C0 @ E) / formed[ne:]
+        H = (g[ne:] - b.C0 @ E) * (1.0 / mu)[:, None] * (1.0 / op.z[ks])   # no complex division
         keep = slice(1, -1) if half else slice(None)   # xi = 0 and Nyquist keep their real part
         assert u[:, keep].tobytes() == np.concatenate([E, H])[:, keep].tobytes()
         uk, gk = u[:, keep], g[:, keep]

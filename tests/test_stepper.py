@@ -49,6 +49,27 @@ class TestStep:
         times, E, H = stp.run(state, None, None, 50)
         assert not E.any() and not H.any()
 
+    def test_trajectories_view_one_array(self, bundle4, material_dl, dl_params, dl_params_b,
+                                         rng):
+        # E and H are the column views of one array of states, each row a
+        # returned state, E then H
+        stp = OracleStepper(bundle4, material_dl, dl_params, dl_params_b, 0.02,
+                            checkpoint_every=7)
+        state = stp.initial_state(rng.standard_normal(bundle4.n_edges),
+                                  rng.standard_normal(bundle4.n_faces))
+        states, step = [state], stp.step
+
+        def recording(*args):
+            states.append(step(*args))
+            return states[-1]
+
+        stp.step = recording
+        times, E, H = stp.run(state, None, None, 20)
+        traj = E.base
+        assert H.base is traj and traj.shape == (21, bundle4.n_state)
+        assert np.array_equal(traj, np.array([np.concatenate([s.E, s.H]) for s in states]))
+        assert np.array_equal(times, [s.t for s in states])
+
     def test_energy_conserved_lossless(self, bundle4, lossless_material, rng):
         # implicit midpoint conserves the quadratic energy of the skew system
         stp = OracleStepper(bundle4, lossless_material, None, None, 0.01)
