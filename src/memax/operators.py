@@ -396,17 +396,28 @@ def helmholtz_projections(bundle: OperatorBundle) -> ProjectionBasis:
     """Kernels of C0 and C from one full SVD per transverse mode.
 
     The rank rule is applied to the union of all modes' singular values, so
-    its thresholds mean what they mean for one SVD of C0.
+    its thresholds mean what they mean for one SVD of C0.  The dense mode
+    blocks are filled in one pass over the modal curl's entries.
     """
     edge_modes = _component_modes(bundle.grid, "edge")
     face_modes = _component_modes(bundle.grid, "face")
     ne, nf = bundle.n_edges, bundle.n_faces
-    mode_e, mode_f = (np.concatenate([c[2] for c in m]) for m in (edge_modes, face_modes))
-    chat = bundle.modal_curl
+    labels, mode = np.unique(np.concatenate([c[2] for c in edge_modes + face_modes]),
+                             return_inverse=True)
+    groups = []   # edges, faces: the dofs of each mode (ascending), their counts, each one's place
+    for m in (mode[:ne], mode[ne:]):
+        order, count = np.argsort(m, kind="stable"), np.bincount(m, minlength=labels.size)
+        place = np.empty_like(order)
+        place[order] = np.arange(m.size) - np.repeat(np.cumsum(count) - count, count)
+        groups.append((np.split(order, np.cumsum(count)[:-1]), count, place))
+    (edge_sets, n_e, place_e), (face_sets, n_f, place_f) = groups
+    chat, size = bundle.modal_curl.tocoo(), n_f * n_e
+    start, mode = np.cumsum(size) - size, mode[ne:][chat.row]
+    flat = np.zeros(size.sum())   # the blocks, row-major, one after another
+    np.add.at(flat, start[mode] + place_f[chat.row] * n_e[mode] + place_e[chat.col], chat.data)
     svds = []
-    for label in np.union1d(mode_e, mode_f):
-        edges, faces = np.flatnonzero(mode_e == label), np.flatnonzero(mode_f == label)
-        curl = chat[faces][:, edges].toarray()
+    for edges, faces, a, b in zip(edge_sets, face_sets, start, start + size):
+        curl = flat[a:b].reshape(len(faces), len(edges))
         svds.append((edges, faces, curl, *np.linalg.svd(curl)))
     # padded to the min(ne, nf) values one SVD of C0 would list
     s_all = np.concatenate([s for *_, s, _ in svds])

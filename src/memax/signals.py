@@ -54,7 +54,7 @@ import numpy as np
 from .errors import MemaxError, NonCausalKernel, WraparoundExceeded
 
 DEFAULT_WRAP_TOL = 1e-8
-LINE_BLOCK_BYTES = 3 << 19      # bytes of one working array of a block (1.5 MiB): columns of a signal, bins of a line
+LINE_BLOCK_BYTES = 3 << 19      # bytes of one working array of a block (1.5 MiB): columns of a signal, bins of a line (two per (bundle, mu), kept)
 
 _CONTAINER_MAGIC = b"MXSG"
 _CONTAINER_VERSION = 1

@@ -32,9 +32,10 @@ apply() solves real data on the rfft half line of the transform pair of
 memax.signals, and every per-bin check is invariant under the scaling the
 pair leaves out.  An operator keeps its first bins' factors, one sweep,
 for the next iterations of the fixed-point solvers (a one-shot solve
-keeps none), and solves the bins in byte-bounded blocks, in buffers it
-reuses, writing each block's solution over its data in the spectrum, or
-solving it there directly when one block holds the whole line.
+keeps none), and solves the bins in byte-bounded blocks, in two buffers
+its (bundle, mu)'s ModalReduction holds, reading each block's data where
+the spectrum holds it and writing the solution back over it, or solving
+it there directly when one block holds the whole line.
 
 A singular frequency is never skipped: material-law poles on the line
 surface as PoleHit or FrequencySingular.  On a certified line (c_min > 0)
@@ -71,9 +72,10 @@ def __getattr__(name):
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
-    """2-norms of the columns of a complex array, summing re^2 + im^2 over
-    its float view (np.linalg.norm would make a conjugate copy)."""
-    f = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    """2-norms of the columns of a complex128 array, summing re^2 + im^2 over
+    its float view (np.linalg.norm would make a conjugate copy), which needs
+    a copy only when the last axis is not contiguous (a row-strided block's is)."""
+    f = (x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x)).view(np.float64)
     sq = np.einsum("ij,ij->j", f, f)
     return np.sqrt(sq[0::2] + sq[1::2])
 
@@ -241,6 +243,7 @@ class ModalReduction:
         if gap > 1e-12 * np.abs(x).max():
             raise MemaxError(f"transverse modes couple: the reduced modal system misses "
                              f"C mu^-1 C0 by {gap:.3e} (relative)")
+        self.work = None   # the block workspace of every SolutionOperator on (bundle, mu)
 
     def to_modal(self, x: np.ndarray) -> np.ndarray:
         """T_e x, the modal edges sorted, for complex edge columns x, which it may overwrite."""
@@ -312,8 +315,9 @@ class SolutionOperator:
     Bin k eliminates H and solves diag(z_k^2 eps(z_k)) + K2hat through the
     bundle's ModalReduction for mu, a block of bins at once; refinement
     slices the block's factors.  The first bins' factors are kept, one sweep
-    (_kept), unless keep_factors is off, as in solve_linear.  The block working
-    arrays are allocated on the first apply and reused, so one operator serves one thread.
+    (_kept), unless keep_factors is off, as in solve_linear.  The two block
+    arrays live on that ModalReduction, shared by every operator on it, so
+    the operators on one bundle serve one thread.
     """
 
     def __init__(self, bundle: OperatorBundle, material: PiecewiseMaterial,
@@ -341,7 +345,6 @@ class SolutionOperator:
         self._cond_unit = max(abs(material.mu1), abs(material.mu2), 1.0)
         self._keep = keep_factors
         self._kept: _LineFactors | None = None   # the sweep of the line's first bins
-        self._work = None   # the block workspace, allocated on the first apply
 
     @property
     def factor_cache_bytes(self) -> int:
@@ -361,8 +364,8 @@ class SolutionOperator:
 
     def _solve(self, fac: _LineFactors, d: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
         """u = (diag(d) + A)^{-1} g, one column per bin fac.ks, written into u
-        (C-contiguous, apart from g and d), with the bins' diagonal gathered
-        into d for _residual: E from the modal edge systems, then
+        (C-contiguous; g may be a row-strided view of the line), with the bins'
+        diagonal gathered into d for _residual: E from the modal edge systems, then
         H = (g_H - C0 E) / (z mu) in the original basis, scaled by 1/mu per
         row and by 1/z per bin, with no complex division (fac holds no z = 0
         bin: _factor refuses it).  g may hold the edge rows alone, for zero
@@ -391,8 +394,8 @@ class SolutionOperator:
         """g - (diag(d) + A) u, one column per bin, written into out, which may be d
         itself (d u is formed first, in place); nc0e is the solve's -C0 E (A's rows
         hold -C's and C0's entries in their order: the bits are those of A u).
-        g may hold the edge rows alone, for zero face data: the face rows are
-        then -(d_H H + C0 E), formed as (-C0 E) - d_H H, the same bits."""
+        g, of any strides, may hold the edge rows alone, for zero face data: the
+        face rows are then -(d_H H + C0 E), formed as (-C0 E) - d_H H, the same bits."""
         ne, m = self.bundle.n_edges, g.shape[0]
         if nc0e is None:
             nc0e = -_real_times(self.bundle.C0, u[:ne])
@@ -406,13 +409,15 @@ class SolutionOperator:
         return out
 
     def _workspace(self, m: int) -> list:
-        """Data, solution and residual of an m-bin block: dofs x m C-contiguous
-        views of the operator's buffers, grown when m needs it.  The residual
-        buffer holds the block's diagonal until the residual is formed over it."""
-        size = self.bundle.n_state * m
-        if self._work is None or self._work.shape[1] < size:
-            self._work = np.empty((3, size), dtype=np.complex128)
-        return [w[:size].reshape(-1, m) for w in self._work]
+        """Solution and residual of an m-bin block: dofs x m C-contiguous views of the
+        ModalReduction's two arrays, grown when m needs it, never shrunk.  The residual
+        array holds the block's diagonal until the residual is formed over it; the
+        solution array is spare when a block is solved into out, and then holds the
+        data if out is that data."""
+        red, size = self._reduction, self.bundle.n_state * m
+        if red.work is None or red.work.shape[1] < size:
+            red.work = np.empty((2, size), dtype=np.complex128)
+        return [w[:size].reshape(-1, m) for w in red.work]
 
     def _solve_block(self, fac: _LineFactors, gk: np.ndarray, half: bool,
                      out: np.ndarray | None = None):
@@ -421,16 +426,18 @@ class SolutionOperator:
         the workspace: the solution (the workspace's, or out, an n_state x
         bins C-contiguous array it is solved into, one column per bin), the
         relative residual and growth per bin and the number of refined bins.
-        The data is copied into the workspace first, so out may be gk's own
-        rows.  _solve gathers the diagonal into the residual buffer, which the
+        The data is read where gk holds it, through gk.T, unless out shares
+        its memory: then it is copied into the spare solution array first.
+        _solve gathers the diagonal into the residual array, which the
         residual then overwrites; a refined bin gathers its own again.  Only
         the columns that refinement or the mirror step changed are normed
         again.  The first bin the certificate (or the heuristic) rejects raises."""
         n, ks = self.z.size, fac.ks
-        g, u, r = self._workspace(ks.size)
-        u = u if out is None else out
-        g = g[:gk.shape[1]]
-        np.copyto(g, gk.T)
+        spare, r = self._workspace(ks.size)
+        u, g = spare if out is None else out, gk.T
+        if np.may_share_memory(u, g):   # solved over its own data
+            g = spare[:len(g)]
+            np.copyto(g, gk.T)
         nc0e = self._solve(fac, r, g, u)
         gn = _column_norms(g)
         first = _column_norms(u)
@@ -487,20 +494,20 @@ class SolutionOperator:
         that data, and its checks are those of the whole system.
 
         The nonzero bins are solved in consecutive blocks, each the columns
-        of the workspace's three dofs x bins arrays of at most
+        of the workspace's two dofs x bins arrays of at most
         LINE_BLOCK_BYTES (one bin at least: a 512-sample n=4 half line is
         one block, an n=16 block 4 bins), so the sparse products read
-        contiguous rows, cut every `step` bins and at `held`; a block's rows
-        are copied into the workspace before its solution is written back
-        over them.  A block of every row of a Fortran-ordered output (an n=4
-        line) is solved into that output's transpose, with no copy-out.  The
-        first `held` bins (as many
-        as FACTOR_CACHE_BYTES holds; 0 without keep_factors) read one kept
-        sweep, factored unless it holds them all already; later blocks are
-        factored one by one.  A check that fails raises for the first such
-        bin in bin order, but the sweep checks its zero pivots before any bin
-        is solved, so it names such a bin ahead of a failed check at a lower
-        bin; collect receives the maxima.
+        contiguous rows, cut every `step` bins and at `held`; a block reads
+        its rows of W through the view W[rows].T and its solution is written
+        to the same rows of out.  A block of every row of a Fortran-ordered output (an
+        n=4 line) is solved into that output's transpose, with no copy-out
+        (W's own rows are first copied to the spare solution array).  The
+        first `held` bins (as many as FACTOR_CACHE_BYTES holds; 0 without
+        keep_factors) read one kept sweep, factored unless it holds them all
+        already; later blocks are factored one by one.  A check that fails
+        raises for the first such bin in bin order, but the sweep checks its
+        zero pivots before any bin is solved, so it names such a bin ahead of
+        a failed check at a lower bin; collect receives the maxima.
         """
         out = W if out is None else out
         half = W.shape[0] != self.z.size

@@ -222,6 +222,23 @@ class TestModalKernels:
         assert np.abs(B0.T @ B0 - np.eye(B0.shape[1])).max() <= 1e-12
         assert np.abs(B1 @ B1.T - P1).max() <= 1e-12
 
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("n", GRIDS)
+    def test_mode_blocks_are_the_sliced_curl(self, n, axis):
+        # each mode's dense block has the bytes of the modal curl sliced on
+        # the mode's faces and edges, which are its dofs in ascending order
+        b = build_curl_pair(YeeGrid((1.0, 1.3, 0.8), n, axis, 1))
+        basis = helmholtz_projections(b)
+        mode_e, mode_f = (np.concatenate([c[2] for c in T]) for T in (basis.T_e, basis.T_f))
+        labels = np.union1d(mode_e, mode_f)
+        assert len(basis.modes) == len(basis.ker_C0_modal) == labels.size
+        for label, block, (edges, _) in zip(labels, basis.modes, basis.ker_C0_modal):
+            faces = np.flatnonzero(mode_f == label)
+            assert np.array_equal(block.faces, faces)
+            assert np.array_equal(edges, np.flatnonzero(mode_e == label))
+            sliced = b.modal_curl[faces][:, edges].toarray()
+            assert block.curl.shape == sliced.shape and block.curl.tobytes() == sliced.tobytes()
+
     def test_basis_holds_no_sparse_matrix(self, basis4):
         # T_e and T_f are held as their 1-D factors, the kernels as one dense
         # block per mode

@@ -635,10 +635,12 @@ class TestEdgeData:
 class TestWholeLineOutput:
     """A block that holds every row of a Fortran-ordered output is solved
     into that output's transpose: the bits of the copy-out path (the same
-    data into a C-ordered output), and the workspace's solution buffer is
-    never written.  Edge data and whole spectra, half and full lines, at a
-    certified weight and at a decay weight, where bins refine.  Both lines
-    of a 256-sample grid are one n=4 block (282 bins fit one)."""
+    data into a C-ordered output), and the workspace's spare solution array
+    is never solved in: edge data leaves it as it was, a whole spectrum
+    solved over itself leaves its data there.  Edge data and whole spectra,
+    half and full lines, at a certified weight and at a decay weight, where
+    bins refine.  Both lines of a 256-sample grid are one n=4 block (282
+    bins fit one)."""
 
     GRID = TimeGrid(-2.0, 1.0 / 16.0, 256)
 
@@ -666,10 +668,15 @@ class TestWholeLineOutput:
             W[[0, -1]] = W[[0, -1]].real
         op = SolutionOperator(bundle4, material_dl, rho, self.GRID, certificate_required=False)
         op._workspace(rows)
-        sentinel = op._work[1]
+        sentinel = op._reduction.work[0]   # the spare solution array
         sentinel[:] = np.nan
         direct, stats = self.solve(op, W, edge, "F")
-        assert np.isnan(sentinel).all()   # no block was solved in the workspace
+        if edge:
+            assert np.isnan(sentinel).all()   # no block was solved in the workspace
+        else:   # nor copied out of it: it holds the data, which the block was solved over
+            assert sentinel[:W.size].tobytes() == W.T.tobytes()
+            assert np.isnan(sentinel[W.size:]).all()
+        sentinel[:] = np.nan
         copied, stats_c = self.solve(op, W, edge, "C")
         assert not np.isnan(sentinel).all()   # the copy path solves there
         assert direct.tobytes(order="C") == copied.tobytes(order="C")
@@ -690,6 +697,67 @@ class TestWholeLineOutput:
             with pytest.raises(FrequencySingular) as info:
                 self.solve(op, W, edge, "F")
         assert info.value.z == 0
+
+
+class TestSharedWorkspace:
+    """The block workspace lives on the bundle's ModalReduction for mu: two
+    arrays, made once and reused by every operator on (bundle, mu) and by
+    repeated solve_linear and picard_solve calls, with the bytes of solves
+    on fresh bundles; a block's data is normed where the line holds it, and
+    at most two block-sized arrays are retained."""
+
+    def test_one_workspace_for_every_solve(self, material_dl, material_mod, rng):
+        grid = TimeGrid(-1.0, 1.0 / 32.0, 512)
+        shared = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), (4, 4, 4), 3, 2))
+        shape = (grid.n_samples, shared.n_state)
+        vec = 0.5 * smooth_pulse(grid.times, 0.0, 2.0)[:, None] * rng.standard_normal(shape[1])
+        g2, g3 = (WeightedSignal(grid, rho, vec) for rho in (2.0, 3.0))
+        full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)   # blocks of 282, 230 bins
+        spec = KernelSpec.from_dl(DrudeLorentzParams(1.0, [(0.8, 1.5, 3.0)]),
+                                  TimeGrid(0.0, grid.dt, grid.n_samples))
+        pol = DtPolarization(spec, SaturableNonlinearity(3, 1.0))
+
+        def runs(bundle):
+            """Each call's result bytes: one operator (rho 2, material_dl) applied twice,
+            between solve_linear at rho 3 on another law and picard_solve."""
+            op = SolutionOperator(bundle(), material_dl, 2.0, grid)
+            for _ in range(2):
+                yield op.apply_spectral(full).tobytes()
+                u, report = solve_linear(LinearProblem(bundle(), material_mod, 3.0, g3))
+                yield u.values.tobytes() + repr(report.to_dict()).encode()
+                u, cert = picard_solve(LinearProblem(bundle(), material_dl, 2.0, g2), pol)
+                yield u.values.tobytes() + repr(cert.to_dict()).encode()
+
+        fresh = list(runs(lambda: build_curl_pair(shared.grid)))
+        works = []
+        for got, want in zip(runs(lambda: shared), fresh, strict=True):
+            assert got == want
+            (red,) = shared.modal_reductions.values()
+            works.append(red.work)
+        # made for the first, largest block (282 bins) and kept for the smaller ones
+        assert all(w is works[0] for w in works) and works[0].shape == (2, 282 * shape[1])
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_column_norms_of_a_row_strided_view(self, order, rng):
+        W = np.array(rng.standard_normal((300, 348)) + 1j * rng.standard_normal((300, 348)),
+                     order=order)
+        block = W[17:299].T   # a block as the line holds it
+        want = spectral._column_norms(np.ascontiguousarray(block))
+        assert spectral._column_norms(block).tobytes() == want.tobytes()
+        if order == "F":   # rows strided, the last axis contiguous: viewed as floats, not copied
+            assert traced_peak(lambda: spectral._column_norms(block)) < block.nbytes // 8
+
+    @pytest.mark.parametrize("one_bin", [False, True], ids=["default", "one-bin-blocks"])
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_retained_bytes(self, n, one_bin, material_dl, rng, monkeypatch):
+        b = build_curl_pair(YeeGrid((1.0, 1.0, 1.0), (n, n, n), 3, n // 2))
+        if one_bin:
+            monkeypatch.setattr(spectral, "LINE_BLOCK_BYTES", 8 * b.n_state)
+        g = pulse_rhs(b, GRID, 2.0, rng)
+        solve_linear(LinearProblem(b, material_dl, 2.0, g))
+        SolutionOperator(b, material_dl, 2.0, GRID).apply(g + 1j * g)   # the full line
+        (red,) = b.modal_reductions.values()
+        assert red.work.nbytes <= 2 * max(spectral.LINE_BLOCK_BYTES, 16 * b.n_state)
 
 
 class TestBlockPasses:
@@ -718,7 +786,7 @@ class TestBlockPasses:
 
         monkeypatch.setattr(SolutionOperator, "_residual", reading)
         u, _, _, refined = op._solve_block(op._factor(ks), G, half)
-        g, _, r = op._workspace(ks.size)
+        g, (_, r) = G.T, op._workspace(ks.size)   # the data is read where G holds it
         assert refined == 0 and len(diagonals) == 1   # r holds the residual of the first solve
         d = diagonals[0]
         l1, l2 = material.eps_laws()
@@ -765,7 +833,7 @@ class TestRenormedColumns:
         monkeypatch.setattr(spectral, "_column_norms", forcing)
         op = SolutionOperator(bundle4, material_dl, 2.0, GRID)
         u, res, growth, refined = op._solve_block(op._factor(ks), G, half)
-        g, _, _ = op._workspace(ks.size)
+        g = G.T   # the data is read where G holds it
         assert refined == (2 if forced else 0)
         touched = refined + (2 if half else 0)   # the refined bins, xi = 0 and Nyquist
         assert calls[3:] == ([refined] if forced else []) + ([touched] if touched else [])
